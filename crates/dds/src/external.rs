@@ -561,36 +561,4 @@ mod tests {
             b"gen2"
         );
     }
-
-    #[test]
-    fn relay_threads_flat_and_cleaned_up() {
-        // The edge tier's thread budget is 2 per relay (poller +
-        // driver), whatever the client count — and both exit on
-        // stop_external.
-        let threads = || {
-            std::fs::read_dir("/proc/self/task")
-                .map(|d| d.count())
-                .unwrap_or(0)
-        };
-        let (domain, addr) = domain_with_relay();
-        let before = threads();
-        let mut clients: Vec<ExternalClient> = (0..20)
-            .map(|_| ExternalClient::connect(addr).unwrap())
-            .collect();
-        for c in &mut clients {
-            c.subscribe(TopicId(1)).unwrap();
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        let with_clients = threads();
-        assert_eq!(
-            with_clients, before,
-            "20 clients must not add a single thread"
-        );
-        drop(clients);
-        domain.stop_external();
-        // Poller and driver are joined by stop_external, so the count
-        // drops by exactly the relay's two threads.
-        let after = threads();
-        assert_eq!(after, before - 2, "relay threads leaked past shutdown");
-    }
 }

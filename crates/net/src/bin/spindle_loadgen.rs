@@ -24,7 +24,6 @@
 //! here, so the measurement needs no clock sync).
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -32,6 +31,8 @@ use std::time::{Duration, Instant};
 use netpoll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use spindle_core::{epoch_stats_for_node, NodeMetrics, RunReport};
 use spindle_net::edge::{encode_publish, encode_subscribe, EdgeAssembler, EdgeFrame};
+use spindle_net::sock::{drain_queue, read_available, DrainEnd, ReadEnd};
+use spindle_net::wire::FrameQueue;
 use spindle_obs::{names, Registry};
 
 #[cfg(unix)]
@@ -170,22 +171,16 @@ struct Client {
     stream: Option<TcpStream>,
     addr_ix: usize,
     asm: EdgeAssembler,
-    out: Vec<u8>,
-    out_pos: usize,
+    out: FrameQueue<Vec<u8>, ()>,
     reconnect_at: Instant,
     reconnects: u64,
     role: Role,
 }
 
 impl Client {
-    fn queue(&mut self, frame_writer: impl FnOnce(&mut Vec<u8>)) {
-        frame_writer(&mut self.out);
-    }
-
     fn disconnect(&mut self, now: Instant) {
         self.stream = None;
-        self.out.clear();
-        self.out_pos = 0;
+        self.out = FrameQueue::new();
         self.asm = EdgeAssembler::new();
         self.reconnect_at = now + Duration::from_millis(200);
         self.addr_ix += 1;
@@ -219,8 +214,7 @@ fn run() -> Result<(), String> {
             stream: None,
             addr_ix: 0,
             asm: EdgeAssembler::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            out: FrameQueue::new(),
             reconnect_at: base,
             reconnects: 0,
             role: if i < args.publishers {
@@ -284,8 +278,9 @@ fn run() -> Result<(), String> {
             while n_sent - *acked < MAX_OUTSTANDING && budget_ok(n_sent) && pace_ok(n_sent) {
                 let t_ns = base.elapsed().as_nanos() as u64;
                 let p = payload(id, n_sent, t_ns, args.payload, args.seed);
-                let out = &mut c.out;
-                encode_publish(args.topic, &p, out);
+                let mut frame = Vec::with_capacity(6 + p.len());
+                encode_publish(args.topic, &p, &mut frame);
+                c.out.push((), frame);
                 n_sent += 1;
             }
             *sent = n_sent;
@@ -298,7 +293,7 @@ fn run() -> Result<(), String> {
         for (i, c) in clients.iter().enumerate() {
             if let Some(s) = &c.stream {
                 let mut ev = POLLIN;
-                if c.out_pos < c.out.len() {
+                if !c.out.is_empty() {
                     ev |= POLLOUT;
                 }
                 fds.push(PollFd::new(s.as_raw_fd(), ev));
@@ -316,10 +311,12 @@ fn run() -> Result<(), String> {
             let c = &mut clients[i];
             let (readable, writable) = (fds[slot].readable(), fds[slot].writable());
             if writable {
-                if let Err(e) = flush(c) {
-                    eprintln!("spindle-loadgen: client {i} write failed: {e}");
-                    c.disconnect(now);
-                    continue;
+                if let Some(stream) = &c.stream {
+                    if drain_queue(stream, &mut c.out, |(), _| ()).end == DrainEnd::Dead {
+                        eprintln!("spindle-loadgen: client {i} write failed");
+                        c.disconnect(now);
+                        continue;
+                    }
                 }
             }
             if readable {
@@ -332,13 +329,15 @@ fn run() -> Result<(), String> {
                     &mut latency_recorded,
                     &mut delivered_bytes,
                 ) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        // EOF: relay went away (shutdown or kill).
+                    Ok(ReadEnd::Drained) => {}
+                    // EOF: relay went away (shutdown or kill).
+                    Ok(ReadEnd::Eof) => c.disconnect(now),
+                    Ok(ReadEnd::Failed(kind)) => {
+                        eprintln!("spindle-loadgen: client {i} read failed: {kind}");
                         c.disconnect(now);
                     }
                     Err(e) => {
-                        eprintln!("spindle-loadgen: client {i} read failed: {e}");
+                        eprintln!("spindle-loadgen: client {i}: {e}");
                         c.disconnect(now);
                     }
                 }
@@ -451,36 +450,16 @@ fn connect(c: &mut Client, args: &Args) -> std::io::Result<()> {
     stream.set_nonblocking(true)?;
     c.stream = Some(stream);
     if matches!(c.role, Role::Subscriber { .. }) {
-        let topic = args.topic;
-        c.queue(|out| {
-            encode_subscribe(topic, out);
-        });
+        let mut frame = Vec::new();
+        encode_subscribe(args.topic, &mut frame);
+        c.out.push((), frame);
     }
     Ok(())
 }
 
-fn flush(c: &mut Client) -> std::io::Result<()> {
-    let Some(s) = &mut c.stream else {
-        return Ok(());
-    };
-    while c.out_pos < c.out.len() {
-        match s.write(&c.out[c.out_pos..]) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => c.out_pos += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if c.out_pos == c.out.len() {
-        c.out.clear();
-        c.out_pos = 0;
-    }
-    Ok(())
-}
-
-/// Drains the socket and applies every complete frame. Returns
-/// `Ok(false)` on orderly EOF.
+/// Drains the socket and applies every complete frame. `Err` is a
+/// protocol violation (garbage, or a frame this client's role never
+/// receives).
 #[allow(clippy::too_many_arguments)]
 fn pump_reads(
     c: &mut Client,
@@ -490,26 +469,17 @@ fn pump_reads(
     violations: &mut u64,
     latency_recorded: &mut u64,
     delivered_bytes: &mut u64,
-) -> std::io::Result<bool> {
-    let Some(s) = &mut c.stream else {
-        return Ok(true);
+) -> Result<ReadEnd, String> {
+    let Some(s) = &c.stream else {
+        return Ok(ReadEnd::Drained);
     };
     let mut buf = [0u8; 64 * 1024];
-    loop {
-        match s.read(&mut buf) {
-            Ok(0) => return Ok(false),
-            Ok(n) => c.asm.feed(&buf[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    loop {
-        let frame = c
-            .asm
-            .next_frame()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let Some(frame) = frame else { break };
+    let asm = &mut c.asm;
+    let end = read_available(s, &mut buf, |chunk| {
+        asm.feed(chunk);
+        true
+    });
+    while let Some(frame) = c.asm.next_frame().map_err(|e| e.to_string())? {
         match (frame, &mut c.role) {
             (EdgeFrame::PubAck { status, .. }, Role::Publisher { acked, failed, .. }) => {
                 *acked += 1;
@@ -564,15 +534,10 @@ fn pump_reads(
             }
             // A subscriber never publishes and a publisher never
             // subscribes, so cross-role frames mean a protocol bug.
-            _ => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "unexpected frame for this client's role",
-                ))
-            }
+            _ => return Err("unexpected frame for this client's role".to_string()),
         }
     }
-    Ok(true)
+    Ok(end)
 }
 
 fn progress_report(clients: &[Client], what: &str) -> String {

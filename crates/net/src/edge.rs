@@ -14,7 +14,7 @@
 //!   [`wire_thread_count`](crate::wire_thread_count));
 //! * **encode-once batched fan-out** — [`EdgeServer::fanout`] serializes
 //!   a sample into one buffer and enqueues an [`Arc`] of it to every
-//!   subscriber ([`EdgeQueue`]); each client drains as one vectored
+//!   subscriber's [`FrameQueue`]; each client drains as one vectored
 //!   write per readiness, coalescing however many samples accumulated;
 //! * **QoS-aware backpressure** — per-client queue caps with a
 //!   per-topic [`OverflowPolicy`] (shed the oldest queued frames for
@@ -39,11 +39,11 @@
 //!
 //! Decoding never panics: truncated, oversized and garbage inputs are
 //! rejected with the same typed [`WireError`] the fabric codec uses, and
-//! [`EdgeAssembler`] reassembles frames across arbitrary read-chunk
-//! boundaries exactly like [`FrameAssembler`](crate::wire::FrameAssembler).
+//! [`EdgeAssembler`] — the fabric's [`FrameAssembler`] over this codec —
+//! reassembles frames across arbitrary read-chunk boundaries.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, IoSlice, Read, Write};
+use std::collections::HashMap;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -54,7 +54,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use netpoll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use spindle_obs::{names, Counter, Gauge, LogHistogram, ObsPlane};
 
-use crate::wire::WireError;
+use crate::sock::{accept_ready, drain_queue, read_available, DrainEnd, ReadEnd};
+use crate::wire::{
+    encode_with_body, rd_u32, rd_u64, split_envelope, FrameAssembler, FrameQueue, StreamFrame,
+    WireError,
+};
 
 /// Frame kind byte of [`EdgeFrame::Publish`].
 pub const KIND_EDGE_PUBLISH: u8 = 0x11;
@@ -109,22 +113,10 @@ pub enum EdgeFrame {
     },
 }
 
-/// Encodes a frame with kind byte + body builder, fixing up the length
-/// prefix afterwards (same shape as the fabric codec).
-fn with_body(kind: u8, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
-    let start = out.len();
-    out.extend_from_slice(&0u32.to_le_bytes()); // patched below
-    out.push(kind);
-    body(out);
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    out.len() - start
-}
-
 /// Appends the encoding of one `EDGE_PUBLISH`; returns the encoded size.
 /// Borrows `data` so the hot path never clones the payload.
 pub fn encode_publish(topic: u8, data: &[u8], out: &mut Vec<u8>) -> usize {
-    with_body(KIND_EDGE_PUBLISH, out, |b| {
+    encode_with_body(KIND_EDGE_PUBLISH, out, |b| {
         b.push(topic);
         b.extend_from_slice(data);
     })
@@ -132,7 +124,7 @@ pub fn encode_publish(topic: u8, data: &[u8], out: &mut Vec<u8>) -> usize {
 
 /// Appends the encoding of one `EDGE_SUBSCRIBE`; returns the encoded size.
 pub fn encode_subscribe(topic: u8, out: &mut Vec<u8>) -> usize {
-    with_body(KIND_EDGE_SUBSCRIBE, out, |b| b.push(topic))
+    encode_with_body(KIND_EDGE_SUBSCRIBE, out, |b| b.push(topic))
 }
 
 /// Appends the encoding of one `EDGE_SAMPLE`; returns the encoded size.
@@ -145,7 +137,7 @@ pub fn encode_sample(
     data: &[u8],
     out: &mut Vec<u8>,
 ) -> usize {
-    with_body(KIND_EDGE_SAMPLE, out, |b| {
+    encode_with_body(KIND_EDGE_SAMPLE, out, |b| {
         b.push(topic);
         b.extend_from_slice(&publisher.to_le_bytes());
         b.extend_from_slice(&index.to_le_bytes());
@@ -156,7 +148,7 @@ pub fn encode_sample(
 
 /// Appends the encoding of one `EDGE_PUB_ACK`; returns the encoded size.
 pub fn encode_pub_ack(topic: u8, status: u8, out: &mut Vec<u8>) -> usize {
-    with_body(KIND_EDGE_PUB_ACK, out, |b| {
+    encode_with_body(KIND_EDGE_PUB_ACK, out, |b| {
         b.push(topic);
         b.push(status);
     })
@@ -178,14 +170,6 @@ pub fn encode_edge_frame(frame: &EdgeFrame, out: &mut Vec<u8>) -> usize {
     }
 }
 
-fn rd_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn rd_u64(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().expect("bounds checked"))
-}
-
 /// Decodes the first edge frame in `buf`; returns the frame and the
 /// bytes consumed.
 ///
@@ -195,28 +179,8 @@ fn rd_u64(b: &[u8], at: usize) -> u64 {
 /// (read more and retry); any other [`WireError`] means the stream is
 /// corrupt and the connection must be dropped.
 pub fn decode_edge_frame(buf: &[u8]) -> Result<(EdgeFrame, usize), WireError> {
-    if buf.len() < 4 {
-        return Err(WireError::Truncated {
-            have: buf.len(),
-            need: 4,
-        });
-    }
-    let len = rd_u32(buf, 0) as usize;
-    if len > MAX_EDGE_FRAME_LEN {
-        return Err(WireError::Oversized { len });
-    }
-    if len == 0 {
-        return Err(WireError::LengthMismatch { kind: 0, len });
-    }
-    let total = 4 + len;
-    if buf.len() < total {
-        return Err(WireError::Truncated {
-            have: buf.len(),
-            need: total,
-        });
-    }
-    let kind = buf[4];
-    let body = &buf[5..total];
+    let (kind, body, total) = split_envelope(buf, MAX_EDGE_FRAME_LEN)?;
+    let len = total - 4;
     let frame = match kind {
         KIND_EDGE_PUBLISH => {
             if body.is_empty() {
@@ -259,53 +223,15 @@ pub fn decode_edge_frame(buf: &[u8]) -> Result<(EdgeFrame, usize), WireError> {
     Ok((frame, total))
 }
 
-/// Incremental edge-frame reassembly across arbitrary read-chunk
-/// boundaries — the relay-side twin of
-/// [`FrameAssembler`](crate::wire::FrameAssembler), with the same
-/// compaction discipline.
-#[derive(Debug, Default)]
-pub struct EdgeAssembler {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl EdgeAssembler {
-    /// An empty assembler.
-    pub fn new() -> EdgeAssembler {
-        EdgeAssembler::default()
-    }
-
-    /// Appends raw stream bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// The next complete frame, or `Ok(None)` until more bytes arrive.
-    ///
-    /// # Errors
-    ///
-    /// Any non-[`WireError::Truncated`] decode failure: the stream is
-    /// corrupt and must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<EdgeFrame>, WireError> {
-        match decode_edge_frame(&self.buf[self.pos..]) {
-            Ok((frame, used)) => {
-                self.pos += used;
-                if self.pos >= 64 * 1024 {
-                    self.buf.drain(..self.pos);
-                    self.pos = 0;
-                }
-                Ok(Some(frame))
-            }
-            Err(WireError::Truncated { .. }) => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Bytes buffered but not yet decoded.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+impl StreamFrame for EdgeFrame {
+    fn decode(buf: &[u8]) -> Result<(EdgeFrame, usize), WireError> {
+        decode_edge_frame(buf)
     }
 }
+
+/// Edge-frame reassembly across arbitrary read-chunk boundaries: the
+/// crate's one [`FrameAssembler`] speaking the relay codec.
+pub type EdgeAssembler = FrameAssembler<EdgeFrame>;
 
 /// What to do when a client's outbound queue overflows its cap — chosen
 /// per topic from the topic's QoS level.
@@ -321,117 +247,11 @@ pub enum OverflowPolicy {
     Disconnect,
 }
 
-/// Linux caps one `writev` at 1024 iovecs; staying under it means a
-/// drain call never splits for silly reasons.
-const MAX_IOVECS: usize = 1024;
-
-/// One queued outbound frame: a shared encoding plus its enqueue time
-/// (the delivery-latency histogram measures enqueue → flushed).
-#[derive(Debug)]
-struct QueuedFrame {
-    buf: Arc<Vec<u8>>,
-    enqueued: Instant,
-}
-
-/// A per-client bounded outbound queue of **shared** encoded frames: the
-/// [`ScatterQueue`](crate::wire::ScatterQueue) idea (vectored drains,
-/// partial writes first-class) adapted for fan-out, where one encoding
-/// is enqueued to a thousand clients and owning buffers would mean a
-/// thousand copies.
-#[derive(Debug, Default)]
-pub struct EdgeQueue {
-    frames: VecDeque<QueuedFrame>,
-    /// Bytes of the head frame already written to the stream.
-    head_written: usize,
-    /// Total unwritten bytes across the queue.
-    pending_bytes: usize,
-}
-
-impl EdgeQueue {
-    /// An empty queue.
-    pub fn new() -> EdgeQueue {
-        EdgeQueue::default()
-    }
-
-    /// Queued frames (including a partially written head).
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Unwritten bytes across all queued frames.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending_bytes
-    }
-
-    /// Enqueues one shared encoded frame stamped `now`.
-    pub fn push(&mut self, buf: Arc<Vec<u8>>, now: Instant) {
-        self.pending_bytes += buf.len();
-        self.frames.push_back(QueuedFrame { buf, enqueued: now });
-    }
-
-    /// The unwritten byte ranges, ready for `write_vectored` (capped at
-    /// the kernel's iovec limit; a later drain picks up the rest).
-    pub fn io_slices(&self) -> Vec<IoSlice<'_>> {
-        let mut out = Vec::with_capacity(self.frames.len().min(MAX_IOVECS));
-        for (i, f) in self.frames.iter().enumerate() {
-            if out.len() == MAX_IOVECS {
-                break;
-            }
-            let skip = if i == 0 { self.head_written } else { 0 };
-            out.push(IoSlice::new(&f.buf[skip..]));
-        }
-        out
-    }
-
-    /// Consumes `n` written bytes from the front; calls `on_flushed`
-    /// with the enqueue time of every frame that fully left the socket.
-    /// Returns how many frames completed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the queued bytes.
-    pub fn advance(&mut self, mut n: usize, mut on_flushed: impl FnMut(Instant)) -> usize {
-        assert!(n <= self.pending_bytes, "advanced past the queued bytes");
-        self.pending_bytes -= n;
-        let mut completed = 0;
-        while n > 0 {
-            let head_left = self.frames[0].buf.len() - self.head_written;
-            if n >= head_left {
-                n -= head_left;
-                self.head_written = 0;
-                let f = self.frames.pop_front().expect("head exists");
-                on_flushed(f.enqueued);
-                completed += 1;
-            } else {
-                self.head_written += n;
-                n = 0;
-            }
-        }
-        completed
-    }
-
-    /// Sheds the **oldest** fully-unwritten frames until the queue holds
-    /// at most `target` pending bytes. A partially written head is never
-    /// dropped — that would tear the stream's framing mid-frame. Returns
-    /// `(frames_dropped, bytes_dropped)`.
-    pub fn shed_oldest_to(&mut self, target: usize) -> (usize, usize) {
-        let mut dropped = (0, 0);
-        // Index 0 is only sheddable while untouched by the writer.
-        let first = usize::from(self.head_written > 0);
-        while self.pending_bytes > target && self.frames.len() > first {
-            let f = self.frames.remove(first).expect("index in range");
-            self.pending_bytes -= f.buf.len();
-            dropped.0 += 1;
-            dropped.1 += f.buf.len();
-        }
-        dropped
-    }
-}
+/// A client's bounded outbound queue: each frame is a **shared**
+/// encoding (one buffer enqueued to a thousand clients — owning buffers
+/// would mean a thousand copies) stamped with its enqueue time (the
+/// delivery-latency histogram measures enqueue → flushed).
+type ClientQueue = FrameQueue<Arc<[u8]>, Instant>;
 
 /// Configuration of an [`EdgeServer`].
 #[derive(Debug, Clone)]
@@ -510,7 +330,7 @@ pub struct EdgeRequest {
 /// Shared per-client state: the poller owns the socket; host threads
 /// reach the queue and subscription set through the server's table.
 struct ClientState {
-    queue: EdgeQueue,
+    queue: ClientQueue,
     /// 256-bit topic subscription bitmap.
     subs: [u64; 4],
     /// Set (with a reason) to have the poller close and reap the client.
@@ -682,7 +502,7 @@ impl EdgeServer {
     pub fn pub_ack(&self, client: u64, topic: u8, status: u8) {
         let mut buf = Vec::with_capacity(16);
         encode_pub_ack(topic, status, &mut buf);
-        let frame = Arc::new(buf);
+        let frame: Arc<[u8]> = buf.into();
         let now = Instant::now();
         {
             let mut t = self.shared.clients.lock().expect("table lock");
@@ -690,7 +510,7 @@ impl EdgeServer {
             if let Some(c) = t.map.get_mut(&client) {
                 if c.dead.is_none() {
                     t.total_pending += frame.len();
-                    c.queue.push(frame, now);
+                    c.queue.push(now, frame);
                 }
             }
         }
@@ -719,19 +539,20 @@ impl EdgeServer {
             }
             let mut buf = Vec::with_capacity(26 + data.len());
             encode_sample(topic, publisher, index, epoch, data, &mut buf);
-            let frame = Arc::new(buf);
+            let frame: Arc<[u8]> = buf.into();
             let now = Instant::now();
             for c in t.map.values_mut() {
                 if c.dead.is_some() || !c.subscribed(topic) {
                     continue;
                 }
                 t.total_pending += frame.len();
-                c.queue.push(Arc::clone(&frame), now);
+                c.queue.push(now, Arc::clone(&frame));
                 enqueued += 1;
                 if c.queue.pending_bytes() > shared.cfg.client_queue_bytes {
                     match shared.cfg.policy_of(topic) {
                         OverflowPolicy::ShedOldest => {
-                            let (nf, nb) = c.queue.shed_oldest_to(shared.cfg.client_queue_bytes);
+                            let cap = shared.cfg.client_queue_bytes;
+                            let (nf, nb) = c.queue.drop_unwritten(|_, pending| pending > cap);
                             t.total_pending -= nb;
                             shared.metrics.shed_slow.add(nf as u64);
                         }
@@ -861,50 +682,35 @@ fn accept_clients(
     conns: &mut Vec<LocalConn>,
     next_id: &mut u64,
 ) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let mut t = shared.clients.lock().expect("table lock");
-                if t.map.len() >= shared.cfg.max_clients {
-                    // Admission shed: over the client cap, the relay
-                    // refuses rather than degrading everyone.
-                    shared.metrics.shed_admission.inc();
-                    continue;
-                }
-                if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                    continue;
-                }
-                let id = *next_id;
-                *next_id += 1;
-                t.map.insert(
-                    id,
-                    ClientState {
-                        queue: EdgeQueue::new(),
-                        subs: [0; 4],
-                        dead: None,
-                    },
-                );
-                shared.metrics.clients.set(t.map.len() as u64);
-                drop(t);
-                conns.push(LocalConn {
-                    id,
-                    stream,
-                    asm: EdgeAssembler::new(),
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return,
+    accept_ready(listener, |stream| {
+        let mut t = shared.clients.lock().expect("table lock");
+        if t.map.len() >= shared.cfg.max_clients {
+            // Admission shed: over the client cap, the relay refuses
+            // rather than degrading everyone.
+            shared.metrics.shed_admission.inc();
+            return;
         }
-    }
-}
-
-/// Marks `id` dead (the reap at the top of the loop closes it).
-fn mark_dead(shared: &EdgeShared, id: u64, reason: &'static str) {
-    let mut t = shared.clients.lock().expect("table lock");
-    if let Some(st) = t.map.get_mut(&id) {
-        st.dead = Some(reason);
-    }
+        if stream.set_nodelay(true).is_err() {
+            return;
+        }
+        let id = *next_id;
+        *next_id += 1;
+        t.map.insert(
+            id,
+            ClientState {
+                queue: ClientQueue::new(),
+                subs: [0; 4],
+                dead: None,
+            },
+        );
+        shared.metrics.clients.set(t.map.len() as u64);
+        drop(t);
+        conns.push(LocalConn {
+            id,
+            stream,
+            asm: EdgeAssembler::new(),
+        });
+    });
 }
 
 fn service_inbound(
@@ -913,101 +719,70 @@ fn service_inbound(
     rbuf: &mut [u8],
     req_tx: &Sender<EdgeRequest>,
 ) {
-    loop {
-        match c.stream.read(rbuf) {
-            Ok(0) => {
-                mark_dead(shared, c.id, "eof");
-                return;
-            }
-            Ok(n) => {
-                c.asm.feed(&rbuf[..n]);
-                loop {
-                    match c.asm.next_frame() {
-                        Ok(Some(EdgeFrame::Publish { topic, data })) => {
-                            let _ = req_tx.send(EdgeRequest {
-                                client: c.id,
-                                topic,
-                                data,
-                            });
-                        }
-                        Ok(Some(EdgeFrame::Subscribe { topic })) => {
-                            let mut t = shared.clients.lock().expect("table lock");
-                            if let Some(st) = t.map.get_mut(&c.id) {
-                                st.subscribe(topic);
-                            }
-                        }
-                        Ok(Some(_)) => {
-                            // Sample / PubAck are relay → client only.
-                            mark_dead(shared, c.id, "protocol");
-                            return;
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            mark_dead(shared, c.id, "protocol");
-                            return;
-                        }
+    let LocalConn { id, stream, asm } = c;
+    let mut protocol_error = false;
+    let end = read_available(&*stream, rbuf, |chunk| {
+        asm.feed(chunk);
+        loop {
+            match asm.next_frame() {
+                Ok(Some(EdgeFrame::Publish { topic, data })) => {
+                    let _ = req_tx.send(EdgeRequest {
+                        client: *id,
+                        topic,
+                        data,
+                    });
+                }
+                Ok(Some(EdgeFrame::Subscribe { topic })) => {
+                    let mut t = shared.clients.lock().expect("table lock");
+                    if let Some(st) = t.map.get_mut(id) {
+                        st.subscribe(topic);
                     }
                 }
-                if n < rbuf.len() {
-                    return; // short read: the socket is drained
+                Ok(None) => return true,
+                // Garbage, or Sample / PubAck (relay → client only).
+                Ok(Some(_)) | Err(_) => {
+                    protocol_error = true;
+                    return false;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                mark_dead(shared, c.id, "io");
-                return;
-            }
         }
+    });
+    let reason = match end {
+        _ if protocol_error => "protocol",
+        ReadEnd::Drained => return,
+        ReadEnd::Eof => "eof",
+        ReadEnd::Failed(_) => "io",
+    };
+    // Mark it dead: the reap at the top of the loop closes it.
+    let mut t = shared.clients.lock().expect("table lock");
+    if let Some(st) = t.map.get_mut(id) {
+        st.dead = Some(reason);
     }
 }
 
 fn drain_outbound(shared: &EdgeShared, c: &mut LocalConn) {
-    loop {
-        let mut t = shared.clients.lock().expect("table lock");
-        let t = &mut *t;
-        let Some(st) = t.map.get_mut(&c.id) else {
-            return;
-        };
-        if st.dead.is_some() || st.queue.is_empty() {
-            return;
-        }
-        let slices = st.queue.io_slices();
-        match c.stream.write_vectored(&slices) {
-            Ok(0) => return,
-            Ok(n) => {
-                drop(slices);
-                st.queue.advance(n, |enqueued| {
-                    shared
-                        .metrics
-                        .latency
-                        .record(enqueued.elapsed().as_nanos() as u64);
-                });
-                t.total_pending -= n;
-                if st.queue.is_empty() {
-                    return;
-                }
-                // More pending: loop and try again until WouldBlock.
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                st.dead = Some("io");
-                return;
-            }
-        }
+    let mut t = shared.clients.lock().expect("table lock");
+    let t = &mut *t;
+    let Some(st) = t.map.get_mut(&c.id) else {
+        return;
+    };
+    if st.dead.is_some() {
+        return;
+    }
+    let latency = &shared.metrics.latency;
+    let d = drain_queue(&c.stream, &mut st.queue, |enqueued, _| {
+        latency.record(enqueued.elapsed().as_nanos() as u64);
+    });
+    t.total_pending -= d.bytes;
+    if d.end == DrainEnd::Dead {
+        st.dead = Some("io");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample_bytes(topic: u8, index: u64, data: &[u8]) -> Arc<Vec<u8>> {
-        let mut b = Vec::new();
-        encode_sample(topic, 0, index, 0, data, &mut b);
-        Arc::new(b)
-    }
+    use std::io::{Read, Write};
 
     #[test]
     fn edge_frames_roundtrip() {
@@ -1067,82 +842,6 @@ mod tests {
             decode_edge_frame(&b),
             Err(WireError::LengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn assembler_reassembles_byte_at_a_time() {
-        let frames = vec![
-            EdgeFrame::Subscribe { topic: 1 },
-            EdgeFrame::Sample {
-                topic: 1,
-                publisher: 0,
-                index: 0,
-                epoch: 0,
-                data: vec![9; 33],
-            },
-            EdgeFrame::PubAck {
-                topic: 1,
-                status: 0,
-            },
-        ];
-        let mut stream = Vec::new();
-        for f in &frames {
-            encode_edge_frame(f, &mut stream);
-        }
-        let mut asm = EdgeAssembler::new();
-        let mut got = Vec::new();
-        for b in stream {
-            asm.feed(&[b]);
-            while let Some(f) = asm.next_frame().expect("valid stream") {
-                got.push(f);
-            }
-        }
-        assert_eq!(got, frames);
-        assert_eq!(asm.buffered(), 0);
-    }
-
-    #[test]
-    fn queue_shares_one_encoding_across_clients() {
-        let frame = sample_bytes(1, 0, &[7; 1000]);
-        let mut queues: Vec<EdgeQueue> = (0..100).map(|_| EdgeQueue::new()).collect();
-        let now = Instant::now();
-        for q in &mut queues {
-            q.push(Arc::clone(&frame), now);
-        }
-        // 100 queues, one buffer: encode-once fan-out.
-        assert_eq!(Arc::strong_count(&frame), 101);
-        for q in &mut queues {
-            let total: usize = q.io_slices().iter().map(|s| s.len()).sum();
-            assert_eq!(total, frame.len());
-            let mut flushed = 0;
-            assert_eq!(q.advance(total, |_| flushed += 1), 1);
-            assert_eq!(flushed, 1);
-            assert!(q.is_empty());
-        }
-        assert_eq!(Arc::strong_count(&frame), 1);
-    }
-
-    #[test]
-    fn queue_partial_write_keeps_framing_and_shed_spares_the_head() {
-        let mut q = EdgeQueue::new();
-        let a = sample_bytes(1, 0, &[1; 50]);
-        let b = sample_bytes(1, 1, &[2; 50]);
-        let c = sample_bytes(1, 2, &[3; 50]);
-        let now = Instant::now();
-        q.push(Arc::clone(&a), now);
-        q.push(Arc::clone(&b), now);
-        q.push(Arc::clone(&c), now);
-        // 10 bytes of the head left on the wire.
-        assert_eq!(q.advance(10, |_| ()), 0);
-        assert_eq!(q.pending_bytes(), a.len() + b.len() + c.len() - 10);
-        // Shedding to zero must keep the half-written head intact.
-        let (nf, nb) = q.shed_oldest_to(0);
-        assert_eq!(nf, 2);
-        assert_eq!(nb, b.len() + c.len());
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pending_bytes(), a.len() - 10);
-        // The remaining slice resumes at the partial point.
-        assert_eq!(q.io_slices()[0].len(), a.len() - 10);
     }
 
     #[test]

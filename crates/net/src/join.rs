@@ -44,8 +44,8 @@ use spindle_persist::LogRecord;
 
 use crate::tcp::{JoinRequest, TcpFabric, TcpFabricConfig};
 use crate::wire::{
-    decode_frame, encode_join, encode_join_commit, encode_join_redirect, encode_join_state, Frame,
-    JoinCommitFrame, JoinFrame, JoinStateFrame, SubgroupShape, WireError, PROTO_VERSION,
+    encode_join, encode_join_commit, encode_join_redirect, encode_join_state, Frame,
+    FrameAssembler, JoinCommitFrame, JoinFrame, JoinStateFrame, SubgroupShape, PROTO_VERSION,
 };
 
 /// How long one control-stream read may stall before the conversation is
@@ -135,19 +135,16 @@ pub struct Joined {
 /// Reads the next control frame from `stream`, buffering partial input.
 fn read_control_frame(
     stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
+    asm: &mut FrameAssembler,
     deadline: Instant,
 ) -> Result<Frame, JoinError> {
     stream
         .set_read_timeout(Some(CONTROL_READ_TIMEOUT))
         .map_err(JoinError::Io)?;
     loop {
-        match decode_frame(buf) {
-            Ok((frame, used)) => {
-                buf.drain(..used);
-                return Ok(frame);
-            }
-            Err(WireError::Truncated { .. }) => {}
+        match asm.next_frame() {
+            Ok(Some(frame)) => return Ok(frame),
+            Ok(None) => {}
             Err(e) => return Err(JoinError::Protocol(e.to_string())),
         }
         if Instant::now() > deadline {
@@ -162,7 +159,7 @@ fn read_control_frame(
                     "sponsor closed the control stream".into(),
                 ))
             }
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
+            Ok(n) => asm.feed(&tmp[..n]),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             }
@@ -260,9 +257,9 @@ pub fn join_cluster(cfg: JoinConfig) -> Result<Joined, JoinError> {
             fail(JoinError::Io(e), &mut last_err);
             continue;
         }
-        let mut buf = Vec::new();
+        let mut asm = FrameAssembler::new();
         loop {
-            match read_control_frame(&mut stream, &mut buf, deadline) {
+            match read_control_frame(&mut stream, &mut asm, deadline) {
                 Ok(Frame::JoinState(s)) => {
                     // Frame sizes: what the wire carried for this frame.
                     let mut sz = Vec::new();

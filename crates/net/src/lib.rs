@@ -54,6 +54,7 @@ pub mod edge;
 pub mod group;
 pub mod join;
 pub mod metrics;
+pub mod sock;
 pub mod tcp;
 pub mod wire;
 
@@ -62,9 +63,7 @@ pub use config::{
     NodeConfig, NodeConfigBuilder, NodeConfigError, NodeConfigErrors, NodeRole, ObsSettings,
     PersistSettings, RelaySettings, RunControl,
 };
-pub use edge::{
-    EdgeAssembler, EdgeConfig, EdgeFrame, EdgeQueue, EdgeRequest, EdgeServer, OverflowPolicy,
-};
+pub use edge::{EdgeAssembler, EdgeConfig, EdgeFrame, EdgeRequest, EdgeServer, OverflowPolicy};
 pub use group::TcpFabricGroup;
 pub use join::{
     join_cluster, serve_join, tail_within, JoinConfig, JoinError, Joined, ServeOutcome,

@@ -27,8 +27,10 @@ impl WireMetrics {
         WireMetrics::default()
     }
 
-    pub(crate) fn add_bytes_sent(&self, n: u64) {
-        self.c.bytes_sent.fetch_add(n, Ordering::Relaxed);
+    /// Accounts `writes` vectored socket writes that moved `bytes`.
+    pub(crate) fn add_flushed(&self, writes: u64, bytes: u64) {
+        self.c.flushes.fetch_add(writes, Ordering::Relaxed);
+        self.c.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     }
 
     pub(crate) fn add_bytes_received(&self, n: u64) {
@@ -43,16 +45,12 @@ impl WireMetrics {
         self.c.frames_received.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn add_frame_dropped(&self) {
-        self.c.frames_dropped.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn add_frames_dropped(&self, n: u64) {
+        self.c.frames_dropped.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn add_reconnect(&self) {
         self.c.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_flush(&self) {
-        self.c.flushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Copies the current counter values.

@@ -7,7 +7,7 @@
 //! stream, dial completions and outbound backlog flushes. Posting a
 //! [`WriteOp`] snapshots the covered words from the local mirror
 //! (exactly when an RDMA NIC would DMA them), encodes them straight into
-//! the destination's [`ScatterQueue`], and — when the link is up and
+//! the destination's [`FrameQueue`], and — when the link is up and
 //! idle — writes them to the socket *inline* from the posting thread
 //! (latency-greedy: no handoff, no wakeup). When the kernel pushes back
 //! or the link is down, frames accumulate in the queue and the poller
@@ -65,7 +65,7 @@
 //! list names fresh rows *grows* the endpoint in place — the mirror is
 //! reallocated at the new layout's size (the new row appends at the end
 //! of the row-major SST, so existing offsets are stable), an address
-//! slot and scatter queue are added per joiner (no new threads: the
+//! slot and outbound queue are added per joiner (no new threads: the
 //! poller's fd set simply grows), and the connection barrier covers the
 //! grown mesh. A connection that opens with a `JOIN` frame instead of a
 //! `HELLO` is a joiner's control conversation, surfaced through
@@ -73,7 +73,7 @@
 //! ([`join`](crate::join)).
 
 use std::collections::BTreeSet;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -87,8 +87,9 @@ use spindle_fabric::{Disposition, EpochTransition, Fabric, FaultPlan, NodeId, Re
 use spindle_obs::{FlightEvent, Level, ObsPlane};
 
 use crate::metrics::{WireMetrics, WireStats};
+use crate::sock::{accept_ready, drain_queue, read_available, DrainEnd, ReadEnd};
 use crate::wire::{
-    encode_hello, encode_write_frame, Frame, FrameAssembler, Hello, ScatterQueue, WriteFrame,
+    encode_hello, encode_write_frame, Frame, FrameAssembler, FrameQueue, Hello, WriteFrame,
     PROTO_VERSION,
 };
 
@@ -157,8 +158,12 @@ impl TcpFabricConfig {
 /// One peer's outbound half, owned jointly by posters (inline flush) and
 /// the poller (dials, backlog drains) under the mutex.
 struct PeerOut {
-    /// Encoded frames awaiting the wire, each stamped with its epoch.
-    queue: ScatterQueue,
+    /// Encoded frames awaiting the wire, each stamped with the epoch its
+    /// words were snapshotted from.
+    queue: FrameQueue<Vec<u8>, u64>,
+    /// Recycled frame buffers: flushed frames return here and posts
+    /// encode into them, so the steady-state hot path allocates nothing.
+    pool: Vec<Vec<u8>>,
     /// The established stream (nonblocking).
     conn: Option<TcpStream>,
     /// A dial in flight (nonblocking connect awaiting `POLLOUT`).
@@ -178,7 +183,8 @@ impl PeerState {
     fn new() -> Arc<PeerState> {
         Arc::new(PeerState {
             out: Mutex::new(PeerOut {
-                queue: ScatterQueue::new(),
+                queue: FrameQueue::new(),
+                pool: Vec::new(),
                 conn: None,
                 connecting: None,
                 dial_started: Instant::now(),
@@ -348,44 +354,31 @@ fn kill_outbound(peer: &PeerState, out: &mut PeerOut) {
     out.queue.rewind_head();
 }
 
-/// Drains the peer's scatter queue into its live stream with vectored
-/// writes until empty or the kernel pushes back. Caller holds the peer
-/// lock (posters and the poller both flush through here, so the stream
-/// stays a single ordered FIFO). Frames whose epoch died with the view
-/// are purged first. On a write error the connection is torn down; the
+/// Drains the peer's queue into its live stream with vectored writes
+/// until empty or the kernel pushes back. Caller holds the peer lock
+/// (posters and the poller both flush through here, so the stream stays
+/// a single ordered FIFO). Frames whose epoch died with the view are
+/// purged first. On a write error the connection is torn down; the
 /// queued frames survive for the redial.
 fn drain_outbound(shared: &Shared, peer: &PeerState, out: &mut PeerOut) {
-    let purged = out.queue.purge_stale(shared.epoch());
-    for _ in 0..purged {
-        shared.metrics.add_frame_dropped();
-    }
-    loop {
-        if out.queue.is_empty() || out.conn.is_none() {
-            return;
+    let epoch = shared.epoch();
+    let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < epoch);
+    shared.metrics.add_frames_dropped(purged as u64);
+    let PeerOut {
+        queue, pool, conn, ..
+    } = out;
+    let Some(conn) = conn else {
+        return;
+    };
+    let d = drain_queue(&*conn, queue, |_, mut buf| {
+        if pool.len() < 64 {
+            buf.clear();
+            pool.push(buf);
         }
-        let res = {
-            let conn = out.conn.as_ref().expect("checked above");
-            let slices = out.queue.io_slices();
-            let mut w: &TcpStream = conn;
-            w.write_vectored(&slices)
-        };
-        match res {
-            Ok(0) => {
-                kill_outbound(peer, out);
-                return;
-            }
-            Ok(n) => {
-                shared.metrics.add_bytes_sent(n as u64);
-                shared.metrics.add_flush();
-                out.queue.advance(n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                kill_outbound(peer, out);
-                return;
-            }
-        }
+    });
+    shared.metrics.add_flushed(d.writes as u64, d.bytes as u64);
+    if d.end == DrainEnd::Dead {
+        kill_outbound(peer, out);
     }
 }
 
@@ -708,18 +701,18 @@ impl Fabric for TcpFabric {
         // frame is purged unsent once the endpoint has moved on.
         let (epoch, region) = s.region_at_epoch();
         let Some(peer) = s.peer(op.dst.0) else {
-            s.metrics.add_frame_dropped();
+            s.metrics.add_frames_dropped(1);
             return;
         };
         let mut out = peer.out.lock().expect("peer out lock");
         if out.queue.len() >= s.queue_cap {
             // The peer is unreachable and the backlog is saturated: shed
             // load like a NIC whose QP errored out.
-            s.metrics.add_frame_dropped();
+            s.metrics.add_frames_dropped(1);
             return;
         }
         let words = region.snapshot(op.range.start, op.words());
-        let mut buf = out.queue.take_buf();
+        let mut buf = out.pool.pop().unwrap_or_default();
         encode_write_frame(&WriteFrame::for_op(op, words), &mut buf);
         let was_idle = out.queue.is_empty();
         out.queue.push(epoch, buf);
@@ -794,10 +787,8 @@ impl Fabric for TcpFabric {
             }
             let mut out = p.out.lock().expect("peer out lock");
             kill_outbound(p, &mut out);
-            let purged = out.queue.purge_stale(t.epoch);
-            for _ in 0..purged {
-                s.metrics.add_frame_dropped();
-            }
+            let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < t.epoch);
+            s.metrics.add_frames_dropped(purged as u64);
         }
         // Inbound: keep connections already at the new epoch (their
         // handshake stands — no fresh HELLO will come over them), sever
@@ -845,9 +836,15 @@ fn resolve(addr: &str) -> io::Result<SocketAddr> {
     })
 }
 
-/// One inbound connection owned by the poller.
+/// One inbound connection owned by the poller: the socket, and
+/// everything decoded off it so far.
 struct InboundConn {
     stream: TcpStream,
+    link: InboundLink,
+}
+
+#[derive(Default)]
+struct InboundLink {
     asm: FrameAssembler,
     /// The validated handshake; `None` until the first frame arrives.
     hello: Option<Hello>,
@@ -860,32 +857,23 @@ struct InboundConn {
 /// Reads everything currently available on one inbound connection and
 /// applies the complete frames (see [`process_inbound_frames`]).
 /// Returns whether any bytes arrived.
-fn service_inbound(shared: &Shared, ic: &mut InboundConn) -> bool {
-    let mut tmp = [0u8; 16 * 1024];
-    let mut any = false;
-    loop {
-        if ic.dead || ic.handoff.is_some() {
-            return any;
-        }
-        match ic.stream.read(&mut tmp) {
-            Ok(0) => {
-                ic.dead = true;
-                return any;
-            }
-            Ok(n) => {
-                any = true;
-                shared.metrics.add_bytes_received(n as u64);
-                ic.asm.feed(&tmp[..n]);
-                process_inbound_frames(shared, ic);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return any,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                ic.dead = true;
-                return any;
-            }
-        }
+fn service_inbound(shared: &Shared, ic: &mut InboundConn, scratch: &mut [u8]) -> bool {
+    let InboundConn { stream, link } = ic;
+    if link.dead || link.handoff.is_some() {
+        return false;
     }
+    let mut any = false;
+    let end = read_available(&*stream, scratch, |chunk| {
+        any = true;
+        shared.metrics.add_bytes_received(chunk.len() as u64);
+        link.asm.feed(chunk);
+        process_inbound_frames(shared, stream, link);
+        !link.dead && link.handoff.is_none()
+    });
+    if end != ReadEnd::Drained {
+        link.dead = true;
+    }
+    any
 }
 
 /// Applies every complete frame buffered on `ic`: verify the `HELLO`,
@@ -893,7 +881,7 @@ fn service_inbound(shared: &Shared, ic: &mut InboundConn) -> bool {
 /// turns garbage. A connection that opens with a `JOIN` frame instead is
 /// not a fabric link at all — it is a joiner's control conversation,
 /// marked for handoff to [`TcpFabric::join_requests`].
-fn process_inbound_frames(shared: &Shared, ic: &mut InboundConn) {
+fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundLink) {
     loop {
         let frame = match ic.asm.next_frame() {
             Ok(Some(f)) => f,
@@ -906,7 +894,7 @@ fn process_inbound_frames(shared: &Shared, ic: &mut InboundConn) {
         let Some(hello) = ic.hello.as_ref() else {
             match frame {
                 Frame::Hello(h) => {
-                    if !accept_hello(shared, ic, &h) {
+                    if !accept_hello(shared, stream, &h) {
                         ic.dead = true;
                         return;
                     }
@@ -983,7 +971,7 @@ fn process_inbound_frames(shared: &Shared, ic: &mut InboundConn) {
 /// same-epoch handshake. A peer at an *earlier* epoch is stale —
 /// rejecting it here is what keeps a laggard's old-epoch protocol writes
 /// out of the fresh mirror.
-fn accept_hello(shared: &Shared, ic: &InboundConn, hello: &Hello) -> bool {
+fn accept_hello(shared: &Shared, stream: &TcpStream, hello: &Hello) -> bool {
     let src = hello.src as usize;
     let epoch_at_hello = shared.epoch();
     let ahead = hello.epoch > epoch_at_hello;
@@ -1016,7 +1004,7 @@ fn accept_hello(shared: &Shared, ic: &InboundConn, hello: &Hello) -> bool {
         return false;
     }
     shared.ensure_inbound_slot(src);
-    if let Ok(clone) = ic.stream.try_clone() {
+    if let Ok(clone) = stream.try_clone() {
         let mut inb = shared.inbound.lock().expect("inbound lock");
         if let Some((stale, _)) = inb[src].take() {
             let _ = stale.shutdown(Shutdown::Both);
@@ -1034,11 +1022,11 @@ fn accept_hello(shared: &Shared, ic: &InboundConn, hello: &Hello) -> bool {
 fn compact_inbound(shared: &Shared, inbound: &mut Vec<InboundConn>) {
     let mut i = 0;
     while i < inbound.len() {
-        if inbound[i].dead {
+        if inbound[i].link.dead {
             inbound.swap_remove(i);
-        } else if inbound[i].handoff.is_some() {
+        } else if inbound[i].link.handoff.is_some() {
             let ic = inbound.swap_remove(i);
-            let (addr, as_sender) = ic.handoff.expect("checked above");
+            let (addr, as_sender) = ic.link.handoff.expect("checked above");
             let _ = ic.stream.set_nonblocking(false);
             let _ = ic.stream.set_read_timeout(Some(POLL));
             let _ = shared.join_tx.send(JoinRequest {
@@ -1058,8 +1046,8 @@ fn compact_inbound(shared: &Shared, inbound: &mut Vec<InboundConn>) {
 struct HttpConn {
     stream: TcpStream,
     req: Vec<u8>,
-    resp: Vec<u8>,
-    written: usize,
+    /// The rendered response (one frame, once the request is complete).
+    out: FrameQueue<Vec<u8>, ()>,
     dead: bool,
 }
 
@@ -1070,52 +1058,32 @@ const HTTP_REQ_CAP: usize = 8 * 1024;
 /// accumulate the request until the blank line, render the response,
 /// drain it, close. Everything is nonblocking; a `WouldBlock` leaves the
 /// connection for the next readiness pass.
-fn service_http(shared: &Shared, c: &mut HttpConn) {
-    if c.resp.is_empty() {
-        let mut buf = [0u8; 1024];
-        loop {
-            match (&c.stream).read(&mut buf) {
-                Ok(0) => {
-                    c.dead = true;
-                    return;
-                }
-                Ok(n) => {
-                    c.req.extend_from_slice(&buf[..n]);
-                    if c.req.len() > HTTP_REQ_CAP {
-                        c.dead = true;
-                        return;
-                    }
-                    if c.req.windows(4).any(|w| w == b"\r\n\r\n") {
-                        c.resp = http_response(shared, &c.req);
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    c.dead = true;
-                    return;
-                }
+fn service_http(shared: &Shared, c: &mut HttpConn, scratch: &mut [u8]) {
+    let HttpConn {
+        stream,
+        req,
+        out,
+        dead,
+    } = c;
+    if out.is_empty() {
+        let end = read_available(&*stream, scratch, |chunk| {
+            req.extend_from_slice(chunk);
+            if req.len() > HTTP_REQ_CAP {
+                *dead = true;
+            } else if req.windows(4).any(|w| w == b"\r\n\r\n") {
+                out.push((), http_response(shared, req));
             }
+            !*dead && out.is_empty()
+        });
+        *dead |= end != ReadEnd::Drained;
+        if *dead || out.is_empty() {
+            return;
         }
     }
-    while c.written < c.resp.len() {
-        match (&c.stream).write(&c.resp[c.written..]) {
-            Ok(0) => {
-                c.dead = true;
-                return;
-            }
-            Ok(n) => c.written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => {
-                c.dead = true;
-                return;
-            }
-        }
+    if drain_queue(&*stream, out, |(), _| ()).end != DrainEnd::WouldBlock {
+        let _ = stream.shutdown(Shutdown::Both);
+        *dead = true;
     }
-    let _ = c.stream.shutdown(Shutdown::Both);
-    c.dead = true;
 }
 
 /// Routes one parsed request. `GET /metrics` → Prometheus text v0.0.4,
@@ -1235,6 +1203,8 @@ pub fn wire_thread_count() -> usize {
 fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
     let patience_deadline = Instant::now() + shared.connect_patience;
     let mut inbound: Vec<InboundConn> = Vec::new();
+    // One read scratch for every socket this thread services.
+    let mut rbuf = vec![0u8; 16 * 1024];
     let mut fds: Vec<PollFd> = Vec::new();
     let mut out_rows: Vec<usize> = Vec::new();
     let mut hot: u32 = 0;
@@ -1264,7 +1234,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
             hot -= 1;
             let mut moved = false;
             for ic in inbound.iter_mut() {
-                if service_inbound(&shared, ic) {
+                if service_inbound(&shared, ic, &mut rbuf) {
                     moved = true;
                 }
             }
@@ -1358,7 +1328,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let n_http = http_conns.len();
         for c in &http_conns {
-            let events = if c.resp.is_empty() { POLLIN } else { POLLOUT };
+            let events = if c.out.is_empty() { POLLIN } else { POLLOUT };
             fds.push(PollFd::new(c.stream.as_raw_fd(), events));
         }
         // Adaptive cadence: the hot fast path above owns the traffic
@@ -1383,27 +1353,17 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
             activity = true;
         }
         if fds[1].readable() {
-            loop {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        let _ = s.set_nonblocking(true);
-                        let _ = s.set_nodelay(true);
-                        inbound.push(InboundConn {
-                            stream: s,
-                            asm: FrameAssembler::new(),
-                            hello: None,
-                            dead: false,
-                            handoff: None,
-                        });
-                        activity = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
-                }
-            }
+            accept_ready(&listener, |stream| {
+                let _ = stream.set_nodelay(true);
+                inbound.push(InboundConn {
+                    stream,
+                    link: InboundLink::default(),
+                });
+                activity = true;
+            });
         }
         for i in 0..n_inb {
-            if fds[2 + i].readable() && service_inbound(&shared, &mut inbound[i]) {
+            if fds[2 + i].readable() && service_inbound(&shared, &mut inbound[i], &mut rbuf) {
                 activity = true;
             }
         }
@@ -1426,7 +1386,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
                     shared.metrics.add_reconnect();
                     out.queue.rewind_head(); // fresh stream, frame boundary
                     let hello = shared.hello();
-                    let mut buf = out.queue.take_buf();
+                    let mut buf = out.pool.pop().unwrap_or_default();
                     encode_hello(&hello, &mut buf);
                     out.queue.push_front(hello.epoch, buf);
                     shared.obs.event(
@@ -1448,22 +1408,14 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
         let mut hi = http_base;
         if let Some(l) = &http_listener {
             if fds[hi].readable() {
-                loop {
-                    match l.accept() {
-                        Ok((s, _)) => {
-                            let _ = s.set_nonblocking(true);
-                            http_conns.push(HttpConn {
-                                stream: s,
-                                req: Vec::new(),
-                                resp: Vec::new(),
-                                written: 0,
-                                dead: false,
-                            });
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                }
+                accept_ready(l, |stream| {
+                    http_conns.push(HttpConn {
+                        stream,
+                        req: Vec::new(),
+                        out: FrameQueue::new(),
+                        dead: false,
+                    });
+                });
             }
             hi += 1;
         }
@@ -1473,7 +1425,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
             // already in the socket buffer, finishing the exchange in
             // one shot.
             if k >= n_http || fds[hi + k].readable() || fds[hi + k].writable() {
-                service_http(&shared, c);
+                service_http(&shared, c, &mut rbuf);
             }
         }
         http_conns.retain(|c| !c.dead);
@@ -1507,6 +1459,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
 
     fn loopback_pair(region_words: usize, faults: FaultPlan) -> (TcpFabric, TcpFabric) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1558,14 +1511,15 @@ mod tests {
         a.post(NodeId(0), &WriteOp::new(NodeId(1), 0..1));
         assert!(eventually(|| b.wire_stats().frames_received == 1));
         // No thread was added for exposition: still exactly one poller
-        // per endpoint (two endpoints share this test process).
+        // per endpoint. (The process-wide count, and the gauge's value,
+        // are pinned in tests/wire_thread_count.rs — a process of its
+        // own, where sibling tests' pollers cannot be counted in.)
         assert_eq!(a.wire_threads(), 1);
-        assert_eq!(wire_thread_count(), 2);
         let body = scrape(addr, "/metrics");
         for fam in [
             "spindle_wire_frames_posted_total{node=\"0\"} 1",
             "spindle_wire_bytes_sent_total",
-            "spindle_wire_threads{node=\"0\"} 2",
+            "spindle_wire_threads{node=\"0\"} ",
             "# TYPE spindle_wire_flushes_total counter",
         ] {
             assert!(body.contains(fam), "missing {fam:?} in:\n{body}");
@@ -1782,7 +1736,7 @@ mod tests {
     }
 
     /// An endpoint whose single peer has no listener yet: every dial is
-    /// refused, so posted frames accumulate in the scatter queue.
+    /// refused, so posted frames accumulate in the outbound queue.
     fn undialable_single(region_words: usize, queue_cap: usize) -> (TcpFabric, SocketAddr) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let dead = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -28,7 +28,10 @@
 //! rejected with a typed [`WireError`], and a [`WireError::Truncated`]
 //! result doubles as the streaming decoder's "need more bytes" signal.
 
+use std::collections::VecDeque;
 use std::fmt;
+use std::io::IoSlice;
+use std::marker::PhantomData;
 use std::ops::Range;
 
 use spindle_fabric::{NodeId, WriteOp};
@@ -288,8 +291,13 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) -> usize {
 }
 
 /// Encodes a frame with kind byte + body builder, fixing up the length
-/// prefix afterwards.
-fn encode_with_body(kind: u8, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+/// prefix afterwards. Shared with the relay codec ([`edge`](crate::edge)),
+/// whose frames have the same envelope.
+pub(crate) fn encode_with_body(
+    kind: u8,
+    out: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> usize {
     let start = out.len();
     out.extend_from_slice(&0u32.to_le_bytes()); // patched below
     out.push(kind);
@@ -526,28 +534,23 @@ fn decode_join_commit(body: &[u8]) -> Option<JoinCommitFrame> {
     })
 }
 
-fn rd_u16(b: &[u8], at: usize) -> u16 {
+pub(crate) fn rd_u16(b: &[u8], at: usize) -> u16 {
     u16::from_le_bytes(b[at..at + 2].try_into().expect("bounds checked"))
 }
 
-fn rd_u32(b: &[u8], at: usize) -> u32 {
+pub(crate) fn rd_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b[at..at + 4].try_into().expect("bounds checked"))
 }
 
-fn rd_u64(b: &[u8], at: usize) -> u64 {
+pub(crate) fn rd_u64(b: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(b[at..at + 8].try_into().expect("bounds checked"))
 }
 
-/// Decodes the first frame in `buf`.
-///
-/// Returns the frame and the number of bytes consumed.
-///
-/// # Errors
-///
-/// [`WireError::Truncated`] when `buf` holds a prefix of a valid frame
-/// (read more and retry); any other [`WireError`] means the stream is
-/// corrupt and must be dropped.
-pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
+/// Splits the first `len:u32 kind:u8 body` envelope off `buf`, returning
+/// the kind byte, the body and the total bytes the frame occupies. The
+/// fabric and relay codecs share the envelope and differ only in the
+/// `max_len` they tolerate and the kinds they know.
+pub(crate) fn split_envelope(buf: &[u8], max_len: usize) -> Result<(u8, &[u8], usize), WireError> {
     if buf.len() < 4 {
         return Err(WireError::Truncated {
             have: buf.len(),
@@ -555,7 +558,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
         });
     }
     let len = rd_u32(buf, 0) as usize;
-    if len > MAX_FRAME_LEN {
+    if len > max_len {
         return Err(WireError::Oversized { len });
     }
     // A frame always carries at least its kind byte.
@@ -569,8 +572,21 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
             need: total,
         });
     }
-    let kind = buf[4];
-    let body = &buf[5..total];
+    Ok((buf[4], &buf[5..total], total))
+}
+
+/// Decodes the first frame in `buf`.
+///
+/// Returns the frame and the number of bytes consumed.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when `buf` holds a prefix of a valid frame
+/// (read more and retry); any other [`WireError`] means the stream is
+/// corrupt and must be dropped.
+pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
+    let (kind, body, total) = split_envelope(buf, MAX_FRAME_LEN)?;
+    let len = total - 4;
     let frame = match kind {
         KIND_HELLO => {
             if body.len() != 26 {
@@ -639,35 +655,42 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), WireError> {
 /// drain call never splits for silly reasons.
 const MAX_IOVECS: usize = 1024;
 
-/// The per-peer outbound queue of the single-poller wire path: encoded
-/// frames accumulate here (each stamped with the epoch its words were
-/// snapshotted from) and drain as **one vectored write** per readiness —
-/// the §3 batching insight applied at the wire layer. The queue owns its
-/// buffers and recycles them through a small pool, so the steady-state
-/// hot path allocates nothing.
+/// An outbound queue of encoded frames that drains as **one vectored
+/// write** per readiness — the §3 batching insight applied at the wire
+/// layer. Generic over the buffer `B` (the mesh owns pooled `Vec<u8>`s;
+/// the relay shares one `Arc<[u8]>` encoding across a thousand
+/// clients) and a per-frame stamp `T` (the mesh stamps the epoch the
+/// words were snapshotted from; the relay the enqueue time).
 ///
-/// Partial writes are first-class: [`ScatterQueue::advance`] consumes
-/// what the kernel accepted, keeping the head frame's unwritten tail at
-/// the front so the byte stream stays framed. On a reconnect the caller
-/// [`ScatterQueue::rewind_head`]s so the fresh stream starts at a frame
-/// boundary, and [`ScatterQueue::purge_stale`] drops frames whose epoch
-/// died with the view.
-#[derive(Debug, Default)]
-pub struct ScatterQueue {
-    /// Encoded frames awaiting the wire: `(epoch, bytes)`.
-    frames: std::collections::VecDeque<(u64, Vec<u8>)>,
+/// Partial writes are first-class: [`FrameQueue::advance`] consumes what
+/// the kernel accepted, keeping the head frame's unwritten tail at the
+/// front so the byte stream stays framed. On a reconnect the caller
+/// [`FrameQueue::rewind_head`]s so the fresh stream starts at a frame
+/// boundary, and [`FrameQueue::drop_unwritten`] discards frames nobody
+/// wants any more without ever tearing a half-sent one.
+#[derive(Debug)]
+pub struct FrameQueue<B, T> {
+    frames: VecDeque<(T, B)>,
     /// Bytes of the head frame already written to the current stream.
     head_written: usize,
     /// Total unwritten bytes across the queue.
     pending_bytes: usize,
-    /// Recycled frame buffers.
-    pool: Vec<Vec<u8>>,
 }
 
-impl ScatterQueue {
+impl<B, T> Default for FrameQueue<B, T> {
+    fn default() -> Self {
+        FrameQueue {
+            frames: VecDeque::new(),
+            head_written: 0,
+            pending_bytes: 0,
+        }
+    }
+}
+
+impl<B: AsRef<[u8]>, T> FrameQueue<B, T> {
     /// An empty queue.
-    pub fn new() -> ScatterQueue {
-        ScatterQueue::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Queued frames (including a partially written head).
@@ -685,25 +708,10 @@ impl ScatterQueue {
         self.pending_bytes
     }
 
-    /// A cleared buffer from the pool (or a fresh one): encode into this,
-    /// then [`ScatterQueue::push`] it back.
-    pub fn take_buf(&mut self) -> Vec<u8> {
-        let mut b = self.pool.pop().unwrap_or_default();
-        b.clear();
-        b
-    }
-
-    /// Returns a no-longer-needed buffer to the pool.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        if self.pool.len() < 64 {
-            self.pool.push(buf);
-        }
-    }
-
-    /// Queues one encoded frame stamped with `epoch`.
-    pub fn push(&mut self, epoch: u64, buf: Vec<u8>) {
-        self.pending_bytes += buf.len();
-        self.frames.push_back((epoch, buf));
+    /// Queues one encoded frame.
+    pub fn push(&mut self, stamp: T, buf: B) {
+        self.pending_bytes += buf.as_ref().len();
+        self.frames.push_back((stamp, buf));
     }
 
     /// Queues one encoded frame at the *front* (the `HELLO` of a fresh
@@ -712,40 +720,43 @@ impl ScatterQueue {
     /// # Panics
     ///
     /// Panics if the head frame is partially written — a caller must
-    /// [`ScatterQueue::rewind_head`] (fresh stream) first.
-    pub fn push_front(&mut self, epoch: u64, buf: Vec<u8>) {
+    /// [`FrameQueue::rewind_head`] (fresh stream) first.
+    pub fn push_front(&mut self, stamp: T, buf: B) {
         assert_eq!(self.head_written, 0, "cannot preempt a half-sent frame");
-        self.pending_bytes += buf.len();
-        self.frames.push_front((epoch, buf));
+        self.pending_bytes += buf.as_ref().len();
+        self.frames.push_front((stamp, buf));
     }
 
     /// The unwritten byte ranges, ready for `write_vectored` (capped at
     /// the kernel's iovec limit; a later drain picks up the rest).
-    pub fn io_slices(&self) -> Vec<std::io::IoSlice<'_>> {
+    pub fn io_slices(&self) -> Vec<IoSlice<'_>> {
         let mut out = Vec::with_capacity(self.frames.len().min(MAX_IOVECS));
-        for (i, (_, buf)) in self.frames.iter().enumerate() {
-            if out.len() == MAX_IOVECS {
-                break;
-            }
+        for (i, (_, buf)) in self.frames.iter().take(MAX_IOVECS).enumerate() {
             let skip = if i == 0 { self.head_written } else { 0 };
-            out.push(std::io::IoSlice::new(&buf[skip..]));
+            out.push(IoSlice::new(&buf.as_ref()[skip..]));
         }
         out
     }
 
-    /// Consumes `n` written bytes from the front, recycling fully-sent
-    /// frame buffers. Returns how many frames completed.
-    pub fn advance(&mut self, mut n: usize) -> usize {
+    /// Consumes `n` written bytes from the front, handing every frame
+    /// that fully left the socket to `flushed` (the mesh recycles the
+    /// buffer, the relay records enqueue→flushed latency). Returns how
+    /// many frames completed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the queued bytes.
+    pub fn advance(&mut self, mut n: usize, mut flushed: impl FnMut(T, B)) -> usize {
         assert!(n <= self.pending_bytes, "advanced past the queued bytes");
         self.pending_bytes -= n;
         let mut completed = 0;
         while n > 0 {
-            let head_left = self.frames[0].1.len() - self.head_written;
+            let head_left = self.frames[0].1.as_ref().len() - self.head_written;
             if n >= head_left {
                 n -= head_left;
                 self.head_written = 0;
-                let (_, buf) = self.frames.pop_front().expect("head exists");
-                self.recycle(buf);
+                let (stamp, buf) = self.frames.pop_front().expect("head exists");
+                flushed(stamp, buf);
                 completed += 1;
             } else {
                 self.head_written += n;
@@ -764,44 +775,76 @@ impl ScatterQueue {
         self.head_written = 0;
     }
 
-    /// Drops queued frames stamped older than `epoch` (their queue pairs
-    /// died with the view). A partially written head is kept — dropping
-    /// it would tear the live stream's framing. Returns the drop count.
-    pub fn purge_stale(&mut self, epoch: u64) -> usize {
-        let mut dropped = 0;
-        // The head is special only while partially written.
-        let keep_head = self.head_written > 0;
-        let mut i = 0;
-        while i < self.frames.len() {
-            if (i > 0 || !keep_head) && self.frames[i].0 < epoch {
-                let skip = if i == 0 { self.head_written } else { 0 };
-                self.pending_bytes -= self.frames[i].1.len() - skip;
-                let (_, buf) = self.frames.remove(i).expect("index in range");
-                self.recycle(buf);
-                dropped += 1;
-            } else {
-                i += 1;
+    /// Drops, oldest first, every fully-unwritten frame `doomed` condemns;
+    /// it sees the frame's stamp and the bytes still pending at that
+    /// point (so "older than this epoch" and "until the backlog fits the
+    /// cap" are both one closure). A partially written head is never
+    /// dropped — that would tear the live stream's framing mid-frame.
+    /// Returns `(frames_dropped, bytes_dropped)`.
+    pub fn drop_unwritten(&mut self, mut doomed: impl FnMut(&T, usize) -> bool) -> (usize, usize) {
+        let mut spare_head = self.head_written > 0;
+        let mut pending = self.pending_bytes;
+        let mut dropped = (0, 0);
+        self.frames.retain(|(stamp, buf)| {
+            if std::mem::take(&mut spare_head) || !doomed(stamp, pending) {
+                return true;
             }
-        }
+            let len = buf.as_ref().len();
+            pending -= len;
+            dropped = (dropped.0 + 1, dropped.1 + len);
+            false
+        });
+        self.pending_bytes = pending;
         dropped
     }
 }
 
-/// Incremental frame reassembly, agnostic of where the bytes come from:
-/// the poller [`FrameAssembler::feed`]s whatever a nonblocking read
-/// returned and pulls complete frames out one by one — exactly the
-/// "interleaved partial writes reassemble to the identical frame
-/// stream" contract the codec property tests pin down.
-#[derive(Debug, Default)]
-pub struct FrameAssembler {
-    buf: Vec<u8>,
-    pos: usize,
+/// A frame type that decodes itself off the front of a byte stream —
+/// the one thing [`FrameAssembler`] needs to know about a codec.
+pub trait StreamFrame: Sized {
+    /// Decodes the first frame in `buf`; returns it with the bytes
+    /// consumed.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Truncated`] when `buf` holds a prefix of a valid
+    /// frame; any other [`WireError`] means the stream is corrupt.
+    fn decode(buf: &[u8]) -> Result<(Self, usize), WireError>;
 }
 
-impl FrameAssembler {
+impl StreamFrame for Frame {
+    fn decode(buf: &[u8]) -> Result<(Frame, usize), WireError> {
+        decode_frame(buf)
+    }
+}
+
+/// Incremental frame reassembly, agnostic of where the bytes come from
+/// and of which codec frames them: a poller [`FrameAssembler::feed`]s
+/// whatever a nonblocking read returned and pulls complete frames out
+/// one by one — exactly the "interleaved partial writes reassemble to
+/// the identical frame stream" contract the codec property tests pin
+/// down.
+#[derive(Debug)]
+pub struct FrameAssembler<F = Frame> {
+    buf: Vec<u8>,
+    pos: usize,
+    codec: PhantomData<fn() -> F>,
+}
+
+impl<F> Default for FrameAssembler<F> {
+    fn default() -> Self {
+        FrameAssembler {
+            buf: Vec::new(),
+            pos: 0,
+            codec: PhantomData,
+        }
+    }
+}
+
+impl<F: StreamFrame> FrameAssembler<F> {
     /// An empty assembler.
-    pub fn new() -> FrameAssembler {
-        FrameAssembler::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Appends raw stream bytes.
@@ -815,8 +858,8 @@ impl FrameAssembler {
     ///
     /// Any non-[`WireError::Truncated`] decode failure: the stream is
     /// corrupt and must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        match decode_frame(&self.buf[self.pos..]) {
+    pub fn next_frame(&mut self) -> Result<Option<F>, WireError> {
+        match F::decode(&self.buf[self.pos..]) {
             Ok((frame, used)) => {
                 self.pos += used;
                 if self.pos >= 64 * 1024 {
@@ -839,6 +882,8 @@ impl FrameAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge::{encode_edge_frame, EdgeFrame};
+    use std::sync::Arc;
 
     fn roundtrip(f: &Frame) {
         let mut buf = Vec::new();
@@ -1005,91 +1050,146 @@ mod tests {
         b
     }
 
-    #[test]
-    fn scatter_queue_coalesces_frames_into_one_slice_list() {
-        let mut q = ScatterQueue::new();
+    /// One relay sample frame with a `len`-byte payload, as raw bytes.
+    fn sample_bytes(index: u64, len: usize) -> Vec<u8> {
+        let mut b = Vec::new();
+        crate::edge::encode_sample(1, 0, index, 0, &vec![index as u8; len], &mut b);
+        b
+    }
+
+    // The queue tests run once per buffer kind: the mesh's owned
+    // `Vec<u8>` and the relay's shared `Arc<[u8]>`.
+
+    fn coalesces_frames_into_one_slice_list<B: AsRef<[u8]>>(mk: impl Fn(Vec<u8>) -> B) {
+        let mut q = FrameQueue::new();
         for i in 0..5u64 {
-            let mut b = q.take_buf();
-            b.extend_from_slice(&write_bytes(i, &[i]));
-            q.push(7, b);
+            q.push(i, mk(write_bytes(i, &[i])));
         }
         assert_eq!(q.len(), 5);
         let slices = q.io_slices();
         assert_eq!(slices.len(), 5, "every queued frame drains in one call");
         let total: usize = slices.iter().map(|s| s.len()).sum();
         assert_eq!(total, q.pending_bytes());
-        // Full drain completes all frames and recycles the buffers.
-        assert_eq!(q.advance(total), 5);
+        // Full drain completes all frames, handing each back in order.
+        let mut flushed = Vec::new();
+        assert_eq!(q.advance(total, |stamp, buf| flushed.push((stamp, buf))), 5);
         assert!(q.is_empty());
         assert_eq!(q.pending_bytes(), 0);
+        for (i, (stamp, buf)) in flushed.iter().enumerate() {
+            assert_eq!(*stamp, i as u64);
+            assert_eq!(buf.as_ref(), write_bytes(i as u64, &[i as u64]));
+        }
     }
 
-    #[test]
-    fn scatter_queue_partial_write_keeps_framing() {
-        let mut q = ScatterQueue::new();
+    fn partial_write_keeps_framing<B: AsRef<[u8]>>(mk: impl Fn(Vec<u8>) -> B) {
+        let mut q = FrameQueue::new();
         let a = write_bytes(0, &[1, 2]);
-        let b = write_bytes(2, &[3]);
+        let b = sample_bytes(1, 50);
         let (alen, blen) = (a.len(), b.len());
-        q.push(0, a);
-        q.push(0, b);
+        q.push((), mk(a));
+        q.push((), mk(b));
         // The kernel took frame A and 3 bytes of frame B.
-        assert_eq!(q.advance(alen + 3), 1);
+        assert_eq!(q.advance(alen + 3, |(), _| ()), 1);
         assert_eq!(q.pending_bytes(), blen - 3);
         let slices = q.io_slices();
         assert_eq!(slices.len(), 1);
         assert_eq!(slices[0].len(), blen - 3, "resumes at the partial point");
-        // The stream died: a fresh connection restarts frame B whole.
+        // The stream died: a fresh connection restarts frame B whole, and
+        // only then may a HELLO go in front of it.
         q.rewind_head();
         assert_eq!(q.pending_bytes(), blen);
         assert_eq!(q.io_slices()[0].len(), blen);
+        q.push_front((), mk(write_bytes(9, &[9])));
+        assert_eq!(q.io_slices()[1].len(), blen);
     }
 
-    #[test]
-    fn scatter_queue_purges_stale_epochs_but_not_a_half_sent_head() {
-        let mut q = ScatterQueue::new();
-        q.push(1, write_bytes(0, &[1]));
-        q.push(1, write_bytes(1, &[2]));
-        q.push(2, write_bytes(2, &[3]));
-        // 2 bytes of the head are on the wire; purging it would tear the
-        // stream mid-frame.
-        q.advance(2);
-        assert_eq!(q.purge_stale(2), 1, "only the unsent stale frame drops");
+    fn drop_unwritten_spares_a_half_sent_head<B: AsRef<[u8]>>(mk: impl Fn(Vec<u8>) -> B) {
+        // The mesh's predicate: frames stamped with a dead epoch.
+        let mut q = FrameQueue::new();
+        q.push(1u64, mk(write_bytes(0, &[1])));
+        q.push(1, mk(write_bytes(1, &[2])));
+        q.push(2, mk(write_bytes(2, &[3])));
+        let each = q.io_slices()[1].len();
+        // 2 bytes of the head are on the wire; dropping it would tear
+        // the stream mid-frame.
+        q.advance(2, |_, _| ());
+        assert_eq!(
+            q.drop_unwritten(|&e, _| e < 2),
+            (1, each),
+            "only the unsent stale frame"
+        );
         assert_eq!(q.len(), 2);
-        // Head finished (and dequeued): the rest is purgeable.
+        // Head finished (and dequeued): the rest is droppable.
         let head_left = q.io_slices()[0].len();
-        q.advance(head_left);
-        assert_eq!(q.purge_stale(3), 1);
+        q.advance(head_left, |_, _| ());
+        assert_eq!(q.drop_unwritten(|&e, _| e < 3), (1, each));
         assert!(q.is_empty());
         assert_eq!(q.pending_bytes(), 0);
+
+        // The relay's predicate: oldest first until the backlog fits.
+        let mut q = FrameQueue::new();
+        let lens: Vec<usize> = (0..4u64)
+            .map(|i| {
+                let f = sample_bytes(i, 50);
+                let len = f.len();
+                q.push(i, mk(f));
+                len
+            })
+            .collect();
+        // Untouched head: shedding to "three frames fit" drops exactly it.
+        let cap = lens[1] + lens[2] + lens[3];
+        assert_eq!(q.drop_unwritten(|_, pending| pending > cap), (1, lens[0]));
+        assert_eq!(q.pending_bytes(), cap);
+        // 10 bytes of the new head on the wire: shedding to zero must
+        // keep it, and the remaining slice resumes at the partial point.
+        assert_eq!(q.advance(10, |_, _| ()), 0);
+        let rest = lens[2] + lens[3];
+        assert_eq!(q.drop_unwritten(|_, pending| pending > 0), (2, rest));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pending_bytes(), lens[1] - 10);
+        assert_eq!(q.io_slices()[0].len(), lens[1] - 10);
     }
 
     #[test]
-    fn assembler_reassembles_across_arbitrary_chunk_boundaries() {
-        let frames = vec![
-            Frame::Write(WriteFrame {
-                offset: 0,
-                wire_bytes: 8,
-                words: vec![11],
-            }),
-            Frame::Hello(Hello {
-                version: PROTO_VERSION,
-                src: 1,
-                nodes: 3,
-                region_words: 64,
-                epoch: 2,
-            }),
-            Frame::Write(WriteFrame {
-                offset: 9,
-                wire_bytes: 24,
-                words: vec![1, 2, 3],
-            }),
-        ];
+    fn queue_contract_holds_for_owned_and_shared_buffers() {
+        coalesces_frames_into_one_slice_list(|v| v);
+        coalesces_frames_into_one_slice_list(Arc::<[u8]>::from);
+        partial_write_keeps_framing(|v| v);
+        partial_write_keeps_framing(Arc::<[u8]>::from);
+        drop_unwritten_spares_a_half_sent_head(|v| v);
+        drop_unwritten_spares_a_half_sent_head(Arc::<[u8]>::from);
+    }
+
+    #[test]
+    fn queue_shares_one_encoding_across_clients() {
+        let frame: Arc<[u8]> = sample_bytes(0, 1000).into();
+        let mut queues: Vec<FrameQueue<Arc<[u8]>, ()>> =
+            (0..100).map(|_| FrameQueue::new()).collect();
+        for q in &mut queues {
+            q.push((), Arc::clone(&frame));
+        }
+        // 100 queues, one buffer: encode-once fan-out.
+        assert_eq!(Arc::strong_count(&frame), 101);
+        for q in &mut queues {
+            let total: usize = q.io_slices().iter().map(|s| s.len()).sum();
+            assert_eq!(total, frame.len());
+            assert_eq!(q.advance(total, |(), _| ()), 1);
+            assert!(q.is_empty());
+        }
+        assert_eq!(Arc::strong_count(&frame), 1);
+    }
+
+    /// Feeds `frames`' encoding one byte at a time — the worst possible
+    /// interleaving — and expects the identical frames back.
+    fn reassembles_byte_at_a_time<F: StreamFrame + PartialEq + fmt::Debug>(
+        frames: Vec<F>,
+        encode: impl Fn(&F, &mut Vec<u8>) -> usize,
+    ) {
         let mut stream = Vec::new();
         for f in &frames {
-            encode_frame(f, &mut stream);
+            encode(f, &mut stream);
         }
-        // Feed one byte at a time: the worst possible interleaving.
-        let mut asm = FrameAssembler::new();
+        let mut asm = FrameAssembler::<F>::new();
         let mut got = Vec::new();
         for byte in stream {
             asm.feed(&[byte]);
@@ -1102,9 +1202,56 @@ mod tests {
     }
 
     #[test]
+    fn assembler_reassembles_either_codec_across_arbitrary_chunk_boundaries() {
+        reassembles_byte_at_a_time(
+            vec![
+                Frame::Write(WriteFrame {
+                    offset: 0,
+                    wire_bytes: 8,
+                    words: vec![11],
+                }),
+                Frame::Hello(Hello {
+                    version: PROTO_VERSION,
+                    src: 1,
+                    nodes: 3,
+                    region_words: 64,
+                    epoch: 2,
+                }),
+                Frame::Write(WriteFrame {
+                    offset: 9,
+                    wire_bytes: 24,
+                    words: vec![1, 2, 3],
+                }),
+            ],
+            encode_frame,
+        );
+        reassembles_byte_at_a_time(
+            vec![
+                EdgeFrame::Subscribe { topic: 1 },
+                EdgeFrame::Sample {
+                    topic: 1,
+                    publisher: 0,
+                    index: 0,
+                    epoch: 0,
+                    data: vec![9; 33],
+                },
+                EdgeFrame::PubAck {
+                    topic: 1,
+                    status: 0,
+                },
+            ],
+            encode_edge_frame,
+        );
+    }
+
+    #[test]
     fn assembler_surfaces_corruption_as_an_error() {
-        let mut asm = FrameAssembler::new();
-        asm.feed(&[255, 255, 255, 255, 0, 0]); // absurd length prefix
+        let garbage = [255, 255, 255, 255, 0, 0]; // absurd length prefix
+        let mut asm = FrameAssembler::<Frame>::new();
+        asm.feed(&garbage);
+        assert!(matches!(asm.next_frame(), Err(WireError::Oversized { .. })));
+        let mut asm = FrameAssembler::<EdgeFrame>::new();
+        asm.feed(&garbage);
         assert!(matches!(asm.next_frame(), Err(WireError::Oversized { .. })));
     }
 }

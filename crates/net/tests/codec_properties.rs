@@ -1,13 +1,60 @@
-//! Wire-codec properties: arbitrary `WriteOp` frames round-trip across
-//! size boundaries, and truncated / oversized / garbage inputs are
-//! rejected with a typed [`WireError`] — never a panic.
+//! Codec properties for both framings the crate speaks — the fabric wire
+//! codec and the relay's edge codec: arbitrary frames round-trip across
+//! size boundaries, survive any TCP chunking through the one shared
+//! [`FrameAssembler`], and truncated / oversized / garbage /
+//! cross-protocol inputs are rejected with a typed [`WireError`] — never
+//! a panic.
 
 use proptest::prelude::*;
 use spindle_fabric::{NodeId, WriteOp};
-use spindle_net::wire::{
-    decode_frame, encode_frame, Frame, FrameAssembler, Hello, WireError, WriteFrame, KIND_WRITE,
-    MAX_FRAME_LEN, PROTO_VERSION,
+use spindle_net::edge::{
+    decode_edge_frame, encode_edge_frame, EdgeAssembler, EdgeFrame, MAX_EDGE_FRAME_LEN,
 };
+use spindle_net::wire::{
+    decode_frame, encode_frame, Frame, FrameAssembler, Hello, StreamFrame, WireError, WriteFrame,
+    KIND_WRITE, MAX_FRAME_LEN, PROTO_VERSION,
+};
+
+/// The chunk-boundary property, stated once for every codec: a stream of
+/// frames delivered in arbitrary chunk sizes (the receiver's view of
+/// short `writev`s, TCP segmentation, clients that dribble bytes — any
+/// byte may land on a read boundary) reassembles through
+/// [`FrameAssembler`] into the *identical* frame sequence. This is the
+/// invariant that lets a poller flush a backlog as one vectored write
+/// and resume mid-frame after a short write.
+fn any_chunking_reassembles_identically<F: StreamFrame + PartialEq + std::fmt::Debug>(
+    frames: Vec<F>,
+    encode: impl Fn(&F, &mut Vec<u8>) -> usize,
+    chunks: &[usize],
+) -> Result<(), TestCaseError> {
+    let mut stream = Vec::new();
+    for f in &frames {
+        encode(f, &mut stream);
+    }
+    // Feed the byte stream in the generated chunk sizes (cycled),
+    // draining after every feed — exactly what an inbound path does per
+    // readiness event.
+    let mut asm = FrameAssembler::<F>::new();
+    let mut got = Vec::new();
+    let mut at = 0usize;
+    for n in chunks.iter().cycle() {
+        if at == stream.len() {
+            break;
+        }
+        let n = (*n).min(stream.len() - at);
+        asm.feed(&stream[at..at + n]);
+        at += n;
+        while let Some(f) = asm
+            .next_frame()
+            .expect("a cut of a valid stream never errors")
+        {
+            got.push(f);
+        }
+    }
+    prop_assert_eq!(got, frames);
+    prop_assert_eq!(asm.buffered(), 0);
+    Ok(())
+}
 
 /// Word counts probing the interesting boundaries: single-word acks, the
 /// 16 KiB read-buffer edge, and everything between.
@@ -76,12 +123,7 @@ proptest! {
         }
     }
 
-    /// Partial-write reassembly: a stream of frames, delivered in
-    /// arbitrary chunk sizes (the receiver's view of short `writev`s —
-    /// any byte may land on a read boundary), reassembles through
-    /// [`FrameAssembler`] into the *identical* frame sequence. This is
-    /// the invariant that lets the poller flush a backlog as one
-    /// vectored write and resume mid-frame after a short write.
+    /// The chunk-boundary property over the fabric codec.
     #[test]
     fn interleaved_partial_writes_reassemble_identically(
         specs in proptest::collection::vec(
@@ -106,28 +148,7 @@ proptest! {
                 }
             })
             .collect();
-        let mut stream = Vec::new();
-        for f in &frames {
-            encode_frame(f, &mut stream);
-        }
-        // Feed the byte stream in the generated chunk sizes (cycled),
-        // draining after every feed — exactly what the inbound path
-        // does per readiness event.
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        let mut at = 0usize;
-        let mut i = 0usize;
-        while at < stream.len() {
-            let n = chunks[i % chunks.len()].min(stream.len() - at);
-            i += 1;
-            asm.feed(&stream[at..at + n]);
-            at += n;
-            while let Some(f) = asm.next_frame().expect("a cut of a valid stream never errors") {
-                got.push(f);
-            }
-        }
-        prop_assert_eq!(got, frames);
-        prop_assert_eq!(asm.buffered(), 0);
+        any_chunking_reassembles_identically(frames, encode_frame, &chunks)?;
     }
 
     /// Arbitrary garbage never panics the decoder: it either reports a
@@ -207,4 +228,100 @@ fn hello_with_wrong_version_is_rejected() {
         decode_frame(&buf),
         Err(WireError::BadVersion(PROTO_VERSION + 1))
     );
+}
+
+// ---- the relay's edge codec ------------------------------------------
+
+fn arb_data() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(any::<u8>(), 0..4096)
+}
+
+fn arb_edge_frame() -> impl Strategy<Value = EdgeFrame> {
+    prop_oneof![
+        (any::<u8>(), arb_data()).prop_map(|(topic, data)| EdgeFrame::Publish { topic, data }),
+        any::<u8>().prop_map(|topic| EdgeFrame::Subscribe { topic }),
+        (
+            any::<u8>(),
+            any::<u32>(),
+            any::<u64>(),
+            any::<u64>(),
+            arb_data()
+        )
+            .prop_map(|(topic, publisher, index, epoch, data)| EdgeFrame::Sample {
+                topic,
+                publisher,
+                index,
+                epoch,
+                data,
+            }),
+        (any::<u8>(), any::<u8>()).prop_map(|(topic, status)| EdgeFrame::PubAck { topic, status }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Encode → decode is the identity and consumes exactly the encoded
+    /// bytes, for every frame kind the relay speaks.
+    #[test]
+    fn edge_frames_roundtrip(frame in arb_edge_frame()) {
+        let mut buf = Vec::new();
+        let n = encode_edge_frame(&frame, &mut buf);
+        prop_assert_eq!(n, buf.len());
+        let (back, used) = decode_edge_frame(&buf).expect("well-formed frame decodes");
+        prop_assert_eq!(used, n);
+        prop_assert_eq!(back, frame);
+    }
+
+    /// The chunk-boundary property over the edge codec.
+    #[test]
+    fn any_edge_chunking_reassembles_identically(
+        frames in proptest::collection::vec(arb_edge_frame(), 1..12),
+        chunks in proptest::collection::vec(1usize..29, 1..64),
+    ) {
+        any_chunking_reassembles_identically(frames, encode_edge_frame, &chunks)?;
+    }
+
+    /// Every strict prefix of a valid frame is either "wait for more
+    /// bytes" (assembler returns `None`) — never an error, never a
+    /// partial decode.
+    #[test]
+    fn every_truncation_waits_for_more(frame in arb_edge_frame(), cut_frac in 0.0f64..1.0) {
+        let mut buf = Vec::new();
+        let n = encode_edge_frame(&frame, &mut buf);
+        let cut = ((n as f64 * cut_frac) as usize).min(n - 1); // strict prefix
+        let mut asm = EdgeAssembler::new();
+        asm.feed(&buf[..cut]);
+        prop_assert_eq!(asm.next_frame().expect("prefix is not an error"), None);
+        prop_assert_eq!(asm.buffered(), cut);
+        // Feeding the remainder completes the frame exactly.
+        asm.feed(&buf[cut..]);
+        prop_assert_eq!(asm.next_frame().expect("completed"), Some(frame));
+    }
+
+    /// Arbitrary garbage never panics the decoder: it yields a typed
+    /// error or asks for more bytes, and declared lengths beyond the
+    /// cap are rejected as `Oversized` before any allocation.
+    #[test]
+    fn edge_garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        match decode_edge_frame(&bytes) {
+            Ok((_, used)) => prop_assert!(used <= bytes.len()),
+            Err(WireError::Oversized { len }) => {
+                prop_assert!(len > MAX_EDGE_FRAME_LEN);
+            }
+            Err(_) => {} // any other typed error is acceptable
+        }
+    }
+
+    /// A fabric frame kind fed to the edge decoder (a cross-wired
+    /// connection) fails fast as `BadKind` — the kind ranges are
+    /// disjoint by design.
+    #[test]
+    fn fabric_kinds_are_rejected(kind in 0x01u8..0x07, body in arb_data()) {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(1 + body.len() as u32).to_le_bytes());
+        buf.push(kind);
+        buf.extend_from_slice(&body);
+        prop_assert_eq!(decode_edge_frame(&buf), Err(WireError::BadKind(kind)));
+    }
 }

@@ -1,7 +1,8 @@
 //! Edge-tier integration tests: the single-poller relay must hold a
-//! thousand concurrent clients with a flat thread count, keep slow
+//! thousand concurrent clients with a flat thread count and keep slow
 //! consumers from hurting anyone else (per the topic's overflow
-//! policy), and shut down without leaking a thread.
+//! policy). That shutdown leaves no thread behind is an exact
+//! process-wide count, so it lives alone in `edge_relay_shutdown.rs`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -110,15 +111,6 @@ fn thousand_clients_one_poller_thread() {
             other => panic!("client {i} got {other:?}"),
         }
     }
-
-    // Clean shutdown: poller joined, no thread left behind.
-    drop(clients);
-    drop(server);
-    let after = wire_thread_count();
-    assert!(
-        after <= before,
-        "poller leaked: {after} wire threads after shutdown, {before} before"
-    );
 }
 
 /// A stalled subscriber on a shed-oldest topic keeps a *bounded* queue
@@ -246,36 +238,4 @@ fn ordered_topic_disconnects_slow_consumer() {
     };
     assert!(saw_eof);
     assert!(Instant::now() < deadline + Duration::from_secs(30));
-}
-
-/// Explicit shutdown is idempotent, wakes the poller immediately (no
-/// 50 ms tick wait), and leaves zero relay threads behind.
-#[test]
-fn shutdown_joins_the_poller_and_closes_clients() {
-    let before = wire_thread_count();
-    let (mut server, _obs) = bind(EdgeConfig::new("bye"));
-    let addr = server.local_addr();
-    let mut client = TcpStream::connect(addr).unwrap();
-    subscribe(&mut client, 1);
-    wait_clients(&server, 1, "client never registered");
-
-    server.shutdown();
-    server.shutdown(); // second call is a no-op
-
-    assert_eq!(
-        wire_thread_count(),
-        before,
-        "relay thread survived shutdown"
-    );
-    // The client observes the close rather than hanging.
-    client
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut buf = [0u8; 1024];
-    loop {
-        match client.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => continue,
-        }
-    }
 }

@@ -508,23 +508,9 @@ impl DurableLog {
     /// Opens an existing single-file log (or creates an empty one),
     /// replaying and validating every record. A torn or corrupt tail —
     /// from a crash mid-append — is truncated away; everything before it
-    /// is returned.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; corruption is *not* an error (the valid
-    /// prefix is recovered).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableLog::open_with(&PersistOptions::new(dir), name)` — \
-                segmented, policy-aware, fault-injectable"
-    )]
-    pub fn open(path: impl AsRef<Path>) -> io::Result<(DurableLog, Vec<LogRecord>)> {
-        DurableLog::open_file(path)
-    }
-
-    /// Single-file open (the pre-[`PersistOptions`] layout): shared by
-    /// the deprecated [`DurableLog::open`] shim and unit tests.
+    /// is returned. The pre-[`PersistOptions`] layout: the unit tests
+    /// drive recovery through it one file at a time.
+    #[cfg(test)]
     fn open_file(path: impl AsRef<Path>) -> io::Result<(DurableLog, Vec<LogRecord>)> {
         let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
@@ -855,22 +841,6 @@ mod tests {
         assert!(records.is_empty());
         assert_eq!(log.byte_len(), 0);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-    }
-
-    /// Pins the one-release deprecation shim: `DurableLog::open` still
-    /// works exactly as the single-file open always did.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_open_shim_still_recovers() {
-        let path = tmp("shim");
-        let mut log = DurableLog::create(&path).unwrap();
-        log.append(&rec(0, b"legacy")).unwrap();
-        log.sync().unwrap();
-        drop(log);
-        let (log, records) = DurableLog::open(&path).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].data, b"legacy");
-        assert_eq!(log.segment_index(), 0);
     }
 
     #[test]

@@ -83,9 +83,19 @@ fn durable_cluster_survives_crash_removal_and_join() {
     }
 
     // Wait for node 0's local persistence to cover everything it delivered
-    // in epoch 2 (20 messages: seqs 0..=19 in the fresh sequence space).
+    // in epoch 2: the frontier must reach the *last delivery's* sequence
+    // number. (Not 19 — the two silent senders' null rounds occupy
+    // sequence numbers too, so 20 messages end past seq 19.)
+    let mut last_seq = -1;
+    for _ in 0..20 {
+        last_seq = cluster
+            .node(0)
+            .recv_timeout(Duration::from_secs(10))
+            .expect("epoch-2 delivery at node 0")
+            .seq;
+    }
     let deadline = Instant::now() + Duration::from_secs(10);
-    while cluster.node(0).local_persisted(sg).unwrap() < 19 {
+    while cluster.node(0).local_persisted(sg).unwrap() < last_seq {
         assert!(Instant::now() < deadline, "persistence stalled");
         std::thread::yield_now();
     }
