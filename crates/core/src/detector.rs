@@ -13,7 +13,10 @@
 //! so it can be driven by the real clock in
 //! [`Cluster`](crate::threaded::Cluster) and by synthetic clocks in tests.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
+
+use spindle_sst::{CounterCol, Sst};
 
 /// Configuration for SST heartbeat failure detection.
 ///
@@ -114,16 +117,7 @@ impl HeartbeatState {
     /// Unmonitored rows are ignored.
     pub fn observe(&mut self, row: usize, value: i64, now: Instant) -> Option<usize> {
         let p = self.peers.iter_mut().find(|p| p.row == row)?;
-        if value > p.last_value {
-            p.last_value = value;
-            p.last_advance = now;
-            return None;
-        }
-        if !p.suspected && now.duration_since(p.last_advance) > self.timeout {
-            p.suspected = true;
-            return Some(row);
-        }
-        None
+        p.observe(value, now, self.timeout).then_some(row)
     }
 
     /// Whether `row` is currently suspected.
@@ -134,6 +128,95 @@ impl HeartbeatState {
     /// Stops monitoring `row` (it was removed by a view change).
     pub fn forget(&mut self, row: usize) {
         self.peers.retain(|p| p.row != row);
+    }
+}
+
+impl PeerState {
+    /// Feeds one observation; `true` exactly once, at the moment the peer
+    /// becomes suspected. Only an *advance* counts as life: a regressed
+    /// counter reads as silence.
+    fn observe(&mut self, value: i64, now: Instant, timeout: Duration) -> bool {
+        if value > self.last_value {
+            self.last_value = value;
+            self.last_advance = now;
+            return false;
+        }
+        if !self.suspected && now.duration_since(self.last_advance) > timeout {
+            self.suspected = true;
+            return true;
+        }
+        false
+    }
+}
+
+/// One node's heartbeat duty, for every loop that must keep it up (the
+/// predicate loop, and the agreement and barrier loops of the distributed
+/// view-change driver): bump and post the own counter on the cadence, and
+/// feed the peers' counters to a [`HeartbeatState`].
+///
+/// The own value *continues* from what the SST already holds. A row may
+/// have heartbeated in the epoch before this ticker exists (the install
+/// barrier does), and [`HeartbeatState`] reads a regressed counter as
+/// silence — restarting from zero would look like death at every peer
+/// whose mirror already saw the higher value.
+#[derive(Debug)]
+pub(crate) struct HeartbeatTicker {
+    interval: Duration,
+    value: i64,
+    last_beat: Instant,
+    state: HeartbeatState,
+}
+
+impl HeartbeatTicker {
+    /// Monitors `peers` from `now`; the own counter resumes from the value
+    /// `sst` holds in `col`.
+    pub(crate) fn new(
+        peers: Vec<usize>,
+        cfg: &DetectorConfig,
+        sst: &Sst,
+        col: CounterCol,
+        now: Instant,
+    ) -> Self {
+        HeartbeatTicker {
+            interval: cfg.heartbeat_interval,
+            value: sst.counter(col, sst.own_row()),
+            last_beat: now,
+            state: HeartbeatState::new(peers, cfg, now),
+        }
+    }
+
+    /// Starts over on `peers` under `cfg`, keeping the own counter's value
+    /// and cadence: for a loop that carries its heartbeat across an epoch
+    /// change into a fresh SST, where the value must not regress either.
+    pub(crate) fn watch(&mut self, peers: Vec<usize>, cfg: &DetectorConfig, now: Instant) {
+        self.interval = cfg.heartbeat_interval;
+        self.state = HeartbeatState::new(peers, cfg, now);
+    }
+
+    /// One turn: on the cadence, bumps the own counter `col` of `sst` and
+    /// hands the word range to `post`; then reads every monitored peer's
+    /// counter from `sst`. Returns the peers that just became suspected —
+    /// each is reported once.
+    pub(crate) fn tick(
+        &mut self,
+        now: Instant,
+        sst: &Sst,
+        col: CounterCol,
+        post: &mut dyn FnMut(Range<usize>),
+    ) -> Vec<usize> {
+        if now.duration_since(self.last_beat) >= self.interval {
+            self.value += 1;
+            self.last_beat = now;
+            post(sst.set_counter(col, self.value));
+        }
+        let timeout = self.state.timeout;
+        let mut suspects = Vec::new();
+        for p in &mut self.state.peers {
+            if p.observe(sst.counter(col, p.row), now, timeout) {
+                suspects.push(p.row);
+            }
+        }
+        suspects
     }
 }
 
@@ -222,6 +305,57 @@ mod tests {
     fn default_config_sane() {
         let c = DetectorConfig::default();
         assert!(c.timeout > c.heartbeat_interval);
+    }
+
+    /// A two-row SST holding one heartbeat column, as row 0's replica.
+    fn heartbeat_sst() -> (Sst, CounterCol) {
+        let mut b = spindle_sst::LayoutBuilder::new();
+        let col = b.add_counter("heartbeat", 0);
+        let layout = std::sync::Arc::new(b.finish(2));
+        let region = std::sync::Arc::new(spindle_fabric::Region::new(layout.region_words()));
+        let sst = Sst::new(layout, region, 0);
+        sst.init();
+        (sst, col)
+    }
+
+    #[test]
+    fn ticker_bumps_on_cadence_resumes_from_the_sst_and_reports_once() {
+        let ms = Duration::from_millis;
+        let c = cfg(10); // beat every 1 ms, suspect after 10 ms
+        let (sst, col) = heartbeat_sst();
+        let t0 = Instant::now();
+        let mut posted = Vec::new();
+        let mut ticker = HeartbeatTicker::new(vec![1], &c, &sst, col, t0);
+        // Off the cadence nothing is bumped or posted.
+        let early = t0 + Duration::from_micros(500);
+        assert!(ticker
+            .tick(early, &sst, col, &mut |r| posted.push(r))
+            .is_empty());
+        assert_eq!((sst.counter(col, 0), posted.len()), (0, 0));
+        // On it, the own counter advances by one and its word is posted.
+        for beat in 1..=2 {
+            ticker.tick(t0 + ms(beat), &sst, col, &mut |r| posted.push(r));
+            assert_eq!(sst.counter(col, 0), beat as i64);
+        }
+        assert_eq!(posted, vec![sst.own_counter_range(col); 2]);
+        // The silent peer is reported at the timeout, and only then.
+        assert_eq!(ticker.tick(t0 + ms(11), &sst, col, &mut |_| ()), vec![1]);
+        assert!(ticker.tick(t0 + ms(12), &sst, col, &mut |_| ()).is_empty());
+
+        // After an epoch change the SST is fresh but may already hold this
+        // row's heartbeat (the install barrier beats too): a new ticker
+        // continues from it rather than regressing to 1.
+        let (next_sst, next_col) = heartbeat_sst();
+        next_sst.set_counter(next_col, 7);
+        let t1 = t0 + ms(20);
+        let mut ticker = HeartbeatTicker::new(vec![1], &c, &next_sst, next_col, t1);
+        ticker.tick(t1 + ms(1), &next_sst, next_col, &mut |_| ());
+        assert_eq!(next_sst.counter(next_col, 0), 8);
+        // And a ticker carried into a fresh SST keeps its value.
+        let (fresh_sst, fresh_col) = heartbeat_sst();
+        ticker.watch(vec![1], &c, t1 + ms(1));
+        ticker.tick(t1 + ms(2), &fresh_sst, fresh_col, &mut |_| ());
+        assert_eq!(fresh_sst.counter(fresh_col, 0), 9);
     }
 
     #[test]

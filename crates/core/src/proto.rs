@@ -289,7 +289,16 @@ impl SubgroupProto {
                 continue;
             }
             let row = self.sender_rows[j];
-            // 1. Scan slots for new app messages (stop at first gap).
+            // 1. Read the committed counter (null carrier / sender batch)
+            // *before* the scan. A sender pushes a slot before the
+            // committed value that covers it and posts to one destination
+            // are fenced, so every app round below a value read here is in
+            // a slot the scan below sees. Read after the scan, the counter
+            // could cover slots that landed in between: the rounds get
+            // delivered, the slots reused, and the scan pointer waits
+            // forever at a slot that holds the next lap's generation.
+            let committed = sst.counter(self.cols.committed, row).max(0) as u64;
+            // 2. Scan slots for new app messages (stop at first gap).
             let scan_cap = if batched { w } else { 1 };
             let mut last_scanned_round: Option<u64> = None;
             let mut scanned = 0usize;
@@ -308,8 +317,7 @@ impl SubgroupProto {
                 self.app_seen[j] = a + 1;
                 scanned += 1;
             }
-            // 2. Merge the committed counter (null carrier / sender batch).
-            let committed = sst.counter(self.cols.committed, row).max(0) as u64;
+            // 3. Merge the two sources of rounds.
             let mut target = self.rounds_seen[j]
                 .max(committed)
                 .max(last_scanned_round.map_or(0, |r| r + 1));
@@ -330,7 +338,7 @@ impl SubgroupProto {
                 });
             }
         }
-        // 3. Null duty (§3.3): respond to the newest received message.
+        // 4. Null duty (§3.3): respond to the newest received message.
         if null_sends {
             if let (Some(rank), Some(newest)) = (self.my_sender_rank, newest) {
                 let owed = nulls_owed(&self.space, rank, self.round_next, newest);
@@ -341,7 +349,7 @@ impl SubgroupProto {
                 }
             }
         }
-        // 4. Publish received_num if the prefix advanced.
+        // 5. Publish received_num if the prefix advanced.
         let rn = self.space.prefix_complete(&self.rounds_seen);
         if rn > self.received_num {
             self.received_num = rn;

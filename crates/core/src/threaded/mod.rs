@@ -1,0 +1,66 @@
+//! The threaded cluster: real concurrency over the shared-memory fabric.
+//!
+//! This is the embeddable runtime of the library: every node gets a real
+//! predicate (polling) thread exactly as in the paper (§2.4), application
+//! threads send through [`NodeHandle::send`], and deliveries appear —
+//! in the identical total order at every member — on each node's delivery
+//! channel. The same [`proto`](crate::proto) state machines as the
+//! simulated runtime execute here, so the correctness properties the
+//! integration tests establish (total order, gap-freedom, FIFO per sender,
+//! null invisibility, failure atomicity) hold for the code the performance
+//! model measures.
+//!
+//! The §3.4 optimization is implemented literally: with
+//! [`SpindleConfig::early_lock_release`](crate::config::SpindleConfig::early_lock_release) the predicate body collects the
+//! word ranges to push under the node's lock, releases it, and only then
+//! posts the writes; the baseline posts while holding the lock.
+//!
+//! # View changes
+//!
+//! [`Cluster::remove_node`] executes the virtual-synchrony epoch transition
+//! of §2.1, and its agreement runs *through the SST* exactly as in the
+//! paper's model: each participating node drives a
+//! [`ViewChangeEngine`](crate::viewchange::ViewChangeEngine) from its own
+//! mirror — suspicion propagation, wedge, the deterministic leader's
+//! next-view proposal, and per-subgroup trim acks are all monotonic SST
+//! columns, never a coordinator RPC. Every survivor delivers exactly
+//! through the agreed cut, undelivered messages from surviving senders are
+//! recovered from their ring slots, a new view (and a fresh fabric —
+//! §2.3's per-view memory registration) is installed, and the recovered
+//! messages are resent in the new epoch. Messages beyond the cut are
+//! delivered by *no one*, which together with the cut rule gives the
+//! all-or-nothing guarantee.
+//!
+//! Two drivers execute that engine:
+//!
+//! * clusters built over a fabric *factory* step every local node's engine
+//!   from the [`Cluster::remove_node`] / [`Cluster::admit`] caller —
+//!   the degenerate single-process schedule of the same protocol;
+//! * clusters on a pre-built transport that supports
+//!   [`Fabric::begin_epoch`](spindle_fabric::Fabric::begin_epoch) (the
+//!   multi-process `spindle-node` runtime over
+//!   `spindle_net::TcpFabric`) run it from each node's predicate
+//!   thread: a detector verdict or a peer's suspicion column wedges the
+//!   node, the engine converges across processes, and each process
+//!   installs the next view in place — fresh mirror, fresh sockets, a
+//!   `HELLO` handshake at the new epoch.
+
+mod api;
+mod distributed;
+mod inprocess;
+mod node;
+mod persist;
+mod predicate;
+#[cfg(test)]
+mod tests;
+
+pub use api::{
+    AdmitRequest, Cluster, Delivered, NodeHandle, SendError, Suspicion, ViewChangeError,
+    ViewChangeReport,
+};
+pub use persist::PersistConfig;
+
+/// How long an SST-driven transition may take to converge before the
+/// driver gives up (a participant stalled forever — a harness bug or a
+/// genuinely partitioned survivor).
+const VC_DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);

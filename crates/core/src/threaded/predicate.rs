@@ -1,0 +1,360 @@
+//! The per-node polling loop (§2.4) and the path every delivery takes out
+//! of it: one builder of a [`Delivered`], one publisher.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use spindle_fabric::{Fabric, NodeId, WriteOp};
+use spindle_membership::reconfig::{self, PLANNED_BIT};
+use spindle_membership::{SeqNum, SubgroupId};
+use spindle_obs::ObsPlane;
+use spindle_sst::Sst;
+
+use super::api::Delivered;
+use super::distributed::distributed_view_change;
+use super::node::{ops_to, NodeShared};
+use crate::config::{DeliveryTiming, SpindleConfig};
+use crate::detector::{DetectorConfig, HeartbeatTicker};
+use crate::proto::{Delivery, SubgroupProto};
+
+/// Cached per-epoch registry handles for the delivery path: resolved
+/// against the registry once per `(node, epoch)`, after which every
+/// delivery costs two relaxed atomic adds (plus one histogram record
+/// when the delivery completes one of this node's own sends).
+struct EpochObsCache {
+    epoch: u64,
+    delivered: spindle_obs::Counter,
+    bytes: spindle_obs::Counter,
+    latency: spindle_obs::LogHistogram,
+}
+
+fn epoch_obs<'a>(
+    obs: &ObsPlane,
+    row: usize,
+    epoch: u64,
+    cache: &'a mut Option<EpochObsCache>,
+) -> &'a EpochObsCache {
+    if cache.as_ref().is_none_or(|c| c.epoch != epoch) {
+        let node = row.to_string();
+        let ep = epoch.to_string();
+        let labels = [("node", node.as_str()), ("epoch", ep.as_str())];
+        let reg = obs.registry();
+        *cache = Some(EpochObsCache {
+            epoch,
+            delivered: reg.counter(
+                spindle_obs::names::DELIVERED,
+                "Ordered messages delivered, by node and epoch",
+                &labels,
+            ),
+            bytes: reg.counter(
+                spindle_obs::names::DELIVERED_BYTES,
+                "Payload bytes delivered, by node and epoch",
+                &labels,
+            ),
+            latency: reg.histogram(
+                spindle_obs::names::DELIVERY_LATENCY,
+                "Send-to-delivery latency of this node's own sends",
+                1e-9,
+                &labels,
+            ),
+        });
+    }
+    cache.as_ref().expect("cache just filled")
+}
+
+/// Materializes a delivery: copies its payload out of the sender's ring
+/// slot (the pragmatic §3.5 option 2).
+fn materialize(sst: &Sst, p: &SubgroupProto, epoch: u64, del: &Delivery) -> Delivered {
+    Delivered {
+        epoch,
+        subgroup: p.sg,
+        sender_rank: del.rank,
+        app_index: del.app_index,
+        seq: del.seq,
+        data: sst.read_slot_with_len(
+            p.cols.slots,
+            p.sender_rows[del.rank],
+            del.slot,
+            del.len as usize,
+        ),
+    }
+}
+
+/// Hands `delivered` to the application and publishes each into the live
+/// registry: per-epoch message and byte counters, plus the delivery-latency
+/// sample when it completes a send stamped by this node's
+/// [`NodeHandle::try_send`](super::NodeHandle::try_send). Every
+/// [`NodeShared::deliveries`] send happens here, paired with its counter
+/// update, so the counter equals the drained stream length by construction
+/// (the harness counter-consistency oracle pins this).
+fn publish<F: Fabric>(
+    shared: &NodeShared<F>,
+    row: usize,
+    delivered: Vec<Delivered>,
+    cache: &mut Option<EpochObsCache>,
+) {
+    for d in delivered {
+        let h = epoch_obs(&shared.obs, row, d.epoch, cache);
+        h.delivered.inc();
+        h.bytes.add(d.data.len() as u64);
+        let key = (d.subgroup.0, d.app_index);
+        // The stamp lock is contended by every `try_send`: take it for the
+        // lookup alone, never across the histogram record or channel send.
+        let stamped = {
+            let mut stamps = shared.send_stamps.lock();
+            match stamps.get(&key) {
+                Some(&(rank, t0)) if rank == d.sender_rank => {
+                    stamps.remove(&key);
+                    Some(t0)
+                }
+                _ => None,
+            }
+        };
+        if let Some(t0) = stamped {
+            h.latency.record(t0.elapsed().as_nanos() as u64);
+        }
+        // Receiver may have hung up (handle dropped); that's fine.
+        let _ = shared.deliveries.send(d);
+    }
+}
+
+/// The per-node polling loop (§2.4): evaluate every subgroup's predicates,
+/// then post the collected writes — after releasing the lock when §3.4 is
+/// enabled.
+///
+/// With `vc_enabled` (a distributed cluster over an epoch-advancing
+/// transport), the loop additionally watches for view-change triggers —
+/// a local detector verdict, a planned-removal request
+/// ([`NodeShared::vc_trigger`]), or a peer's suspicion column — and runs
+/// the SST engine through wedge → agreement → install itself.
+pub(super) fn predicate_thread<F: Fabric>(
+    row: usize,
+    shared: Arc<NodeShared<F>>,
+    cfg: SpindleConfig,
+    det: Option<DetectorConfig>,
+    stop: Arc<AtomicBool>,
+    vc_enabled: bool,
+) {
+    let mut idle_spins = 0u32;
+    let mut obs_cache: Option<EpochObsCache> = None;
+    // The heartbeat ticker (only with a detector configured) and the epoch
+    // it was built in: rebuilt on every epoch change because the SST (and
+    // its counters) start fresh.
+    let mut hb: Option<(u64, HeartbeatTicker)> = None;
+    while !stop.load(Ordering::Relaxed) {
+        if shared.killed.load(Ordering::Acquire) {
+            return; // simulated crash: vanish without a trace
+        }
+        if shared.wedged.load(Ordering::Acquire) {
+            shared.parked.store(true, Ordering::Release);
+            while shared.wedged.load(Ordering::Acquire) && !stop.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_micros(20));
+            }
+            shared.parked.store(false, Ordering::Release);
+            continue;
+        }
+        if shared.paused.load(Ordering::Acquire) {
+            // Fault-injected stall: no predicate work, no heartbeats. Loop
+            // (rather than block) so wedges, kills and stop still land.
+            std::thread::sleep(Duration::from_micros(50));
+            continue;
+        }
+        // Work items collected under the lock, posted after release
+        // (early_lock_release) or under it (baseline).
+        let mut posts: Vec<WriteOp> = Vec::new();
+        let mut delivered: Vec<Delivered> = Vec::new();
+        // Suspicion bits that must start a view change after this
+        // iteration (distributed clusters only).
+        let mut vc_bits: u64 = 0;
+        // (persisted_num column, member rows, highest seq) for every
+        // subgroup that delivered this iteration — used after the lock to
+        // advance the persistence frontier once the log holds them.
+        let mut persist_work: Vec<(spindle_sst::CounterCol, Vec<usize>, SeqNum)> = Vec::new();
+        let mut work = false;
+        {
+            let mut inner = shared.inner.lock();
+            if !inner.alive {
+                return;
+            }
+            let sst = inner.sst.clone();
+            let fabric = inner.live_fabric();
+            let epoch = shared.epoch.load(Ordering::Relaxed);
+            if vc_enabled {
+                // A planned-removal trigger, or a peer's suspicion column
+                // lighting up: either starts the SST view-change engine
+                // (after this iteration's work is flushed).
+                vc_bits |= shared.vc_trigger.swap(0, Ordering::AcqRel);
+                for &peer in &inner.hb_peers {
+                    vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
+                }
+                if vc_bits != 0 {
+                    let mask = reconfig::bits_of(inner.hb_peers.iter().copied().chain([row]));
+                    vc_bits &= mask | PLANNED_BIT;
+                }
+            }
+            if let Some(dc) = &det {
+                let now = Instant::now();
+                let ticker = match &mut hb {
+                    Some((e, ticker)) if *e == epoch => ticker,
+                    stale => {
+                        let peers = inner.hb_peers.clone();
+                        let fresh = HeartbeatTicker::new(peers, dc, &sst, inner.heartbeat_col, now);
+                        &mut stale.insert((epoch, fresh)).1
+                    }
+                };
+                let suspects = ticker.tick(now, &sst, inner.heartbeat_col, &mut |range| {
+                    posts.extend(ops_to(&inner.hb_peers, row, range))
+                });
+                for suspect in suspects {
+                    vc_bits |= shared.convict(row, suspect, epoch, false, vc_enabled);
+                }
+            }
+            for p in inner.protos.iter_mut() {
+                let members = p.member_rows.clone();
+                let collect = cfg.delivery_timing == DeliveryTiming::OnReceive;
+                let r = p.receive_predicate(&sst, cfg.receive_batching, cfg.null_sends, collect);
+                if r.new_rounds > 0 || r.nulls_added > 0 {
+                    work = true;
+                }
+                for (rank, app_index, round, len, slot) in r.new_app {
+                    let unordered = Delivery {
+                        rank,
+                        app_index,
+                        round,
+                        seq: -1,
+                        len,
+                        slot,
+                    };
+                    delivered.push(materialize(&sst, p, epoch, &unordered));
+                }
+                if let Some(ack) = r.ack {
+                    for _ in 0..r.ack_pushes {
+                        posts.extend(ops_to(&members, row, ack.clone()));
+                    }
+                }
+                if p.my_sender_rank.is_some() {
+                    if let Some(s) = p.send_predicate(&sst, cfg.send_batching, cfg.null_sends) {
+                        work = true;
+                        for range in s.slot_ranges {
+                            posts.extend(ops_to(&members, row, range));
+                        }
+                        if let Some(c) = s.committed_push {
+                            posts.extend(ops_to(&members, row, c));
+                        }
+                    }
+                }
+                let d = p.delivery_predicate(&sst, cfg.delivery_batching);
+                if !d.deliveries.is_empty() || d.nulls_skipped > 0 {
+                    work = true;
+                }
+                if cfg.delivery_timing == DeliveryTiming::Ordered {
+                    if shared.persist.is_some() {
+                        if let Some(hi) = d.deliveries.iter().map(|del| del.seq).max() {
+                            persist_work.push((p.cols.pers, members.clone(), hi));
+                        }
+                    }
+                    for del in &d.deliveries {
+                        delivered.push(materialize(&sst, p, epoch, del));
+                    }
+                }
+                if let Some(ack) = d.ack {
+                    for _ in 0..d.ack_pushes {
+                        posts.extend(ops_to(&members, row, ack.clone()));
+                    }
+                }
+            }
+            if !cfg.early_lock_release {
+                // Baseline: post while holding the lock (§3.4's problem).
+                for op in posts.drain(..) {
+                    fabric.post(NodeId(row), &op);
+                }
+            } else {
+                // §3.4: release first, then post (below).
+            }
+            drop(inner);
+            // Durable mode: append this iteration's ordered deliveries to
+            // the per-subgroup logs, fsync when the policy says so, then
+            // advertise the new frontiers. This happens outside the lock —
+            // log I/O must never stall the application threads (the same
+            // reasoning as §3.4).
+            if let Some(hook) = shared.persist.as_ref().filter(|_| !persist_work.is_empty()) {
+                hook.lock().append(&delivered);
+                for (pers_col, members, hi) in persist_work {
+                    let range = sst.set_counter(pers_col, hi);
+                    posts.extend(ops_to(&members, row, range));
+                }
+            }
+            for op in posts {
+                fabric.post(NodeId(row), &op);
+            }
+        }
+        publish(&shared, row, delivered, &mut obs_cache);
+        if vc_bits != 0 {
+            distributed_view_change(row, &shared, vc_bits, &cfg, &det, &stop);
+            idle_spins = 0;
+            continue;
+        }
+        if work {
+            idle_spins = 0;
+        } else {
+            idle_spins += 1;
+            if idle_spins > 64 {
+                // Quiesce politely; sends and arrivals are visible in shared
+                // memory, so a short sleep stands in for the doorbell.
+                std::thread::sleep(Duration::from_micros(50));
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+    }
+    // Clean shutdown: whatever the sync policy deferred becomes durable
+    // now. (A simulated crash — `killed` — returns above without this,
+    // deliberately: that is the policy's loss window under test.)
+    if let Some(hook) = &shared.persist {
+        let _ = hook.lock().sync_all();
+    }
+}
+
+/// Final old-epoch deliveries of one node: everything through the agreed
+/// cuts goes to its durable log and then its delivery channel, and its own
+/// undelivered messages come back as `(subgroup, payload)` for resend in
+/// the next epoch. Shared by the cluster-driven drain and the
+/// predicate-thread (distributed) driver.
+pub(super) fn drain_node_through<F: Fabric>(
+    shared: &NodeShared<F>,
+    cuts: &[SeqNum],
+    ordered: bool,
+) -> Vec<(SubgroupId, Vec<u8>)> {
+    let mut resend = Vec::new();
+    let mut delivered = Vec::new();
+    let mut inner = shared.inner.lock();
+    let sst = inner.sst.clone();
+    let epoch = shared.epoch.load(Ordering::Acquire);
+    for (g, &cut) in cuts.iter().enumerate() {
+        let Some(p) = inner.protos.iter_mut().find(|p| p.sg.0 == g) else {
+            continue;
+        };
+        let out = p.deliver_through(&sst, cut);
+        if ordered {
+            delivered.extend(
+                out.deliveries
+                    .iter()
+                    .map(|del| materialize(&sst, p, epoch, del)),
+            );
+        }
+        for (_, payload) in p.undelivered_own(&sst) {
+            resend.push((SubgroupId(g), payload));
+        }
+    }
+    drop(inner);
+    // Durable mode: the final deliveries of the old epoch go to the log
+    // like any others, and the epoch boundary fsyncs whatever the policy.
+    if let Some(hook) = &shared.persist {
+        let mut hook = hook.lock();
+        hook.append(&delivered);
+        hook.sync_all().expect("sync durable log");
+    }
+    publish(shared, sst.own_row(), delivered, &mut None);
+    resend
+}

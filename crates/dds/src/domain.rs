@@ -2,6 +2,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -208,13 +209,18 @@ impl DomainBuilder {
         let view = vb.build().expect("validated topic declarations");
         let cluster = Cluster::start(view, self.config.clone());
         let log_dir = self.log_dir.clone().unwrap_or_else(|| {
-            let mut d = std::env::temp_dir();
-            d.push(format!(
+            // Unique per domain: two domains of one process (parallel
+            // tests) must never replay or append to each other's logs. Only
+            // a dead process that had this pid can have left the name
+            // behind, so clearing it also makes the directory fresh.
+            static NEXT_DOMAIN: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
                 "spindle-dds-{}-{}",
                 std::process::id(),
-                Instant::now().elapsed().as_nanos()
+                NEXT_DOMAIN.fetch_add(1, Ordering::Relaxed)
             ));
-            d
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
         });
         std::fs::create_dir_all(&log_dir)?;
         let participants = (0..self.participants)

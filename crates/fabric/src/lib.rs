@@ -9,7 +9,11 @@
 //! 1. **Placement semantics** (paper §2.2): a one-sided write lands in the
 //!    target's registered memory without involving the target CPU; placement
 //!    is cache-line atomic; and two writes posted in order are *fenced* — any
-//!    reader that observes the second also observes the first.
+//!    reader that observes the second also observes the first. *Within* one
+//!    write, both backends place words in increasing address order, so a
+//!    reader that observes a later word also observes every earlier one:
+//!    whatever announces a multi-word datum must be its **last** word (an
+//!    SST ring slot is laid out payload, round, header for this reason).
 //! 2. **Cost structure** (paper §3.2, Fig. 1/Fig. 14): small-write latency is
 //!    nearly flat (≈1.7 µs at 1 B → ≈2.5 µs at 4 KB), posting a work request
 //!    costs the CPU ≈1 µs, the link serializes at 12.5 GB/s, and local memcpy

@@ -23,9 +23,8 @@
 //!
 //! The builder is how every construction path goes through one set of
 //! rules: the `spindle-node` binary lowers `std::env::args` via
-//! [`NodeConfigBuilder::apply_cli`], and tests that spawn node processes
-//! build a [`NodeConfig`] programmatically and render the equivalent
-//! command line with [`NodeConfig::to_cli_args`].
+//! [`NodeConfigBuilder::apply_cli`], and in-process callers use the typed
+//! setters.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -147,9 +146,6 @@ impl Default for RunControl {
 pub struct NodeConfig {
     /// Shared transport topology (parsed cluster file).
     pub cluster: ClusterConfig,
-    /// Path the cluster file was read from (kept for
-    /// [`NodeConfig::to_cli_args`]); `None` when built from text.
-    pub config_path: Option<String>,
     /// Member or joiner.
     pub role: NodeRole,
     /// Durable-log persistence; `None` runs non-persistent.
@@ -166,78 +162,6 @@ impl NodeConfig {
     /// Start assembling a configuration.
     pub fn builder() -> NodeConfigBuilder {
         NodeConfigBuilder::default()
-    }
-
-    /// Render the command line that reproduces this configuration
-    /// through [`NodeConfigBuilder::apply_cli`]. Tests use this so the
-    /// processes they spawn are constructed by the same lowering rules
-    /// as production deployments.
-    pub fn to_cli_args(&self) -> Vec<String> {
-        let mut args = Vec::new();
-        let mut flag = |name: &str, value: String| {
-            args.push(name.to_string());
-            args.push(value);
-        };
-        if let Some(path) = &self.config_path {
-            flag("--config", path.clone());
-        }
-        match &self.role {
-            NodeRole::Member { node } => flag("--node", node.to_string()),
-            NodeRole::Joiner { seeds, listen } => {
-                flag("--join", seeds.join(","));
-                flag("--listen", listen.clone());
-            }
-        }
-        if let Some(p) = &self.persist {
-            flag("--data-dir", p.data_dir.display().to_string());
-            flag("--sync-policy", p.sync_policy.to_string());
-            flag("--segment-cap", p.segment_cap.to_string());
-        }
-        if let Some(addr) = &self.obs.metrics_addr {
-            flag("--metrics-addr", addr.clone());
-        }
-        if let Some(level) = self.obs.log_level {
-            flag("--log-level", level.as_str().to_string());
-        }
-        if let Some(relay) = &self.relay {
-            flag("--relay-addr", relay.addr.clone());
-        }
-        let run = &self.run;
-        let defaults = RunControl::default();
-        if run.sends != defaults.sends {
-            flag("--sends", run.sends.to_string());
-        }
-        if run.payload != defaults.payload {
-            flag("--payload", run.payload.to_string());
-        }
-        if run.seed != defaults.seed {
-            flag("--seed", run.seed.to_string());
-        }
-        if let Some(path) = &run.trace_out {
-            flag("--trace-out", path.clone());
-        }
-        if let Some(path) = &run.replay_out {
-            flag("--replay-out", path.clone());
-        }
-        if run.deadline != defaults.deadline {
-            flag("--deadline-secs", run.deadline.as_secs().to_string());
-        }
-        if run.linger != defaults.linger {
-            flag("--linger-ms", run.linger.as_millis().to_string());
-        }
-        if run.min_epoch != defaults.min_epoch {
-            flag("--min-epoch", run.min_epoch.to_string());
-        }
-        if run.quiesce != defaults.quiesce {
-            flag("--quiesce-ms", run.quiesce.as_millis().to_string());
-        }
-        if run.crash_after != defaults.crash_after {
-            flag("--crash-after-delivered", run.crash_after.to_string());
-        }
-        if run.serve != defaults.serve {
-            flag("--serve-secs", run.serve.as_secs().to_string());
-        }
-        args
     }
 }
 
@@ -338,7 +262,6 @@ impl std::error::Error for NodeConfigErrors {}
 #[derive(Debug, Default)]
 pub struct NodeConfigBuilder {
     cluster: Option<ClusterConfig>,
-    config_path: Option<String>,
     node: Option<usize>,
     join_seeds: Option<Vec<String>>,
     listen: Option<String>,
@@ -368,13 +291,6 @@ impl NodeConfigBuilder {
     /// `--config`). A later `--config` flag replaces it.
     pub fn cluster(mut self, cluster: ClusterConfig) -> Self {
         self.cluster = Some(cluster);
-        self
-    }
-
-    /// Record the path the cluster config came from (for
-    /// [`NodeConfig::to_cli_args`]).
-    pub fn config_path(mut self, path: impl Into<String>) -> Self {
-        self.config_path = Some(path.into());
         self
     }
 
@@ -485,10 +401,7 @@ impl NodeConfigBuilder {
                     let path = value!();
                     match std::fs::read_to_string(&path) {
                         Ok(text) => match ClusterConfig::parse(&text) {
-                            Ok(cfg) => {
-                                self.cluster = Some(cfg);
-                                self.config_path = Some(path);
-                            }
+                            Ok(cfg) => self.cluster = Some(cfg),
                             Err(e) => self.errors.push(NodeConfigError::Parse(e)),
                         },
                         Err(e) => self.errors.push(NodeConfigError::File {
@@ -675,7 +588,6 @@ impl NodeConfigBuilder {
         }
         Ok(NodeConfig {
             cluster: self.cluster.expect("checked above"),
-            config_path: self.config_path,
             role: role.expect("checked above"),
             persist,
             obs: ObsSettings {
@@ -840,43 +752,6 @@ mod tests {
         assert!(err.0.iter().any(
             |e| matches!(e, NodeConfigError::Invalid { what, .. } if *what == "--replay-out")
         ));
-    }
-
-    #[test]
-    fn cli_args_roundtrip_through_apply_cli() {
-        let dir = std::env::temp_dir().join(format!("spindle-nodecfg-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cluster.toml");
-        std::fs::write(
-            &path,
-            "nodes = [\"127.0.0.1:9001\", \"127.0.0.1:9002\", \"127.0.0.1:9003\"]\n\
-             window = 16\nmax_msg = 256\n",
-        )
-        .unwrap();
-        let original = NodeConfig::builder()
-            .cluster(ClusterConfig::parse(&std::fs::read_to_string(&path).unwrap()).unwrap())
-            .config_path(path.display().to_string())
-            .member(1)
-            .data_dir("/tmp/rt/n1")
-            .sync_policy(SyncPolicy::EveryN(8))
-            .segment_cap(1 << 20)
-            .metrics_addr("127.0.0.1:0")
-            .run(RunControl {
-                sends: 64,
-                seed: 7,
-                trace_out: Some("/tmp/rt/trace.txt".into()),
-                replay_out: Some("/tmp/rt/replay.txt".into()),
-                min_epoch: 1,
-                ..RunControl::default()
-            })
-            .build()
-            .unwrap();
-        let reparsed = NodeConfig::builder()
-            .apply_cli(original.to_cli_args())
-            .build()
-            .unwrap();
-        assert_eq!(original, reparsed);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -18,10 +18,13 @@ pub struct CounterCol {
 
 /// Handle to a block of SMC slots for one subgroup.
 ///
-/// Each slot has two control words — a header packing `(generation: u32,
-/// len: u32)` and an auxiliary word (the multicast engine stores the
-/// message's round index there) — followed by the payload area. The control
-/// words are mirrored; payload words are bulk data.
+/// Each slot is its payload area followed by two control words: an
+/// auxiliary word (the multicast engine stores the message's round index
+/// there) and, last, a header packing `(generation: u32, len: u32)`. The
+/// header is what announces the message to a receiver, and a fabric places a
+/// write in increasing word order, so a receiver that sees a slot's header
+/// also sees the round and the bytes it announces. The control words are
+/// mirrored; payload words are bulk data.
 ///
 /// A *non-materialized* block (see [`LayoutBuilder::add_slots_meta`])
 /// allocates no payload words at all: the discrete-event backend uses this
@@ -72,19 +75,19 @@ impl SlotsCol {
     /// Panics if `i >= count`.
     pub fn header_word(&self, i: usize) -> usize {
         assert!(i < self.count, "slot index out of range");
-        self.base + i * self.slot_words
+        self.base + (i + 1) * self.slot_words - 1
     }
 
     /// Row-relative word offset of slot `i`'s auxiliary (round) word.
     pub fn aux_word(&self, i: usize) -> usize {
-        self.header_word(i) + 1
+        self.header_word(i) - 1
     }
 
     /// Row-relative word range of slot `i`'s payload area (empty when the
     /// block is not materialized).
     pub fn payload_words(&self, i: usize) -> Range<usize> {
         let h = self.header_word(i);
-        h + 2..h + self.slot_words
+        h + 1 - self.slot_words..h - 1
     }
 
     /// Row-relative word range covering slots `lo..hi` in full — the range
@@ -161,7 +164,7 @@ pub(crate) struct ListInfo {
 /// let slots = b.add_slots("smc", 4, 24);
 /// let layout = b.finish(3);
 /// assert_eq!(layout.num_rows(), 3);
-/// // 1 counter word + 4 slots of (2 control + 3 payload words).
+/// // 1 counter word + 4 slots of (3 payload + 2 control words).
 /// assert_eq!(layout.row_words(), 1 + 4 * 5);
 /// assert_eq!(layout.abs_word(2, recv.word_range().start), 2 * 21);
 /// # let _ = slots;
@@ -335,10 +338,10 @@ impl LayoutBuilder {
             materialized,
             id: self.slots.len(),
         };
-        // Header + aux words are control; payload words are bulk.
+        // Aux + header words (the last two of a slot) are control;
+        // payload words are bulk.
         for i in 0..count {
-            let h = col.base + i * slot_words;
-            self.mirror.add(h..h + 2);
+            self.mirror.add(col.aux_word(i)..col.header_word(i) + 1);
         }
         self.next_word += count * slot_words;
         self.slots.push(SlotsInfo { label, col });
@@ -407,10 +410,11 @@ mod tests {
         let s = b.add_slots("smc", 3, 20); // 20B payload -> 3 words
         let l = b.finish(1);
         assert_eq!(s.slot_words(), 5);
-        assert_eq!(s.header_word(0), 0);
-        assert_eq!(s.aux_word(0), 1);
-        assert_eq!(s.header_word(2), 10);
-        assert_eq!(s.payload_words(1), 7..10);
+        assert_eq!(s.payload_words(0), 0..3);
+        assert_eq!(s.aux_word(0), 3);
+        assert_eq!(s.header_word(0), 4);
+        assert_eq!(s.header_word(2), 14);
+        assert_eq!(s.payload_words(1), 5..8);
         assert_eq!(s.slots_range(0, 3), 0..15);
         assert_eq!(l.row_words(), 15);
         // Wire size: 16B control + 24B payload area (rounded to words).
@@ -443,6 +447,7 @@ mod tests {
         assert!(m.contains(s.header_word(0)));
         assert!(m.contains(s.aux_word(0)));
         assert!(m.contains(s.header_word(1)));
+        assert!(m.contains(s.aux_word(1)));
         assert!(!m.contains(s.payload_words(0).start));
         assert!(!m.contains(s.payload_words(1).end - 1));
     }
@@ -454,12 +459,13 @@ mod tests {
         b.add_slots("smc", 1, 8);
         let l = b.finish(3);
         let g = l.global_mirror();
-        // counter + header + aux per row = 3 words mirrored per row.
+        // counter + aux + header per row = 3 words mirrored per row; the
+        // payload word sits between the counter and the slot's control words.
         assert_eq!(g.mirrored_words(), 9);
         assert!(g.contains(l.abs_word(2, 0)));
-        assert!(g.contains(l.abs_word(2, 1)));
+        assert!(!g.contains(l.abs_word(2, 1)));
         assert!(g.contains(l.abs_word(2, 2)));
-        assert!(!g.contains(l.abs_word(2, 3)));
+        assert!(g.contains(l.abs_word(2, 3)));
     }
 
     #[test]

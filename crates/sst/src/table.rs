@@ -190,9 +190,10 @@ impl Sst {
     /// Writes `payload` into own slot `i` and publishes its control words:
     /// the auxiliary word `aux` (the engine stores the message's round index
     /// there) and the header with generation `gen`. Payload and aux are
-    /// written before the header so that (under the fabric's in-order
-    /// placement) a reader that sees the header also sees the rest. Returns
-    /// the absolute word range of the full slot.
+    /// written before the header, and they precede it in the slot
+    /// ([`SlotsCol`]), so both locally and under the fabric's
+    /// increasing-word-order placement a reader that sees the header also
+    /// sees the rest. Returns the absolute word range of the full slot.
     ///
     /// # Panics
     ///
@@ -244,8 +245,8 @@ impl Sst {
         let header = SlotHeader { gen, len };
         let habs = self.layout.abs_word(self.own_row, col.header_word(i));
         self.region.store(habs, header.pack());
-        let full = col.header_word(i)..col.header_word(i) + col.slot_words();
-        self.layout.abs_range(self.own_row, full)
+        self.layout
+            .abs_range(self.own_row, col.slots_range(i, i + 1))
     }
 
     /// Reads the auxiliary word of slot `i` in `row`'s block.
@@ -414,6 +415,64 @@ mod tests {
         let r = sst.own_slots_range(s, 1, 3);
         assert_eq!(r.len(), 2 * s.slot_words());
         assert!(r.start >= 3 * row_words);
+    }
+
+    /// A receiver that sees a slot's header sees the whole message: the
+    /// writer rewrites one 10 KiB slot with a per-generation fill and posts
+    /// it; the reader polls the header in its mirror and, on the new
+    /// generation, checks the round word and every payload byte. The writer
+    /// reuses the slot only after the reader's ack (the ring's reuse rule),
+    /// so the only race left is the order in which one post's words land.
+    #[test]
+    fn header_is_placed_after_the_round_and_payload_it_announces() {
+        use spindle_fabric::{MemFabric, NodeId, WriteOp};
+        use std::sync::atomic::{AtomicU32, Ordering};
+
+        const GENERATIONS: u32 = 2_000;
+        const LEN: usize = 10 * 1024;
+        let mut b = LayoutBuilder::new();
+        let slots = b.add_slots("smc", 1, LEN);
+        let layout = Arc::new(b.finish(2));
+        let fabric = MemFabric::new(2, layout.region_words());
+        let writer = Sst::new(Arc::clone(&layout), fabric.region_arc(NodeId(0)), 0);
+        let reader = Sst::new(layout, fabric.region_arc(NodeId(1)), 1);
+        // The last generation the reader checked; `ABORT` releases the
+        // writer after a violation so a failure reports instead of hanging.
+        const ABORT: u32 = u32::MAX;
+        let acked = AtomicU32::new(0);
+        let violation = std::thread::scope(|s| {
+            s.spawn(|| {
+                for gen in 1..=GENERATIONS {
+                    let range = writer.write_slot(slots, 0, gen, u64::from(gen), &[gen as u8; LEN]);
+                    fabric.post(NodeId(0), &WriteOp::new(NodeId(1), range));
+                    loop {
+                        match acked.load(Ordering::Acquire) {
+                            ABORT => return,
+                            a if a == gen => break,
+                            _ => std::hint::spin_loop(),
+                        }
+                    }
+                }
+            });
+            for gen in 1..=GENERATIONS {
+                while reader.slot_header(slots, 0, 0).gen != gen {
+                    std::hint::spin_loop();
+                }
+                let round = reader.slot_aux(slots, 0, 0);
+                let data = reader.read_slot_with_len(slots, 0, 0, LEN);
+                let stale = data.iter().filter(|&&byte| byte != gen as u8).count();
+                if round != u64::from(gen) || stale != 0 {
+                    acked.store(ABORT, Ordering::Release);
+                    return Some(format!(
+                        "header of generation {gen} visible with round {round} and {stale} \
+                         payload bytes of the previous occupant"
+                    ));
+                }
+                acked.store(gen, Ordering::Release);
+            }
+            None
+        });
+        assert_eq!(violation, None);
     }
 
     proptest! {
