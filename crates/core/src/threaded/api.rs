@@ -1,22 +1,21 @@
 //! The public face of the threaded runtime: the delivery, error and
 //! request types, [`NodeHandle`], and [`Cluster`] with its constructors,
 //! fault-injection switches and accessors. The view-change entry points
-//! ([`Cluster::remove_node`], [`Cluster::admit`]) live with their drivers.
+//! ([`Cluster::remove_node`], [`Cluster::admit`]) live in `inprocess.rs`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use spindle_fabric::{Fabric, FaultPlan, MemFabric, NodeId};
 use spindle_membership::reconfig::ReconfigError;
 use spindle_membership::{SeqNum, SubgroupId, View};
 use spindle_obs::ObsPlane;
 
-use super::node::{NodeInner, NodeShared};
+use super::node::{Epochs, FabricFactory, NodeInner, NodeShared};
 use super::persist::PersistConfig;
 use super::predicate::predicate_thread;
 use crate::config::{DeliveryTiming, SpindleConfig};
@@ -254,11 +253,9 @@ impl<F: Fabric> NodeHandle<F> {
         self.shared.epoch.load(Ordering::Acquire)
     }
 
-    /// How many SST-driven view changes this node has installed from its
-    /// own predicate thread (the distributed runtime's driver), and the
-    /// cumulative wedge→install time they took. Always `(0, 0)` on
-    /// factory-built clusters, whose transitions are driven — and timed —
-    /// by [`Cluster::view_change_durations`] instead.
+    /// How many view changes this node has installed, and the cumulative
+    /// time they took it from wedging to resuming after the install
+    /// barrier.
     pub fn view_change_stats(&self) -> (u64, Duration) {
         (
             self.shared.vc_count.load(Ordering::Acquire),
@@ -300,7 +297,13 @@ impl<F: Fabric> NodeHandle<F> {
             return Err(SendError::Closed);
         }
         if self.shared.wedged.load(Ordering::Acquire) {
-            return Ok(false);
+            // A node closed mid-transition (evicted, removed, gave up)
+            // never unwedges: "try again" would spin its senders forever.
+            // Only this refused path pays for the lock.
+            return match self.shared.inner.lock().alive {
+                true => Ok(false),
+                false => Err(SendError::Closed),
+            };
         }
         self.shared.try_queue(sg, payload)
     }
@@ -382,11 +385,11 @@ pub struct Cluster<F: Fabric = MemFabric> {
     pub(super) nodes: Vec<NodeHandle<F>>,
     pub(super) threads: Vec<JoinHandle<()>>,
     pub(super) stop: Arc<AtomicBool>,
+    /// The current epoch's fabric, as of the last adoption from `epochs`.
     pub(super) fabric: F,
-    /// Rebuilds the fabric for a new view (`nodes`, `region_words`,
-    /// shared fault plan). `None` for pre-built fabrics
-    /// ([`Cluster::start_distributed`]), whose view changes are external.
-    pub(super) factory: Option<FabricFactory<F>>,
+    /// Every epoch the local rows installed and how the next one's fabric
+    /// is obtained; shared with every local row.
+    pub(super) epochs: Arc<Epochs<F>>,
     /// Rows hosted (with a live predicate thread) in this process.
     pub(super) local_rows: BTreeSet<usize>,
     pub(super) view: Arc<View>,
@@ -405,28 +408,16 @@ pub struct Cluster<F: Fabric = MemFabric> {
     /// `faults` right now (cleared and rebuilt by `apply_heartbeat_drops`
     /// without touching externally registered ranges on other nodes).
     pub(super) hb_registered: BTreeSet<usize>,
-    /// Wedge→install durations of every view change this cluster drove
-    /// (for the distributed driver, see
-    /// [`NodeHandle::view_change_stats`]).
+    /// See [`Cluster::view_change_durations`].
     pub(super) vc_durations: Vec<Duration>,
-    /// Fault injection: nodes whose next view-change engine halts at the
-    /// armed [`VcBoundary`], emulating a crash at exactly that protocol
-    /// point ([`Cluster::arm_vc_crash`]). Consumed when the engine is
-    /// built.
-    pub(super) vc_crash: Mutex<HashMap<usize, VcBoundary>>,
-    /// Every view this in-process cluster has installed, in order
-    /// (starting with the initial one). A takeover transition can chain
-    /// two installs inside one `remove_node` call; harnesses need the
-    /// intermediate epoch's membership too.
+    /// See [`Cluster::epoch_views`]: the views of `epochs`, as of the
+    /// last adoption.
     pub(super) epoch_views: Vec<Arc<View>>,
     /// The observability plane every local node publishes into —
     /// adopted from the fabric when the transport owns one
     /// ([`Fabric::obs`]), created fresh otherwise.
     pub(super) obs: ObsPlane,
 }
-
-/// Builds a fabric for one epoch: `(nodes, region_words, faults)`.
-pub(super) type FabricFactory<F> = Arc<dyn Fn(usize, usize, FaultPlan) -> F + Send + Sync>;
 
 impl Cluster<MemFabric> {
     /// Builds the SST plan for `view`, allocates the fabric, and spawns one
@@ -490,9 +481,10 @@ impl<F: Fabric> Cluster<F> {
     /// `view`, obtains the epoch's fabric from `factory`
     /// (`(nodes, region_words, shared fault plan)`), and spawns one
     /// predicate thread per node — all in this process. The factory is
-    /// retained and re-invoked on every view change (§2.3: memory is
-    /// registered per view), so membership changes work on any transport
-    /// that can be rebuilt in-process.
+    /// retained and invoked once more for every later epoch, by the first
+    /// predicate thread to install it (§2.3: memory is registered per
+    /// view), so membership changes work on any transport that can be
+    /// rebuilt in-process.
     pub fn start_with_fabric_factory(
         view: View,
         cfg: SpindleConfig,
@@ -530,12 +522,13 @@ impl<F: Fabric> Cluster<F> {
     /// [`SendError::Closed`], deliveries never arrive).
     ///
     /// If the fabric supports [`Fabric::begin_epoch`] (the TCP fabric
-    /// does), each local predicate thread drives the SST view-change
-    /// engine itself: a detector verdict, a peer's suspicion column, or a
-    /// [`Cluster::remove_node`] trigger reconfigures the cluster in place
-    /// — fresh mirror, fresh connections at the new epoch. On transports
-    /// without that support (a pre-built [`MemFabric`]), view changes are
-    /// rejected with [`ViewChangeError::StaticFabric`].
+    /// does), the view-change driver every predicate thread runs advances
+    /// it in place — fresh mirror, fresh connections at the new epoch —
+    /// and, there being no caller that sees every row, a local detector's
+    /// verdict starts a transition as a peer's suspicion column or a
+    /// [`Cluster::remove_node`] trigger does. On transports without that
+    /// support (a pre-built [`MemFabric`]), view changes are rejected
+    /// with [`ViewChangeError::StaticFabric`].
     ///
     /// The cluster adopts `fabric.faults()` as its fault plan, so the
     /// fault-injection hooks act on the real transport.
@@ -584,12 +577,13 @@ impl<F: Fabric> Cluster<F> {
         let (suspicion_tx, suspicion_rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let obs = fabric.obs().unwrap_or_default();
+        let epochs = Epochs::new(factory, faults.clone(), Arc::clone(&view), fabric.clone());
         let mut cluster = Cluster {
             nodes: Vec::new(),
             threads: Vec::new(),
             stop,
             fabric,
-            factory,
+            epochs,
             local_rows,
             view: Arc::clone(&view),
             cfg,
@@ -601,7 +595,6 @@ impl<F: Fabric> Cluster<F> {
             hb_dropped: BTreeSet::new(),
             hb_registered: BTreeSet::new(),
             vc_durations: Vec::new(),
-            vc_crash: Mutex::new(HashMap::new()),
             epoch_views: vec![Arc::clone(&view)],
             obs,
         };
@@ -620,7 +613,8 @@ impl<F: Fabric> Cluster<F> {
         // A closed stub delivers nothing, so it gets no durable-log hook.
         let persist = self.persist.as_ref().filter(|_| inner.alive);
         let id = NodeId(inner.sst.own_row());
-        let (shared, rx) = NodeShared::new(inner, &self.suspicion_tx, &self.obs, persist);
+        let (shared, rx) =
+            NodeShared::new(inner, &self.suspicion_tx, &self.obs, persist, &self.epochs);
         self.nodes.push(NodeHandle {
             id,
             shared: Arc::clone(&shared),
@@ -641,18 +635,17 @@ impl<F: Fabric> Cluster<F> {
         let inner = NodeInner::enter_epoch(view, plan, row, self.fabric.clone(), &self.obs);
         let shared = self.push_handle(inner);
         self.local_rows.insert(row);
-        // On a pre-built transport that can transition epochs in place,
-        // each predicate thread drives the SST view-change engine itself
-        // (the multi-process deployment); factory-built clusters drive it
-        // from the remove_node/admit caller instead.
-        let vc_enabled = self.factory.is_none() && self.fabric.supports_epoch_advance();
+        // Whether this row's own detector verdicts start transitions
+        // (see `NodeShared::convict`): where other processes host rows
+        // too — and never on a static fabric.
+        let drives_engine = !self.epochs.rebuilds() && !self.is_static();
         let th = {
             let cfg = self.cfg.clone();
             let det = self.detector.clone();
             let stop = Arc::clone(&self.stop);
             std::thread::Builder::new()
                 .name(format!("spindle-pred-{row}"))
-                .spawn(move || predicate_thread(row, shared, cfg, det, stop, vc_enabled))
+                .spawn(move || predicate_thread(row, shared, cfg, det, stop, drives_engine))
                 .expect("spawn predicate thread")
         };
         self.threads.push(th);
@@ -681,19 +674,19 @@ impl<F: Fabric> Cluster<F> {
 
     /// Fault injection: `node`'s *next* view-change engine halts —
     /// exactly as if its process crashed — immediately after the writes
-    /// of `boundary` are posted. The survivors must then complete the
-    /// transition without it (the leader-handoff protocol when `node`
-    /// was the proposer). Consumed by the next transition; in-process
-    /// (factory-built) clusters only — distributed processes arm the
-    /// same fault through the `SPINDLE_VC_CRASH_AT` environment
-    /// variable.
+    /// of `boundary` are posted, and the node is from then on a silent
+    /// corpse, as after [`Cluster::kill`]. The survivors must complete
+    /// the transition without it (the leader-handoff protocol when `node`
+    /// was the proposer). Consumed by the next transition. A process of
+    /// a multi-process test arms the same fault through the
+    /// `SPINDLE_VC_CRASH_AT` environment variable, and then really
+    /// aborts.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn arm_vc_crash(&self, node: usize, boundary: VcBoundary) {
-        assert!(node < self.nodes.len(), "node {node} out of range");
-        self.vc_crash.lock().insert(node, boundary);
+        *self.shared(node).vc_crash.lock() = Some(boundary);
     }
 
     /// Fault injection: stalls `node`'s predicate thread (no predicate
@@ -702,7 +695,9 @@ impl<F: Fabric> Cluster<F> {
     /// windows fill and cluster-wide delivery stalls on the missing
     /// acknowledgments — the slow-receiver situation of §4.1.1. With a
     /// detector configured, a pause longer than its timeout is
-    /// indistinguishable from a crash and draws a suspicion.
+    /// indistinguishable from a crash and draws a suspicion. A view change
+    /// started meanwhile waits for the node too: it runs on the stalled
+    /// thread.
     ///
     /// # Panics
     ///
@@ -791,10 +786,10 @@ impl<F: Fabric> Cluster<F> {
         &self.faults
     }
 
-    /// Wedge→install duration of every view change this cluster's caller
-    /// drove ([`Cluster::remove_node`] / [`Cluster::admit`]), in
-    /// order. Distributed clusters report per node instead
-    /// ([`NodeHandle::view_change_stats`]).
+    /// For every view change this cluster's caller drove
+    /// ([`Cluster::remove_node`] / [`Cluster::admit`]), in order, how
+    /// long the call had run when the caller adopted the new epoch. What
+    /// each node spent is in [`NodeHandle::view_change_stats`].
     pub fn view_change_durations(&self) -> &[Duration] {
         &self.vc_durations
     }
@@ -832,11 +827,13 @@ impl<F: Fabric> Cluster<F> {
         &self.obs
     }
 
-    /// Every view this in-process cluster has installed, oldest first
-    /// (the initial view included). Unlike [`Cluster::view`], this also
-    /// exposes the *intermediate* epoch of a chained takeover transition
-    /// — a verbatim-adopted proposal installs a view that still carries
-    /// the dead leader, and the residual eviction installs the next one
+    /// Every view the local rows had installed when
+    /// [`Cluster::remove_node`] / [`Cluster::admit`] last returned, oldest
+    /// first (the initial view included) — recorded by the first row to
+    /// install each. Unlike [`Cluster::view`], this also exposes the
+    /// *intermediate* epoch of a chained takeover transition — a
+    /// verbatim-adopted proposal installs a view that still carries the
+    /// dead leader, and the residual eviction installs the next one
     /// within the same `remove_node` call.
     pub fn epoch_views(&self) -> &[Arc<View>] {
         &self.epoch_views
@@ -861,6 +858,13 @@ impl<F: Fabric> Cluster<F> {
     /// Panics if `node` is out of range.
     pub(super) fn shared(&self, node: usize) -> &NodeShared<F> {
         &self.nodes[node].shared
+    }
+
+    /// Whether this cluster can never leave its first epoch: no factory
+    /// to rebuild the fabric, and a transport that cannot advance in
+    /// place.
+    pub(super) fn is_static(&self) -> bool {
+        !self.epochs.rebuilds() && !self.fabric.supports_epoch_advance()
     }
 
     pub(super) fn alive(&self, node: usize) -> bool {

@@ -1,20 +1,20 @@
-//! The predicate-thread driver: one node's half of a multi-process epoch
-//! transition on a transport that advances epochs in place, and the
-//! cluster-side calls that trigger it and wait for its report.
+//! The view-change driver — one node's half of an epoch transition, run
+//! from its predicate thread on every cluster and every transport — and
+//! the joiner's half of the install barrier.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spindle_fabric::{EpochTransition, Fabric, NodeId};
-use spindle_membership::reconfig::{self, PLANNED_BIT};
-use spindle_membership::SubgroupId;
+use spindle_fabric::{Fabric, NodeId};
+use spindle_membership::reconfig;
+use spindle_membership::{SubgroupId, View, ViewBuilder};
 use spindle_obs::{flightrec::phase as obs_phase, FlightEvent, Level};
 use spindle_sst::{CounterCol, Sst};
 
-use super::api::{Cluster, ViewChangeError, ViewChangeReport};
-use super::node::{active_rows, post_to, NodeInner, NodeShared};
+use super::api::{Cluster, ViewChangeReport};
+use super::node::{active_rows, post_to, JoinIntent, NodeInner, NodeShared};
 use super::predicate::drain_node_through;
 use super::VC_DEADLINE;
 use crate::config::{DeliveryTiming, SpindleConfig};
@@ -23,151 +23,11 @@ use crate::plan::Plan;
 use crate::viewchange::{InstallBarrier, VcBoundary, VcStep, ViewChangeEngine};
 
 impl<F: Fabric> Cluster<F> {
-    /// Adopts, cluster-side, the view `row`'s predicate thread installed.
-    fn adopt_view_of(&mut self, row: usize) {
-        let view = Arc::clone(&self.shared(row).inner.lock().view);
-        self.view = view;
-    }
-
-    /// Raises the suspicion on a distributed cluster's lowest live local
-    /// row and waits for its predicate thread to drive the SST engine
-    /// through the install — the planned-removal trigger of the
-    /// multi-process runtime.
-    pub(super) fn trigger_distributed(
-        &mut self,
-        failed: usize,
-        bits: u64,
-        gone: &BTreeSet<usize>,
-    ) -> Result<ViewChangeReport, ViewChangeError> {
-        let old_epoch = self.view.id();
-        let row = self
-            .local_rows
-            .iter()
-            .copied()
-            .find(|&r| self.participating(r) && !gone.contains(&r))
-            .ok_or(ViewChangeError::TooFewSurvivors)?;
-        self.shared(row).vc_trigger.fetch_or(bits, Ordering::AcqRel);
-        let report = self.await_distributed_report(row, old_epoch)?;
-        self.adopt_view_of(row);
-        self.shared(failed).inner.lock().alive = false;
-        Ok(report)
-    }
-
-    /// Waits for `row`'s predicate thread to finish a transition past
-    /// `old_epoch` and takes its report. Waits for the *report*, not the
-    /// epoch store: the predicate thread publishes the epoch at install
-    /// but writes the report only after the install barrier and resend
-    /// requeue complete. A leftover report from an earlier
-    /// (detector-driven) transition is recognizable by its stale epoch
-    /// and skipped.
-    fn await_distributed_report(
-        &self,
-        row: usize,
-        old_epoch: u64,
-    ) -> Result<ViewChangeReport, ViewChangeError> {
-        let deadline = Instant::now() + VC_DEADLINE;
-        loop {
-            {
-                let mut slot = self.shared(row).vc_report.lock();
-                if slot.as_ref().is_some_and(|r| r.epoch > old_epoch) {
-                    return Ok(slot.take().expect("checked above"));
-                }
-            }
-            if Instant::now() > deadline {
-                return Err(ViewChangeError::Stalled);
-            }
-            std::thread::sleep(Duration::from_micros(500));
-        }
-    }
-
-    /// The distributed half of [`Cluster::admit`]: arms the leader's
-    /// join intent and drives the SST transition through
-    /// [`Cluster::await_distributed_report`].
-    pub(super) fn admit_remote(
-        &mut self,
-        join: reconfig::JoinEndpoint,
-    ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
-        // In a distributed deployment the predicate threads install
-        // detector-driven transitions autonomously, so the cluster-side
-        // view may be epochs behind by the time a join is sponsored.
-        // Re-adopt the live view first and drop any leftover report of
-        // such a transition: leadership, the new row id, and the
-        // report-freshness floor below must all be judged against the
-        // real current epoch, or a stale removal report is mistaken for
-        // this join's outcome and every retry livelocks on `Stalled`.
-        if self.factory.is_none() {
-            if let Some(&local) = self.local_rows.iter().next() {
-                self.adopt_view_of(local);
-                let mut slot = self.shared(local).vc_report.lock();
-                if slot.as_ref().is_some_and(|r| r.epoch <= self.view.id()) {
-                    slot.take();
-                }
-            }
-        }
-        let old_view = Arc::clone(&self.view);
-        let old_epoch = old_view.id();
-        let new_row = old_view.members().len();
-        if new_row > reconfig::MAX_BITMAP_ROW {
-            return Err(ViewChangeError::BadJoinAddress(format!(
-                "cluster is at the {}-row cap of the suspicion bitmap",
-                reconfig::MAX_BITMAP_ROW + 1
-            )));
-        }
-        if self.factory.is_some() {
-            return Err(ViewChangeError::InProcessJoin);
-        }
-        if !self.fabric.supports_epoch_advance() {
-            return Err(ViewChangeError::StaticFabric);
-        }
-        // Only the leader's proposal carries the join intent, so the
-        // sponsor must host the leader row.
-        let leader = self.leader_row().ok_or(ViewChangeError::TooFewSurvivors)?;
-        if !self.local_rows.contains(&leader) {
-            return Err(ViewChangeError::NotLeader { leader });
-        }
-        *self.shared(leader).join_intent.lock() = Some(join);
-        self.shared(leader)
-            .vc_trigger
-            .fetch_or(PLANNED_BIT, Ordering::AcqRel);
-        let mut outcome = self.await_distributed_report(leader, old_epoch);
-        // Whatever happened, the intent must not stay armed: a leftover
-        // endpoint would ride the *next* unrelated transition's proposal
-        // and install a row whose process long gave up.
-        self.shared(leader).join_intent.lock().take();
-        if outcome.is_ok() {
-            self.adopt_view_of(leader);
-            if !self.view.contains(NodeId(new_row)) {
-                // A concurrent failure-driven transition won the epoch
-                // without the join (e.g. the sponsor lost leadership to a
-                // suspicion mid-flight). Nothing was corrupted; the caller
-                // may retry against the new view.
-                outcome = Err(ViewChangeError::Stalled);
-            }
-        }
-        let report = match outcome {
-            Ok(report) => report,
-            Err(e) => {
-                // A still-pending planned trigger must not outlive this
-                // admit: left set, it would drive an empty planned
-                // transition — an epoch that admits nobody — after the
-                // caller already gave up.
-                self.shared(leader)
-                    .vc_trigger
-                    .fetch_and(!PLANNED_BIT, Ordering::AcqRel);
-                return Err(e);
-            }
-        };
-        // The joiner runs remotely; keep row indexing uniform with a
-        // closed stub handle, exactly as start_distributed does.
-        let view = Arc::clone(&self.view);
-        self.push_remote_stub(&view, &Plan::build(&view, true), new_row);
-        Ok((new_row, report))
-    }
-
-    /// The *joiner's* half of the install/catch-up barrier: a process
-    /// that entered a distributed cluster at its current epoch (the
-    /// `--join` bootstrap) publishes its `installed`/`acked` flags in the
-    /// fresh SST and blocks until every survivor confirms — the same
+    /// The *joiner's* half of the install/catch-up barrier: a row that
+    /// entered the cluster at its current epoch (a process after the
+    /// `--join` bootstrap; [`Cluster::admit`] runs it for an in-process
+    /// joiner) publishes its `installed`/`acked` flags in the fresh SST
+    /// and blocks until every survivor confirms — the same
     /// two-phase [`InstallBarrier`] the survivors hold, so application
     /// traffic resumes cluster-wide only once the joiner's mirror is up,
     /// connected, and confirmed on every link. Returns `false` on
@@ -255,15 +115,49 @@ impl<F: Fabric> StallWatch<'_, F> {
     }
 }
 
-/// The predicate-thread view-change driver of a distributed cluster: one
-/// node's half of the multi-process epoch transition. Wedges the node,
-/// runs its [`ViewChangeEngine`] against the live transport until the
-/// cluster converges, performs the final old-epoch deliveries, installs
-/// the agreed next view in place ([`Fabric::begin_epoch`]: fresh mirror,
-/// fresh connections, a `HELLO` at the new epoch), holds the
-/// [`InstallBarrier`] until every survivor has installed, requeues its
-/// recovered messages, and unwedges.
-pub(super) fn distributed_view_change<F: Fabric>(
+/// The next view of a grow transition whose joiner is a new row of this
+/// process: the failed rows are filtered exactly as in
+/// [`reconfig::removal_view`] (and as [`reconfig::join_view`] does for a
+/// joining process), then `row` is appended to the top-level membership
+/// and to the subgroups `joins` names. `None` if it is not installable.
+pub(super) fn local_join_view(
+    old: &View,
+    gone: &BTreeSet<usize>,
+    row: usize,
+    joins: &[(SubgroupId, bool)],
+) -> Option<View> {
+    let shrunk = reconfig::removal_view(old, gone).ok()?;
+    let mut subgroups = shrunk.subgroups().to_vec();
+    for &(g, as_sender) in joins {
+        let sg = subgroups.get_mut(g.0)?;
+        sg.members.push(NodeId(row));
+        if as_sender {
+            sg.senders.push(NodeId(row));
+        }
+    }
+    let mut members = shrunk.members().to_vec();
+    members.push(NodeId(row));
+    ViewBuilder::with_members(shrunk.id(), members)
+        .subgroups_from(subgroups)
+        .build()
+        .ok()
+}
+
+/// The view-change driver: one node's half of the epoch transition (§2.1),
+/// run from its predicate thread. Wedges the node, runs its
+/// [`ViewChangeEngine`] against the live transport until the cluster
+/// converges, performs the final old-epoch deliveries, enters the agreed
+/// next view on the epoch's fabric ([`Epochs::enter`]: the transport
+/// advanced in place, or a fresh fabric — §2.3, memory is registered per
+/// view), holds the [`InstallBarrier`] until every survivor has installed,
+/// requeues its recovered messages, and unwedges.
+///
+/// A node that cannot finish — evicted, partitioned past the deadline, the
+/// next view not installable — is closed and stays wedged: unavailable,
+/// never inconsistent.
+///
+/// [`Epochs::enter`]: super::node::Epochs::enter
+pub(super) fn view_change<F: Fabric>(
     row: usize,
     shared: &Arc<NodeShared<F>>,
     initial_bits: u64,
@@ -273,7 +167,8 @@ pub(super) fn distributed_view_change<F: Fabric>(
 ) {
     let started = Instant::now();
     shared.wedged.store(true, Ordering::Release);
-    // The predicate loop's detector is parked while we run, but a peer
+    let close = || shared.inner.lock().alive = false;
+    // The predicate loop's detector stands still while we run, but a peer
     // can die *mid-transition* — the exact hole the takeover protocol
     // closes. Keep heartbeating and observing inside the engine loop so
     // a crashed proposer is convicted here and the suspicion feeds the
@@ -295,13 +190,20 @@ pub(super) fn distributed_view_change<F: Fabric>(
     let active: Vec<usize> = active_rows(&view).collect();
     let mut engine = ViewChangeEngine::new(Arc::clone(&view), cols.clone(), row, initial_bits);
     engine.set_obs(shared.obs.clone());
-    if let Some(b) = vc_crash_boundary() {
+    // Fault injection, armed through the cluster or — a process of a
+    // multi-process test, which must leave a real corpse — the environment.
+    let cluster_armed = shared.vc_crash.lock().take();
+    if let Some(b) = cluster_armed.or_else(vc_crash_boundary) {
         engine.arm_crash(b);
     }
-    // A sponsored join travels in this node's proposal if it turns out
-    // to be the leader (admit only triggers the leader's host).
-    if let Some(join) = shared.join_intent.lock().take() {
-        engine.set_join_intent(join);
+    // A joining process travels in this node's proposal if it turns out
+    // to be the leader (admit only triggers the leader's host); a joining
+    // local row is known to every local row and needs no proposal.
+    let mut local_join = None;
+    match shared.join_intent.lock().take() {
+        Some(JoinIntent::Remote(join)) => engine.set_join_intent(join),
+        Some(JoinIntent::Local { row, joins }) => local_join = Some((row, joins)),
+        None => {}
     }
     let deadline = Instant::now() + VC_DEADLINE;
     let mut resend: Vec<(SubgroupId, Vec<u8>)> = Vec::new();
@@ -323,10 +225,8 @@ pub(super) fn distributed_view_change<F: Fabric>(
             return; // shutdown/crash mid-transition: vanish wedged
         }
         if Instant::now() > deadline {
-            // A survivor stalled forever: stay wedged (unavailable, never
-            // inconsistent) and give the application threads their error.
-            shared.inner.lock().alive = false;
-            return;
+            // A survivor stalled forever.
+            return close();
         }
         let (sst, fabric, frontiers) = {
             let inner = shared.inner.lock();
@@ -342,7 +242,16 @@ pub(super) fn distributed_view_change<F: Fabric>(
                 engine.suspect(shared.convict(row, suspect, engine.vid(), true, true));
             }
         }
-        match engine.step(&sst, &frontiers, &mut post) {
+        let step = {
+            let mut crashed = shared.epochs.crashed.lock();
+            engine.suspect(*crashed);
+            let step = engine.step(&sst, &frontiers, &mut post);
+            if step == VcStep::Crashed && cluster_armed.is_some() {
+                *crashed |= 1 << row;
+            }
+            step
+        };
+        match step {
             VcStep::Pending | VcStep::Done => {
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -351,17 +260,25 @@ pub(super) fn distributed_view_change<F: Fabric>(
                 resend = drain_node_through(shared, &p.cuts, ordered);
                 engine.mark_delivered();
             }
-            VcStep::Install(p) => break p,
+            VcStep::Install(p) => {
+                // The engine stops stepping here. A late takeover leader
+                // counts a row that already installed as acked, so leave
+                // the flag in the *old* epoch too: the install barrier's
+                // pushes reach an old mirror only on a transport that
+                // advances in place.
+                sst.set_counter(cols.installed, p.vid as i64);
+                post(sst.layout().abs_range(row, cols.installed.word_range()));
+                break p;
+            }
             VcStep::Evicted => {
-                // The cluster voted this node out: close it. The handle
-                // stays readable (pre-cut deliveries), sends fail.
-                shared.inner.lock().alive = false;
-                return;
+                // The cluster voted this node out. The handle stays
+                // readable (pre-cut deliveries), sends fail.
+                return close();
             }
             VcStep::Crashed => {
-                // Fault injection (SPINDLE_VC_CRASH_AT): die at the armed
-                // boundary, mid-transition, with no cleanup — the point
-                // is to leave the survivors a corpse to take over from.
+                // Fault injection: die at the armed boundary,
+                // mid-transition, with no cleanup — the point is to leave
+                // the survivors a corpse to take over from.
                 shared.obs.event(
                     Level::Error,
                     row,
@@ -369,7 +286,11 @@ pub(super) fn distributed_view_change<F: Fabric>(
                         epoch: engine.vid(),
                     },
                 );
-                std::process::abort();
+                if cluster_armed.is_none() {
+                    std::process::abort();
+                }
+                shared.killed.store(true, Ordering::Release);
+                return;
             }
         }
     };
@@ -387,48 +308,32 @@ pub(super) fn distributed_view_change<F: Fabric>(
     }
 
     // Install the agreed view: every survivor derives the identical next
-    // view from the proposal's failed set (and join word, for a grow
-    // transition), transitions the transport in place, and rebuilds its
-    // protocol state over the fresh mirror.
+    // view from the proposal's failed set (and its join, for a grow
+    // transition) and rebuilds its protocol state over the epoch's fabric.
     let gone = proposal.failed_rows();
-    let (next_view, joined) = match proposal.join_endpoint() {
-        Some(join) => {
-            let Ok((v, new_row)) = reconfig::join_view(&view, &gone, join.as_sender) else {
-                // Not installable (it would empty a subgroup): stay
-                // wedged rather than diverge.
-                return;
-            };
-            (v, vec![(new_row, join.addr())])
+    let old_fabric = shared.inner.lock().live_fabric();
+    let entered = shared.epochs.enter(proposal.vid, &old_fabric, || {
+        match (proposal.join_endpoint(), &local_join) {
+            (Some(join), _) => {
+                let (v, new_row) = reconfig::join_view(&view, &gone, join.as_sender).ok()?;
+                Some((v, vec![(new_row, join.addr())]))
+            }
+            (None, Some((new_row, joins))) => {
+                Some((local_join_view(&view, &gone, *new_row, joins)?, Vec::new()))
+            }
+            (None, None) => Some((reconfig::removal_view(&view, &gone).ok()?, Vec::new())),
         }
-        None => {
-            let Ok(v) = reconfig::removal_view(&view, &gone) else {
-                return;
-            };
-            (v, Vec::new())
-        }
+    });
+    let Some((next_view, fabric)) = entered else {
+        // Nothing to enter (`Epochs::enter` lists why): never diverge.
+        return close();
     };
-    let next_view = Arc::new(next_view);
     let plan = Plan::build(&next_view, true);
     // The new epoch's mesh: old survivors plus any joiner. The joiner
     // also participates in the install barrier below — that is the
     // catch-up barrier which holds application traffic until the
     // joiner's mirror is up, connected, and confirmed on every link.
-    let mut survivors: Vec<usize> = active
-        .iter()
-        .copied()
-        .filter(|&r| !gone.contains(&r))
-        .collect();
-    survivors.extend(joined.iter().map(|&(r, _)| r));
-    let fabric = shared.inner.lock().live_fabric();
-    assert!(
-        fabric.begin_epoch(&EpochTransition {
-            epoch: proposal.vid,
-            live: survivors.clone(),
-            region_words: plan.layout.region_words(),
-            joined,
-        }),
-        "distributed view change requires an epoch-advancing transport"
-    );
+    let survivors: Vec<usize> = active_rows(&next_view).collect();
     let sst = {
         let mut inner = shared.inner.lock();
         *inner = NodeInner::enter_epoch(&next_view, &plan, row, fabric.clone(), &shared.obs);
@@ -489,20 +394,27 @@ pub(super) fn distributed_view_change<F: Fabric>(
         if stop.load(Ordering::Relaxed) || shared.killed.load(Ordering::Acquire) {
             return;
         }
+        // Dead parties: the detector's verdicts, and local rows that
+        // halted at an armed crash boundary.
+        let mut dead = reconfig::rows_of(*shared.epochs.crashed.lock());
         if let Some(ticker) = ticker.as_mut() {
-            for dead in ticker.tick(Instant::now(), &sst, plan.heartbeat, &mut post) {
-                shared.obs.event(
-                    Level::Error,
-                    row,
-                    FlightEvent::BarrierDrop {
-                        target: dead as u32,
-                        epoch: proposal.vid,
-                    },
-                );
-                barrier.remove_party(dead);
-                if dead <= reconfig::MAX_BITMAP_ROW {
-                    shared.vc_trigger.fetch_or(1 << dead, Ordering::AcqRel);
-                }
+            dead.extend(ticker.tick(Instant::now(), &sst, plan.heartbeat, &mut post));
+        }
+        for dead in dead {
+            if !barrier.parties().contains(&dead) {
+                continue;
+            }
+            shared.obs.event(
+                Level::Error,
+                row,
+                FlightEvent::BarrierDrop {
+                    target: dead as u32,
+                    epoch: proposal.vid,
+                },
+            );
+            barrier.remove_party(dead);
+            if dead <= reconfig::MAX_BITMAP_ROW {
+                shared.vc_trigger.fetch_or(1 << dead, Ordering::AcqRel);
             }
         }
         // A healthy barrier converges in milliseconds.

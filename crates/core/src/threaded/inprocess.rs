@@ -1,28 +1,23 @@
-//! [`Cluster::remove_node`] and [`Cluster::admit`] — which pick a driver
-//! from what the cluster was built over — and the caller-stepped driver of
-//! factory-built clusters: every local node's engine is stepped from the
-//! calling thread while the predicate threads stand parked.
+//! [`Cluster::remove_node`] and [`Cluster::admit`]: the caller's side of an
+//! epoch transition. The predicate threads run it
+//! ([`view_change`](super::distributed::view_change)); the caller validates
+//! the request, raises the trigger on one local row, waits for the local
+//! rows' reports and adopts what they installed.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use spindle_fabric::{Fabric, NodeId};
-use spindle_membership::reconfig::{self, Proposal, PLANNED_BIT};
-use spindle_membership::{Subgroup, SubgroupId, View, ViewBuilder};
+use spindle_membership::reconfig::{self, PLANNED_BIT};
+use spindle_membership::{SubgroupId, View};
 
 use super::api::{AdmitRequest, Cluster, ViewChangeError, ViewChangeReport};
-use super::node::{active_rows, is_active, post_to, NodeInner};
-use super::predicate::drain_node_through;
+use super::distributed::local_join_view;
+use super::node::{active_rows, is_active, JoinIntent, NodeShared};
 use super::VC_DEADLINE;
-use crate::config::DeliveryTiming;
 use crate::plan::Plan;
-use crate::viewchange::{VcStep, ViewChangeEngine};
-
-/// A message recovered at the epoch cut, owed a resend in the next view:
-/// `(sender row, subgroup, payload)`.
-type ResendSet = Vec<(usize, SubgroupId, Vec<u8>)>;
 
 impl<F: Fabric> Cluster<F> {
     /// Executes a view change that removes `failed` (crash or planned
@@ -37,8 +32,13 @@ impl<F: Fabric> Cluster<F> {
     /// would leave an empty subgroup / a singleton cluster — checked (and
     /// reported) even when the transport cannot reconfigure at all
     /// ([`ViewChangeError::StaticFabric`]). The cluster is unchanged on
-    /// error.
+    /// these. [`ViewChangeError::Stalled`] is different: the transition
+    /// was started and did not converge, and every row that could not
+    /// finish it has closed itself (its sends fail with
+    /// [`SendError::Closed`](super::SendError::Closed)) — unavailable,
+    /// never inconsistent, on every transport.
     pub fn remove_node(&mut self, failed: usize) -> Result<ViewChangeReport, ViewChangeError> {
+        self.adopt_installed(None);
         let old_view = Arc::clone(&self.view);
         if !old_view.contains(NodeId(failed)) || !self.alive(failed) {
             return Err(ViewChangeError::UnknownNode(failed));
@@ -60,62 +60,50 @@ impl<F: Fabric> Cluster<F> {
         if live_survivors < 2 {
             return Err(ViewChangeError::TooFewSurvivors);
         }
+        if self.is_static() {
+            return Err(ViewChangeError::StaticFabric);
+        }
         // Rows still in a subgroup are suspected by the engine; removing
         // only subgroup-less zombies (e.g. the second removal after a
         // crash pair left one view change earlier) is a *planned*
         // transition — there is no failure left to agree on.
-        let active_gone: Vec<usize> = gone
-            .iter()
-            .copied()
-            .filter(|&m| is_active(&old_view, m))
-            .collect();
-        let trigger = if active_gone.is_empty() {
-            PLANNED_BIT
-        } else {
-            reconfig::bits_of(active_gone)
+        let active_gone = gone.iter().copied().filter(|&m| is_active(&old_view, m));
+        let trigger = match reconfig::bits_of(active_gone) {
+            0 => PLANNED_BIT,
+            bits => bits,
         };
-        if self.factory.is_none() {
-            if self.fabric.supports_epoch_advance() {
-                return self.trigger_distributed(failed, trigger, &gone);
+        let started = Instant::now();
+        self.trigger_row(&gone)?
+            .vc_trigger
+            .fetch_or(trigger, Ordering::AcqRel);
+        let mut report = self.await_transition(&old_view, &gone, started)?;
+        loop {
+            // Only the explicitly removed node's handle closes; silently
+            // crashed rows leave every subgroup too but keep their
+            // (dead-threaded) handles until their own removal is
+            // requested.
+            self.shared(failed).inner.lock().alive = false;
+            // Heartbeat drop ranges are layout-relative; re-derive them.
+            self.apply_heartbeat_drops();
+            // A proposal adopted *verbatim* after a mid-transition crash
+            // keeps the dead row as a member (the takeover rule never
+            // edits an acked trim). The survivors carry its suspicion
+            // over and drive one more transition at once; the caller sees
+            // the final state.
+            let view = Arc::clone(&self.view);
+            if !self.crashed_rows().any(|m| is_active(&view, m)) {
+                return Ok(report);
             }
-            return Err(ViewChangeError::StaticFabric);
-        }
-
-        // In-process, the next view removes the validated `gone` set
-        // (it may contain subgroup-less zombies the planned proposal
-        // does not name) *plus* every row the agreed proposal evicts: a
-        // fresh takeover trim after a mid-transition leader crash names
-        // the crashed leader too, which was still participating when
-        // `gone` was collected. (A proposal adopted *verbatim* may name
-        // fewer rows than actually died — the residual sweep below
-        // catches those.) Only the explicitly removed node's handle
-        // closes; silently crashed rows leave every subgroup too but keep
-        // their (dead-threaded) handles until their own removal is
-        // requested.
-        let next_view = |proposal: &Proposal| {
-            let evicted = proposal.failed_rows();
-            let evicted = evicted.iter().filter(|&&m| old_view.contains(NodeId(m)));
-            let gone_all = gone.iter().chain(evicted).copied().collect();
-            Ok(reconfig::removal_view(&old_view, &gone_all)?)
-        };
-        let report = self.transition(trigger, next_view, Some(failed), None)?;
-        // A proposal adopted *verbatim* after a mid-transition crash may
-        // keep a dead row as a member (the takeover rule never edits an
-        // acked trim). Its residual suspicion drives one more transition
-        // immediately — the in-process analogue of a distributed
-        // survivor reseeding its trigger from leftover suspicion bits.
-        let residual = self.crashed_rows().find(|&m| is_active(&self.view, m));
-        if let Some(r) = residual {
-            if let Ok(follow_up) = self.remove_node(r) {
-                return Ok(follow_up);
+            match self.await_transition(&view, &gone, started) {
+                Ok(follow_up) => report = follow_up,
+                Err(_) => return Ok(report),
             }
         }
-        Ok(report)
     }
 
     /// Admits one joiner into the cluster — the single entry point for
     /// growth (§2.1 treats joins and removals as the same epoch
-    /// transition). The [`AdmitRequest`] decides the mechanism:
+    /// transition). The [`AdmitRequest`] says where the joiner runs:
     ///
     /// * **With an endpoint** ([`AdmitRequest::remote`]): a fresh
     ///   *process* joins a distributed cluster. The sponsor — which must
@@ -127,9 +115,15 @@ impl<F: Fabric> Cluster<F> {
     ///   own mirror is connected and caught up. The joiner's handle in
     ///   *this* process is a closed remote stub (the real row runs in the
     ///   joining process).
-    /// * **Without** ([`AdmitRequest::in_process`]): a new in-process
-    ///   node joins a factory-built cluster, entering the requested
-    ///   subgroups; its live handle is at [`Cluster::node`].
+    /// * **Without** ([`AdmitRequest::in_process`]): a new row of this
+    ///   process joins a factory-built cluster, entering the requested
+    ///   subgroups — the same transition and the same barrier, with this
+    ///   call playing the joining process: it brings the row up on the
+    ///   new epoch's fabric and holds its end of the barrier
+    ///   ([`Cluster::join_barrier`]). Its live handle is at
+    ///   [`Cluster::node`]; it delivers from the new epoch onward
+    ///   (virtual synchrony: the joiner observes no old-epoch traffic —
+    ///   higher layers such as the DDS volatile store handle catch-up).
     ///
     /// Returns the joiner's row id and the transition report.
     ///
@@ -156,6 +150,12 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         req: AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
+        // The predicate threads of a multi-process cluster install
+        // detector-driven transitions on their own, so the cluster-side
+        // view may be epochs behind: leadership, the new row id and the
+        // report-freshness floor must all be judged against the real
+        // current epoch.
+        self.adopt_installed(None);
         // Argument validation first — even on a static fabric.
         if let Some(joins) = &req.subgroups {
             for &(g, _) in joins {
@@ -164,14 +164,27 @@ impl<F: Fabric> Cluster<F> {
                 }
             }
         }
-        match &req.endpoint {
+        let admitted = match &req.endpoint {
             Some(addr) => {
                 let join = reconfig::JoinEndpoint::parse(addr, req.as_sender)
                     .map_err(ViewChangeError::BadJoinAddress)?;
                 self.admit_remote(join)
             }
-            None => self.admit_in_process(&req),
+            None => self.admit_local(&req),
+        };
+        // Whatever happened, nothing may stay armed: a leftover intent
+        // would ride the *next* unrelated transition and install a row
+        // that long gave up, and a leftover planned trigger would drive
+        // an empty transition after the caller already has its error.
+        for n in &self.nodes {
+            n.shared.join_intent.lock().take();
+            if admitted.is_err() {
+                n.shared
+                    .vc_trigger
+                    .fetch_and(!PLANNED_BIT, Ordering::AcqRel);
+            }
         }
+        admitted
     }
 
     /// The current deterministic leader row (lowest live active row) —
@@ -186,176 +199,79 @@ impl<F: Fabric> Cluster<F> {
             .min()
     }
 
-    /// Steps every local participating node's [`ViewChangeEngine`] round
-    /// robin until all converge: the trigger bits seed the lowest live
-    /// row, suspicion spreads through the SST, the deterministic leader
-    /// proposes, every survivor delivers through the cut (this is where
-    /// the final old-epoch deliveries happen) and acks, and the engines finish.
-    /// Returns the agreed proposal and the collected resend set.
-    fn run_engines(&self, trigger_bits: u64) -> Result<(Proposal, ResendSet), ViewChangeError> {
-        let view = Arc::clone(&self.view);
-        // Survivor engines only: a node in the trigger set may be
-        // partitioned (an isolated node can neither see the proposal nor
-        // push acks), and its eviction is authoritative from the
-        // survivors' side — exactly as in the distributed runtime, where
-        // the failed process runs nothing at all.
-        let rows: Vec<usize> = view
-            .members()
-            .iter()
-            .map(|m| m.0)
-            .filter(|&m| {
-                self.local_rows.contains(&m)
-                    && self.participating(m)
-                    && trigger_bits & (1 << m) == 0
-            })
-            .collect();
-        let trigger_row = *rows.first().expect("a live row drives the transition");
-        let members: Vec<usize> = view.members().iter().map(|m| m.0).collect();
-        let mut engines: Vec<(usize, ViewChangeEngine, VcStep)> = rows
-            .iter()
-            .map(|&row| {
-                let cols = self.shared(row).inner.lock().reconfig.clone();
-                let bits = if row == trigger_row { trigger_bits } else { 0 };
-                let mut engine = ViewChangeEngine::new(Arc::clone(&view), cols, row, bits);
-                engine.set_obs(self.obs.clone());
-                if let Some(b) = self.vc_crash.lock().remove(&row) {
-                    engine.arm_crash(b);
-                }
-                (row, engine, VcStep::Pending)
-            })
-            .collect();
-        let deadline = Instant::now() + VC_DEADLINE;
-        let mut proposal: Option<Proposal> = None;
-        let mut drained = false;
-        let mut resend = Vec::new();
-        // Rows that hit an armed crash boundary mid-transition. The
-        // driver plays detector for them — each iteration feeds the bits
-        // to every live engine, the way distributed survivors learn of a
-        // mid-transition death from their heartbeat detectors.
-        let mut crashed_bits: u64 = 0;
-        loop {
-            let mut all_finished = true;
-            for (row, engine, state) in &mut engines {
-                if matches!(
-                    state,
-                    VcStep::Install(_) | VcStep::Evicted | VcStep::Crashed
-                ) {
-                    continue;
-                }
-                engine.suspect(crashed_bits);
-                let (sst, fabric, frontiers, rc) = {
-                    let inner = self.shared(*row).inner.lock();
-                    if !inner.alive || self.shared(*row).killed.load(Ordering::Acquire) {
-                        // Crashed mid-transition: it stops participating;
-                        // the survivors' quorum carries on without it only
-                        // if it is in the failed set — otherwise we stall
-                        // and report it.
-                        *state = VcStep::Evicted;
-                        continue;
-                    }
-                    (
-                        inner.sst.clone(),
-                        inner.live_fabric(),
-                        inner.frontiers(),
-                        inner.reconfig.clone(),
-                    )
-                };
-                let mut post = post_to(&fabric, *row, &members);
-                match engine.step(&sst, &frontiers, &mut post) {
-                    VcStep::Pending | VcStep::Done => all_finished = false,
-                    VcStep::Deliver(p) => {
-                        proposal.get_or_insert(p.clone());
-                        *state = VcStep::Deliver(p);
-                        all_finished = false;
-                    }
-                    VcStep::Crashed => {
-                        // The armed boundary fired: from here the node is
-                        // a silent corpse — no heartbeats, no engine
-                        // steps; the survivors take over.
-                        crashed_bits |= 1 << *row;
-                        self.shared(*row).killed.store(true, Ordering::Release);
-                        *state = VcStep::Crashed;
-                    }
-                    s @ VcStep::Install(_) => {
-                        // Mirror the install barrier's first push: once
-                        // this engine stops stepping, its `installed`
-                        // flag is what lets a late takeover leader close
-                        // its quorum (exact-tag acks alone would wait on
-                        // this row forever).
-                        if let VcStep::Install(p) = &s {
-                            sst.set_counter(rc.installed, p.vid as i64);
-                            post(sst.layout().abs_range(*row, rc.installed.word_range()));
-                        }
-                        *state = s;
-                    }
-                    VcStep::Evicted => *state = VcStep::Evicted,
-                }
-            }
-            // Once every engine holds the proposal (or is out), run the
-            // cluster-wide drain exactly once, then release the acks.
-            if !drained {
-                let ready = engines.iter().all(|(_, _, s)| {
-                    matches!(s, VcStep::Deliver(_) | VcStep::Evicted | VcStep::Crashed)
-                });
-                if ready {
-                    let Some(p) = proposal.as_ref() else {
-                        // Every engine crashed or was evicted before any
-                        // adopted a proposal: no quorum remains.
-                        return Err(ViewChangeError::Stalled);
-                    };
-                    let survivors: Vec<usize> = active_rows(&view)
-                        .filter(|&m| p.failed & (1 << m) == 0 && self.participating(m))
-                        .collect();
-                    // Deliver exactly through the cut at every survivor,
-                    // collecting its own undelivered messages for resend.
-                    let ordered = self.cfg.delivery_timing == DeliveryTiming::Ordered;
-                    for m in survivors {
-                        let own = drain_node_through(self.shared(m), &p.cuts, ordered);
-                        resend.extend(own.into_iter().map(|(sg, payload)| (m, sg, payload)));
-                    }
-                    for (_, engine, state) in &mut engines {
-                        if matches!(state, VcStep::Deliver(_)) {
-                            engine.mark_delivered();
-                        }
-                    }
-                    drained = true;
-                }
-            }
-            if drained && all_finished {
-                return Ok((proposal.expect("converged with a proposal"), resend));
-            }
-            if Instant::now() > deadline {
-                return Err(ViewChangeError::Stalled);
-            }
-            std::thread::yield_now();
+    /// [`Cluster::admit`] for a joining process: arms the leader's join
+    /// intent, triggers the transition, and returns on the leader's
+    /// *early* report (published at install, before the barrier the
+    /// joiner is a party of) — the sponsor must still send the joiner its
+    /// commit.
+    fn admit_remote(
+        &mut self,
+        join: reconfig::JoinEndpoint,
+    ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
+        let old_epoch = self.view.id();
+        let new_row = self.view.members().len();
+        if new_row > reconfig::MAX_BITMAP_ROW {
+            return Err(ViewChangeError::BadJoinAddress(format!(
+                "cluster is at the {}-row cap of the suspicion bitmap",
+                reconfig::MAX_BITMAP_ROW + 1
+            )));
         }
+        if self.epochs.rebuilds() {
+            return Err(ViewChangeError::InProcessJoin);
+        }
+        if self.is_static() {
+            return Err(ViewChangeError::StaticFabric);
+        }
+        // Only the leader's proposal carries the join intent, so the
+        // sponsor must host the leader row.
+        let leader = self.leader_row().ok_or(ViewChangeError::TooFewSurvivors)?;
+        if !self.local_rows.contains(&leader) {
+            return Err(ViewChangeError::NotLeader { leader });
+        }
+        *self.shared(leader).join_intent.lock() = Some(JoinIntent::Remote(join));
+        self.shared(leader)
+            .vc_trigger
+            .fetch_or(PLANNED_BIT, Ordering::AcqRel);
+        let deadline = Instant::now() + VC_DEADLINE;
+        let report = self
+            .await_report(leader, old_epoch, false, deadline)?
+            .ok_or(ViewChangeError::Stalled)?;
+        self.adopt_installed(None);
+        if !self.view.contains(NodeId(new_row)) {
+            // A concurrent failure-driven transition won the epoch
+            // without the join (e.g. the sponsor lost leadership to a
+            // suspicion mid-flight). Nothing was corrupted; the caller
+            // may retry against the new view.
+            return Err(ViewChangeError::Stalled);
+        }
+        // The joiner runs remotely; keep row indexing uniform with a
+        // closed stub handle, exactly as start_distributed does.
+        let view = Arc::clone(&self.view);
+        self.push_remote_stub(&view, &Plan::build(&view, true), new_row);
+        Ok((new_row, report))
     }
 
-    /// The in-process half of [`Cluster::admit`] (§2.1 "node joins"):
-    /// the epoch transition wedges the old view, trims and delivers
-    /// exactly as for a removal, then installs a view whose top-level
-    /// membership gains one node, appended to the members (and
-    /// optionally senders) of the requested subgroups. The joiner's
-    /// handle delivers from the new epoch onward (virtual synchrony:
-    /// the joiner observes no old-epoch traffic — higher layers such as
-    /// the DDS volatile store handle catch-up).
-    fn admit_in_process(
+    /// [`Cluster::admit`] for a new row of this process. The transition
+    /// is the one a joining process gets; what the join handshake does
+    /// across processes happens here across threads: wait for the local
+    /// rows to install the grown view, bring the joiner up on that
+    /// epoch's fabric, hold its end of the install barrier, then collect
+    /// the survivors' reports.
+    fn admit_local(
         &mut self,
         req: &AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
-        let old_view = Arc::clone(&self.view);
-        if self.factory.is_none() {
+        if !self.epochs.rebuilds() {
             // A new row means a new process on a pre-built transport. An
             // epoch-capable fabric *can* grow — but the request must
             // then carry the joiner's endpoint; a truly static fabric
-            // cannot reconfigure at all. Either way admit's argument
-            // errors surface first, mirroring remove_node's validation
-            // ordering.
-            if self.fabric.supports_epoch_advance() {
-                return Err(ViewChangeError::JoinerAddressRequired);
-            }
-            return Err(ViewChangeError::StaticFabric);
+            // cannot reconfigure at all.
+            return Err(match self.is_static() {
+                true => ViewChangeError::StaticFabric,
+                false => ViewChangeError::JoinerAddressRequired,
+            });
         }
+        let old_view = Arc::clone(&self.view);
         let joins: Vec<(SubgroupId, bool)> = match &req.subgroups {
             Some(joins) => joins.clone(),
             None => (0..old_view.subgroups().len())
@@ -363,29 +279,42 @@ impl<F: Fabric> Cluster<F> {
                 .collect(),
         };
         let new_row = self.nodes.len();
-        let mut next_subgroups: Vec<Subgroup> = old_view.subgroups().to_vec();
-        for &(g, as_sender) in &joins {
-            let sg = &mut next_subgroups[g.0];
-            sg.members.push(NodeId(new_row));
-            if as_sender {
-                sg.senders.push(NodeId(new_row));
-            }
-        }
-        let mut members = old_view.members().to_vec();
-        members.push(NodeId(new_row));
-        // Same SST-driven epoch transition as removal, triggered as a
-        // *planned* reconfiguration. Nodes that crashed silently are
-        // excluded from the trim quorum (but stay members until a removal
-        // evicts them, as before).
+        let none = BTreeSet::new();
+        local_join_view(&old_view, &none, new_row, &joins).expect("validated next view");
+        // A *planned* reconfiguration; nodes that crashed silently are
+        // named failed, so they are excluded from the trim quorum and
+        // leave every subgroup.
         let trigger = PLANNED_BIT | reconfig::bits_of(self.crashed_rows());
-        let next_view = |proposal: &Proposal| {
-            Ok(ViewBuilder::with_members(proposal.vid, members)
-                .id(proposal.vid)
-                .subgroups_from(next_subgroups)
-                .build()
-                .expect("validated next view"))
-        };
-        let report = self.transition(trigger, next_view, None, Some(new_row))?;
+        let started = Instant::now();
+        let deadline = started + VC_DEADLINE;
+        let trigger_row = self.trigger_row(&none)?;
+        // Every local row must hold the intent before any can start.
+        for &row in &self.local_rows {
+            *self.shared(row).join_intent.lock() = Some(JoinIntent::Local {
+                row: new_row,
+                joins: joins.clone(),
+            });
+        }
+        trigger_row.vc_trigger.fetch_or(trigger, Ordering::AcqRel);
+        while self.epochs.installed.lock().0.len() == self.epoch_views.len() {
+            if Instant::now() > deadline {
+                return Err(ViewChangeError::Stalled);
+            }
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        self.adopt_installed(Some(started));
+        let view = Arc::clone(&self.view);
+        if !view.contains(NodeId(new_row)) {
+            // A transition that was already under way won the epoch.
+            return Err(ViewChangeError::Stalled);
+        }
+        self.spawn_node(&view, &Plan::build(&view, true), new_row);
+        if !self.join_barrier(new_row, deadline.saturating_duration_since(Instant::now())) {
+            self.shared(new_row).inner.lock().alive = false;
+            return Err(ViewChangeError::Stalled);
+        }
+        let report = self.await_transition(&old_view, &none, started)?;
+        self.apply_heartbeat_drops();
         Ok((new_row, report))
     }
 
@@ -396,118 +325,91 @@ impl<F: Fabric> Cluster<F> {
         rows.filter(|&m| self.alive(m) && !self.participating(m))
     }
 
-    /// The caller-stepped epoch transition (§2.1), the same for a removal
-    /// and a join: wedge, SST-driven agreement including the final
-    /// old-epoch deliveries, install of the view `next_view` derives from
-    /// the agreed proposal (closing the handle of `closed`, bringing up
-    /// `joiner`), resend. On error the cluster is unwedged and unchanged.
-    fn transition(
-        &mut self,
-        trigger: u64,
-        next_view: impl FnOnce(&Proposal) -> Result<View, ViewChangeError>,
-        closed: Option<usize>,
-        joiner: Option<usize>,
-    ) -> Result<ViewChangeReport, ViewChangeError> {
-        let started = Instant::now();
-        // 1. Wedge everyone and wait for the predicate threads to park.
-        self.wedge_and_park();
-
-        // 2-3. SST-driven agreement: every local node's engine converges
-        // on the leader's proposal, delivers exactly through the cut, and
-        // acks; the survivors' undelivered messages come back for resend.
-        let agreed = self
-            .run_engines(trigger)
-            .and_then(|(proposal, resend)| Ok((next_view(&proposal)?, proposal, resend)));
-        let (next_view, proposal, resend) = match agreed {
-            Ok(agreed) => agreed,
-            Err(e) => {
-                // Restore liveness: a failed agreement must not leave the
-                // cluster wedged forever.
-                self.unwedge();
-                return Err(e);
-            }
-        };
-
-        // 4. Install the new view: fresh layout, fresh fabric (§2.3:
-        // memory is registered per view), fresh protocol state — and
-        // bring up a joiner against the freshly installed fabric, so
-        // that everyone unwedges together.
-        let next_view = Arc::new(next_view);
-        let plan = self.install_view(&next_view, closed);
-        if let Some(row) = joiner {
-            self.spawn_node(&next_view, &plan, row);
-        }
-
-        // 5. Unwedge and resend the recovered messages in the new epoch.
-        self.unwedge();
-        let resent = resend.len();
-        for (node, sg, payload) in resend {
-            self.nodes[node]
-                .send(sg, &payload)
-                .expect("resend in new epoch");
-        }
-        self.vc_durations.push(started.elapsed());
-        Ok(ViewChangeReport {
-            epoch: proposal.vid,
-            cuts: proposal.cuts,
-            resent,
-        })
+    /// The row a transition is triggered on: the lowest live local row
+    /// that takes part in it and is not `leaving`. Its predicate thread
+    /// wedges and raises the suspicion; every other row learns of it from
+    /// that row's SST column.
+    fn trigger_row(&self, leaving: &BTreeSet<usize>) -> Result<&NodeShared<F>, ViewChangeError> {
+        let mut rows = self.local_rows.iter().copied();
+        rows.find(|&r| is_active(&self.view, r) && self.participating(r) && !leaving.contains(&r))
+            .map(|r| self.shared(r))
+            .ok_or(ViewChangeError::TooFewSurvivors)
     }
 
-    /// Wedges all nodes and waits for live predicate threads to park.
-    fn wedge_and_park(&self) {
-        for n in &self.nodes {
-            n.shared.wedged.store(true, Ordering::Release);
-        }
-        for n in &self.nodes {
-            if self.participating(n.id.0) {
-                while !n.shared.parked.load(Ordering::Acquire) {
-                    if n.shared.killed.load(Ordering::Acquire) {
-                        break; // crashed while we waited
-                    }
-                    std::thread::yield_now();
+    /// Waits for `row`'s predicate thread to publish the report of a
+    /// transition past `old_epoch`, and takes it; `None` if the row left
+    /// the protocol instead (crashed or closed mid-transition). A leftover
+    /// report from an earlier transition is recognizable by its stale
+    /// epoch and skipped. A grow transition publishes twice — early, at
+    /// install, and after the barrier and the resend requeue, just before
+    /// the row unwedges; `settled` waits for the latter.
+    fn await_report(
+        &self,
+        row: usize,
+        old_epoch: u64,
+        settled: bool,
+        deadline: Instant,
+    ) -> Result<Option<ViewChangeReport>, ViewChangeError> {
+        let shared = self.shared(row);
+        while self.participating(row) {
+            {
+                let mut slot = shared.vc_report.lock();
+                let fresh = slot.as_ref().is_some_and(|r| r.epoch > old_epoch);
+                if fresh && !(settled && shared.wedged.load(Ordering::Acquire)) {
+                    return Ok(slot.take());
                 }
             }
+            if Instant::now() > deadline {
+                return Err(ViewChangeError::Stalled);
+            }
+            std::thread::sleep(Duration::from_micros(500));
         }
+        Ok(None)
     }
 
-    /// Installs `next_view` on every existing node: fresh layout (which
-    /// is returned), fresh fabric, fresh protocol state. The handle of
-    /// `closed` is marked dead.
-    fn install_view(&mut self, next_view: &Arc<View>, closed: Option<usize>) -> Plan {
-        let new_epoch = next_view.id();
-        let plan = Plan::build(next_view, true);
-        let factory = self
-            .factory
-            .as_ref()
-            .expect("view change on a static fabric is rejected earlier");
-        let fabric = factory(
-            next_view.members().len(),
-            plan.layout.region_words(),
-            self.faults.clone(),
-        );
-        for n in &self.nodes {
-            let mut inner = n.shared.inner.lock();
-            let row = n.id.0;
-            if closed == Some(row) || !inner.alive {
-                inner.alive = false;
+    /// Waits until every local row that takes part in the transition out
+    /// of `old_view` (all but those `leaving`) has finished it — so the
+    /// whole local cluster takes sends again on return — then adopts what
+    /// they installed. The report is theirs, with the resends summed.
+    fn await_transition(
+        &mut self,
+        old_view: &View,
+        leaving: &BTreeSet<usize>,
+        started: Instant,
+    ) -> Result<ViewChangeReport, ViewChangeError> {
+        let deadline = Instant::now() + VC_DEADLINE;
+        let mut total: Option<ViewChangeReport> = None;
+        for &row in &self.local_rows {
+            if !is_active(old_view, row) || leaving.contains(&row) {
                 continue;
             }
-            *inner = NodeInner::enter_epoch(next_view, &plan, row, fabric.clone(), &self.obs);
-            n.shared.epoch.store(new_epoch, Ordering::Release);
+            let Some(report) = self.await_report(row, old_view.id(), true, deadline)? else {
+                continue;
+            };
+            let resent = report.resent + total.as_ref().map_or(0, |t| t.resent);
+            let newest = match total {
+                Some(t) if t.epoch >= report.epoch => t,
+                _ => report,
+            };
+            total = Some(ViewChangeReport { resent, ..newest });
         }
-        self.epoch_views.push(Arc::clone(next_view));
-        self.view = Arc::clone(next_view);
-        self.fabric = fabric;
-        // Heartbeat drop ranges are layout-relative; re-derive them.
-        self.apply_heartbeat_drops();
-        plan
+        self.adopt_installed(Some(started));
+        total.ok_or(ViewChangeError::Stalled)
     }
 
-    /// Lets every predicate thread run again.
-    fn unwedge(&self) {
-        for n in &self.nodes {
-            n.shared.wedged.store(false, Ordering::Release);
+    /// Adopts, cluster-side, what the predicate threads installed since
+    /// the last call: the views (intermediate ones included), and the
+    /// latest epoch's view and fabric as current. With `started`, each
+    /// adopted epoch is a view change this caller drove.
+    fn adopt_installed(&mut self, started: Option<Instant>) {
+        let installed = self.epochs.installed.lock();
+        let (views, fabric) = &*installed;
+        for view in &views[self.epoch_views.len()..] {
+            self.epoch_views.push(Arc::clone(view));
+            self.vc_durations.extend(started.map(|t| t.elapsed()));
         }
+        let view = views.last().expect("the first epoch is always recorded");
+        self.view = Arc::clone(view);
+        self.fabric = fabric.clone();
     }
 }

@@ -31,19 +31,19 @@
 //! delivered by *no one*, which together with the cut rule gives the
 //! all-or-nothing guarantee.
 //!
-//! Two drivers execute that engine:
-//!
-//! * clusters built over a fabric *factory* step every local node's engine
-//!   from the [`Cluster::remove_node`] / [`Cluster::admit`] caller —
-//!   the degenerate single-process schedule of the same protocol;
-//! * clusters on a pre-built transport that supports
-//!   [`Fabric::begin_epoch`](spindle_fabric::Fabric::begin_epoch) (the
-//!   multi-process `spindle-node` runtime over
-//!   `spindle_net::TcpFabric`) run it from each node's predicate
-//!   thread: a detector verdict or a peer's suspicion column wedges the
-//!   node, the engine converges across processes, and each process
-//!   installs the next view in place — fresh mirror, fresh sockets, a
-//!   `HELLO` handshake at the new epoch.
+//! One driver executes that engine, on every cluster and every transport:
+//! each node's predicate thread. A trigger from [`Cluster::remove_node`] /
+//! [`Cluster::admit`], a peer's suspicion column or — where rows run in
+//! several processes and no caller sees them all — the node's own detector
+//! wedges the node; the engine converges through the SST; and each node
+//! enters the next view and holds the install barrier itself. In-process
+//! clusters therefore run exactly the code the multi-process
+//! `spindle-node` runtime runs. The one thing substituted is how the next
+//! epoch's fabric is obtained: `spindle_net::TcpFabric` advances in place
+//! ([`Fabric::begin_epoch`](spindle_fabric::Fabric::begin_epoch): fresh
+//! mirror, fresh sockets, a `HELLO` at the new epoch), while a
+//! factory-built cluster has the first local row to install an epoch call
+//! its factory and every other row enter the same fabric.
 
 mod api;
 mod distributed;

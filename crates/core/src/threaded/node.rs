@@ -1,6 +1,7 @@
 //! One node's state — shared by its [`NodeHandle`](super::NodeHandle), its
-//! predicate thread and both view-change drivers — the single place a node
-//! enters an epoch, and the row and post helpers the other modules share.
+//! predicate thread and the view-change driver that thread runs — the single
+//! place a node enters an epoch, what the rows of one process share across
+//! epochs ([`Epochs`]), and the row and post helpers the other modules share.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -9,7 +10,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use spindle_fabric::{Fabric, NodeId, Region, WriteOp};
+use spindle_fabric::{EpochTransition, Fabric, FaultPlan, NodeId, Region, WriteOp};
 use spindle_membership::reconfig;
 use spindle_membership::{SeqNum, SubgroupId, View};
 use spindle_obs::{FlightEvent, Level, ObsPlane};
@@ -19,6 +20,7 @@ use super::api::{Delivered, SendError, Suspicion, ViewChangeReport};
 use super::persist::{PersistConfig, PersistHook};
 use crate::plan::{Plan, ReconfigCols};
 use crate::proto::{QueueOutcome, SubgroupProto};
+use crate::viewchange::VcBoundary;
 
 /// Everything that is replaced wholesale on a view change.
 pub(super) struct NodeInner<F: Fabric> {
@@ -43,8 +45,8 @@ impl<F: Fabric> NodeInner<F> {
     /// `plan`, over `fabric` (§2.3: memory is registered per view): a fresh
     /// SST over the row's region, fresh protocol state for every subgroup
     /// the row belongs to, the epoch gauge and the
-    /// [`FlightEvent::Install`] record. Start-up, the in-process install
-    /// and the distributed install all enter an epoch here; the caller
+    /// [`FlightEvent::Install`] record. Start-up (and a joiner's) and the
+    /// view-change driver's install enter an epoch here; the caller
     /// publishes the epoch number ([`NodeShared::epoch`]).
     pub(super) fn enter_epoch(
         view: &Arc<View>,
@@ -130,14 +132,121 @@ impl<F: Fabric> NodeInner<F> {
     }
 }
 
+/// Builds a fabric for one epoch: `(nodes, region_words, faults)`.
+pub(super) type FabricFactory<F> = Arc<dyn Fn(usize, usize, FaultPlan) -> F + Send + Sync>;
+
+/// A join this node must carry into its next transition
+/// ([`Cluster::admit`](super::Cluster::admit)).
+pub(super) enum JoinIntent {
+    /// A fresh process: its endpoint travels in this node's proposal if
+    /// it turns out to be the leader, so every survivor — in whatever
+    /// process — derives the same grown view and dials the joiner.
+    Remote(reconfig::JoinEndpoint),
+    /// A new row of this process, entering `joins` (subgroup, as
+    /// sender). Set on every local row: they share [`Epochs`], so nothing
+    /// needs to travel.
+    Local {
+        row: usize,
+        joins: Vec<(SubgroupId, bool)>,
+    },
+}
+
+/// What the rows of one process share across epochs: how the next epoch's
+/// fabric is obtained — the one thing that differs between a
+/// single-process cluster (a retained factory builds a fresh fabric, §2.3
+/// literally) and a multi-process one (the transport advances in place,
+/// [`Fabric::begin_epoch`]) — every view installed so far, and which rows
+/// died at an armed crash boundary.
+pub(super) struct Epochs<F: Fabric> {
+    factory: Option<FabricFactory<F>>,
+    faults: FaultPlan,
+    /// Every view installed so far — oldest first, never empty — and the
+    /// fabric of the last one. Earlier fabrics live only as long as a row
+    /// still holds one: stragglers keep posting into theirs, which nobody
+    /// reads.
+    pub(super) installed: Mutex<(Vec<Arc<View>>, F)>,
+    /// The suspicion bits of local rows that died at a crash boundary
+    /// armed through
+    /// [`Cluster::arm_vc_crash`](super::Cluster::arm_vc_crash) — the
+    /// stand-in for the detector a cluster may not have. The driver holds
+    /// the lock across one engine step: a row that halts records its bit
+    /// before any other local row steps again, so its peers suspect it no
+    /// later than they can read the boundary's writes. That keeps the
+    /// takeover's shape (fresh trim or verbatim adoption) a function of
+    /// the boundary, not of thread timing.
+    pub(super) crashed: Mutex<u64>,
+}
+
+impl<F: Fabric> Epochs<F> {
+    /// `factory` is `None` for a pre-built fabric.
+    pub(super) fn new(
+        factory: Option<FabricFactory<F>>,
+        faults: FaultPlan,
+        view: Arc<View>,
+        fabric: F,
+    ) -> Arc<Epochs<F>> {
+        Arc::new(Epochs {
+            factory,
+            faults,
+            installed: Mutex::new((vec![view], fabric)),
+            crashed: Mutex::new(0),
+        })
+    }
+
+    /// Whether a retained factory rebuilds the fabric for every epoch —
+    /// all rows run in this process.
+    pub(super) fn rebuilds(&self) -> bool {
+        self.factory.is_some()
+    }
+
+    /// The view and fabric of epoch `vid` for a row leaving `current`.
+    /// The first local row to get here derives the view (`derive`: the
+    /// next view, and the endpoints of rows joining from other processes)
+    /// and obtains the fabric — `current` advanced in place where the
+    /// transport can, a fresh one from the factory otherwise; every later
+    /// row enters what the first one recorded. One view and one fabric
+    /// per epoch, never one per row: two local rows on different fabrics
+    /// would be a silent split brain. `None` when the view is not
+    /// installable, the transport can do neither, or the process has
+    /// moved past `vid` — which it only does without a row its peers
+    /// dropped from the install barrier as dead.
+    pub(super) fn enter(
+        &self,
+        vid: u64,
+        current: &F,
+        derive: impl FnOnce() -> Option<(View, Vec<(usize, String)>)>,
+    ) -> Option<(Arc<View>, F)> {
+        let mut installed = self.installed.lock();
+        let (views, fabric) = &mut *installed;
+        let latest = views.last().expect("the first epoch is always recorded");
+        if latest.id() >= vid {
+            return (latest.id() == vid).then(|| (Arc::clone(latest), fabric.clone()));
+        }
+        let (view, joined) = derive()?;
+        let view = Arc::new(view);
+        let region_words = Plan::build(&view, true).layout.region_words();
+        let transition = EpochTransition {
+            epoch: vid,
+            live: active_rows(&view).collect(),
+            region_words,
+            joined,
+        };
+        if !current.begin_epoch(&transition) {
+            let factory = self.factory.as_ref()?;
+            *fabric = factory(view.members().len(), region_words, self.faults.clone());
+        }
+        views.push(Arc::clone(&view));
+        Some((view, fabric.clone()))
+    }
+}
+
 pub(super) struct NodeShared<F: Fabric> {
     pub(super) inner: Mutex<NodeInner<F>>,
     pub(super) deliveries: Sender<Delivered>,
-    /// Incremented while the predicate thread must stand still (view
-    /// change in progress).
+    /// Set while the predicate thread runs an epoch transition, from the
+    /// first suspicion to the end of the install barrier: sends are
+    /// refused meanwhile. A row closed mid-transition stays wedged.
     pub(super) wedged: AtomicBool,
-    /// Set by the predicate thread while parked under a wedge.
-    pub(super) parked: AtomicBool,
     pub(super) epoch: AtomicU64,
     /// Simulated crash: the predicate thread exits silently, heartbeats
     /// stop, membership does not know until a detector notices.
@@ -148,24 +257,27 @@ pub(super) struct NodeShared<F: Fabric> {
     pub(super) paused: AtomicBool,
     /// Where this node's detector reports suspicions.
     pub(super) suspicion_tx: Sender<Suspicion>,
-    /// Suspicion bits requested from outside the predicate thread (a
-    /// planned-removal trigger on a distributed cluster). The thread
-    /// drains them into its view-change engine.
+    /// Suspicion bits that must start this node's next transition, set
+    /// from outside its predicate loop: a
+    /// [`Cluster::remove_node`](super::Cluster::remove_node) /
+    /// [`Cluster::admit`](super::Cluster::admit) trigger, or what the
+    /// driver itself carries over from the transition it just finished.
     pub(super) vc_trigger: AtomicU64,
-    /// The joiner's endpoint ([`reconfig::JoinEndpoint`]) this node must
-    /// carry into its next proposal (a sponsored distributed join,
-    /// [`Cluster::admit`](super::Cluster::admit)); `None` when none.
     /// Consumed by the predicate thread when it starts the transition.
-    pub(super) join_intent: Mutex<Option<reconfig::JoinEndpoint>>,
-    /// The report of the last predicate-thread-driven view change.
+    pub(super) join_intent: Mutex<Option<JoinIntent>>,
+    /// Fault injection
+    /// ([`Cluster::arm_vc_crash`](super::Cluster::arm_vc_crash)): the
+    /// boundary this node's next engine halts at. Consumed when the
+    /// engine is built.
+    pub(super) vc_crash: Mutex<Option<VcBoundary>>,
+    /// The report of this node's last view change.
     pub(super) vc_report: Mutex<Option<ViewChangeReport>>,
-    /// View changes this node installed (predicate-thread driver).
+    /// View changes this node installed.
     pub(super) vc_count: AtomicU64,
     /// Cumulative wedge→install time of those view changes, in µs.
     pub(super) vc_micros: AtomicU64,
     /// The durable-log hook (`None` unless the cluster was started
-    /// persistent), shared between the predicate thread and the
-    /// view-change drain.
+    /// persistent); only the predicate thread appends through it.
     pub(super) persist: Option<Mutex<PersistHook>>,
     /// The process-wide observability plane (adopted from the fabric or
     /// created by the cluster): the predicate thread and the view-change
@@ -176,6 +288,7 @@ pub(super) struct NodeShared<F: Fabric> {
     /// disambiguation — resolved by the predicate thread into the
     /// per-epoch delivery-latency histogram.
     pub(super) send_stamps: Mutex<std::collections::HashMap<(usize, u64), (usize, Instant)>>,
+    pub(super) epochs: Arc<Epochs<F>>,
 }
 
 impl<F: Fabric> NodeShared<F> {
@@ -187,6 +300,7 @@ impl<F: Fabric> NodeShared<F> {
         suspicion_tx: &Sender<Suspicion>,
         obs: &ObsPlane,
         persist: Option<&PersistConfig>,
+        epochs: &Arc<Epochs<F>>,
     ) -> (Arc<NodeShared<F>>, Receiver<Delivered>) {
         let (deliveries, rx) = unbounded();
         let row = inner.sst.own_row();
@@ -195,18 +309,19 @@ impl<F: Fabric> NodeShared<F> {
             inner: Mutex::new(inner),
             deliveries,
             wedged: AtomicBool::new(false),
-            parked: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             suspicion_tx: suspicion_tx.clone(),
             vc_trigger: AtomicU64::new(0),
             join_intent: Mutex::new(None),
+            vc_crash: Mutex::new(None),
             vc_report: Mutex::new(None),
             vc_count: AtomicU64::new(0),
             vc_micros: AtomicU64::new(0),
             persist: persist.map(|pc| Mutex::new(PersistHook::new(pc.clone(), row, obs))),
             obs: obs.clone(),
             send_stamps: Mutex::new(std::collections::HashMap::new()),
+            epochs: Arc::clone(epochs),
         });
         (shared, rx)
     }
@@ -216,7 +331,7 @@ impl<F: Fabric> NodeShared<F> {
     /// Queues `payload` as this node's next message in `sg`: `Ok(false)`
     /// when the ring window is full. Wedges are the caller's business
     /// ([`NodeHandle::try_send`](super::NodeHandle::try_send) refuses under
-    /// one; the distributed driver requeues recovered messages under its
+    /// one; the view-change driver requeues recovered messages under its
     /// own).
     pub(super) fn try_queue(&self, sg: SubgroupId, payload: &[u8]) -> Result<bool, SendError> {
         let mut inner = self.inner.lock();
@@ -250,10 +365,16 @@ impl<F: Fabric> NodeShared<F> {
     }
 
     /// Acts on the local detector's verdict that `suspect` fell silent:
-    /// the application hears of it on the suspicion channel, and when this
-    /// node drives its own view changes (`drives_engine`: a distributed
-    /// cluster acts on its own verdicts) the flight recorder does too and
-    /// the suspect's bit comes back to seed the engine.
+    /// the application hears of it on the suspicion channel, and when the
+    /// verdict itself must move the engine (`drives_engine`) the flight
+    /// recorder does too and the suspect's bit comes back to seed it. That
+    /// is every verdict reached mid-transition; outside one it is the one
+    /// policy that differs between clusters: a multi-process cluster has
+    /// no caller that sees every row, so its rows act on their own
+    /// verdicts, while a single-process one only surfaces them
+    /// ([`Cluster::suspicions`](super::Cluster::suspicions)) and the
+    /// application calls
+    /// [`Cluster::remove_node`](super::Cluster::remove_node).
     pub(super) fn convict(
         &self,
         row: usize,

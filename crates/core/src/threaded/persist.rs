@@ -80,8 +80,7 @@ impl PersistObs {
 
 /// One node's durable logs, one per subgroup and opened lazily, with their
 /// metrics: the single path from a delivery to stable storage, used by the
-/// predicate thread and by the view-change drain that appends on its
-/// behalf (the thread is parked, or is running the drain itself).
+/// predicate thread — in its loop, and in the view-change drain it runs.
 pub(super) struct PersistHook {
     cfg: PersistConfig,
     row: usize,

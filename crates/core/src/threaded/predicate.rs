@@ -12,7 +12,7 @@ use spindle_obs::ObsPlane;
 use spindle_sst::Sst;
 
 use super::api::Delivered;
-use super::distributed::distributed_view_change;
+use super::distributed::view_change;
 use super::node::{ops_to, NodeShared};
 use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::{DetectorConfig, HeartbeatTicker};
@@ -123,18 +123,18 @@ fn publish<F: Fabric>(
 /// then post the collected writes — after releasing the lock when §3.4 is
 /// enabled.
 ///
-/// With `vc_enabled` (a distributed cluster over an epoch-advancing
-/// transport), the loop additionally watches for view-change triggers —
-/// a local detector verdict, a planned-removal request
-/// ([`NodeShared::vc_trigger`]), or a peer's suspicion column — and runs
-/// the SST engine through wedge → agreement → install itself.
+/// The loop also watches for what starts an epoch transition — a
+/// [`NodeShared::vc_trigger`] request, a peer's suspicion column, or (with
+/// `drives_engine`, see [`NodeShared::convict`]) its own detector's
+/// verdict — and then runs the SST engine through wedge → agreement →
+/// install itself ([`view_change`]).
 pub(super) fn predicate_thread<F: Fabric>(
     row: usize,
     shared: Arc<NodeShared<F>>,
     cfg: SpindleConfig,
     det: Option<DetectorConfig>,
     stop: Arc<AtomicBool>,
-    vc_enabled: bool,
+    drives_engine: bool,
 ) {
     let mut idle_spins = 0u32;
     let mut obs_cache: Option<EpochObsCache> = None;
@@ -146,17 +146,9 @@ pub(super) fn predicate_thread<F: Fabric>(
         if shared.killed.load(Ordering::Acquire) {
             return; // simulated crash: vanish without a trace
         }
-        if shared.wedged.load(Ordering::Acquire) {
-            shared.parked.store(true, Ordering::Release);
-            while shared.wedged.load(Ordering::Acquire) && !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_micros(20));
-            }
-            shared.parked.store(false, Ordering::Release);
-            continue;
-        }
         if shared.paused.load(Ordering::Acquire) {
             // Fault-injected stall: no predicate work, no heartbeats. Loop
-            // (rather than block) so wedges, kills and stop still land.
+            // (rather than block) so kills and stop still land.
             std::thread::sleep(Duration::from_micros(50));
             continue;
         }
@@ -165,7 +157,7 @@ pub(super) fn predicate_thread<F: Fabric>(
         let mut posts: Vec<WriteOp> = Vec::new();
         let mut delivered: Vec<Delivered> = Vec::new();
         // Suspicion bits that must start a view change after this
-        // iteration (distributed clusters only).
+        // iteration.
         let mut vc_bits: u64 = 0;
         // (persisted_num column, member rows, highest seq) for every
         // subgroup that delivered this iteration — used after the lock to
@@ -180,18 +172,19 @@ pub(super) fn predicate_thread<F: Fabric>(
             let sst = inner.sst.clone();
             let fabric = inner.live_fabric();
             let epoch = shared.epoch.load(Ordering::Relaxed);
-            if vc_enabled {
-                // A planned-removal trigger, or a peer's suspicion column
-                // lighting up: either starts the SST view-change engine
-                // (after this iteration's work is flushed).
+            // A trigger, or a peer's suspicion column lighting up: either
+            // starts the SST view-change engine (after this iteration's
+            // work is flushed). Loads only while idle — this runs every
+            // iteration of the data path.
+            if shared.vc_trigger.load(Ordering::Acquire) != 0 {
                 vc_bits |= shared.vc_trigger.swap(0, Ordering::AcqRel);
-                for &peer in &inner.hb_peers {
-                    vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
-                }
-                if vc_bits != 0 {
-                    let mask = reconfig::bits_of(inner.hb_peers.iter().copied().chain([row]));
-                    vc_bits &= mask | PLANNED_BIT;
-                }
+            }
+            for &peer in &inner.hb_peers {
+                vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
+            }
+            if vc_bits != 0 {
+                let mask = reconfig::bits_of(inner.hb_peers.iter().copied().chain([row]));
+                vc_bits &= mask | PLANNED_BIT;
             }
             if let Some(dc) = &det {
                 let now = Instant::now();
@@ -207,7 +200,7 @@ pub(super) fn predicate_thread<F: Fabric>(
                     posts.extend(ops_to(&inner.hb_peers, row, range))
                 });
                 for suspect in suspects {
-                    vc_bits |= shared.convict(row, suspect, epoch, false, vc_enabled);
+                    vc_bits |= shared.convict(row, suspect, epoch, false, drives_engine);
                 }
             }
             for p in inner.protos.iter_mut() {
@@ -291,7 +284,7 @@ pub(super) fn predicate_thread<F: Fabric>(
         }
         publish(&shared, row, delivered, &mut obs_cache);
         if vc_bits != 0 {
-            distributed_view_change(row, &shared, vc_bits, &cfg, &det, &stop);
+            view_change(row, &shared, vc_bits, &cfg, &det, &stop);
             idle_spins = 0;
             continue;
         }
@@ -319,8 +312,7 @@ pub(super) fn predicate_thread<F: Fabric>(
 /// Final old-epoch deliveries of one node: everything through the agreed
 /// cuts goes to its durable log and then its delivery channel, and its own
 /// undelivered messages come back as `(subgroup, payload)` for resend in
-/// the next epoch. Shared by the cluster-driven drain and the
-/// predicate-thread (distributed) driver.
+/// the next epoch.
 pub(super) fn drain_node_through<F: Fabric>(
     shared: &NodeShared<F>,
     cuts: &[SeqNum],

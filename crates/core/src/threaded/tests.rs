@@ -250,6 +250,15 @@ fn leader_crash_after_ack_evicted_by_residual_transition() {
     assert_eq!(report.epoch, 2, "verbatim install, then residual eviction");
     assert!(cluster.view().subgroups_of(NodeId(0)).is_empty());
     assert!(cluster.view().subgroups_of(NodeId(3)).is_empty());
+    // The intermediate epoch, which still carries the dead leader, was
+    // recorded by whichever row installed it first.
+    let members = |v: &View| v.subgroups()[0].members.clone();
+    let views: Vec<_> = cluster.epoch_views().iter().map(|v| members(v)).collect();
+    let rows = |ids: &[usize]| ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+    assert_eq!(
+        views,
+        [rows(&[0, 1, 2, 3]), rows(&[0, 1, 2]), rows(&[1, 2])]
+    );
     cluster.node(1).send(SubgroupId(0), b"after").unwrap();
     let mut saw_after = false;
     while let Some(d) = cluster.node(2).recv_timeout(Duration::from_secs(5)) {
@@ -510,7 +519,9 @@ fn wedged_nodes_never_deliver_past_the_cut() {
     cluster.shutdown();
 }
 
-/// Wedge→install durations are recorded per driven view change.
+/// Every cluster runs the predicate-thread driver, so an in-process one
+/// gets what that driver records: a caller-side duration per transition,
+/// and per surviving row the install count and both phase timings.
 #[test]
 fn view_change_durations_recorded() {
     let mut cluster = Cluster::start(view(4, 4, 8, 64), SpindleConfig::optimized());
@@ -522,8 +533,104 @@ fn view_change_durations_recorded() {
     let durations = cluster.view_change_durations();
     assert_eq!(durations.len(), 2);
     assert!(durations.iter().all(|d| *d > Duration::ZERO));
-    // The predicate-thread counters stay at zero on factory-built
-    // clusters — the caller drove (and timed) these transitions.
-    assert_eq!(cluster.node(0).view_change_stats().0, 0);
+    let reg = cluster.obs().registry();
+    for row in 0..3 {
+        let (count, took) = cluster.node(row).view_change_stats();
+        assert_eq!(count, 2);
+        assert!(took > Duration::ZERO);
+        let node = row.to_string();
+        let installs = reg.counter_value(spindle_obs::names::VIEW_CHANGES, &[("node", &node)]);
+        assert_eq!(installs, Some(2), "row {row}");
+        for phase in ["agree", "barrier"] {
+            let labels = [("node", node.as_str()), ("phase", phase)];
+            let samples = reg
+                .histogram_snapshot(spindle_obs::names::VIEW_CHANGE_PHASE, &labels)
+                .map(|h| h.count);
+            assert_eq!(samples, Some(2), "row {row} {phase}");
+        }
+    }
+    cluster.shutdown();
+}
+
+/// A removed row that was alive and connected runs its own engine, finds
+/// itself evicted and closes wedged: its sends must fail, not wait for an
+/// unwedge that never comes.
+#[test]
+fn removed_live_node_send_returns_closed() {
+    let mut cluster = Cluster::start(view(3, 3, 8, 64), SpindleConfig::optimized());
+    cluster.node(2).send(SubgroupId(0), b"before").unwrap();
+    cluster.remove_node(2).unwrap();
+    // `send` is `try_send` until it stops answering "try again".
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        match cluster.node(2).try_send(SubgroupId(0), b"after") {
+            Err(e) => break assert_eq!(e, SendError::Closed),
+            Ok(queued) => assert!(!queued, "a removed node took a send"),
+        }
+        assert!(
+            Instant::now() < deadline,
+            "a removed node must answer Closed, promptly"
+        );
+    }
+    cluster.shutdown();
+}
+
+/// One fabric per epoch — never one per row, which would be a silent
+/// split brain: the factory runs once at start-up and once per installed
+/// epoch, whichever row installs first, with traffic in flight throughout.
+#[test]
+fn factory_called_once_per_epoch() {
+    let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let counted = std::sync::Arc::clone(&calls);
+    let mut cluster = Cluster::start_with_fabric_factory(
+        view(4, 4, 16, 64),
+        SpindleConfig::optimized(),
+        None,
+        None,
+        move |n, words, faults| {
+            counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            MemFabric::with_faults(n, words, faults)
+        },
+    );
+    let in_flight = |cluster: &Cluster, nodes: &[usize]| {
+        for i in 0..6u32 {
+            for &n in nodes {
+                cluster
+                    .node(n)
+                    .send(SubgroupId(0), &i.to_le_bytes())
+                    .unwrap();
+            }
+        }
+    };
+    in_flight(&cluster, &[0, 1, 2, 3]);
+    cluster.remove_node(3).unwrap();
+    in_flight(&cluster, &[0, 1, 2]);
+    let (joiner, _) = cluster
+        .admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
+        .unwrap();
+    in_flight(&cluster, &[0, 1, joiner]);
+    cluster.remove_node(1).unwrap();
+    let epochs: Vec<u64> = cluster.epoch_views().iter().map(|v| v.id()).collect();
+    assert_eq!(epochs, vec![0, 1, 2, 3]);
+    assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 4);
+    // The survivors still agree on one order in the last epoch.
+    in_flight(&cluster, &[0, 2, joiner]);
+    let last = |node| {
+        let mut got = Vec::new();
+        while let Some(d) = cluster.node(node).recv_timeout(Duration::from_millis(500)) {
+            if d.epoch == 3 {
+                got.push((d.sender_rank, d.app_index));
+            }
+        }
+        got
+    };
+    let at_0 = last(0);
+    assert!(
+        at_0.len() >= 18,
+        "only {} last-epoch deliveries",
+        at_0.len()
+    );
+    assert_eq!(at_0, last(2));
+    assert_eq!(at_0, last(joiner));
     cluster.shutdown();
 }

@@ -44,11 +44,10 @@
 //! link mid-transition (one-sided writes are never retransmitted by the
 //! fabric itself).
 //!
-//! The engine is runtime-agnostic: the threaded cluster steps one engine
-//! per local node from its coordinator thread (the degenerate
-//! single-process case), and the distributed runtime steps it from each
-//! node's predicate thread, where the same state machine runs genuinely
-//! concurrently across processes.
+//! The engine is runtime-agnostic. The threaded runtime steps it from each
+//! node's predicate thread — concurrently across the threads of one
+//! process or across processes — and the tests below step every node's
+//! engine round-robin from one thread.
 //!
 //! # Leader handoff under mid-transition failure
 //!
@@ -857,7 +856,7 @@ mod tests {
         let mut finished = vec![false; n];
         // Rows that hit an armed crash boundary: the harness plays
         // detector, feeding the bits to every live engine each round —
-        // exactly what the runtime drivers do.
+        // as the runtime driver does for rows of its own process.
         let mut crashed_bits: u64 = 0;
         for r in dead {
             finished[*r] = true;

@@ -106,10 +106,11 @@ pub trait Fabric: Clone + Send + Sync + 'static {
     fn faults(&self) -> &FaultPlan;
 
     /// Whether this transport can transition to a later epoch **in
-    /// place** ([`Fabric::begin_epoch`]). Pre-built fabrics that cannot
-    /// (the in-process [`MemFabric`], whose regions are shared state a
-    /// single process rebuilds wholesale through its fabric factory)
-    /// reject in-process view changes instead.
+    /// place** ([`Fabric::begin_epoch`]). One that cannot (the in-process
+    /// [`MemFabric`], whose regions are shared state) is rebuilt per
+    /// epoch by the cluster's fabric factory; a cluster started on a
+    /// pre-built fabric of that kind, with no factory, rejects view
+    /// changes.
     fn supports_epoch_advance(&self) -> bool {
         false
     }
