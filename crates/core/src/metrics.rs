@@ -9,9 +9,10 @@ use spindle_sim::stats::{Decimator, Histogram, Summary};
 
 /// Delivery statistics for one epoch of one node (or, after
 /// [`RunReport::per_epoch_stats`], merged across nodes): how much the
-/// view delivered and the latency shape while it was installed. Folded
-/// out of the live observability registry at shutdown, so it reflects
-/// exactly what a mid-run `/metrics` scrape would have shown.
+/// view delivered and the latency shape while it was installed. A live
+/// node's are read out of its observability registry
+/// ([`epoch_stats_for_node`]), so they are exactly what a `/metrics`
+/// scrape at that moment shows; the simulator fills its own.
 #[derive(Debug, Clone)]
 pub struct EpochStats {
     /// The epoch (view id) these counters belong to.
@@ -46,9 +47,8 @@ impl EpochStats {
 /// Folds one node's per-epoch delivery series out of a live metrics
 /// registry (the `spindle_delivered_total` / `spindle_delivered_bytes_total`
 /// / `spindle_delivery_latency_seconds` families, filtered to
-/// `node="<node>"`), sorted by epoch. This is how a threaded/distributed
-/// run turns its observability plane into [`NodeMetrics::epoch_stats`]
-/// at shutdown.
+/// `node="<node>"`), sorted by epoch — what `spindle-node` and
+/// `spindle-loadgen` print through [`render_epoch_table`] as they exit.
 pub fn epoch_stats_for_node(registry: &Registry, node: usize) -> Vec<EpochStats> {
     let node_label = node.to_string();
     let mut by_epoch: BTreeMap<u64, EpochStats> = BTreeMap::new();
@@ -91,6 +91,37 @@ pub fn epoch_stats_for_node(registry: &Registry, node: usize) -> Vec<EpochStats>
     by_epoch.into_values().collect()
 }
 
+/// `stats` as a printable table (one row per epoch; latency columns in
+/// milliseconds, `-` when the epoch saw no own-send deliveries to time).
+pub fn render_epoch_table(stats: &[EpochStats]) -> String {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:>6} {:>12} {:>14} {:>10} {:>10} {:>10}",
+        "epoch", "delivered", "bytes", "p50(ms)", "p99(ms)", "p999(ms)"
+    );
+    for es in stats {
+        let lat = |q: f64| {
+            if es.latency.count == 0 {
+                "-".to_string()
+            } else {
+                format!("{:.3}", es.latency_percentile_ms(q))
+            }
+        };
+        let _ = writeln!(
+            out,
+            "{:>6} {:>12} {:>14} {:>10} {:>10} {:>10}",
+            es.epoch,
+            es.delivered_msgs,
+            es.delivered_bytes,
+            lat(0.50),
+            lat(0.99),
+            lat(0.999)
+        );
+    }
+    out
+}
+
 /// Per-node counters collected during a run.
 ///
 /// These cover every quantity quoted in the paper's evaluation: RDMA write
@@ -107,15 +138,6 @@ pub struct NodeMetrics {
     pub push_ops: u64,
     /// Total bytes put on the wire.
     pub wire_bytes: u64,
-    /// Real-network mode only: bytes actually written to peer sockets
-    /// (payload + framing), as counted by `spindle_net`'s wire layer.
-    /// Zero for the simulated and shared-memory transports.
-    pub wire_bytes_sent: u64,
-    /// Real-network mode only: bytes read from peer sockets.
-    pub wire_bytes_received: u64,
-    /// Real-network mode only: `WRITE` frames this node posted (including
-    /// loopback self-posts and frames dropped by faults or dead links).
-    pub wire_frames_posted: u64,
     /// Predicate-thread CPU time spent posting writes (§4.1.1).
     pub post_time: Duration,
     /// Predicate-thread total busy time.
@@ -145,16 +167,6 @@ pub struct NodeMetrics {
     /// Null rounds skipped during delivery at this node.
     pub nulls_skipped: u64,
 
-    /// View changes this node installed (SST-driven epoch transitions it
-    /// participated in as a survivor).
-    pub view_changes: u64,
-    /// Cumulative wedge→install wall time across those view changes.
-    pub view_change_time: Duration,
-    /// State-transfer bytes this node received as a *joiner* (the
-    /// bootstrap snapshot: durable log tail + frozen frontiers). Zero on
-    /// founding members.
-    pub catchup_bytes: u64,
-
     /// Time the application sender(s) spent blocked on a full window
     /// (§4.1.1's "time waiting to find a free buffer").
     pub sender_wait: Duration,
@@ -162,10 +174,10 @@ pub struct NodeMetrics {
     pub latency: Summary,
     /// Bounded latency sample for percentile reporting.
     pub latency_samples: Decimator,
-    /// Per-epoch delivery stats folded out of the observability
-    /// registry at shutdown (see [`epoch_stats_for_node`]); empty when
-    /// the run predates epoch-labeled instrumentation or delivered
-    /// nothing.
+    /// Per-epoch delivery stats, in the shape [`epoch_stats_for_node`]
+    /// reads out of a live node's registry. The simulator never
+    /// reconfigures, so it fills at most epoch 0; empty when the run
+    /// delivered nothing.
     pub epoch_stats: Vec<EpochStats>,
 }
 
@@ -177,9 +189,6 @@ impl NodeMetrics {
             writes_posted: 0,
             push_ops: 0,
             wire_bytes: 0,
-            wire_bytes_sent: 0,
-            wire_bytes_received: 0,
-            wire_frames_posted: 0,
             post_time: Duration::ZERO,
             pred_busy: Duration::ZERO,
             active_sg_busy: Duration::ZERO,
@@ -192,9 +201,6 @@ impl NodeMetrics {
             delivered_bytes: 0,
             nulls_sent: 0,
             nulls_skipped: 0,
-            view_changes: 0,
-            view_change_time: Duration::ZERO,
-            catchup_bytes: 0,
             sender_wait: Duration::ZERO,
             latency: Summary::new(),
             latency_samples: Decimator::new(2048),
@@ -209,7 +215,7 @@ impl Default for NodeMetrics {
     }
 }
 
-/// The result of one simulated (or threaded) run.
+/// The result of one simulated run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-node metrics, indexed by node id.
@@ -285,42 +291,9 @@ impl RunReport {
         self.nodes.iter().map(|n| n.writes_posted).sum()
     }
 
-    /// Real-network mode: total socket bytes sent across nodes (zero on
-    /// the simulated and shared-memory transports).
-    pub fn total_wire_bytes_sent(&self) -> u64 {
-        self.nodes.iter().map(|n| n.wire_bytes_sent).sum()
-    }
-
-    /// Real-network mode: total socket bytes received across nodes.
-    pub fn total_wire_bytes_received(&self) -> u64 {
-        self.nodes.iter().map(|n| n.wire_bytes_received).sum()
-    }
-
-    /// Real-network mode: total `WRITE` frames posted across nodes.
-    pub fn total_wire_frames(&self) -> u64 {
-        self.nodes.iter().map(|n| n.wire_frames_posted).sum()
-    }
-
     /// Total posting time across nodes.
     pub fn total_post_time(&self) -> Duration {
         self.nodes.iter().map(|n| n.post_time).sum()
-    }
-
-    /// View changes installed across nodes (each survivor of one epoch
-    /// transition counts it once).
-    pub fn total_view_changes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.view_changes).sum()
-    }
-
-    /// The slowest node's cumulative wedge→install time — what a CI job
-    /// asserts to confirm a failover actually completed (non-zero) and
-    /// stayed bounded.
-    pub fn max_view_change_time(&self) -> Duration {
-        self.nodes
-            .iter()
-            .map(|n| n.view_change_time)
-            .max()
-            .unwrap_or(Duration::ZERO)
     }
 
     /// Fraction of total sender time spent waiting for a free slot,
@@ -358,8 +331,6 @@ impl RunReport {
     /// Per-epoch delivery stats merged across all nodes, sorted by
     /// epoch: how many messages/bytes each view delivered while it was
     /// installed, and the p50/p99/p999 send→delivery latency under it.
-    /// Empty unless nodes folded their observability registry into
-    /// [`NodeMetrics::epoch_stats`] at shutdown.
     pub fn per_epoch_stats(&self) -> Vec<EpochStats> {
         let mut by_epoch: BTreeMap<u64, EpochStats> = BTreeMap::new();
         for n in &self.nodes {
@@ -373,39 +344,6 @@ impl RunReport {
             }
         }
         by_epoch.into_values().collect()
-    }
-
-    /// [`per_epoch_stats`](RunReport::per_epoch_stats) as a printable
-    /// table (one row per epoch; latency columns in milliseconds, `-`
-    /// when the epoch saw no own-send deliveries to time).
-    pub fn render_epoch_table(&self) -> String {
-        let stats = self.per_epoch_stats();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:>6} {:>12} {:>14} {:>10} {:>10} {:>10}",
-            "epoch", "delivered", "bytes", "p50(ms)", "p99(ms)", "p999(ms)"
-        );
-        for es in &stats {
-            let lat = |q: f64| {
-                if es.latency.count == 0 {
-                    "-".to_string()
-                } else {
-                    format!("{:.3}", es.latency_percentile_ms(q))
-                }
-            };
-            let _ = writeln!(
-                out,
-                "{:>6} {:>12} {:>14} {:>10} {:>10} {:>10}",
-                es.epoch,
-                es.delivered_msgs,
-                es.delivered_bytes,
-                lat(0.50),
-                lat(0.99),
-                lat(0.999)
-            );
-        }
-        out
     }
 
     /// Share of predicate-thread busy time spent on active subgroups,
@@ -546,7 +484,7 @@ mod tests {
         assert!((1.0..=2.1).contains(&p50), "p50 {p50}");
         assert_eq!(stats[1].epoch, 2);
         assert_eq!(stats[1].delivered_msgs, 7);
-        let table = r.render_epoch_table();
+        let table = render_epoch_table(&stats);
         assert!(table.contains("epoch"));
         assert!(table.lines().count() == 3);
     }
@@ -580,26 +518,5 @@ mod tests {
         assert_eq!(stats[1].delivered_bytes, 256);
         assert_eq!(stats[1].latency.count, 1);
         assert!(epoch_stats_for_node(&reg, 7).is_empty());
-    }
-
-    #[test]
-    fn wire_counters_aggregate_across_nodes() {
-        let mut a = NodeMetrics::new();
-        a.wire_bytes_sent = 100;
-        a.wire_bytes_received = 40;
-        a.wire_frames_posted = 7;
-        let mut b = NodeMetrics::new();
-        b.wire_bytes_sent = 50;
-        b.wire_bytes_received = 110;
-        b.wire_frames_posted = 3;
-        let r = RunReport {
-            nodes: vec![a, b],
-            makespan: Duration::from_secs(1),
-            completed: true,
-            delivery_trace: Vec::new(),
-        };
-        assert_eq!(r.total_wire_bytes_sent(), 150);
-        assert_eq!(r.total_wire_bytes_received(), 150);
-        assert_eq!(r.total_wire_frames(), 10);
     }
 }

@@ -13,7 +13,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use spindle_fabric::{Fabric, FaultPlan, MemFabric, NodeId};
 use spindle_membership::reconfig::ReconfigError;
 use spindle_membership::{SeqNum, SubgroupId, View};
-use spindle_obs::ObsPlane;
+use spindle_obs::{names, ObsPlane};
 
 use super::node::{Epochs, FabricFactory, NodeInner, NodeShared};
 use super::persist::PersistConfig;
@@ -254,13 +254,23 @@ impl<F: Fabric> NodeHandle<F> {
     }
 
     /// How many view changes this node has installed, and the cumulative
-    /// time they took it from wedging to resuming after the install
-    /// barrier.
+    /// time they took it from wedging to the install barrier's
+    /// confirmation — read from what its view-change driver records in the
+    /// registry: [`names::VIEW_CHANGES`] and the sums of both
+    /// [`names::VIEW_CHANGE_PHASE`] histograms.
     pub fn view_change_stats(&self) -> (u64, Duration) {
-        (
-            self.shared.vc_count.load(Ordering::Acquire),
-            Duration::from_micros(self.shared.vc_micros.load(Ordering::Acquire)),
-        )
+        let node = self.id.0.to_string();
+        let reg = self.shared.obs.registry();
+        let installed = reg.counter_value(names::VIEW_CHANGES, &[("node", &node)]);
+        let nanos: u64 = ["agree", "barrier"]
+            .iter()
+            .filter_map(|phase| {
+                let labels = [("node", node.as_str()), ("phase", phase)];
+                reg.histogram_snapshot(names::VIEW_CHANGE_PHASE, &labels)
+            })
+            .map(|h| h.sum)
+            .sum();
+        (installed.unwrap_or(0), Duration::from_nanos(nanos))
     }
 
     /// Sends `payload` in `sg`, blocking while the ring window is full or a
@@ -408,8 +418,6 @@ pub struct Cluster<F: Fabric = MemFabric> {
     /// `faults` right now (cleared and rebuilt by `apply_heartbeat_drops`
     /// without touching externally registered ranges on other nodes).
     pub(super) hb_registered: BTreeSet<usize>,
-    /// See [`Cluster::view_change_durations`].
-    pub(super) vc_durations: Vec<Duration>,
     /// See [`Cluster::epoch_views`]: the views of `epochs`, as of the
     /// last adoption.
     pub(super) epoch_views: Vec<Arc<View>>,
@@ -594,7 +602,6 @@ impl<F: Fabric> Cluster<F> {
             faults,
             hb_dropped: BTreeSet::new(),
             hb_registered: BTreeSet::new(),
-            vc_durations: Vec::new(),
             epoch_views: vec![Arc::clone(&view)],
             obs,
         };
@@ -786,14 +793,6 @@ impl<F: Fabric> Cluster<F> {
         &self.faults
     }
 
-    /// For every view change this cluster's caller drove
-    /// ([`Cluster::remove_node`] / [`Cluster::admit`]), in order, how
-    /// long the call had run when the caller adopted the new epoch. What
-    /// each node spent is in [`NodeHandle::view_change_stats`].
-    pub fn view_change_durations(&self) -> &[Duration] {
-        &self.vc_durations
-    }
-
     /// Handle to node `i`.
     ///
     /// # Panics
@@ -839,8 +838,7 @@ impl<F: Fabric> Cluster<F> {
         &self.epoch_views
     }
 
-    /// The underlying fabric of the current epoch (write counters are
-    /// useful in tests).
+    /// The underlying fabric of the current epoch.
     pub fn fabric(&self) -> &F {
         &self.fabric
     }

@@ -455,10 +455,6 @@ pub(super) fn view_change<F: Fabric>(
         let queued = shared.try_queue(sg, &payload);
         debug_assert_ne!(queued, Ok(false), "resend exceeded a fresh window");
     }
-    shared.vc_count.fetch_add(1, Ordering::AcqRel);
-    shared
-        .vc_micros
-        .fetch_add(started.elapsed().as_micros() as u64, Ordering::AcqRel);
     *shared.vc_report.lock() = Some(report(resent));
     shared.wedged.store(false, Ordering::Release);
 }

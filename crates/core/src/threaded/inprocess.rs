@@ -38,7 +38,7 @@ impl<F: Fabric> Cluster<F> {
     /// [`SendError::Closed`](super::SendError::Closed)) — unavailable,
     /// never inconsistent, on every transport.
     pub fn remove_node(&mut self, failed: usize) -> Result<ViewChangeReport, ViewChangeError> {
-        self.adopt_installed(None);
+        self.adopt_installed();
         let old_view = Arc::clone(&self.view);
         if !old_view.contains(NodeId(failed)) || !self.alive(failed) {
             return Err(ViewChangeError::UnknownNode(failed));
@@ -72,11 +72,10 @@ impl<F: Fabric> Cluster<F> {
             0 => PLANNED_BIT,
             bits => bits,
         };
-        let started = Instant::now();
         self.trigger_row(&gone)?
             .vc_trigger
             .fetch_or(trigger, Ordering::AcqRel);
-        let mut report = self.await_transition(&old_view, &gone, started)?;
+        let mut report = self.await_transition(&old_view, &gone)?;
         loop {
             // Only the explicitly removed node's handle closes; silently
             // crashed rows leave every subgroup too but keep their
@@ -94,7 +93,7 @@ impl<F: Fabric> Cluster<F> {
             if !self.crashed_rows().any(|m| is_active(&view, m)) {
                 return Ok(report);
             }
-            match self.await_transition(&view, &gone, started) {
+            match self.await_transition(&view, &gone) {
                 Ok(follow_up) => report = follow_up,
                 Err(_) => return Ok(report),
             }
@@ -155,7 +154,7 @@ impl<F: Fabric> Cluster<F> {
         // view may be epochs behind: leadership, the new row id and the
         // report-freshness floor must all be judged against the real
         // current epoch.
-        self.adopt_installed(None);
+        self.adopt_installed();
         // Argument validation first — even on a static fabric.
         if let Some(joins) = &req.subgroups {
             for &(g, _) in joins {
@@ -236,7 +235,7 @@ impl<F: Fabric> Cluster<F> {
         let report = self
             .await_report(leader, old_epoch, false, deadline)?
             .ok_or(ViewChangeError::Stalled)?;
-        self.adopt_installed(None);
+        self.adopt_installed();
         if !self.view.contains(NodeId(new_row)) {
             // A concurrent failure-driven transition won the epoch
             // without the join (e.g. the sponsor lost leadership to a
@@ -285,8 +284,7 @@ impl<F: Fabric> Cluster<F> {
         // named failed, so they are excluded from the trim quorum and
         // leave every subgroup.
         let trigger = PLANNED_BIT | reconfig::bits_of(self.crashed_rows());
-        let started = Instant::now();
-        let deadline = started + VC_DEADLINE;
+        let deadline = Instant::now() + VC_DEADLINE;
         let trigger_row = self.trigger_row(&none)?;
         // Every local row must hold the intent before any can start.
         for &row in &self.local_rows {
@@ -302,7 +300,7 @@ impl<F: Fabric> Cluster<F> {
             }
             std::thread::sleep(Duration::from_micros(500));
         }
-        self.adopt_installed(Some(started));
+        self.adopt_installed();
         let view = Arc::clone(&self.view);
         if !view.contains(NodeId(new_row)) {
             // A transition that was already under way won the epoch.
@@ -313,7 +311,7 @@ impl<F: Fabric> Cluster<F> {
             self.shared(new_row).inner.lock().alive = false;
             return Err(ViewChangeError::Stalled);
         }
-        let report = self.await_transition(&old_view, &none, started)?;
+        let report = self.await_transition(&old_view, &none)?;
         self.apply_heartbeat_drops();
         Ok((new_row, report))
     }
@@ -375,7 +373,6 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         old_view: &View,
         leaving: &BTreeSet<usize>,
-        started: Instant,
     ) -> Result<ViewChangeReport, ViewChangeError> {
         let deadline = Instant::now() + VC_DEADLINE;
         let mut total: Option<ViewChangeReport> = None;
@@ -393,21 +390,18 @@ impl<F: Fabric> Cluster<F> {
             };
             total = Some(ViewChangeReport { resent, ..newest });
         }
-        self.adopt_installed(Some(started));
+        self.adopt_installed();
         total.ok_or(ViewChangeError::Stalled)
     }
 
     /// Adopts, cluster-side, what the predicate threads installed since
     /// the last call: the views (intermediate ones included), and the
-    /// latest epoch's view and fabric as current. With `started`, each
-    /// adopted epoch is a view change this caller drove.
-    fn adopt_installed(&mut self, started: Option<Instant>) {
+    /// latest epoch's view and fabric as current.
+    fn adopt_installed(&mut self) {
         let installed = self.epochs.installed.lock();
         let (views, fabric) = &*installed;
-        for view in &views[self.epoch_views.len()..] {
-            self.epoch_views.push(Arc::clone(view));
-            self.vc_durations.extend(started.map(|t| t.elapsed()));
-        }
+        self.epoch_views
+            .extend_from_slice(&views[self.epoch_views.len()..]);
         let view = views.last().expect("the first epoch is always recorded");
         self.view = Arc::clone(view);
         self.fabric = fabric.clone();

@@ -26,6 +26,16 @@ use crate::viewchange::VcBoundary;
 pub(super) struct NodeInner<F: Fabric> {
     pub(super) sst: Sst,
     pub(super) protos: Vec<SubgroupProto>,
+    /// Beside each entry of `protos`: when this node queued the message in
+    /// each ring slot it sends from — `window` entries, none where it is
+    /// not a sender. [`NodeShared::try_queue`] writes the slot's entry and
+    /// the predicate thread takes it when it delivers that message back
+    /// here, which is the delivery-latency sample. A slot is requeued only
+    /// once its message is delivered at every member, this one included
+    /// (`try_queue_app`'s `min_delivered` check), so no entry is
+    /// overwritten before it is taken; where own messages are never
+    /// delivered back (unordered delivery) entries are overwritten unread.
+    pub(super) queued_at: Vec<Vec<Option<Instant>>>,
     /// `None` only for the closed stub of a remotely hosted row, which
     /// never runs a predicate thread and never posts.
     pub(super) fabric: Option<F>,
@@ -57,12 +67,16 @@ impl<F: Fabric> NodeInner<F> {
     ) -> NodeInner<F> {
         let sst = Sst::new(plan.layout.clone(), fabric.region_arc(NodeId(row)), row);
         sst.init();
-        let protos = view
+        let protos: Vec<SubgroupProto> = view
             .subgroups()
             .iter()
             .enumerate()
             .filter(|(_, sg)| sg.member_rank(NodeId(row)).is_some())
             .map(|(g, _)| SubgroupProto::new(view, SubgroupId(g), plan.cols[g], row))
+            .collect();
+        let queued_at = protos
+            .iter()
+            .map(|p| vec![None; p.my_sender_rank.map_or(0, |_| p.ring.window())])
             .collect();
         obs.registry()
             .gauge(
@@ -82,6 +96,7 @@ impl<F: Fabric> NodeInner<F> {
         NodeInner {
             sst,
             protos,
+            queued_at,
             fabric: Some(fabric),
             view: Arc::clone(view),
             alive: true,
@@ -104,6 +119,7 @@ impl<F: Fabric> NodeInner<F> {
         NodeInner {
             sst,
             protos: Vec::new(),
+            queued_at: Vec::new(),
             fabric: None,
             view: Arc::clone(view),
             alive: false,
@@ -272,10 +288,6 @@ pub(super) struct NodeShared<F: Fabric> {
     pub(super) vc_crash: Mutex<Option<VcBoundary>>,
     /// The report of this node's last view change.
     pub(super) vc_report: Mutex<Option<ViewChangeReport>>,
-    /// View changes this node installed.
-    pub(super) vc_count: AtomicU64,
-    /// Cumulative wedge→install time of those view changes, in µs.
-    pub(super) vc_micros: AtomicU64,
     /// The durable-log hook (`None` unless the cluster was started
     /// persistent); only the predicate thread appends through it.
     pub(super) persist: Option<Mutex<PersistHook>>,
@@ -283,11 +295,6 @@ pub(super) struct NodeShared<F: Fabric> {
     /// created by the cluster): the predicate thread and the view-change
     /// driver publish counters, latency samples and flight events here.
     pub(super) obs: ObsPlane,
-    /// Send timestamps awaiting their own delivery, keyed
-    /// `(subgroup, app_index)` and carrying the sender rank for
-    /// disambiguation — resolved by the predicate thread into the
-    /// per-epoch delivery-latency histogram.
-    pub(super) send_stamps: Mutex<std::collections::HashMap<(usize, u64), (usize, Instant)>>,
     pub(super) epochs: Arc<Epochs<F>>,
 }
 
@@ -316,11 +323,8 @@ impl<F: Fabric> NodeShared<F> {
             join_intent: Mutex::new(None),
             vc_crash: Mutex::new(None),
             vc_report: Mutex::new(None),
-            vc_count: AtomicU64::new(0),
-            vc_micros: AtomicU64::new(0),
             persist: persist.map(|pc| Mutex::new(PersistHook::new(pc.clone(), row, obs))),
             obs: obs.clone(),
-            send_stamps: Mutex::new(std::collections::HashMap::new()),
             epochs: Arc::clone(epochs),
         });
         (shared, rx)
@@ -342,22 +346,20 @@ impl<F: Fabric> NodeShared<F> {
         if payload.len() > max {
             return Err(SendError::TooLarge { max });
         }
-        let sst = inner.sst.clone();
-        let p = inner
-            .protos
+        let NodeInner {
+            sst,
+            protos,
+            queued_at,
+            ..
+        } = &mut *inner;
+        let (p, stamps) = protos
             .iter_mut()
-            .find(|p| p.sg == sg)
+            .zip(queued_at)
+            .find(|(p, _)| p.sg == sg && p.my_sender_rank.is_some())
             .ok_or(SendError::NotASender)?;
-        let rank = p.my_sender_rank.ok_or(SendError::NotASender)?;
-        match p.try_queue_app(&sst, payload.len() as u32, Some(payload)) {
-            QueueOutcome::Queued { app_index, .. } => {
-                // Stamp the send for the delivery-latency histogram; the
-                // predicate thread resolves it when the matching ordered
-                // delivery (same subgroup, app index and sender rank)
-                // comes back around.
-                self.send_stamps
-                    .lock()
-                    .insert((sg.0, app_index), (rank, Instant::now()));
+        match p.try_queue_app(sst, payload.len() as u32, Some(payload)) {
+            QueueOutcome::Queued { slot, .. } => {
+                stamps[slot] = Some(Instant::now());
                 Ok(true)
             }
             QueueOutcome::WindowFull => Ok(false),

@@ -13,7 +13,7 @@ use spindle_sst::Sst;
 
 use super::api::Delivered;
 use super::distributed::view_change;
-use super::node::{ops_to, NodeShared};
+use super::node::{ops_to, NodeInner, NodeShared};
 use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::{DetectorConfig, HeartbeatTicker};
 use crate::proto::{Delivery, SubgroupProto};
@@ -63,55 +63,68 @@ fn epoch_obs<'a>(
     cache.as_ref().expect("cache just filled")
 }
 
-/// Materializes a delivery: copies its payload out of the sender's ring
-/// slot (the pragmatic §3.5 option 2).
-fn materialize(sst: &Sst, p: &SubgroupProto, epoch: u64, del: &Delivery) -> Delivered {
-    Delivered {
-        epoch,
-        subgroup: p.sg,
-        sender_rank: del.rank,
-        app_index: del.app_index,
-        seq: del.seq,
-        data: sst.read_slot_with_len(
-            p.cols.slots,
-            p.sender_rows[del.rank],
-            del.slot,
-            del.len as usize,
-        ),
+/// The deliveries of one pass over a node's protocol state and, beside
+/// each, when this node queued it: `Some` for its own sends only — the
+/// start of the delivery-latency sample [`publish`] records.
+#[derive(Default)]
+struct Batch {
+    delivered: Vec<Delivered>,
+    queued_at: Vec<Option<Instant>>,
+}
+
+impl Batch {
+    /// Materializes a delivery: copies its payload out of the sender's ring
+    /// slot (the pragmatic §3.5 option 2) and, when the sender is this
+    /// node, takes the slot's entry of `stamps` — the subgroup's part of
+    /// [`NodeInner::queued_at`], under the node lock the caller holds.
+    fn push(
+        &mut self,
+        sst: &Sst,
+        p: &SubgroupProto,
+        stamps: &mut [Option<Instant>],
+        epoch: u64,
+        del: &Delivery,
+    ) {
+        self.delivered.push(Delivered {
+            epoch,
+            subgroup: p.sg,
+            sender_rank: del.rank,
+            app_index: del.app_index,
+            seq: del.seq,
+            data: sst.read_slot_with_len(
+                p.cols.slots,
+                p.sender_rows[del.rank],
+                del.slot,
+                del.len as usize,
+            ),
+        });
+        self.queued_at.push(if p.my_sender_rank == Some(del.rank) {
+            stamps[del.slot].take()
+        } else {
+            None
+        });
     }
 }
 
-/// Hands `delivered` to the application and publishes each into the live
-/// registry: per-epoch message and byte counters, plus the delivery-latency
-/// sample when it completes a send stamped by this node's
-/// [`NodeHandle::try_send`](super::NodeHandle::try_send). Every
-/// [`NodeShared::deliveries`] send happens here, paired with its counter
-/// update, so the counter equals the drained stream length by construction
-/// (the harness counter-consistency oracle pins this).
+/// Hands `batch` to the application and publishes each delivery into the
+/// live registry: per-epoch message and byte counters, plus the
+/// delivery-latency sample when it completes a send queued by this node's
+/// [`NodeHandle::try_send`](super::NodeHandle::try_send) — recorded here,
+/// after the durable append and outside the node lock its senders wait on.
+/// Every [`NodeShared::deliveries`] send happens here, paired with its
+/// counter update, so the counter equals the drained stream length by
+/// construction (the harness counter-consistency oracle pins this).
 fn publish<F: Fabric>(
     shared: &NodeShared<F>,
     row: usize,
-    delivered: Vec<Delivered>,
+    batch: Batch,
     cache: &mut Option<EpochObsCache>,
 ) {
-    for d in delivered {
+    for (d, queued_at) in batch.delivered.into_iter().zip(batch.queued_at) {
         let h = epoch_obs(&shared.obs, row, d.epoch, cache);
         h.delivered.inc();
         h.bytes.add(d.data.len() as u64);
-        let key = (d.subgroup.0, d.app_index);
-        // The stamp lock is contended by every `try_send`: take it for the
-        // lookup alone, never across the histogram record or channel send.
-        let stamped = {
-            let mut stamps = shared.send_stamps.lock();
-            match stamps.get(&key) {
-                Some(&(rank, t0)) if rank == d.sender_rank => {
-                    stamps.remove(&key);
-                    Some(t0)
-                }
-                _ => None,
-            }
-        };
-        if let Some(t0) = stamped {
+        if let Some(t0) = queued_at {
             h.latency.record(t0.elapsed().as_nanos() as u64);
         }
         // Receiver may have hung up (handle dropped); that's fine.
@@ -155,7 +168,7 @@ pub(super) fn predicate_thread<F: Fabric>(
         // Work items collected under the lock, posted after release
         // (early_lock_release) or under it (baseline).
         let mut posts: Vec<WriteOp> = Vec::new();
-        let mut delivered: Vec<Delivered> = Vec::new();
+        let mut batch = Batch::default();
         // Suspicion bits that must start a view change after this
         // iteration.
         let mut vc_bits: u64 = 0;
@@ -203,7 +216,10 @@ pub(super) fn predicate_thread<F: Fabric>(
                     vc_bits |= shared.convict(row, suspect, epoch, false, drives_engine);
                 }
             }
-            for p in inner.protos.iter_mut() {
+            let NodeInner {
+                protos, queued_at, ..
+            } = &mut *inner;
+            for (p, stamps) in protos.iter_mut().zip(queued_at) {
                 let members = p.member_rows.clone();
                 let collect = cfg.delivery_timing == DeliveryTiming::OnReceive;
                 let r = p.receive_predicate(&sst, cfg.receive_batching, cfg.null_sends, collect);
@@ -219,7 +235,7 @@ pub(super) fn predicate_thread<F: Fabric>(
                         len,
                         slot,
                     };
-                    delivered.push(materialize(&sst, p, epoch, &unordered));
+                    batch.push(&sst, p, stamps, epoch, &unordered);
                 }
                 if let Some(ack) = r.ack {
                     for _ in 0..r.ack_pushes {
@@ -248,7 +264,7 @@ pub(super) fn predicate_thread<F: Fabric>(
                         }
                     }
                     for del in &d.deliveries {
-                        delivered.push(materialize(&sst, p, epoch, del));
+                        batch.push(&sst, p, stamps, epoch, del);
                     }
                 }
                 if let Some(ack) = d.ack {
@@ -272,7 +288,7 @@ pub(super) fn predicate_thread<F: Fabric>(
             // log I/O must never stall the application threads (the same
             // reasoning as §3.4).
             if let Some(hook) = shared.persist.as_ref().filter(|_| !persist_work.is_empty()) {
-                hook.lock().append(&delivered);
+                hook.lock().append(&batch.delivered);
                 for (pers_col, members, hi) in persist_work {
                     let range = sst.set_counter(pers_col, hi);
                     posts.extend(ops_to(&members, row, range));
@@ -282,7 +298,7 @@ pub(super) fn predicate_thread<F: Fabric>(
                 fabric.post(NodeId(row), &op);
             }
         }
-        publish(&shared, row, delivered, &mut obs_cache);
+        publish(&shared, row, batch, &mut obs_cache);
         if vc_bits != 0 {
             view_change(row, &shared, vc_bits, &cfg, &det, &stop);
             idle_spins = 0;
@@ -319,24 +335,25 @@ pub(super) fn drain_node_through<F: Fabric>(
     ordered: bool,
 ) -> Vec<(SubgroupId, Vec<u8>)> {
     let mut resend = Vec::new();
-    let mut delivered = Vec::new();
+    let mut batch = Batch::default();
     let mut inner = shared.inner.lock();
     let sst = inner.sst.clone();
     let epoch = shared.epoch.load(Ordering::Acquire);
-    for (g, &cut) in cuts.iter().enumerate() {
-        let Some(p) = inner.protos.iter_mut().find(|p| p.sg.0 == g) else {
+    let NodeInner {
+        protos, queued_at, ..
+    } = &mut *inner;
+    for (p, stamps) in protos.iter_mut().zip(queued_at) {
+        let Some(&cut) = cuts.get(p.sg.0) else {
             continue;
         };
         let out = p.deliver_through(&sst, cut);
         if ordered {
-            delivered.extend(
-                out.deliveries
-                    .iter()
-                    .map(|del| materialize(&sst, p, epoch, del)),
-            );
+            for del in &out.deliveries {
+                batch.push(&sst, p, stamps, epoch, del);
+            }
         }
         for (_, payload) in p.undelivered_own(&sst) {
-            resend.push((SubgroupId(g), payload));
+            resend.push((p.sg, payload));
         }
     }
     drop(inner);
@@ -344,9 +361,9 @@ pub(super) fn drain_node_through<F: Fabric>(
     // like any others, and the epoch boundary fsyncs whatever the policy.
     if let Some(hook) = &shared.persist {
         let mut hook = hook.lock();
-        hook.append(&delivered);
+        hook.append(&batch.delivered);
         hook.sync_all().expect("sync durable log");
     }
-    publish(shared, sst.own_row(), delivered, &mut None);
+    publish(shared, sst.own_row(), batch, &mut None);
     resend
 }

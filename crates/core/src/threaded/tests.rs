@@ -6,7 +6,7 @@ use spindle_fabric::{MemFabric, NodeId};
 use spindle_membership::{SeqNum, SubgroupId, View, ViewBuilder};
 
 use super::{AdmitRequest, Cluster, Delivered, SendError, ViewChangeError};
-use crate::config::SpindleConfig;
+use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::DetectorConfig;
 use crate::plan::Plan;
 use crate::viewchange::VcBoundary;
@@ -520,35 +520,99 @@ fn wedged_nodes_never_deliver_past_the_cut() {
 }
 
 /// Every cluster runs the predicate-thread driver, so an in-process one
-/// gets what that driver records: a caller-side duration per transition,
-/// and per surviving row the install count and both phase timings.
+/// gets what that driver records in the registry — per surviving row the
+/// install count and both phase timings — and `view_change_stats` reads
+/// exactly that.
 #[test]
 fn view_change_durations_recorded() {
     let mut cluster = Cluster::start(view(4, 4, 8, 64), SpindleConfig::optimized());
-    assert!(cluster.view_change_durations().is_empty());
+    assert_eq!(cluster.node(0).view_change_stats(), (0, Duration::ZERO));
     cluster.remove_node(3).unwrap();
     cluster
         .admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
         .unwrap();
-    let durations = cluster.view_change_durations();
-    assert_eq!(durations.len(), 2);
-    assert!(durations.iter().all(|d| *d > Duration::ZERO));
     let reg = cluster.obs().registry();
     for row in 0..3 {
-        let (count, took) = cluster.node(row).view_change_stats();
-        assert_eq!(count, 2);
-        assert!(took > Duration::ZERO);
         let node = row.to_string();
         let installs = reg.counter_value(spindle_obs::names::VIEW_CHANGES, &[("node", &node)]);
         assert_eq!(installs, Some(2), "row {row}");
+        let mut nanos = 0;
         for phase in ["agree", "barrier"] {
             let labels = [("node", node.as_str()), ("phase", phase)];
-            let samples = reg
+            let h = reg
                 .histogram_snapshot(spindle_obs::names::VIEW_CHANGE_PHASE, &labels)
-                .map(|h| h.count);
-            assert_eq!(samples, Some(2), "row {row} {phase}");
+                .unwrap_or_default();
+            assert_eq!(h.count, 2, "row {row} {phase}");
+            nanos += h.sum;
         }
+        assert!(nanos > 0);
+        let stats = cluster.node(row).view_change_stats();
+        assert_eq!(stats, (2, Duration::from_nanos(nanos)), "row {row}");
     }
+    cluster.shutdown();
+}
+
+/// An unordered cluster never delivers a sender's own messages back to it,
+/// so nothing takes its send stamps: the store must not grow with them.
+#[test]
+fn stamp_store_is_bounded_by_the_window() {
+    let window = 8;
+    let mut cfg = SpindleConfig::optimized();
+    cfg.delivery_timing = DeliveryTiming::OnReceive;
+    let cluster = Cluster::start(view(3, 1, window, 64), cfg);
+    for i in 0..5_000u32 {
+        cluster
+            .node(0)
+            .send(SubgroupId(0), &i.to_le_bytes())
+            .unwrap();
+    }
+    assert_eq!(collect(&cluster, 1, 5_000).len(), 5_000);
+    let stamps: usize = {
+        let inner = cluster.node(0).shared.inner.lock();
+        inner.queued_at.iter().map(Vec::len).sum()
+    };
+    assert_eq!(stamps, window);
+    cluster.shutdown();
+}
+
+/// Every delivery of a node's own message is one delivery-latency sample,
+/// in the epoch that delivered it: the ones that complete normally, the
+/// ones inside a ragged trim, and — once, not twice — the ones a view
+/// change finds undelivered and resends in the next epoch.
+#[test]
+fn latency_sampled_once_per_own_delivery() {
+    let mut cluster = Cluster::start(view(3, 3, 16, 64), SpindleConfig::optimized());
+    let send = |cluster: &Cluster, range: std::ops::Range<u32>| {
+        for i in range {
+            cluster
+                .node(0)
+                .send(SubgroupId(0), &i.to_le_bytes())
+                .unwrap();
+        }
+    };
+    send(&cluster, 0..5);
+    let mut got = collect(&cluster, 0, 5);
+    // Node 2 dies silently: without its rounds the total order cannot
+    // pass node 0's next burst, which stays in flight until the view
+    // change trims it — all but the head comes back for resend.
+    cluster.kill(2);
+    send(&cluster, 5..15);
+    let report = cluster.remove_node(2).unwrap();
+    assert!(report.resent > 0, "nothing was in flight: {report:?}");
+    got.extend(collect(&cluster, 0, 10));
+    let reg = cluster.obs().registry();
+    for epoch in 0..=1u64 {
+        let own = got
+            .iter()
+            .filter(|d| d.epoch == epoch && d.sender_rank == 0)
+            .count() as u64;
+        let labels = [("node", "0"), ("epoch", &*epoch.to_string())];
+        let samples = reg
+            .histogram_snapshot(spindle_obs::names::DELIVERY_LATENCY, &labels)
+            .map_or(0, |h| h.count);
+        assert_eq!(samples, own, "epoch {epoch}");
+    }
+    assert!(got.iter().all(|d| d.epoch <= 1 && d.sender_rank == 0));
     cluster.shutdown();
 }
 

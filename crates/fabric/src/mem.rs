@@ -1,6 +1,5 @@
 //! In-process threaded fabric: real concurrency, immediate placement.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::fault::{Disposition, FaultPlan};
@@ -35,8 +34,6 @@ use crate::types::{NodeId, WriteOp};
 #[derive(Debug, Clone)]
 pub struct MemFabric {
     regions: Arc<[Arc<Region>]>,
-    writes_posted: Arc<AtomicU64>,
-    bytes_posted: Arc<AtomicU64>,
     faults: FaultPlan,
 }
 
@@ -66,8 +63,6 @@ impl MemFabric {
             .collect();
         MemFabric {
             regions: regions.into(),
-            writes_posted: Arc::new(AtomicU64::new(0)),
-            bytes_posted: Arc::new(AtomicU64::new(0)),
             faults,
         }
     }
@@ -104,16 +99,13 @@ impl MemFabric {
     /// Posts a one-sided write from `src`: places the word range of `src`'s
     /// region into `op.dst`'s region.
     ///
-    /// Posting to oneself is a no-op placement-wise (the poster's replica is
-    /// already authoritative) but is still counted, mirroring a loopback QP.
+    /// Posting to oneself is a no-op (the poster's replica is already
+    /// authoritative).
     ///
     /// # Panics
     ///
     /// Panics if either node id or the word range is out of bounds.
     pub fn post(&self, src: NodeId, op: &WriteOp) {
-        self.writes_posted.fetch_add(1, Ordering::Relaxed);
-        self.bytes_posted
-            .fetch_add(op.wire_bytes as u64, Ordering::Relaxed);
         if src == op.dst {
             // Loopback never crosses the fabric: exempt from faults too.
             return;
@@ -129,16 +121,6 @@ impl MemFabric {
         let src_region = &self.regions[src.0];
         let dst_region = &self.regions[op.dst.0];
         dst_region.copy_range_from(src_region, op.range.start, op.range.end - op.range.start);
-    }
-
-    /// Total writes posted across all nodes.
-    pub fn writes_posted(&self) -> u64 {
-        self.writes_posted.load(Ordering::Relaxed)
-    }
-
-    /// Total wire bytes posted across all nodes.
-    pub fn bytes_posted(&self) -> u64 {
-        self.bytes_posted.load(Ordering::Relaxed)
     }
 }
 
@@ -159,21 +141,11 @@ mod tests {
     }
 
     #[test]
-    fn self_post_is_counted_but_harmless() {
+    fn self_post_is_harmless() {
         let f = MemFabric::new(1, 4);
         f.region(NodeId(0)).store(0, 5);
         f.post(NodeId(0), &WriteOp::new(NodeId(0), 0..1));
-        assert_eq!(f.writes_posted(), 1);
         assert_eq!(f.region(NodeId(0)).load(0), 5);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let f = MemFabric::new(2, 4);
-        f.post(NodeId(0), &WriteOp::new(NodeId(1), 0..2));
-        f.post(NodeId(1), &WriteOp::new(NodeId(0), 2..3));
-        assert_eq!(f.writes_posted(), 2);
-        assert_eq!(f.bytes_posted(), 24);
     }
 
     #[test]
@@ -183,7 +155,6 @@ mod tests {
         g.region(NodeId(0)).store(1, 9);
         g.post(NodeId(0), &WriteOp::new(NodeId(1), 1..2));
         assert_eq!(f.region(NodeId(1)).load(1), 9);
-        assert_eq!(f.writes_posted(), 1);
     }
 
     /// Concurrent posts from many source nodes to one destination must never

@@ -25,6 +25,15 @@
 //! All backends consult a shared [`FaultPlan`] on every post, so fault
 //! injection (isolate / drop ranges / throttle) behaves identically across
 //! transports.
+//!
+//! A fabric keeps **no counters of its own**. `post` is the hottest call in
+//! the program and every predicate thread makes it, so a tally shared by
+//! the clones of one fabric is exactly the cross-thread traffic §3.4 takes
+//! off the posting path. What a running node counts lives in the
+//! `spindle-obs` registry of the plane the runtime publishes into
+//! ([`Fabric::obs`]): the TCP backend registers its `spindle_wire_*`
+//! families there, and posts per message are the predicate thread's to
+//! count, not the transport's.
 
 use std::sync::Arc;
 
@@ -87,7 +96,7 @@ pub trait Fabric: Clone + Send + Sync + 'static {
 
     /// Posts a one-sided write from `src`: places the covered word range of
     /// `src`'s replica into `op.dst`'s replica. Posting to oneself is a
-    /// counted no-op (the poster's replica is already authoritative).
+    /// no-op (the poster's replica is already authoritative).
     ///
     /// The words to transmit are snapshotted from the poster's replica
     /// *at post time* (when an RDMA NIC would DMA them), but placement at
@@ -132,12 +141,6 @@ pub trait Fabric: Clone + Send + Sync + 'static {
         false
     }
 
-    /// Total writes posted across all nodes (including dropped ones).
-    fn writes_posted(&self) -> u64;
-
-    /// Total wire bytes posted across all nodes (including dropped ones).
-    fn bytes_posted(&self) -> u64;
-
     /// The observability plane this transport publishes into, if it
     /// owns one. A distributed fabric creates the plane at the process
     /// boundary (so wire handshake events recorded during bootstrap are
@@ -164,14 +167,6 @@ impl Fabric for MemFabric {
     fn faults(&self) -> &FaultPlan {
         MemFabric::faults(self)
     }
-
-    fn writes_posted(&self) -> u64 {
-        MemFabric::writes_posted(self)
-    }
-
-    fn bytes_posted(&self) -> u64 {
-        MemFabric::bytes_posted(self)
-    }
 }
 
 #[cfg(test)]
@@ -190,8 +185,6 @@ mod tests {
         let f = MemFabric::new(2, 8);
         assert_eq!(post_and_read(&f), 77);
         assert_eq!(Fabric::nodes(&f), 2);
-        assert_eq!(Fabric::writes_posted(&f), 1);
-        assert_eq!(Fabric::bytes_posted(&f), 8);
         assert!(!Fabric::faults(&f).is_active());
     }
 }

@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use netpoll::{poll_fds, PollFd, POLLIN, POLLOUT};
-use spindle_core::{epoch_stats_for_node, NodeMetrics, RunReport};
+use spindle_core::{epoch_stats_for_node, render_epoch_table};
 use spindle_net::edge::{encode_publish, encode_subscribe, EdgeAssembler, EdgeFrame};
 use spindle_net::sock::{drain_queue, read_available, DrainEnd, ReadEnd};
 use spindle_net::wire::FrameQueue;
@@ -250,7 +250,6 @@ fn run() -> Result<(), String> {
     let mut fd_owner: Vec<usize> = Vec::with_capacity(args.clients);
     let mut violations = 0u64;
     let mut latency_recorded = 0u64;
-    let mut delivered_bytes = 0u64;
 
     loop {
         let now = Instant::now();
@@ -327,7 +326,6 @@ fn run() -> Result<(), String> {
                     args.publishers as u32,
                     &mut violations,
                     &mut latency_recorded,
-                    &mut delivered_bytes,
                 ) {
                     Ok(ReadEnd::Drained) => {}
                     // EOF: relay went away (shutdown or kill).
@@ -415,18 +413,10 @@ fn run() -> Result<(), String> {
         .sum();
     let total_reconnects: u64 = clients.iter().map(|c| c.reconnects).sum();
 
-    let mut node_metrics = NodeMetrics::new();
-    node_metrics.epoch_stats = epoch_stats_for_node(&registry, 0);
-    node_metrics.delivered_msgs = total_received;
-    node_metrics.delivered_bytes = delivered_bytes;
-    node_metrics.app_sent = total_sent;
-    let report = RunReport {
-        nodes: vec![node_metrics],
-        makespan,
-        completed: true,
-        delivery_trace: Vec::new(),
-    };
-    print!("loadgen per-epoch stats:\n{}", report.render_epoch_table());
+    print!(
+        "loadgen per-epoch stats:\n{}",
+        render_epoch_table(&epoch_stats_for_node(&registry, 0))
+    );
     println!(
         "loadgen: {} publishers sent {total_sent} ({total_failed} failed acks), \
          {subscribers} subscribers received {total_received} ({latency_recorded} latency \
@@ -460,7 +450,6 @@ fn connect(c: &mut Client, args: &Args) -> std::io::Result<()> {
 /// Drains the socket and applies every complete frame. `Err` is a
 /// protocol violation (garbage, or a frame this client's role never
 /// receives).
-#[allow(clippy::too_many_arguments)]
 fn pump_reads(
     c: &mut Client,
     registry: &Registry,
@@ -468,7 +457,6 @@ fn pump_reads(
     publishers: u32,
     violations: &mut u64,
     latency_recorded: &mut u64,
-    delivered_bytes: &mut u64,
 ) -> Result<ReadEnd, String> {
     let Some(s) = &c.stream else {
         return Ok(ReadEnd::Drained);
@@ -498,7 +486,6 @@ fn pump_reads(
                     continue; // member traffic that happens to be ≥16 B
                 }
                 *received += 1;
-                *delivered_bytes += data.len() as u64;
                 // FIFO oracle: a publisher's counters must be strictly
                 // increasing at every subscriber, across reconnects.
                 if let Some(prev) = last.insert(pub_id, counter) {

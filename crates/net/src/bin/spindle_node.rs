@@ -35,7 +35,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use spindle_core::threaded::{Cluster, Delivered};
-use spindle_core::{epoch_stats_for_node, NodeMetrics, RunReport, SpindleConfig};
+use spindle_core::{epoch_stats_for_node, render_epoch_table, SpindleConfig};
 use spindle_membership::SubgroupId;
 use spindle_net::{
     join, wire_thread_count, EdgeConfig, EdgeServer, NodeConfig, NodeRole, TcpFabric,
@@ -464,33 +464,13 @@ fn workload(
         std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
 
-    // Surface the wire counters through the standard metrics registry.
     let stats = fabric.wire_stats();
     let (vc_count, vc_time) = cluster.node(row).view_change_stats();
-    let mut node_metrics = NodeMetrics::new();
-    node_metrics.epoch_stats = epoch_stats_for_node(cluster.obs().registry(), row);
-    node_metrics.delivered_msgs = got.len() as u64;
-    node_metrics.delivered_bytes = got.iter().map(|d| d.data.len() as u64).sum();
-    node_metrics.app_sent = sent as u64;
-    node_metrics.writes_posted = stats.frames_posted;
-    node_metrics.wire_bytes = fabric_bytes(&fabric);
-    node_metrics.wire_bytes_sent = stats.bytes_sent;
-    node_metrics.wire_bytes_received = stats.bytes_received;
-    node_metrics.wire_frames_posted = stats.frames_posted;
-    node_metrics.view_changes = vc_count;
-    node_metrics.view_change_time = vc_time;
-    node_metrics.catchup_bytes = catchup_bytes;
-    let report = RunReport {
-        nodes: vec![node_metrics],
-        makespan,
-        completed: true,
-        delivery_trace: vec![got
-            .iter()
-            .map(|d| (d.subgroup.0, d.sender_rank, d.app_index))
-            .collect()],
-    };
     println!("n{row} wire-threads: {}", wire_thread_count());
-    print!("n{row} per-epoch stats:\n{}", report.render_epoch_table());
+    print!(
+        "n{row} per-epoch stats:\n{}",
+        render_epoch_table(&epoch_stats_for_node(cluster.obs().registry(), row))
+    );
     println!(
         "n{row} delivered {} msgs (epoch {}) in {:.3}s | wire: {} frames posted, {} received, {} B sent, {} B received, {} drops, {} connects | view-changes: {} in {} us | catch-up: {} B | {:.3} Mmsg/s",
         got.len(),
@@ -498,14 +478,14 @@ fn workload(
         makespan.as_secs_f64(),
         stats.frames_posted,
         stats.frames_received,
-        report.total_wire_bytes_sent(),
-        report.total_wire_bytes_received(),
+        stats.bytes_sent,
+        stats.bytes_received,
         stats.frames_dropped,
         stats.reconnects,
-        report.total_view_changes(),
-        report.max_view_change_time().as_micros(),
+        vc_count,
+        vc_time.as_micros(),
         catchup_bytes,
-        report.delivery_mmsgs(),
+        got.len() as f64 / makespan.as_secs_f64() / 1e6,
     );
     let _ = std::io::stdout().flush();
 
@@ -513,9 +493,4 @@ fn workload(
     std::thread::sleep(run.linger);
     cluster.shutdown();
     Ok(())
-}
-
-fn fabric_bytes(fabric: &TcpFabric) -> u64 {
-    use spindle_fabric::Fabric as _;
-    fabric.bytes_posted()
 }

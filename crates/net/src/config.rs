@@ -545,18 +545,19 @@ impl NodeConfigBuilder {
             segment_cap,
         });
 
+        let defaults = RunControl::default();
         let run = RunControl {
-            sends: self.sends.unwrap_or(20),
-            payload: self.payload.unwrap_or(24),
-            seed: self.seed.unwrap_or(42),
+            sends: self.sends.unwrap_or(defaults.sends),
+            payload: self.payload.unwrap_or(defaults.payload),
+            seed: self.seed.unwrap_or(defaults.seed),
             trace_out: self.trace_out,
             replay_out: self.replay_out,
-            deadline: self.deadline.unwrap_or(Duration::from_secs(60)),
-            linger: self.linger.unwrap_or(Duration::from_millis(1500)),
-            min_epoch: self.min_epoch.unwrap_or(0),
-            quiesce: self.quiesce.unwrap_or(Duration::from_millis(800)),
-            crash_after: self.crash_after.unwrap_or(0),
-            serve: self.serve.unwrap_or(Duration::ZERO),
+            deadline: self.deadline.unwrap_or(defaults.deadline),
+            linger: self.linger.unwrap_or(defaults.linger),
+            min_epoch: self.min_epoch.unwrap_or(defaults.min_epoch),
+            quiesce: self.quiesce.unwrap_or(defaults.quiesce),
+            crash_after: self.crash_after.unwrap_or(defaults.crash_after),
+            serve: self.serve.unwrap_or(defaults.serve),
         };
         if run.payload < 8 {
             errors.push(NodeConfigError::Invalid {
@@ -752,6 +753,16 @@ mod tests {
         assert!(err.0.iter().any(
             |e| matches!(e, NodeConfigError::Invalid { what, .. } if *what == "--replay-out")
         ));
+    }
+
+    #[test]
+    fn no_run_flags_yield_the_run_control_defaults() {
+        let cfg = NodeConfig::builder()
+            .cluster(cluster(""))
+            .member(0)
+            .build()
+            .unwrap();
+        assert_eq!(cfg.run, RunControl::default());
     }
 
     #[test]

@@ -122,14 +122,6 @@ impl Fabric for TcpFabricGroup {
     fn faults(&self) -> &FaultPlan {
         &self.faults
     }
-
-    fn writes_posted(&self) -> u64 {
-        self.endpoints.iter().map(|e| e.writes_posted()).sum()
-    }
-
-    fn bytes_posted(&self) -> u64 {
-        self.endpoints.iter().map(|e| e.bytes_posted()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +148,6 @@ mod tests {
         assert!(eventually(|| g.region_arc(NodeId(2)).load(5) == 99));
         // Node 1 saw nothing.
         assert_eq!(g.region_arc(NodeId(1)).load(5), 0);
-        assert_eq!(g.writes_posted(), 1);
         let total = g.wire_stats_total();
         assert_eq!(total.frames_posted, 1);
         assert!(total.bytes_sent > 0);

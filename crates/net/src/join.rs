@@ -29,7 +29,7 @@
 //! The joiner delivers nothing older than its join epoch (virtual
 //! synchrony); the snapshot is what brings its *application* state up to
 //! the cut, and its byte size is reported as
-//! [`catchup_bytes`](spindle_core::NodeMetrics::catchup_bytes).
+//! [`Joined::catchup_bytes`].
 
 use std::fmt;
 use std::io::{self, Read, Write};

@@ -68,6 +68,6 @@ pub use group::TcpFabricGroup;
 pub use join::{
     join_cluster, serve_join, tail_within, JoinConfig, JoinError, Joined, ServeOutcome,
 };
-pub use metrics::{WireMetrics, WireStats};
+pub use metrics::WireStats;
 pub use tcp::{wire_thread_count, JoinRequest, TcpFabric, TcpFabricConfig};
 pub use wire::{decode_frame, encode_frame, Frame, Hello, WireError, WriteFrame};

@@ -1,68 +1,82 @@
 //! Per-node wire counters for the TCP fabric.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use spindle_obs::{names, Counter, Gauge, ObsPlane};
 
-#[derive(Debug, Default)]
-struct Counters {
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    frames_posted: AtomicU64,
-    frames_received: AtomicU64,
-    frames_dropped: AtomicU64,
-    reconnects: AtomicU64,
-    flushes: AtomicU64,
-}
-
-/// Shared wire counters of one TCP endpoint. Clones share state; take a
-/// consistent-enough copy with [`WireMetrics::snapshot`].
-#[derive(Debug, Clone, Default)]
-pub struct WireMetrics {
-    c: Arc<Counters>,
+/// Registry handles of one TCP endpoint's `spindle_wire_*` families,
+/// resolved once against the endpoint's plane with the label
+/// `node=<me>`: the registry is the only store, so what
+/// [`WireMetrics::snapshot`] returns is what `/metrics` renders.
+pub(crate) struct WireMetrics {
+    pub(crate) bytes_sent: Counter,
+    pub(crate) bytes_received: Counter,
+    pub(crate) frames_posted: Counter,
+    pub(crate) frames_received: Counter,
+    pub(crate) frames_dropped: Counter,
+    pub(crate) reconnects: Counter,
+    pub(crate) flushes: Counter,
+    /// Set from the kernel's thread list when the page is rendered.
+    pub(crate) threads: Gauge,
 }
 
 impl WireMetrics {
-    /// Fresh zeroed counters.
-    pub fn new() -> WireMetrics {
-        WireMetrics::default()
-    }
-
-    /// Accounts `writes` vectored socket writes that moved `bytes`.
-    pub(crate) fn add_flushed(&self, writes: u64, bytes: u64) {
-        self.c.flushes.fetch_add(writes, Ordering::Relaxed);
-        self.c.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_bytes_received(&self, n: u64) {
-        self.c.bytes_received.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_frame_posted(&self) {
-        self.c.frames_posted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_frame_received(&self) {
-        self.c.frames_received.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_frames_dropped(&self, n: u64) {
-        self.c.frames_dropped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_reconnect(&self) {
-        self.c.reconnects.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn new(obs: &ObsPlane, me: usize) -> WireMetrics {
+        let r = obs.registry();
+        let node = me.to_string();
+        let l = &[("node", node.as_str())];
+        WireMetrics {
+            bytes_sent: r.counter(
+                names::WIRE_BYTES_SENT,
+                "Payload + framing bytes written to peer sockets.",
+                l,
+            ),
+            bytes_received: r.counter(
+                names::WIRE_BYTES_RECEIVED,
+                "Bytes read from peer sockets.",
+                l,
+            ),
+            frames_posted: r.counter(
+                names::WIRE_FRAMES_POSTED,
+                "WRITE frames posted by the local node.",
+                l,
+            ),
+            frames_received: r.counter(
+                names::WIRE_FRAMES_RECEIVED,
+                "WRITE frames received and placed into the local mirror.",
+                l,
+            ),
+            frames_dropped: r.counter(
+                names::WIRE_FRAMES_DROPPED,
+                "Frames shed on severed links or full outbound queues.",
+                l,
+            ),
+            flushes: r.counter(
+                names::WIRE_FLUSHES,
+                "Vectored socket writes (writev batches).",
+                l,
+            ),
+            reconnects: r.counter(
+                names::WIRE_RECONNECTS,
+                "Successful outbound connection establishments.",
+                l,
+            ),
+            threads: r.gauge(
+                names::WIRE_THREADS,
+                "Wire service threads in this process (single-poller contract).",
+                l,
+            ),
+        }
     }
 
     /// Copies the current counter values.
-    pub fn snapshot(&self) -> WireStats {
+    pub(crate) fn snapshot(&self) -> WireStats {
         WireStats {
-            bytes_sent: self.c.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.c.bytes_received.load(Ordering::Relaxed),
-            frames_posted: self.c.frames_posted.load(Ordering::Relaxed),
-            frames_received: self.c.frames_received.load(Ordering::Relaxed),
-            frames_dropped: self.c.frames_dropped.load(Ordering::Relaxed),
-            reconnects: self.c.reconnects.load(Ordering::Relaxed),
-            flushes: self.c.flushes.load(Ordering::Relaxed),
+            bytes_sent: self.bytes_sent.get(),
+            bytes_received: self.bytes_received.get(),
+            frames_posted: self.frames_posted.get(),
+            frames_received: self.frames_received.get(),
+            frames_dropped: self.frames_dropped.get(),
+            reconnects: self.reconnects.get(),
+            flushes: self.flushes.get(),
         }
     }
 }

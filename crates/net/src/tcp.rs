@@ -246,8 +246,6 @@ struct Shared {
     /// waiting for the poller to adopt it into its readiness set (no new
     /// thread: `/metrics` is served from the existing event loop).
     http_listener: Mutex<Option<TcpListener>>,
-    writes_posted: AtomicU64,
-    bytes_posted: AtomicU64,
     stop: AtomicBool,
     connect_patience: Duration,
     queue_cap: usize,
@@ -363,7 +361,7 @@ fn kill_outbound(peer: &PeerState, out: &mut PeerOut) {
 fn drain_outbound(shared: &Shared, peer: &PeerState, out: &mut PeerOut) {
     let epoch = shared.epoch();
     let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < epoch);
-    shared.metrics.add_frames_dropped(purged as u64);
+    shared.metrics.frames_dropped.add(purged as u64);
     let PeerOut {
         queue, pool, conn, ..
     } = out;
@@ -376,7 +374,8 @@ fn drain_outbound(shared: &Shared, peer: &PeerState, out: &mut PeerOut) {
             pool.push(buf);
         }
     });
-    shared.metrics.add_flushed(d.writes as u64, d.bytes as u64);
+    shared.metrics.flushes.add(d.writes as u64);
+    shared.metrics.bytes_sent.add(d.bytes as u64);
     if d.end == DrainEnd::Dead {
         kill_outbound(peer, out);
     }
@@ -469,11 +468,9 @@ impl TcpFabric {
             expected: Mutex::new(expected),
             mesh_gen: AtomicU64::new(0),
             faults: cfg.faults,
-            metrics: WireMetrics::new(),
+            metrics: WireMetrics::new(&cfg.obs, cfg.me),
             obs: cfg.obs,
             http_listener: Mutex::new(None),
-            writes_posted: AtomicU64::new(0),
-            bytes_posted: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             connect_patience: cfg.connect_patience,
             queue_cap: cfg.outbound_queue_cap,
@@ -632,8 +629,8 @@ impl TcpFabric {
     }
 
     /// Starts serving Prometheus-text exposition on `addr`: `GET
-    /// /metrics` renders the live registry plus this endpoint's wire
-    /// counter families, `GET /flightrec` dumps the flight-recorder
+    /// /metrics` renders the live registry, this endpoint's wire
+    /// counter families among it, `GET /flightrec` dumps the flight-recorder
     /// ring. The nonblocking listener is owned by the *existing* poller
     /// event loop — no additional thread is started (the O(1)-threads
     /// contract covers exposition too). Returns the bound address
@@ -681,10 +678,7 @@ impl Fabric for TcpFabric {
             op.range.start < op.range.end && op.range.end <= s.region_words(),
             "write range out of region bounds"
         );
-        s.writes_posted.fetch_add(1, Ordering::Relaxed);
-        s.bytes_posted
-            .fetch_add(op.wire_bytes as u64, Ordering::Relaxed);
-        s.metrics.add_frame_posted();
+        s.metrics.frames_posted.inc();
         if op.dst == src {
             // Loopback never crosses the wire (the mirror is the source).
             return;
@@ -701,14 +695,14 @@ impl Fabric for TcpFabric {
         // frame is purged unsent once the endpoint has moved on.
         let (epoch, region) = s.region_at_epoch();
         let Some(peer) = s.peer(op.dst.0) else {
-            s.metrics.add_frames_dropped(1);
+            s.metrics.frames_dropped.inc();
             return;
         };
         let mut out = peer.out.lock().expect("peer out lock");
         if out.queue.len() >= s.queue_cap {
             // The peer is unreachable and the backlog is saturated: shed
             // load like a NIC whose QP errored out.
-            s.metrics.add_frames_dropped(1);
+            s.metrics.frames_dropped.inc();
             return;
         }
         let words = region.snapshot(op.range.start, op.words());
@@ -788,7 +782,7 @@ impl Fabric for TcpFabric {
             let mut out = p.out.lock().expect("peer out lock");
             kill_outbound(p, &mut out);
             let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < t.epoch);
-            s.metrics.add_frames_dropped(purged as u64);
+            s.metrics.frames_dropped.add(purged as u64);
         }
         // Inbound: keep connections already at the new epoch (their
         // handshake stands — no fresh HELLO will come over them), sever
@@ -812,14 +806,6 @@ impl Fabric for TcpFabric {
         drop(inb);
         s.waker.wake();
         true
-    }
-
-    fn writes_posted(&self) -> u64 {
-        self.inner.shared.writes_posted.load(Ordering::Relaxed)
-    }
-
-    fn bytes_posted(&self) -> u64 {
-        self.inner.shared.bytes_posted.load(Ordering::Relaxed)
     }
 
     fn obs(&self) -> Option<ObsPlane> {
@@ -865,7 +851,7 @@ fn service_inbound(shared: &Shared, ic: &mut InboundConn, scratch: &mut [u8]) ->
     let mut any = false;
     let end = read_available(&*stream, scratch, |chunk| {
         any = true;
-        shared.metrics.add_bytes_received(chunk.len() as u64);
+        shared.metrics.bytes_received.add(chunk.len() as u64);
         link.asm.feed(chunk);
         process_inbound_frames(shared, stream, link);
         !link.dead && link.handoff.is_none()
@@ -942,7 +928,7 @@ fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundL
                 let end = end.expect("bounds-checked above") as usize;
                 if end <= region.len() {
                     region.apply_write(w.offset as usize, &w.words);
-                    shared.metrics.add_frame_received();
+                    shared.metrics.frames_received.inc();
                 } else {
                     // A write into rows of a later layout than ours —
                     // e.g. the joiner's install flag reaching a laggard
@@ -1113,68 +1099,13 @@ fn http_response(shared: &Shared, req: &[u8]) -> Vec<u8> {
     resp
 }
 
-/// The full `/metrics` page: the live registry (protocol families,
-/// published by the hosting cluster through the shared plane) plus this
-/// endpoint's wire counter families and the single-poller thread gauge.
+/// The full `/metrics` page: the live registry — protocol families
+/// published by the hosting cluster through the shared plane, this
+/// endpoint's wire families, and the single-poller thread gauge, read
+/// from the kernel as the page is rendered.
 fn render_metrics_page(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let mut out = shared.obs.registry().render_prometheus();
-    let s = shared.metrics.snapshot();
-    let me = shared.me;
-    let mut fam = |name: &str, help: &str, kind: &str, v: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name}{{node=\"{me}\"}} {v}");
-    };
-    fam(
-        "spindle_wire_bytes_sent_total",
-        "Payload + framing bytes written to peer sockets.",
-        "counter",
-        s.bytes_sent,
-    );
-    fam(
-        "spindle_wire_bytes_received_total",
-        "Bytes read from peer sockets.",
-        "counter",
-        s.bytes_received,
-    );
-    fam(
-        "spindle_wire_frames_posted_total",
-        "WRITE frames posted by the local node.",
-        "counter",
-        s.frames_posted,
-    );
-    fam(
-        "spindle_wire_frames_received_total",
-        "WRITE frames received and placed into the local mirror.",
-        "counter",
-        s.frames_received,
-    );
-    fam(
-        "spindle_wire_frames_dropped_total",
-        "Frames shed on severed links or full outbound queues.",
-        "counter",
-        s.frames_dropped,
-    );
-    fam(
-        "spindle_wire_flushes_total",
-        "Vectored socket writes (writev batches).",
-        "counter",
-        s.flushes,
-    );
-    fam(
-        "spindle_wire_reconnects_total",
-        "Successful outbound connection establishments.",
-        "counter",
-        s.reconnects,
-    );
-    fam(
-        "spindle_wire_threads",
-        "Wire service threads in this process (single-poller contract).",
-        "gauge",
-        wire_thread_count() as u64,
-    );
-    out
+    shared.metrics.threads.set(wire_thread_count() as u64);
+    shared.obs.registry().render_prometheus()
 }
 
 /// How many wire service threads this *process* runs, counted from the
@@ -1383,7 +1314,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
                     let _ = c.set_nodelay(true);
                     out.conn = Some(c);
                     p.connected.store(true, Ordering::Release);
-                    shared.metrics.add_reconnect();
+                    shared.metrics.reconnects.inc();
                     out.queue.rewind_head(); // fresh stream, frame boundary
                     let hello = shared.hello();
                     let mut buf = out.pool.pop().unwrap_or_default();
@@ -1459,6 +1390,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spindle_obs::names;
     use std::io::{Read, Write};
 
     fn loopback_pair(region_words: usize, faults: FaultPlan) -> (TcpFabric, TcpFabric) {
@@ -1524,6 +1456,28 @@ mod tests {
         ] {
             assert!(body.contains(fam), "missing {fam:?} in:\n{body}");
         }
+        // One exposition: every family is declared once on the page, and
+        // the wire counters it shows are the ones `wire_stats` reads.
+        let types: Vec<&str> = body.lines().filter(|l| l.starts_with("# TYPE")).collect();
+        let unique: BTreeSet<&str> = types.iter().copied().collect();
+        assert_eq!(
+            types.len(),
+            unique.len(),
+            "a family declared twice:\n{body}"
+        );
+        let plane = a.obs_plane();
+        let read = |name| plane.registry().counter_value(name, &[("node", "0")]);
+        let from_registry = || WireStats {
+            bytes_sent: read(names::WIRE_BYTES_SENT).unwrap(),
+            bytes_received: read(names::WIRE_BYTES_RECEIVED).unwrap(),
+            frames_posted: read(names::WIRE_FRAMES_POSTED).unwrap(),
+            frames_received: read(names::WIRE_FRAMES_RECEIVED).unwrap(),
+            frames_dropped: read(names::WIRE_FRAMES_DROPPED).unwrap(),
+            reconnects: read(names::WIRE_RECONNECTS).unwrap(),
+            flushes: read(names::WIRE_FLUSHES).unwrap(),
+        };
+        assert!(eventually(|| a.wire_stats() == from_registry()));
+        assert_eq!(from_registry().frames_posted, 1);
         // The handshake left structured events in the ring.
         let fr = scrape(addr, "/flightrec");
         assert!(fr.contains("hello-accepted peer=n1"), "flightrec:\n{fr}");
@@ -1559,8 +1513,6 @@ mod tests {
         a.post(NodeId(0), &WriteOp::new(NodeId(1), 3..5));
         let rb = b.region_arc(NodeId(1));
         assert!(eventually(|| rb.load(3) == 111 && rb.load(4) == 222));
-        assert_eq!(a.writes_posted(), 1);
-        assert_eq!(a.bytes_posted(), 16);
         assert!(eventually(|| b.wire_stats().frames_received == 1));
     }
 
@@ -1586,7 +1538,6 @@ mod tests {
         let (a, _b) = loopback_pair(8, FaultPlan::new());
         a.region_arc(NodeId(0)).store(0, 9);
         a.post(NodeId(0), &WriteOp::new(NodeId(0), 0..1));
-        assert_eq!(a.writes_posted(), 1);
         assert_eq!(a.wire_stats().frames_posted, 1);
         assert_eq!(a.wire_stats().bytes_sent, 31); // the one HELLO frame
     }

@@ -13,15 +13,15 @@
 //! oracles plus a byte-level comparison of the survivors' streams and
 //! the reported wedge→install duration.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::process::{Command, Stdio};
+use std::time::Duration;
+
+use common::{free_loopback_ports, parse_trace, payload, wait_all, NodeProc, ProcResult};
 use spindle_core::threaded::Delivered;
 use spindle_harness::oracle::{check_threaded, EpochMembers};
-use spindle_membership::SubgroupId;
 
 const NODES: usize = 5;
 const SENDS: u32 = 30;
@@ -33,62 +33,6 @@ const LEADER: usize = 0;
 /// The first casualty: a silent abort mid-traffic that *triggers* the
 /// transition the leader then dies inside of.
 const VICTIM: usize = 4;
-
-/// Mirrors the binary's deterministic payload function.
-fn payload(node: usize, counter: u32, size: usize, seed: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(size.max(8));
-    p.extend_from_slice(&(node as u32).to_le_bytes());
-    p.extend_from_slice(&counter.to_le_bytes());
-    let mut x = seed ^ ((node as u64) << 32) ^ counter as u64;
-    while p.len() < size {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        p.push(x as u8);
-    }
-    p
-}
-
-fn free_loopback_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn parse_trace(text: &str) -> Vec<Delivered> {
-    text.lines()
-        .map(|line| {
-            let mut it = line.split_whitespace();
-            let mut next = || it.next().expect("trace field");
-            let epoch = next().parse().expect("epoch");
-            let subgroup = SubgroupId(next().parse().expect("subgroup"));
-            let sender_rank = next().parse().expect("rank");
-            let app_index = next().parse().expect("app index");
-            let seq = next().parse().expect("seq");
-            let hex = next();
-            let data = (0..hex.len() / 2)
-                .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
-                .collect();
-            Delivered {
-                epoch,
-                subgroup,
-                sender_rank,
-                app_index,
-                seq,
-                data,
-            }
-        })
-        .collect()
-}
-
-struct NodeProc {
-    child: Child,
-    trace_path: PathBuf,
-}
 
 fn spawn_cluster(dir: &std::path::Path) -> Vec<NodeProc> {
     let ports = free_loopback_ports(NODES);
@@ -142,56 +86,6 @@ fn spawn_cluster(dir: &std::path::Path) -> Vec<NodeProc> {
         .collect()
 }
 
-fn wait_all(procs: &mut [NodeProc], deadline: Duration) -> Vec<(bool, String, String)> {
-    let end = Instant::now() + deadline;
-    let mut done: Vec<Option<bool>> = vec![None; procs.len()];
-    while done.iter().any(|d| d.is_none()) && Instant::now() < end {
-        for (i, p) in procs.iter_mut().enumerate() {
-            if done[i].is_none() {
-                if let Ok(Some(status)) = p.child.try_wait() {
-                    done[i] = Some(status.success());
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    procs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| {
-            let ok = match done[i] {
-                Some(ok) => ok,
-                None => {
-                    let _ = p.child.kill();
-                    false
-                }
-            };
-            let out = p.child.wait_with_output_ref();
-            (ok, out.0, out.1)
-        })
-        .collect()
-}
-
-trait OutputRef {
-    fn wait_with_output_ref(&mut self) -> (String, String);
-}
-
-impl OutputRef for Child {
-    fn wait_with_output_ref(&mut self) -> (String, String) {
-        use std::io::Read;
-        let mut out = String::new();
-        let mut err = String::new();
-        if let Some(mut s) = self.stdout.take() {
-            let _ = s.read_to_string(&mut out);
-        }
-        if let Some(mut s) = self.stderr.take() {
-            let _ = s.read_to_string(&mut err);
-        }
-        let _ = self.wait();
-        (out, err)
-    }
-}
-
 fn role(node: usize) -> &'static str {
     match node {
         LEADER => "leader, killed mid-wedge",
@@ -200,22 +94,8 @@ fn role(node: usize) -> &'static str {
     }
 }
 
-fn render_failure(results: &[(bool, String, String)], procs: &[NodeProc]) -> String {
-    let mut out = String::new();
-    for (node, ((ok, stdout, stderr), p)) in results.iter().zip(procs).enumerate() {
-        out.push_str(&format!(
-            "--- node {node} ({}, {}) ---\nstdout:\n{stdout}\nstderr:\n{stderr}\n",
-            role(node),
-            if *ok { "ok" } else { "FAILED" }
-        ));
-        if let Ok(trace) = std::fs::read_to_string(&p.trace_path) {
-            out.push_str(&format!(
-                "trace ({} deliveries):\n{trace}\n",
-                trace.lines().count()
-            ));
-        }
-    }
-    out
+fn render_failure(results: &[ProcResult], procs: &[NodeProc]) -> String {
+    common::render_failure(results, procs, role)
 }
 
 #[test]
@@ -246,7 +126,7 @@ fn survivors_take_over_after_killing_two_processes_including_the_leader() {
     panic!("cascade-failover cluster failed twice:\n{last_failure}");
 }
 
-fn check_run(procs: &[NodeProc], results: &[(bool, String, String)]) {
+fn check_run(procs: &[NodeProc], results: &[ProcResult]) {
     let survivors: BTreeSet<usize> = (0..NODES).filter(|&n| n != VICTIM && n != LEADER).collect();
     let mut streams: BTreeMap<usize, Vec<Delivered>> = BTreeMap::new();
     for (node, p) in procs.iter().enumerate() {

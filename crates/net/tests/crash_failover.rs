@@ -9,94 +9,21 @@
 //! keeps flowing — all verified against the harness's protocol oracles
 //! plus a byte-level comparison of the survivors' delivery streams.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{free_loopback_ports, parse_trace, payload, scrape, wait_all, NodeProc, ProcResult};
 use spindle_core::threaded::Delivered;
 use spindle_harness::oracle::{check_threaded, EpochMembers};
-use spindle_membership::SubgroupId;
 
 const NODES: usize = 3;
 const SENDS: u32 = 30;
 const PAYLOAD: usize = 24;
 const SEED: u64 = 4242;
 const VICTIM: usize = 2;
-
-/// Mirrors the binary's deterministic payload function.
-fn payload(node: usize, counter: u32, size: usize, seed: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(size.max(8));
-    p.extend_from_slice(&(node as u32).to_le_bytes());
-    p.extend_from_slice(&counter.to_le_bytes());
-    let mut x = seed ^ ((node as u64) << 32) ^ counter as u64;
-    while p.len() < size {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        p.push(x as u8);
-    }
-    p
-}
-
-fn free_loopback_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn parse_trace(text: &str) -> Vec<Delivered> {
-    text.lines()
-        .map(|line| {
-            let mut it = line.split_whitespace();
-            let mut next = || it.next().expect("trace field");
-            let epoch = next().parse().expect("epoch");
-            let subgroup = SubgroupId(next().parse().expect("subgroup"));
-            let sender_rank = next().parse().expect("rank");
-            let app_index = next().parse().expect("app index");
-            let seq = next().parse().expect("seq");
-            let hex = next();
-            let data = (0..hex.len() / 2)
-                .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
-                .collect();
-            Delivered {
-                epoch,
-                subgroup,
-                sender_rank,
-                app_index,
-                seq,
-                data,
-            }
-        })
-        .collect()
-}
-
-struct NodeProc {
-    child: Child,
-    trace_path: PathBuf,
-}
-
-/// One blocking HTTP/1.0 GET against the exposition endpoint; returns the
-/// body on a 200, `None` when the endpoint is not (yet) reachable.
-fn scrape(addr: &str, path: &str) -> Option<String> {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    s.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .ok()?;
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).ok()?;
-    if !resp.starts_with("HTTP/1.0 200") {
-        return None;
-    }
-    let (_, body) = resp.split_once("\r\n\r\n")?;
-    Some(body.to_string())
-}
 
 /// Watches survivor 0's `/metrics` until the failover shows up in the
 /// per-epoch families: a `spindle_delivered_total` series labeled
@@ -178,72 +105,11 @@ fn spawn_cluster(dir: &std::path::Path) -> (Vec<NodeProc>, u16) {
     (procs, metrics_port)
 }
 
-fn wait_all(procs: &mut [NodeProc], deadline: Duration) -> Vec<(bool, String, String)> {
-    let end = Instant::now() + deadline;
-    let mut done: Vec<Option<bool>> = vec![None; procs.len()];
-    while done.iter().any(|d| d.is_none()) && Instant::now() < end {
-        for (i, p) in procs.iter_mut().enumerate() {
-            if done[i].is_none() {
-                if let Ok(Some(status)) = p.child.try_wait() {
-                    done[i] = Some(status.success());
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    procs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| {
-            let ok = match done[i] {
-                Some(ok) => ok,
-                None => {
-                    let _ = p.child.kill();
-                    false
-                }
-            };
-            let out = p.child.wait_with_output_ref();
-            (ok, out.0, out.1)
-        })
-        .collect()
-}
-
-trait OutputRef {
-    fn wait_with_output_ref(&mut self) -> (String, String);
-}
-
-impl OutputRef for Child {
-    fn wait_with_output_ref(&mut self) -> (String, String) {
-        use std::io::Read;
-        let mut out = String::new();
-        let mut err = String::new();
-        if let Some(mut s) = self.stdout.take() {
-            let _ = s.read_to_string(&mut out);
-        }
-        if let Some(mut s) = self.stderr.take() {
-            let _ = s.read_to_string(&mut err);
-        }
-        let _ = self.wait();
-        (out, err)
-    }
-}
-
-fn render_failure(results: &[(bool, String, String)], procs: &[NodeProc]) -> String {
-    let mut out = String::new();
-    for (node, ((ok, stdout, stderr), p)) in results.iter().zip(procs).enumerate() {
-        let role = if node == VICTIM { "victim" } else { "survivor" };
-        out.push_str(&format!(
-            "--- node {node} ({role}, {}) ---\nstdout:\n{stdout}\nstderr:\n{stderr}\n",
-            if *ok { "ok" } else { "FAILED" }
-        ));
-        if let Ok(trace) = std::fs::read_to_string(&p.trace_path) {
-            out.push_str(&format!(
-                "trace ({} deliveries):\n{trace}\n",
-                trace.lines().count()
-            ));
-        }
-    }
-    out
+fn render_failure(results: &[ProcResult], procs: &[NodeProc]) -> String {
+    common::render_failure(results, procs, |node| match node {
+        VICTIM => "victim",
+        _ => "survivor",
+    })
 }
 
 #[test]
@@ -281,7 +147,7 @@ fn survivors_reconfigure_after_killing_one_process() {
     panic!("crash-failover cluster failed twice:\n{last_failure}");
 }
 
-fn check_run(procs: &[NodeProc], results: &[(bool, String, String)]) {
+fn check_run(procs: &[NodeProc], results: &[ProcResult]) {
     let mut streams: BTreeMap<usize, Vec<Delivered>> = BTreeMap::new();
     for (node, p) in procs.iter().enumerate() {
         if node == VICTIM {
@@ -330,7 +196,7 @@ fn check_run(procs: &[NodeProc], results: &[(bool, String, String)]) {
         "no epoch-1 deliveries: the view change never completed"
     );
     // Every survivor's stdout reports the installed view change and its
-    // wedge→install duration (the NodeMetrics/RunReport surface).
+    // wedge→install duration.
     for &node in &survivors {
         let stdout = &results[node].1;
         assert!(

@@ -11,12 +11,14 @@
 //! epoch), the joiner's first delivery must be seq 0 of epoch 1, and all
 //! four epoch-1 streams must be byte-identical.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{free_loopback_ports, parse_trace, payload, scrape, wait_all, NodeProc, ProcResult};
 use spindle_core::threaded::{AdmitRequest, Cluster, Delivered, ViewChangeError};
 use spindle_core::{Plan, SpindleConfig};
 use spindle_harness::oracle::{check_threaded, EpochMembers};
@@ -30,85 +32,21 @@ const PAYLOAD: usize = 24;
 const SEED: u64 = 7;
 const JOINER_ROW: usize = 3;
 
-/// Mirrors the binary's deterministic payload function.
-fn payload(node: usize, counter: u32, size: usize, seed: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(size.max(8));
-    p.extend_from_slice(&(node as u32).to_le_bytes());
-    p.extend_from_slice(&counter.to_le_bytes());
-    let mut x = seed ^ ((node as u64) << 32) ^ counter as u64;
-    while p.len() < size {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        p.push(x as u8);
-    }
-    p
-}
-
-fn free_loopback_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn parse_trace(text: &str) -> Vec<Delivered> {
-    text.lines()
-        .map(|line| {
-            let mut it = line.split_whitespace();
-            let mut next = || it.next().expect("trace field");
-            let epoch = next().parse().expect("epoch");
-            let subgroup = SubgroupId(next().parse().expect("subgroup"));
-            let sender_rank = next().parse().expect("rank");
-            let app_index = next().parse().expect("app index");
-            let seq = next().parse().expect("seq");
-            let hex = next();
-            let data = (0..hex.len() / 2)
-                .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
-                .collect();
-            Delivered {
-                epoch,
-                subgroup,
-                sender_rank,
-                app_index,
-                seq,
-                data,
-            }
-        })
-        .collect()
-}
-
-struct NodeProc {
-    child: Child,
-    trace_path: PathBuf,
-}
-
-/// One blocking HTTP/1.0 GET against the exposition endpoint; returns the
-/// body on a 200, `None` when the endpoint is not (yet) reachable.
-fn scrape(addr: &str, path: &str) -> Option<String> {
-    use std::io::{Read, Write};
-    let mut s = std::net::TcpStream::connect(addr).ok()?;
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
-    s.write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
-        .ok()?;
-    let mut resp = String::new();
-    s.read_to_string(&mut resp).ok()?;
-    if !resp.starts_with("HTTP/1.0 200") {
-        return None;
-    }
-    let (_, body) = resp.split_once("\r\n\r\n")?;
-    Some(body.to_string())
-}
-
 /// Sum of every `spindle_delivered_total{...}` series in a scrape.
 fn delivered_total(body: &str) -> u64 {
     body.lines()
         .filter(|l| l.starts_with("spindle_delivered_total{"))
         .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
         .sum()
+}
+
+/// A `# TYPE` line that appears more than once on a `/metrics` page: every
+/// family must be declared exactly once, whoever publishes it.
+fn duplicate_type_line(page: &str) -> Option<&str> {
+    let mut seen = BTreeSet::new();
+    page.lines()
+        .filter(|l| l.starts_with("# TYPE"))
+        .find(|l| !seen.insert(*l))
 }
 
 fn spawn_cluster(dir: &std::path::Path) -> (Vec<NodeProc>, u16) {
@@ -189,9 +127,10 @@ fn spawn_cluster(dir: &std::path::Path) -> (Vec<NodeProc>, u16) {
 /// Scrapes founder 0's `/metrics` twice mid-run and checks the live
 /// exposition contract: valid Prometheus text, per-epoch delivery
 /// counters and latency quantiles, the wire families, a one-thread wire
-/// gauge, and monotone counters between scrapes. Returns `None` on
-/// success, or the violation (the caller folds it into the retry loop —
-/// the run itself may have failed too, which is the more useful error).
+/// gauge, every family declared once, and monotone counters between
+/// scrapes. Returns `None` on success, or the violation (the caller folds
+/// it into the retry loop — the run itself may have failed too, which is
+/// the more useful error).
 fn check_live_metrics(metrics_port: u16) -> Option<String> {
     let addr = format!("127.0.0.1:{metrics_port}");
     // Wait for traffic: the plane serves from bootstrap, but delivery
@@ -220,6 +159,9 @@ fn check_live_metrics(metrics_port: u16) -> Option<String> {
             return Some(format!("scrape is missing {want:?}:\n{first}"));
         }
     }
+    if let Some(twice) = duplicate_type_line(&first) {
+        return Some(format!("a family is declared twice ({twice:?}):\n{first}"));
+    }
     std::thread::sleep(Duration::from_millis(200));
     let Some(second) = scrape(&addr, "/metrics") else {
         return Some("second /metrics scrape failed".into());
@@ -231,76 +173,11 @@ fn check_live_metrics(metrics_port: u16) -> Option<String> {
     None
 }
 
-fn wait_all(procs: &mut [NodeProc], deadline: Duration) -> Vec<(bool, String, String)> {
-    let end = Instant::now() + deadline;
-    let mut done: Vec<Option<bool>> = vec![None; procs.len()];
-    while done.iter().any(|d| d.is_none()) && Instant::now() < end {
-        for (i, p) in procs.iter_mut().enumerate() {
-            if done[i].is_none() {
-                if let Ok(Some(status)) = p.child.try_wait() {
-                    done[i] = Some(status.success());
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    procs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| {
-            let ok = match done[i] {
-                Some(ok) => ok,
-                None => {
-                    let _ = p.child.kill();
-                    false
-                }
-            };
-            let out = p.child.wait_with_output_ref();
-            (ok, out.0, out.1)
-        })
-        .collect()
-}
-
-trait OutputRef {
-    fn wait_with_output_ref(&mut self) -> (String, String);
-}
-
-impl OutputRef for Child {
-    fn wait_with_output_ref(&mut self) -> (String, String) {
-        use std::io::Read;
-        let mut out = String::new();
-        let mut err = String::new();
-        if let Some(mut s) = self.stdout.take() {
-            let _ = s.read_to_string(&mut out);
-        }
-        if let Some(mut s) = self.stderr.take() {
-            let _ = s.read_to_string(&mut err);
-        }
-        let _ = self.wait();
-        (out, err)
-    }
-}
-
-fn render_failure(results: &[(bool, String, String)], procs: &[NodeProc]) -> String {
-    let mut out = String::new();
-    for (node, ((ok, stdout, stderr), p)) in results.iter().zip(procs).enumerate() {
-        let role = if node == JOINER_ROW {
-            "joiner"
-        } else {
-            "founder"
-        };
-        out.push_str(&format!(
-            "--- node {node} ({role}, {}) ---\nstdout:\n{stdout}\nstderr:\n{stderr}\n",
-            if *ok { "ok" } else { "FAILED" }
-        ));
-        if let Ok(trace) = std::fs::read_to_string(&p.trace_path) {
-            out.push_str(&format!(
-                "trace ({} deliveries):\n{trace}\n",
-                trace.lines().count()
-            ));
-        }
-    }
-    out
+fn render_failure(results: &[ProcResult], procs: &[NodeProc]) -> String {
+    common::render_failure(results, procs, |node| match node {
+        JOINER_ROW => "joiner",
+        _ => "founder",
+    })
 }
 
 #[test]
@@ -332,7 +209,7 @@ fn live_cluster_accepts_a_fourth_process_mid_stream() {
     panic!("join-catchup cluster failed twice:\n{last_failure}");
 }
 
-fn check_run(procs: &[NodeProc], results: &[(bool, String, String)]) {
+fn check_run(procs: &[NodeProc], results: &[ProcResult]) {
     let mut streams: BTreeMap<usize, Vec<Delivered>> = BTreeMap::new();
     for (node, p) in procs.iter().enumerate() {
         let text = std::fs::read_to_string(&p.trace_path).expect("trace file");

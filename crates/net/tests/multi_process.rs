@@ -11,79 +11,20 @@
 //! every node's stderr and trace so CI shows exactly what each process
 //! saw.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::process::{Command, Stdio};
+use std::time::Duration;
+
+use common::{free_loopback_ports, parse_trace, payload, render_failure, wait_all, NodeProc};
 use spindle_core::threaded::Delivered;
 use spindle_harness::oracle::{check_threaded, EpochMembers};
-use spindle_membership::SubgroupId;
 
 const NODES: usize = 3;
 const SENDS: u32 = 30;
 const PAYLOAD: usize = 24;
 const SEED: u64 = 42;
-
-/// Mirrors the binary's deterministic payload function, so the driver can
-/// reconstruct every acknowledged payload from `(node, counter)` alone.
-fn payload(node: usize, counter: u32, size: usize, seed: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(size.max(8));
-    p.extend_from_slice(&(node as u32).to_le_bytes());
-    p.extend_from_slice(&counter.to_le_bytes());
-    let mut x = seed ^ ((node as u64) << 32) ^ counter as u64;
-    while p.len() < size {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        p.push(x as u8);
-    }
-    p
-}
-
-fn free_loopback_ports(n: usize) -> Vec<u16> {
-    // Bind-then-release: a small race window, but loopback CI has no port
-    // pressure, and the caller retries the whole cluster on a collision.
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn parse_trace(text: &str) -> Vec<Delivered> {
-    text.lines()
-        .map(|line| {
-            let mut it = line.split_whitespace();
-            let mut next = || it.next().expect("trace field");
-            let epoch = next().parse().expect("epoch");
-            let subgroup = SubgroupId(next().parse().expect("subgroup"));
-            let sender_rank = next().parse().expect("rank");
-            let app_index = next().parse().expect("app index");
-            let seq = next().parse().expect("seq");
-            let hex = next();
-            let data = (0..hex.len() / 2)
-                .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
-                .collect();
-            Delivered {
-                epoch,
-                subgroup,
-                sender_rank,
-                app_index,
-                seq,
-                data,
-            }
-        })
-        .collect()
-}
-
-struct NodeProc {
-    child: Child,
-    trace_path: PathBuf,
-}
 
 fn spawn_cluster(dir: &std::path::Path) -> Vec<NodeProc> {
     let ports = free_loopback_ports(NODES);
@@ -118,59 +59,6 @@ fn spawn_cluster(dir: &std::path::Path) -> Vec<NodeProc> {
         .collect()
 }
 
-/// Waits for every process, collecting `(success, stdout, stderr)`.
-fn wait_all(procs: &mut [NodeProc], deadline: Duration) -> Vec<(bool, String, String)> {
-    let end = Instant::now() + deadline;
-    let mut done: Vec<Option<bool>> = vec![None; procs.len()];
-    while done.iter().any(|d| d.is_none()) && Instant::now() < end {
-        for (i, p) in procs.iter_mut().enumerate() {
-            if done[i].is_none() {
-                if let Ok(Some(status)) = p.child.try_wait() {
-                    done[i] = Some(status.success());
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    procs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| {
-            let ok = match done[i] {
-                Some(ok) => ok,
-                None => {
-                    let _ = p.child.kill();
-                    false
-                }
-            };
-            let out = p.child.wait_with_output_ref();
-            (ok, out.0, out.1)
-        })
-        .collect()
-}
-
-/// `wait_with_output` consumes the child; this helper drains the pipes of
-/// an already-finished (or killed) child in place.
-trait OutputRef {
-    fn wait_with_output_ref(&mut self) -> (String, String);
-}
-
-impl OutputRef for Child {
-    fn wait_with_output_ref(&mut self) -> (String, String) {
-        use std::io::Read;
-        let mut out = String::new();
-        let mut err = String::new();
-        if let Some(mut s) = self.stdout.take() {
-            let _ = s.read_to_string(&mut out);
-        }
-        if let Some(mut s) = self.stderr.take() {
-            let _ = s.read_to_string(&mut err);
-        }
-        let _ = self.wait();
-        (out, err)
-    }
-}
-
 #[test]
 fn three_process_loopback_cluster_satisfies_oracles() {
     let dir = std::env::temp_dir().join(format!("spindle-net-mp-{}", std::process::id()));
@@ -187,19 +75,10 @@ fn three_process_loopback_cluster_satisfies_oracles() {
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
-        last_failure.clear();
-        for (node, ((ok, out, err), p)) in results.iter().zip(&procs).enumerate() {
-            last_failure.push_str(&format!(
-                "--- node {node} (attempt {attempt}, {}) ---\nstdout:\n{out}\nstderr:\n{err}\n",
-                if *ok { "ok" } else { "FAILED" }
-            ));
-            if let Ok(trace) = std::fs::read_to_string(&p.trace_path) {
-                last_failure.push_str(&format!(
-                    "trace ({} deliveries):\n{trace}\n",
-                    trace.lines().count()
-                ));
-            }
-        }
+        last_failure = format!(
+            "attempt {attempt}:\n{}",
+            render_failure(&results, &procs, |_| "member")
+        );
         eprintln!("{last_failure}");
     }
     let _ = std::fs::remove_dir_all(&dir);

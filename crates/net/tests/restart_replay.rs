@@ -15,15 +15,18 @@
 //! delivery-trace format) must be a bit-identical prefix of the
 //! survivors' delivery stream.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::TcpListener;
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use common::{
+    free_loopback_ports, parse_trace, payload, render_proc, wait_all, NodeProc, ProcResult,
+};
 use spindle_core::threaded::Delivered;
 use spindle_harness::oracle::{check_threaded, EpochMembers};
-use spindle_membership::SubgroupId;
 
 const NODES: usize = 3;
 const SENDS: u32 = 30;
@@ -37,57 +40,6 @@ const SEED: u64 = 91;
 const REJOIN_SEED: u64 = 92;
 const VICTIM: usize = 2;
 
-/// Mirrors the binary's deterministic payload function.
-fn payload(node: usize, counter: u32, size: usize, seed: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(size.max(8));
-    p.extend_from_slice(&(node as u32).to_le_bytes());
-    p.extend_from_slice(&counter.to_le_bytes());
-    let mut x = seed ^ ((node as u64) << 32) ^ counter as u64;
-    while p.len() < size {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        p.push(x as u8);
-    }
-    p
-}
-
-fn free_loopback_ports(n: usize) -> Vec<u16> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
-        .collect();
-    listeners
-        .iter()
-        .map(|l| l.local_addr().expect("local addr").port())
-        .collect()
-}
-
-fn parse_trace(text: &str) -> Vec<Delivered> {
-    text.lines()
-        .map(|line| {
-            let mut it = line.split_whitespace();
-            let mut next = || it.next().expect("trace field");
-            let epoch = next().parse().expect("epoch");
-            let subgroup = SubgroupId(next().parse().expect("subgroup"));
-            let sender_rank = next().parse().expect("rank");
-            let app_index = next().parse().expect("app index");
-            let seq = next().parse().expect("seq");
-            let hex = next();
-            let data = (0..hex.len() / 2)
-                .map(|i| u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).expect("hex"))
-                .collect();
-            Delivered {
-                epoch,
-                subgroup,
-                sender_rank,
-                app_index,
-                seq,
-                data,
-            }
-        })
-        .collect()
-}
-
 /// Parses the first unsigned integer immediately following `marker`.
 fn stderr_u64(text: &str, marker: &str) -> Option<u64> {
     let rest = &text[text.find(marker)? + marker.len()..];
@@ -95,69 +47,14 @@ fn stderr_u64(text: &str, marker: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-struct NodeProc {
-    child: Child,
-    trace_path: PathBuf,
-}
-
 struct RunOutput {
     /// Founder results by row (victim's slot holds its aborted output).
-    founders: Vec<(bool, String, String)>,
+    founders: Vec<ProcResult>,
     /// The restarted incarnation's (ok, stdout, stderr).
-    rejoin: (bool, String, String),
+    rejoin: ProcResult,
     founder_traces: Vec<PathBuf>,
     rejoin_trace: PathBuf,
     replay_out: PathBuf,
-}
-
-fn wait_all(procs: &mut [NodeProc], deadline: Duration) -> Vec<(bool, String, String)> {
-    let end = Instant::now() + deadline;
-    let mut done: Vec<Option<bool>> = vec![None; procs.len()];
-    while done.iter().any(|d| d.is_none()) && Instant::now() < end {
-        for (i, p) in procs.iter_mut().enumerate() {
-            if done[i].is_none() {
-                if let Ok(Some(status)) = p.child.try_wait() {
-                    done[i] = Some(status.success());
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    procs
-        .iter_mut()
-        .enumerate()
-        .map(|(i, p)| {
-            let ok = match done[i] {
-                Some(ok) => ok,
-                None => {
-                    let _ = p.child.kill();
-                    false
-                }
-            };
-            let out = p.child.wait_with_output_ref();
-            (ok, out.0, out.1)
-        })
-        .collect()
-}
-
-trait OutputRef {
-    fn wait_with_output_ref(&mut self) -> (String, String);
-}
-
-impl OutputRef for Child {
-    fn wait_with_output_ref(&mut self) -> (String, String) {
-        use std::io::Read;
-        let mut out = String::new();
-        let mut err = String::new();
-        if let Some(mut s) = self.stdout.take() {
-            let _ = s.read_to_string(&mut out);
-        }
-        if let Some(mut s) = self.stderr.take() {
-            let _ = s.read_to_string(&mut err);
-        }
-        let _ = self.wait();
-        (out, err)
-    }
 }
 
 fn run_cluster(dir: &std::path::Path) -> RunOutput {
@@ -265,30 +162,17 @@ fn run_cluster(dir: &std::path::Path) -> RunOutput {
 
 fn render_failure(run: &RunOutput) -> String {
     let mut out = String::new();
-    for (node, (ok, stdout, stderr)) in run.founders.iter().enumerate() {
+    for (node, result) in run.founders.iter().enumerate() {
         let role = if node == VICTIM { "victim" } else { "survivor" };
-        out.push_str(&format!(
-            "--- node {node} ({role}, {}) ---\nstdout:\n{stdout}\nstderr:\n{stderr}\n",
-            if *ok { "ok" } else { "FAILED" }
-        ));
-        if let Ok(trace) = std::fs::read_to_string(&run.founder_traces[node]) {
-            out.push_str(&format!(
-                "trace ({} deliveries):\n{trace}\n",
-                trace.lines().count()
-            ));
-        }
+        let name = format!("node {node}");
+        out.push_str(&render_proc(&name, role, result, &run.founder_traces[node]));
     }
-    let (ok, stdout, stderr) = &run.rejoin;
-    out.push_str(&format!(
-        "--- restarted node (rejoin, {}) ---\nstdout:\n{stdout}\nstderr:\n{stderr}\n",
-        if *ok { "ok" } else { "FAILED" }
+    out.push_str(&render_proc(
+        "restarted node",
+        "rejoin",
+        &run.rejoin,
+        &run.rejoin_trace,
     ));
-    if let Ok(trace) = std::fs::read_to_string(&run.rejoin_trace) {
-        out.push_str(&format!(
-            "trace ({} deliveries):\n{trace}\n",
-            trace.lines().count()
-        ));
-    }
     if let Ok(replay) = std::fs::read_to_string(&run.replay_out) {
         out.push_str(&format!(
             "replay ({} records):\n{replay}\n",

@@ -83,6 +83,22 @@ pub mod names {
     /// Gauge `{node}`: bytes replayed from the data directory before
     /// this process rejoined.
     pub const PERSIST_REPLAY_BYTES: &str = "spindle_persist_replay_bytes";
+    /// Counter `{node}`: Payload + framing bytes written to peer sockets.
+    pub const WIRE_BYTES_SENT: &str = "spindle_wire_bytes_sent_total";
+    /// Counter `{node}`: Bytes read from peer sockets.
+    pub const WIRE_BYTES_RECEIVED: &str = "spindle_wire_bytes_received_total";
+    /// Counter `{node}`: WRITE frames posted by the local node.
+    pub const WIRE_FRAMES_POSTED: &str = "spindle_wire_frames_posted_total";
+    /// Counter `{node}`: WRITE frames received and placed into the local mirror.
+    pub const WIRE_FRAMES_RECEIVED: &str = "spindle_wire_frames_received_total";
+    /// Counter `{node}`: Frames shed on severed links or full outbound queues.
+    pub const WIRE_FRAMES_DROPPED: &str = "spindle_wire_frames_dropped_total";
+    /// Counter `{node}`: Vectored socket writes (writev batches).
+    pub const WIRE_FLUSHES: &str = "spindle_wire_flushes_total";
+    /// Counter `{node}`: Successful outbound connection establishments.
+    pub const WIRE_RECONNECTS: &str = "spindle_wire_reconnects_total";
+    /// Gauge `{node}`: Wire service threads in this process (single-poller contract).
+    pub const WIRE_THREADS: &str = "spindle_wire_threads";
 }
 
 struct PlaneInner {
