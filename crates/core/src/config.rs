@@ -54,14 +54,13 @@ pub struct SpindleConfig {
     /// shared-state lock (§3.4).
     pub early_lock_release: bool,
     /// Applications copy payloads into ring slots on send instead of
-    /// constructing in place (§3.5, §4.4).
+    /// constructing in place (§3.5, §4.4). Honoured by the simulator
+    /// only: the threaded runtime always copies into the slot.
     pub memcpy_on_send: bool,
     /// Applications copy payloads out of ring slots during the delivery
-    /// upcall (§3.5, §4.4).
+    /// upcall (§3.5, §4.4). Honoured by the simulator only: the threaded
+    /// runtime copies on every delivery whatever this says.
     pub memcpy_on_delivery: bool,
-    /// Deliver a whole stable batch through one upcall instead of one upcall
-    /// per message (§3.5 mitigation 1).
-    pub batched_upcall: bool,
     /// When the application upcall happens.
     pub delivery_timing: DeliveryTiming,
 }
@@ -77,7 +76,6 @@ impl SpindleConfig {
             early_lock_release: false,
             memcpy_on_send: false,
             memcpy_on_delivery: false,
-            batched_upcall: false,
             delivery_timing: DeliveryTiming::Ordered,
         }
     }
@@ -94,7 +92,6 @@ impl SpindleConfig {
             early_lock_release: true,
             memcpy_on_send: false,
             memcpy_on_delivery: false,
-            batched_upcall: false,
             delivery_timing: DeliveryTiming::Ordered,
         }
     }
@@ -267,7 +264,6 @@ mod tests {
                 && !b.early_lock_release
                 && !b.memcpy_on_send
                 && !b.memcpy_on_delivery
-                && !b.batched_upcall
         );
         assert_eq!(b.delivery_timing, DeliveryTiming::Ordered);
     }

@@ -12,9 +12,9 @@
 //!    implemented as the paper's "single integer" committed-rounds counter;
 //! 3. **Efficient thread synchronization** — posting RDMA writes after the
 //!    shared-state lock is released ([`SpindleConfig::early_lock_release`]);
-//! 4. **In-place vs. memcpy construction/delivery** and batched delivery
-//!    upcalls ([`SpindleConfig::memcpy_on_send`],
-//!    [`SpindleConfig::memcpy_on_delivery`], [`SpindleConfig::batched_upcall`]).
+//! 4. **In-place vs. memcpy construction/delivery**
+//!    ([`SpindleConfig::memcpy_on_send`],
+//!    [`SpindleConfig::memcpy_on_delivery`] — simulator only).
 //!
 //! The protocol logic ([`proto`]) is pure state-machine code over the SST
 //! and is executed by two runtimes:

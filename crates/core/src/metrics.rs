@@ -7,9 +7,8 @@ use std::time::Duration;
 use spindle_obs::{names, HistogramSnapshot, Registry, SeriesValue};
 use spindle_sim::stats::{Decimator, Histogram, Summary};
 
-/// Delivery statistics for one epoch of one node (or, after
-/// [`RunReport::per_epoch_stats`], merged across nodes): how much the
-/// view delivered and the latency shape while it was installed. A live
+/// Delivery statistics for one epoch of one node: how much the view
+/// delivered and the latency shape while it was installed. A live
 /// node's are read out of its observability registry
 /// ([`epoch_stats_for_node`]), so they are exactly what a `/metrics`
 /// scrape at that moment shows; the simulator fills its own.
@@ -328,24 +327,6 @@ impl RunReport {
         (s, r, d)
     }
 
-    /// Per-epoch delivery stats merged across all nodes, sorted by
-    /// epoch: how many messages/bytes each view delivered while it was
-    /// installed, and the p50/p99/p999 send→delivery latency under it.
-    pub fn per_epoch_stats(&self) -> Vec<EpochStats> {
-        let mut by_epoch: BTreeMap<u64, EpochStats> = BTreeMap::new();
-        for n in &self.nodes {
-            for es in &n.epoch_stats {
-                let entry = by_epoch
-                    .entry(es.epoch)
-                    .or_insert_with(|| EpochStats::new(es.epoch));
-                entry.delivered_msgs += es.delivered_msgs;
-                entry.delivered_bytes += es.delivered_bytes;
-                entry.latency.merge(&es.latency);
-            }
-        }
-        by_epoch.into_values().collect()
-    }
-
     /// Share of predicate-thread busy time spent on active subgroups,
     /// averaged over nodes (§4.1.3's metric).
     pub fn active_sg_share(&self) -> f64 {
@@ -448,48 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn per_epoch_stats_merge_across_nodes() {
-        let mut e0a = EpochStats::new(0);
-        e0a.delivered_msgs = 10;
-        e0a.delivered_bytes = 100;
-        e0a.latency.merge(&{
-            let h = spindle_obs::LogHistogram::default();
-            h.record(1_000_000); // 1 ms in nanos
-            h.snapshot()
-        });
-        let mut e0b = EpochStats::new(0);
-        e0b.delivered_msgs = 5;
-        e0b.delivered_bytes = 50;
-        let mut e2 = EpochStats::new(2);
-        e2.delivered_msgs = 7;
-        let mut a = NodeMetrics::new();
-        a.epoch_stats = vec![e0a, e2];
-        let mut b = NodeMetrics::new();
-        b.epoch_stats = vec![e0b];
-        let r = RunReport {
-            nodes: vec![a, b],
-            makespan: Duration::from_secs(1),
-            completed: true,
-            delivery_trace: Vec::new(),
-        };
-        let stats = r.per_epoch_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].epoch, 0);
-        assert_eq!(stats[0].delivered_msgs, 15);
-        assert_eq!(stats[0].delivered_bytes, 150);
-        assert_eq!(stats[0].latency.count, 1);
-        // 1ms sample lands in bucket [2^19, 2^20); the estimate is the
-        // inclusive upper bound, within 2x of the true value.
-        let p50 = stats[0].latency_percentile_ms(0.5);
-        assert!((1.0..=2.1).contains(&p50), "p50 {p50}");
-        assert_eq!(stats[1].epoch, 2);
-        assert_eq!(stats[1].delivered_msgs, 7);
-        let table = render_epoch_table(&stats);
-        assert!(table.contains("epoch"));
-        assert!(table.lines().count() == 3);
-    }
-
-    #[test]
     fn epoch_stats_fold_from_registry() {
         use spindle_obs::names;
         let reg = Registry::new();
@@ -517,6 +456,13 @@ mod tests {
         assert_eq!(stats[1].epoch, 1);
         assert_eq!(stats[1].delivered_bytes, 256);
         assert_eq!(stats[1].latency.count, 1);
+        // The 2 ms sample lands in bucket [2^20, 2^21) ns; the estimate is
+        // the inclusive upper bound, within 2x of the true value.
+        let p50 = stats[1].latency_percentile_ms(0.5);
+        assert!((2.0..=4.2).contains(&p50), "p50 {p50}");
+        let table = render_epoch_table(&stats);
+        assert!(table.contains("epoch"));
+        assert_eq!(table.lines().count(), 3);
         assert!(epoch_stats_for_node(&reg, 7).is_empty());
     }
 }

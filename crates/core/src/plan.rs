@@ -61,7 +61,7 @@ pub struct ReconfigCols {
     /// leader computes the ragged trim from.
     pub frozen: Vec<CounterCol>,
     /// The leader's guarded proposal list
-    /// ([`Proposal`](spindle_membership::reconfig::Proposal) encoding).
+    /// ([`spindle_membership::reconfig::Proposal`] encoding).
     pub proposal: ListCol,
     /// Row-relative word range covering every scalar column above (one
     /// push).

@@ -740,11 +740,7 @@ impl SimWorld {
                     .deliv_batch
                     .record(d.deliveries.len() as u64);
                 busy += cost.deliv_per_msg * d.deliveries.len() as u32;
-                if cfg.batched_upcall {
-                    busy += cost.upcall_base;
-                } else {
-                    busy += cost.upcall_base * d.deliveries.len() as u32;
-                }
+                busy += cost.upcall_base * d.deliveries.len() as u32;
             }
             self.nodes[node].m.nulls_skipped += d.nulls_skipped;
             for del in &d.deliveries {

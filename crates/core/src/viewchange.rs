@@ -693,24 +693,6 @@ impl ViewChangeEngine {
         );
         self.adopt(sst, post, next);
     }
-
-    /// Tears down this node's own unacknowledged proposal after a failed
-    /// agreement attempt (the runtime unwedges and will retry): the list
-    /// is overwritten with zeros — undecodable — so the stale same-vid
-    /// ballot can never be adopted (and acked) by a peer after the
-    /// unwedge. A node that *adopted* a ballot keeps its echo and tag:
-    /// that content must stay readable for a later attempt's leader to
-    /// honor the tag verbatim.
-    pub fn abort(&mut self, sst: &Sst, post: &mut dyn FnMut(Range<usize>)) {
-        if self.adopted.is_some() || self.my_turn.is_none() {
-            return;
-        }
-        let zeros = vec![0i64; self.cols.proposal.capacity()];
-        let (data, guard) = write_list(sst, self.cols.proposal, &zeros);
-        post(data);
-        post(guard);
-        self.my_turn = None;
-    }
 }
 
 /// The resume barrier of step 5, in two phases.

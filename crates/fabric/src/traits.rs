@@ -16,7 +16,7 @@
 //! * **mirror** — each node owns one [`Region`] mirroring the full SST
 //!   (every row); remote rows are updated only by incoming posts.
 //!
-//! Backends: [`MemFabric`](crate::MemFabric) (in-process, immediate
+//! Backends: [`crate::MemFabric`] (in-process, immediate
 //! placement), `spindle_net::TcpFabric` (per-peer ordered TCP byte streams
 //! standing in for RDMA's ordered one-sided writes, served by one poller
 //! thread per process), and the discrete-event backend in `spindle-core`'s

@@ -23,7 +23,7 @@
 //!   invisibility, failure atomicity across the epoch cut, agreement among
 //!   survivors, completeness of surviving senders' acknowledged traffic,
 //!   and durable-log replay;
-//! * a named [`corpus`] of adversarial scenarios (plus a seed-generated
+//! * a named [`corpus()`] of adversarial scenarios (plus a seed-generated
 //!   one) runs in CI via the `scenarios` binary:
 //!
 //! ```sh

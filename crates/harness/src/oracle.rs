@@ -171,7 +171,7 @@ fn counter_violation(
 }
 
 /// The sim runtime's counter-consistency oracle: every node's
-/// [`NodeMetrics`] delivery counters — and their per-epoch fold — must
+/// [`NodeMetrics`](spindle_core::NodeMetrics) delivery counters — and their per-epoch fold — must
 /// equal its delivery-trace length.
 pub fn counter_consistency_sim(
     trace: &[Vec<(usize, usize, u64)>],

@@ -3,7 +3,7 @@
 //! The threaded runner drives a [`Cluster`] through the scenario's event
 //! timeline, collects every node's delivery stream (including crashed and
 //! removed nodes' pre-failure prefixes), and hands the streams to the
-//! [`oracle`](crate::oracle) checks. The sim runner executes a seeded
+//! [`crate::oracle`] checks. The sim runner executes a seeded
 //! [`SimCluster`] with scheduled faults and checks its delivery trace.
 //!
 //! The returned [`ScenarioOutcome::trace`] contains only deterministic

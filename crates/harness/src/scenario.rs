@@ -202,8 +202,8 @@ pub struct ThreadedScenario {
     pub expect_complete: bool,
 }
 
-/// A simulated-runtime scenario: a seeded [`SimCluster`]
-/// (spindle_core::SimCluster) run with scheduled [`SimFault`]s, checked
+/// A simulated-runtime scenario: a seeded
+/// [`SimCluster`](spindle_core::SimCluster) run with scheduled [`SimFault`]s, checked
 /// against the delivery-trace oracles. Fully deterministic in virtual time.
 #[derive(Debug, Clone)]
 pub struct SimScenario {

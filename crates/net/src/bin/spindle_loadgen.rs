@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use netpoll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use spindle_core::{epoch_stats_for_node, render_epoch_table};
+use spindle_net::config::{self, ConfigError, Setting};
 use spindle_net::edge::{encode_publish, encode_subscribe, EdgeAssembler, EdgeFrame};
 use spindle_net::sock::{drain_queue, read_available, DrainEnd, ReadEnd};
 use spindle_net::wire::FrameQueue;
@@ -38,14 +39,11 @@ use spindle_obs::{names, Registry};
 #[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 
-const USAGE: &str = "usage: spindle-loadgen --addr A[,B,...] [--clients N] [--publishers P] \
-[--sends N] [--rate MSGS_PER_SEC] [--payload BYTES] [--seed S] [--topic T] \
-[--duration-secs D] [--deadline-secs T]";
-
 /// Flow-control window: publishes in flight (sent, not yet acked) per
 /// publisher.
 const MAX_OUTSTANDING: u32 = 32;
 
+#[derive(Debug)]
 struct Args {
     addrs: Vec<SocketAddr>,
     clients: usize,
@@ -59,76 +57,70 @@ struct Args {
     deadline: Duration,
 }
 
-fn parse_num(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|_| format!("not a number: {s}\n{USAGE}"))
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut addrs = Vec::new();
-    let mut clients = 8usize;
-    let mut publishers = 2usize;
-    let mut sends = 50u32;
-    let mut rate = 0u64;
-    let mut payload = 32usize;
-    let mut seed = 42u64;
-    let mut topic = 0u8;
-    let mut duration = Duration::ZERO;
-    let mut deadline = Duration::from_secs(120);
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut next = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("missing value for {name}\n{USAGE}"))
-        };
-        match a.as_str() {
-            "--addr" => {
-                for part in next("--addr")?.split(',') {
-                    let part = part.trim();
-                    if part.is_empty() {
-                        continue;
-                    }
-                    addrs.push(
-                        part.parse()
-                            .map_err(|e| format!("bad --addr {part}: {e}"))?,
-                    );
-                }
-            }
-            "--clients" => clients = parse_num(&next("--clients")?)? as usize,
-            "--publishers" => publishers = parse_num(&next("--publishers")?)? as usize,
-            "--sends" => sends = parse_num(&next("--sends")?)? as u32,
-            "--rate" => rate = parse_num(&next("--rate")?)?,
-            "--payload" => payload = parse_num(&next("--payload")?)? as usize,
-            "--seed" => seed = parse_num(&next("--seed")?)?,
-            "--topic" => topic = parse_num(&next("--topic")?)? as u8,
-            "--duration-secs" => {
-                duration = Duration::from_secs(parse_num(&next("--duration-secs")?)?)
-            }
-            "--deadline-secs" => {
-                deadline = Duration::from_secs(parse_num(&next("--deadline-secs")?)?)
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
+/// Every setting of the load generator, each with its one setter.
+const SETTINGS: &[Setting<Args>] = &[
+    Setting::new(&["--addr"], "A[,B,...]", |a, v| {
+        for part in v.list()? {
+            let part = part.text()?;
+            a.addrs.push(
+                part.parse()
+                    .map_err(|e| format!("bad address {part}: {e}"))?,
+            );
         }
-    }
-    if addrs.is_empty() {
-        return Err(format!("--addr is required\n{USAGE}"));
-    }
-    if publishers > clients {
-        return Err("--publishers cannot exceed --clients".to_string());
-    }
+        Ok(())
+    }),
+    Setting::new(&["--clients"], "N", |a, v| v.int().map(|n| a.clients = n)),
+    Setting::new(&["--publishers"], "P", |a, v| {
+        v.int().map(|n| a.publishers = n)
+    }),
+    Setting::new(&["--sends"], "N", |a, v| v.int().map(|n| a.sends = n)),
+    Setting::new(&["--rate"], "MSGS_PER_SEC", |a, v| {
+        v.int().map(|n| a.rate = n)
+    }),
     // The payload header is (pub_id:u32, counter:u32, t_ns:u64).
-    Ok(Args {
-        addrs,
-        clients,
-        publishers,
-        sends,
-        rate,
-        payload: payload.max(16),
-        seed,
-        topic,
-        duration,
-        deadline,
-    })
+    Setting::new(&["--payload"], "BYTES", |a, v| {
+        v.int().map(|n: usize| a.payload = n.max(16))
+    }),
+    Setting::new(&["--seed"], "S", |a, v| v.int().map(|n| a.seed = n)),
+    Setting::new(&["--topic"], "T", |a, v| v.int().map(|n| a.topic = n)),
+    Setting::new(&["--duration-secs"], "D", |a, v| {
+        v.int().map(|t| a.duration = Duration::from_secs(t))
+    }),
+    Setting::new(&["--deadline-secs"], "T", |a, v| {
+        v.int().map(|t| a.deadline = Duration::from_secs(t))
+    }),
+];
+
+/// The settings `args` (program name removed) ask for, over the defaults.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        addrs: Vec::new(),
+        clients: 8,
+        publishers: 2,
+        sends: 50,
+        rate: 0,
+        payload: 32,
+        seed: 42,
+        topic: 0,
+        duration: Duration::ZERO,
+        deadline: Duration::from_secs(120),
+    };
+    let usage = config::usage("spindle-loadgen", SETTINGS);
+    let mut errors = Vec::new();
+    let Some(given) = config::parse_flags(SETTINGS, args, &mut errors) else {
+        return Err(usage);
+    };
+    config::apply_flags(&given, &mut parsed, &mut errors);
+    if parsed.addrs.is_empty() {
+        errors.push(ConfigError::new("--addr", "is required"));
+    }
+    if parsed.publishers > parsed.clients {
+        errors.push(ConfigError::new("--publishers", "cannot exceed --clients"));
+    }
+    if !errors.is_empty() {
+        return Err(config::report(&errors, &usage));
+    }
+    Ok(parsed)
 }
 
 /// The deterministic publish payload: `(pub_id, counter, t_ns)` header
@@ -203,7 +195,7 @@ fn main() -> ExitCode {
 
 #[allow(clippy::too_many_lines)]
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
+    let args = parse_args(std::env::args().skip(1))?;
     let base = Instant::now();
     let registry = Registry::new();
     let subscribers = args.clients - args.publishers;
@@ -541,4 +533,95 @@ fn progress_report(clients: &[Client], what: &str) -> String {
         }
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(flags: &[&str]) -> Result<Args, String> {
+        let args = ["--addr", "127.0.0.1:7000"].iter().chain(flags);
+        parse_args(args.map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn defaults_and_every_flag() {
+        let a = parse(&[]).unwrap();
+        assert_eq!((a.clients, a.publishers, a.sends, a.rate), (8, 2, 50, 0));
+        assert_eq!((a.payload, a.seed, a.topic), (32, 42, 0));
+        assert_eq!(
+            (a.duration, a.deadline),
+            (Duration::ZERO, Duration::from_secs(120))
+        );
+        let a = parse(&[
+            "--addr",
+            " 127.0.0.1:7001, ,127.0.0.1:7002",
+            "--clients",
+            "9",
+            "--publishers",
+            "3",
+            "--sends",
+            "7",
+            "--rate",
+            "100",
+            "--payload",
+            "4",
+            "--seed",
+            "1",
+            "--topic",
+            "255",
+            "--duration-secs",
+            "2",
+            "--deadline-secs",
+            "5",
+        ])
+        .unwrap();
+        assert_eq!(a.addrs.len(), 3);
+        assert_eq!((a.clients, a.publishers, a.sends, a.rate), (9, 3, 7, 100));
+        assert_eq!(
+            (a.payload, a.seed, a.topic),
+            (16, 1, 255),
+            "payload floors at the header"
+        );
+        assert_eq!(
+            (a.duration, a.deadline),
+            (Duration::from_secs(2), Duration::from_secs(5))
+        );
+    }
+
+    #[test]
+    fn a_value_too_wide_for_its_setting_is_rejected_not_truncated() {
+        // Both were parsed as u64 and cast: topic 256 published on topic
+        // 0, 2^32 sends sent nothing.
+        let err = parse(&["--topic", "256", "--sends", "4294967296"]).unwrap_err();
+        assert!(
+            err.contains("--topic: expected an integer in 0..=255, got `256`"),
+            "{err}"
+        );
+        assert!(
+            err.contains("--sends: expected an integer in 0..=4294967295"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn violations_come_together_with_the_generated_usage() {
+        let err =
+            parse_args(["--publishers", "9", "--bogus", "--rate"].map(String::from)).unwrap_err();
+        for want in [
+            "--bogus: unknown flag",
+            "--rate: missing value",
+            "--addr: is required",
+            "--publishers: cannot exceed --clients",
+        ] {
+            assert!(err.contains(want), "{want} not in {err}");
+        }
+        let usage = parse(&["-h"]).unwrap_err();
+        assert!(err.ends_with(&usage));
+        assert_eq!(SETTINGS.len(), 10);
+        assert!(
+            SETTINGS.iter().all(|s| usage.contains(s.names[0])),
+            "{usage}"
+        );
+    }
 }

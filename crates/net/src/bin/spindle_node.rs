@@ -24,32 +24,23 @@
 //! (and writes it to `--replay-out` in the trace format), then rejoins
 //! with `--join`, continuing its history where the crash cut it.
 //!
-//! Every flag and file key is lowered through the typed
-//! [`NodeConfig`] builder (CLI > cluster file > default), so the binary,
-//! the acceptance tests and the harness all construct nodes by one set
-//! of precedence and validation rules.
+//! Every flag and file key is one row of [`NodeConfig`]'s settings table
+//! (flag > cluster-file key > default); `--help` prints the usage text
+//! generated from it.
 
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use spindle_core::threaded::{Cluster, Delivered};
-use spindle_core::{epoch_stats_for_node, render_epoch_table, SpindleConfig};
+use spindle_core::threaded::{Cluster, Delivered, PersistConfig};
+use spindle_core::{epoch_stats_for_node, render_epoch_table, Plan, SpindleConfig};
 use spindle_membership::SubgroupId;
 use spindle_net::{
-    join, wire_thread_count, EdgeConfig, EdgeServer, NodeConfig, NodeRole, TcpFabric,
+    config, join, wire_thread_count, EdgeConfig, EdgeServer, NodeConfig, NodeRole, TcpFabric,
     TcpFabricConfig,
 };
 use spindle_persist::LogRecord;
-
-const USAGE: &str = "usage: spindle-node --config <cluster.toml> (--node <id> | \
---join <seed-addr>[,<seed-addr>...] [--listen ADDR]) [--sends N] [--payload BYTES] [--seed S] \
-[--data-dir DIR] [--sync-policy always|every-n=<N>|interval-ms=<T>|never] \
-[--segment-cap BYTES] [--replay-out PATH] \
-[--trace-out PATH] [--deadline-secs T] [--linger-ms L] [--min-epoch E] \
-[--quiesce-ms Q] [--crash-after-delivered N] [--metrics-addr ADDR] \
-[--relay-addr ADDR] [--serve-secs T] [--log-level off|error|info|debug]";
 
 /// Byte budget of the durable-log tail a sponsor ships in its
 /// state-transfer snapshot (the newest records that fit).
@@ -58,10 +49,10 @@ const JOIN_TAIL_BUDGET: usize = 256 * 1024;
 /// Applies the observability settings: echo level, then the exposition
 /// endpoint (served by the fabric's existing poller thread).
 fn start_obs(cfg: &NodeConfig, fabric: &TcpFabric, row: usize) -> Result<(), String> {
-    if let Some(level) = cfg.obs.log_level {
+    if let Some(level) = cfg.log_level {
         fabric.obs_plane().set_level(level);
     }
-    if let Some(addr) = &cfg.obs.metrics_addr {
+    if let Some(addr) = &cfg.metrics_addr {
         let bound = fabric
             .serve_metrics(addr.as_str())
             .map_err(|e| format!("cannot bind --metrics-addr {addr}: {e}"))?;
@@ -118,11 +109,11 @@ fn main() -> ExitCode {
 }
 
 fn run() -> Result<(), String> {
-    let builder = NodeConfig::builder().apply_cli(std::env::args().skip(1));
-    if builder.wants_help() {
-        return Err(USAGE.to_string());
-    }
-    let cfg = builder.build().map_err(|e| format!("{e}\n{USAGE}"))?;
+    let cfg = NodeConfig::from_args(std::env::args().skip(1), |path| {
+        std::fs::read_to_string(path)
+    })
+    .map_err(|errors| config::report(&errors, &NodeConfig::usage()))?
+    .ok_or_else(NodeConfig::usage)?;
     match cfg.role.clone() {
         NodeRole::Member { node } => run_member(&cfg, node),
         NodeRole::Joiner { seeds, listen } => run_joiner(&cfg, seeds, &listen),
@@ -136,7 +127,8 @@ fn run_member(cfg: &NodeConfig, node: usize) -> Result<(), String> {
     let view = cluster_cfg
         .view()
         .map_err(|e| format!("invalid cluster config: {e}"))?;
-    let region_words = cluster_cfg.region_words();
+    let region_words = Plan::build(&view, true).layout.region_words();
+    let n_subgroups = view.subgroups().len();
     let senders = cluster_cfg.sender_ids();
 
     let mut net = TcpFabricConfig::new(node, cluster_cfg.addrs.clone(), region_words);
@@ -157,7 +149,7 @@ fn run_member(cfg: &NodeConfig, node: usize) -> Result<(), String> {
     if let Some(p) = persist {
         eprintln!(
             "spindle-node: n{node} persisting to {} ({}, segments of {} B)",
-            p.data_dir.display(),
+            p.dir.display(),
             p.sync_policy,
             p.segment_cap
         );
@@ -167,17 +159,12 @@ fn run_member(cfg: &NodeConfig, node: usize) -> Result<(), String> {
         view,
         SpindleConfig::optimized(),
         cluster_cfg.detector(),
-        persist.map(|p| p.to_persist_config()),
+        persist.cloned().map(PersistConfig::with_options),
         &[node],
         fabric.clone(),
     );
     let i_send = senders.contains(&node);
     let expected = senders.len() as u64 * cfg.run.sends as u64;
-    let n_subgroups = cluster_cfg
-        .view()
-        .map_err(|e| format!("invalid cluster config: {e}"))?
-        .subgroups()
-        .len();
     workload(
         cfg,
         cluster,
@@ -206,14 +193,14 @@ fn run_joiner(cfg: &NodeConfig, seeds: Vec<String>, listen: &str) -> Result<(), 
     let mut replayed_records = 0u64;
     let mut replayed_bytes = 0u64;
     if let Some(p) = &cfg.persist {
-        let records = spindle_persist::all_records_sorted(&p.data_dir)
-            .map_err(|e| format!("cannot replay {}: {e}", p.data_dir.display()))?;
+        let records = spindle_persist::all_records_sorted(&p.dir)
+            .map_err(|e| format!("cannot replay {}: {e}", p.dir.display()))?;
         replayed_records = records.len() as u64;
         replayed_bytes = records.iter().map(|r| r.encoded_len() as u64).sum();
         eprintln!(
             "spindle-node: replayed {replayed_records} durable-log records \
              ({replayed_bytes} B) from {}",
-            p.data_dir.display()
+            p.dir.display()
         );
         if let Some(path) = &cfg.run.replay_out {
             let mut out = String::with_capacity(records.len() * 48);
@@ -240,7 +227,7 @@ fn run_joiner(cfg: &NodeConfig, seeds: Vec<String>, listen: &str) -> Result<(), 
         config: SpindleConfig::optimized(),
         detector: cfg.cluster.detector(),
         deadline: cfg.run.deadline,
-        persist: cfg.persist.as_ref().map(|p| p.to_persist_config()),
+        persist: cfg.persist.clone().map(PersistConfig::with_options),
     })
     .map_err(|e| e.to_string())?;
     eprintln!(
@@ -303,7 +290,7 @@ fn sponsor_tail(persist_dir: Option<&PathBuf>) -> Vec<LogRecord> {
         return Vec::new();
     };
     let records = spindle_persist::all_records_sorted(dir).unwrap_or_default();
-    let tail = join::tail_within(&records, JOIN_TAIL_BUDGET);
+    let tail = spindle_persist::tail_within(&records, JOIN_TAIL_BUDGET);
     let skipped = records.len() - tail.len();
     if skipped > 0 {
         eprintln!(
@@ -337,19 +324,18 @@ fn workload(
     n_subgroups: usize,
 ) -> Result<(), String> {
     let run = &cfg.run;
-    let persist_dir = cfg.persist.as_ref().map(|p| p.data_dir.clone());
+    let persist_dir = cfg.persist.as_ref().map(|p| p.dir.clone());
     // Edge duty: serve external clients through the single-poller relay
     // tier. Subgroup = topic; all topics here are ordered multicast, so
     // every queue runs the default disconnect overflow policy.
-    let relay = match &cfg.relay {
-        Some(r) => {
-            let addr: std::net::SocketAddr = r
-                .addr
+    let relay = match &cfg.relay_addr {
+        Some(relay_addr) => {
+            let addr: std::net::SocketAddr = relay_addr
                 .parse()
-                .map_err(|e| format!("bad --relay-addr {}: {e}", r.addr))?;
+                .map_err(|e| format!("bad --relay-addr {relay_addr}: {e}"))?;
             let server =
                 EdgeServer::bind(addr, EdgeConfig::new(format!("node{row}")), cluster.obs())
-                    .map_err(|e| format!("cannot bind --relay-addr {}: {e}", r.addr))?;
+                    .map_err(|e| format!("cannot bind --relay-addr {relay_addr}: {e}"))?;
             eprintln!(
                 "spindle-node: n{row} relaying external clients on {}",
                 server.local_addr()

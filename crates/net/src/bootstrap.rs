@@ -23,17 +23,20 @@
 //! ragged trim through the SST, and install the next view over fresh
 //! sockets — the cluster keeps running without the dead process.
 //!
-//! The parser is deliberately a subset (flat `key = value`, integers,
+//! The syntax is deliberately a subset (flat `key = value`, integers,
 //! quoted strings, one-level arrays): the build environment is fully
 //! offline, so no external TOML crate is available, and this covers the
-//! whole configuration surface.
-
-use std::fmt;
+//! whole configuration surface. The lines are lexed and applied by
+//! [`config`](crate::config), through the same table row and setter as
+//! the matching command-line flag; this module is what the topology keys
+//! land in.
 
 use spindle_core::Plan;
 use spindle_membership::{View, ViewBuilder, ViewError};
 
-/// A parsed cluster description.
+/// The cluster file's topology keys, range-checked. (Its three
+/// persistence keys resolve into
+/// [`NodeConfig::persist`](crate::NodeConfig::persist) instead.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Listen address per node, indexed by node id.
@@ -49,229 +52,9 @@ pub struct ClusterConfig {
     pub heartbeat_ms: Option<u64>,
     /// Suspicion timeout in milliseconds (defaults to 100 heartbeats).
     pub suspect_ms: Option<u64>,
-    /// Base data directory for durable logs; each member resolves its
-    /// own subdirectory (`<data_dir>/n<id>`). `None` runs non-persistent.
-    pub data_dir: Option<String>,
-    /// Durable-log fsync cadence (`always`, `every-n=<N>`,
-    /// `interval-ms=<T>`, `never`); defaults to `always` when persistent.
-    pub sync_policy: Option<spindle_persist::SyncPolicy>,
-    /// Durable-log segment rollover size in bytes.
-    pub segment_cap: Option<u64>,
-}
-
-/// Config-file rejection, with the offending line where applicable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// A line that is not `key = value`, a comment, or blank.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        msg: String,
-    },
-    /// A required key never appeared.
-    MissingKey(&'static str),
-    /// A key's value is structurally valid but semantically wrong.
-    Invalid {
-        /// The key.
-        key: &'static str,
-        /// Why the value is rejected.
-        msg: String,
-    },
-}
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::Syntax { line, msg } => write!(f, "config line {line}: {msg}"),
-            ConfigError::MissingKey(k) => write!(f, "config is missing required key `{k}`"),
-            ConfigError::Invalid { key, msg } => write!(f, "config key `{key}`: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// One parsed right-hand side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Int(u64),
-    Str(String),
-    Array(Vec<Value>),
-}
-
-fn parse_value(raw: &str, line: usize) -> Result<Value, ConfigError> {
-    let raw = raw.trim();
-    let syntax = |msg: String| ConfigError::Syntax { line, msg };
-    if let Some(body) = raw.strip_prefix('[') {
-        let body = body
-            .strip_suffix(']')
-            .ok_or_else(|| syntax("unterminated array".into()))?;
-        let mut items = Vec::new();
-        for part in split_top_level(body) {
-            let part = part.trim();
-            if !part.is_empty() {
-                items.push(parse_value(part, line)?);
-            }
-        }
-        return Ok(Value::Array(items));
-    }
-    if let Some(body) = raw.strip_prefix('"') {
-        let body = body
-            .strip_suffix('"')
-            .ok_or_else(|| syntax("unterminated string".into()))?;
-        if body.contains('"') {
-            return Err(syntax("embedded quote in string".into()));
-        }
-        return Ok(Value::Str(body.to_string()));
-    }
-    raw.parse::<u64>()
-        .map(Value::Int)
-        .map_err(|_| syntax(format!("expected integer, string or array, got `{raw}`")))
-}
-
-/// Splits on commas that are not inside quotes (arrays are one level
-/// deep, so no bracket nesting to track).
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    let mut in_str = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&s[start..]);
-    out
-}
-
-/// Strips a `#` comment that is not inside a quoted string.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
 }
 
 impl ClusterConfig {
-    /// Parses the TOML-subset text (see the [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ConfigError`] naming the line or key at fault.
-    pub fn parse(text: &str) -> Result<ClusterConfig, ConfigError> {
-        let mut addrs: Option<Vec<String>> = None;
-        let mut window = 16usize;
-        let mut max_msg = 64usize;
-        let mut senders: Option<Vec<usize>> = None;
-        let mut heartbeat_ms: Option<u64> = None;
-        let mut suspect_ms: Option<u64> = None;
-        let mut data_dir: Option<String> = None;
-        let mut sync_policy: Option<spindle_persist::SyncPolicy> = None;
-        let mut segment_cap: Option<u64> = None;
-        for (i, raw_line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = strip_comment(raw_line).trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(ConfigError::Syntax {
-                    line: line_no,
-                    msg: format!("expected `key = value`, got `{line}`"),
-                });
-            };
-            let key = key.trim();
-            let value = parse_value(value, line_no)?;
-            match key {
-                "nodes" => addrs = Some(expect_str_array("nodes", value)?),
-                "window" => window = expect_int("window", value)? as usize,
-                "max_msg" => max_msg = expect_int("max_msg", value)? as usize,
-                "senders" => senders = Some(expect_int_array("senders", value)?),
-                "heartbeat_ms" => heartbeat_ms = Some(expect_int("heartbeat_ms", value)?),
-                "suspect_ms" => suspect_ms = Some(expect_int("suspect_ms", value)?),
-                "data_dir" => data_dir = Some(expect_str("data_dir", value)?),
-                "sync_policy" => {
-                    let raw = expect_str("sync_policy", value)?;
-                    sync_policy =
-                        Some(spindle_persist::SyncPolicy::parse(&raw).map_err(|msg| {
-                            ConfigError::Invalid {
-                                key: "sync_policy",
-                                msg,
-                            }
-                        })?);
-                }
-                "segment_cap" => segment_cap = Some(expect_int("segment_cap", value)?),
-                other => {
-                    return Err(ConfigError::Syntax {
-                        line: line_no,
-                        msg: format!("unknown key `{other}`"),
-                    });
-                }
-            }
-        }
-        let addrs = addrs.ok_or(ConfigError::MissingKey("nodes"))?;
-        if addrs.len() < 2 {
-            return Err(ConfigError::Invalid {
-                key: "nodes",
-                msg: format!("a cluster needs at least 2 nodes, got {}", addrs.len()),
-            });
-        }
-        if window == 0 || max_msg == 0 {
-            return Err(ConfigError::Invalid {
-                key: "window",
-                msg: "window and max_msg must be positive".into(),
-            });
-        }
-        if let Some(s) = &senders {
-            if s.is_empty() || s.iter().any(|&n| n >= addrs.len()) {
-                return Err(ConfigError::Invalid {
-                    key: "senders",
-                    msg: format!("sender ids must be non-empty and < {}", addrs.len()),
-                });
-            }
-        }
-        if heartbeat_ms == Some(0) || suspect_ms == Some(0) {
-            return Err(ConfigError::Invalid {
-                key: "heartbeat_ms",
-                msg: "heartbeat_ms and suspect_ms must be positive".into(),
-            });
-        }
-        if data_dir.as_deref() == Some("") {
-            return Err(ConfigError::Invalid {
-                key: "data_dir",
-                msg: "data_dir must not be empty".into(),
-            });
-        }
-        if segment_cap == Some(0) {
-            return Err(ConfigError::Invalid {
-                key: "segment_cap",
-                msg: "segment_cap must be positive".into(),
-            });
-        }
-        Ok(ClusterConfig {
-            addrs,
-            window,
-            max_msg,
-            senders,
-            heartbeat_ms,
-            suspect_ms,
-            data_dir,
-            sync_policy,
-            segment_cap,
-        })
-    }
-
     /// The SST failure-detector settings, when `heartbeat_ms` is
     /// configured: every process detects silent peers and drives the
     /// decentralized view change itself.
@@ -323,67 +106,23 @@ impl ClusterConfig {
     }
 }
 
-fn expect_int(key: &'static str, v: Value) -> Result<u64, ConfigError> {
-    match v {
-        Value::Int(n) => Ok(n),
-        other => Err(ConfigError::Invalid {
-            key,
-            msg: format!("expected an integer, got {other:?}"),
-        }),
-    }
-}
-
-fn expect_str(key: &'static str, v: Value) -> Result<String, ConfigError> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(ConfigError::Invalid {
-            key,
-            msg: format!("expected a quoted string, got {other:?}"),
-        }),
-    }
-}
-
-fn expect_str_array(key: &'static str, v: Value) -> Result<Vec<String>, ConfigError> {
-    let Value::Array(items) = v else {
-        return Err(ConfigError::Invalid {
-            key,
-            msg: "expected an array of strings".into(),
-        });
-    };
-    items
-        .into_iter()
-        .map(|it| match it {
-            Value::Str(s) => Ok(s),
-            other => Err(ConfigError::Invalid {
-                key,
-                msg: format!("expected a quoted string, got {other:?}"),
-            }),
-        })
-        .collect()
-}
-
-fn expect_int_array(key: &'static str, v: Value) -> Result<Vec<usize>, ConfigError> {
-    let Value::Array(items) = v else {
-        return Err(ConfigError::Invalid {
-            key,
-            msg: "expected an array of integers".into(),
-        });
-    };
-    items
-        .into_iter()
-        .map(|it| match it {
-            Value::Int(n) => Ok(n as usize),
-            other => Err(ConfigError::Invalid {
-                key,
-                msg: format!("expected an integer, got {other:?}"),
-            }),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConfigError, NodeConfig};
+
+    /// The cluster section of a member configured from `text`.
+    fn parse(text: &str) -> Result<ClusterConfig, Vec<ConfigError>> {
+        let args = ["--config", "cluster.toml", "--node", "0"].map(String::from);
+        let cfg = NodeConfig::from_args(args, |_| Ok(text.to_string()))?;
+        Ok(cfg.expect("--help was not given").cluster)
+    }
+
+    /// Where each violation of `text` was found.
+    fn rejected_at(text: &str) -> Vec<String> {
+        let errors = parse(text).unwrap_err();
+        errors.into_iter().map(|e| e.at).collect()
+    }
 
     const SAMPLE: &str = r#"
 # a 3-node loopback cluster
@@ -395,7 +134,7 @@ senders = [0, 2]
 
     #[test]
     fn sample_parses() {
-        let c = ClusterConfig::parse(SAMPLE).unwrap();
+        let c = parse(SAMPLE).unwrap();
         assert_eq!(c.nodes(), 3);
         assert_eq!(c.window, 8);
         assert_eq!(c.max_msg, 48);
@@ -408,29 +147,24 @@ senders = [0, 2]
 
     #[test]
     fn detector_keys_parse_with_defaulted_timeout() {
-        let c = ClusterConfig::parse("nodes = [\"a:1\", \"b:2\"]\nheartbeat_ms = 5").unwrap();
+        let c = parse("nodes = [\"a:1\", \"b:2\"]\nheartbeat_ms = 5").unwrap();
         let det = c.detector().unwrap();
         assert_eq!(det.heartbeat_interval, std::time::Duration::from_millis(5));
         assert_eq!(det.timeout, std::time::Duration::from_millis(500));
-        let c =
-            ClusterConfig::parse("nodes = [\"a:1\", \"b:2\"]\nheartbeat_ms = 2\nsuspect_ms = 250")
-                .unwrap();
+        let c = parse("nodes = [\"a:1\", \"b:2\"]\nheartbeat_ms = 2\nsuspect_ms = 250").unwrap();
         assert_eq!(
             c.detector().unwrap().timeout,
             std::time::Duration::from_millis(250)
         );
-        assert!(matches!(
-            ClusterConfig::parse("nodes = [\"a:1\", \"b:2\"]\nheartbeat_ms = 0"),
-            Err(ConfigError::Invalid {
-                key: "heartbeat_ms",
-                ..
-            })
-        ));
+        let errors = parse("nodes = [\"a:1\", \"b:2\"]\nheartbeat_ms = 0").unwrap_err();
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].at, "line 2");
+        assert_eq!(errors[0].msg, "`heartbeat_ms`: must be positive");
     }
 
     #[test]
     fn defaults_apply() {
-        let c = ClusterConfig::parse("nodes = [\"a:1\", \"b:2\"]").unwrap();
+        let c = parse("nodes = [\"a:1\", \"b:2\"]").unwrap();
         assert_eq!(c.window, 16);
         assert_eq!(c.max_msg, 64);
         assert_eq!(c.sender_ids(), vec![0, 1]);
@@ -438,35 +172,53 @@ senders = [0, 2]
 
     #[test]
     fn errors_are_typed_and_located() {
+        assert_eq!(rejected_at("window = 8"), ["nodes"], "missing key");
+        assert_eq!(rejected_at("nodes = [\"a:1\"]"), ["nodes"]);
+        assert_eq!(rejected_at("???"), ["line 1", "nodes"]);
         assert_eq!(
-            ClusterConfig::parse("window = 8"),
-            Err(ConfigError::MissingKey("nodes"))
+            rejected_at("nodes = [\"a:1\", \"b:2\"]\nbogus = 3"),
+            ["line 2"]
         );
-        assert!(matches!(
-            ClusterConfig::parse("nodes = [\"a:1\"]"),
-            Err(ConfigError::Invalid { key: "nodes", .. })
-        ));
-        assert!(matches!(
-            ClusterConfig::parse("???"),
-            Err(ConfigError::Syntax { line: 1, .. })
-        ));
-        assert!(matches!(
-            ClusterConfig::parse("nodes = [\"a:1\", \"b:2\"]\nbogus = 3"),
-            Err(ConfigError::Syntax { line: 2, .. })
-        ));
-        assert!(matches!(
-            ClusterConfig::parse("nodes = [\"a:1\", \"b:2\"]\nsenders = [5]"),
-            Err(ConfigError::Invalid { key: "senders", .. })
-        ));
-        assert!(matches!(
-            ClusterConfig::parse("nodes = [1, 2]"),
-            Err(ConfigError::Invalid { key: "nodes", .. })
-        ));
+        assert_eq!(
+            rejected_at("nodes = [\"a:1\", \"b:2\"]\nsenders = [5]"),
+            ["senders"]
+        );
+        assert_eq!(rejected_at("nodes = [1, 2]"), ["line 1", "nodes"]);
+        assert_eq!(
+            rejected_at("nodes = [\"a:1\", \"b:2\"]\nwindow = \"8\""),
+            ["line 2"]
+        );
+    }
+
+    #[test]
+    fn every_bad_line_is_reported_not_only_the_first() {
+        let errors =
+            parse("nodes = [\"a:1\", \"b:2\"]\nwindow = 0\nmax_msg = x\nbogus = 3").unwrap_err();
+        let found: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        assert_eq!(
+            found,
+            [
+                "line 2: `window`: must be positive",
+                "line 3: `max_msg`: expected an integer, a string or an array, got `x`",
+                "line 4: unknown key `bogus`",
+            ]
+        );
+    }
+
+    #[test]
+    fn arrays_are_one_level_deep() {
+        assert_eq!(
+            rejected_at("nodes = [[\"a:1\", \"b:2\"]]"),
+            ["line 1", "nodes"]
+        );
+        // Depth costs nothing: the lexer never recurses.
+        let deep = format!("nodes = {}", "[".repeat(100_000));
+        assert_eq!(rejected_at(&deep), ["line 1", "nodes"]);
     }
 
     #[test]
     fn comments_and_quotes_interact_correctly() {
-        let c = ClusterConfig::parse("nodes = [\"h#st:1\", \"b:2\"] # trailing").unwrap();
+        let c = parse("nodes = [\"h#st:1\", \"b:2\"] # trailing").unwrap();
         assert_eq!(c.addrs[0], "h#st:1");
     }
 }

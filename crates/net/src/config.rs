@@ -1,37 +1,308 @@
-//! Typed node configuration: everything a `spindle-node` process needs,
-//! assembled once and validated exhaustively.
+//! The settings of a node process: each declared once, each reached by
+//! one setter from both the cluster file and the command line.
 //!
-//! [`NodeConfig`] is the single source of truth for a node process:
+//! [`NodeConfig`] is what `spindle-node` runs from, and it has exactly
+//! one caller: `bin/spindle_node.rs::run()` hands its arguments to
+//! [`NodeConfig::from_args`]. (The multi-process tests spawn that binary
+//! and the harness describes clusters with its own `ClusterSpec`; neither
+//! builds a `NodeConfig`.)
 //!
-//! * **transport** — the shared [`ClusterConfig`] (peer addresses,
-//!   window geometry, failure detection) parsed from the cluster file;
-//! * **role** — founding [`NodeRole::Member`] hosting a fixed row, or
-//!   [`NodeRole::Joiner`] running the admission handshake against seeds;
-//! * **persistence** — optional [`PersistSettings`] (data directory,
-//!   fsync cadence, segment rollover) lowered into
-//!   [`spindle_persist::PersistOptions`];
-//! * **observability** — metrics endpoint and stderr echo level;
-//! * **relay** — optional edge-relay listener;
-//! * **run control** — the workload knobs (sends, payload, seed,
-//!   deadlines, fault injection).
+//! Every setting is one row of one table: its `--flag` and/or file `key`
+//! spelling, the value placeholder of the usage line, and a plain `fn`
+//! that types, range-checks and stores the value. A file line and a flag
+//! both resolve a row and call that `fn`, so `segment_cap = "x"` and
+//! `--segment-cap x` are rejected by the same code with the same words,
+//! and the usage text is generated from the rows.
 //!
-//! Values are layered with fixed precedence: **CLI flag > cluster-file
-//! key > built-in default**. [`NodeConfigBuilder::build`] collects
-//! *every* violation into one [`NodeConfigErrors`] instead of stopping
-//! at the first, so a misconfigured deployment surfaces all of its
-//! problems in a single run.
+//! **Order of application is the precedence.** A draft starts at the
+//! built-in defaults; the cluster file's `key = value` lines are applied
+//! to it first, the command line's `--flag value` pairs second —
+//! wherever `--config` sits among the arguments — so a flag beats a key
+//! beats a default without any merge step. The cross-field rules (role,
+//! row range, persistence directory, ...) run last. Every violation —
+//! bad lines, bad flags, broken rules — is collected into one list of
+//! [`ConfigError`]s instead of stopping at the first.
 //!
-//! The builder is how every construction path goes through one set of
-//! rules: the `spindle-node` binary lowers `std::env::args` via
-//! [`NodeConfigBuilder::apply_cli`], and in-process callers use the typed
-//! setters.
+//! The table type and its two front-ends are generic in the draft, and
+//! `spindle-loadgen` fills its own settings through them.
 
+use std::fmt;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use spindle_obs::Level;
 use spindle_persist::{PersistOptions, SyncPolicy, DEFAULT_SEGMENT_CAP};
 
-use crate::bootstrap::{ClusterConfig, ConfigError};
+use crate::bootstrap::ClusterConfig;
+
+/// One violation: where it was found (`line 3`, `--sends`, or the
+/// setting a cross-field rule is about) and what is wrong.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The file line, flag or key at fault.
+    pub at: String,
+    /// What is wrong with it.
+    pub msg: String,
+}
+
+impl ConfigError {
+    /// A violation at `at`.
+    pub fn new(at: impl Into<String>, msg: impl Into<String>) -> ConfigError {
+        ConfigError {
+            at: at.into(),
+            msg: msg.into(),
+        }
+    }
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.at, self.msg)
+    }
+}
+
+/// What a binary prints when its settings are rejected: every violation,
+/// then the usage text.
+pub fn report(errors: &[ConfigError], usage: &str) -> String {
+    let mut out = String::new();
+    for e in errors {
+        out.push_str(&format!("config error: {e}\n"));
+    }
+    out + usage
+}
+
+/// A value as a front-end lexed it; the setter gives it its type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Raw<'a> {
+    /// A command-line value: untyped text.
+    Arg(&'a str),
+    /// A bare integer from the file.
+    Int(&'a str),
+    /// A quoted string from the file, quotes removed.
+    Str(&'a str),
+    /// A one-level array from the file.
+    List(Vec<Raw<'a>>),
+}
+
+impl fmt::Display for Raw<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Raw::Arg(s) | Raw::Int(s) => write!(f, "`{s}`"),
+            Raw::Str(s) => write!(f, "the string \"{s}\""),
+            Raw::List(_) => write!(f, "an array"),
+        }
+    }
+}
+
+impl<'a> Raw<'a> {
+    /// The value as the setting's own unsigned integer type (at most 64
+    /// bits wide), so a value the field cannot hold is an error and
+    /// never a truncation.
+    pub fn int<T: TryFrom<u64>>(&self) -> Result<T, String> {
+        let max = u64::MAX >> (64 - 8 * std::mem::size_of::<T>());
+        match self {
+            Raw::Arg(s) | Raw::Int(s) => s.parse().ok().and_then(|n: u64| T::try_from(n).ok()),
+            _ => None,
+        }
+        .ok_or_else(|| format!("expected an integer in 0..={max}, got {self}"))
+    }
+
+    /// [`Raw::int`], rejecting zero.
+    pub fn positive<T: TryFrom<u64> + Default + PartialEq>(&self) -> Result<T, String> {
+        let n = self.int::<T>()?;
+        if n == T::default() {
+            return Err("must be positive".into());
+        }
+        Ok(n)
+    }
+
+    /// The value as text: any command-line value, or a quoted string.
+    pub fn text(&self) -> Result<&'a str, String> {
+        match self {
+            Raw::Arg(s) | Raw::Str(s) => Ok(s),
+            _ => Err(format!("expected a quoted string, got {self}")),
+        }
+    }
+
+    /// The value as a list: a file array, or a comma-separated
+    /// command-line value (blank items dropped).
+    pub fn list(self) -> Result<Vec<Raw<'a>>, String> {
+        match self {
+            Raw::List(items) => Ok(items),
+            Raw::Arg(s) => Ok(s
+                .split(',')
+                .map(str::trim)
+                .filter(|part| !part.is_empty())
+                .map(Raw::Arg)
+                .collect()),
+            other => Err(format!("expected an array, got {other}")),
+        }
+    }
+}
+
+/// Types, range-checks and stores one setting's value into a draft `D`;
+/// the `Err` says what is wrong with the value.
+pub type Setter<D> = fn(&mut D, Raw<'_>) -> Result<(), String>;
+
+/// One setting of a draft `D`: the only place its names, its usage
+/// placeholder and its typing live.
+pub struct Setting<D> {
+    /// Every spelling of the setting, and with it which front-ends accept
+    /// it: a `--flag` on the command line, a bare `key` in the settings
+    /// file.
+    pub names: &'static [&'static str],
+    /// Value placeholder shown in the usage text.
+    pub value: &'static str,
+    /// The one setter both front-ends call.
+    pub set: Setter<D>,
+}
+
+impl<D> Setting<D> {
+    /// A table row.
+    pub const fn new(names: &'static [&'static str], value: &'static str, set: Setter<D>) -> Self {
+        Setting { names, value, set }
+    }
+
+    /// The `--flag` spelling, if the command line accepts the setting.
+    pub fn flag(&self) -> Option<&'static str> {
+        self.names.iter().copied().find(|n| n.starts_with("--"))
+    }
+
+    /// The `key` spelling, if the settings file accepts the setting.
+    pub fn key(&self) -> Option<&'static str> {
+        self.names.iter().copied().find(|n| !n.starts_with("--"))
+    }
+}
+
+/// The usage text of `program`: every flag of `table` with its value
+/// placeholder, then the file keys if there are any.
+pub fn usage<D>(program: &str, table: &[Setting<D>]) -> String {
+    let mut out = format!("usage: {program}");
+    for (flag, s) in table.iter().filter_map(|s| Some((s.flag()?, s))) {
+        out.push_str(&format!(" [{flag} {}]", s.value));
+    }
+    let keys: Vec<String> = table
+        .iter()
+        .filter_map(|s| Some(format!("{} = {}", s.key()?, s.value)))
+        .collect();
+    if !keys.is_empty() {
+        out.push_str(&format!("\nfile keys: {}", keys.join(", ")));
+    }
+    out
+}
+
+/// A command line resolved against a table: the rows it names, each with
+/// the value it was given, in order.
+pub type Given<'t, D> = Vec<(&'t Setting<D>, String)>;
+
+/// The first half of the flag front-end: pairs each `--flag` in `args`
+/// (program name removed) with its value; unknown flags and missing
+/// values go to `errors`. `None` means `--help` or `-h` was among them.
+/// Resolving is separate from [`apply_flags`] so that a caller can apply
+/// a settings file named *by* a flag before any flag's value.
+pub fn parse_flags<'t, D>(
+    table: &'t [Setting<D>],
+    args: impl IntoIterator<Item = String>,
+    errors: &mut Vec<ConfigError>,
+) -> Option<Given<'t, D>> {
+    let mut given = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return None;
+        }
+        match table.iter().find(|s| s.flag() == Some(arg.as_str())) {
+            None => errors.push(ConfigError::new(arg, "unknown flag")),
+            Some(row) => match args.next() {
+                Some(value) => given.push((row, value)),
+                None => errors.push(ConfigError::new(arg, "missing value")),
+            },
+        }
+    }
+    Some(given)
+}
+
+/// The second half: calls each given row's setter on `draft`, in
+/// command-line order.
+pub fn apply_flags<D>(given: &Given<'_, D>, draft: &mut D, errors: &mut Vec<ConfigError>) {
+    for (row, value) in given {
+        if let Err(msg) = (row.set)(draft, Raw::Arg(value)) {
+            errors.push(ConfigError::new(row.flag().unwrap_or_default(), msg));
+        }
+    }
+}
+
+/// The file front-end: applies each `key = value` line of `text` to
+/// `draft` through the row of `table` carrying that key. Blank lines and
+/// `#` comments are skipped; every bad line goes to `errors` with its
+/// 1-based number and the rest are still applied.
+pub fn apply_file<D>(
+    table: &[Setting<D>],
+    draft: &mut D,
+    text: &str,
+    errors: &mut Vec<ConfigError>,
+) {
+    for (i, line) in text.lines().enumerate() {
+        let line = outside_quotes(line, '#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let applied = match line.split_once('=') {
+            None => Err(format!("expected `key = value`, got `{line}`")),
+            Some((key, value)) => {
+                let key = key.trim();
+                match table.iter().find(|s| s.key() == Some(key)) {
+                    None => Err(format!("unknown key `{key}`")),
+                    Some(row) => lex(value.trim())
+                        .and_then(|value| (row.set)(draft, value))
+                        .map_err(|msg| format!("`{key}`: {msg}")),
+                }
+            }
+        };
+        if let Err(msg) = applied {
+            errors.push(ConfigError::new(format!("line {}", i + 1), msg));
+        }
+    }
+}
+
+/// Splits `s` at every `sep` that is not inside a quoted string.
+fn outside_quotes(s: &str, sep: char) -> impl Iterator<Item = &str> {
+    let mut in_str = false;
+    s.split(move |c| {
+        in_str ^= c == '"';
+        c == sep && !in_str
+    })
+}
+
+/// Lexes one right-hand side: a scalar, or an array of scalars. Arrays
+/// are one level deep — an item is never lexed as an array, so nesting is
+/// a syntax error and lexing never recurses.
+fn lex(s: &str) -> Result<Raw<'_>, String> {
+    let Some(body) = s.strip_prefix('[') else {
+        return lex_scalar(s);
+    };
+    let body = body.strip_suffix(']').ok_or("unterminated array")?;
+    let items = outside_quotes(body, ',').map(str::trim);
+    let items = items.filter(|item| !item.is_empty()).map(lex_scalar);
+    Ok(Raw::List(items.collect::<Result<_, _>>()?))
+}
+
+/// A bare integer or a quoted string.
+fn lex_scalar(s: &str) -> Result<Raw<'_>, String> {
+    if let Some(body) = s.strip_prefix('"') {
+        let body = body.strip_suffix('"').ok_or("unterminated string")?;
+        if body.contains('"') {
+            return Err("embedded quote in string".into());
+        }
+        Ok(Raw::Str(body))
+    } else if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) {
+        Ok(Raw::Int(s))
+    } else {
+        Err(format!(
+            "expected an integer, a string or an array, got `{s}`"
+        ))
+    }
+}
 
 /// Which side of the membership protocol this process runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,48 +322,6 @@ pub enum NodeRole {
         /// Local listen address (`host:port`; port 0 = ephemeral).
         listen: String,
     },
-}
-
-/// Durable-log persistence settings, resolved for *this* process (the
-/// directory is already per-node — no further suffixing happens).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistSettings {
-    /// Directory holding this node's durable-log segments.
-    pub data_dir: PathBuf,
-    /// Fsync cadence for appended deliveries.
-    pub sync_policy: SyncPolicy,
-    /// Segment rollover size in bytes.
-    pub segment_cap: u64,
-}
-
-impl PersistSettings {
-    /// Lower into the persist crate's open options.
-    pub fn options(&self) -> PersistOptions {
-        PersistOptions::new(&self.data_dir)
-            .sync_policy(self.sync_policy)
-            .segment_cap(self.segment_cap)
-    }
-
-    /// Lower into the threaded runtime's persistence config.
-    pub fn to_persist_config(&self) -> spindle_core::threaded::PersistConfig {
-        spindle_core::threaded::PersistConfig::with_options(self.options())
-    }
-}
-
-/// Observability settings (metrics exposition + stderr echo).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ObsSettings {
-    /// Serve `GET /metrics` / `GET /flightrec` here when set.
-    pub metrics_addr: Option<String>,
-    /// Stderr echo level override (else `SPINDLE_LOG` applies).
-    pub log_level: Option<spindle_obs::Level>,
-}
-
-/// Edge-relay settings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelaySettings {
-    /// Listen address for external edge clients.
-    pub addr: String,
 }
 
 /// Workload and lifecycle knobs for one node process.
@@ -142,461 +371,306 @@ impl Default for RunControl {
 }
 
 /// The fully validated configuration of one `spindle-node` process.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct NodeConfig {
-    /// Shared transport topology (parsed cluster file).
+    /// Shared transport topology (the cluster file's own keys).
     pub cluster: ClusterConfig,
     /// Member or joiner.
     pub role: NodeRole,
-    /// Durable-log persistence; `None` runs non-persistent.
-    pub persist: Option<PersistSettings>,
-    /// Metrics endpoint + log level.
-    pub obs: ObsSettings,
-    /// Edge relay listener.
-    pub relay: Option<RelaySettings>,
+    /// Durable-log persistence, resolved for *this* process (the
+    /// directory is already per-node); `None` runs non-persistent.
+    pub persist: Option<PersistOptions>,
+    /// Serve `GET /metrics` / `GET /flightrec` here when set.
+    pub metrics_addr: Option<String>,
+    /// Stderr echo level override (else `SPINDLE_LOG` applies).
+    pub log_level: Option<Level>,
+    /// Listen address for external edge clients; `None` runs no relay.
+    pub relay_addr: Option<String>,
     /// Workload knobs.
     pub run: RunControl,
 }
 
-impl NodeConfig {
-    /// Start assembling a configuration.
-    pub fn builder() -> NodeConfigBuilder {
-        NodeConfigBuilder::default()
-    }
+/// A [`NodeConfig`] being filled. It starts at the defaults, so only the
+/// settings that have none are `Option`s.
+struct Draft {
+    cluster: ClusterConfig,
+    node: Option<usize>,
+    seeds: Option<Vec<String>>,
+    listen: String,
+    /// The file's `data_dir`: a base that founding member `r` resolves to
+    /// `<base>/n<r>` — which a joiner, whose row the sponsor assigns,
+    /// cannot do.
+    data_dir_base: Option<String>,
+    /// `--data-dir`: this process's directory, verbatim. The one setting
+    /// with two slots, because its two sources mean different things.
+    data_dir: Option<PathBuf>,
+    sync_policy: SyncPolicy,
+    segment_cap: u64,
+    metrics_addr: Option<String>,
+    log_level: Option<Level>,
+    relay_addr: Option<String>,
+    run: RunControl,
 }
 
-/// One reason a [`NodeConfig`] could not be built.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeConfigError {
-    /// No cluster configuration was provided (`--config` or
-    /// [`NodeConfigBuilder::cluster`]).
-    MissingConfig,
-    /// The cluster file could not be read.
-    File {
-        /// Path that failed.
-        path: String,
-        /// OS error rendering.
-        msg: String,
-    },
-    /// The cluster file failed to parse or validate.
-    Parse(ConfigError),
-    /// A flag was given without its value.
-    MissingValue(String),
-    /// A flag that is not part of the interface.
-    UnknownFlag(String),
-    /// A flag value that does not parse.
-    BadValue {
-        /// The offending flag.
-        flag: String,
-        /// What was wrong with it.
-        msg: String,
-    },
-    /// Not exactly one of `--node` / `--join`.
-    RoleConflict,
-    /// `--node` beyond the cluster file's address list.
-    NodeOutOfRange {
-        /// Requested row.
-        node: usize,
-        /// Cluster size.
-        nodes: usize,
-    },
-    /// A joiner picked up persistence from the cluster file's `data_dir`
-    /// without an explicit `--data-dir`: a rejoiner's row is assigned by
-    /// the sponsor, so the per-node subdirectory cannot be derived — it
-    /// must name the directory holding its previous incarnation's log.
-    JoinerNeedsDataDir,
-    /// A run-control or persistence value violates an invariant.
-    Invalid {
-        /// Which setting.
-        what: &'static str,
-        /// What the rule is.
-        msg: String,
-    },
-}
-
-impl std::fmt::Display for NodeConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            NodeConfigError::MissingConfig => write!(f, "--config is required"),
-            NodeConfigError::File { path, msg } => write!(f, "cannot read {path}: {msg}"),
-            NodeConfigError::Parse(e) => write!(f, "cluster config: {e}"),
-            NodeConfigError::MissingValue(flag) => write!(f, "missing value for {flag}"),
-            NodeConfigError::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
-            NodeConfigError::BadValue { flag, msg } => write!(f, "bad value for {flag}: {msg}"),
-            NodeConfigError::RoleConflict => {
-                write!(f, "exactly one of --node / --join is required")
-            }
-            NodeConfigError::NodeOutOfRange { node, nodes } => {
-                write!(f, "--node {node} out of range (cluster has {nodes} nodes)")
-            }
-            NodeConfigError::JoinerNeedsDataDir => write!(
-                f,
-                "a joiner with persistence needs an explicit --data-dir (the cluster \
-                 file's data_dir resolves per founding row, which a joiner does not have)"
-            ),
-            NodeConfigError::Invalid { what, msg } => write!(f, "invalid {what}: {msg}"),
-        }
-    }
-}
-
-/// Every violation found while building a [`NodeConfig`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeConfigErrors(pub Vec<NodeConfigError>);
-
-impl std::fmt::Display for NodeConfigErrors {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, e) in self.0.iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "config error: {e}")?;
+/// Every setting of a node process: 21 flags and 9 file keys, three of
+/// them both. The usage text lists them in this order.
+const SETTINGS: &[Setting<Draft>] = &[
+    // Read by `from_args` before any row is applied, hence no setter.
+    Setting::new(&["--config"], "<cluster.toml>", |_, _| Ok(())),
+    Setting::new(&["nodes"], "[\"HOST:PORT\", ...]", |d, v| {
+        strings(v).map(|addrs| d.cluster.addrs = addrs)
+    }),
+    Setting::new(&["window"], "SLOTS", |d, v| {
+        v.positive().map(|n| d.cluster.window = n)
+    }),
+    Setting::new(&["max_msg"], "BYTES", |d, v| {
+        v.positive().map(|n| d.cluster.max_msg = n)
+    }),
+    Setting::new(&["senders"], "[ID, ...]", |d, v| {
+        let ids = v.list()?.iter().map(Raw::int).collect::<Result<_, _>>()?;
+        d.cluster.senders = Some(ids);
+        Ok(())
+    }),
+    Setting::new(&["heartbeat_ms"], "MS", |d, v| {
+        v.positive().map(|n| d.cluster.heartbeat_ms = Some(n))
+    }),
+    Setting::new(&["suspect_ms"], "MS", |d, v| {
+        v.positive().map(|n| d.cluster.suspect_ms = Some(n))
+    }),
+    Setting::new(&["--node"], "<id>", |d, v| {
+        v.int().map(|n| d.node = Some(n))
+    }),
+    Setting::new(&["--join"], "<seed-addr>[,<seed-addr>...]", |d, v| {
+        let seeds = d.seeds.insert(strings(v)?);
+        if seeds.is_empty() {
+            return Err("no seed addresses given".into());
         }
         Ok(())
-    }
-}
-
-impl std::error::Error for NodeConfigErrors {}
-
-/// Layered assembly of a [`NodeConfig`] (CLI > file > default). See the
-/// module docs for the precedence and validation rules.
-#[derive(Debug, Default)]
-pub struct NodeConfigBuilder {
-    cluster: Option<ClusterConfig>,
-    node: Option<usize>,
-    join_seeds: Option<Vec<String>>,
-    listen: Option<String>,
-    data_dir: Option<PathBuf>,
-    sync_policy: Option<SyncPolicy>,
-    segment_cap: Option<u64>,
-    metrics_addr: Option<String>,
-    relay_addr: Option<String>,
-    log_level: Option<spindle_obs::Level>,
-    sends: Option<u32>,
-    payload: Option<usize>,
-    seed: Option<u64>,
-    trace_out: Option<String>,
-    replay_out: Option<String>,
-    deadline: Option<Duration>,
-    linger: Option<Duration>,
-    min_epoch: Option<u64>,
-    quiesce: Option<Duration>,
-    crash_after: Option<usize>,
-    serve: Option<Duration>,
-    wants_help: bool,
-    errors: Vec<NodeConfigError>,
-}
-
-impl NodeConfigBuilder {
-    /// Provide the cluster topology programmatically (instead of
-    /// `--config`). A later `--config` flag replaces it.
-    pub fn cluster(mut self, cluster: ClusterConfig) -> Self {
-        self.cluster = Some(cluster);
-        self
-    }
-
-    /// Run as founding member `node`.
-    pub fn member(mut self, node: usize) -> Self {
-        self.node = Some(node);
-        self
-    }
-
-    /// Run as a joiner dialing `seeds`, listening on `listen`.
-    pub fn joiner(
-        mut self,
-        seeds: impl IntoIterator<Item = impl Into<String>>,
-        listen: impl Into<String>,
-    ) -> Self {
-        self.join_seeds = Some(seeds.into_iter().map(Into::into).collect());
-        self.listen = Some(listen.into());
-        self
-    }
-
-    /// Persist durable logs under `dir` (this process's own directory —
-    /// overrides the cluster file's per-node resolution).
-    pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.data_dir = Some(dir.into());
-        self
-    }
-
-    /// Override the fsync cadence.
-    pub fn sync_policy(mut self, policy: SyncPolicy) -> Self {
-        self.sync_policy = Some(policy);
-        self
-    }
-
-    /// Override the segment rollover size.
-    pub fn segment_cap(mut self, cap: u64) -> Self {
-        self.segment_cap = Some(cap);
-        self
-    }
-
-    /// Serve metrics on `addr`.
-    pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Relay external edge clients on `addr`.
-    pub fn relay_addr(mut self, addr: impl Into<String>) -> Self {
-        self.relay_addr = Some(addr.into());
-        self
-    }
-
-    /// Override workload knobs wholesale.
-    pub fn run(mut self, run: RunControl) -> Self {
-        self.sends = Some(run.sends);
-        self.payload = Some(run.payload);
-        self.seed = Some(run.seed);
-        self.trace_out = run.trace_out;
-        self.replay_out = run.replay_out;
-        self.deadline = Some(run.deadline);
-        self.linger = Some(run.linger);
-        self.min_epoch = Some(run.min_epoch);
-        self.quiesce = Some(run.quiesce);
-        self.crash_after = Some(run.crash_after);
-        self.serve = Some(run.serve);
-        self
-    }
-
-    /// `true` when the CLI stream contained `--help` / `-h`.
-    pub fn wants_help(&self) -> bool {
-        self.wants_help
-    }
-
-    /// Lower a CLI argument stream (without the program name) into the
-    /// builder. Malformed flags are *collected*, not fatal — they
-    /// surface together with the semantic violations at
-    /// [`NodeConfigBuilder::build`].
-    pub fn apply_cli(mut self, args: impl IntoIterator<Item = String>) -> Self {
-        let mut it = args.into_iter();
-        while let Some(a) = it.next() {
-            macro_rules! value {
-                () => {
-                    match it.next() {
-                        Some(v) => v,
-                        None => {
-                            self.errors.push(NodeConfigError::MissingValue(a.clone()));
-                            continue;
-                        }
-                    }
-                };
-            }
-            macro_rules! num {
-                () => {{
-                    let raw = value!();
-                    match raw.parse::<u64>() {
-                        Ok(n) => n,
-                        Err(_) => {
-                            self.errors.push(NodeConfigError::BadValue {
-                                flag: a.clone(),
-                                msg: format!("not a number: {raw}"),
-                            });
-                            continue;
-                        }
-                    }
-                }};
-            }
-            match a.as_str() {
-                "--config" => {
-                    let path = value!();
-                    match std::fs::read_to_string(&path) {
-                        Ok(text) => match ClusterConfig::parse(&text) {
-                            Ok(cfg) => self.cluster = Some(cfg),
-                            Err(e) => self.errors.push(NodeConfigError::Parse(e)),
-                        },
-                        Err(e) => self.errors.push(NodeConfigError::File {
-                            path,
-                            msg: e.to_string(),
-                        }),
-                    }
-                }
-                "--node" => self.node = Some(num!() as usize),
-                "--join" => {
-                    let seeds: Vec<String> = value!()
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from)
-                        .collect();
-                    self.join_seeds = Some(seeds);
-                }
-                "--listen" => self.listen = Some(value!()),
-                "--data-dir" => self.data_dir = Some(PathBuf::from(value!())),
-                "--sync-policy" => {
-                    let raw = value!();
-                    match SyncPolicy::parse(&raw) {
-                        Ok(p) => self.sync_policy = Some(p),
-                        Err(msg) => self.errors.push(NodeConfigError::BadValue {
-                            flag: a.clone(),
-                            msg,
-                        }),
-                    }
-                }
-                "--segment-cap" => self.segment_cap = Some(num!()),
-                "--sends" => self.sends = Some(num!() as u32),
-                "--payload" => self.payload = Some(num!() as usize),
-                "--seed" => self.seed = Some(num!()),
-                "--trace-out" => self.trace_out = Some(value!()),
-                "--replay-out" => self.replay_out = Some(value!()),
-                "--deadline-secs" => self.deadline = Some(Duration::from_secs(num!())),
-                "--linger-ms" => self.linger = Some(Duration::from_millis(num!())),
-                "--min-epoch" => self.min_epoch = Some(num!()),
-                "--quiesce-ms" => self.quiesce = Some(Duration::from_millis(num!())),
-                "--crash-after-delivered" => self.crash_after = Some(num!() as usize),
-                "--metrics-addr" => self.metrics_addr = Some(value!()),
-                "--relay-addr" => self.relay_addr = Some(value!()),
-                "--serve-secs" => self.serve = Some(Duration::from_secs(num!())),
-                "--log-level" => {
-                    let raw = value!();
-                    match spindle_obs::Level::parse(&raw) {
-                        Some(level) => self.log_level = Some(level),
-                        None => self.errors.push(NodeConfigError::BadValue {
-                            flag: a.clone(),
-                            msg: format!("expected off|error|info|debug, got {raw}"),
-                        }),
-                    }
-                }
-                "--help" | "-h" => self.wants_help = true,
-                other => self
-                    .errors
-                    .push(NodeConfigError::UnknownFlag(other.to_string())),
-            }
+    }),
+    Setting::new(&["--listen"], "ADDR", |d, v| {
+        v.text().map(|s| d.listen = s.into())
+    }),
+    Setting::new(&["--data-dir", "data_dir"], "DIR", |d, v| {
+        let dir = v.text()?;
+        if dir.is_empty() {
+            return Err("must not be empty".into());
         }
-        self
-    }
+        match v {
+            Raw::Arg(_) => d.data_dir = Some(dir.into()),
+            _ => d.data_dir_base = Some(dir.into()),
+        }
+        Ok(())
+    }),
+    Setting::new(
+        &["--sync-policy", "sync_policy"],
+        "always|every-n=<N>|interval-ms=<T>|never",
+        |d, v| SyncPolicy::parse(v.text()?).map(|p| d.sync_policy = p),
+    ),
+    Setting::new(&["--segment-cap", "segment_cap"], "BYTES", |d, v| {
+        v.positive().map(|n| d.segment_cap = n)
+    }),
+    Setting::new(&["--sends"], "N", |d, v| v.int().map(|n| d.run.sends = n)),
+    Setting::new(&["--payload"], "BYTES", |d, v| {
+        d.run.payload = v.int()?;
+        if d.run.payload < 8 {
+            return Err("must be at least 8 bytes (the (sender, counter) header)".into());
+        }
+        Ok(())
+    }),
+    Setting::new(&["--seed"], "S", |d, v| v.int().map(|n| d.run.seed = n)),
+    Setting::new(&["--trace-out"], "PATH", |d, v| {
+        v.text().map(|s| d.run.trace_out = Some(s.into()))
+    }),
+    Setting::new(&["--replay-out"], "PATH", |d, v| {
+        v.text().map(|s| d.run.replay_out = Some(s.into()))
+    }),
+    Setting::new(&["--deadline-secs"], "T", |d, v| {
+        v.positive()
+            .map(|t| d.run.deadline = Duration::from_secs(t))
+    }),
+    Setting::new(&["--linger-ms"], "L", |d, v| {
+        v.int().map(|t| d.run.linger = Duration::from_millis(t))
+    }),
+    Setting::new(&["--min-epoch"], "E", |d, v| {
+        v.int().map(|n| d.run.min_epoch = n)
+    }),
+    Setting::new(&["--quiesce-ms"], "Q", |d, v| {
+        v.int().map(|t| d.run.quiesce = Duration::from_millis(t))
+    }),
+    Setting::new(&["--crash-after-delivered"], "N", |d, v| {
+        v.int().map(|n| d.run.crash_after = n)
+    }),
+    Setting::new(&["--metrics-addr"], "ADDR", |d, v| {
+        v.text().map(|s| d.metrics_addr = Some(s.into()))
+    }),
+    Setting::new(&["--relay-addr"], "ADDR", |d, v| {
+        v.text().map(|s| d.relay_addr = Some(s.into()))
+    }),
+    Setting::new(&["--serve-secs"], "T", |d, v| {
+        v.int().map(|t| d.run.serve = Duration::from_secs(t))
+    }),
+    Setting::new(&["--log-level"], "off|error|info|debug", |d, v| {
+        let level = Level::parse(v.text()?);
+        d.log_level = Some(level.ok_or_else(|| format!("expected off|error|info|debug, got {v}"))?);
+        Ok(())
+    }),
+];
 
-    /// Validate and assemble. Returns *all* violations at once.
-    pub fn build(self) -> Result<NodeConfig, NodeConfigErrors> {
-        let mut errors = self.errors;
+/// A list setting whose items are text.
+fn strings(v: Raw<'_>) -> Result<Vec<String>, String> {
+    let items = v.list()?;
+    items
+        .iter()
+        .map(|item| item.text().map(String::from))
+        .collect()
+}
 
-        let role = match (self.node, &self.join_seeds) {
-            (Some(node), None) => Some(NodeRole::Member { node }),
-            (None, Some(seeds)) => {
-                if seeds.is_empty() {
-                    errors.push(NodeConfigError::BadValue {
-                        flag: "--join".into(),
-                        msg: "no seed addresses given".into(),
-                    });
-                }
-                Some(NodeRole::Joiner {
-                    seeds: seeds.clone(),
-                    listen: self
-                        .listen
-                        .clone()
-                        .unwrap_or_else(|| "127.0.0.1:0".to_string()),
-                })
-            }
-            _ => {
-                errors.push(NodeConfigError::RoleConflict);
-                None
-            }
+impl NodeConfig {
+    /// Builds the configuration from a command line (program name
+    /// removed): the draft starts at the defaults, takes the lines of the
+    /// `--config` file (its text fetched through `read_file`), then the
+    /// flags, then the cross-field rules. `Ok(None)` means `--help` was
+    /// asked for.
+    ///
+    /// # Errors
+    ///
+    /// Every violation found, never an empty list.
+    pub fn from_args(
+        args: impl IntoIterator<Item = String>,
+        read_file: impl FnOnce(&str) -> std::io::Result<String>,
+    ) -> Result<Option<NodeConfig>, Vec<ConfigError>> {
+        let mut errors = Vec::new();
+        let Some(given) = parse_flags(SETTINGS, args, &mut errors) else {
+            return Ok(None);
         };
-
-        if self.cluster.is_none() {
-            errors.push(NodeConfigError::MissingConfig);
+        let mut draft = Draft {
+            cluster: ClusterConfig {
+                addrs: Vec::new(),
+                window: 16,
+                max_msg: 64,
+                senders: None,
+                heartbeat_ms: None,
+                suspect_ms: None,
+            },
+            node: None,
+            seeds: None,
+            listen: "127.0.0.1:0".into(),
+            data_dir_base: None,
+            data_dir: None,
+            sync_policy: SyncPolicy::Always,
+            segment_cap: DEFAULT_SEGMENT_CAP,
+            metrics_addr: None,
+            log_level: None,
+            relay_addr: None,
+            run: RunControl::default(),
+        };
+        // The last `--config` names the file; its lines go in first.
+        let config = given
+            .iter()
+            .rev()
+            .find(|(row, _)| row.names == ["--config"]);
+        let text = match config {
+            None => Err(ConfigError::new("--config", "is required")),
+            Some((_, path)) => read_file(path)
+                .map_err(|e| ConfigError::new("--config", format!("cannot read {path}: {e}"))),
+        };
+        let file_applied = text.is_ok();
+        match text {
+            Ok(text) => apply_file(SETTINGS, &mut draft, &text, &mut errors),
+            Err(unread) => errors.push(unread),
         }
-        if let (Some(cluster), Some(NodeRole::Member { node })) = (&self.cluster, &role) {
-            if *node >= cluster.nodes() {
-                errors.push(NodeConfigError::NodeOutOfRange {
-                    node: *node,
-                    nodes: cluster.nodes(),
-                });
-            }
+        apply_flags(&given, &mut draft, &mut errors);
+        match draft.finish(file_applied, &mut errors) {
+            Some(cfg) if errors.is_empty() => Ok(Some(cfg)),
+            _ => Err(errors),
         }
+    }
 
-        // Persistence: CLI --data-dir is this process's directory as
-        // given; the cluster file's data_dir is a *base* every founding
-        // member resolves per-row. A joiner cannot do that resolution
-        // (its row is sponsor-assigned), so file-only persistence is an
-        // error for joiners.
-        let file = self.cluster.as_ref();
-        let persist_dir = match (
-            &self.data_dir,
-            file.and_then(|c| c.data_dir.as_ref()),
-            &role,
-        ) {
-            (Some(dir), _, _) => Some(dir.clone()),
-            (None, Some(base), Some(NodeRole::Member { node })) => {
-                Some(PathBuf::from(base).join(format!("n{node}")))
-            }
-            (None, Some(_), Some(NodeRole::Joiner { .. })) => {
-                errors.push(NodeConfigError::JoinerNeedsDataDir);
-                None
-            }
+    /// The usage text, generated from the settings table.
+    pub fn usage() -> String {
+        usage("spindle-node", SETTINGS)
+    }
+}
+
+impl Draft {
+    /// The rules that tie settings to each other, then the assembly. A
+    /// `None` has pushed the role violation.
+    fn finish(self, file_applied: bool, errors: &mut Vec<ConfigError>) -> Option<NodeConfig> {
+        let role = match (self.node, self.seeds) {
+            (Some(node), None) => Some(NodeRole::Member { node }),
+            (None, Some(seeds)) => Some(NodeRole::Joiner {
+                seeds,
+                listen: self.listen,
+            }),
             _ => None,
         };
-        let sync_policy = self
-            .sync_policy
-            .or_else(|| file.and_then(|c| c.sync_policy))
-            .unwrap_or(SyncPolicy::Always);
-        let segment_cap = self
-            .segment_cap
-            .or_else(|| file.and_then(|c| c.segment_cap))
-            .unwrap_or(DEFAULT_SEGMENT_CAP);
-        if segment_cap == 0 {
-            errors.push(NodeConfigError::Invalid {
-                what: "--segment-cap",
-                msg: "must be positive".into(),
-            });
+        let row = self.node.filter(|_| role.is_some());
+        // `--data-dir` is this process's directory, verbatim; the file's
+        // `data_dir` is a base only a founding row can resolve.
+        let base = self.data_dir_base;
+        let resolved = || Some(PathBuf::from(base.as_ref()?).join(format!("n{}", row?)));
+        let dir = self.data_dir.or_else(resolved);
+        let nodes = self.cluster.nodes();
+        let senders = self.cluster.senders.as_ref();
+        let run = &self.run;
+        let rules = [
+            (
+                role.is_none(),
+                "--node / --join",
+                "exactly one is required".into(),
+            ),
+            // Without a file, `--config` is already among the violations.
+            (
+                file_applied && nodes < 2,
+                "nodes",
+                format!("a cluster needs at least 2 nodes, got {nodes}"),
+            ),
+            (
+                nodes >= 2 && row.is_some_and(|row| row >= nodes),
+                "--node",
+                format!(
+                    "{} out of range (cluster has {nodes} nodes)",
+                    row.unwrap_or(0)
+                ),
+            ),
+            (
+                senders.is_some_and(|s| s.is_empty() || s.iter().any(|&id| id >= nodes)),
+                "senders",
+                format!("sender ids must be non-empty and < {nodes}"),
+            ),
+            (
+                dir.is_none() && base.is_some() && role.is_some(),
+                "--data-dir",
+                "a joiner with persistence needs it given explicitly (the cluster file's \
+                 data_dir resolves per founding row, which a joiner does not have)"
+                    .into(),
+            ),
+            (
+                run.min_epoch > 0 && run.quiesce >= run.deadline,
+                "--quiesce-ms",
+                "quiesce window must be shorter than the deadline".into(),
+            ),
+            (
+                run.replay_out.is_some() && dir.is_none(),
+                "--replay-out",
+                "requires persistence (--data-dir or a data_dir cluster key)".into(),
+            ),
+        ];
+        for (_, at, msg) in rules.into_iter().filter(|rule| rule.0) {
+            errors.push(ConfigError::new(at, msg));
         }
-        let persist = persist_dir.map(|data_dir| PersistSettings {
-            data_dir,
-            sync_policy,
-            segment_cap,
-        });
-
-        let defaults = RunControl::default();
-        let run = RunControl {
-            sends: self.sends.unwrap_or(defaults.sends),
-            payload: self.payload.unwrap_or(defaults.payload),
-            seed: self.seed.unwrap_or(defaults.seed),
-            trace_out: self.trace_out,
-            replay_out: self.replay_out,
-            deadline: self.deadline.unwrap_or(defaults.deadline),
-            linger: self.linger.unwrap_or(defaults.linger),
-            min_epoch: self.min_epoch.unwrap_or(defaults.min_epoch),
-            quiesce: self.quiesce.unwrap_or(defaults.quiesce),
-            crash_after: self.crash_after.unwrap_or(defaults.crash_after),
-            serve: self.serve.unwrap_or(defaults.serve),
-        };
-        if run.payload < 8 {
-            errors.push(NodeConfigError::Invalid {
-                what: "--payload",
-                msg: "must be at least 8 bytes (the (sender, counter) header)".into(),
-            });
-        }
-        if run.deadline.is_zero() {
-            errors.push(NodeConfigError::Invalid {
-                what: "--deadline-secs",
-                msg: "must be positive".into(),
-            });
-        }
-        if run.min_epoch > 0 && run.quiesce >= run.deadline {
-            errors.push(NodeConfigError::Invalid {
-                what: "--quiesce-ms",
-                msg: "quiesce window must be shorter than the deadline".into(),
-            });
-        }
-        if run.replay_out.is_some() && persist.is_none() {
-            errors.push(NodeConfigError::Invalid {
-                what: "--replay-out",
-                msg: "requires persistence (--data-dir or a data_dir cluster key)".into(),
-            });
-        }
-
-        if !errors.is_empty() {
-            return Err(NodeConfigErrors(errors));
-        }
-        Ok(NodeConfig {
-            cluster: self.cluster.expect("checked above"),
-            role: role.expect("checked above"),
-            persist,
-            obs: ObsSettings {
-                metrics_addr: self.metrics_addr,
-                log_level: self.log_level,
-            },
-            relay: self.relay_addr.map(|addr| RelaySettings { addr }),
-            run,
+        Some(NodeConfig {
+            cluster: self.cluster,
+            role: role?,
+            persist: dir.map(|dir| PersistOptions {
+                sync_policy: self.sync_policy,
+                segment_cap: self.segment_cap,
+                ..PersistOptions::new(dir)
+            }),
+            metrics_addr: self.metrics_addr,
+            log_level: self.log_level,
+            relay_addr: self.relay_addr,
+            run: self.run,
         })
     }
 }
@@ -605,173 +679,170 @@ impl NodeConfigBuilder {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
+    const NODES: &str = "nodes = [\"127.0.0.1:9001\", \"127.0.0.1:9002\", \"127.0.0.1:9003\"]\n\
+                         window = 16\n\
+                         max_msg = 256\n";
+
+    /// The one entry point, fed a three-node cluster file plus `extra`
+    /// lines, and `flags` after `--config`.
+    fn build(extra: &str, flags: &[&str]) -> Result<NodeConfig, Vec<ConfigError>> {
+        let args = ["--config", "cluster.toml"].iter().chain(flags);
+        let cfg = NodeConfig::from_args(args.map(|s| s.to_string()), |_| {
+            Ok(format!("{NODES}{extra}"))
+        })?;
+        Ok(cfg.expect("--help was not given"))
     }
 
-    fn cluster(extra: &str) -> ClusterConfig {
-        let text = format!(
-            "nodes = [\"127.0.0.1:9001\", \"127.0.0.1:9002\", \"127.0.0.1:9003\"]\n\
-             window = 16\n\
-             max_msg = 256\n\
-             {extra}"
-        );
-        ClusterConfig::parse(&text).unwrap()
+    /// Where each violation was found.
+    fn rejected_at(extra: &str, flags: &[&str]) -> Vec<String> {
+        let errors = build(extra, flags).unwrap_err();
+        errors.into_iter().map(|e| e.at).collect()
     }
 
     #[test]
     fn member_resolves_file_data_dir_per_row() {
-        let cfg = NodeConfig::builder()
-            .cluster(cluster("data_dir = \"/tmp/spindle-data\"\n"))
-            .member(2)
-            .build()
-            .unwrap();
+        let cfg = build("data_dir = \"/tmp/spindle-data\"\n", &["--node", "2"]).unwrap();
         let p = cfg.persist.expect("file data_dir enables persistence");
-        assert_eq!(p.data_dir, PathBuf::from("/tmp/spindle-data/n2"));
+        assert_eq!(p.dir, PathBuf::from("/tmp/spindle-data/n2"));
         assert_eq!(p.sync_policy, SyncPolicy::Always);
         assert_eq!(p.segment_cap, DEFAULT_SEGMENT_CAP);
     }
 
     #[test]
     fn cli_beats_file_for_every_persist_key() {
-        let file =
-            cluster("data_dir = \"/tmp/base\"\nsync_policy = \"every-n=4\"\nsegment_cap = 4096\n");
-        let cfg = NodeConfig::builder()
-            .cluster(file)
-            .member(0)
-            .apply_cli(args(&[
-                "--data-dir",
-                "/tmp/mine",
-                "--sync-policy",
-                "interval-ms=5",
-                "--segment-cap",
-                "8192",
-            ]))
-            .build()
-            .unwrap();
-        let p = cfg.persist.unwrap();
-        assert_eq!(p.data_dir, PathBuf::from("/tmp/mine"));
-        assert_eq!(p.sync_policy, SyncPolicy::IntervalMs(5));
-        assert_eq!(p.segment_cap, 8192);
+        let file = "data_dir = \"/tmp/base\"\nsync_policy = \"every-n=4\"\nsegment_cap = 4096\n";
+        let flags = [
+            ("--data-dir", "/tmp/mine"),
+            ("--sync-policy", "interval-ms=5"),
+            ("--segment-cap", "8192"),
+        ];
+        // Wherever --config sits: the file is applied first, the flags second.
+        for config_at in 0..=flags.len() {
+            let mut args: Vec<String> = flags
+                .iter()
+                .flat_map(|(flag, value)| [flag.to_string(), value.to_string()])
+                .chain(["--node".to_string(), "0".to_string()])
+                .collect();
+            args.splice(
+                2 * config_at..2 * config_at,
+                ["--config".to_string(), "c.toml".to_string()],
+            );
+            let cfg = NodeConfig::from_args(args, |_| Ok(format!("{NODES}{file}")));
+            let p = cfg.unwrap().unwrap().persist.unwrap();
+            assert_eq!(p.dir, PathBuf::from("/tmp/mine"));
+            assert_eq!(p.sync_policy, SyncPolicy::IntervalMs(5));
+            assert_eq!(p.segment_cap, 8192);
+        }
+        // And a key beats the default.
+        let p = build(file, &["--node", "0"]).unwrap().persist.unwrap();
+        assert_eq!(p.dir, PathBuf::from("/tmp/base/n0"));
+        assert_eq!(p.sync_policy, SyncPolicy::EveryN(4));
+        assert_eq!(p.segment_cap, 4096);
     }
 
     #[test]
     fn file_sync_policy_applies_when_cli_silent() {
-        let cfg = NodeConfig::builder()
-            .cluster(cluster(
-                "data_dir = \"/tmp/base\"\nsync_policy = \"never\"\n",
-            ))
-            .member(1)
-            .build()
-            .unwrap();
+        let file = "data_dir = \"/tmp/base\"\nsync_policy = \"never\"\n";
+        let cfg = build(file, &["--node", "1"]).unwrap();
         assert_eq!(cfg.persist.unwrap().sync_policy, SyncPolicy::Never);
     }
 
     #[test]
     fn joiner_with_file_data_dir_needs_explicit_dir() {
-        let err = NodeConfig::builder()
-            .cluster(cluster("data_dir = \"/tmp/base\"\n"))
-            .joiner(["127.0.0.1:9001"], "127.0.0.1:0")
-            .build()
-            .unwrap_err();
-        assert!(err.0.contains(&NodeConfigError::JoinerNeedsDataDir));
+        let file = "data_dir = \"/tmp/base\"\n";
+        let join = ["--join", "127.0.0.1:9001"];
+        assert_eq!(rejected_at(file, &join), ["--data-dir"]);
         // An explicit --data-dir resolves it, verbatim.
-        let cfg = NodeConfig::builder()
-            .cluster(cluster("data_dir = \"/tmp/base\"\n"))
-            .joiner(["127.0.0.1:9001"], "127.0.0.1:0")
-            .data_dir("/tmp/base/n2")
-            .build()
-            .unwrap();
-        assert_eq!(cfg.persist.unwrap().data_dir, PathBuf::from("/tmp/base/n2"));
+        let cfg = build(file, &[&join[..], &["--data-dir", "/tmp/base/n2"]].concat()).unwrap();
+        assert_eq!(cfg.persist.unwrap().dir, PathBuf::from("/tmp/base/n2"));
     }
 
     #[test]
     fn all_violations_surface_at_once() {
-        let err = NodeConfig::builder()
-            .apply_cli(args(&[
-                "--payload",
-                "4",
-                "--bogus",
-                "--sync-policy",
-                "sometimes",
-            ]))
-            .build()
+        let args = [
+            "--payload",
+            "4",
+            "--bogus",
+            "--sync-policy",
+            "sometimes",
+            "--sends",
+        ];
+        let errors = NodeConfig::from_args(args.map(String::from), |_| unreachable!("no --config"))
             .unwrap_err();
-        let msgs: Vec<String> = err.0.iter().map(|e| e.to_string()).collect();
-        assert!(err.0.contains(&NodeConfigError::MissingConfig), "{msgs:?}");
-        assert!(err.0.contains(&NodeConfigError::RoleConflict), "{msgs:?}");
-        assert!(
-            err.0
-                .contains(&NodeConfigError::UnknownFlag("--bogus".into())),
-            "{msgs:?}"
-        );
-        assert!(
-            err.0.iter().any(
-                |e| matches!(e, NodeConfigError::BadValue { flag, .. } if flag == "--sync-policy")
-            ),
-            "{msgs:?}"
-        );
-        assert!(
-            err.0.iter().any(
-                |e| matches!(e, NodeConfigError::Invalid { what, .. } if *what == "--payload")
-            ),
-            "{msgs:?}"
+        let mut found: Vec<String> = errors.iter().map(ToString::to_string).collect();
+        found.sort();
+        assert_eq!(
+            found,
+            [
+                "--bogus: unknown flag",
+                "--config: is required",
+                "--node / --join: exactly one is required",
+                "--payload: must be at least 8 bytes (the (sender, counter) header)",
+                "--sends: missing value",
+                "--sync-policy: unknown sync policy `sometimes` (expected always | every-n=<N> \
+                 | interval-ms=<T> | never)",
+            ]
         );
     }
 
     #[test]
     fn role_is_exactly_one_of_node_or_join() {
-        let err = NodeConfig::builder()
-            .cluster(cluster(""))
-            .member(0)
-            .apply_cli(args(&["--join", "127.0.0.1:9001"]))
-            .build()
-            .unwrap_err();
-        assert!(err.0.contains(&NodeConfigError::RoleConflict));
+        let both = ["--node", "0", "--join", "127.0.0.1:9001"];
+        assert_eq!(rejected_at("", &both), ["--node / --join"]);
+        assert_eq!(rejected_at("", &[]), ["--node / --join"]);
+        assert_eq!(rejected_at("", &["--join", " , "]), ["--join"]);
     }
 
     #[test]
     fn node_must_be_in_range() {
-        let err = NodeConfig::builder()
-            .cluster(cluster(""))
-            .member(7)
-            .build()
-            .unwrap_err();
-        assert!(err
-            .0
-            .contains(&NodeConfigError::NodeOutOfRange { node: 7, nodes: 3 }));
+        let errors = build("", &["--node", "7"]).unwrap_err();
+        assert_eq!(errors.len(), 1);
+        assert_eq!(
+            errors[0].to_string(),
+            "--node: 7 out of range (cluster has 3 nodes)"
+        );
     }
 
     #[test]
     fn replay_out_requires_persistence() {
-        let err = NodeConfig::builder()
-            .cluster(cluster(""))
-            .member(0)
-            .apply_cli(args(&["--replay-out", "/tmp/replay.txt"]))
-            .build()
-            .unwrap_err();
-        assert!(err.0.iter().any(
-            |e| matches!(e, NodeConfigError::Invalid { what, .. } if *what == "--replay-out")
-        ));
+        let flags = ["--node", "0", "--replay-out", "/tmp/replay.txt"];
+        assert_eq!(rejected_at("", &flags), ["--replay-out"]);
+        assert!(build("data_dir = \"/tmp/base\"\n", &flags).is_ok());
+    }
+
+    #[test]
+    fn deadline_and_quiesce_rules() {
+        assert_eq!(
+            rejected_at("", &["--node", "0", "--deadline-secs", "0"]),
+            ["--deadline-secs"]
+        );
+        let slow = [
+            "--node",
+            "0",
+            "--deadline-secs",
+            "1",
+            "--quiesce-ms",
+            "1000",
+        ];
+        assert!(
+            build("", &slow).is_ok(),
+            "quiesce only matters with --min-epoch"
+        );
+        let failover = [&slow[..], &["--min-epoch", "1"]].concat();
+        assert_eq!(rejected_at("", &failover), ["--quiesce-ms"]);
     }
 
     #[test]
     fn no_run_flags_yield_the_run_control_defaults() {
-        let cfg = NodeConfig::builder()
-            .cluster(cluster(""))
-            .member(0)
-            .build()
-            .unwrap();
+        let cfg = build("", &["--node", "0"]).unwrap();
         assert_eq!(cfg.run, RunControl::default());
+        assert_eq!((cfg.cluster.window, cfg.cluster.max_msg), (16, 256));
+        assert!(cfg.persist.is_none() && cfg.metrics_addr.is_none() && cfg.relay_addr.is_none());
     }
 
     #[test]
     fn joiner_listen_defaults_to_ephemeral_loopback() {
-        let cfg = NodeConfig::builder()
-            .cluster(cluster(""))
-            .apply_cli(args(&["--join", "127.0.0.1:9001, 127.0.0.1:9002"]))
-            .build()
-            .unwrap();
+        let cfg = build("", &["--join", "127.0.0.1:9001, 127.0.0.1:9002"]).unwrap();
         assert_eq!(
             cfg.role,
             NodeRole::Joiner {
@@ -780,5 +851,71 @@ mod tests {
             }
         );
         assert!(cfg.persist.is_none());
+    }
+
+    #[test]
+    fn a_value_too_wide_for_its_setting_is_rejected_not_truncated() {
+        // `--sends` is the one setting narrower than the u64 a flag used
+        // to be parsed as: 2^32 was cast to 0 and the node sent nothing.
+        let errors = build("", &["--node", "0", "--sends", "4294967296"]).unwrap_err();
+        assert_eq!(errors.len(), 1);
+        assert_eq!(
+            errors[0].to_string(),
+            "--sends: expected an integer in 0..=4294967295, got `4294967296`"
+        );
+        let cfg = build("", &["--node", "0", "--sends", "4294967295"]).unwrap();
+        assert_eq!(cfg.run.sends, u32::MAX);
+    }
+
+    #[test]
+    fn a_key_and_its_flag_are_checked_by_the_same_setter() {
+        let by_key = build("segment_cap = 0\n", &["--node", "0"]).unwrap_err();
+        let by_flag = build("", &["--node", "0", "--segment-cap", "0"]).unwrap_err();
+        assert_eq!(
+            by_key[0].to_string(),
+            "line 4: `segment_cap`: must be positive"
+        );
+        assert_eq!(by_flag[0].to_string(), "--segment-cap: must be positive");
+        assert_eq!(
+            rejected_at("data_dir = \"\"\n", &["--node", "0"]),
+            ["line 4"]
+        );
+        assert_eq!(
+            rejected_at("", &["--node", "0", "--data-dir", ""]),
+            ["--data-dir"]
+        );
+        // The file's lexical types hold: a key that takes text wants quotes.
+        assert_eq!(rejected_at("data_dir = 5\n", &["--node", "0"]), ["line 4"]);
+        // A flag-only setting is not a key, nor the other way round.
+        assert_eq!(rejected_at("sends = 5\n", &["--node", "0"]), ["line 4"]);
+        assert_eq!(
+            rejected_at("", &["--node", "0", "--window", "8"]),
+            ["--window", "8"]
+        );
+    }
+
+    #[test]
+    fn an_unreadable_file_is_one_violation() {
+        let args = ["--config", "/nonexistent", "--node", "0"].map(String::from);
+        let errors = NodeConfig::from_args(args, |path| std::fs::read_to_string(path)).unwrap_err();
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0]
+            .to_string()
+            .starts_with("--config: cannot read /nonexistent: "));
+    }
+
+    #[test]
+    fn usage_is_generated_from_the_table() {
+        let flags = SETTINGS.iter().filter_map(Setting::flag);
+        let keys = SETTINGS.iter().filter_map(Setting::key);
+        assert_eq!((flags.clone().count(), keys.clone().count()), (21, 9));
+        let usage = NodeConfig::usage();
+        assert!(usage.starts_with("usage: spindle-node [--config <cluster.toml>] [--node <id>]"));
+        assert!(
+            flags.chain(keys).all(|name| usage.contains(name)),
+            "{usage}"
+        );
+        let help = NodeConfig::from_args(["--bogus", "-h"].map(String::from), |_| unreachable!());
+        assert!(matches!(help, Ok(None)), "--help wins over every violation");
     }
 }

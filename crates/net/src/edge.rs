@@ -302,12 +302,6 @@ impl EdgeConfig {
         self
     }
 
-    /// Sets the client cap (builder-style).
-    pub fn clients(mut self, max: usize) -> EdgeConfig {
-        self.max_clients = max;
-        self
-    }
-
     /// The overflow policy of `topic`.
     pub fn policy_of(&self, topic: u8) -> OverflowPolicy {
         self.policies[topic as usize]

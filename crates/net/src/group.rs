@@ -99,11 +99,6 @@ impl TcpFabricGroup {
         }
         total
     }
-
-    /// Per-node wire counters, indexed by node id.
-    pub fn wire_stats_per_node(&self) -> Vec<WireStats> {
-        self.endpoints.iter().map(|e| e.wire_stats()).collect()
-    }
 }
 
 impl Fabric for TcpFabricGroup {
@@ -151,6 +146,21 @@ mod tests {
         let total = g.wire_stats_total();
         assert_eq!(total.frames_posted, 1);
         assert!(total.bytes_sent > 0);
+    }
+
+    #[test]
+    fn post_wider_than_one_frame_lands_word_for_word() {
+        let words = crate::wire::MAX_FRAME_WORDS + 64;
+        let g = TcpFabricGroup::loopback(2, words, FaultPlan::new()).unwrap();
+        let src = g.region_arc(NodeId(0));
+        for i in 0..words {
+            src.store(i, i as u64 ^ 0x5a5a_5a5a);
+        }
+        g.post(NodeId(0), &WriteOp::new(NodeId(1), 0..words));
+        let dst = g.region_arc(NodeId(1));
+        assert!(eventually(|| dst.load(words - 1) != 0));
+        assert!(dst.snapshot(0, words) == src.snapshot(0, words));
+        assert_eq!(g.wire_stats_total().frames_posted, 2);
     }
 
     #[test]

@@ -337,25 +337,6 @@ pub fn join_cluster(cfg: JoinConfig) -> Result<Joined, JoinError> {
     })
 }
 
-/// The newest suffix of `records` whose encoded size fits in `budget`
-/// bytes — what a sponsor ships as the state-transfer snapshot. The
-/// *tail* is what a joiner can actually use (the most recent history up
-/// to the cut); bounding its bytes keeps the `JOIN_STATE` frame from
-/// growing with the sponsor's full log.
-pub fn tail_within(records: &[LogRecord], budget: usize) -> &[LogRecord] {
-    let mut size = 0usize;
-    let mut start = records.len();
-    while start > 0 {
-        let next = size + records[start - 1].encoded_len();
-        if next > budget {
-            break;
-        }
-        size = next;
-        start -= 1;
-    }
-    &records[start..]
-}
-
 /// What [`serve_join`] did with a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeOutcome {

@@ -58,16 +58,11 @@ pub mod sock;
 pub mod tcp;
 pub mod wire;
 
-pub use bootstrap::{ClusterConfig, ConfigError};
-pub use config::{
-    NodeConfig, NodeConfigBuilder, NodeConfigError, NodeConfigErrors, NodeRole, ObsSettings,
-    PersistSettings, RelaySettings, RunControl,
-};
+pub use bootstrap::ClusterConfig;
+pub use config::{ConfigError, NodeConfig, NodeRole, RunControl};
 pub use edge::{EdgeAssembler, EdgeConfig, EdgeFrame, EdgeRequest, EdgeServer, OverflowPolicy};
 pub use group::TcpFabricGroup;
-pub use join::{
-    join_cluster, serve_join, tail_within, JoinConfig, JoinError, Joined, ServeOutcome,
-};
+pub use join::{join_cluster, serve_join, JoinConfig, JoinError, Joined, ServeOutcome};
 pub use metrics::WireStats;
 pub use tcp::{wire_thread_count, JoinRequest, TcpFabric, TcpFabricConfig};
 pub use wire::{decode_frame, encode_frame, Frame, Hello, WireError, WriteFrame};

@@ -90,7 +90,7 @@ use crate::metrics::{WireMetrics, WireStats};
 use crate::sock::{accept_ready, drain_queue, read_available, DrainEnd, ReadEnd};
 use crate::wire::{
     encode_hello, encode_write_frame, Frame, FrameAssembler, FrameQueue, Hello, WriteFrame,
-    PROTO_VERSION,
+    MAX_FRAME_WORDS, PROTO_VERSION,
 };
 
 /// Hard cap on the rows a hostile `HELLO` can make the endpoint track
@@ -654,6 +654,20 @@ impl TcpFabric {
     }
 }
 
+impl TcpFabric {
+    /// Posts a write wider than one frame (a batched send can cover a
+    /// whole window) as consecutive frames on the same ordered stream.
+    /// Frames apply in order, so payload -> round -> header placement
+    /// within the range is preserved.
+    #[cold]
+    fn post_split(&self, src: NodeId, op: &WriteOp) {
+        for start in op.range.clone().step_by(MAX_FRAME_WORDS) {
+            let end = op.range.end.min(start + MAX_FRAME_WORDS);
+            self.post(src, &WriteOp::new(op.dst, start..end));
+        }
+    }
+}
+
 impl Fabric for TcpFabric {
     fn nodes(&self) -> usize {
         self.inner.shared.nodes()
@@ -678,6 +692,9 @@ impl Fabric for TcpFabric {
             op.range.start < op.range.end && op.range.end <= s.region_words(),
             "write range out of region bounds"
         );
+        if op.words() > MAX_FRAME_WORDS {
+            return self.post_split(src, op);
+        }
         s.metrics.frames_posted.inc();
         if op.dst == src {
             // Loopback never crosses the wire (the mirror is the source).

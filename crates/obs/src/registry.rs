@@ -362,15 +362,6 @@ impl Registry {
         }
     }
 
-    /// Read a gauge series if it exists.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        let fams = self.families.lock().unwrap();
-        match fams.get(name)?.series.get(&to_owned_labels(labels))? {
-            Metric::Gauge(g) => Some(g.get()),
-            _ => None,
-        }
-    }
-
     /// Snapshot a histogram series if it exists.
     pub fn histogram_snapshot(
         &self,

@@ -145,11 +145,6 @@ impl SyncScheduler {
     pub fn oldest_dirty_ms(&self) -> Option<u64> {
         self.oldest_dirty_ms
     }
-
-    /// The policy this scheduler enforces.
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
 }
 
 #[derive(Debug, Default)]
