@@ -15,7 +15,7 @@ use spindle_sst::{CounterCol, Sst};
 
 use super::api::{Cluster, ViewChangeReport};
 use super::node::{active_rows, post_to, JoinIntent, NodeInner, NodeShared};
-use super::predicate::drain_node_through;
+use super::predicate::{drain_node_through, EpochObsCache};
 use super::VC_DEADLINE;
 use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::{DetectorConfig, HeartbeatTicker};
@@ -164,6 +164,7 @@ pub(super) fn view_change<F: Fabric>(
     cfg: &SpindleConfig,
     det: &Option<DetectorConfig>,
     stop: &Arc<AtomicBool>,
+    obs_cache: &mut Option<EpochObsCache>,
 ) {
     let started = Instant::now();
     shared.wedged.store(true, Ordering::Release);
@@ -257,7 +258,7 @@ pub(super) fn view_change<F: Fabric>(
             }
             VcStep::Deliver(p) => {
                 let ordered = cfg.delivery_timing == DeliveryTiming::Ordered;
-                resend = drain_node_through(shared, &p.cuts, ordered);
+                resend = drain_node_through(shared, &p.cuts, ordered, obs_cache);
                 engine.mark_delivered();
             }
             VcStep::Install(p) => {

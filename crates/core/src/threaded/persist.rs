@@ -6,7 +6,7 @@ use std::io;
 use std::time::Instant;
 
 use spindle_obs::ObsPlane;
-use spindle_persist::{DurableLog, LogRecord, SyncScheduler};
+use spindle_persist::{DurableLog, LogRecordRef, SyncScheduler};
 
 use super::api::Delivered;
 
@@ -161,13 +161,13 @@ impl PersistHook {
             for d in run {
                 entry
                     .log
-                    .append(&LogRecord {
+                    .append_borrowed(LogRecordRef {
                         epoch: d.epoch,
                         subgroup: sg as u32,
                         seq: d.seq,
                         sender_rank: d.sender_rank as u32,
                         app_index: d.app_index,
-                        data: d.data.clone(),
+                        data: &d.data,
                     })
                     .expect("append to durable log");
                 entry.sched.record_append(now_ms);

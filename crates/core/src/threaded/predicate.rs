@@ -21,8 +21,9 @@ use crate::proto::{Delivery, SubgroupProto};
 /// Cached per-epoch registry handles for the delivery path: resolved
 /// against the registry once per `(node, epoch)`, after which every
 /// delivery costs two relaxed atomic adds (plus one histogram record
-/// when the delivery completes one of this node's own sends).
-struct EpochObsCache {
+/// when the delivery completes one of this node's own sends). One per
+/// predicate thread, lent to the view-change drain it runs.
+pub(super) struct EpochObsCache {
     epoch: u64,
     delivered: spindle_obs::Counter,
     bytes: spindle_obs::Counter,
@@ -77,6 +78,14 @@ impl Batch {
     /// slot (the pragmatic §3.5 option 2) and, when the sender is this
     /// node, takes the slot's entry of `stamps` — the subgroup's part of
     /// [`NodeInner::queued_at`], under the node lock the caller holds.
+    ///
+    /// The copy stays under that lock on purpose. By now the delivery
+    /// predicate has advanced this row's `delivered_num`, so once the lock
+    /// is released a `try_send` on this node may pass `try_queue_app`'s
+    /// `min_delivered` check and rewrite this node's *own* slot while it is
+    /// being copied out — a torn read the header-last layout does not
+    /// cover. One bulk [`Sst::read_slot_with_len`] holds the lock for about
+    /// half a microsecond per 10 KiB, so the hold is not worth that risk.
     fn push(
         &mut self,
         sst: &Sst,
@@ -106,9 +115,45 @@ impl Batch {
     }
 }
 
-/// Hands `batch` to the application and publishes each delivery into the
-/// live registry: per-epoch message and byte counters, plus the
-/// delivery-latency sample when it completes a send queued by this node's
+/// What a pass needs of the epoch its node is in and can keep outside the
+/// node lock: handles and row lists that change only when an epoch is
+/// installed, cloned out of [`NodeInner`] once per epoch rather than once
+/// per pass (the `Arc`s behind `sst` and `fabric` are shared by every row
+/// of the process, so a clone is a write to a line all predicate threads
+/// touch).
+struct EpochLocal<F> {
+    epoch: u64,
+    sst: Sst,
+    fabric: F,
+    hb_peers: Vec<usize>,
+    /// [`SubgroupProto::member_rows`] of each entry of `NodeInner::protos`.
+    members: Vec<Vec<usize>>,
+    /// Only with a detector configured; rebuilt with the epoch because the
+    /// SST (and its counters) start fresh.
+    ticker: Option<HeartbeatTicker>,
+}
+
+impl<F: Fabric> EpochLocal<F> {
+    fn of(inner: &NodeInner<F>, epoch: u64, det: Option<&DetectorConfig>) -> Self {
+        let ticker = det.map(|dc| {
+            let peers = inner.hb_peers.clone();
+            HeartbeatTicker::new(peers, dc, &inner.sst, inner.heartbeat_col, Instant::now())
+        });
+        EpochLocal {
+            epoch,
+            sst: inner.sst.clone(),
+            fabric: inner.live_fabric(),
+            hb_peers: inner.hb_peers.clone(),
+            members: inner.protos.iter().map(|p| p.member_rows.clone()).collect(),
+            ticker,
+        }
+    }
+}
+
+/// Hands `batch` to the application — leaving it empty, its capacity kept
+/// for the next pass — and publishes each delivery into the live registry:
+/// per-epoch message and byte counters, plus the delivery-latency sample
+/// when it completes a send queued by this node's
 /// [`NodeHandle::try_send`](super::NodeHandle::try_send) — recorded here,
 /// after the durable append and outside the node lock its senders wait on.
 /// Every [`NodeShared::deliveries`] send happens here, paired with its
@@ -117,10 +162,10 @@ impl Batch {
 fn publish<F: Fabric>(
     shared: &NodeShared<F>,
     row: usize,
-    batch: Batch,
+    batch: &mut Batch,
     cache: &mut Option<EpochObsCache>,
 ) {
-    for (d, queued_at) in batch.delivered.into_iter().zip(batch.queued_at) {
+    for (d, queued_at) in batch.delivered.drain(..).zip(batch.queued_at.drain(..)) {
         let h = epoch_obs(&shared.obs, row, d.epoch, cache);
         h.delivered.inc();
         h.bytes.add(d.data.len() as u64);
@@ -151,10 +196,16 @@ pub(super) fn predicate_thread<F: Fabric>(
 ) {
     let mut idle_spins = 0u32;
     let mut obs_cache: Option<EpochObsCache> = None;
-    // The heartbeat ticker (only with a detector configured) and the epoch
-    // it was built in: rebuilt on every epoch change because the SST (and
-    // its counters) start fresh.
-    let mut hb: Option<(u64, HeartbeatTicker)> = None;
+    let mut local: Option<EpochLocal<F>> = None;
+    // One pass's scratch, emptied by the pass that filled it. Work items
+    // are collected under the lock and posted after release
+    // (early_lock_release) or under it (baseline).
+    let mut posts: Vec<WriteOp> = Vec::new();
+    let mut batch = Batch::default();
+    // (index into `protos`, persisted_num column, highest seq) for every
+    // subgroup that delivered this iteration — used after the lock to
+    // advance the persistence frontier once the log holds them.
+    let mut persist_work: Vec<(usize, spindle_sst::CounterCol, SeqNum)> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         if shared.killed.load(Ordering::Acquire) {
             return; // simulated crash: vanish without a trace
@@ -165,26 +216,27 @@ pub(super) fn predicate_thread<F: Fabric>(
             std::thread::sleep(Duration::from_micros(50));
             continue;
         }
-        // Work items collected under the lock, posted after release
-        // (early_lock_release) or under it (baseline).
-        let mut posts: Vec<WriteOp> = Vec::new();
-        let mut batch = Batch::default();
         // Suspicion bits that must start a view change after this
         // iteration.
         let mut vc_bits: u64 = 0;
-        // (persisted_num column, member rows, highest seq) for every
-        // subgroup that delivered this iteration — used after the lock to
-        // advance the persistence frontier once the log holds them.
-        let mut persist_work: Vec<(spindle_sst::CounterCol, Vec<usize>, SeqNum)> = Vec::new();
         let mut work = false;
         {
             let mut inner = shared.inner.lock();
             if !inner.alive {
                 return;
             }
-            let sst = inner.sst.clone();
-            let fabric = inner.live_fabric();
             let epoch = shared.epoch.load(Ordering::Relaxed);
+            let EpochLocal {
+                sst,
+                fabric,
+                hb_peers,
+                members,
+                ticker,
+                ..
+            } = match &mut local {
+                Some(l) if l.epoch == epoch => l,
+                stale => stale.insert(EpochLocal::of(&inner, epoch, det.as_ref())),
+            };
             // A trigger, or a peer's suspicion column lighting up: either
             // starts the SST view-change engine (after this iteration's
             // work is flushed). Loads only while idle — this runs every
@@ -192,26 +244,18 @@ pub(super) fn predicate_thread<F: Fabric>(
             if shared.vc_trigger.load(Ordering::Acquire) != 0 {
                 vc_bits |= shared.vc_trigger.swap(0, Ordering::AcqRel);
             }
-            for &peer in &inner.hb_peers {
+            for &peer in hb_peers.iter() {
                 vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
             }
             if vc_bits != 0 {
-                let mask = reconfig::bits_of(inner.hb_peers.iter().copied().chain([row]));
+                let mask = reconfig::bits_of(hb_peers.iter().copied().chain([row]));
                 vc_bits &= mask | PLANNED_BIT;
             }
-            if let Some(dc) = &det {
-                let now = Instant::now();
-                let ticker = match &mut hb {
-                    Some((e, ticker)) if *e == epoch => ticker,
-                    stale => {
-                        let peers = inner.hb_peers.clone();
-                        let fresh = HeartbeatTicker::new(peers, dc, &sst, inner.heartbeat_col, now);
-                        &mut stale.insert((epoch, fresh)).1
-                    }
-                };
-                let suspects = ticker.tick(now, &sst, inner.heartbeat_col, &mut |range| {
-                    posts.extend(ops_to(&inner.hb_peers, row, range))
-                });
+            if let Some(ticker) = ticker {
+                let suspects =
+                    ticker.tick(Instant::now(), sst, inner.heartbeat_col, &mut |range| {
+                        posts.extend(ops_to(hb_peers, row, range))
+                    });
                 for suspect in suspects {
                     vc_bits |= shared.convict(row, suspect, epoch, false, drives_engine);
                 }
@@ -219,10 +263,10 @@ pub(super) fn predicate_thread<F: Fabric>(
             let NodeInner {
                 protos, queued_at, ..
             } = &mut *inner;
-            for (p, stamps) in protos.iter_mut().zip(queued_at) {
-                let members = p.member_rows.clone();
+            for (g, (p, stamps)) in protos.iter_mut().zip(queued_at).enumerate() {
+                let members = &members[g];
                 let collect = cfg.delivery_timing == DeliveryTiming::OnReceive;
-                let r = p.receive_predicate(&sst, cfg.receive_batching, cfg.null_sends, collect);
+                let r = p.receive_predicate(sst, cfg.receive_batching, cfg.null_sends, collect);
                 if r.new_rounds > 0 || r.nulls_added > 0 {
                     work = true;
                 }
@@ -235,41 +279,41 @@ pub(super) fn predicate_thread<F: Fabric>(
                         len,
                         slot,
                     };
-                    batch.push(&sst, p, stamps, epoch, &unordered);
+                    batch.push(sst, p, stamps, epoch, &unordered);
                 }
                 if let Some(ack) = r.ack {
                     for _ in 0..r.ack_pushes {
-                        posts.extend(ops_to(&members, row, ack.clone()));
+                        posts.extend(ops_to(members, row, ack.clone()));
                     }
                 }
                 if p.my_sender_rank.is_some() {
-                    if let Some(s) = p.send_predicate(&sst, cfg.send_batching, cfg.null_sends) {
+                    if let Some(s) = p.send_predicate(sst, cfg.send_batching, cfg.null_sends) {
                         work = true;
                         for range in s.slot_ranges {
-                            posts.extend(ops_to(&members, row, range));
+                            posts.extend(ops_to(members, row, range));
                         }
                         if let Some(c) = s.committed_push {
-                            posts.extend(ops_to(&members, row, c));
+                            posts.extend(ops_to(members, row, c));
                         }
                     }
                 }
-                let d = p.delivery_predicate(&sst, cfg.delivery_batching);
+                let d = p.delivery_predicate(sst, cfg.delivery_batching);
                 if !d.deliveries.is_empty() || d.nulls_skipped > 0 {
                     work = true;
                 }
                 if cfg.delivery_timing == DeliveryTiming::Ordered {
                     if shared.persist.is_some() {
                         if let Some(hi) = d.deliveries.iter().map(|del| del.seq).max() {
-                            persist_work.push((p.cols.pers, members.clone(), hi));
+                            persist_work.push((g, p.cols.pers, hi));
                         }
                     }
                     for del in &d.deliveries {
-                        batch.push(&sst, p, stamps, epoch, del);
+                        batch.push(sst, p, stamps, epoch, del);
                     }
                 }
                 if let Some(ack) = d.ack {
                     for _ in 0..d.ack_pushes {
-                        posts.extend(ops_to(&members, row, ack.clone()));
+                        posts.extend(ops_to(members, row, ack.clone()));
                     }
                 }
             }
@@ -289,18 +333,18 @@ pub(super) fn predicate_thread<F: Fabric>(
             // reasoning as §3.4).
             if let Some(hook) = shared.persist.as_ref().filter(|_| !persist_work.is_empty()) {
                 hook.lock().append(&batch.delivered);
-                for (pers_col, members, hi) in persist_work {
+                for (g, pers_col, hi) in persist_work.drain(..) {
                     let range = sst.set_counter(pers_col, hi);
-                    posts.extend(ops_to(&members, row, range));
+                    posts.extend(ops_to(&members[g], row, range));
                 }
             }
-            for op in posts {
+            for op in posts.drain(..) {
                 fabric.post(NodeId(row), &op);
             }
         }
-        publish(&shared, row, batch, &mut obs_cache);
+        publish(&shared, row, &mut batch, &mut obs_cache);
         if vc_bits != 0 {
-            view_change(row, &shared, vc_bits, &cfg, &det, &stop);
+            view_change(row, &shared, vc_bits, &cfg, &det, &stop, &mut obs_cache);
             idle_spins = 0;
             continue;
         }
@@ -333,6 +377,7 @@ pub(super) fn drain_node_through<F: Fabric>(
     shared: &NodeShared<F>,
     cuts: &[SeqNum],
     ordered: bool,
+    obs_cache: &mut Option<EpochObsCache>,
 ) -> Vec<(SubgroupId, Vec<u8>)> {
     let mut resend = Vec::new();
     let mut batch = Batch::default();
@@ -364,6 +409,6 @@ pub(super) fn drain_node_through<F: Fabric>(
         hook.append(&batch.delivered);
         hook.sync_all().expect("sync durable log");
     }
-    publish(shared, sst.own_row(), batch, &mut None);
+    publish(shared, sst.own_row(), &mut batch, obs_cache);
     resend
 }

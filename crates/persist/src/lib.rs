@@ -104,14 +104,22 @@ impl LogRecord {
         BODY_HEADER + self.data.len()
     }
 
+    /// The record with its payload borrowed — what
+    /// [`DurableLog::append_borrowed`] takes.
+    pub fn borrowed(&self) -> LogRecordRef<'_> {
+        LogRecordRef {
+            epoch: self.epoch,
+            subgroup: self.subgroup,
+            seq: self.seq,
+            sender_rank: self.sender_rank,
+            app_index: self.app_index,
+            data: &self.data,
+        }
+    }
+
     fn encode_body(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(BODY_HEADER + self.data.len());
-        b.extend_from_slice(&self.epoch.to_le_bytes());
-        b.extend_from_slice(&self.subgroup.to_le_bytes());
-        b.extend_from_slice(&self.seq.to_le_bytes());
-        b.extend_from_slice(&self.sender_rank.to_le_bytes());
-        b.extend_from_slice(&self.app_index.to_le_bytes());
-        b.extend_from_slice(&(self.data.len() as u32).to_le_bytes());
+        b.extend_from_slice(&self.borrowed().body_header());
         b.extend_from_slice(&self.data);
         b
     }
@@ -141,6 +149,38 @@ impl LogRecord {
     }
 }
 
+/// A [`LogRecord`] whose payload is borrowed: a delivery can be logged
+/// straight from the buffer that holds it, without an owned copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRecordRef<'a> {
+    /// Epoch (view id) the message was delivered in.
+    pub epoch: u64,
+    /// Subgroup id.
+    pub subgroup: u32,
+    /// Sequence number in the subgroup's per-epoch total order.
+    pub seq: i64,
+    /// Sender rank within the epoch's sender list.
+    pub sender_rank: u32,
+    /// The sender's per-epoch FIFO index.
+    pub app_index: u64,
+    /// Payload bytes.
+    pub data: &'a [u8],
+}
+
+impl LogRecordRef<'_> {
+    /// The fixed part of the body, everything before the payload.
+    fn body_header(&self) -> [u8; BODY_HEADER] {
+        let mut b = [0u8; BODY_HEADER];
+        b[0..8].copy_from_slice(&self.epoch.to_le_bytes());
+        b[8..12].copy_from_slice(&self.subgroup.to_le_bytes());
+        b[12..20].copy_from_slice(&self.seq.to_le_bytes());
+        b[20..24].copy_from_slice(&self.sender_rank.to_le_bytes());
+        b[24..32].copy_from_slice(&self.app_index.to_le_bytes());
+        b[32..36].copy_from_slice(&(self.data.len() as u32).to_le_bytes());
+        b
+    }
+}
+
 /// The longest suffix of `records` whose encoded bodies fit `max_bytes`
 /// — the byte budget of a joiner's state-transfer snapshot (the newest
 /// records matter most; older history is reachable by replaying a
@@ -159,7 +199,66 @@ pub fn tail_within(records: &[LogRecord], max_bytes: usize) -> &[LogRecord] {
     &records[start..]
 }
 
-/// CRC-32 (IEEE 802.3, reflected), table-driven.
+/// Slice-by-8 lookup tables for the reflected IEEE 802.3 polynomial:
+/// `CRC_TABLES[0]` is the classic one-byte table, `CRC_TABLES[k][b]` the
+/// CRC state after byte `b` and `k` zero bytes. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Feeds `data` into the raw (pre-inversion) CRC state `c`, eight bytes
+/// per step: `crc32(a ++ b) == !crc32_update(crc32_update(!0, a), b)`.
+fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let chunks = data.chunks_exact(8);
+    let rest = chunks.remainder();
+    for ch in chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in rest {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// CRC-32 (IEEE 802.3, reflected), table-driven, eight bytes per step.
 ///
 /// # Examples
 ///
@@ -168,27 +267,7 @@ pub fn tail_within(records: &[LogRecord], max_bytes: usize) -> &[LogRecord] {
 /// assert_eq!(spindle_persist::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut c = !0u32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    !crc32_update(!0, data)
 }
 
 /// An append-only, checksummed, crash-recoverable message log.
@@ -551,8 +630,19 @@ impl DurableLog {
     /// Propagates I/O errors from the underlying writes (and, on
     /// rollover, the sync of the finished segment).
     pub fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
-        let body = rec.encode_body();
-        let frame = (FRAME_HEADER + body.len()) as u64;
+        self.append_borrowed(rec.borrowed())
+    }
+
+    /// [`DurableLog::append`] for a record whose payload lives elsewhere:
+    /// the same frame bytes, written without building an owned record or
+    /// an encoded body first.
+    ///
+    /// # Errors
+    ///
+    /// As [`DurableLog::append`].
+    pub fn append_borrowed(&mut self, rec: LogRecordRef<'_>) -> io::Result<()> {
+        let body_len = BODY_HEADER + rec.data.len();
+        let frame = (FRAME_HEADER + body_len) as u64;
         let over_cap = self
             .rotation
             .as_ref()
@@ -561,10 +651,15 @@ impl DurableLog {
             let rot = self.rotation.clone().expect("over_cap implies rotation");
             self.rotate(&rot)?;
         }
-        self.writer.write_all(&MAGIC.to_le_bytes())?;
-        self.writer.write_all(&(body.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc32(&body).to_le_bytes())?;
-        self.writer.write_all(&body)?;
+        let body_header = rec.body_header();
+        let crc = !crc32_update(crc32_update(!0, &body_header), rec.data);
+        let mut head = [0u8; FRAME_HEADER + BODY_HEADER];
+        head[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        head[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
+        head[8..12].copy_from_slice(&crc.to_le_bytes());
+        head[FRAME_HEADER..].copy_from_slice(&body_header);
+        self.writer.write_all(&head)?;
+        self.writer.write_all(rec.data)?;
         self.records += 1;
         self.bytes += frame;
         self.seg_bytes += frame;
@@ -851,6 +946,127 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise CRC-32 this crate used before slice-by-8: one table
+    /// look-up per byte. Kept as the reference the fast form must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, e) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *e = c;
+        }
+        let mut c = !0u32;
+        for &b in data {
+            c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..16 * 1024 + 8).map(|_| next() as u8).collect();
+        // Every short length at every start alignment: the 8-byte steps, the
+        // tail loop and their boundary.
+        for align in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[align..align + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "len {len} at +{align}");
+            }
+        }
+        for _ in 0..1_000 {
+            let len = next() as usize % (16 * 1024 + 1);
+            let align = next() as usize % 8;
+            let data = &buf[align..align + len];
+            assert_eq!(crc32(data), crc32_bytewise(data), "len {len} at +{align}");
+            // Fed in two parts, as `append_borrowed` feeds header and payload.
+            let cut = next() as usize % (len + 1);
+            let parts = !crc32_update(crc32_update(!0, &data[..cut]), &data[cut..]);
+            assert_eq!(parts, crc32_bytewise(data), "len {len} cut at {cut}");
+        }
+    }
+
+    /// Three records as the parent commit's `append` framed them (empty,
+    /// 7-byte and 13-byte payloads): the on-disk format this crate must
+    /// keep reading and keep writing.
+    const GOLDEN_SEGMENT: [u8; 164] = [
+        0x53, 0x50, 0x49, 0x4E, 0x24, 0x00, 0x00, 0x00, 0x40, 0x66, 0xC6, 0xFF, //
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x53, 0x50, 0x49, 0x4E, 0x2B, 0x00, 0x00, 0x00, 0xB7, 0xCA, 0x02, 0x21, //
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, //
+        0x73, 0x70, 0x69, 0x6E, 0x64, 0x6C, 0x65, 0x53, 0x50, 0x49, 0x4E, 0x31, //
+        0x00, 0x00, 0x00, 0xB0, 0xBC, 0xE2, 0x75, 0x02, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, //
+        0x00, 0x00, 0x00, 0x0D, 0x00, 0x00, 0x00, 0xC8, 0xED, 0x12, 0x37, 0x5C, //
+        0x81, 0xA6, 0xCB, 0xF0, 0x15, 0x3A, 0x5F, 0x84,
+    ];
+
+    fn golden_records() -> Vec<LogRecord> {
+        let mk = |epoch, seq, sender_rank, app_index, data: Vec<u8>| LogRecord {
+            epoch,
+            subgroup: 0,
+            seq,
+            sender_rank,
+            app_index,
+            data,
+        };
+        let thirteen = (0u8..13).map(|i| i.wrapping_mul(37).wrapping_add(200));
+        vec![
+            mk(1, 0, 0, 0, vec![]),
+            mk(1, 1, 1, 0, b"spindle".to_vec()),
+            mk(2, 0, 2, 5, thirteen.collect()),
+        ]
+    }
+
+    #[test]
+    fn both_appends_write_the_golden_segment_and_replay_reads_it() {
+        let dir = tmp_dir("golden");
+        let records = golden_records();
+        let owned = dir.join("owned.log");
+        let mut log = DurableLog::create(&owned).unwrap();
+        records.iter().for_each(|r| log.append(r).unwrap());
+        log.sync().unwrap();
+        assert_eq!(log.byte_len(), GOLDEN_SEGMENT.len() as u64);
+        assert_eq!(std::fs::read(&owned).unwrap(), GOLDEN_SEGMENT);
+        let borrowed = dir.join("borrowed.log");
+        let mut log = DurableLog::create(&borrowed).unwrap();
+        for r in &records {
+            let payload = r.data.clone(); // a buffer the record does not own
+            let by_ref = LogRecordRef {
+                data: &payload,
+                ..r.borrowed()
+            };
+            log.append_borrowed(by_ref).unwrap();
+        }
+        log.sync().unwrap();
+        assert_eq!(std::fs::read(&borrowed).unwrap(), GOLDEN_SEGMENT);
+        // And a directory holding the parent's bytes replays under this code.
+        let replay = tmp_dir("golden-replay");
+        std::fs::write(segment_path(&replay, "node0-g0", 0), GOLDEN_SEGMENT).unwrap();
+        assert_eq!(all_records_sorted(&replay).unwrap(), records);
+        let (log, recovered) =
+            DurableLog::open_with(&PersistOptions::new(&replay), "node0-g0").unwrap();
+        assert_eq!(recovered, records);
+        assert_eq!(log.byte_len(), GOLDEN_SEGMENT.len() as u64);
     }
 
     #[test]

@@ -217,15 +217,9 @@ impl Sst {
             col.is_materialized() || payload.is_empty(),
             "cannot store payload bytes in a metadata-only slot block"
         );
-        let pw = col.payload_words(i);
-        for (w, chunk) in payload.chunks(8).enumerate() {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.region.store(
-                self.layout.abs_word(self.own_row, pw.start + w),
-                u64::from_le_bytes(buf),
-            );
-        }
+        let start = col.payload_words(i).start;
+        self.region
+            .write_bytes(self.layout.abs_word(self.own_row, start), payload);
         self.write_slot_meta(col, i, gen, payload.len() as u32, aux)
     }
 
@@ -272,18 +266,10 @@ impl Sst {
             col.is_materialized() || len == 0,
             "metadata-only slot blocks hold no payload bytes"
         );
-        let pw = col.payload_words(i);
-        let mut out = Vec::with_capacity(len);
-        let mut remaining = len;
-        let mut w = 0;
-        while remaining > 0 {
-            let word = self.region.load(self.layout.abs_word(row, pw.start + w));
-            let bytes = word.to_le_bytes();
-            let take = remaining.min(8);
-            out.extend_from_slice(&bytes[..take]);
-            remaining -= take;
-            w += 1;
-        }
+        let start = col.payload_words(i).start;
+        let mut out = vec![0u8; len];
+        self.region
+            .read_bytes(self.layout.abs_word(row, start), &mut out);
         out
     }
 
@@ -309,6 +295,7 @@ mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
     use proptest::prelude::*;
+    use spindle_fabric::{MemFabric, NodeId, WriteOp};
 
     fn make_sst(rows: usize, own: usize) -> (Sst, CounterCol, SlotsCol) {
         let mut b = LayoutBuilder::new();
@@ -417,33 +404,40 @@ mod tests {
         assert!(r.start >= 3 * row_words);
     }
 
-    /// A receiver that sees a slot's header sees the whole message: the
-    /// writer rewrites one 10 KiB slot with a per-generation fill and posts
-    /// it; the reader polls the header in its mirror and, on the new
-    /// generation, checks the round word and every payload byte. The writer
-    /// reuses the slot only after the reader's ack (the ring's reuse rule),
-    /// so the only race left is the order in which one post's words land.
-    #[test]
-    fn header_is_placed_after_the_round_and_payload_it_announces() {
-        use spindle_fabric::{MemFabric, NodeId, WriteOp};
-        use std::sync::atomic::{AtomicU32, Ordering};
-
-        const GENERATIONS: u32 = 2_000;
-        const LEN: usize = 10 * 1024;
+    /// Two rows over a `MemFabric`: row 0's replica writes and posts, row
+    /// 1's reads its mirror of row 0.
+    fn mirrored_pair(count: usize, max_msg: usize) -> (MemFabric, Sst, Sst, SlotsCol) {
         let mut b = LayoutBuilder::new();
-        let slots = b.add_slots("smc", 1, LEN);
+        let slots = b.add_slots("smc", count, max_msg);
         let layout = Arc::new(b.finish(2));
         let fabric = MemFabric::new(2, layout.region_words());
         let writer = Sst::new(Arc::clone(&layout), fabric.region_arc(NodeId(0)), 0);
         let reader = Sst::new(layout, fabric.region_arc(NodeId(1)), 1);
+        (fabric, writer, reader, slots)
+    }
+
+    /// The writer rewrites one slot `generations` times — generation `g`
+    /// carries `patterns[g % patterns.len()]` and round word `g` — and posts
+    /// it; the reader polls the header in its mirror and, on the new
+    /// generation, checks the round word and every payload byte. The writer
+    /// reuses the slot only after the reader's ack (the ring's reuse rule;
+    /// without it a payload read races the next generation's write and no
+    /// header could vouch for it), so the only race left is the order in
+    /// which one post's words land. Returns the first violation.
+    fn hammer_one_slot(generations: u32, patterns: &[Vec<u8>]) -> Option<String> {
+        use std::sync::atomic::{AtomicU32, Ordering};
+
+        let len = patterns[0].len();
+        let pattern_of = |gen: u32| &patterns[gen as usize % patterns.len()];
+        let (fabric, writer, reader, slots) = mirrored_pair(1, len);
         // The last generation the reader checked; `ABORT` releases the
         // writer after a violation so a failure reports instead of hanging.
         const ABORT: u32 = u32::MAX;
         let acked = AtomicU32::new(0);
-        let violation = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             s.spawn(|| {
-                for gen in 1..=GENERATIONS {
-                    let range = writer.write_slot(slots, 0, gen, u64::from(gen), &[gen as u8; LEN]);
+                for gen in 1..=generations {
+                    let range = writer.write_slot(slots, 0, gen, u64::from(gen), pattern_of(gen));
                     fabric.post(NodeId(0), &WriteOp::new(NodeId(1), range));
                     loop {
                         match acked.load(Ordering::Acquire) {
@@ -454,25 +448,96 @@ mod tests {
                     }
                 }
             });
-            for gen in 1..=GENERATIONS {
+            for gen in 1..=generations {
                 while reader.slot_header(slots, 0, 0).gen != gen {
                     std::hint::spin_loop();
                 }
                 let round = reader.slot_aux(slots, 0, 0);
-                let data = reader.read_slot_with_len(slots, 0, 0, LEN);
-                let stale = data.iter().filter(|&&byte| byte != gen as u8).count();
+                let data = reader.read_slot_with_len(slots, 0, 0, len);
+                let stale = (data.iter().zip(pattern_of(gen)))
+                    .filter(|(got, want)| got != want)
+                    .count();
                 if round != u64::from(gen) || stale != 0 {
                     acked.store(ABORT, Ordering::Release);
                     return Some(format!(
                         "header of generation {gen} visible with round {round} and {stale} \
-                         payload bytes of the previous occupant"
+                         payload bytes that are not its own"
                     ));
                 }
                 acked.store(gen, Ordering::Release);
             }
             None
-        });
-        assert_eq!(violation, None);
+        })
+    }
+
+    /// A receiver that sees a slot's header sees the whole message: 2 000
+    /// generations of one 10 KiB slot, each filled with its generation's
+    /// low byte.
+    #[test]
+    fn header_is_placed_after_the_round_and_payload_it_announces() {
+        let fills: Vec<Vec<u8>> = (0..=u8::MAX).map(|b| vec![b; 10 * 1024]).collect();
+        assert_eq!(hammer_one_slot(2_000, &fills), None);
+    }
+
+    /// The bulk-copy form of the fabric's
+    /// `release_acquire_fencing_under_contention`: the writer alternates two
+    /// distinct 10 KiB patterns through `write_slot` + `post`, and whatever
+    /// generation the reader's mirror shows in the header, the payload under
+    /// it is wholly that generation's pattern — `write_bytes`, the post and
+    /// `read_bytes` all move words in increasing address order, header last.
+    #[test]
+    fn bulk_copied_slot_is_never_torn_under_its_header() {
+        let pattern = |seed: u8| -> Vec<u8> {
+            (0..10 * 1024usize)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+                .collect()
+        };
+        // Debug builds keep the tier-1 run short; CI's stress step runs the
+        // full count with --release.
+        let rounds = if cfg!(debug_assertions) {
+            5_000
+        } else {
+            50_000
+        };
+        assert_eq!(hammer_one_slot(rounds, &[pattern(1), pattern(128)]), None);
+    }
+
+    /// `write_slot` → `post` → `read_slot_with_len` at the lengths where the
+    /// word packing changes shape, on the first and the last slot of the
+    /// block, with the neighbouring slot left alone.
+    #[test]
+    fn slot_roundtrip_through_a_post_at_word_boundaries() {
+        const MAX_MSG: usize = 100;
+        let (fabric, writer, reader, slots) = mirrored_pair(4, MAX_MSG);
+        let bytes: Vec<u8> = (1..=MAX_MSG as u8).collect();
+        let mut gen = 0;
+        for slot in [0, 3] {
+            for len in [0, 1, 7, 8, 9, MAX_MSG - 1, MAX_MSG] {
+                gen += 1;
+                let range = writer.write_slot(slots, slot, gen, 7, &bytes[..len]);
+                fabric.post(NodeId(0), &WriteOp::new(NodeId(1), range));
+                let h = reader.slot_header(slots, 0, slot);
+                assert_eq!(
+                    h,
+                    SlotHeader {
+                        gen,
+                        len: len as u32
+                    }
+                );
+                assert_eq!(
+                    reader.read_slot_with_len(slots, 0, slot, len),
+                    &bytes[..len]
+                );
+                assert_eq!(writer.read_slot(slots, 0, slot), &bytes[..len]);
+            }
+        }
+        for untouched in [1, 2] {
+            assert_eq!(reader.slot_header(slots, 0, untouched).gen, 0);
+            assert_eq!(
+                reader.read_slot_with_len(slots, 0, untouched, MAX_MSG),
+                [0; MAX_MSG]
+            );
+        }
     }
 
     proptest! {
