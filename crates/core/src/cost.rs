@@ -82,7 +82,14 @@ pub struct CostModel {
     /// size-independent delivery rate).
     pub app_per_msg: Duration,
 
-    /// Doorbell latency to wake a quiescent predicate thread (§2.4).
+    /// Doorbell latency to wake a quiescent predicate thread (§2.4): the
+    /// paper's RDMA hosts, a dedicated polling core a doorbell away.
+    ///
+    /// Not the threaded runtime's figure, and not to be calibrated against
+    /// it: there a wake-up is a futex `unpark` into an idle vCPU
+    /// ([`Region::ring`](spindle_fabric::Region::ring)), measured at
+    /// ≈ 40–60 µs on the 2-core benchmark host — some fifty times this
+    /// model's 900 ns default, and the host's floor, not the protocol's.
     pub wake_latency: Duration,
     /// Gap between predicate-thread iterations.
     pub iter_gap: Duration,

@@ -193,6 +193,12 @@ impl HeartbeatTicker {
         self.state = HeartbeatState::new(peers, cfg, now);
     }
 
+    /// When the own counter is next due: what a loop that blocks between
+    /// turns must wake by, so a quiet node's heartbeat keeps its cadence.
+    pub(crate) fn next_beat(&self) -> Instant {
+        self.last_beat + self.interval
+    }
+
     /// One turn: on the cadence, bumps the own counter `col` of `sst` and
     /// hands the word range to `post`; then reads every monitored peer's
     /// counter from `sst`. Returns the peers that just became suspected —

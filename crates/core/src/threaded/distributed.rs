@@ -55,6 +55,8 @@ impl<F: Fabric> Cluster<F> {
             if Instant::now() > deadline || self.stop.load(Ordering::Relaxed) {
                 return false;
             }
+            // Not the doorbell: this is the caller's thread, and the
+            // row's predicate thread is the one waiter its replica has.
             std::thread::sleep(Duration::from_micros(300));
         }
         true
@@ -237,6 +239,9 @@ pub(super) fn view_change<F: Fabric>(
             (inner.sst.clone(), inner.live_fabric(), inner.frontiers())
         };
         stall.check(engine.vid(), engine.phase_name(), &sst);
+        // What a pending step waits for is a peer's write into this mirror:
+        // arm its doorbell, look (the step), and wait on it below.
+        sst.region().arm();
         let mut post = post_to(&fabric, row, &active);
         if let Some(ticker) = ticker.as_mut() {
             for suspect in ticker.tick(Instant::now(), &sst, hb_col, &mut post) {
@@ -254,7 +259,9 @@ pub(super) fn view_change<F: Fabric>(
         };
         match step {
             VcStep::Pending | VcStep::Done => {
-                std::thread::sleep(Duration::from_micros(200));
+                // Woken by the write, or — for what does not ring: a local
+                // row's crash boundary, stop, kill — after 200 µs.
+                sst.region().wait(Duration::from_micros(200));
             }
             VcStep::Deliver(p) => {
                 let ordered = cfg.delivery_timing == DeliveryTiming::Ordered;
@@ -391,7 +398,12 @@ pub(super) fn view_change<F: Fabric>(
         rows: &survivors,
         flags: &flags,
     };
-    while !barrier.step(&sst, &mut post) {
+    loop {
+        // As in the engine loop: arm, look, wait on the new mirror's bell.
+        sst.region().arm();
+        if barrier.step(&sst, &mut post) {
+            break;
+        }
         if stop.load(Ordering::Relaxed) || shared.killed.load(Ordering::Acquire) {
             return;
         }
@@ -420,7 +432,7 @@ pub(super) fn view_change<F: Fabric>(
         }
         // A healthy barrier converges in milliseconds.
         stall.check(proposal.vid, "the install barrier", &sst);
-        std::thread::sleep(Duration::from_micros(300));
+        sst.region().wait(Duration::from_micros(300));
     }
     shared.obs.event(
         Level::Info,

@@ -72,9 +72,7 @@ impl<F: Fabric> Cluster<F> {
             0 => PLANNED_BIT,
             bits => bits,
         };
-        self.trigger_row(&gone)?
-            .vc_trigger
-            .fetch_or(trigger, Ordering::AcqRel);
+        self.trigger_row(&gone)?.trigger(trigger);
         let mut report = self.await_transition(&old_view, &gone)?;
         loop {
             // Only the explicitly removed node's handle closes; silently
@@ -228,9 +226,7 @@ impl<F: Fabric> Cluster<F> {
             return Err(ViewChangeError::NotLeader { leader });
         }
         *self.shared(leader).join_intent.lock() = Some(JoinIntent::Remote(join));
-        self.shared(leader)
-            .vc_trigger
-            .fetch_or(PLANNED_BIT, Ordering::AcqRel);
+        self.shared(leader).trigger(PLANNED_BIT);
         let deadline = Instant::now() + VC_DEADLINE;
         let report = self
             .await_report(leader, old_epoch, false, deadline)?
@@ -293,7 +289,7 @@ impl<F: Fabric> Cluster<F> {
                 joins: joins.clone(),
             });
         }
-        trigger_row.vc_trigger.fetch_or(trigger, Ordering::AcqRel);
+        trigger_row.trigger(trigger);
         while self.epochs.installed.lock().0.len() == self.epoch_views.len() {
             if Instant::now() > deadline {
                 return Err(ViewChangeError::Stalled);

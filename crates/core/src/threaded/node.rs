@@ -4,7 +4,7 @@
 //! epochs ([`Epochs`]), and the row and post helpers the other modules share.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -360,10 +360,20 @@ impl<F: Fabric> NodeShared<F> {
         match p.try_queue_app(sst, payload.len() as u32, Some(payload)) {
             QueueOutcome::Queued { slot, .. } => {
                 stamps[slot] = Some(Instant::now());
+                // The slot is work for this node's own predicate thread.
+                sst.region().ring();
                 Ok(true)
             }
             QueueOutcome::WindowFull => Ok(false),
         }
+    }
+
+    /// ORs `bits` into [`NodeShared::vc_trigger`] from outside the node's
+    /// predicate loop and rings its doorbell: the thread may be parked, and
+    /// a trigger is no write to its replica.
+    pub(super) fn trigger(&self, bits: u64) {
+        self.vc_trigger.fetch_or(bits, Ordering::AcqRel);
+        self.inner.lock().sst.region().ring();
     }
 
     /// Acts on the local detector's verdict that `suspect` fell silent:

@@ -64,6 +64,126 @@ fn epoch_obs<'a>(
     cache.as_ref().expect("cache just filled")
 }
 
+/// One timed sleep of a predicate thread that has nothing to do: the one
+/// quantum the idle ladder takes before it parks ([`IdleLadder`]), and the
+/// polling interval of a [`paused`](NodeShared::paused) row. 50 µs asked
+/// for is 105–120 µs slept on the benchmark host: the kernel adds the
+/// thread's default 50 µs timer slack to every `nanosleep`.
+const IDLE_QUANTUM: Duration = Duration::from_micros(50);
+
+/// Passes without work before the ladder leaves its spin rung.
+const IDLE_SPINS: u32 = 64;
+
+/// The longest a thread parks on its doorbell. What does not ring — `stop`,
+/// [`killed`](NodeShared::killed), [`paused`](NodeShared::paused), a closed
+/// handle — is seen this late at worst; with a detector the time to the next
+/// heartbeat is the timeout when that is sooner. Measured on the 2-core
+/// host: at 1 ms an idle 3-node cluster wakes ≈ 900×/s per thread and burns
+/// 62 ms of CPU a second (the 50 µs sleep loop this replaces: ≈ 8 500×/s,
+/// 310 ms), and shutting a parked cluster down takes 1.3 ms at worst.
+const PARK_CAP: Duration = Duration::from_millis(1);
+
+/// What a predicate thread does between one pass and the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Idle {
+    /// Go round again at once.
+    Spin,
+    /// Sleep one [`IDLE_QUANTUM`] on the timer.
+    Sleep,
+    /// Arm the replica's doorbell ([`Region::arm`]); the next pass is the
+    /// handshake's "look once more".
+    ///
+    /// [`Region::arm`]: spindle_fabric::Region::arm
+    Arm,
+    /// That look found nothing: park until a write rings or the timeout.
+    Park,
+}
+
+/// The idle ladder of a predicate thread (§2.4: the thread quiesces when it
+/// has no work and a doorbell wakes it): **spin** [`IDLE_SPINS`] passes →
+/// **one** timed [`IDLE_QUANTUM`] → **arm** the doorbell → one more full
+/// pass → **park** until the write that gives it work rings
+/// ([`Region::ring`]: a peer's post, the TCP poller's mirror apply, a local
+/// `try_send`, a view-change trigger). A pass that finds work puts it back
+/// on the first rung; a park that ends without work re-arms and parks
+/// again, without another timed sleep.
+///
+/// So the first hop of a message that finds the cluster idle costs one
+/// wake-up (≈ 40–60 µs into an idle vCPU) instead of the rest of a 50 µs
+/// sleep that really lasts ≈ 105 µs. The timed quantum between spinning and
+/// parking stays on purpose — it is what a thread takes *inside* a
+/// message's chain, after its own hop, and at saturation it is what
+/// coalesces wake-ups. Measured on the 2-core host with the repo benchmark
+/// (ISSUE 24; paced `lat_p50_us` on `mem_small`, 272 µs with the sleep
+/// loop, ≈ 200 µs with this ladder): parking straight after the spins gave
+/// 120 µs but `cpu_us_per_msg` 2.27 → 3.76 (+65 %) — every post wakes a
+/// peer, batches shrink, and each wake pays 64 idle passes and two futex
+/// calls; falling back to timed sleeps only after 8 consecutive short parks
+/// gave 110–127 µs but cost `tcp_1k` 21 % of its goodput and 31–41 % more
+/// CPU per message, seven threads churning on two cores.
+///
+/// A pure state machine — one [`IdleLadder::next`] per pass — so its order
+/// is tested without threads.
+///
+/// [`Region::ring`]: spindle_fabric::Region::ring
+#[derive(Debug, Default)]
+struct IdleLadder {
+    /// Consecutive passes without work, held at the sleep rung once the
+    /// thread has parked.
+    idle: u32,
+}
+
+impl IdleLadder {
+    /// The step after a pass that did (`work`) or did not find work.
+    fn next(&mut self, work: bool) -> Idle {
+        if work {
+            self.idle = 0;
+            return Idle::Spin;
+        }
+        self.idle += 1;
+        match self.idle.saturating_sub(IDLE_SPINS) {
+            0 => Idle::Spin,
+            1 => Idle::Sleep,
+            2 => Idle::Arm,
+            _ => {
+                // Back to where the next idle pass re-arms.
+                self.idle = IDLE_SPINS + 1;
+                Idle::Park
+            }
+        }
+    }
+}
+
+/// `spindle_predicate_waits_total{node, kind}`: how often this node's
+/// predicate thread blocked, by what it blocked on or what ended it —
+/// `timer` (a timed [`IDLE_QUANTUM`]), `rung` (a park ended by a write's
+/// ring), `timeout` (a park that ran to its timeout). Resolved once per
+/// thread; bumped only on the idle ladder, never on a pass that found work.
+struct WaitCounters {
+    timer: spindle_obs::Counter,
+    rung: spindle_obs::Counter,
+    timeout: spindle_obs::Counter,
+}
+
+impl WaitCounters {
+    fn new(obs: &ObsPlane, row: usize) -> Self {
+        let node = row.to_string();
+        let kind = |kind| {
+            obs.registry().counter(
+                spindle_obs::names::PREDICATE_WAITS,
+                "Times a predicate thread blocked: a timed idle quantum (timer), a doorbell \
+                 park ended by a write (rung) or by its timeout (timeout)",
+                &[("node", node.as_str()), ("kind", kind)],
+            )
+        };
+        WaitCounters {
+            timer: kind("timer"),
+            rung: kind("rung"),
+            timeout: kind("timeout"),
+        }
+    }
+}
+
 /// The deliveries of one pass over a node's protocol state and, beside
 /// each, when this node queued it: `Some` for its own sends only — the
 /// start of the delivery-latency sample [`publish`] records.
@@ -194,7 +314,8 @@ pub(super) fn predicate_thread<F: Fabric>(
     stop: Arc<AtomicBool>,
     drives_engine: bool,
 ) {
-    let mut idle_spins = 0u32;
+    let mut ladder = IdleLadder::default();
+    let waits = WaitCounters::new(&shared.obs, row);
     let mut obs_cache: Option<EpochObsCache> = None;
     let mut local: Option<EpochLocal<F>> = None;
     // One pass's scratch, emptied by the pass that filled it. Work items
@@ -213,7 +334,7 @@ pub(super) fn predicate_thread<F: Fabric>(
         if shared.paused.load(Ordering::Acquire) {
             // Fault-injected stall: no predicate work, no heartbeats. Loop
             // (rather than block) so kills and stop still land.
-            std::thread::sleep(Duration::from_micros(50));
+            std::thread::sleep(IDLE_QUANTUM);
             continue;
         }
         // Suspicion bits that must start a view change after this
@@ -345,19 +466,29 @@ pub(super) fn predicate_thread<F: Fabric>(
         publish(&shared, row, &mut batch, &mut obs_cache);
         if vc_bits != 0 {
             view_change(row, &shared, vc_bits, &cfg, &det, &stop, &mut obs_cache);
-            idle_spins = 0;
+            ladder = IdleLadder::default();
             continue;
         }
-        if work {
-            idle_spins = 0;
-        } else {
-            idle_spins += 1;
-            if idle_spins > 64 {
-                // Quiesce politely; sends and arrivals are visible in shared
-                // memory, so a short sleep stands in for the doorbell.
-                std::thread::sleep(Duration::from_micros(50));
-            } else {
-                std::hint::spin_loop();
+        // The doorbell is the one on the replica this pass read.
+        let EpochLocal { sst, ticker, .. } = local.as_ref().expect("the pass entered an epoch");
+        match ladder.next(work) {
+            // With work: straight into the next pass, as before the ladder.
+            Idle::Spin if work => {}
+            Idle::Spin => std::hint::spin_loop(),
+            Idle::Sleep => {
+                waits.timer.inc();
+                std::thread::sleep(IDLE_QUANTUM);
+            }
+            Idle::Arm => sst.region().arm(),
+            Idle::Park => {
+                let timeout = ticker.as_ref().map_or(PARK_CAP, |t| {
+                    PARK_CAP.min(t.next_beat().saturating_duration_since(Instant::now()))
+                });
+                if sst.region().wait(timeout) {
+                    waits.rung.inc();
+                } else {
+                    waits.timeout.inc();
+                }
             }
         }
     }
@@ -411,4 +542,74 @@ pub(super) fn drain_node_through<F: Fabric>(
     }
     publish(shared, sst.own_row(), &mut batch, obs_cache);
     resend
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The steps of `passes` consecutive passes without work.
+    fn idle(ladder: &mut IdleLadder, passes: usize) -> Vec<Idle> {
+        (0..passes).map(|_| ladder.next(false)).collect()
+    }
+
+    #[test]
+    fn ladder_spins_sleeps_once_arms_looks_and_parks() {
+        let mut ladder = IdleLadder::default();
+        let spins = idle(&mut ladder, IDLE_SPINS as usize);
+        assert!(spins.iter().all(|&s| s == Idle::Spin), "{spins:?}");
+        assert_eq!(
+            idle(&mut ladder, 3),
+            [Idle::Sleep, Idle::Arm, Idle::Park],
+            "exactly one timed quantum before the doorbell is armed"
+        );
+        // A park that ends without work re-arms and parks again: no second
+        // timed sleep, and never a park without a pass since the arm.
+        let parked = idle(&mut ladder, 1_000);
+        for pair in parked.chunks(2) {
+            assert_eq!(pair, [Idle::Arm, Idle::Park]);
+        }
+    }
+
+    #[test]
+    fn work_at_any_rung_puts_the_ladder_back_on_the_first() {
+        // Stop the ladder after every possible number of idle passes — in
+        // the spins, after the sleep, after the arm, after a park, after a
+        // re-arm — and give it work there.
+        for idle_before in 0..IDLE_SPINS as usize + 8 {
+            let mut ladder = IdleLadder::default();
+            idle(&mut ladder, idle_before);
+            assert_eq!(ladder.next(true), Idle::Spin, "after {idle_before} idle");
+            let again = idle(&mut ladder, IDLE_SPINS as usize + 3);
+            assert!(again[..IDLE_SPINS as usize]
+                .iter()
+                .all(|&s| s == Idle::Spin));
+            assert_eq!(
+                again[IDLE_SPINS as usize..],
+                [Idle::Sleep, Idle::Arm, Idle::Park],
+                "after {idle_before} idle"
+            );
+        }
+    }
+
+    #[test]
+    fn park_only_ever_follows_an_arm_and_a_pass() {
+        // Any mix of work and no work: a `Park` is returned only by the call
+        // right after the one that returned `Arm` — one full pass later.
+        let mut ladder = IdleLadder::default();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut last = Idle::Spin;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Mostly idle, so the upper rungs are reached often.
+            let step = ladder.next(x.is_multiple_of(97));
+            assert_eq!(step == Idle::Park, last == Idle::Arm && step != Idle::Spin);
+            if step == Idle::Arm {
+                assert!(matches!(last, Idle::Sleep | Idle::Park), "{last:?}");
+            }
+            last = step;
+        }
+    }
 }

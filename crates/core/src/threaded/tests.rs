@@ -698,3 +698,102 @@ fn factory_called_once_per_epoch() {
     assert_eq!(at_0, last(joiner));
     cluster.shutdown();
 }
+
+/// `spindle_predicate_waits_total{node, kind}` of one row.
+fn waits(cluster: &Cluster, row: usize, kind: &str) -> u64 {
+    let labels = [("node", &*row.to_string()), ("kind", kind)];
+    let reg = cluster.obs().registry();
+    reg.counter_value(spindle_obs::names::PREDICATE_WAITS, &labels)
+        .unwrap_or(0)
+}
+
+/// §2.4's doorbell: a message that finds the cluster idle is delivered
+/// everywhere, and what woke each row's parked predicate thread was a write
+/// into its replica — the local `try_send` at the sender, a peer's post at
+/// the others — not the park's timeout. A write may land in the instant a
+/// thread is awake between two parks (it wakes about once a millisecond to
+/// look at `stop`), so a row is given a few lone messages to be caught
+/// parked by one.
+#[test]
+fn lone_message_wakes_parked_threads_by_doorbell() {
+    let cluster = Cluster::start(view(3, 3, 8, 64), SpindleConfig::optimized());
+    let rung = || -> Vec<u64> { (0..3).map(|row| waits(&cluster, row, "rung")).collect() };
+    let mut before = Vec::new();
+    for round in 0..5u32 {
+        std::thread::sleep(Duration::from_millis(50));
+        for row in 0..3 {
+            assert!(
+                waits(&cluster, row, "timeout") > 0,
+                "row {row} did not park in 50 idle ms"
+            );
+        }
+        if round == 0 {
+            // No detector, no traffic: nothing has rung yet but set-up.
+            before = rung();
+        }
+        let payload = round.to_le_bytes();
+        assert_eq!(cluster.node(0).try_send(SubgroupId(0), &payload), Ok(true));
+        for row in 0..3 {
+            assert_eq!(collect(&cluster, row, 1)[0].data, payload);
+        }
+        if rung().iter().zip(&before).all(|(now, before)| now > before) {
+            break;
+        }
+    }
+    for (row, (now, before)) in rung().iter().zip(&before).enumerate() {
+        assert!(
+            now > before,
+            "row {row} was never woken by a write: rung {before} -> {now}, timeouts {}",
+            waits(&cluster, row, "timeout")
+        );
+    }
+    cluster.shutdown();
+}
+
+/// What does not ring is seen at the park timeout: `stop` within the 1 ms
+/// cap, with or without a detector, and a paused row's missing heartbeats
+/// on the detector's clock — parked peers wake for their own next beat and
+/// read its counter then.
+#[test]
+fn parked_threads_still_see_stop_and_silence_on_time() {
+    let det = DetectorConfig {
+        heartbeat_interval: Duration::from_millis(2),
+        timeout: Duration::from_millis(100),
+    };
+    for det in [None, Some(det)] {
+        let cluster = match det.clone() {
+            None => Cluster::start(view(3, 3, 8, 64), SpindleConfig::optimized()),
+            Some(det) => {
+                Cluster::start_with_detector(view(3, 3, 8, 64), SpindleConfig::optimized(), det)
+            }
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let parks: u64 = (0..3)
+            .map(|row| waits(&cluster, row, "rung") + waits(&cluster, row, "timeout"))
+            .sum();
+        assert!(parks > 0, "nobody parked in 50 idle ms");
+        if let Some(det) = &det {
+            let paused_at = Instant::now();
+            cluster.pause_node(2);
+            let s = cluster
+                .suspicions()
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a paused row's heartbeats stop");
+            assert_eq!(s.suspect, 2);
+            let took = paused_at.elapsed();
+            // Its last beat may predate the pause by one interval.
+            assert!(
+                took + det.heartbeat_interval >= det.timeout && took < det.timeout * 3,
+                "suspected after {took:?}, timeout {:?}",
+                det.timeout
+            );
+        }
+        let t0 = Instant::now();
+        cluster.shutdown();
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "shutting down a parked cluster took {took:?}"
+        );
+    }
+}

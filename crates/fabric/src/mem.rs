@@ -12,7 +12,8 @@ use crate::types::{NodeId, WriteOp};
 /// [`WriteOp`] from node `src` copies the covered word range from `src`'s
 /// region into the destination's region, in increasing address order with
 /// release stores — exactly the placement an RDMA NIC performs for a posted
-/// write, minus the wire delay. Because placement is immediate and the
+/// write, minus the wire delay — and then rings the destination's doorbell
+/// ([`Region::ring`]). Because placement is immediate and the
 /// poster's own row words are only ever written by the poster, the
 /// "snapshot at post time" and "placement at arrival time" coincide.
 ///
@@ -121,6 +122,7 @@ impl MemFabric {
         let src_region = &self.regions[src.0];
         let dst_region = &self.regions[op.dst.0];
         dst_region.copy_range_from(src_region, op.range.start, op.range.end - op.range.start);
+        dst_region.ring();
     }
 }
 

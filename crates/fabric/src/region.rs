@@ -8,8 +8,15 @@
 //! the memory model on [`Region`]: each word is stored `Release` and loaded
 //! `Acquire`, in increasing address order. The bulk forms slice the range
 //! once — one bounds check for the whole transfer, not one per word.
+//!
+//! A region also carries the §2.4 **doorbell** of the one thread that reads
+//! it: [`Region::arm`] / [`Region::wait`] on the reader's side,
+//! [`Region::ring`] on the side of whatever wrote words into it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// A registered memory region: a fixed array of 8-byte words.
 ///
@@ -34,6 +41,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   [`Region::write_bytes`] and [`Region::read_bytes`] place and read a
 ///   payload under the same rule, so a slot header stored after a
 ///   `write_bytes` guards every byte of it.
+/// * **Doorbell** — a replica has exactly one reader, its node's predicate
+///   thread, which may sleep when a pass over the replica finds no work
+///   (§2.4) and must then be woken by the write that gives it some. Both
+///   sides run one half of a store-buffering handshake over the `asleep`
+///   flag, with a `SeqCst` fence in the middle of each:
+///
+///   | writer ([`Region::ring`] after placing) | waiter ([`Region::arm`], a pass, [`Region::wait`]) |
+///   |---|---|
+///   | store the words | store `asleep = true` |
+///   | `fence(SeqCst)` | `fence(SeqCst)` |
+///   | load `asleep`; if set, clear it and unpark | look at the words once more; park only if still nothing |
+///
+///   The two fences are totally ordered, so either the waiter's last look
+///   sees the words or the writer's load sees the flag: a write can not
+///   fall between a waiter's last look and its park. The writer's load is
+///   `Relaxed` and reads a line nobody writes while the reader is awake, so
+///   a post to an awake replica costs one fence and one shared-line load,
+///   never a read-modify-write; only a writer that reads `true` swaps the
+///   flag, and only the swap's winner unparks. Writes that do not ring
+///   (`store`, `apply_write` on their own) are seen at the waiter's
+///   timeout.
 ///
 /// # Examples
 ///
@@ -49,10 +77,29 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// let mut back = [0u8; 10];
 /// r.read_bytes(6, &mut back);
 /// assert_eq!(&back, b"ten bytes!");
+/// // Nobody is armed: ringing is a no-op.
+/// r.ring();
 /// ```
-#[derive(Debug)]
 pub struct Region {
     words: Box<[AtomicU64]>,
+    /// Set by the reader between [`Region::arm`] and the end of its
+    /// [`Region::wait`]; cleared by whichever of the two sides ends the wait.
+    asleep: AtomicBool,
+    /// The reader, as last registered by [`Region::arm`]: what a ring
+    /// unparks. Locked by the reader when it arms and by the one writer that
+    /// won the `asleep` swap — never on a post to an awake replica.
+    waiter: Mutex<Option<Thread>>,
+}
+
+/// `len` and the doorbell flag only: a region's words are its owner's to
+/// print, and a [`Thread`] per region in an assertion message helps nobody.
+impl std::fmt::Debug for Region {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Region")
+            .field("len", &self.words.len())
+            .field("asleep", &self.asleep.load(Ordering::Relaxed))
+            .finish()
+    }
 }
 
 impl Region {
@@ -62,6 +109,78 @@ impl Region {
         v.resize_with(words, || AtomicU64::new(0));
         Region {
             words: v.into_boxed_slice(),
+            asleep: AtomicBool::new(false),
+            waiter: Mutex::new(None),
+        }
+    }
+
+    /// The reader's first half of the doorbell handshake (see *Memory
+    /// model*): registers the calling thread as the one [`Region::ring`]
+    /// wakes, raises `asleep` and fences. The caller then looks at the
+    /// region **once more** and calls [`Region::wait`] only if that look
+    /// finds nothing; a write placed (and rung) after this returns ends
+    /// that wait at once. A caller whose look does find work need not wait:
+    /// the flag then stays up until its next `wait` or the next ring, and
+    /// that one ring pays the swap.
+    ///
+    /// A region has one waiter. Arming is idempotent for that thread;
+    /// another thread may take the role over only once the first has left
+    /// its wait (checked in debug builds).
+    pub fn arm(&self) {
+        let me = thread::current();
+        {
+            let mut waiter = self.waiter.lock().expect("doorbell holders do not panic");
+            if waiter.as_ref().map(Thread::id) != Some(me.id()) {
+                debug_assert!(
+                    !self.asleep.load(Ordering::Relaxed),
+                    "region armed by {:?} while {:?} is still armed on it",
+                    me.id(),
+                    waiter.as_ref().map(Thread::id),
+                );
+                *waiter = Some(me);
+            }
+        }
+        self.asleep.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+    }
+
+    /// The reader's second half: parks the calling thread — which must be
+    /// the one that armed — until a [`Region::ring`] or for `timeout`,
+    /// whichever is first, and disarms. Returns at once if a ring already
+    /// came since [`Region::arm`] (or the region was never armed). `true`
+    /// when a ring ended the wait, `false` when the timeout did.
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut left = timeout;
+        // `park_timeout` may return early, or at once on a token left by a
+        // ring that lost the race with an earlier timeout: only the flag
+        // says whether the bell was rung.
+        while self.asleep.load(Ordering::Acquire) && !left.is_zero() {
+            thread::park_timeout(left);
+            left = deadline.saturating_duration_since(Instant::now());
+        }
+        !self.asleep.swap(false, Ordering::AcqRel)
+    }
+
+    /// The writer's half: call after placing words the reader may be
+    /// waiting for. Fences, then reads `asleep` — and only when the reader
+    /// is armed clears the flag and unparks it. Ringing a region nobody is
+    /// armed on is a fence and a load.
+    #[inline]
+    pub fn ring(&self) {
+        fence(Ordering::SeqCst);
+        if self.asleep.load(Ordering::Relaxed) {
+            self.wake();
+        }
+    }
+
+    #[cold]
+    fn wake(&self) {
+        if self.asleep.swap(false, Ordering::AcqRel) {
+            let waiter = self.waiter.lock().expect("doorbell holders do not panic");
+            if let Some(t) = waiter.as_ref() {
+                t.unpark();
+            }
         }
     }
 
@@ -102,15 +221,15 @@ impl Region {
     ///
     /// Panics if the write extends past the end of the region.
     pub fn apply_write(&self, offset: usize, data: &[u64]) {
-        assert!(
-            offset + data.len() <= self.words.len(),
-            "RDMA write out of region bounds: {}..{} > {}",
-            offset,
-            offset + data.len(),
-            self.words.len()
-        );
-        for (i, &w) in data.iter().enumerate() {
-            self.words[offset + i].store(w, Ordering::Release);
+        let end = offset + data.len();
+        let words = self.words.get(offset..end).unwrap_or_else(|| {
+            panic!(
+                "RDMA write out of region bounds: {offset}..{end} > {}",
+                self.words.len()
+            )
+        });
+        for (word, &w) in words.iter().zip(data) {
+            word.store(w, Ordering::Release);
         }
     }
 
@@ -187,10 +306,14 @@ impl Region {
     ///
     /// Panics if the range is out of bounds for either region.
     pub fn copy_range_from(&self, src: &Region, offset: usize, len: usize) {
-        assert!(offset + len <= self.words.len(), "copy out of dst bounds");
-        assert!(offset + len <= src.words.len(), "copy out of src bounds");
-        for i in offset..offset + len {
-            self.words[i].store(src.words[i].load(Ordering::Acquire), Ordering::Release);
+        let range = offset..offset + len;
+        let dst = self
+            .words
+            .get(range.clone())
+            .expect("copy out of dst bounds");
+        let src = src.words.get(range).expect("copy out of src bounds");
+        for (d, s) in dst.iter().zip(src) {
+            d.store(s.load(Ordering::Acquire), Ordering::Release);
         }
     }
 }
@@ -346,6 +469,67 @@ mod tests {
         let r = Region::new(4);
         r.read_bytes(3, &mut [0u8; 8]);
         r.read_bytes(3, &mut [0u8; 9]);
+    }
+
+    #[test]
+    fn ring_with_nobody_armed_is_a_noop_and_wait_returns_at_its_timeout() {
+        let r = Region::new(1);
+        r.ring();
+        // Never armed: nothing to wait for.
+        let t0 = Instant::now();
+        assert!(r.wait(Duration::from_secs(5)), "an unarmed wait parked");
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // Armed and never rung: the timeout ends the wait, and disarms.
+        r.arm();
+        let t0 = Instant::now();
+        assert!(!r.wait(Duration::from_millis(20)));
+        assert!(t0.elapsed() >= Duration::from_millis(20));
+        assert!(format!("{r:?}").contains("asleep: false"), "{r:?}");
+        // A ring between arm and wait is not lost: the wait does not park.
+        r.arm();
+        r.ring();
+        let t0 = Instant::now();
+        assert!(r.wait(Duration::from_secs(5)));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+    }
+
+    /// The lost-wake-up hammer: a waiter that arms, looks once more and
+    /// parks against a writer that stores and rings, with nothing else
+    /// keeping them in step. A write that fell between the waiter's last
+    /// look and its park would leave it parked for the full five seconds.
+    #[test]
+    fn doorbell_never_loses_a_wake_up() {
+        const ROUNDS: u64 = 50_000;
+        // Word 0: the writer's round. Word 1: the waiter's acknowledgement.
+        let r = Arc::new(Region::new(2));
+        let ringer = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                for i in 1..=ROUNDS {
+                    while r.load(1) < i - 1 {
+                        std::hint::spin_loop();
+                    }
+                    r.store(0, i);
+                    r.ring();
+                }
+            })
+        };
+        for i in 1..=ROUNDS {
+            // A late ring for round i - 1 may end a wait of round i early;
+            // that is a spurious wake, not a lost one.
+            while r.load(0) < i {
+                r.arm();
+                if r.load(0) >= i {
+                    break;
+                }
+                assert!(
+                    r.wait(Duration::from_secs(5)),
+                    "round {i}: the wait ran to its timeout"
+                );
+            }
+            r.store(1, i);
+        }
+        ringer.join().unwrap();
     }
 
     /// The fencing property the SST guard protocol relies on: if a reader

@@ -1,7 +1,7 @@
 //! The fabric contract: what every transport backend must provide.
 //!
 //! The protocol stack (SST, SMC, the threaded cluster) is written against
-//! this trait, not against a concrete transport. Three semantics make up
+//! this trait, not against a concrete transport. Four semantics make up
 //! the contract, mirroring what Derecho actually gets from RDMA (§2.2):
 //!
 //! * **post** — a one-sided write: the covered word range of the poster's
@@ -15,6 +15,11 @@
 //!   locally mirrored SST row the remote pushed).
 //! * **mirror** — each node owns one [`Region`] mirroring the full SST
 //!   (every row); remote rows are updated only by incoming posts.
+//! * **doorbell** — whatever places a post into a mirror rings that
+//!   region's doorbell afterwards ([`Region::ring`]): the node's predicate
+//!   thread parks on its replica when it has no work (§2.4) and the write
+//!   that gives it some must wake it. One fence and one load of a line
+//!   nobody writes while the reader is awake — not a counter, see below.
 //!
 //! Backends: [`crate::MemFabric`] (in-process, immediate
 //! placement), `spindle_net::TcpFabric` (per-peer ordered TCP byte streams

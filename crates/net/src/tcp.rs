@@ -945,6 +945,7 @@ fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundL
                 let end = end.expect("bounds-checked above") as usize;
                 if end <= region.len() {
                     region.apply_write(w.offset as usize, &w.words);
+                    region.ring();
                     shared.metrics.frames_received.inc();
                 } else {
                     // A write into rows of a later layout than ours —

@@ -51,6 +51,10 @@ pub mod names {
     /// Histogram `{node, phase=agree|barrier}`: view-change phase
     /// durations, recorded in nanoseconds, exposed in seconds.
     pub const VIEW_CHANGE_PHASE: &str = "spindle_view_change_seconds";
+    /// Counter `{node, kind=timer|rung|timeout}`: times a node's predicate
+    /// thread blocked — a timed idle quantum, a doorbell park ended by a
+    /// write's ring, or one that ran to its timeout.
+    pub const PREDICATE_WAITS: &str = "spindle_predicate_waits_total";
     /// Gauge `{relay}`: external clients connected to an edge relay.
     pub const RELAY_CLIENTS: &str = "spindle_relay_clients";
     /// Counter `{relay}`: bytes enqueued for fan-out to external
