@@ -20,8 +20,8 @@ use crate::proto::{Delivery, SubgroupProto};
 
 /// Cached per-epoch registry handles for the delivery path: resolved
 /// against the registry once per `(node, epoch)`, after which every
-/// delivery costs two relaxed atomic adds (plus one histogram record
-/// when the delivery completes one of this node's own sends). One per
+/// batch of deliveries costs two relaxed atomic adds (plus one histogram
+/// record per delivery that completes one of this node's own sends). One per
 /// predicate thread, lent to the view-change drain it runs.
 pub(super) struct EpochObsCache {
     epoch: u64,
@@ -271,30 +271,43 @@ impl<F: Fabric> EpochLocal<F> {
 }
 
 /// Hands `batch` to the application — leaving it empty, its capacity kept
-/// for the next pass — and publishes each delivery into the live registry:
-/// per-epoch message and byte counters, plus the delivery-latency sample
-/// when it completes a send queued by this node's
-/// [`NodeHandle::try_send`](super::NodeHandle::try_send) — recorded here,
-/// after the durable append and outside the node lock its senders wait on.
-/// Every [`NodeShared::deliveries`] send happens here, paired with its
-/// counter update, so the counter equals the drained stream length by
-/// construction (the harness counter-consistency oracle pins this).
+/// for the next pass — and publishes it into the live registry: the
+/// delivery-latency sample of each delivery that completes a send queued by
+/// this node's [`NodeHandle::try_send`](super::NodeHandle::try_send) —
+/// recorded here, after the durable append and outside the node lock its
+/// senders wait on — then the per-epoch message and byte counters, once for
+/// the whole batch (a batch is one pass, so one epoch).
+///
+/// Every [`NodeShared::deliveries`] send happens here, one `send_all` per
+/// batch — one channel lock, and a wake only if the application is blocked
+/// in a receive — paired per batch with its counter update, so the counter
+/// equals the drained stream length by construction (the harness
+/// counter-consistency oracle pins this).
 fn publish<F: Fabric>(
     shared: &NodeShared<F>,
     row: usize,
     batch: &mut Batch,
     cache: &mut Option<EpochObsCache>,
 ) {
-    for (d, queued_at) in batch.delivered.drain(..).zip(batch.queued_at.drain(..)) {
-        let h = epoch_obs(&shared.obs, row, d.epoch, cache);
-        h.delivered.inc();
-        h.bytes.add(d.data.len() as u64);
+    let Some(epoch) = batch.delivered.first().map(|d| d.epoch) else {
+        return;
+    };
+    debug_assert!(
+        batch.delivered.iter().all(|d| d.epoch == epoch),
+        "a delivery batch spans epochs"
+    );
+    let h = epoch_obs(&shared.obs, row, epoch, cache);
+    let mut bytes = 0;
+    for (d, queued_at) in batch.delivered.iter().zip(batch.queued_at.drain(..)) {
+        bytes += d.data.len() as u64;
         if let Some(t0) = queued_at {
             h.latency.record(t0.elapsed().as_nanos() as u64);
         }
-        // Receiver may have hung up (handle dropped); that's fine.
-        let _ = shared.deliveries.send(d);
     }
+    h.delivered.add(batch.delivered.len() as u64);
+    h.bytes.add(bytes);
+    // Receiver may have hung up (handle dropped); that's fine.
+    let _ = shared.deliveries.send_all(batch.delivered.drain(..));
 }
 
 /// The per-node polling loop (§2.4): evaluate every subgroup's predicates,
@@ -501,9 +514,9 @@ pub(super) fn predicate_thread<F: Fabric>(
 }
 
 /// Final old-epoch deliveries of one node: everything through the agreed
-/// cuts goes to its durable log and then its delivery channel, and its own
-/// undelivered messages come back as `(subgroup, payload)` for resend in
-/// the next epoch.
+/// cuts goes to its durable log and then its delivery channel — one batch,
+/// all of the old epoch, as [`publish`] asserts — and its own undelivered
+/// messages come back as `(subgroup, payload)` for resend in the next epoch.
 pub(super) fn drain_node_through<F: Fabric>(
     shared: &NodeShared<F>,
     cuts: &[SeqNum],

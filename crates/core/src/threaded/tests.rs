@@ -699,6 +699,69 @@ fn factory_called_once_per_epoch() {
     cluster.shutdown();
 }
 
+/// The path the repo benchmark never takes (its driver drains with
+/// `try_recv`): applications blocked in a receive while their deliveries
+/// are handed over, one `send_all` per predicate pass. The channel wakes a
+/// receiver only if it is counted as blocked, so a wake-up lost there shows
+/// as a receive that waits out the second it is allowed here.
+#[test]
+fn blocked_consumers_are_woken_for_every_batch() {
+    const PER_SENDER: u32 = 200;
+    const SLOW: Duration = Duration::from_secs(1);
+    let total = 3 * PER_SENDER as usize;
+    let cluster = Cluster::start(view(3, 3, 16, 64), SpindleConfig::optimized());
+    let streams: Vec<Vec<(usize, u64)>> = std::thread::scope(|s| {
+        let consumers: Vec<_> = (0..3)
+            .map(|n| {
+                let node = cluster.node(n);
+                s.spawn(move || {
+                    let mut got = Vec::with_capacity(total);
+                    while got.len() < total {
+                        let t0 = Instant::now();
+                        let Some(d) = node.recv_timeout(Duration::from_secs(10)) else {
+                            panic!("node {n} timed out after {} of {total}", got.len());
+                        };
+                        let waited = t0.elapsed();
+                        assert!(
+                            waited < SLOW,
+                            "node {n} waited {waited:?} for delivery {}",
+                            got.len()
+                        );
+                        got.push((d.sender_rank, d.app_index));
+                    }
+                    got
+                })
+            })
+            .collect();
+        for n in 0..3 {
+            let node = cluster.node(n);
+            s.spawn(move || {
+                for i in 0..PER_SENDER {
+                    node.send(SubgroupId(0), &i.to_le_bytes()).unwrap();
+                }
+            });
+        }
+        consumers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    assert_eq!(streams[0], streams[1]);
+    assert_eq!(streams[1], streams[2]);
+    let mut next = [0u64; 3];
+    for &(rank, idx) in &streams[0] {
+        assert_eq!(idx, next[rank], "per-sender FIFO violated");
+        next[rank] += 1;
+    }
+    let reg = cluster.obs().registry();
+    for n in 0..3 {
+        let labels = [("node", &*n.to_string()), ("epoch", "0")];
+        assert_eq!(
+            reg.counter_value(spindle_obs::names::DELIVERED, &labels),
+            Some(total as u64),
+            "node {n}"
+        );
+    }
+    cluster.shutdown();
+}
+
 /// `spindle_predicate_waits_total{node, kind}` of one row.
 fn waits(cluster: &Cluster, row: usize, kind: &str) -> u64 {
     let labels = [("node", &*row.to_string()), ("kind", kind)];
