@@ -3,12 +3,13 @@
 //! This module contains the *decision logic* of the three predicates (paper
 //! §2.4, as modified by §3.2/§3.3): given the local SST replica and the
 //! node's private bookkeeping, decide what to scan, what to deliver, what to
-//! publish, and which word ranges to push. It is pure with respect to time
-//! and transport: the simulated runtime assigns virtual costs to the
-//! returned work items, and the threaded runtime executes them over the
-//! shared-memory fabric. Keeping one copy of this logic is what makes the
-//! correctness tests (threaded, real races) meaningful for the performance
-//! model (simulated).
+//! publish, and which word ranges to push — and, in [`SubgroupProto::pass`],
+//! the order one pass of the polling loop fires them in. It is pure with
+//! respect to time and transport: both runtimes call `pass`; the simulated
+//! one assigns virtual costs to the returned work items, and the threaded
+//! one executes them over its fabric. Keeping one copy of this logic is
+//! what makes the correctness tests (threaded, real races) meaningful for
+//! the performance model (simulated).
 //!
 //! # Message numbering
 //!
@@ -34,6 +35,7 @@ use spindle_membership::{nulls_owed, MsgId, SeqNum, SeqSpace, Subgroup, Subgroup
 use spindle_smc::Ring;
 use spindle_sst::Sst;
 
+use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::plan::SubgroupCols;
 
 /// One delivered application message.
@@ -54,13 +56,13 @@ pub struct Delivery {
 }
 
 /// Result of one receive-predicate firing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecvOutcome {
     /// New rounds observed across all senders.
     pub new_rounds: u64,
-    /// App messages newly observed, as `(rank, app_index, round, len, slot)`
-    /// (used for unordered delivery and metrics).
-    pub new_app: Vec<(usize, u64, u64, u32, usize)>,
+    /// App messages newly observed, for unordered delivery: not yet placed
+    /// in the total order, so each carries `seq == -1`.
+    pub new_app: Vec<Delivery>,
     /// The `received_num` push, if it advanced.
     pub ack: Option<Range<usize>>,
     /// How many acknowledgment pushes to issue (1 when batched; one per
@@ -71,22 +73,20 @@ pub struct RecvOutcome {
 }
 
 /// Result of one send-predicate firing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SendOutcome {
     /// Absolute word ranges of the slot data to push (1 or 2 due to ring
     /// wraparound), to be posted **before** `committed_push`.
     pub slot_ranges: Vec<Range<usize>>,
     /// App messages covered by `slot_ranges`.
     pub app_msgs: u64,
-    /// Wire bytes of the full slot push (whole slots, §3.2).
-    pub slot_wire_bytes: usize,
     /// The committed-rounds counter push, if it advanced (posted **after**
     /// the slot data so the fence covers it).
     pub committed_push: Option<Range<usize>>,
 }
 
 /// Result of one delivery-predicate firing.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeliveryOutcome {
     /// App messages to upcall, in delivery order.
     pub deliveries: Vec<Delivery>,
@@ -97,6 +97,63 @@ pub struct DeliveryOutcome {
     /// Acknowledgment pushes to issue (1 when batched; one per consumed
     /// sequence number in the baseline).
     pub ack_pushes: u32,
+}
+
+/// Which of a pass's writes a pushed word range is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushKind {
+    /// Ring slot data of this node's queued messages.
+    Slots,
+    /// This node's `received_num`.
+    RecvAck,
+    /// This node's committed-rounds counter.
+    Committed,
+    /// This node's `delivered_num` (it frees ring slots at the senders).
+    DelivAck,
+}
+
+/// The outcomes of one [`SubgroupProto::pass`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Pass {
+    /// What the receive predicate found.
+    pub recv: RecvOutcome,
+    /// What the send predicate pushed; `None` when it had nothing to push
+    /// or this node does not send in the subgroup.
+    pub send: Option<SendOutcome>,
+    /// What the delivery predicate delivered.
+    pub deliver: DeliveryOutcome,
+}
+
+impl Pass {
+    /// Whether the pass did anything — rounds or nulls received, a push
+    /// sent, a message or null delivered — and so whether the polling loop
+    /// should go round again at once.
+    pub fn work(&self) -> bool {
+        self.recv.new_rounds > 0
+            || self.recv.nulls_added > 0
+            || self.send.is_some()
+            || !self.deliver.deliveries.is_empty()
+            || self.deliver.nulls_skipped > 0
+    }
+
+    /// The word ranges to post to every other member, in posting order: the
+    /// `received_num` ack `ack_pushes` times, the slot ranges, the committed
+    /// counter (after the slots it covers, so the fence orders them), then
+    /// the `delivered_num` ack `ack_pushes` times. The repeated acks are the
+    /// baseline's one write per message (§3.2).
+    pub fn pushes(&self) -> impl Iterator<Item = (Range<usize>, PushKind)> + '_ {
+        let acks = |ack: &Option<Range<usize>>, times: u32, kind| {
+            let ack = ack.clone().map(|r| (r, kind));
+            std::iter::repeat_n(ack, times as usize).flatten()
+        };
+        let (recv, send, deliver) = (&self.recv, self.send.as_ref(), &self.deliver);
+        let slots = send.into_iter().flat_map(|s| s.slot_ranges.iter().cloned());
+        let committed = send.and_then(|s| s.committed_push.clone());
+        acks(&recv.ack, recv.ack_pushes, PushKind::RecvAck)
+            .chain(slots.map(|r| (r, PushKind::Slots)))
+            .chain(committed.map(|r| (r, PushKind::Committed)))
+            .chain(acks(&deliver.ack, deliver.ack_pushes, PushKind::DelivAck))
+    }
 }
 
 /// Outcome of an application send attempt.
@@ -265,6 +322,25 @@ impl SubgroupProto {
         }
     }
 
+    /// One pass of the polling loop over this subgroup (§2.4): the receive,
+    /// send and delivery predicates in that order, as `cfg` configures them.
+    /// The send predicate fires only where this node sends. Every runtime
+    /// drives the protocol through this call and then posts
+    /// [`Pass::pushes`].
+    pub fn pass(&mut self, sst: &Sst, cfg: &SpindleConfig) -> Pass {
+        let collect = cfg.delivery_timing == DeliveryTiming::OnReceive;
+        let recv = self.receive_predicate(sst, cfg.receive_batching, cfg.null_sends, collect);
+        let send = self
+            .my_sender_rank
+            .and_then(|_| self.send_predicate(sst, cfg.send_batching, cfg.null_sends));
+        let deliver = self.delivery_predicate(sst, cfg.delivery_batching);
+        Pass {
+            recv,
+            send,
+            deliver,
+        }
+    }
+
     /// The receive predicate (§2.4, §3.2): scans the senders' slots and the
     /// committed counters, advances `received_num`, and computes the nulls
     /// this node owes (§3.3).
@@ -311,7 +387,14 @@ impl SubgroupProto {
                 }
                 let round = sst.slot_aux(self.cols.slots, row, slot);
                 if collect_new_app {
-                    out.new_app.push((j, a, round, h.len, slot));
+                    out.new_app.push(Delivery {
+                        rank: j,
+                        app_index: a,
+                        round,
+                        seq: -1,
+                        len: h.len,
+                        slot,
+                    });
                 }
                 last_scanned_round = Some(round);
                 self.app_seen[j] = a + 1;
@@ -383,7 +466,6 @@ impl SubgroupProto {
         if hi > self.app_wired {
             let lo = self.app_wired;
             for r in self.ring.contiguous_slot_ranges(lo, hi) {
-                out.slot_wire_bytes += (r.end - r.start) * self.cols.slots.wire_slot_bytes();
                 out.slot_ranges
                     .push(sst.own_slots_range(self.cols.slots, r.start, r.end));
             }
@@ -537,6 +619,8 @@ mod tests {
         fabric: MemFabric,
         ssts: Vec<Sst>,
         protos: Vec<SubgroupProto>, // one per node, single subgroup
+        /// Every push broadcast so far, as `(src, range)`, in posting order.
+        posted: Vec<(usize, Range<usize>)>,
     }
 
     impl Mini {
@@ -564,17 +648,19 @@ mod tests {
                 fabric,
                 ssts,
                 protos,
+                posted: Vec::new(),
             }
         }
 
         /// Posts a push from `src` to every other member instantly.
-        fn broadcast(&self, src: usize, range: Range<usize>) {
+        fn broadcast(&mut self, src: usize, range: Range<usize>) {
             for &m in self.view.subgroup(SubgroupId(0)).members.iter() {
                 if m.0 != src {
                     self.fabric
                         .post(NodeId(src), &WriteOp::new(m, range.clone()));
                 }
             }
+            self.posted.push((src, range));
         }
 
         fn queue(&mut self, node: usize, payload: &[u8]) -> QueueOutcome {
@@ -612,15 +698,67 @@ mod tests {
             out
         }
 
-        /// One full round of all predicates at every node.
-        fn pump_all(&mut self, nulls: bool) -> usize {
-            let mut delivered = 0;
+        /// One pass at every node, each posting its writes as it ends.
+        fn pump_all(&mut self, cfg: &SpindleConfig) -> Vec<Pass> {
+            let mut passes = Vec::new();
             for n in 0..self.ssts.len() {
-                self.pump_recv(n, nulls);
-                self.pump_send(n);
-                delivered += self.pump_deliver(n).deliveries.len();
+                let sst = self.ssts[n].clone();
+                let pass = self.protos[n].pass(&sst, cfg);
+                for (range, _) in pass.pushes() {
+                    self.broadcast(n, range);
+                }
+                passes.push(pass);
             }
-            delivered
+            passes
+        }
+
+        /// [`Mini::pump_all`] spelled out: the three predicates called one
+        /// by one, each one's writes posted — and so each counter read —
+        /// right after it, acks repeated per `ack_pushes`.
+        fn pump_all_by_hand(&mut self, cfg: &SpindleConfig) -> Vec<Pass> {
+            let mut passes = Vec::new();
+            for n in 0..self.ssts.len() {
+                let sst = self.ssts[n].clone();
+                let collect = cfg.delivery_timing == DeliveryTiming::OnReceive;
+                let recv = self.protos[n].receive_predicate(
+                    &sst,
+                    cfg.receive_batching,
+                    cfg.null_sends,
+                    collect,
+                );
+                for _ in 0..recv.ack_pushes {
+                    self.broadcast(n, recv.ack.clone().unwrap());
+                }
+                let mut send = None;
+                if self.protos[n].my_sender_rank.is_some() {
+                    send = self.protos[n].send_predicate(&sst, cfg.send_batching, cfg.null_sends);
+                    if let Some(s) = &send {
+                        for r in s.slot_ranges.iter().chain(&s.committed_push) {
+                            self.broadcast(n, r.clone());
+                        }
+                    }
+                }
+                let deliver = self.protos[n].delivery_predicate(&sst, cfg.delivery_batching);
+                for _ in 0..deliver.ack_pushes {
+                    self.broadcast(n, deliver.ack.clone().unwrap());
+                }
+                passes.push(Pass {
+                    recv,
+                    send,
+                    deliver,
+                });
+            }
+            passes
+        }
+
+        /// Every node's whole region.
+        fn regions(&self) -> Vec<Vec<u64>> {
+            (0..self.ssts.len())
+                .map(|i| {
+                    let region = self.fabric.region_arc(NodeId(i));
+                    region.snapshot(0, region.len())
+                })
+                .collect()
         }
     }
 
@@ -739,7 +877,7 @@ mod tests {
         // Let node 1 match rounds via nulls and deliver everywhere.
         m.pump_send(0);
         for _ in 0..4 {
-            m.pump_all(true);
+            m.pump_all(&SpindleConfig::optimized());
         }
         // Slot 0 is now free.
         assert!(matches!(m.queue(0, b"m2"), QueueOutcome::Queued { .. }));
@@ -786,7 +924,7 @@ mod tests {
         }
         m.pump_send(0);
         for _ in 0..4 {
-            m.pump_all(true);
+            m.pump_all(&SpindleConfig::optimized());
         }
         // Queue 3 messages spanning the wrap (indices 4,5,6 -> slots 0,1,2
         // after 4..8... actually indices 4..7 -> slots 0..3: no wrap; make
@@ -795,7 +933,7 @@ mod tests {
         m.queue(0, b"y1");
         m.pump_send(0);
         for _ in 0..4 {
-            m.pump_all(true);
+            m.pump_all(&SpindleConfig::optimized());
         }
         m.queue(0, b"z0"); // index 6, slot 2
         m.queue(0, b"z1"); // index 7, slot 3
@@ -857,7 +995,7 @@ mod tests {
         m.pump_send(0);
         // Let round 0 deliver everywhere (node 1 fills with a null).
         for _ in 0..4 {
-            m.pump_all(true);
+            m.pump_all(&SpindleConfig::optimized());
         }
         // Queue two more that never get a chance to stabilize.
         m.queue(0, b"stuck-1");
@@ -908,5 +1046,55 @@ mod tests {
         // published received_num yet, so min is -1.
         let d = m.pump_deliver(2);
         assert!(d.deliveries.is_empty());
+    }
+
+    #[test]
+    fn pass_matches_the_three_predicates_in_order() {
+        for toggles in 0..32u32 {
+            for timing in [DeliveryTiming::Ordered, DeliveryTiming::OnReceive] {
+                let on = |bit: u32| toggles & (1 << bit) != 0;
+                let cfg = SpindleConfig {
+                    send_batching: on(0),
+                    receive_batching: on(1),
+                    delivery_batching: on(2),
+                    null_sends: on(3),
+                    early_lock_release: on(4),
+                    delivery_timing: timing,
+                    ..SpindleConfig::baseline()
+                };
+                let mut by_pass = Mini::new(3, &[0, 1, 2], 4);
+                let mut by_hand = Mini::new(3, &[0, 1, 2], 4);
+                let mut delivered = 0;
+                let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(toggles);
+                for round in 0..60 {
+                    for node in 0..3 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        // Node 2 sends rarely, so the others owe it nulls.
+                        let burst = if node == 2 {
+                            u64::from(x.is_multiple_of(8))
+                        } else {
+                            x % 3
+                        };
+                        for i in 0..burst {
+                            let payload = format!("{node}/{round}/{i}");
+                            let queued = by_pass.queue(node, payload.as_bytes());
+                            assert_eq!(queued, by_hand.queue(node, payload.as_bytes()));
+                        }
+                    }
+                    let passes = by_pass.pump_all(&cfg);
+                    let at = format!("{cfg:?}, round {round}");
+                    assert_eq!(passes, by_hand.pump_all_by_hand(&cfg), "{at}");
+                    assert_eq!(by_pass.posted, by_hand.posted, "{at}");
+                    assert_eq!(by_pass.regions(), by_hand.regions(), "{at}");
+                    delivered += passes
+                        .iter()
+                        .map(|p| p.deliver.deliveries.len())
+                        .sum::<usize>();
+                }
+                assert!(delivered > 0, "{cfg:?} delivered nothing");
+            }
+        }
     }
 }

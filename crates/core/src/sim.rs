@@ -1,8 +1,10 @@
 //! The simulated cluster: a deterministic discrete-event runtime.
 //!
-//! This runtime executes the protocol logic of [`crate::proto`] on a
-//! virtual cluster that models exactly the resources the Spindle paper
-//! optimizes:
+//! This runtime runs the real protocol pass — the same
+//! [`SubgroupProto::pass`] and [`Pass::pushes`](crate::proto::Pass::pushes)
+//! the threaded runtime calls — and substitutes only time, the node lock and
+//! the NICs' egress and ingress: a virtual cluster that models exactly the
+//! resources the Spindle paper optimizes:
 //!
 //! * **one predicate (polling) thread per node** (§2.4) that evaluates all
 //!   subgroups' predicates in a loop, pays ~1 µs of CPU per posted RDMA
@@ -33,15 +35,7 @@ use crate::config::{DeliveryTiming, SenderActivity, SpindleConfig, Workload};
 use crate::cost::CostModel;
 use crate::metrics::{NodeMetrics, RunReport};
 use crate::plan::Plan;
-use crate::proto::{QueueOutcome, SubgroupProto};
-
-/// What a posted counter write means (used for wake/unblock decisions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CtrKind {
-    Committed,
-    RecvAck,
-    DelivAck,
-}
+use crate::proto::{PushKind, QueueOutcome, SubgroupProto};
 
 /// One scheduled fault in a simulated run (see [`SimCluster::with_faults`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,30 +86,26 @@ enum Ev {
     Iter { node: usize },
     /// A scheduled fault fires.
     Fault { kind: SimFaultKind },
-    /// A counter write (value snapshotted at post time) lands at `dst`.
-    ArriveCtr {
-        dst: usize,
-        word: usize,
-        value: u64,
-        kind: CtrKind,
-    },
-    /// A slot-range write lands at `dst` (read through from `src`).
-    ArriveSlots {
+    /// A write posted by `src` lands at `dst`.
+    Arrive {
         src: usize,
         dst: usize,
-        range: Range<usize>,
+        body: PostBody,
     },
     /// An application sender attempt at `node`, app handle `ai`.
     App { node: usize, ai: usize },
 }
 
-#[derive(Debug)]
+/// What a posted write carries.
+#[derive(Debug, Clone)]
 enum PostBody {
+    /// Slot words, read through from the source's region on arrival.
     Slots(Range<usize>),
+    /// A counter, its value snapshotted at post time.
     Ctr {
         word: usize,
         value: u64,
-        kind: CtrKind,
+        kind: PushKind,
     },
 }
 
@@ -415,32 +405,26 @@ impl SimWorld {
                 self.app(eng, node, ai);
                 Step::Continue
             }
-            Ev::ArriveCtr {
-                dst,
-                word,
-                value,
-                kind,
-            } => {
+            Ev::Arrive { src, dst, body } => {
                 if self.crashed[dst] {
                     return Step::Continue;
                 }
-                self.nodes[dst].sst.region().store(word, value);
-                if kind == CtrKind::DelivAck {
-                    self.unblock_apps(eng, dst);
+                match body {
+                    PostBody::Slots(range) => {
+                        let src_region = self.nodes[src].sst.region().clone();
+                        self.nodes[dst].sst.region().copy_range_from(
+                            &src_region,
+                            range.start,
+                            range.len(),
+                        );
+                    }
+                    PostBody::Ctr { word, value, kind } => {
+                        self.nodes[dst].sst.region().store(word, value);
+                        if kind == PushKind::DelivAck {
+                            self.unblock_apps(eng, dst);
+                        }
+                    }
                 }
-                self.wake(eng, dst);
-                Step::Continue
-            }
-            Ev::ArriveSlots { src, dst, range } => {
-                if self.crashed[dst] {
-                    return Step::Continue;
-                }
-                let src_region = self.nodes[src].sst.region().clone();
-                self.nodes[dst].sst.region().copy_range_from(
-                    &src_region,
-                    range.start,
-                    range.end - range.start,
-                );
                 self.wake(eng, dst);
                 Step::Continue
             }
@@ -566,9 +550,9 @@ impl SimWorld {
         }
     }
 
-    /// One predicate-thread iteration at `node` (§2.4): evaluate every
-    /// subgroup's receive, send and delivery predicates, then post the
-    /// accumulated RDMA writes.
+    /// One predicate-thread iteration at `node` (§2.4): one protocol pass
+    /// per subgroup, charged to the cost model, then the accumulated RDMA
+    /// writes posted.
     fn iter(&mut self, eng: &mut Engine<Ev>, node: usize) -> Step {
         let now = eng.now();
         if self.crashed[node] {
@@ -591,184 +575,97 @@ impl SimWorld {
         let mut posts: Vec<Post> = Vec::new();
         let mut work = false;
         let mut any_delivery = false;
-        let n_protos = self.nodes[node].protos.len();
-        // Deliveries counted after the loop (borrow discipline):
-        // (sg, rank, app_index, len, upcall_offset_into_body)
+        // Ordered deliveries, counted after the loop at the upcall time:
+        // (sg, rank, app_index, len).
         let mut delivered: Vec<(usize, usize, u64, u32)> = Vec::new();
-        let collect_new_app = cfg.delivery_timing == DeliveryTiming::OnReceive;
 
-        for pi in 0..n_protos {
+        for pi in 0..self.nodes[node].protos.len() {
             let pre = busy;
-            let (member_rows, sender_count, my_rank, sg_id, window) = {
-                let p = &self.nodes[node].protos[pi];
-                (
-                    p.member_rows.clone(),
-                    p.num_senders(),
-                    p.my_sender_rank,
-                    p.sg.0,
-                    p.ring.window(),
-                )
-            };
-            busy += cost.sg_eval + cost.probe_per_sender * sender_count as u32;
-            if cfg.receive_batching {
-                // Batched: probe from the next expected slot, but the ring's
-                // memory footprint still taxes the polling loop (§4.1.2:
-                // "an excessively large window size forces the predicate
-                // thread to cover too large a memory area").
-                busy += cost.scan_per_slot * (window * sender_count / 8) as u32;
+            let p = &mut self.nodes[node].protos[pi];
+            let pass = p.pass(&sst, &cfg);
+            let (r, d) = (&pass.recv, &pass.deliver);
+            let (sg, senders, window) = (p.sg.0, p.num_senders(), p.ring.window());
+            let members = p.member_rows.len() as u32;
+            work |= pass.work();
+            // The cost model, charged in the order the predicates fired:
+            // an unordered upcall is counted at `now + busy` partway through.
+            busy += cost.sg_eval + cost.probe_per_sender * senders as u32;
+            // Batched, the scan probes from the next expected slot, but the
+            // ring's memory footprint still taxes the polling loop (§4.1.2:
+            // "an excessively large window size forces the predicate thread
+            // to cover too large a memory area"); in the baseline it covers
+            // each sender's whole ring area every iteration.
+            let scanned = if cfg.receive_batching {
+                window * senders / 8
             } else {
-                // Baseline: the receive predicate covers each sender's whole
-                // ring area every iteration (§4.1.2).
-                busy += cost.scan_per_slot * (window * sender_count) as u32;
-            }
-
-            // --- receive predicate ---
-            let r = {
-                let p = &mut self.nodes[node].protos[pi];
-                p.receive_predicate(&sst, cfg.receive_batching, cfg.null_sends, collect_new_app)
+                window * senders
             };
+            busy += cost.scan_per_slot * scanned as u32;
+            let m = &mut self.nodes[node].m;
             if r.new_rounds > 0 {
-                work = true;
                 busy += (cost.recv_per_msg + cost.scan_per_slot) * r.new_rounds as u32;
-                self.nodes[node].m.recv_batch.record(r.new_rounds);
+                m.recv_batch.record(r.new_rounds);
             }
-            if r.nulls_added > 0 {
-                work = true;
-                self.nodes[node].m.nulls_sent += r.nulls_added;
-            }
-            if collect_new_app {
-                for &(rank, a, _, len, _) in &r.new_app {
-                    busy += cost.upcall_base + self.workload.upcall_cost;
-                    if cfg.memcpy_on_delivery {
-                        busy += cost.memcpy.copy_time(len as usize);
-                    }
-                    self.record_delivery(node, sg_id, rank, a);
-                    self.count_delivery(now + busy, node, len as u64);
+            m.nulls_sent += r.nulls_added;
+            for del in &r.new_app {
+                busy += cost.upcall_base + self.workload.upcall_cost;
+                if cfg.memcpy_on_delivery {
+                    busy += cost.memcpy.copy_time(del.len as usize);
                 }
+                self.record_delivery(node, sg, del.rank, del.app_index);
+                self.count_delivery(now + busy, node, del.len as u64);
             }
-            if let Some(range) = r.ack {
-                debug_assert_eq!(range.len(), 1);
-                let value = sst.region().load(range.start);
-                for _ in 0..r.ack_pushes {
-                    for &m in &member_rows {
-                        if m != node {
-                            posts.push(Post {
-                                dst: m,
-                                wire: 8,
-                                slots: 0,
-                                body: PostBody::Ctr {
-                                    word: range.start,
-                                    value,
-                                    kind: CtrKind::RecvAck,
-                                },
-                            });
-                        }
-                    }
-                }
-                self.nodes[node].m.push_ops += r.ack_pushes as u64;
+            let m = &mut self.nodes[node].m;
+            if let Some(s) = pass.send.as_ref().filter(|s| s.app_msgs > 0) {
+                busy += cost.send_per_msg * s.app_msgs as u32;
+                m.send_batch.record(s.app_msgs);
+                m.push_ops += 1;
             }
-
-            // --- send predicate ---
-            if my_rank.is_some() {
-                let s = {
-                    let p = &mut self.nodes[node].protos[pi];
-                    p.send_predicate(&sst, cfg.send_batching, cfg.null_sends)
-                };
-                if let Some(s) = s {
-                    work = true;
-                    if s.app_msgs > 0 {
-                        busy += cost.send_per_msg * s.app_msgs as u32;
-                        self.nodes[node].m.send_batch.record(s.app_msgs);
-                        self.nodes[node].m.push_ops += 1;
-                    }
-                    let slot_words = {
-                        let p = &self.nodes[node].protos[pi];
-                        p.cols.slots.slot_words()
-                    };
-                    let wire_per_slot = {
-                        let p = &self.nodes[node].protos[pi];
-                        p.cols.slots.wire_slot_bytes()
-                    };
-                    for range in &s.slot_ranges {
-                        let slots = range.len() / slot_words;
-                        let wire = slots * wire_per_slot;
-                        for &m in &member_rows {
-                            if m != node {
-                                posts.push(Post {
-                                    dst: m,
-                                    wire,
-                                    slots,
-                                    body: PostBody::Slots(range.clone()),
-                                });
-                            }
-                        }
-                    }
-                    if let Some(c) = s.committed_push {
-                        let value = sst.region().load(c.start);
-                        self.nodes[node].m.push_ops += 1;
-                        for &m in &member_rows {
-                            if m != node {
-                                posts.push(Post {
-                                    dst: m,
-                                    wire: 8,
-                                    slots: 0,
-                                    body: PostBody::Ctr {
-                                        word: c.start,
-                                        value,
-                                        kind: CtrKind::Committed,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-
-            // --- delivery predicate ---
-            busy += cost.deliv_eval_per_member * member_rows.len() as u32;
-            let d = {
-                let p = &mut self.nodes[node].protos[pi];
-                p.delivery_predicate(&sst, cfg.delivery_batching)
-            };
-            if !d.deliveries.is_empty() || d.nulls_skipped > 0 {
-                work = true;
-                any_delivery = true;
-            }
+            busy += cost.deliv_eval_per_member * members;
+            any_delivery |= !d.deliveries.is_empty() || d.nulls_skipped > 0;
             if !d.deliveries.is_empty() {
-                self.nodes[node]
-                    .m
-                    .deliv_batch
-                    .record(d.deliveries.len() as u64);
-                busy += cost.deliv_per_msg * d.deliveries.len() as u32;
-                busy += cost.upcall_base * d.deliveries.len() as u32;
+                let n = d.deliveries.len() as u32;
+                m.deliv_batch.record(n as u64);
+                busy += (cost.deliv_per_msg + cost.upcall_base) * n;
             }
-            self.nodes[node].m.nulls_skipped += d.nulls_skipped;
+            m.nulls_skipped += d.nulls_skipped;
             for del in &d.deliveries {
                 busy += self.workload.upcall_cost;
                 if cfg.memcpy_on_delivery {
                     busy += cost.memcpy.copy_time(del.len as usize);
                 }
-                delivered.push((sg_id, del.rank, del.app_index, del.len));
-            }
-            if let Some(range) = d.ack {
-                let value = sst.region().load(range.start);
-                for _ in 0..d.ack_pushes {
-                    for &m in &member_rows {
-                        if m != node {
-                            posts.push(Post {
-                                dst: m,
-                                wire: 8,
-                                slots: 0,
-                                body: PostBody::Ctr {
-                                    word: range.start,
-                                    value,
-                                    kind: CtrKind::DelivAck,
-                                },
-                            });
-                        }
-                    }
+                if cfg.delivery_timing == DeliveryTiming::Ordered {
+                    delivered.push((sg, del.rank, del.app_index, del.len));
                 }
-                self.nodes[node].m.push_ops += d.ack_pushes as u64;
+            }
+
+            // The writes, in the pass's order, each to every other member.
+            // A counter write carries the value its word holds after the
+            // whole pass rather than right after the predicate that set it:
+            // the same value, because the three predicates write three
+            // different columns (recv, committed, deliv), so no pushed word
+            // is rewritten later in the pass.
+            let SimNode { protos, m, .. } = &mut self.nodes[node];
+            let p = &protos[pi];
+            for (range, kind) in pass.pushes() {
+                let (wire, slots, body) = if kind == PushKind::Slots {
+                    let slots = range.len() / p.cols.slots.slot_words();
+                    let wire = slots * p.cols.slots.wire_slot_bytes();
+                    (wire, slots, PostBody::Slots(range))
+                } else {
+                    debug_assert_eq!(range.len(), 1);
+                    m.push_ops += 1;
+                    let (word, value) = (range.start, sst.region().load(range.start));
+                    (8, 0, PostBody::Ctr { word, value, kind })
+                };
+                for &dst in p.member_rows.iter().filter(|&&row| row != node) {
+                    posts.push(Post {
+                        dst,
+                        wire,
+                        slots,
+                        body: body.clone(),
+                    });
+                }
             }
 
             if self.nodes[node].proto_active[pi] {
@@ -789,31 +686,29 @@ impl SimWorld {
         // Deliveries count at the (approximate) upcall time.
         let upcall_time = body_start + busy;
         for (sg, rank, app_index, len) in delivered {
-            if cfg.delivery_timing == DeliveryTiming::Ordered {
-                let w = self.windows[sg];
-                let sent_at = self.ts[sg][rank][(app_index % w as u64) as usize];
-                let lat = upcall_time.saturating_since(sent_at);
-                self.nodes[node].m.latency.record(lat.as_secs_f64());
-                self.nodes[node].m.latency_samples.record(lat.as_secs_f64());
-                // The simulator never reconfigures, so all per-epoch
-                // stats land in epoch 0 — same fold shape as the
-                // threaded runtime's registry at shutdown.
-                let nm = &mut self.nodes[node].m;
-                if nm.epoch_stats.is_empty() {
-                    nm.epoch_stats.push(crate::metrics::EpochStats::new(0));
-                }
-                let es = &mut nm.epoch_stats[0];
-                es.delivered_msgs += 1;
-                es.delivered_bytes += len as u64;
-                es.latency.record((lat.as_secs_f64() * 1e9) as u64);
-                self.record_delivery(node, sg, rank, app_index);
-                self.count_delivery(upcall_time, node, len as u64);
+            let w = self.windows[sg];
+            let sent_at = self.ts[sg][rank][(app_index % w as u64) as usize];
+            let lat = upcall_time.saturating_since(sent_at);
+            self.nodes[node].m.latency.record(lat.as_secs_f64());
+            self.nodes[node].m.latency_samples.record(lat.as_secs_f64());
+            // The simulator never reconfigures, so all per-epoch
+            // stats land in epoch 0 — same fold shape as the
+            // threaded runtime's registry at shutdown.
+            let nm = &mut self.nodes[node].m;
+            if nm.epoch_stats.is_empty() {
+                nm.epoch_stats.push(crate::metrics::EpochStats::new(0));
             }
+            let es = &mut nm.epoch_stats[0];
+            es.delivered_msgs += 1;
+            es.delivered_bytes += len as u64;
+            es.latency.record((lat.as_secs_f64() * 1e9) as u64);
+            self.record_delivery(node, sg, rank, app_index);
+            self.count_delivery(upcall_time, node, len as u64);
         }
 
         // Post writes sequentially after the body.
         let mut t_post = body_start + busy;
-        for (i, post) in posts.iter().enumerate() {
+        for (i, post) in posts.into_iter().enumerate() {
             t_post += if i == 0 {
                 cost.post_first
             } else {
@@ -828,22 +723,10 @@ impl SimWorld {
             let ig = self.nodes[post.dst]
                 .ingress
                 .acquire(at_dst, cost.ingress_time(post.wire, post.slots));
-            let ev = match &post.body {
-                PostBody::Slots(range) => Ev::ArriveSlots {
-                    src: node,
-                    dst: post.dst,
-                    range: range.clone(),
-                },
-                PostBody::Ctr { word, value, kind } => Ev::ArriveCtr {
-                    dst: post.dst,
-                    word: *word,
-                    value: *value,
-                    kind: *kind,
-                },
-            };
-            eng.schedule_at(ig.end, ev);
             self.nodes[node].m.writes_posted += 1;
             self.nodes[node].m.wire_bytes += post.wire as u64;
+            let (src, dst, body) = (node, post.dst, post.body);
+            eng.schedule_at(ig.end, Ev::Arrive { src, dst, body });
         }
         let nm = &mut self.nodes[node].m;
         nm.iterations += 1;

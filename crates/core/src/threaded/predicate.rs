@@ -206,6 +206,12 @@ impl Batch {
     /// being copied out — a torn read the header-last layout does not
     /// cover. One bulk [`Sst::read_slot_with_len`] holds the lock for about
     /// half a microsecond per 10 KiB, so the hold is not worth that risk.
+    ///
+    /// Unordered deliveries ([`DeliveryTiming::OnReceive`]) are copied after
+    /// the whole [`SubgroupProto::pass`], so after the send and delivery
+    /// predicates too. That is still in time: the copy is under the node
+    /// lock and before any of the pass's posts leave, so no sender has seen
+    /// the `delivered_num` ack that would let it reuse the slot.
     fn push(
         &mut self,
         sst: &Sst,
@@ -398,57 +404,23 @@ pub(super) fn predicate_thread<F: Fabric>(
                 protos, queued_at, ..
             } = &mut *inner;
             for (g, (p, stamps)) in protos.iter_mut().zip(queued_at).enumerate() {
-                let members = &members[g];
-                let collect = cfg.delivery_timing == DeliveryTiming::OnReceive;
-                let r = p.receive_predicate(sst, cfg.receive_batching, cfg.null_sends, collect);
-                if r.new_rounds > 0 || r.nulls_added > 0 {
-                    work = true;
+                let pass = p.pass(sst, &cfg);
+                work |= pass.work();
+                let delivered = match cfg.delivery_timing {
+                    DeliveryTiming::OnReceive => &pass.recv.new_app,
+                    DeliveryTiming::Ordered => &pass.deliver.deliveries,
+                };
+                for del in delivered {
+                    batch.push(sst, p, stamps, epoch, del);
                 }
-                for (rank, app_index, round, len, slot) in r.new_app {
-                    let unordered = Delivery {
-                        rank,
-                        app_index,
-                        round,
-                        seq: -1,
-                        len,
-                        slot,
-                    };
-                    batch.push(sst, p, stamps, epoch, &unordered);
-                }
-                if let Some(ack) = r.ack {
-                    for _ in 0..r.ack_pushes {
-                        posts.extend(ops_to(members, row, ack.clone()));
+                if cfg.delivery_timing == DeliveryTiming::Ordered && shared.persist.is_some() {
+                    // Deliveries come in order: the last has the highest seq.
+                    if let Some(last) = pass.deliver.deliveries.last() {
+                        persist_work.push((g, p.cols.pers, last.seq));
                     }
                 }
-                if p.my_sender_rank.is_some() {
-                    if let Some(s) = p.send_predicate(sst, cfg.send_batching, cfg.null_sends) {
-                        work = true;
-                        for range in s.slot_ranges {
-                            posts.extend(ops_to(members, row, range));
-                        }
-                        if let Some(c) = s.committed_push {
-                            posts.extend(ops_to(members, row, c));
-                        }
-                    }
-                }
-                let d = p.delivery_predicate(sst, cfg.delivery_batching);
-                if !d.deliveries.is_empty() || d.nulls_skipped > 0 {
-                    work = true;
-                }
-                if cfg.delivery_timing == DeliveryTiming::Ordered {
-                    if shared.persist.is_some() {
-                        if let Some(hi) = d.deliveries.iter().map(|del| del.seq).max() {
-                            persist_work.push((g, p.cols.pers, hi));
-                        }
-                    }
-                    for del in &d.deliveries {
-                        batch.push(sst, p, stamps, epoch, del);
-                    }
-                }
-                if let Some(ack) = d.ack {
-                    for _ in 0..d.ack_pushes {
-                        posts.extend(ops_to(members, row, ack.clone()));
-                    }
+                for (range, _) in pass.pushes() {
+                    posts.extend(ops_to(&members[g], row, range));
                 }
             }
             if !cfg.early_lock_release {

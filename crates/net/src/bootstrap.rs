@@ -31,7 +31,6 @@
 //! the matching command-line flag; this module is what the topology keys
 //! land in.
 
-use spindle_core::Plan;
 use spindle_membership::{View, ViewBuilder, ViewError};
 
 /// The cluster file's topology keys, range-checked. (Its three
@@ -91,19 +90,6 @@ impl ClusterConfig {
             .subgroup(&members, &self.sender_ids(), self.window, self.max_msg)
             .build()
     }
-
-    /// The SST region size (in words) implied by the view — what every
-    /// process passes to the fabric bootstrap and verifies in the
-    /// handshake.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config does not build a valid view (validate with
-    /// [`ClusterConfig::view`] first).
-    pub fn region_words(&self) -> usize {
-        let view = self.view().expect("config builds a valid view");
-        Plan::build(&view, true).layout.region_words()
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +128,6 @@ senders = [0, 2]
         assert!(c.detector().is_none(), "detector is opt-in");
         let view = c.view().unwrap();
         assert_eq!(view.members().len(), 3);
-        assert!(c.region_words() > 0);
     }
 
     #[test]

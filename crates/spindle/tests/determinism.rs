@@ -7,7 +7,9 @@
 //! tests: if it ever breaks, every figure regeneration and every seeded
 //! property test in the repo silently loses reproducibility.
 
-use spindle::{SimCluster, SpindleConfig, ViewBuilder, Workload};
+use std::time::Duration;
+
+use spindle::{DeliveryTiming, SenderActivity, SimCluster, SpindleConfig, ViewBuilder, Workload};
 
 fn view(n: usize, window: usize, max_msg: usize) -> spindle::View {
     let members: Vec<usize> = (0..n).collect();
@@ -42,4 +44,96 @@ fn same_seed_same_delivery_trace_baseline() {
     let a = trace(SpindleConfig::baseline(), 7);
     let b = trace(SpindleConfig::baseline(), 7);
     assert_eq!(a, b, "baseline run diverged under seed 7");
+}
+
+/// FNV-1a, 64 bit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The two tests above compare two runs of one build, so a change that
+/// alters what the simulator computes passes them. This one pins the
+/// report itself: FNV-1a-64 of the rendered report at seed 42 for every
+/// Fig. 5 step, the memcpy, unordered-delivery, null-path (one sender never
+/// sends) and delayed-sender configurations. A refactor of the simulator or
+/// the protocol pass must leave every constant unchanged; a change that means
+/// to alter the simulated numbers updates them in the same commit.
+#[test]
+fn simulator_reports_match_pinned_fingerprints() {
+    let on_receive = SpindleConfig {
+        delivery_timing: DeliveryTiming::OnReceive,
+        ..SpindleConfig::optimized()
+    };
+    let delivery = SpindleConfig::baseline().with_delivery_batching();
+    let receive = delivery.clone().with_receive_batching();
+    let send = receive.clone().with_send_batching();
+    let nulls = send.clone().with_null_sends();
+    let continuous = Workload::new(200, 1024);
+    let inactive = continuous
+        .clone()
+        .with_activity(0, 1, SenderActivity::Inactive);
+    let delayed = continuous.clone().with_activity(
+        0,
+        2,
+        SenderActivity::DelayEach(Duration::from_micros(20)),
+    );
+    let grid: [(&str, SpindleConfig, &Workload, u64); 11] = [
+        (
+            "baseline",
+            SpindleConfig::baseline(),
+            &continuous,
+            0xf474_7c08_9189_3288,
+        ),
+        ("+delivery", delivery, &continuous, 0xa06c_3dc4_2dd3_590c),
+        ("+receive", receive, &continuous, 0x2baf_e20d_8386_04a2),
+        // Without early lock release every send batch in these runs holds
+        // one message and no null is owed, so +send, +nulls and
+        // batching-only render the same report as +receive.
+        ("+send", send, &continuous, 0x2baf_e20d_8386_04a2),
+        ("+nulls", nulls.clone(), &continuous, 0x2baf_e20d_8386_04a2),
+        (
+            "+early-release",
+            nulls.with_early_lock_release(),
+            &continuous,
+            0x6798_c3e3_2052_fbe8,
+        ),
+        (
+            "batching-only",
+            SpindleConfig::batching_only(),
+            &continuous,
+            0x2baf_e20d_8386_04a2,
+        ),
+        (
+            "memcpy",
+            SpindleConfig::optimized().with_memcpy(),
+            &continuous,
+            0xd4a4_d773_41f7_7e85,
+        ),
+        ("on-receive", on_receive, &continuous, 0xe488_3c96_8131_c66e),
+        (
+            "inactive",
+            SpindleConfig::optimized(),
+            &inactive,
+            0xa7eb_763c_2330_5af3,
+        ),
+        (
+            "delayed",
+            SpindleConfig::baseline(),
+            &delayed,
+            0x968d_b8ff_ad4e_8fc5,
+        ),
+    ];
+    let mismatched: Vec<String> = grid
+        .into_iter()
+        .filter_map(|(name, cfg, workload, pinned)| {
+            let report = SimCluster::new(view(4, 16, 1024), cfg, workload.clone())
+                .with_seed(42)
+                .run();
+            let got = fnv1a64(format!("{report:?}").as_bytes());
+            (got != pinned).then(|| format!("{name}: {got:#018x} (pinned {pinned:#018x})"))
+        })
+        .collect();
+    assert!(mismatched.is_empty(), "{mismatched:#?}");
 }
