@@ -37,7 +37,7 @@ pub mod viewchange;
 
 pub use config::{DeliveryTiming, SenderActivity, SpindleConfig, Workload};
 pub use cost::CostModel;
-pub use detector::{DetectorConfig, HeartbeatState};
+pub use detector::DetectorConfig;
 pub use metrics::{epoch_stats_for_node, render_epoch_table, EpochStats, NodeMetrics, RunReport};
 pub use plan::{Plan, ReconfigCols, SubgroupCols};
 pub use proto::{Delivery, SubgroupProto};

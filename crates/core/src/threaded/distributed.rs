@@ -15,10 +15,9 @@ use spindle_sst::{CounterCol, Sst};
 
 use super::api::{Cluster, ViewChangeReport};
 use super::node::{active_rows, post_to, JoinIntent, NodeInner, NodeShared};
-use super::predicate::{drain_node_through, EpochObsCache};
+use super::predicate::{drain_node_through, EpochLocal, ThreadState};
 use super::VC_DEADLINE;
-use crate::config::{DeliveryTiming, SpindleConfig};
-use crate::detector::{DetectorConfig, HeartbeatTicker};
+use crate::config::SpindleConfig;
 use crate::plan::Plan;
 use crate::viewchange::{InstallBarrier, VcBoundary, VcStep, ViewChangeEngine};
 
@@ -34,24 +33,17 @@ impl<F: Fabric> Cluster<F> {
     /// timeout (a survivor died mid-barrier) — the joiner should give
     /// up rather than serve traffic on a half-formed mesh.
     pub fn join_barrier(&self, row: usize, timeout: Duration) -> bool {
-        let shared = self.shared(row);
-        let (sst, fabric, view, cols) = {
-            let inner = shared.inner.lock();
-            (
-                inner.sst.clone(),
-                inner.live_fabric(),
-                Arc::clone(&inner.view),
-                inner.reconfig.clone(),
-            )
+        let (local, cols) = {
+            let inner = self.shared(row).inner.lock();
+            (EpochLocal::of(&inner), inner.reconfig.clone())
         };
-        // The barrier parties are exactly the rows of the installed view
-        // that belong to a subgroup — the survivors' own barrier lists
+        // The other parties are this row's heartbeat peers: the rows of the
+        // view that belong to a subgroup — the survivors' own barrier lists
         // the identical set (old active rows minus failed, plus us).
-        let live: Vec<usize> = active_rows(&view).collect();
-        let mut barrier = InstallBarrier::new(view.id(), live.clone(), cols, row);
-        let mut post = post_to(&fabric, row, &live);
+        let mut barrier = InstallBarrier::new(local.epoch, local.hb_peers.clone(), cols, row);
+        let mut post = post_to(&local.fabric, row, &local.hb_peers);
         let deadline = Instant::now() + timeout;
-        while !barrier.step(&sst, &mut post) {
+        while !barrier.step(&local.sst, &mut post) {
             if Instant::now() > deadline || self.stop.load(Ordering::Relaxed) {
                 return false;
             }
@@ -146,13 +138,14 @@ pub(super) fn local_join_view(
 }
 
 /// The view-change driver: one node's half of the epoch transition (§2.1),
-/// run from its predicate thread. Wedges the node, runs its
-/// [`ViewChangeEngine`] against the live transport until the cluster
-/// converges, performs the final old-epoch deliveries, enters the agreed
-/// next view on the epoch's fabric ([`Epochs::enter`]: the transport
-/// advanced in place, or a fresh fabric — §2.3, memory is registered per
-/// view), holds the [`InstallBarrier`] until every survivor has installed,
-/// requeues its recovered messages, and unwedges.
+/// run from its predicate thread on what that thread owns ([`ThreadState`]:
+/// the epoch's handles, the heartbeat, the delivery batch). Wedges the
+/// node, runs its [`ViewChangeEngine`] against the live transport until
+/// the cluster converges, performs the final old-epoch deliveries, enters
+/// the agreed next view on the epoch's fabric ([`Epochs::enter`]: the
+/// transport advanced in place, or a fresh fabric — §2.3, memory is
+/// registered per view), holds the [`InstallBarrier`] until every survivor
+/// has installed, requeues its recovered messages, and unwedges.
 ///
 /// A node that cannot finish — evicted, partitioned past the deadline, the
 /// next view not installable — is closed and stays wedged: unavailable,
@@ -160,36 +153,27 @@ pub(super) fn local_join_view(
 ///
 /// [`Epochs::enter`]: super::node::Epochs::enter
 pub(super) fn view_change<F: Fabric>(
-    row: usize,
     shared: &Arc<NodeShared<F>>,
+    th: &mut ThreadState<F>,
     initial_bits: u64,
     cfg: &SpindleConfig,
-    det: &Option<DetectorConfig>,
     stop: &Arc<AtomicBool>,
-    obs_cache: &mut Option<EpochObsCache>,
 ) {
+    let row = th.local.sst.own_row();
     let started = Instant::now();
     shared.wedged.store(true, Ordering::Release);
     let close = || shared.inner.lock().alive = false;
-    // The predicate loop's detector stands still while we run, but a peer
-    // can die *mid-transition* — the exact hole the takeover protocol
-    // closes. Keep heartbeating and observing inside the engine loop so
-    // a crashed proposer is convicted here and the suspicion feeds the
-    // engine directly. (The ticker continues from the predicate loop's
-    // last posted value.)
-    let (view, cols, hb_col, mut ticker) = {
-        let inner = shared.inner.lock();
-        let ticker = det.as_ref().map(|dc| {
-            let peers = inner.hb_peers.clone();
-            HeartbeatTicker::new(peers, dc, &inner.sst, inner.heartbeat_col, started)
-        });
-        (
-            Arc::clone(&inner.view),
-            inner.reconfig.clone(),
-            inner.heartbeat_col,
-            ticker,
-        )
-    };
+    let inner = shared.inner.lock();
+    let (view, cols) = (Arc::clone(&inner.view), inner.reconfig.clone());
+    // The receive frontiers are taken once, at the wedge: no pass runs to
+    // move them until this transition ends.
+    let (hb_col, frontiers) = (inner.heartbeat_col, inner.frontiers());
+    drop(inner);
+    // A peer can die *mid-transition* — the exact hole the takeover
+    // protocol closes. The thread's heartbeat keeps beating and watching
+    // inside the engine loop, its peers' clocks restarted, so a crashed
+    // proposer is convicted here and the suspicion feeds the engine.
+    th.watch(1, started);
     let active: Vec<usize> = active_rows(&view).collect();
     let mut engine = ViewChangeEngine::new(Arc::clone(&view), cols.clone(), row, initial_bits);
     engine.set_obs(shared.obs.clone());
@@ -231,27 +215,24 @@ pub(super) fn view_change<F: Fabric>(
             // A survivor stalled forever.
             return close();
         }
-        let (sst, fabric, frontiers) = {
-            let inner = shared.inner.lock();
-            if !inner.alive {
-                return;
-            }
-            (inner.sst.clone(), inner.live_fabric(), inner.frontiers())
-        };
-        stall.check(engine.vid(), engine.phase_name(), &sst);
+        if !shared.inner.lock().alive {
+            return;
+        }
+        let EpochLocal { sst, fabric, .. } = &th.local;
+        stall.check(engine.vid(), engine.phase_name(), sst);
         // What a pending step waits for is a peer's write into this mirror:
         // arm its doorbell, look (the step), and wait on it below.
         sst.region().arm();
-        let mut post = post_to(&fabric, row, &active);
-        if let Some(ticker) = ticker.as_mut() {
-            for suspect in ticker.tick(Instant::now(), &sst, hb_col, &mut post) {
+        let mut post = post_to(fabric, row, &active);
+        if let Some(ticker) = th.ticker.as_mut() {
+            for suspect in ticker.tick(Instant::now(), sst, hb_col, &mut post) {
                 engine.suspect(shared.convict(row, suspect, engine.vid(), true, true));
             }
         }
         let step = {
             let mut crashed = shared.epochs.crashed.lock();
             engine.suspect(*crashed);
-            let step = engine.step(&sst, &frontiers, &mut post);
+            let step = engine.step(sst, &frontiers, &mut post);
             if step == VcStep::Crashed && cluster_armed.is_some() {
                 *crashed |= 1 << row;
             }
@@ -264,8 +245,8 @@ pub(super) fn view_change<F: Fabric>(
                 sst.region().wait(Duration::from_micros(200));
             }
             VcStep::Deliver(p) => {
-                let ordered = cfg.delivery_timing == DeliveryTiming::Ordered;
-                resend = drain_node_through(shared, &p.cuts, ordered, obs_cache);
+                drop(post); // it borrows the thread state the drain takes
+                resend = drain_node_through(shared, th, &p.cuts, cfg);
                 engine.mark_delivered();
             }
             VcStep::Install(p) => {
@@ -319,8 +300,7 @@ pub(super) fn view_change<F: Fabric>(
     // view from the proposal's failed set (and its join, for a grow
     // transition) and rebuilds its protocol state over the epoch's fabric.
     let gone = proposal.failed_rows();
-    let old_fabric = shared.inner.lock().live_fabric();
-    let entered = shared.epochs.enter(proposal.vid, &old_fabric, || {
+    let entered = shared.epochs.enter(proposal.vid, &th.local.fabric, || {
         match (proposal.join_endpoint(), &local_join) {
             (Some(join), _) => {
                 let (v, new_row) = reconfig::join_view(&view, &gone, join.as_sender).ok()?;
@@ -342,12 +322,12 @@ pub(super) fn view_change<F: Fabric>(
     // catch-up barrier which holds application traffic until the
     // joiner's mirror is up, connected, and confirmed on every link.
     let survivors: Vec<usize> = active_rows(&next_view).collect();
-    let sst = {
+    {
         let mut inner = shared.inner.lock();
-        *inner = NodeInner::enter_epoch(&next_view, &plan, row, fabric.clone(), &shared.obs);
+        *inner = NodeInner::enter_epoch(&next_view, &plan, row, fabric, &shared.obs);
         shared.epoch.store(proposal.vid, Ordering::Release);
-        inner.sst.clone()
-    };
+        th.local = EpochLocal::of(&inner);
+    }
 
     // A grow transition's report must be visible *now*, not after the
     // barrier: the sponsor's admit waits on it to send the joiner
@@ -369,23 +349,15 @@ pub(super) fn view_change<F: Fabric>(
     // one-shot protocol writes cannot die on a zombie pre-install link.
     let mut barrier =
         InstallBarrier::new(proposal.vid, survivors.clone(), plan.reconfig.clone(), row);
-    let mut post = post_to(&fabric, row, &survivors);
     // The barrier must not wait forever on a corpse: a row a verbatim
-    // takeover proposal kept in the view is a barrier party that will
-    // never install. Heartbeat in the new epoch (continuing the
-    // monotonic value — a regressed counter reads as silence at peers)
-    // and convict parties on a 3× detector leash: generous enough for a
-    // slow drainer or a joiner's catch-up, bounded enough to beat the
-    // VC deadline. A convicted party is dropped from the barrier and
-    // its suspicion reseeds the next transition.
-    if let (Some(dc), Some(ticker)) = (det, ticker.as_mut()) {
-        let parties = survivors.iter().copied().filter(|&r| r != row).collect();
-        let leash = DetectorConfig {
-            heartbeat_interval: dc.heartbeat_interval,
-            timeout: dc.timeout * 3,
-        };
-        ticker.watch(parties, &leash, Instant::now());
-    }
+    // takeover proposal kept in the view is a party that never installs.
+    // The heartbeat goes on in the new epoch and convicts the other parties
+    // (this epoch's peers) on a 3× detector leash — room for a slow drainer
+    // or a joiner's catch-up, well inside the VC deadline; a convicted party
+    // is dropped and its suspicion reseeds the next transition.
+    th.watch(3, Instant::now());
+    let EpochLocal { sst, fabric, .. } = &th.local;
+    let mut post = post_to(fabric, row, &survivors);
     let flags = [
         ("installed", plan.reconfig.installed),
         ("confirmed", plan.reconfig.acked),
@@ -401,7 +373,7 @@ pub(super) fn view_change<F: Fabric>(
     loop {
         // As in the engine loop: arm, look, wait on the new mirror's bell.
         sst.region().arm();
-        if barrier.step(&sst, &mut post) {
+        if barrier.step(sst, &mut post) {
             break;
         }
         if stop.load(Ordering::Relaxed) || shared.killed.load(Ordering::Acquire) {
@@ -410,8 +382,8 @@ pub(super) fn view_change<F: Fabric>(
         // Dead parties: the detector's verdicts, and local rows that
         // halted at an armed crash boundary.
         let mut dead = reconfig::rows_of(*shared.epochs.crashed.lock());
-        if let Some(ticker) = ticker.as_mut() {
-            dead.extend(ticker.tick(Instant::now(), &sst, plan.heartbeat, &mut post));
+        if let Some(ticker) = th.ticker.as_mut() {
+            dead.extend(ticker.tick(Instant::now(), sst, plan.heartbeat, &mut post));
         }
         for dead in dead {
             if !barrier.parties().contains(&dead) {
@@ -431,7 +403,7 @@ pub(super) fn view_change<F: Fabric>(
             }
         }
         // A healthy barrier converges in milliseconds.
-        stall.check(proposal.vid, "the install barrier", &sst);
+        stall.check(proposal.vid, "the install barrier", sst);
         sst.region().wait(Duration::from_micros(300));
     }
     shared.obs.event(

@@ -10,10 +10,10 @@
 //! null invisibility, failure atomicity) hold for the code the performance
 //! model measures.
 //!
-//! The §3.4 optimization is implemented literally: with
-//! [`SpindleConfig::early_lock_release`](crate::config::SpindleConfig::early_lock_release) the predicate body collects the
-//! word ranges to push under the node's lock, releases it, and only then
-//! posts the writes; the baseline posts while holding the lock.
+//! The §3.4 optimization is implemented literally: one pass (`node_pass`)
+//! collects the word ranges to push under the node's lock, and with
+//! [`SpindleConfig::early_lock_release`](crate::config::SpindleConfig::early_lock_release) the
+//! thread releases the lock before posting them; the baseline posts under it.
 //!
 //! # View changes
 //!

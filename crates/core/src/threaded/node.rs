@@ -141,11 +141,6 @@ impl<F: Fabric> NodeInner<F> {
             })
             .collect()
     }
-
-    /// The transport handle of a row this process hosts.
-    pub(super) fn live_fabric(&self) -> F {
-        self.fabric.clone().expect("live node has a fabric")
-    }
 }
 
 /// Builds a fabric for one epoch: `(nodes, region_words, faults)`.

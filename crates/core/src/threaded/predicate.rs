@@ -9,7 +9,7 @@ use spindle_fabric::{Fabric, NodeId, WriteOp};
 use spindle_membership::reconfig::{self, PLANNED_BIT};
 use spindle_membership::{SeqNum, SubgroupId};
 use spindle_obs::ObsPlane;
-use spindle_sst::Sst;
+use spindle_sst::{CounterCol, Sst};
 
 use super::api::Delivered;
 use super::distributed::view_change;
@@ -18,31 +18,22 @@ use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::{DetectorConfig, HeartbeatTicker};
 use crate::proto::{Delivery, SubgroupProto};
 
-/// Cached per-epoch registry handles for the delivery path: resolved
-/// against the registry once per `(node, epoch)`, after which every
-/// batch of deliveries costs two relaxed atomic adds (plus one histogram
-/// record per delivery that completes one of this node's own sends). One per
-/// predicate thread, lent to the view-change drain it runs.
-pub(super) struct EpochObsCache {
-    epoch: u64,
+/// The registry handles of one `(node, epoch)`'s deliveries: once resolved,
+/// a batch costs two relaxed atomic adds (plus one histogram record per
+/// delivery that completes one of this node's own sends).
+struct EpochObs {
     delivered: spindle_obs::Counter,
     bytes: spindle_obs::Counter,
     latency: spindle_obs::LogHistogram,
 }
 
-fn epoch_obs<'a>(
-    obs: &ObsPlane,
-    row: usize,
-    epoch: u64,
-    cache: &'a mut Option<EpochObsCache>,
-) -> &'a EpochObsCache {
-    if cache.as_ref().is_none_or(|c| c.epoch != epoch) {
+impl EpochObs {
+    fn new(obs: &ObsPlane, row: usize, epoch: u64) -> Self {
         let node = row.to_string();
         let ep = epoch.to_string();
         let labels = [("node", node.as_str()), ("epoch", ep.as_str())];
         let reg = obs.registry();
-        *cache = Some(EpochObsCache {
-            epoch,
+        EpochObs {
             delivered: reg.counter(
                 spindle_obs::names::DELIVERED,
                 "Ordered messages delivered, by node and epoch",
@@ -59,9 +50,8 @@ fn epoch_obs<'a>(
                 1e-9,
                 &labels,
             ),
-        });
+        }
     }
-    cache.as_ref().expect("cache just filled")
 }
 
 /// One timed sleep of a predicate thread that has nothing to do: the one
@@ -186,7 +176,7 @@ impl WaitCounters {
 
 /// The deliveries of one pass over a node's protocol state and, beside
 /// each, when this node queued it: `Some` for its own sends only — the
-/// start of the delivery-latency sample [`publish`] records.
+/// start of the delivery-latency sample [`ThreadState::publish`] records.
 #[derive(Default)]
 struct Batch {
     delivered: Vec<Delivered>,
@@ -247,84 +237,188 @@ impl Batch {
 /// per pass (the `Arc`s behind `sst` and `fabric` are shared by every row
 /// of the process, so a clone is a write to a line all predicate threads
 /// touch).
-struct EpochLocal<F> {
-    epoch: u64,
-    sst: Sst,
-    fabric: F,
-    hb_peers: Vec<usize>,
+pub(super) struct EpochLocal<F> {
+    pub(super) epoch: u64,
+    pub(super) sst: Sst,
+    pub(super) fabric: F,
+    /// [`NodeInner::hb_peers`], and so the install barrier's other parties.
+    pub(super) hb_peers: Vec<usize>,
     /// [`SubgroupProto::member_rows`] of each entry of `NodeInner::protos`.
     members: Vec<Vec<usize>>,
-    /// Only with a detector configured; rebuilt with the epoch because the
-    /// SST (and its counters) start fresh.
-    ticker: Option<HeartbeatTicker>,
+    /// Resolved at the epoch's first batch of deliveries.
+    obs: Option<EpochObs>,
 }
 
 impl<F: Fabric> EpochLocal<F> {
-    fn of(inner: &NodeInner<F>, epoch: u64, det: Option<&DetectorConfig>) -> Self {
-        let ticker = det.map(|dc| {
-            let peers = inner.hb_peers.clone();
-            HeartbeatTicker::new(peers, dc, &inner.sst, inner.heartbeat_col, Instant::now())
-        });
+    /// The epoch of a row this process hosts.
+    pub(super) fn of(inner: &NodeInner<F>) -> Self {
         EpochLocal {
-            epoch,
+            epoch: inner.view.id(),
             sst: inner.sst.clone(),
-            fabric: inner.live_fabric(),
+            fabric: inner.fabric.clone().expect("a hosted row has a fabric"),
             hb_peers: inner.hb_peers.clone(),
             members: inner.protos.iter().map(|p| p.member_rows.clone()).collect(),
-            ticker,
+            obs: None,
         }
     }
 }
 
-/// Hands `batch` to the application — leaving it empty, its capacity kept
-/// for the next pass — and publishes it into the live registry: the
-/// delivery-latency sample of each delivery that completes a send queued by
-/// this node's [`NodeHandle::try_send`](super::NodeHandle::try_send) —
-/// recorded here, after the durable append and outside the node lock its
-/// senders wait on — then the per-epoch message and byte counters, once for
-/// the whole batch (a batch is one pass, so one epoch).
-///
-/// Every [`NodeShared::deliveries`] send happens here, one `send_all` per
-/// batch — one channel lock, and a wake only if the application is blocked
-/// in a receive — paired per batch with its counter update, so the counter
-/// equals the drained stream length by construction (the harness
-/// counter-consistency oracle pins this).
-fn publish<F: Fabric>(
-    shared: &NodeShared<F>,
-    row: usize,
-    batch: &mut Batch,
-    cache: &mut Option<EpochObsCache>,
-) {
-    let Some(epoch) = batch.delivered.first().map(|d| d.epoch) else {
-        return;
-    };
-    debug_assert!(
-        batch.delivered.iter().all(|d| d.epoch == epoch),
-        "a delivery batch spans epochs"
-    );
-    let h = epoch_obs(&shared.obs, row, epoch, cache);
-    let mut bytes = 0;
-    for (d, queued_at) in batch.delivered.iter().zip(batch.queued_at.drain(..)) {
-        bytes += d.data.len() as u64;
-        if let Some(t0) = queued_at {
-            h.latency.record(t0.elapsed().as_nanos() as u64);
-        }
-    }
-    h.delivered.add(batch.delivered.len() as u64);
-    h.bytes.add(bytes);
-    // Receiver may have hung up (handle dropped); that's fine.
-    let _ = shared.deliveries.send_all(batch.delivered.drain(..));
+/// What a predicate thread owns for its whole life and lends to the
+/// view-change driver it runs: the epoch's handles, its one heartbeat, and
+/// one pass's scratch, emptied by the caller of the pass that filled it.
+pub(super) struct ThreadState<F> {
+    pub(super) local: EpochLocal<F>,
+    /// Only with a detector. Carried from epoch to epoch, so the value the
+    /// peers see never regresses — a regressed counter reads as silence.
+    pub(super) ticker: Option<HeartbeatTicker>,
+    /// The writes, in posting order: posted after the node lock is released
+    /// (§3.4) or under it (baseline).
+    posts: Vec<WriteOp>,
+    batch: Batch,
+    /// `(index into protos, persisted_num column, highest seq)` of each
+    /// subgroup that delivered, for the frontier to advance once the durable
+    /// log holds the batch; `None` unless the row logs ordered deliveries.
+    persist_work: Option<Vec<(usize, CounterCol, SeqNum)>>,
 }
 
-/// The per-node polling loop (§2.4): evaluate every subgroup's predicates,
-/// then post the collected writes — after releasing the lock when §3.4 is
-/// enabled.
-///
-/// The loop also watches for what starts an epoch transition — a
-/// [`NodeShared::vc_trigger`] request, a peer's suspicion column, or (with
-/// `drives_engine`, see [`NodeShared::convict`]) its own detector's
-/// verdict — and then runs the SST engine through wedge → agreement →
-/// install itself ([`view_change`]).
+impl<F: Fabric> ThreadState<F> {
+    /// The state of a thread starting at `now` in the epoch `inner` holds,
+    /// of a row that `logs` its ordered deliveries to a durable log or not.
+    fn new(inner: &NodeInner<F>, det: &Option<DetectorConfig>, logs: bool, now: Instant) -> Self {
+        let mut th = ThreadState {
+            local: EpochLocal::of(inner),
+            ticker: det.as_ref().map(|dc| HeartbeatTicker::new(dc, now)),
+            posts: Vec::new(),
+            batch: Batch::default(),
+            persist_work: logs.then(Vec::new),
+        };
+        th.watch(1, now);
+        th
+    }
+
+    /// Has the heartbeat, if any, watch this epoch's peers from `now`, a peer
+    /// suspected after `leash` detector timeouts (3 in an install barrier).
+    pub(super) fn watch(&mut self, leash: u32, now: Instant) {
+        if let Some(ticker) = &mut self.ticker {
+            ticker.watch(&self.local.hb_peers, leash, now);
+        }
+    }
+
+    /// Hands the pass's batch to the application — leaving it empty, its
+    /// capacity kept for the next pass — and publishes it into the live
+    /// registry: the delivery-latency sample of each delivery that completes
+    /// a send queued by this node's
+    /// [`NodeHandle::try_send`](super::NodeHandle::try_send) — recorded here,
+    /// after the durable append and outside the node lock its senders wait
+    /// on — then the per-epoch message and byte counters, once for the whole
+    /// batch (a batch is one pass, so one epoch).
+    ///
+    /// Every [`NodeShared::deliveries`] send happens here, one `send_all` per
+    /// batch — one channel lock, and a wake only if the application is
+    /// blocked in a receive — paired per batch with its counter update, so
+    /// the counter equals the drained stream length by construction (the
+    /// harness counter-consistency oracle pins this).
+    fn publish(&mut self, shared: &NodeShared<F>) {
+        let (batch, local) = (&mut self.batch, &mut self.local);
+        if batch.delivered.is_empty() {
+            return;
+        }
+        debug_assert!(
+            batch.delivered.iter().all(|d| d.epoch == local.epoch),
+            "a delivery batch spans epochs"
+        );
+        let (obs, row) = (&mut local.obs, local.sst.own_row());
+        let h = obs.get_or_insert_with(|| EpochObs::new(&shared.obs, row, local.epoch));
+        let mut bytes = 0;
+        for (d, queued_at) in batch.delivered.iter().zip(batch.queued_at.drain(..)) {
+            bytes += d.data.len() as u64;
+            if let Some(t0) = queued_at {
+                h.latency.record(t0.elapsed().as_nanos() as u64);
+            }
+        }
+        h.delivered.add(batch.delivered.len() as u64);
+        h.bytes.add(bytes);
+        // Receiver may have hung up (handle dropped); that's fine.
+        let _ = shared.deliveries.send_all(batch.delivered.drain(..));
+    }
+}
+
+/// What one [`node_pass`] found.
+struct NodeStep {
+    /// Whether any subgroup's pass did something: the idle ladder's input.
+    work: bool,
+    /// Suspicion bits that must start a transition after this pass.
+    vc_bits: u64,
+    /// The peers the heartbeat just found silent, each reported once.
+    suspects: Vec<usize>,
+}
+
+/// One iteration's protocol work for the node `inner` holds (§2.4; in
+/// Derecho the same loop carries the SST heartbeat): the transition bits —
+/// `trigger`, swapped out of [`NodeShared::vc_trigger`], and the peers'
+/// suspicion column, masked to this epoch's rows and [`PLANNED_BIT`] — then
+/// the heartbeat's turn at `now`, then every subgroup's
+/// [`SubgroupProto::pass`] into the thread's scratch, the writes after the
+/// heartbeat's. It takes no lock, reads no clock (the caller reads `now`
+/// only for a heartbeat), and posts and sends nothing: the caller holds the
+/// lock, convicts the suspects and posts, so a driver with a discrete clock
+/// and no threads runs the same pass.
+fn node_pass<F: Fabric>(
+    inner: &mut NodeInner<F>,
+    th: &mut ThreadState<F>,
+    now: Option<Instant>,
+    trigger: u64,
+    cfg: &SpindleConfig,
+) -> NodeStep {
+    let local = &th.local;
+    let (sst, peers) = (&local.sst, &local.hb_peers);
+    let row = sst.own_row();
+    let mut vc_bits = trigger;
+    for &peer in peers {
+        vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
+    }
+    if vc_bits != 0 {
+        vc_bits &= reconfig::bits_of(peers.iter().copied().chain([row])) | PLANNED_BIT;
+    }
+    let mut suspects = Vec::new();
+    if let (Some(ticker), Some(now)) = (&mut th.ticker, now) {
+        suspects = ticker.tick(now, sst, inner.heartbeat_col, &mut |range| {
+            th.posts.extend(ops_to(peers, row, range))
+        });
+    }
+    let mut work = false;
+    let stamps = inner.queued_at.iter_mut();
+    for (g, (p, stamps)) in inner.protos.iter_mut().zip(stamps).enumerate() {
+        let pass = p.pass(sst, cfg);
+        work |= pass.work();
+        let delivered = match cfg.delivery_timing {
+            DeliveryTiming::OnReceive => &pass.recv.new_app,
+            DeliveryTiming::Ordered => &pass.deliver.deliveries,
+        };
+        for del in delivered {
+            th.batch.push(sst, p, stamps, local.epoch, del);
+        }
+        // Deliveries come in order: the last has the highest seq.
+        if let (Some(work), Some(last)) = (&mut th.persist_work, delivered.last()) {
+            work.push((g, p.cols.pers, last.seq));
+        }
+        for (range, _) in pass.pushes() {
+            th.posts.extend(ops_to(&local.members[g], row, range));
+        }
+    }
+    NodeStep {
+        work,
+        vc_bits,
+        suspects,
+    }
+}
+
+/// The per-node polling loop (§2.4): lock → [`node_pass`] → (baseline: post
+/// under the lock) → unlock → durable append → post (§3.4) → publish → the
+/// idle ladder — or, when the pass found a [`NodeShared::vc_trigger`]
+/// request, a peer's suspicion or (with `drives_engine`, see
+/// [`NodeShared::convict`]) its own detector's verdict, the epoch
+/// transition the thread then drives itself ([`view_change`]).
 pub(super) fn predicate_thread<F: Fabric>(
     row: usize,
     shared: Arc<NodeShared<F>>,
@@ -335,17 +429,9 @@ pub(super) fn predicate_thread<F: Fabric>(
 ) {
     let mut ladder = IdleLadder::default();
     let waits = WaitCounters::new(&shared.obs, row);
-    let mut obs_cache: Option<EpochObsCache> = None;
-    let mut local: Option<EpochLocal<F>> = None;
-    // One pass's scratch, emptied by the pass that filled it. Work items
-    // are collected under the lock and posted after release
-    // (early_lock_release) or under it (baseline).
-    let mut posts: Vec<WriteOp> = Vec::new();
-    let mut batch = Batch::default();
-    // (index into `protos`, persisted_num column, highest seq) for every
-    // subgroup that delivered this iteration — used after the lock to
-    // advance the persistence frontier once the log holds them.
-    let mut persist_work: Vec<(usize, spindle_sst::CounterCol, SeqNum)> = Vec::new();
+    // Only ordered deliveries carry a sequence number to log.
+    let logs = shared.persist.is_some() && cfg.delivery_timing == DeliveryTiming::Ordered;
+    let mut th = ThreadState::new(&shared.inner.lock(), &det, logs, Instant::now());
     while !stop.load(Ordering::Relaxed) {
         if shared.killed.load(Ordering::Acquire) {
             return; // simulated crash: vanish without a trace
@@ -356,120 +442,67 @@ pub(super) fn predicate_thread<F: Fabric>(
             std::thread::sleep(IDLE_QUANTUM);
             continue;
         }
-        // Suspicion bits that must start a view change after this
-        // iteration.
-        let mut vc_bits: u64 = 0;
-        let mut work = false;
-        {
-            let mut inner = shared.inner.lock();
-            if !inner.alive {
-                return;
-            }
-            let epoch = shared.epoch.load(Ordering::Relaxed);
-            let EpochLocal {
-                sst,
-                fabric,
-                hb_peers,
-                members,
-                ticker,
-                ..
-            } = match &mut local {
-                Some(l) if l.epoch == epoch => l,
-                stale => stale.insert(EpochLocal::of(&inner, epoch, det.as_ref())),
-            };
-            // A trigger, or a peer's suspicion column lighting up: either
-            // starts the SST view-change engine (after this iteration's
-            // work is flushed). Loads only while idle — this runs every
-            // iteration of the data path.
-            if shared.vc_trigger.load(Ordering::Acquire) != 0 {
-                vc_bits |= shared.vc_trigger.swap(0, Ordering::AcqRel);
-            }
-            for &peer in hb_peers.iter() {
-                vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
-            }
-            if vc_bits != 0 {
-                let mask = reconfig::bits_of(hb_peers.iter().copied().chain([row]));
-                vc_bits &= mask | PLANNED_BIT;
-            }
-            if let Some(ticker) = ticker {
-                let suspects =
-                    ticker.tick(Instant::now(), sst, inner.heartbeat_col, &mut |range| {
-                        posts.extend(ops_to(hb_peers, row, range))
-                    });
-                for suspect in suspects {
-                    vc_bits |= shared.convict(row, suspect, epoch, false, drives_engine);
-                }
-            }
-            let NodeInner {
-                protos, queued_at, ..
-            } = &mut *inner;
-            for (g, (p, stamps)) in protos.iter_mut().zip(queued_at).enumerate() {
-                let pass = p.pass(sst, &cfg);
-                work |= pass.work();
-                let delivered = match cfg.delivery_timing {
-                    DeliveryTiming::OnReceive => &pass.recv.new_app,
-                    DeliveryTiming::Ordered => &pass.deliver.deliveries,
-                };
-                for del in delivered {
-                    batch.push(sst, p, stamps, epoch, del);
-                }
-                if cfg.delivery_timing == DeliveryTiming::Ordered && shared.persist.is_some() {
-                    // Deliveries come in order: the last has the highest seq.
-                    if let Some(last) = pass.deliver.deliveries.last() {
-                        persist_work.push((g, p.cols.pers, last.seq));
-                    }
-                }
-                for (range, _) in pass.pushes() {
-                    posts.extend(ops_to(&members[g], row, range));
-                }
-            }
-            if !cfg.early_lock_release {
-                // Baseline: post while holding the lock (§3.4's problem).
-                for op in posts.drain(..) {
-                    fabric.post(NodeId(row), &op);
-                }
-            } else {
-                // §3.4: release first, then post (below).
-            }
-            drop(inner);
-            // Durable mode: append this iteration's ordered deliveries to
-            // the per-subgroup logs, fsync when the policy says so, then
-            // advertise the new frontiers. This happens outside the lock —
-            // log I/O must never stall the application threads (the same
-            // reasoning as §3.4).
-            if let Some(hook) = shared.persist.as_ref().filter(|_| !persist_work.is_empty()) {
-                hook.lock().append(&batch.delivered);
-                for (g, pers_col, hi) in persist_work.drain(..) {
-                    let range = sst.set_counter(pers_col, hi);
-                    posts.extend(ops_to(&members[g], row, range));
-                }
-            }
-            for op in posts.drain(..) {
-                fabric.post(NodeId(row), &op);
+        let mut inner = shared.inner.lock();
+        if !inner.alive {
+            return;
+        }
+        // Swapped only when set: this runs on every pass of the data path.
+        let mut trigger = 0;
+        if shared.vc_trigger.load(Ordering::Acquire) != 0 {
+            trigger = shared.vc_trigger.swap(0, Ordering::AcqRel);
+        }
+        let now = th.ticker.is_some().then(Instant::now);
+        let step = node_pass(&mut inner, &mut th, now, trigger, &cfg);
+        let mut vc_bits = step.vc_bits;
+        for suspect in step.suspects {
+            vc_bits |= shared.convict(row, suspect, th.local.epoch, false, drives_engine);
+        }
+        if !cfg.early_lock_release {
+            // Baseline: post while holding the lock (§3.4's problem).
+            for op in th.posts.drain(..) {
+                th.local.fabric.post(NodeId(row), &op);
             }
         }
-        publish(&shared, row, &mut batch, &mut obs_cache);
+        drop(inner);
+        // Durable mode: append this pass's ordered deliveries to the
+        // per-subgroup logs, fsync when the policy says so, then advertise
+        // the new frontiers. This happens outside the lock — log I/O must
+        // never stall the application threads (the same reasoning as §3.4).
+        let work = th.persist_work.as_mut().filter(|w| !w.is_empty());
+        if let (Some(hook), Some(work)) = (&shared.persist, work) {
+            hook.lock().append(&th.batch.delivered);
+            for (g, pers_col, hi) in work.drain(..) {
+                let range = th.local.sst.set_counter(pers_col, hi);
+                th.posts.extend(ops_to(&th.local.members[g], row, range));
+            }
+        }
+        for op in th.posts.drain(..) {
+            th.local.fabric.post(NodeId(row), &op);
+        }
+        th.publish(&shared);
         if vc_bits != 0 {
-            view_change(row, &shared, vc_bits, &cfg, &det, &stop, &mut obs_cache);
+            view_change(&shared, &mut th, vc_bits, &cfg, &stop);
+            // The epoch entered, if any: the install barrier's leash ends.
+            th.watch(1, Instant::now());
             ladder = IdleLadder::default();
             continue;
         }
         // The doorbell is the one on the replica this pass read.
-        let EpochLocal { sst, ticker, .. } = local.as_ref().expect("the pass entered an epoch");
-        match ladder.next(work) {
+        let region = th.local.sst.region();
+        match ladder.next(step.work) {
             // With work: straight into the next pass, as before the ladder.
-            Idle::Spin if work => {}
+            Idle::Spin if step.work => {}
             Idle::Spin => std::hint::spin_loop(),
             Idle::Sleep => {
                 waits.timer.inc();
                 std::thread::sleep(IDLE_QUANTUM);
             }
-            Idle::Arm => sst.region().arm(),
+            Idle::Arm => region.arm(),
             Idle::Park => {
-                let timeout = ticker.as_ref().map_or(PARK_CAP, |t| {
+                let timeout = th.ticker.as_ref().map_or(PARK_CAP, |t| {
                     PARK_CAP.min(t.next_beat().saturating_duration_since(Instant::now()))
                 });
-                if sst.region().wait(timeout) {
+                if region.wait(timeout) {
                     waits.rung.inc();
                 } else {
                     waits.timeout.inc();
@@ -485,21 +518,20 @@ pub(super) fn predicate_thread<F: Fabric>(
     }
 }
 
-/// Final old-epoch deliveries of one node: everything through the agreed
-/// cuts goes to its durable log and then its delivery channel — one batch,
-/// all of the old epoch, as [`publish`] asserts — and its own undelivered
-/// messages come back as `(subgroup, payload)` for resend in the next epoch.
+/// Final old-epoch deliveries of one node, into the thread's batch:
+/// everything through the agreed cuts goes to its durable log and then its
+/// delivery channel — one batch, all of the old epoch, as
+/// [`ThreadState::publish`] asserts — and its own undelivered messages come
+/// back as `(subgroup, payload)` for resend in the next epoch.
 pub(super) fn drain_node_through<F: Fabric>(
     shared: &NodeShared<F>,
+    th: &mut ThreadState<F>,
     cuts: &[SeqNum],
-    ordered: bool,
-    obs_cache: &mut Option<EpochObsCache>,
+    cfg: &SpindleConfig,
 ) -> Vec<(SubgroupId, Vec<u8>)> {
     let mut resend = Vec::new();
-    let mut batch = Batch::default();
+    let EpochLocal { epoch, sst, .. } = &th.local;
     let mut inner = shared.inner.lock();
-    let sst = inner.sst.clone();
-    let epoch = shared.epoch.load(Ordering::Acquire);
     let NodeInner {
         protos, queued_at, ..
     } = &mut *inner;
@@ -507,13 +539,13 @@ pub(super) fn drain_node_through<F: Fabric>(
         let Some(&cut) = cuts.get(p.sg.0) else {
             continue;
         };
-        let out = p.deliver_through(&sst, cut);
-        if ordered {
+        let out = p.deliver_through(sst, cut);
+        if cfg.delivery_timing == DeliveryTiming::Ordered {
             for del in &out.deliveries {
-                batch.push(&sst, p, stamps, epoch, del);
+                th.batch.push(sst, p, stamps, *epoch, del);
             }
         }
-        for (_, payload) in p.undelivered_own(&sst) {
+        for (_, payload) in p.undelivered_own(sst) {
             resend.push((p.sg, payload));
         }
     }
@@ -522,16 +554,202 @@ pub(super) fn drain_node_through<F: Fabric>(
     // like any others, and the epoch boundary fsyncs whatever the policy.
     if let Some(hook) = &shared.persist {
         let mut hook = hook.lock();
-        hook.append(&batch.delivered);
+        hook.append(&th.batch.delivered);
         hook.sync_all().expect("sync durable log");
     }
-    publish(shared, sst.own_row(), &mut batch, obs_cache);
+    th.publish(shared);
     resend
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Plan;
+    use spindle_fabric::{MemFabric, Region};
+    use spindle_membership::ViewBuilder;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// Beat every millisecond, suspect after ten.
+    fn det() -> Option<DetectorConfig> {
+        Some(DetectorConfig {
+            heartbeat_interval: MS,
+            timeout: MS * 10,
+        })
+    }
+
+    /// The three rows of one epoch on a fresh `MemFabric` — subgroup 0 of
+    /// all three, all sending; subgroup 1 of rows 0 and 1, row 0 sending —
+    /// each with the state its predicate thread would own, passed by hand
+    /// on a synthetic clock that starts at `t0`.
+    struct Rows {
+        cfg: SpindleConfig,
+        t0: Instant,
+        inners: Vec<NodeInner<MemFabric>>,
+        threads: Vec<ThreadState<MemFabric>>,
+    }
+
+    impl Rows {
+        fn new(epoch: u64, cfg: SpindleConfig, det: Option<DetectorConfig>, t0: Instant) -> Rows {
+            let view = ViewBuilder::with_members(epoch, (0..3).map(NodeId).collect())
+                .subgroup(&[0, 1, 2], &[0, 1, 2], 4, 64)
+                .subgroup(&[0, 1], &[0], 4, 64)
+                .build()
+                .unwrap();
+            let (view, obs) = (Arc::new(view), ObsPlane::new());
+            let plan = Plan::build(&view, true);
+            let fabric = MemFabric::new(3, plan.layout.region_words());
+            let inners: Vec<_> = (0..3)
+                .map(|row| NodeInner::enter_epoch(&view, &plan, row, fabric.clone(), &obs))
+                .collect();
+            let threads = inners
+                .iter()
+                .map(|inner| ThreadState::new(inner, &det, false, t0))
+                .collect();
+            Rows {
+                cfg,
+                t0,
+                inners,
+                threads,
+            }
+        }
+
+        /// `row`'s node pass `at` after `t0`: what it found, the writes it
+        /// left — which are then posted — and the batch it filled.
+        fn pass(&mut self, row: usize, at: Duration, bits: u64) -> (NodeStep, Vec<WriteOp>, Batch) {
+            let th = &mut self.threads[row];
+            let now = Some(self.t0 + at);
+            let step = node_pass(&mut self.inners[row], th, now, bits, &self.cfg);
+            let posts = th.posts.clone();
+            for op in th.posts.drain(..) {
+                th.local.fabric.post(NodeId(row), &op);
+            }
+            (step, posts, std::mem::take(&mut th.batch))
+        }
+
+        /// `row`'s heartbeat as `mirror`'s replica holds it.
+        fn heartbeat(&self, mirror: usize, row: usize) -> i64 {
+            let inner = &self.inners[mirror];
+            inner.sst.counter(inner.heartbeat_col, row)
+        }
+    }
+
+    #[test]
+    fn node_pass_posts_the_heartbeat_on_its_cadence_and_carries_it_into_a_fresh_epoch() {
+        let t0 = Instant::now();
+        let mut rows = Rows::new(0, SpindleConfig::optimized(), det(), t0);
+        let beat: Vec<WriteOp> = {
+            let inner = &rows.inners[0];
+            let range = inner.sst.own_counter_range(inner.heartbeat_col);
+            ops_to(&[1, 2], 0, range).collect()
+        };
+        // Off the cadence nothing is bumped or posted; on it, one beat
+        // reaches both peers.
+        for (at, posts, value) in [
+            (MS / 2, vec![], 0),
+            (MS, beat.clone(), 1),
+            (MS * 3 / 2, vec![], 1),
+        ] {
+            assert_eq!(rows.pass(0, at, 0).1, posts, "at {at:?}");
+            assert_eq!((rows.heartbeat(1, 0), rows.heartbeat(2, 0)), (value, value));
+        }
+        assert_eq!(rows.pass(0, MS * 2, 0).1, beat);
+        assert_eq!(rows.heartbeat(1, 0), 2);
+        // Into a fresh epoch's SST, where every counter starts at 0, the
+        // thread's one ticker goes on from 2: a restart at 1 would read as
+        // silence at every peer that saw 2.
+        let mut fresh = Rows::new(1, SpindleConfig::optimized(), None, t0);
+        fresh.threads[0].ticker = rows.threads[0].ticker.take();
+        fresh.threads[0].watch(1, t0 + MS * 2);
+        fresh.pass(0, MS * 3, 0);
+        assert_eq!((fresh.heartbeat(0, 0), fresh.heartbeat(1, 0)), (3, 3));
+    }
+
+    #[test]
+    fn node_pass_masks_transition_bits_to_the_epochs_rows_and_a_plan() {
+        let mut rows = Rows::new(0, SpindleConfig::optimized(), None, Instant::now());
+        assert_eq!(rows.pass(0, MS, 0).0.vc_bits, 0);
+        // Row 2 suspects itself and row 7; the trigger names rows 0, 1 and
+        // 5 and a planned change. Rows 5 and 7 are not in the view.
+        let two = &rows.inners[2];
+        let range = two.sst.set_counter(two.reconfig.suspected, 1 << 2 | 1 << 7);
+        let op = WriteOp::new(NodeId(0), range);
+        rows.threads[2].local.fabric.post(NodeId(2), &op);
+        let trigger = 1 | 1 << 1 | 1 << 5 | PLANNED_BIT;
+        let step = rows.pass(0, MS, trigger).0;
+        assert_eq!(step.vc_bits, 1 | 1 << 1 | 1 << 2 | PLANNED_BIT);
+        assert!(step.suspects.is_empty(), "no detector, no verdicts");
+    }
+
+    #[test]
+    fn node_pass_reports_a_silent_peer_once_at_the_timeout() {
+        let mut rows = Rows::new(0, SpindleConfig::optimized(), det(), Instant::now());
+        let mut verdicts = Vec::new();
+        // Rows 0 and 1 beat every millisecond; row 2 never passes.
+        for ms in 1..=30 {
+            for row in [0, 1] {
+                let suspects = rows.pass(row, MS * ms, 0).0.suspects;
+                if !suspects.is_empty() {
+                    verdicts.push((row, ms, suspects));
+                }
+            }
+        }
+        assert_eq!(verdicts, [(0, 11, vec![2]), (1, 11, vec![2])]);
+    }
+
+    #[test]
+    fn node_pass_posts_the_heartbeat_then_each_subgroups_pushes_in_order() {
+        for cfg in [SpindleConfig::optimized(), SpindleConfig::baseline()] {
+            let mut rows = Rows::new(0, cfg.clone(), det(), Instant::now());
+            let mut delivered = 0;
+            for round in 1..=40u32 {
+                for row in 0..3 {
+                    let inner = &mut rows.inners[row];
+                    for p in inner
+                        .protos
+                        .iter_mut()
+                        .filter(|p| p.my_sender_rank.is_some())
+                    {
+                        let payload = format!("{row}/{round}");
+                        p.try_queue_app(&inner.sst, payload.len() as u32, Some(payload.as_bytes()));
+                    }
+                    // The same pass by hand, on a clone of the row's state:
+                    // the heartbeat's beat, then each subgroup's pass.
+                    let region = Arc::new(Region::new(inner.sst.region().len()));
+                    region.copy_range_from(inner.sst.region(), 0, region.len());
+                    let sst = Sst::new(inner.sst.layout().clone(), region, row);
+                    let beat = sst.set_counter(inner.heartbeat_col, round.into());
+                    let mut posts: Vec<WriteOp> = ops_to(&[0, 1, 2], row, beat).collect();
+                    let (mut work, mut seqs) = (false, Vec::new());
+                    for mut p in inner.protos.clone() {
+                        let pass = p.pass(&sst, &cfg);
+                        work |= pass.work();
+                        for (range, _) in pass.pushes() {
+                            posts.extend(ops_to(&p.member_rows, row, range));
+                        }
+                        seqs.extend(pass.deliver.deliveries.iter().map(|d| (p.sg, d.seq)));
+                    }
+                    let (step, by_node_pass, batch) = rows.pass(row, MS * round, 0);
+                    let at = format!("{cfg:?}, round {round}, row {row}");
+                    assert_eq!(by_node_pass, posts, "{at}");
+                    assert_eq!(step.work, work, "{at}");
+                    let got: Vec<_> = batch
+                        .delivered
+                        .iter()
+                        .map(|d| (d.subgroup, d.seq))
+                        .collect();
+                    assert_eq!(got, seqs, "{at}");
+                    let own = rows.inners[row].sst.region();
+                    assert_eq!(
+                        own.snapshot(0, own.len()),
+                        sst.region().snapshot(0, own.len())
+                    );
+                    delivered += seqs.len();
+                }
+            }
+            assert!(delivered > 0, "{cfg:?} delivered nothing");
+        }
+    }
 
     /// The steps of `passes` consecutive passes without work.
     fn idle(ladder: &mut IdleLadder, passes: usize) -> Vec<Idle> {

@@ -34,19 +34,43 @@ fn drain(cluster: &Cluster, node: usize, count: usize) -> Vec<spindle::Delivered
 
 #[test]
 fn healthy_cluster_raises_no_suspicions() {
-    let cluster = Cluster::start_with_detector(all_senders(3), SpindleConfig::optimized(), det());
+    let mut cluster =
+        Cluster::start_with_detector(all_senders(3), SpindleConfig::optimized(), det());
+    let burst = |cluster: &Cluster, from: u32| {
+        for i in from..from + 50 {
+            cluster
+                .node(0)
+                .send(SubgroupId(0), &i.to_le_bytes())
+                .unwrap();
+        }
+    };
     // Run some traffic well past the timeout.
-    for i in 0..50u32 {
-        cluster
-            .node(0)
-            .send(SubgroupId(0), &i.to_le_bytes())
-            .unwrap();
-    }
+    burst(&cluster, 0);
     drain(&cluster, 1, 50);
     std::thread::sleep(det().timeout * 2);
     assert!(
         cluster.suspicions().try_recv().is_err(),
         "no node should be suspected in a healthy cluster"
+    );
+    // Two epoch boundaries under traffic, each followed by a quiet spell:
+    // an admit, then the removal of the admitted row. Each predicate thread
+    // carries one heartbeat across them; a value that regressed at a
+    // boundary would read as death at every peer whose mirror saw the
+    // higher one — the joiner, for one, watches the survivors' install
+    // barrier beats.
+    burst(&cluster, 50);
+    let (joiner, _) = cluster
+        .admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
+        .unwrap();
+    burst(&cluster, 100);
+    std::thread::sleep(det().timeout * 2);
+    cluster.remove_node(joiner).unwrap();
+    burst(&cluster, 150);
+    std::thread::sleep(det().timeout * 2);
+    let suspicions: Vec<_> = cluster.suspicions().try_iter().collect();
+    assert!(
+        suspicions.iter().all(|s| s.suspect == joiner),
+        "a survivor was suspected across the transitions: {suspicions:?}"
     );
     cluster.shutdown();
 }
