@@ -706,21 +706,15 @@ fn fig15(opts: &Opts) {
             "in-place one".into(),
         ],
     );
+    let cfg = SpindleConfig::optimized();
+    let in_place = paper_workload(opts.msgs());
+    let workloads = [in_place.clone().with_memcpy(), in_place];
     for n in opts.sizes() {
         let mut points = Vec::new();
-        for cfg in [
-            SpindleConfig::optimized().with_memcpy(),
-            SpindleConfig::optimized(),
-        ] {
+        for wl in &workloads {
             for pat in [Pattern::All, Pattern::Half, Pattern::One] {
                 let view = single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG);
-                points.push(measure(
-                    &view,
-                    &cfg,
-                    &paper_workload(opts.msgs()),
-                    opts.runs,
-                    bw,
-                ));
+                points.push(measure(&view, &cfg, wl, opts.runs, bw));
             }
         }
         t.row(n as f64, points);

@@ -24,6 +24,9 @@ pub enum DeliveryTiming {
 /// receive and per delivery, no nulls, and the shared-state lock held across
 /// RDMA posting. [`SpindleConfig::optimized`] turns everything on. The
 /// evaluation figures toggle the stages incrementally (Figure 5, 11, 12).
+/// Both runtimes read every field. Whether the application copies or
+/// constructs in place (§3.5) is its own choice, not a protocol toggle:
+/// the simulator models it on [`Workload`].
 ///
 /// # Examples
 ///
@@ -53,14 +56,6 @@ pub struct SpindleConfig {
     /// Restructure predicate bodies to post RDMA writes after releasing the
     /// shared-state lock (§3.4).
     pub early_lock_release: bool,
-    /// Applications copy payloads into ring slots on send instead of
-    /// constructing in place (§3.5, §4.4). Honoured by the simulator
-    /// only: the threaded runtime always copies into the slot.
-    pub memcpy_on_send: bool,
-    /// Applications copy payloads out of ring slots during the delivery
-    /// upcall (§3.5, §4.4). Honoured by the simulator only: the threaded
-    /// runtime copies on every delivery whatever this says.
-    pub memcpy_on_delivery: bool,
     /// When the application upcall happens.
     pub delivery_timing: DeliveryTiming,
 }
@@ -74,15 +69,12 @@ impl SpindleConfig {
             delivery_batching: false,
             null_sends: false,
             early_lock_release: false,
-            memcpy_on_send: false,
-            memcpy_on_delivery: false,
             delivery_timing: DeliveryTiming::Ordered,
         }
     }
 
     /// Fully optimized Spindle: batching at all stages, null-sends and
-    /// early lock release (in-place construction and delivery, as in the
-    /// paper's headline numbers).
+    /// early lock release.
     pub fn optimized() -> Self {
         SpindleConfig {
             send_batching: true,
@@ -90,8 +82,6 @@ impl SpindleConfig {
             delivery_batching: true,
             null_sends: true,
             early_lock_release: true,
-            memcpy_on_send: false,
-            memcpy_on_delivery: false,
             delivery_timing: DeliveryTiming::Ordered,
         }
     }
@@ -134,13 +124,6 @@ impl SpindleConfig {
     /// Adds early lock release.
     pub fn with_early_lock_release(mut self) -> Self {
         self.early_lock_release = true;
-        self
-    }
-
-    /// Enables memcpy on both send and delivery (Figure 15).
-    pub fn with_memcpy(mut self) -> Self {
-        self.memcpy_on_send = true;
-        self.memcpy_on_delivery = true;
         self
     }
 }
@@ -196,6 +179,12 @@ pub struct Workload {
     pub msg_size: usize,
     /// Injected application processing time per delivered message (§3.5).
     pub upcall_cost: Duration,
+    /// The application copies each payload into its ring slot on send
+    /// instead of constructing it in place (§3.5, §4.4).
+    pub memcpy_on_send: bool,
+    /// The application copies each payload out of its ring slot during
+    /// the delivery upcall instead of reading it in place (§3.5, §4.4).
+    pub memcpy_on_delivery: bool,
     /// Per-(subgroup, rank) activity overrides.
     overrides: Vec<(usize, usize, SenderActivity)>,
 }
@@ -214,6 +203,8 @@ impl Workload {
             msgs_per_sender,
             msg_size,
             upcall_cost: Duration::ZERO,
+            memcpy_on_send: false,
+            memcpy_on_delivery: false,
             overrides: Vec::new(),
         }
     }
@@ -227,6 +218,13 @@ impl Workload {
     /// Sets the injected per-message upcall processing time.
     pub fn with_upcall_cost(mut self, cost: Duration) -> Self {
         self.upcall_cost = cost;
+        self
+    }
+
+    /// Copies on both send and delivery (Figure 15).
+    pub fn with_memcpy(mut self) -> Self {
+        self.memcpy_on_send = true;
+        self.memcpy_on_delivery = true;
         self
     }
 
@@ -262,8 +260,6 @@ mod tests {
                 && !b.delivery_batching
                 && !b.null_sends
                 && !b.early_lock_release
-                && !b.memcpy_on_send
-                && !b.memcpy_on_delivery
         );
         assert_eq!(b.delivery_timing, DeliveryTiming::Ordered);
     }
@@ -295,8 +291,10 @@ mod tests {
 
     #[test]
     fn memcpy_builder() {
-        let c = SpindleConfig::optimized().with_memcpy();
-        assert!(c.memcpy_on_send && c.memcpy_on_delivery);
+        let w = Workload::new(10, 128);
+        assert!(!w.memcpy_on_send && !w.memcpy_on_delivery);
+        let w = w.with_memcpy();
+        assert!(w.memcpy_on_send && w.memcpy_on_delivery);
     }
 
     #[test]

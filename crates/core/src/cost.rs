@@ -2,9 +2,14 @@
 //!
 //! Network-side constants live in [`spindle_fabric::cost`]; this module adds
 //! the CPU-side constants the Spindle optimizations manipulate: predicate
-//! evaluation costs, RDMA posting costs (the ~1 µs per work request of
-//! §3.2), lock critical sections, and the wake-up (doorbell) latency of the
-//! quiescent predicate thread (§2.4).
+//! evaluation costs, the amortized cost of back-to-back RDMA posts (the
+//! first of a body costs [`NetModel::post_cost`], §3.2's ~1 µs per work
+//! request), lock critical sections, and the wake-up (doorbell) latency of
+//! the quiescent predicate thread (§2.4).
+//!
+//! It prices hardware only. What the application does with its payloads
+//! (copy or construct in place, and how long an upcall takes) is part of
+//! the [`Workload`](crate::Workload).
 //!
 //! Every figure of the reproduction is a function of the protocol logic and
 //! these numbers, so they are kept in one struct with documented defaults.
@@ -12,7 +17,7 @@
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use spindle_fabric::{MemcpyModel, NetModel, SsdModel};
+use spindle_fabric::{MemcpyModel, NetModel};
 
 /// All cost constants for the simulated runtime.
 ///
@@ -23,27 +28,23 @@ use spindle_fabric::{MemcpyModel, NetModel, SsdModel};
 /// use std::time::Duration;
 ///
 /// let c = CostModel::default();
-/// assert_eq!(c.post_first, Duration::from_nanos(1_000)); // paper §3.2: ~1us
+/// assert_eq!(c.net.post_cost, Duration::from_nanos(1_000)); // paper §3.2: ~1us
 /// assert!(c.post_time(0).is_zero());
-/// assert_eq!(c.post_time(1), c.post_first);
-/// assert_eq!(c.post_time(3), c.post_first + 2 * c.post_next);
+/// assert_eq!(c.post_time(1), c.net.post_cost);
+/// assert_eq!(c.post_time(3), c.net.post_cost + 2 * c.post_next);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
-    /// Network latency/bandwidth model (Figure 1).
+    /// Network latency/bandwidth model (Figure 1), and the CPU time of
+    /// the first work request a predicate body posts
+    /// ([`NetModel::post_cost`]).
     pub net: NetModel,
     /// Local copy model (Figure 14).
     pub memcpy: MemcpyModel,
-    /// Log device model (DDS logged-storage QoS).
-    pub ssd: SsdModel,
 
     /// Receiver-side placement cost per ring slot landed (DDIO/cache-line
     /// placement pressure); adds to ingress link time for slot writes.
     pub per_slot_ingress: Duration,
-    /// CPU time the posting thread spends on the first work request of a
-    /// predicate body (paper §3.2: "posting an RDMA request to the NIC
-    /// takes ~1us").
-    pub post_first: Duration,
     /// CPU time for each subsequent back-to-back work request in the same
     /// body (doorbells amortize partially).
     pub post_next: Duration,
@@ -102,9 +103,7 @@ impl Default for CostModel {
         CostModel {
             net: NetModel::default(),
             memcpy: MemcpyModel::default(),
-            ssd: SsdModel::default(),
             per_slot_ingress: Duration::from_nanos(140),
-            post_first: Duration::from_nanos(1_000),
             post_next: Duration::from_nanos(500),
             iter_overhead: Duration::from_nanos(90),
             sg_eval: Duration::from_nanos(130),
@@ -129,7 +128,7 @@ impl CostModel {
     pub fn post_time(&self, n: usize) -> Duration {
         match n {
             0 => Duration::ZERO,
-            _ => self.post_first + self.post_next * (n as u32 - 1),
+            _ => self.net.post_cost + self.post_next * (n as u32 - 1),
         }
     }
 
@@ -154,9 +153,9 @@ mod tests {
     fn post_time_is_affine() {
         let c = CostModel::default();
         assert_eq!(c.post_time(0), Duration::ZERO);
-        assert_eq!(c.post_time(1), c.post_first);
+        assert_eq!(c.post_time(1), c.net.post_cost);
         let d5 = c.post_time(5);
-        assert_eq!(d5, c.post_first + 4 * c.post_next);
+        assert_eq!(d5, c.net.post_cost + 4 * c.post_next);
     }
 
     #[test]
@@ -173,7 +172,7 @@ mod tests {
     fn defaults_match_paper_anchors() {
         let c = CostModel::default();
         // ~1us to post a work request (paper §3.2).
-        assert_eq!(c.post_first.as_nanos(), 1_000);
+        assert_eq!(c.net.post_cost.as_nanos(), 1_000);
         // 12.5 GB/s link (paper §4).
         assert!((c.net.link_bandwidth - 12.5e9).abs() < 1.0);
     }

@@ -12,9 +12,9 @@
 //!    implemented as the paper's "single integer" committed-rounds counter;
 //! 3. **Efficient thread synchronization** — posting RDMA writes after the
 //!    shared-state lock is released ([`SpindleConfig::early_lock_release`]);
-//! 4. **In-place vs. memcpy construction/delivery**
-//!    ([`SpindleConfig::memcpy_on_send`],
-//!    [`SpindleConfig::memcpy_on_delivery`] — simulator only).
+//! 4. **In-place vs. memcpy construction/delivery** — the application's
+//!    choice, not a protocol toggle: the simulator models it on the
+//!    workload ([`Workload::memcpy_on_send`], [`Workload::memcpy_on_delivery`]).
 //!
 //! The protocol logic ([`proto`]) is pure state-machine code over the SST
 //! and is executed by two runtimes:

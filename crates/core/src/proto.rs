@@ -1060,7 +1060,6 @@ mod tests {
                     null_sends: on(3),
                     early_lock_release: on(4),
                     delivery_timing: timing,
-                    ..SpindleConfig::baseline()
                 };
                 let mut by_pass = Mini::new(3, &[0, 1, 2], 4);
                 let mut by_hand = Mini::new(3, &[0, 1, 2], 4);

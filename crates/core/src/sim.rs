@@ -499,7 +499,7 @@ impl SimWorld {
                 // In-place construction pays the fixed per-message cost;
                 // copying from an external buffer (§4.4) adds the memcpy.
                 let mut construct = self.cost.app_per_msg;
-                if self.cfg.memcpy_on_send {
+                if self.workload.memcpy_on_send {
                     construct += self.cost.memcpy.copy_time(msg_len as usize);
                 }
                 let a_state = &self.nodes[node].apps[ai];
@@ -609,7 +609,7 @@ impl SimWorld {
             m.nulls_sent += r.nulls_added;
             for del in &r.new_app {
                 busy += cost.upcall_base + self.workload.upcall_cost;
-                if cfg.memcpy_on_delivery {
+                if self.workload.memcpy_on_delivery {
                     busy += cost.memcpy.copy_time(del.len as usize);
                 }
                 self.record_delivery(node, sg, del.rank, del.app_index);
@@ -631,7 +631,7 @@ impl SimWorld {
             m.nulls_skipped += d.nulls_skipped;
             for del in &d.deliveries {
                 busy += self.workload.upcall_cost;
-                if cfg.memcpy_on_delivery {
+                if self.workload.memcpy_on_delivery {
                     busy += cost.memcpy.copy_time(del.len as usize);
                 }
                 if cfg.delivery_timing == DeliveryTiming::Ordered {
@@ -710,7 +710,7 @@ impl SimWorld {
         let mut t_post = body_start + busy;
         for (i, post) in posts.into_iter().enumerate() {
             t_post += if i == 0 {
-                cost.post_first
+                cost.net.post_cost
             } else {
                 cost.post_next
             };

@@ -2,14 +2,12 @@
 //! from its predicate thread on every cluster and every transport — and
 //! the joiner's half of the install barrier.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spindle_fabric::{Fabric, NodeId};
-use spindle_membership::reconfig;
-use spindle_membership::{SubgroupId, View, ViewBuilder};
+use spindle_fabric::Fabric;
+use spindle_membership::{reconfig, SubgroupId};
 use spindle_obs::{flightrec::phase as obs_phase, FlightEvent, Level};
 use spindle_sst::{CounterCol, Sst};
 
@@ -109,34 +107,6 @@ impl<F: Fabric> StallWatch<'_, F> {
     }
 }
 
-/// The next view of a grow transition whose joiner is a new row of this
-/// process: the failed rows are filtered exactly as in
-/// [`reconfig::removal_view`] (and as [`reconfig::join_view`] does for a
-/// joining process), then `row` is appended to the top-level membership
-/// and to the subgroups `joins` names. `None` if it is not installable.
-pub(super) fn local_join_view(
-    old: &View,
-    gone: &BTreeSet<usize>,
-    row: usize,
-    joins: &[(SubgroupId, bool)],
-) -> Option<View> {
-    let shrunk = reconfig::removal_view(old, gone).ok()?;
-    let mut subgroups = shrunk.subgroups().to_vec();
-    for &(g, as_sender) in joins {
-        let sg = subgroups.get_mut(g.0)?;
-        sg.members.push(NodeId(row));
-        if as_sender {
-            sg.senders.push(NodeId(row));
-        }
-    }
-    let mut members = shrunk.members().to_vec();
-    members.push(NodeId(row));
-    ViewBuilder::with_members(shrunk.id(), members)
-        .subgroups_from(subgroups)
-        .build()
-        .ok()
-}
-
 /// The view-change driver: one node's half of the epoch transition (§2.1),
 /// run from its predicate thread on what that thread owns ([`ThreadState`]:
 /// the epoch's handles, the heartbeat, the delivery batch). Wedges the
@@ -189,7 +159,7 @@ pub(super) fn view_change<F: Fabric>(
     let mut local_join = None;
     match shared.join_intent.lock().take() {
         Some(JoinIntent::Remote(join)) => engine.set_join_intent(join),
-        Some(JoinIntent::Local { row, joins }) => local_join = Some((row, joins)),
+        Some(JoinIntent::Local(joins)) => local_join = Some(joins),
         None => {}
     }
     let deadline = Instant::now() + VC_DEADLINE;
@@ -303,11 +273,15 @@ pub(super) fn view_change<F: Fabric>(
     let entered = shared.epochs.enter(proposal.vid, &th.local.fabric, || {
         match (proposal.join_endpoint(), &local_join) {
             (Some(join), _) => {
-                let (v, new_row) = reconfig::join_view(&view, &gone, join.as_sender).ok()?;
+                // A joining process enters every subgroup.
+                let every: Vec<_> = (0..view.subgroups().len())
+                    .map(|g| (SubgroupId(g), join.as_sender))
+                    .collect();
+                let (v, new_row) = reconfig::join_view(&view, &gone, &every).ok()?;
                 Some((v, vec![(new_row, join.addr())]))
             }
-            (None, Some((new_row, joins))) => {
-                Some((local_join_view(&view, &gone, *new_row, joins)?, Vec::new()))
+            (None, Some(joins)) => {
+                Some((reconfig::join_view(&view, &gone, joins).ok()?.0, Vec::new()))
             }
             (None, None) => Some((reconfig::removal_view(&view, &gone).ok()?, Vec::new())),
         }

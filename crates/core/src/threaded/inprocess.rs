@@ -14,7 +14,6 @@ use spindle_membership::reconfig::{self, PLANNED_BIT};
 use spindle_membership::{SubgroupId, View};
 
 use super::api::{AdmitRequest, Cluster, ViewChangeError, ViewChangeReport};
-use super::distributed::local_join_view;
 use super::node::{active_rows, is_active, JoinIntent, NodeShared};
 use super::VC_DEADLINE;
 use crate::plan::Plan;
@@ -256,6 +255,17 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         req: &AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
+        let old_view = Arc::clone(&self.view);
+        let joins: Vec<(SubgroupId, bool)> = match &req.subgroups {
+            Some(joins) => joins.clone(),
+            None => (0..old_view.subgroups().len())
+                .map(|g| (SubgroupId(g), req.as_sender))
+                .collect(),
+        };
+        // The grown view the rows will derive; the row cap is checked
+        // here, before any row is triggered.
+        let none = BTreeSet::new();
+        let (_, new_row) = reconfig::join_view(&old_view, &none, &joins)?;
         if !self.epochs.rebuilds() {
             // A new row means a new process on a pre-built transport. An
             // epoch-capable fabric *can* grow — but the request must
@@ -266,16 +276,6 @@ impl<F: Fabric> Cluster<F> {
                 false => ViewChangeError::JoinerAddressRequired,
             });
         }
-        let old_view = Arc::clone(&self.view);
-        let joins: Vec<(SubgroupId, bool)> = match &req.subgroups {
-            Some(joins) => joins.clone(),
-            None => (0..old_view.subgroups().len())
-                .map(|g| (SubgroupId(g), req.as_sender))
-                .collect(),
-        };
-        let new_row = self.nodes.len();
-        let none = BTreeSet::new();
-        local_join_view(&old_view, &none, new_row, &joins).expect("validated next view");
         // A *planned* reconfiguration; nodes that crashed silently are
         // named failed, so they are excluded from the trim quorum and
         // leave every subgroup.
@@ -284,10 +284,7 @@ impl<F: Fabric> Cluster<F> {
         let trigger_row = self.trigger_row(&none)?;
         // Every local row must hold the intent before any can start.
         for &row in &self.local_rows {
-            *self.shared(row).join_intent.lock() = Some(JoinIntent::Local {
-                row: new_row,
-                joins: joins.clone(),
-            });
+            *self.shared(row).join_intent.lock() = Some(JoinIntent::Local(joins.clone()));
         }
         trigger_row.trigger(trigger);
         while self.epochs.installed.lock().0.len() == self.epoch_views.len() {

@@ -153,13 +153,10 @@ pub(super) enum JoinIntent {
     /// it turns out to be the leader, so every survivor — in whatever
     /// process — derives the same grown view and dials the joiner.
     Remote(reconfig::JoinEndpoint),
-    /// A new row of this process, entering `joins` (subgroup, as
-    /// sender). Set on every local row: they share [`Epochs`], so nothing
+    /// A new row of this process, entering these (subgroup, as sender)
+    /// pairs. Set on every local row: they share [`Epochs`], so nothing
     /// needs to travel.
-    Local {
-        row: usize,
-        joins: Vec<(SubgroupId, bool)>,
-    },
+    Local(Vec<(SubgroupId, bool)>),
 }
 
 /// What the rows of one process share across epochs: how the next epoch's

@@ -455,6 +455,32 @@ fn static_fabric_reports_argument_errors_first() {
     c.shutdown();
 }
 
+/// The suspicion bitmap holds rows 0..=61 (row 62 is `PLANNED_BIT`): an
+/// in-process admit into a cluster that has them all is refused before
+/// any row is triggered, and the cluster keeps delivering in its epoch.
+#[test]
+fn in_process_admit_at_the_row_cap_is_refused() {
+    let rows = spindle_membership::reconfig::MAX_BITMAP_ROW + 1;
+    let v = ViewBuilder::new(rows)
+        .subgroup(&[0, 1, 2], &[0], 8, 64)
+        .build()
+        .unwrap();
+    let mut cluster = Cluster::start(v, SpindleConfig::optimized());
+    let err = cluster
+        .admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
+        .unwrap_err();
+    assert!(matches!(err, ViewChangeError::BadJoinAddress(_)), "{err:?}");
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!((cluster.len(), cluster.view().id()), (rows, 0));
+    cluster.node(0).send(SubgroupId(0), b"still here").unwrap();
+    for node in 0..3 {
+        let d = &collect(&cluster, node, 1)[0];
+        assert_eq!((d.epoch, &d.data[..]), (0, &b"still here"[..]));
+        assert_eq!(cluster.node(node).epoch(), 0);
+    }
+    cluster.shutdown();
+}
+
 /// Shrinking to one live survivor is rejected immediately, even when
 /// stale top-level member ids (rows removed in earlier epochs) make
 /// the member list look big enough.

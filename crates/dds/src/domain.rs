@@ -36,6 +36,15 @@ pub enum DdsError {
     UnknownParticipant(usize),
     /// A topic id was declared twice.
     DuplicateTopic(TopicId),
+    /// An `Unordered` topic was declared beside an ordered one. Delivery
+    /// timing is domain-wide, so the ordered topic would lose its total
+    /// order; run the unordered topic in a domain of its own.
+    MixedOrdering {
+        /// The `Unordered` topic.
+        unordered: TopicId,
+        /// An ordered topic of the same domain.
+        ordered: TopicId,
+    },
     /// The participant does not publish on this topic.
     NotAPublisher(TopicId),
     /// The participant is not subscribed to this topic.
@@ -51,6 +60,10 @@ impl std::fmt::Display for DdsError {
         match self {
             DdsError::UnknownParticipant(i) => write!(f, "unknown participant {i}"),
             DdsError::DuplicateTopic(t) => write!(f, "duplicate topic {t}"),
+            DdsError::MixedOrdering { unordered, ordered } => write!(
+                f,
+                "unordered topic {unordered} cannot share a domain with ordered topic {ordered}"
+            ),
             DdsError::NotAPublisher(t) => write!(f, "participant does not publish on {t}"),
             DdsError::NotSubscribed(t) => write!(f, "participant is not subscribed to {t}"),
             DdsError::Send(e) => write!(f, "send failed: {e}"),
@@ -174,7 +187,9 @@ impl DomainBuilder {
     /// # Errors
     ///
     /// Returns [`DdsError::UnknownParticipant`] or
-    /// [`DdsError::DuplicateTopic`] on invalid declarations.
+    /// [`DdsError::DuplicateTopic`] on invalid declarations, and
+    /// [`DdsError::MixedOrdering`] for an `Unordered` topic beside an
+    /// ordered one.
     pub fn start(mut self) -> Result<DdsDomain, DdsError> {
         let mut seen = std::collections::HashSet::new();
         for t in &self.topics {
@@ -187,9 +202,16 @@ impl DomainBuilder {
                 }
             }
         }
-        // Any topic with unordered QoS switches the engine to on-receive
-        // delivery; the paper evaluates one QoS level per run (§4.6).
-        if self.topics.iter().any(|t| t.qos == QosLevel::Unordered) {
+        // Delivery timing is cluster-wide: an unordered topic switches the
+        // whole domain to on-receive delivery, which no ordered topic may
+        // share.
+        if let Some(u) = self.topics.iter().find(|t| !t.qos.is_ordered()) {
+            if let Some(o) = self.topics.iter().find(|t| t.qos.is_ordered()) {
+                return Err(DdsError::MixedOrdering {
+                    unordered: u.id,
+                    ordered: o.id,
+                });
+            }
             self.config.delivery_timing = DeliveryTiming::OnReceive;
         }
         let mut vb = ViewBuilder::new(self.participants);
@@ -628,6 +650,34 @@ mod tests {
             .topic(TopicId(1), &[1], &[0], QosLevel::Unordered)
             .start();
         assert!(matches!(r, Err(DdsError::DuplicateTopic(_))));
+    }
+
+    #[test]
+    fn unordered_topic_beside_an_ordered_one_rejected() {
+        let r = DomainBuilder::new(2)
+            .topic(TopicId(1), &[0], &[1], QosLevel::Unordered)
+            .topic(TopicId(2), &[1], &[0], QosLevel::LoggedStorage)
+            .start();
+        assert!(matches!(
+            r,
+            Err(DdsError::MixedOrdering {
+                unordered: TopicId(1),
+                ordered: TopicId(2)
+            })
+        ));
+        // A domain of unordered topics only still starts and delivers.
+        let domain = DomainBuilder::new(2)
+            .topic(TopicId(1), &[0], &[1], QosLevel::Unordered)
+            .topic(TopicId(2), &[1], &[0], QosLevel::Unordered)
+            .start()
+            .unwrap();
+        domain.participant(1).publish(TopicId(2), b"u").unwrap();
+        let s = domain
+            .participant(0)
+            .take_timeout(TopicId(2), Duration::from_secs(5))
+            .unwrap()
+            .unwrap();
+        assert_eq!((s.data, s.index), (b"u".to_vec(), 0));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 
 use std::time::Duration;
 
-use spindle_core::{CostModel, DeliveryTiming, RunReport, SimCluster, SpindleConfig, Workload};
+use spindle_core::{DeliveryTiming, RunReport, SimCluster, SpindleConfig, Workload};
+use spindle_fabric::SsdModel;
 use spindle_membership::{View, ViewBuilder};
 
 use crate::qos::QosLevel;
@@ -98,9 +99,6 @@ impl DdsExperiment {
         if !self.qos.is_ordered() {
             cfg.delivery_timing = DeliveryTiming::OnReceive;
         }
-        if self.qos.stores_in_memory() {
-            cfg.memcpy_on_delivery = true;
-        }
         cfg
     }
 
@@ -108,17 +106,25 @@ impl DdsExperiment {
     /// append for `LoggedStorage`).
     pub fn upcall_cost(&self) -> Duration {
         if self.qos.persists() {
-            CostModel::default().ssd.append_time(self.sample_size)
+            SsdModel::default().append_time(self.sample_size)
         } else {
             Duration::ZERO
         }
     }
 
+    /// The application side implied by the QoS level: a storage level
+    /// copies each sample out of its slot into the store, and a logged
+    /// one also pays the log append in the upcall.
+    pub fn workload(&self) -> Workload {
+        let mut w =
+            Workload::new(self.samples, self.sample_size).with_upcall_cost(self.upcall_cost());
+        w.memcpy_on_delivery = self.qos.stores_in_memory();
+        w
+    }
+
     /// Runs the experiment.
     pub fn run(&self) -> RunReport {
-        let workload =
-            Workload::new(self.samples, self.sample_size).with_upcall_cost(self.upcall_cost());
-        SimCluster::new(self.view(), self.config(), workload)
+        SimCluster::new(self.view(), self.config(), self.workload())
             .with_seed(self.seed)
             .run()
     }
@@ -146,18 +152,19 @@ mod tests {
     fn config_mapping_matches_qos() {
         let e = DdsExperiment::new(4, QosLevel::Unordered, true);
         assert_eq!(e.config().delivery_timing, DeliveryTiming::OnReceive);
-        assert!(!e.config().memcpy_on_delivery);
+        assert!(!e.workload().memcpy_on_delivery);
 
         let e = DdsExperiment::new(4, QosLevel::AtomicMulticast, true);
         assert_eq!(e.config().delivery_timing, DeliveryTiming::Ordered);
-        assert!(!e.config().memcpy_on_delivery);
+        assert!(!e.workload().memcpy_on_delivery);
 
         let e = DdsExperiment::new(4, QosLevel::VolatileStorage, true);
-        assert!(e.config().memcpy_on_delivery);
+        assert!(e.workload().memcpy_on_delivery);
         assert!(e.upcall_cost().is_zero());
 
         let e = DdsExperiment::new(4, QosLevel::LoggedStorage, true);
-        assert!(e.config().memcpy_on_delivery);
+        assert!(e.workload().memcpy_on_delivery && !e.workload().memcpy_on_send);
+        assert_eq!(e.workload().upcall_cost, e.upcall_cost());
         assert!(!e.upcall_cost().is_zero());
     }
 

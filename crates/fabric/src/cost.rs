@@ -60,7 +60,10 @@ pub struct NetModel {
     /// Per-message serialization on each link direction (the inverse of the
     /// NIC message rate).
     pub msg_serialize: Duration,
-    /// CPU time consumed by the posting thread per work request.
+    /// CPU time the posting thread spends on one work request (§3.2:
+    /// "posting an RDMA request to the NIC takes ~1us"). RDMC's analysis
+    /// charges it per transfer; the simulator charges it for the first
+    /// post of a predicate body and its cheaper `post_next` for the rest.
     pub post_cost: Duration,
 }
 

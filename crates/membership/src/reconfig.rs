@@ -406,29 +406,36 @@ fn surviving_subgroups(
 /// and removals as the same epoch transition): the failed rows are
 /// filtered exactly as in [`removal_view`], then one new row — id
 /// `old.members().len()`, the next never-used row — is appended to the
-/// top-level membership and to **every** subgroup (as a sender when
-/// `as_sender`). Returns the view together with the joiner's row id.
+/// top-level membership and to each subgroup `joins` names (as a sender
+/// where its flag says so). Returns the view together with the joiner's
+/// row id.
 ///
 /// Every survivor must call this with the identical `(old, failed,
-/// as_sender)` triple — all three travel in the leader's [`Proposal`]
-/// (the endpoint and sender flag inside its [`JoinEndpoint`] block) — so
-/// the whole cluster derives bit-identical views.
+/// joins)` triple. A joining process enters every subgroup, and its
+/// sender flag travels in the leader's [`Proposal`] (inside its
+/// [`JoinEndpoint`] block); a new row of the survivors' own process is
+/// known to all of them. So the whole cluster derives bit-identical views.
 ///
 /// # Errors
 ///
 /// The [`removal_view`] errors, plus [`ReconfigError::TooManyRows`] when
 /// the new row would not fit the suspicion bitmap.
+///
+/// # Panics
+///
+/// Panics if `joins` names a subgroup outside `old`, or one twice.
 pub fn join_view(
     old: &View,
     failed: &BTreeSet<usize>,
-    as_sender: bool,
+    joins: &[(SubgroupId, bool)],
 ) -> Result<(View, usize), ReconfigError> {
     let new_row = old.members().len();
     if new_row > MAX_BITMAP_ROW {
         return Err(ReconfigError::TooManyRows);
     }
     let mut next_subgroups = surviving_subgroups(old, failed)?;
-    for sg in &mut next_subgroups {
+    for &(g, as_sender) in joins {
+        let sg = &mut next_subgroups[g.0];
         sg.members.push(NodeId(new_row));
         if as_sender {
             sg.senders.push(NodeId(new_row));
@@ -815,9 +822,14 @@ mod tests {
         assert_eq!(decode_join_block(&[0i64; 1 + JOIN_HOST_WORDS]), Some(None));
     }
 
+    /// Joins of every subgroup of `view5()`, all with sender flag `s`.
+    fn every(s: bool) -> [(SubgroupId, bool); 2] {
+        [(SubgroupId(0), s), (SubgroupId(1), s)]
+    }
+
     #[test]
     fn join_view_appends_row_to_every_subgroup() {
-        let (next, row) = join_view(&view5(), &BTreeSet::new(), true).unwrap();
+        let (next, row) = join_view(&view5(), &BTreeSet::new(), &every(true)).unwrap();
         assert_eq!(row, 5);
         assert_eq!(next.id(), 1);
         assert_eq!(next.members().len(), 6);
@@ -826,17 +838,35 @@ mod tests {
             assert!(sg.senders.contains(&NodeId(5)));
         }
         // A quiet joiner is a member but not a sender.
-        let (quiet, _) = join_view(&view5(), &BTreeSet::new(), false).unwrap();
+        let (quiet, _) = join_view(&view5(), &BTreeSet::new(), &every(false)).unwrap();
         assert!(quiet
             .subgroups()
             .iter()
             .all(|sg| { sg.contains(NodeId(5)) && !sg.senders.contains(&NodeId(5)) }));
+        // Only the named subgroups gain the row, each with its own flag.
+        let joins = [(SubgroupId(1), true)];
+        let (some, _) = join_view(&view5(), &BTreeSet::new(), &joins).unwrap();
+        assert!(!some.subgroups()[0].contains(NodeId(5)));
+        assert!(some.subgroups()[1].senders.contains(&NodeId(5)));
+    }
+
+    #[test]
+    fn join_view_stops_at_the_bitmap_row_cap() {
+        let full = ViewBuilder::new(MAX_BITMAP_ROW + 1)
+            .subgroup(&[0, 1], &[0], 4, 32)
+            .build()
+            .unwrap();
+        let joins = [(SubgroupId(0), true)];
+        assert_eq!(
+            join_view(&full, &BTreeSet::new(), &joins).unwrap_err(),
+            ReconfigError::TooManyRows
+        );
     }
 
     #[test]
     fn join_view_filters_failed_rows_like_removal() {
         let failed = BTreeSet::from([2]);
-        let (next, row) = join_view(&view5(), &failed, true).unwrap();
+        let (next, row) = join_view(&view5(), &failed, &every(true)).unwrap();
         let removal = removal_view(&view5(), &failed).unwrap();
         assert_eq!(row, 5);
         // Identical filtering of the old rows; the joiner rides on top.
@@ -847,11 +877,11 @@ mod tests {
         }
         // Same errors as removal for bad failed sets.
         assert_eq!(
-            join_view(&view5(), &BTreeSet::from([9]), true).unwrap_err(),
+            join_view(&view5(), &BTreeSet::from([9]), &every(true)).unwrap_err(),
             ReconfigError::UnknownNode(9)
         );
         assert_eq!(
-            join_view(&view5(), &BTreeSet::from([0, 1, 2]), true).unwrap_err(),
+            join_view(&view5(), &BTreeSet::from([0, 1, 2]), &every(true)).unwrap_err(),
             ReconfigError::WouldEmptySubgroup(SubgroupId(0))
         );
     }

@@ -1,5 +1,5 @@
 //! The view-change flight recorder: a bounded ring of structured,
-//! monotonically-timestamped protocol events with a compact codec.
+//! monotonically-timestamped protocol events, rendered as text.
 //!
 //! Every event that used to be an ad-hoc `eprintln!` (or a
 //! `SPINDLE_NET_DEBUG`-gated print) is one [`FlightEvent`] variant: the
@@ -19,7 +19,6 @@ use std::sync::Mutex;
 /// `--log-level`): events at or below the configured level are echoed
 /// to stderr; the flight-recorder ring records regardless.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
 pub enum Level {
     /// No stderr echo at all.
     Off = 0,
@@ -50,16 +49,6 @@ impl Level {
             Level::Error => "error",
             Level::Info => "info",
             Level::Debug => "debug",
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Level> {
-        match v {
-            0 => Some(Level::Off),
-            1 => Some(Level::Error),
-            2 => Some(Level::Info),
-            3 => Some(Level::Debug),
-            _ => None,
         }
     }
 }
@@ -182,159 +171,6 @@ pub enum FlightEvent {
     },
 }
 
-impl FlightEvent {
-    fn tag(&self) -> u8 {
-        match self {
-            FlightEvent::Suspicion { .. } => 1,
-            FlightEvent::Wedged { .. } => 2,
-            FlightEvent::Proposal { .. } => 3,
-            FlightEvent::Ack { .. } => 4,
-            FlightEvent::Takeover { .. } => 5,
-            FlightEvent::Install { .. } => 6,
-            FlightEvent::BarrierConfirm { .. } => 7,
-            FlightEvent::BarrierDrop { .. } => 8,
-            FlightEvent::Stalled { .. } => 9,
-            FlightEvent::CrashBoundary { .. } => 10,
-            FlightEvent::HelloAccepted { .. } => 11,
-            FlightEvent::HelloRejected { .. } => 12,
-            FlightEvent::Dialed { .. } => 13,
-            FlightEvent::JoinAdmitted { .. } => 14,
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(self.tag());
-        match *self {
-            FlightEvent::Suspicion {
-                target,
-                epoch,
-                mid_transition,
-            } => {
-                put_uvarint(out, target as u64);
-                put_uvarint(out, epoch);
-                out.push(mid_transition as u8);
-            }
-            FlightEvent::Wedged { epoch } | FlightEvent::BarrierConfirm { epoch } => {
-                put_uvarint(out, epoch);
-            }
-            FlightEvent::Proposal {
-                proposer,
-                epoch,
-                failed,
-            } => {
-                put_uvarint(out, proposer as u64);
-                put_uvarint(out, epoch);
-                put_uvarint(out, failed);
-            }
-            FlightEvent::Ack { proposer, epoch } | FlightEvent::Takeover { proposer, epoch } => {
-                put_uvarint(out, proposer as u64);
-                put_uvarint(out, epoch);
-            }
-            FlightEvent::Install { epoch, members } => {
-                put_uvarint(out, epoch);
-                put_uvarint(out, members as u64);
-            }
-            FlightEvent::BarrierDrop { target, epoch } => {
-                put_uvarint(out, target as u64);
-                put_uvarint(out, epoch);
-            }
-            FlightEvent::Stalled {
-                epoch,
-                phase,
-                millis,
-            } => {
-                put_uvarint(out, epoch);
-                out.push(phase);
-                put_uvarint(out, millis);
-            }
-            FlightEvent::CrashBoundary { epoch } => {
-                put_uvarint(out, epoch);
-            }
-            FlightEvent::HelloAccepted { peer, epoch } | FlightEvent::Dialed { peer, epoch } => {
-                put_uvarint(out, peer as u64);
-                put_uvarint(out, epoch);
-            }
-            FlightEvent::HelloRejected {
-                peer,
-                epoch,
-                expected,
-            } => {
-                put_uvarint(out, peer as u64);
-                put_uvarint(out, epoch);
-                put_uvarint(out, expected);
-            }
-            FlightEvent::JoinAdmitted { row, epoch } => {
-                put_uvarint(out, row as u64);
-                put_uvarint(out, epoch);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Option<FlightEvent> {
-        let tag = take_u8(buf)?;
-        Some(match tag {
-            1 => FlightEvent::Suspicion {
-                target: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-                mid_transition: take_u8(buf)? != 0,
-            },
-            2 => FlightEvent::Wedged {
-                epoch: get_uvarint(buf)?,
-            },
-            3 => FlightEvent::Proposal {
-                proposer: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-                failed: get_uvarint(buf)?,
-            },
-            4 => FlightEvent::Ack {
-                proposer: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-            },
-            5 => FlightEvent::Takeover {
-                proposer: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-            },
-            6 => FlightEvent::Install {
-                epoch: get_uvarint(buf)?,
-                members: get_uvarint(buf)? as u32,
-            },
-            7 => FlightEvent::BarrierConfirm {
-                epoch: get_uvarint(buf)?,
-            },
-            8 => FlightEvent::BarrierDrop {
-                target: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-            },
-            9 => FlightEvent::Stalled {
-                epoch: get_uvarint(buf)?,
-                phase: take_u8(buf)?,
-                millis: get_uvarint(buf)?,
-            },
-            10 => FlightEvent::CrashBoundary {
-                epoch: get_uvarint(buf)?,
-            },
-            11 => FlightEvent::HelloAccepted {
-                peer: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-            },
-            12 => FlightEvent::HelloRejected {
-                peer: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-                expected: get_uvarint(buf)?,
-            },
-            13 => FlightEvent::Dialed {
-                peer: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-            },
-            14 => FlightEvent::JoinAdmitted {
-                row: get_uvarint(buf)? as u32,
-                epoch: get_uvarint(buf)?,
-            },
-            _ => return None,
-        })
-    }
-}
-
 impl fmt::Display for FlightEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -445,9 +281,6 @@ pub struct FlightRecorder {
     ring: Mutex<Ring>,
 }
 
-/// Magic + version prefix of the compact dump encoding.
-const CODEC_MAGIC: &[u8; 4] = b"SPF1";
-
 impl Default for FlightRecorder {
     fn default() -> Self {
         Self::new(4096)
@@ -511,78 +344,4 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Compact binary dump: magic, record count, then varint-packed
-    /// records. Decodable by [`FlightRecorder::decode`].
-    pub fn encode(&self) -> Vec<u8> {
-        let (recs, _) = self.dump();
-        let mut out = Vec::with_capacity(16 + recs.len() * 8);
-        out.extend_from_slice(CODEC_MAGIC);
-        put_uvarint(&mut out, recs.len() as u64);
-        for r in &recs {
-            put_uvarint(&mut out, r.t_micros);
-            put_uvarint(&mut out, r.node as u64);
-            out.push(r.level as u8);
-            r.event.encode_into(&mut out);
-        }
-        out
-    }
-
-    /// Decode a dump produced by [`FlightRecorder::encode`]. Returns
-    /// `None` on any malformed input.
-    pub fn decode(mut buf: &[u8]) -> Option<Vec<FlightRecord>> {
-        if buf.len() < 4 || &buf[..4] != CODEC_MAGIC {
-            return None;
-        }
-        buf = &buf[4..];
-        let n = get_uvarint(&mut buf)?;
-        let mut recs = Vec::with_capacity(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            let t_micros = get_uvarint(&mut buf)?;
-            let node = get_uvarint(&mut buf)? as u32;
-            let level = Level::from_u8(take_u8(&mut buf)?)?;
-            let event = FlightEvent::decode(&mut buf)?;
-            recs.push(FlightRecord {
-                t_micros,
-                node,
-                level,
-                event,
-            });
-        }
-        if buf.is_empty() {
-            Some(recs)
-        } else {
-            None
-        }
-    }
-}
-
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn get_uvarint(buf: &mut &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = take_u8(buf)?;
-        if shift >= 64 {
-            return None;
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
-
-fn take_u8(buf: &mut &[u8]) -> Option<u8> {
-    let (&b, rest) = buf.split_first()?;
-    *buf = rest;
-    Some(b)
 }

@@ -1,10 +1,9 @@
 //! The registry/flight-recorder acceptance tests from ISSUE 8:
 //! concurrent-increment stress, histogram percentile correctness
-//! against a sorted-vector model (proptest), ring wraparound, codec
-//! roundtrip, and the `/metrics` exposition-format golden test.
+//! against a sorted-vector model (proptest), ring wraparound, and the
+//! `/metrics` exposition-format golden test.
 
 use proptest::prelude::*;
-use spindle_obs::flightrec::phase;
 use spindle_obs::registry::{bucket_of, bucket_upper};
 use spindle_obs::{
     FlightEvent, FlightRecord, FlightRecorder, Level, LogHistogram, ObsPlane, Registry,
@@ -91,45 +90,6 @@ proptest! {
             prop_assert!(v > bucket_upper(k - 1), "v={} not above bucket {}", v, k - 1);
         }
     }
-
-    #[test]
-    fn codec_roundtrip(events in proptest::collection::vec(
-        (0u64..1 << 40, 0u32..64, 0u64..1 << 20, 0u32..64), 0..128
-    )) {
-        let rec = FlightRecorder::new(events.len().max(1));
-        for &(t, node, epoch, peer) in &events {
-            // Cycle through variants so every tag gets exercised.
-            let event = match (t % 7, peer, epoch) {
-                (0, p, e) => FlightEvent::Suspicion { target: p, epoch: e, mid_transition: t % 2 == 0 },
-                (1, _, e) => FlightEvent::Wedged { epoch: e },
-                (2, p, e) => FlightEvent::Proposal { proposer: p, epoch: e, failed: t },
-                (3, p, e) => FlightEvent::Ack { proposer: p, epoch: e },
-                (4, p, e) => FlightEvent::HelloRejected { peer: p, epoch: e, expected: e + 1 },
-                (5, _, e) => FlightEvent::Stalled { epoch: e, phase: phase::BARRIER, millis: t },
-                (_, p, e) => FlightEvent::Install { epoch: e, members: p },
-            };
-            rec.push(FlightRecord { t_micros: t, node, level: Level::Info, event });
-        }
-        let (original, _) = rec.dump();
-        let decoded = FlightRecorder::decode(&rec.encode());
-        prop_assert_eq!(decoded, Some(original));
-    }
-}
-
-#[test]
-fn decode_rejects_garbage() {
-    assert_eq!(FlightRecorder::decode(b""), None);
-    assert_eq!(FlightRecorder::decode(b"nope"), None);
-    let valid = FlightRecorder::new(4);
-    valid.push(FlightRecord {
-        t_micros: 1,
-        node: 0,
-        level: Level::Info,
-        event: FlightEvent::Wedged { epoch: 1 },
-    });
-    let mut bytes = valid.encode();
-    bytes.push(0xff); // trailing junk must be rejected
-    assert_eq!(FlightRecorder::decode(&bytes), None);
 }
 
 // ---------------------------------------------------------------------

@@ -31,14 +31,13 @@
 //!   and receives one block per round, completing in roughly
 //!   `k + log2(n)` block times for `k` blocks over `n` nodes.
 //!
-//! The [`schedule`] module generates schedules and statically verifies
-//! their invariants; the [`executor`] module runs a schedule over real byte
-//! buffers (used by tests to prove content propagation); the
-//! [`fabric_exec`] module re-runs it with one real thread per node over the
-//! shared-memory fabric (data dependencies only — no round barriers); the
+//! The crate is a schedule model, not a runtime data plane. The
+//! [`schedule`] module generates schedules and statically verifies their
+//! invariants; the [`executor`] module runs a schedule sequentially over
+//! real byte buffers (used by tests to prove content propagation); the
 //! [`analysis`] module prices a schedule against the calibrated
-//! [`NetModel`] to produce the completion-time /
-//! bandwidth numbers used by the `figures rdmc` experiment.
+//! [`NetModel`] to produce the completion-time / bandwidth numbers used by
+//! the `figures rdmc` experiment.
 //!
 //! # Examples
 //!
@@ -61,7 +60,6 @@
 
 pub mod analysis;
 pub mod executor;
-pub mod fabric_exec;
 pub mod schedule;
 
 pub use analysis::{Analysis, CompletionBreakdown};

@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         ("full Spindle (null-sends)  ", SpindleConfig::optimized()),
     ] {
+        let nulls_on = cfg.null_sends;
         let r = SimCluster::new(view.clone(), cfg, workload.clone()).run();
+        assert!(r.completed || !nulls_on, "null-sends did not carry the run");
         let nulls: u64 = r.nodes.iter().map(|n| n.nulls_sent).sum();
         println!(
             "{name} bandwidth {:6.2} GB/s   latency {:8.3} ms   nulls sent {:6}   {}",

@@ -57,6 +57,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!("\ndelivered {old_epoch} messages in epoch 0 and {new_epoch} in epoch 1");
+    assert!(
+        new_epoch >= 3,
+        "the survivors' epoch-1 messages were not delivered"
+    );
     println!("ok: survivors agreed on the cut and the group kept running");
     cluster.shutdown();
     Ok(())

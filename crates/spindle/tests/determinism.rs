@@ -71,6 +71,7 @@ fn simulator_reports_match_pinned_fingerprints() {
     let send = receive.clone().with_send_batching();
     let nulls = send.clone().with_null_sends();
     let continuous = Workload::new(200, 1024);
+    let memcpy = continuous.clone().with_memcpy();
     let inactive = continuous
         .clone()
         .with_activity(0, 1, SenderActivity::Inactive);
@@ -107,8 +108,8 @@ fn simulator_reports_match_pinned_fingerprints() {
         ),
         (
             "memcpy",
-            SpindleConfig::optimized().with_memcpy(),
-            &continuous,
+            SpindleConfig::optimized(),
+            &memcpy,
             0xd4a4_d773_41f7_7e85,
         ),
         ("on-receive", on_receive, &continuous, 0xe488_3c96_8131_c66e),

@@ -62,7 +62,6 @@ fn all_configs() -> Vec<(&'static str, SpindleConfig)> {
         ("+send", SpindleConfig::batching_only()),
         ("+nulls", SpindleConfig::batching_only().with_null_sends()),
         ("optimized", SpindleConfig::optimized()),
-        ("memcpy", SpindleConfig::optimized().with_memcpy()),
     ]
 }
 
