@@ -42,6 +42,7 @@ pub use metrics::{epoch_stats_for_node, render_epoch_table, EpochStats, NodeMetr
 pub use plan::{Plan, ReconfigCols, SubgroupCols};
 pub use proto::{Delivery, SubgroupProto};
 pub use sim::{SimCluster, SimFault, SimFaultKind};
+pub use spindle_fabric::SsdModel;
 pub use spindle_obs::ObsPlane;
 pub use threaded::{AdmitRequest, Cluster, PersistConfig, Suspicion};
 pub use viewchange::{InstallBarrier, VcBoundary, VcStep, ViewChangeEngine};

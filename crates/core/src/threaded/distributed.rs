@@ -273,10 +273,7 @@ pub(super) fn view_change<F: Fabric>(
     let entered = shared.epochs.enter(proposal.vid, &th.local.fabric, || {
         match (proposal.join_endpoint(), &local_join) {
             (Some(join), _) => {
-                // A joining process enters every subgroup.
-                let every: Vec<_> = (0..view.subgroups().len())
-                    .map(|g| (SubgroupId(g), join.as_sender))
-                    .collect();
+                let every = reconfig::every_subgroup(&view, join.as_sender);
                 let (v, new_row) = reconfig::join_view(&view, &gone, &every).ok()?;
                 Some((v, vec![(new_row, join.addr())]))
             }

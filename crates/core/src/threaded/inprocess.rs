@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use spindle_fabric::{Fabric, NodeId};
 use spindle_membership::reconfig::{self, PLANNED_BIT};
-use spindle_membership::{SubgroupId, View};
+use spindle_membership::View;
 
 use super::api::{AdmitRequest, Cluster, ViewChangeError, ViewChangeReport};
 use super::node::{active_rows, is_active, JoinIntent, NodeShared};
@@ -205,13 +205,8 @@ impl<F: Fabric> Cluster<F> {
         join: reconfig::JoinEndpoint,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
         let old_epoch = self.view.id();
-        let new_row = self.view.members().len();
-        if new_row > reconfig::MAX_BITMAP_ROW {
-            return Err(ViewChangeError::BadJoinAddress(format!(
-                "cluster is at the {}-row cap of the suspicion bitmap",
-                reconfig::MAX_BITMAP_ROW + 1
-            )));
-        }
+        let every = reconfig::every_subgroup(&self.view, join.as_sender);
+        let (_, new_row) = reconfig::join_view(&self.view, &BTreeSet::new(), &every)?;
         if self.epochs.rebuilds() {
             return Err(ViewChangeError::InProcessJoin);
         }
@@ -256,11 +251,9 @@ impl<F: Fabric> Cluster<F> {
         req: &AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
         let old_view = Arc::clone(&self.view);
-        let joins: Vec<(SubgroupId, bool)> = match &req.subgroups {
+        let joins = match &req.subgroups {
             Some(joins) => joins.clone(),
-            None => (0..old_view.subgroups().len())
-                .map(|g| (SubgroupId(g), req.as_sender))
-                .collect(),
+            None => reconfig::every_subgroup(&old_view, req.as_sender),
         };
         // The grown view the rows will derive; the row cap is checked
         // here, before any row is triggered.

@@ -168,7 +168,8 @@ impl DomainBuilder {
     }
 
     /// Multicast engine configuration (baseline vs. Spindle — Figure 18's
-    /// comparison axis).
+    /// comparison axis). Its delivery timing is replaced at
+    /// [`DomainBuilder::start`] by the one the topics' QoS levels imply.
     pub fn config(mut self, config: SpindleConfig) -> Self {
         self.config = config;
         self
@@ -202,18 +203,22 @@ impl DomainBuilder {
                 }
             }
         }
-        // Delivery timing is cluster-wide: an unordered topic switches the
-        // whole domain to on-receive delivery, which no ordered topic may
-        // share.
-        if let Some(u) = self.topics.iter().find(|t| !t.qos.is_ordered()) {
+        // Delivery timing is cluster-wide, so the topics set it: an
+        // unordered topic makes the whole domain deliver on receive, which
+        // no ordered topic may share.
+        let unordered = self.topics.iter().find(|t| !t.qos.is_ordered());
+        if let Some(u) = unordered {
             if let Some(o) = self.topics.iter().find(|t| t.qos.is_ordered()) {
                 return Err(DdsError::MixedOrdering {
                     unordered: u.id,
                     ordered: o.id,
                 });
             }
-            self.config.delivery_timing = DeliveryTiming::OnReceive;
         }
+        self.config.delivery_timing = match unordered {
+            Some(_) => DeliveryTiming::OnReceive,
+            None => DeliveryTiming::Ordered,
+        };
         let mut vb = ViewBuilder::new(self.participants);
         let mut topic_sg = HashMap::new();
         for (g, t) in self.topics.iter().enumerate() {
@@ -665,19 +670,6 @@ mod tests {
                 ordered: TopicId(2)
             })
         ));
-        // A domain of unordered topics only still starts and delivers.
-        let domain = DomainBuilder::new(2)
-            .topic(TopicId(1), &[0], &[1], QosLevel::Unordered)
-            .topic(TopicId(2), &[1], &[0], QosLevel::Unordered)
-            .start()
-            .unwrap();
-        domain.participant(1).publish(TopicId(2), b"u").unwrap();
-        let s = domain
-            .participant(0)
-            .take_timeout(TopicId(2), Duration::from_secs(5))
-            .unwrap()
-            .unwrap();
-        assert_eq!((s.data, s.index), (b"u".to_vec(), 0));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 
 use std::time::Duration;
 
-use spindle_core::{DeliveryTiming, RunReport, SimCluster, SpindleConfig, Workload};
-use spindle_fabric::SsdModel;
+use spindle_core::{DeliveryTiming, RunReport, SimCluster, SpindleConfig, SsdModel, Workload};
 use spindle_membership::{View, ViewBuilder};
 
 use crate::qos::QosLevel;

@@ -450,6 +450,15 @@ pub fn join_view(
     Ok((next, new_row))
 }
 
+/// The [`join_view`] `joins` of a joiner that enters every subgroup of
+/// `view` (as a sender of each when `as_sender`), as a joining process
+/// always does.
+pub fn every_subgroup(view: &View, as_sender: bool) -> Vec<(SubgroupId, bool)> {
+    (0..view.subgroups().len())
+        .map(|g| (SubgroupId(g), as_sender))
+        .collect()
+}
+
 /// The leader's next-view proposal, published once per transition through
 /// the SST's guarded proposal list and adopted verbatim by every
 /// survivor.
