@@ -608,8 +608,10 @@ impl SubgroupProto {
 mod tests {
     use super::*;
     use crate::plan::Plan;
+    use proptest::prelude::*;
     use spindle_fabric::{MemFabric, NodeId, WriteOp};
     use spindle_membership::ViewBuilder;
+    use std::collections::HashMap;
 
     /// A little harness: n nodes over a MemFabric with instant delivery, so
     /// predicate logic can be stepped manually and deterministically.
@@ -1093,6 +1095,68 @@ mod tests {
                         .sum::<usize>();
                 }
                 assert!(delivered > 0, "{cfg:?} delivered nothing");
+            }
+        }
+    }
+
+    proptest! {
+        /// The slot-reuse rule of `try_queue_app`, checked against the seqs
+        /// the receivers' `Delivery` records carry — not against
+        /// `round_of_slot`. Null sends are on, so a sender that falls
+        /// behind commits null rounds and its app index `a` sits at a later
+        /// round than `a` (§3.3). Over random interleavings of queues,
+        /// receive+send passes and delivery passes at random nodes:
+        /// (a) app message `a >= w` is `Queued` only once app message
+        ///     `a - w` has been delivered at every member;
+        /// (b) `WindowFull` only while the sender's replica shows some
+        ///     member's `delivered_num` below that message's seq.
+        #[test]
+        fn slot_reuse_waits_for_delivery_everywhere(
+            n in 2usize..5,
+            w in 1usize..4,
+            ops in prop::collection::vec((0u8..3, 0usize..4), 1..160),
+        ) {
+            let mut m = Mini::new(n, &(0..n).collect::<Vec<_>>(), w);
+            let deliv = m.plan.cols[0].deliv;
+            // Per node: the seq each (rank, app index) was delivered at.
+            let mut delivered: Vec<HashMap<(usize, u64), SeqNum>> = vec![HashMap::new(); n];
+            for (op, node) in ops {
+                let node = node % n;
+                match op {
+                    0 => {
+                        let rank = m.protos[node].my_sender_rank.unwrap();
+                        let a = m.protos[node].app_sent;
+                        let outcome = m.queue(node, b"m");
+                        let Some(prior_index) = a.checked_sub(w as u64) else {
+                            prop_assert_ne!(outcome, QueueOutcome::WindowFull);
+                            continue;
+                        };
+                        let prior = (rank, prior_index);
+                        let seq = delivered.iter().find_map(|d| d.get(&prior).copied());
+                        if outcome != QueueOutcome::WindowFull {
+                            prop_assert!(
+                                delivered.iter().all(|d| d.contains_key(&prior)),
+                                "node {node} queued app {a} over undelivered {prior:?}"
+                            );
+                        } else if let Some(seq) = seq {
+                            // Delivered nowhere means every member is below it.
+                            let sst = &m.ssts[node];
+                            prop_assert!(
+                                m.protos[node].member_rows.iter().any(|&r| sst.counter(deliv, r) < seq),
+                                "node {node} refused app {a} though {prior:?} (seq {seq}) is delivered"
+                            );
+                        }
+                    }
+                    1 => {
+                        m.pump_recv(node, true);
+                        m.pump_send(node);
+                    }
+                    _ => {
+                        for d in m.pump_deliver(node).deliveries {
+                            delivered[node].insert((d.rank, d.app_index), d.seq);
+                        }
+                    }
+                }
             }
         }
     }

@@ -465,13 +465,13 @@ impl DomainCore {
                         e.insert(spindle_persist::DurableLog::open_with(&opts, &name)?.0)
                     }
                 };
-                log.append(&spindle_persist::LogRecord {
+                log.append_borrowed(spindle_persist::LogRecordRef {
                     epoch: d.epoch,
                     subgroup: d.subgroup.0 as u32,
                     seq: d.seq,
                     sender_rank: d.sender_rank as u32,
                     app_index: d.app_index,
-                    data: sample.data.clone(),
+                    data: &sample.data,
                 })?;
                 if !logged.contains(&topic) {
                     logged.push(topic);

@@ -47,4 +47,4 @@ pub use fault::{Disposition, FaultPlan};
 pub use mem::MemFabric;
 pub use region::Region;
 pub use traits::{EpochTransition, Fabric};
-pub use types::{MirrorMap, NodeId, WriteOp};
+pub use types::{NodeId, WriteOp};

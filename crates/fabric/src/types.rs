@@ -87,94 +87,6 @@ impl WriteOp {
     }
 }
 
-/// The set of word ranges that carry *control* state (counters, headers) as
-/// opposed to bulk payload.
-///
-/// The discrete-event backend uses this to avoid physically copying message
-/// payloads: control words are mirrored into the receiver's replica on write
-/// arrival, while payload words are read through to the owner's (stable)
-/// memory at delivery time. This is sound because the SMC ring buffer never
-/// reuses a slot before every receiver has delivered its message, so the
-/// owner's payload bytes are immutable between post and delivery. The
-/// threaded [`MemFabric`](crate::MemFabric) ignores the map and copies
-/// everything.
-///
-/// Ranges must be added in increasing, non-overlapping order (the SST layout
-/// builder naturally produces them that way).
-///
-/// # Examples
-///
-/// ```
-/// use spindle_fabric::MirrorMap;
-///
-/// let mut m = MirrorMap::new();
-/// m.add(0..2);
-/// m.add(10..11);
-/// let hits: Vec<_> = m.intersect(1..12).collect();
-/// assert_eq!(hits, vec![1..2, 10..11]);
-/// assert!(m.contains(10));
-/// assert!(!m.contains(5));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MirrorMap {
-    ranges: Vec<Range<usize>>,
-}
-
-impl MirrorMap {
-    /// Creates an empty map (nothing mirrored).
-    pub fn new() -> Self {
-        MirrorMap::default()
-    }
-
-    /// Adds a control range. Adjacent ranges are coalesced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is empty, or starts before the end of the previous
-    /// range (ranges must be added sorted and disjoint).
-    pub fn add(&mut self, range: Range<usize>) {
-        assert!(range.start < range.end, "mirror range must be non-empty");
-        if let Some(last) = self.ranges.last_mut() {
-            assert!(
-                range.start >= last.end,
-                "mirror ranges must be added in sorted, disjoint order"
-            );
-            if range.start == last.end {
-                last.end = range.end;
-                return;
-            }
-        }
-        self.ranges.push(range);
-    }
-
-    /// Returns `true` if word `w` is a control word.
-    pub fn contains(&self, w: usize) -> bool {
-        // Binary search over sorted disjoint ranges.
-        let idx = self.ranges.partition_point(|r| r.end <= w);
-        self.ranges.get(idx).is_some_and(|r| r.contains(&w))
-    }
-
-    /// Iterates the sub-ranges of `query` that are control words.
-    pub fn intersect(&self, query: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
-        let start_idx = self.ranges.partition_point(|r| r.end <= query.start);
-        self.ranges[start_idx..]
-            .iter()
-            .take_while(move |r| r.start < query.end)
-            .map(move |r| r.start.max(query.start)..r.end.min(query.end))
-            .filter(|r| r.start < r.end)
-    }
-
-    /// Total number of mirrored words.
-    pub fn mirrored_words(&self) -> usize {
-        self.ranges.iter().map(|r| r.end - r.start).sum()
-    }
-
-    /// Number of stored (coalesced) ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,60 +109,5 @@ mod tests {
     #[should_panic]
     fn empty_write_op_panics() {
         WriteOp::new(NodeId(0), 3..3);
-    }
-
-    #[test]
-    fn mirror_map_coalesces_adjacent() {
-        let mut m = MirrorMap::new();
-        m.add(0..4);
-        m.add(4..8);
-        m.add(16..20);
-        assert_eq!(m.range_count(), 2);
-        assert_eq!(m.mirrored_words(), 12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mirror_map_rejects_out_of_order() {
-        let mut m = MirrorMap::new();
-        m.add(8..10);
-        m.add(0..2);
-    }
-
-    #[test]
-    fn mirror_map_contains() {
-        let mut m = MirrorMap::new();
-        m.add(2..4);
-        m.add(8..9);
-        assert!(!m.contains(1));
-        assert!(m.contains(2));
-        assert!(m.contains(3));
-        assert!(!m.contains(4));
-        assert!(m.contains(8));
-        assert!(!m.contains(9));
-    }
-
-    #[test]
-    fn intersect_clips_to_query() {
-        let mut m = MirrorMap::new();
-        m.add(0..10);
-        m.add(20..30);
-        let hits: Vec<_> = m.intersect(5..25).collect();
-        assert_eq!(hits, vec![5..10, 20..25]);
-    }
-
-    #[test]
-    fn intersect_empty_when_disjoint() {
-        let mut m = MirrorMap::new();
-        m.add(0..2);
-        assert_eq!(m.intersect(5..9).count(), 0);
-    }
-
-    #[test]
-    fn intersect_exact_match() {
-        let mut m = MirrorMap::new();
-        m.add(3..7);
-        let hits: Vec<_> = m.intersect(3..7).collect();
-        assert_eq!(hits, vec![3..7]);
     }
 }

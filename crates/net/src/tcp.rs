@@ -498,26 +498,9 @@ impl TcpFabric {
         })
     }
 
-    /// This endpoint's node id.
-    pub fn local_node(&self) -> NodeId {
-        NodeId(self.inner.shared.me)
-    }
-
     /// The bound listen address (useful with ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
         self.inner.local_addr
-    }
-
-    /// How many wire service threads this endpoint runs: always 1 (the
-    /// poller), independent of cluster size — the O(1)-threads contract
-    /// of the single-poller design.
-    pub fn wire_threads(&self) -> usize {
-        self.inner
-            .poller
-            .lock()
-            .expect("poller lock")
-            .iter()
-            .count()
     }
 
     /// Blocks until the full mesh is up: every outbound link connected
@@ -1460,11 +1443,9 @@ mod tests {
         let addr = a.serve_metrics("127.0.0.1:0").unwrap();
         a.post(NodeId(0), &WriteOp::new(NodeId(1), 0..1));
         assert!(eventually(|| b.wire_stats().frames_received == 1));
-        // No thread was added for exposition: still exactly one poller
-        // per endpoint. (The process-wide count, and the gauge's value,
-        // are pinned in tests/wire_thread_count.rs — a process of its
-        // own, where sibling tests' pollers cannot be counted in.)
-        assert_eq!(a.wire_threads(), 1);
+        // Exposition adds no thread to the one poller per endpoint:
+        // tests/wire_thread_count.rs pins that in a process of its own,
+        // where sibling tests' pollers cannot be counted in.
         let body = scrape(addr, "/metrics");
         for fam in [
             "spindle_wire_frames_posted_total{node=\"0\"} 1",
@@ -1777,12 +1758,5 @@ mod tests {
             stats.frames_dropped, 32,
             "the cap admits 8 frames and sheds the rest"
         );
-    }
-
-    #[test]
-    fn endpoint_runs_exactly_one_wire_thread() {
-        let (a, b) = loopback_pair(8, FaultPlan::new());
-        assert_eq!(a.wire_threads(), 1);
-        assert_eq!(b.wire_threads(), 1);
     }
 }

@@ -272,10 +272,10 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// An append-only, checksummed, crash-recoverable message log.
 ///
-/// Opened through [`DurableLog::open_with`] the log is *segmented*:
-/// appends roll over to a fresh `<name>.seg<NNNNNN>.log` file once the
-/// active segment passes [`PersistOptions::segment_cap`] bytes, so a
-/// long-lived node never owns one unbounded file.
+/// The log is *segmented*: appends roll over to a fresh
+/// `<name>.seg<NNNNNN>.log` file once the active segment passes
+/// [`PersistOptions::segment_cap`] bytes, so a long-lived node never owns
+/// one unbounded file.
 pub struct DurableLog {
     writer: BufWriter<File>,
     path: PathBuf,
@@ -285,15 +285,12 @@ pub struct DurableLog {
     /// Valid bytes in the active segment.
     seg_bytes: u64,
     seg_index: u32,
-    rotation: Option<Rotation>,
-    faults: PersistFaults,
-}
-
-#[derive(Clone)]
-struct Rotation {
+    /// Where the next segment goes: `<dir>/<name>.seg<NNNNNN>.log`.
     dir: PathBuf,
     name: String,
+    /// Segment capacity in bytes.
     cap: u64,
+    faults: PersistFaults,
 }
 
 impl std::fmt::Debug for DurableLog {
@@ -343,51 +340,18 @@ fn segment_indices(dir: &Path, name: &str) -> io::Result<Vec<u32>> {
     Ok(indices)
 }
 
-/// Parses the valid record prefix of `path` **read-only**: no recovery
-/// truncation, safe to call while another handle is appending (the torn
-/// tail, if any, is simply not returned).
-///
-/// This reads one *file*; for a segmented log opened with
-/// [`DurableLog::open_with`], use [`read_log`].
-///
-/// # Errors
-///
-/// Propagates I/O errors; a missing file reads as empty.
-///
-/// # Examples
-///
-/// ```
-/// let missing = std::env::temp_dir().join("spindle-read-records-none.log");
-/// assert!(spindle_persist::read_records(&missing)?.is_empty());
-/// # Ok::<(), std::io::Error>(())
-/// ```
-pub fn read_records(path: impl AsRef<Path>) -> io::Result<Vec<LogRecord>> {
-    let raw = match std::fs::read(path.as_ref()) {
-        Ok(raw) => raw,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    Ok(parse_prefix(&raw).0)
-}
-
 /// Reads the full record stream of log `name` under `dir` **read-only**,
 /// concatenating its segments in order. Corruption inside a segment cuts
 /// the stream there (later segments are unreachable past a hole, exactly
-/// as [`DurableLog::open_with`] would recover). Falls back to a plain
-/// `<name>.log` single file — the pre-segmentation layout — when no
-/// segments exist.
+/// as [`DurableLog::open_with`] would recover).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors; a missing log reads as empty.
 pub fn read_log(dir: impl AsRef<Path>, name: &str) -> io::Result<Vec<LogRecord>> {
     let dir = dir.as_ref();
-    let indices = segment_indices(dir, name)?;
-    if indices.is_empty() {
-        return read_records(dir.join(format!("{name}.log")));
-    }
     let mut records = Vec::new();
-    for idx in indices {
+    for idx in segment_indices(dir, name)? {
         let raw = std::fs::read(segment_path(dir, name, idx))?;
         let (mut recs, good) = parse_prefix(&raw);
         records.append(&mut recs);
@@ -399,13 +363,8 @@ pub fn read_log(dir: impl AsRef<Path>, name: &str) -> io::Result<Vec<LogRecord>>
 }
 
 /// Reads every log under `dir` **read-only**: `(name, records)` pairs
-/// sorted by name. Both segmented logs and plain `<name>.log` files are
-/// found (segments win when a name has both).
-///
-/// # Errors
-///
-/// Propagates I/O errors; a missing directory reads as empty.
-pub fn scan_dir(dir: impl AsRef<Path>) -> io::Result<Vec<(String, Vec<LogRecord>)>> {
+/// sorted by name. A missing directory reads as empty.
+fn scan_dir(dir: impl AsRef<Path>) -> io::Result<Vec<(String, Vec<LogRecord>)>> {
     let dir = dir.as_ref();
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -415,14 +374,8 @@ pub fn scan_dir(dir: impl AsRef<Path>) -> io::Result<Vec<(String, Vec<LogRecord>
     let mut names = std::collections::BTreeSet::new();
     for entry in entries {
         let entry = entry?;
-        let file_name = entry.file_name();
-        let Some(file_name) = file_name.to_str() else {
-            continue;
-        };
-        if let Some((name, _)) = parse_segment_name(file_name) {
+        if let Some((name, _)) = entry.file_name().to_str().and_then(parse_segment_name) {
             names.insert(name.to_string());
-        } else if let Some(stem) = file_name.strip_suffix(".log") {
-            names.insert(stem.to_string());
         }
     }
     names
@@ -483,32 +436,6 @@ fn parse_prefix(raw: &[u8]) -> (Vec<LogRecord>, usize) {
 }
 
 impl DurableLog {
-    /// Creates a fresh single-file log at `path`, truncating any
-    /// existing file. Low-level: no segmentation, no fault injection —
-    /// prefer [`DurableLog::open_with`] for anything long-lived.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from file creation.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<DurableLog> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)?;
-        Ok(DurableLog {
-            writer: BufWriter::new(file),
-            path,
-            records: 0,
-            bytes: 0,
-            seg_bytes: 0,
-            seg_index: 0,
-            rotation: None,
-            faults: PersistFaults::default(),
-        })
-    }
-
     /// Opens (or creates) the segmented log `name` under `opts.dir`,
     /// replaying and validating every record across segments. A torn or
     /// corrupt tail — from a crash mid-append — is truncated away, and
@@ -573,57 +500,18 @@ impl DurableLog {
                 bytes,
                 seg_bytes,
                 seg_index,
-                rotation: Some(Rotation {
-                    dir: opts.dir.clone(),
-                    name: name.to_string(),
-                    cap: opts.segment_cap.max(1),
-                }),
+                dir: opts.dir.clone(),
+                name: name.to_string(),
+                cap: opts.segment_cap.max(1),
                 faults: opts.faults.clone(),
             },
             records,
         ))
     }
 
-    /// Opens an existing single-file log (or creates an empty one),
-    /// replaying and validating every record. A torn or corrupt tail —
-    /// from a crash mid-append — is truncated away; everything before it
-    /// is returned. The pre-[`PersistOptions`] layout: the unit tests
-    /// drive recovery through it one file at a time.
-    #[cfg(test)]
-    fn open_file(path: impl AsRef<Path>) -> io::Result<(DurableLog, Vec<LogRecord>)> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
-        let (records, good) = parse_prefix(&raw);
-        // Truncate anything past the last valid record.
-        if good < raw.len() {
-            file.set_len(good as u64)?;
-        }
-        file.seek(SeekFrom::Start(good as u64))?;
-        Ok((
-            DurableLog {
-                writer: BufWriter::new(file),
-                path,
-                records: records.len() as u64,
-                bytes: good as u64,
-                seg_bytes: good as u64,
-                seg_index: 0,
-                rotation: None,
-                faults: PersistFaults::default(),
-            },
-            records,
-        ))
-    }
-
     /// Appends one record (buffered; call [`DurableLog::sync`] to make it
-    /// durable). A segmented log rolls over to a fresh segment first if
-    /// this record would push the active segment past its capacity.
+    /// durable). The log rolls over to a fresh segment first if this record
+    /// would push the active segment past its capacity.
     ///
     /// # Errors
     ///
@@ -643,13 +531,8 @@ impl DurableLog {
     pub fn append_borrowed(&mut self, rec: LogRecordRef<'_>) -> io::Result<()> {
         let body_len = BODY_HEADER + rec.data.len();
         let frame = (FRAME_HEADER + body_len) as u64;
-        let over_cap = self
-            .rotation
-            .as_ref()
-            .is_some_and(|rot| self.seg_bytes > 0 && self.seg_bytes + frame > rot.cap);
-        if over_cap {
-            let rot = self.rotation.clone().expect("over_cap implies rotation");
-            self.rotate(&rot)?;
+        if self.seg_bytes > 0 && self.seg_bytes + frame > self.cap {
+            self.rotate()?;
         }
         let body_header = rec.body_header();
         let crc = !crc32_update(crc32_update(!0, &body_header), rec.data);
@@ -667,10 +550,10 @@ impl DurableLog {
     }
 
     /// Seals the active segment (flush + fsync) and starts the next one.
-    fn rotate(&mut self, rot: &Rotation) -> io::Result<()> {
+    fn rotate(&mut self) -> io::Result<()> {
         self.sync()?;
         self.seg_index += 1;
-        let path = segment_path(&rot.dir, &rot.name, self.seg_index);
+        let path = segment_path(&self.dir, &self.name, self.seg_index);
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -715,7 +598,7 @@ impl DurableLog {
         &self.path
     }
 
-    /// Index of the active segment (0 for a single-file log).
+    /// Index of the active segment.
     pub fn segment_index(&self) -> u32 {
         self.seg_index
     }
@@ -735,8 +618,14 @@ mod tests {
         dir
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        tmp_dir(name).join("test.log")
+    /// Opens (recovering) the log `test` under `dir`.
+    fn open(dir: &Path) -> (DurableLog, Vec<LogRecord>) {
+        DurableLog::open_with(&PersistOptions::new(dir), "test").unwrap()
+    }
+
+    /// Segment 0 of the log `test` under `dir`: the file a crash tears.
+    fn seg0(dir: &Path) -> PathBuf {
+        segment_path(dir, "test", 0)
     }
 
     fn rec(seq: i64, data: &[u8]) -> LogRecord {
@@ -767,15 +656,15 @@ mod tests {
 
     #[test]
     fn roundtrip_many_records() {
-        let path = tmp("roundtrip");
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("roundtrip");
+        let (mut log, _) = open(&dir);
         for i in 0..100 {
             log.append(&rec(i, format!("payload-{i}").as_bytes()))
                 .unwrap();
         }
         log.sync().unwrap();
         drop(log);
-        let (log, records) = DurableLog::open_file(&path).unwrap();
+        let (log, records) = open(&dir);
         assert_eq!(log.len(), 100);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.seq, i as i64);
@@ -785,50 +674,50 @@ mod tests {
 
     #[test]
     fn empty_payload_roundtrips() {
-        let path = tmp("empty");
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("empty");
+        let (mut log, _) = open(&dir);
         log.append(&rec(0, b"")).unwrap();
         log.sync().unwrap();
         drop(log);
-        let (_, records) = DurableLog::open_file(&path).unwrap();
+        let (_, records) = open(&dir);
         assert_eq!(records.len(), 1);
         assert!(records[0].data.is_empty());
     }
 
     #[test]
     fn torn_tail_truncated() {
-        let path = tmp("torn");
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("torn");
+        let (mut log, _) = open(&dir);
         for i in 0..10 {
             log.append(&rec(i, b"0123456789")).unwrap();
         }
         log.sync().unwrap();
         drop(log);
         // Simulate a crash mid-append: write half a record's frame.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        let mut f = OpenOptions::new().append(true).open(seg0(&dir)).unwrap();
         f.write_all(&MAGIC.to_le_bytes()).unwrap();
         f.write_all(&100u32.to_le_bytes()).unwrap();
         drop(f);
-        let (log, records) = DurableLog::open_file(&path).unwrap();
+        let (log, records) = open(&dir);
         assert_eq!(records.len(), 10, "torn tail must not hide valid prefix");
-        // The file was truncated back to the valid prefix.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), log.byte_len());
+        // The segment was truncated back to the valid prefix.
+        assert_eq!(std::fs::metadata(seg0(&dir)).unwrap().len(), log.byte_len());
     }
 
-    /// The ISSUE-10 negative matrix: tear or corrupt *each field* of a
-    /// trailing record and check the read-only path recovers the valid
-    /// prefix rather than erroring the whole open.
+    /// The negative matrix: tear or corrupt *each field* of a trailing
+    /// record and check the read-only path recovers the valid prefix
+    /// rather than erroring the whole open.
     #[test]
     fn torn_final_record_each_field_truncates_to_valid_prefix() {
         let base = {
-            let path = tmp("fields-base");
-            let mut log = DurableLog::create(&path).unwrap();
+            let dir = tmp_dir("fields-base");
+            let (mut log, _) = open(&dir);
             for i in 0..6 {
                 log.append(&rec(i, b"stable-prefix")).unwrap();
             }
             log.sync().unwrap();
             drop(log);
-            std::fs::read(&path).unwrap()
+            std::fs::read(seg0(&dir)).unwrap()
         };
         let frame = base.len() / 6;
         let last = 5 * frame;
@@ -860,29 +749,29 @@ mod tests {
             ),
         ];
         for (what, corrupt) in cases {
-            let path = tmp(&format!("fields-{what}"));
+            let dir = tmp_dir(&format!("fields-{what}"));
             let mut raw = base.clone();
             corrupt(&mut raw);
-            std::fs::write(&path, &raw).unwrap();
-            let records = read_records(&path)
-                .unwrap_or_else(|e| panic!("{what}: read_records must not error: {e}"));
+            std::fs::write(seg0(&dir), &raw).unwrap();
+            let records = read_log(&dir, "test")
+                .unwrap_or_else(|e| panic!("{what}: read_log must not error: {e}"));
             assert_eq!(records.len(), 5, "{what}: the 5 intact records survive");
             assert_eq!(records.last().unwrap().seq, 4, "{what}");
             // And the recovery path agrees byte for byte.
-            let (log, recovered) = DurableLog::open_file(&path).unwrap();
+            let (log, recovered) = open(&dir);
             assert_eq!(recovered, records, "{what}: open recovers the same prefix");
             assert_eq!(
-                std::fs::metadata(&path).unwrap().len(),
+                std::fs::metadata(seg0(&dir)).unwrap().len(),
                 log.byte_len(),
-                "{what}: file truncated to the valid prefix"
+                "{what}: segment truncated to the valid prefix"
             );
         }
     }
 
     #[test]
     fn corrupt_crc_truncates_from_there() {
-        let path = tmp("crc");
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("crc");
+        let (mut log, _) = open(&dir);
         for i in 0..5 {
             log.append(&rec(i, b"AAAA")).unwrap();
         }
@@ -890,52 +779,53 @@ mod tests {
         let record_bytes = log.byte_len() / 5;
         drop(log);
         // Flip a byte in record 3's body.
-        let mut raw = std::fs::read(&path).unwrap();
+        let mut raw = std::fs::read(seg0(&dir)).unwrap();
         let victim = (3 * record_bytes + FRAME_HEADER as u64 + 2) as usize;
         raw[victim] ^= 0xFF;
-        std::fs::write(&path, &raw).unwrap();
-        let (_, records) = DurableLog::open_file(&path).unwrap();
+        std::fs::write(seg0(&dir), &raw).unwrap();
+        let (_, records) = open(&dir);
         assert_eq!(records.len(), 3, "corruption cuts the log at record 3");
         assert_eq!(records.last().unwrap().seq, 2);
     }
 
     #[test]
     fn append_after_recovery_continues_cleanly() {
-        let path = tmp("continue");
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("continue");
+        let (mut log, _) = open(&dir);
         for i in 0..4 {
             log.append(&rec(i, b"x")).unwrap();
         }
         log.sync().unwrap();
         drop(log);
-        let (mut log, recovered) = DurableLog::open_file(&path).unwrap();
+        let (mut log, recovered) = open(&dir);
         assert_eq!(recovered.len(), 4);
         for i in 4..8 {
             log.append(&rec(i, b"y")).unwrap();
         }
         log.sync().unwrap();
         drop(log);
-        let (_, all) = DurableLog::open_file(&path).unwrap();
+        let (_, all) = open(&dir);
         assert_eq!(all.len(), 8);
         assert_eq!(all[7].seq, 7);
     }
 
     #[test]
     fn open_on_missing_file_creates_empty() {
-        let path = tmp("fresh");
-        let (log, records) = DurableLog::open_file(&path).unwrap();
+        let dir = tmp_dir("fresh").join("not-yet");
+        let (log, records) = open(&dir);
         assert!(log.is_empty());
         assert!(records.is_empty());
+        assert!(seg0(&dir).exists());
     }
 
     #[test]
     fn garbage_file_recovers_to_empty() {
-        let path = tmp("garbage");
-        std::fs::write(&path, b"this is not a spindle log at all").unwrap();
-        let (log, records) = DurableLog::open_file(&path).unwrap();
+        let dir = tmp_dir("garbage");
+        std::fs::write(seg0(&dir), b"this is not a spindle log at all").unwrap();
+        let (log, records) = open(&dir);
         assert!(records.is_empty());
         assert_eq!(log.byte_len(), 0);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        assert_eq!(std::fs::metadata(seg0(&dir)).unwrap().len(), 0);
     }
 
     #[test]
@@ -1041,14 +931,14 @@ mod tests {
     fn both_appends_write_the_golden_segment_and_replay_reads_it() {
         let dir = tmp_dir("golden");
         let records = golden_records();
-        let owned = dir.join("owned.log");
-        let mut log = DurableLog::create(&owned).unwrap();
+        let owned = dir.join("owned");
+        let (mut log, _) = open(&owned);
         records.iter().for_each(|r| log.append(r).unwrap());
         log.sync().unwrap();
         assert_eq!(log.byte_len(), GOLDEN_SEGMENT.len() as u64);
-        assert_eq!(std::fs::read(&owned).unwrap(), GOLDEN_SEGMENT);
-        let borrowed = dir.join("borrowed.log");
-        let mut log = DurableLog::create(&borrowed).unwrap();
+        assert_eq!(std::fs::read(seg0(&owned)).unwrap(), GOLDEN_SEGMENT);
+        let borrowed = dir.join("borrowed");
+        let (mut log, _) = open(&borrowed);
         for r in &records {
             let payload = r.data.clone(); // a buffer the record does not own
             let by_ref = LogRecordRef {
@@ -1058,7 +948,7 @@ mod tests {
             log.append_borrowed(by_ref).unwrap();
         }
         log.sync().unwrap();
-        assert_eq!(std::fs::read(&borrowed).unwrap(), GOLDEN_SEGMENT);
+        assert_eq!(std::fs::read(seg0(&borrowed)).unwrap(), GOLDEN_SEGMENT);
         // And a directory holding the parent's bytes replays under this code.
         let replay = tmp_dir("golden-replay");
         std::fs::write(segment_path(&replay, "node0-g0", 0), GOLDEN_SEGMENT).unwrap();
@@ -1071,7 +961,7 @@ mod tests {
 
     #[test]
     fn record_fields_roundtrip_exactly() {
-        let path = tmp("fields");
+        let dir = tmp_dir("fields");
         let r = LogRecord {
             epoch: u64::MAX,
             subgroup: 7,
@@ -1080,11 +970,11 @@ mod tests {
             app_index: 42,
             data: vec![0u8, 255, 128],
         };
-        let mut log = DurableLog::create(&path).unwrap();
+        let (mut log, _) = open(&dir);
         log.append(&r).unwrap();
         log.sync().unwrap();
         drop(log);
-        let (_, records) = DurableLog::open_file(&path).unwrap();
+        let (_, records) = open(&dir);
         assert_eq!(records, vec![r]);
     }
 
@@ -1132,7 +1022,9 @@ mod tests {
         let mut raw = std::fs::read(&seg1).unwrap();
         raw[FRAME_HEADER + 1] ^= 0xFF;
         std::fs::write(&seg1, &raw).unwrap();
-        let seg0_records = read_records(segment_path(&dir, "n", 0)).unwrap().len();
+        let seg0_records = parse_prefix(&std::fs::read(segment_path(&dir, "n", 0)).unwrap())
+            .0
+            .len();
         let (log, recovered) = DurableLog::open_with(&opts, "n").unwrap();
         assert_eq!(
             recovered.len(),
@@ -1152,19 +1044,16 @@ mod tests {
     fn scan_dir_finds_segmented_and_plain_logs() {
         let dir = tmp_dir("scan");
         let opts = PersistOptions::new(&dir);
-        let (mut a, _) = DurableLog::open_with(&opts, "node0-g0").unwrap();
-        a.append(&rec(0, b"seg")).unwrap();
-        a.sync().unwrap();
-        drop(a);
-        let mut b = DurableLog::create(dir.join("legacy.log")).unwrap();
-        b.append(&rec(1, b"plain")).unwrap();
-        b.sync().unwrap();
-        drop(b);
+        for name in ["node1-g0", "node0-g0"] {
+            let (mut log, _) = DurableLog::open_with(&opts, name).unwrap();
+            log.append(&rec(0, b"seg")).unwrap();
+            log.sync().unwrap();
+        }
         let logs = scan_dir(&dir).unwrap();
         let names: Vec<&str> = logs.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["legacy", "node0-g0"]);
+        assert_eq!(names, vec!["node0-g0", "node1-g0"]);
         assert!(logs.iter().all(|(_, r)| r.len() == 1));
-        // Missing directory reads as empty, like read_records.
+        // Missing directory reads as empty, like read_log.
         assert!(scan_dir(dir.join("nope")).unwrap().is_empty());
     }
 

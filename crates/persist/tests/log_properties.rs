@@ -28,13 +28,6 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
         )
 }
 
-fn tmp(tag: u64) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("spindle-persist-prop-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join("p.log")
-}
-
 fn tmp_dir(label: &str, tag: u64) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
         "spindle-persist-prop-{label}-{}-{tag}",
@@ -57,16 +50,16 @@ proptest! {
 
     #[test]
     fn arbitrary_records_roundtrip(records in proptest::collection::vec(arb_record(), 0..40), tag in any::<u64>()) {
-        let path = tmp(tag);
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("roundtrip", tag);
+        let (mut log, _) = DurableLog::open_with(&PersistOptions::new(&dir), "p").unwrap();
         for r in &records {
             log.append(r).unwrap();
         }
         log.sync().unwrap();
         drop(log);
-        let back = spindle_persist::read_records(&path).unwrap();
+        let back = read_log(&dir, "p").unwrap();
         prop_assert_eq!(back, records);
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -76,26 +69,31 @@ proptest! {
         garbage in proptest::collection::vec(any::<u8>(), 0..64),
         tag in any::<u64>(),
     ) {
-        let path = tmp(tag);
-        let mut log = DurableLog::create(&path).unwrap();
+        let dir = tmp_dir("tail", tag);
+        let opts = PersistOptions::new(&dir);
+        let (mut log, _) = DurableLog::open_with(&opts, "p").unwrap();
         for r in &records {
             log.append(r).unwrap();
         }
         log.sync().unwrap();
         drop(log);
 
-        // Truncate at an arbitrary byte offset, then append garbage.
-        let mut raw = std::fs::read(&path).unwrap();
+        // Truncate segment 0 at an arbitrary byte offset, then append garbage.
+        let seg0 = dir.join("p.seg000000.log");
+        let mut raw = std::fs::read(&seg0).unwrap();
         let cut = ((raw.len() as f64) * cut_frac) as usize;
         raw.truncate(cut);
         raw.extend_from_slice(&garbage);
-        std::fs::write(&path, &raw).unwrap();
+        std::fs::write(&seg0, &raw).unwrap();
 
-        let back = spindle_persist::read_records(&path).unwrap();
+        let back = read_log(&dir, "p").unwrap();
         // Whatever survives must be an exact prefix of what was written.
         prop_assert!(back.len() <= records.len());
         prop_assert_eq!(&back[..], &records[..back.len()]);
-        std::fs::remove_file(&path).ok();
+        // And recovery keeps exactly that prefix.
+        let (_, recovered) = DurableLog::open_with(&opts, "p").unwrap();
+        prop_assert_eq!(recovered, back);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Segment rollover is invisible to readers: arbitrary records under an

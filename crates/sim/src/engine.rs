@@ -60,7 +60,6 @@ pub struct Engine<E> {
     queue: BinaryHeap<Reverse<Scheduled<E>>>,
     now: SimTime,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Engine<E> {
@@ -70,7 +69,6 @@ impl<E> Engine<E> {
             queue: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -78,11 +76,6 @@ impl<E> Engine<E> {
     /// event (or [`SimTime::ZERO`] before the first pop).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed (popped) so far.
-    pub fn events_executed(&self) -> u64 {
-        self.popped
     }
 
     /// Number of events currently pending.
@@ -126,7 +119,6 @@ impl<E> Engine<E> {
         let Reverse(s) = self.queue.pop()?;
         debug_assert!(s.time >= self.now);
         self.now = s.time;
-        self.popped += 1;
         Some((s.time, s.event))
     }
 
@@ -189,7 +181,6 @@ mod tests {
         e.schedule_at(SimTime::from_nanos(20), 2);
         let order: Vec<i32> = std::iter::from_fn(|| e.pop().map(|(_, x)| x)).collect();
         assert_eq!(order, [1, 2, 3]);
-        assert_eq!(e.events_executed(), 3);
     }
 
     #[test]

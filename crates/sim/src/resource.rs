@@ -31,8 +31,6 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
     free_at: SimTime,
-    busy: Duration,
-    served: u64,
 }
 
 /// The service interval granted by [`Resource::acquire`].
@@ -42,13 +40,6 @@ pub struct Grant {
     pub start: SimTime,
     /// When service completes and the resource becomes free again.
     pub end: SimTime,
-}
-
-impl Grant {
-    /// Time spent waiting for the resource before service began.
-    pub fn queueing_delay(&self, requested_at: SimTime) -> Duration {
-        self.start.saturating_since(requested_at)
-    }
 }
 
 impl Resource {
@@ -63,40 +54,7 @@ impl Resource {
         let start = self.free_at.max(now);
         let end = start + hold;
         self.free_at = end;
-        self.busy += hold;
-        self.served += 1;
         Grant { start, end }
-    }
-
-    /// The earliest instant at which a new request would start service.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
-    /// Returns `true` if a request arriving at `now` would be served
-    /// immediately.
-    pub fn is_free(&self, now: SimTime) -> bool {
-        self.free_at <= now
-    }
-
-    /// Total busy time accumulated across all grants.
-    pub fn total_busy(&self) -> Duration {
-        self.busy
-    }
-
-    /// Number of grants served.
-    pub fn grants(&self) -> u64 {
-        self.served
-    }
-
-    /// Utilization in `[0, 1]` over the window `[SimTime::ZERO, now]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let elapsed = now.saturating_since(SimTime::ZERO).as_nanos() as f64;
-        if elapsed == 0.0 {
-            0.0
-        } else {
-            (self.busy.as_nanos() as f64 / elapsed).min(1.0)
-        }
     }
 }
 
@@ -110,7 +68,6 @@ mod tests {
         let g = r.acquire(SimTime::from_micros(3), Duration::from_micros(2));
         assert_eq!(g.start, SimTime::from_micros(3));
         assert_eq!(g.end, SimTime::from_micros(5));
-        assert_eq!(g.queueing_delay(SimTime::from_micros(3)), Duration::ZERO);
     }
 
     #[test]
@@ -120,36 +77,13 @@ mod tests {
         let g2 = r.acquire(SimTime::from_micros(1), Duration::from_micros(10));
         assert_eq!(g1.end, SimTime::from_micros(10));
         assert_eq!(g2.start, SimTime::from_micros(10));
-        assert_eq!(
-            g2.queueing_delay(SimTime::from_micros(1)),
-            Duration::from_micros(9)
-        );
     }
 
     #[test]
     fn resource_goes_idle_between_bursts() {
         let mut r = Resource::new();
         r.acquire(SimTime::ZERO, Duration::from_micros(1));
-        assert!(r.is_free(SimTime::from_micros(1)));
         let g = r.acquire(SimTime::from_micros(50), Duration::from_micros(1));
         assert_eq!(g.start, SimTime::from_micros(50));
-    }
-
-    #[test]
-    fn busy_accounting() {
-        let mut r = Resource::new();
-        r.acquire(SimTime::ZERO, Duration::from_micros(2));
-        r.acquire(SimTime::ZERO, Duration::from_micros(3));
-        assert_eq!(r.total_busy(), Duration::from_micros(5));
-        assert_eq!(r.grants(), 2);
-        // 5us busy over a 10us window = 50% utilization.
-        let u = r.utilization(SimTime::from_micros(10));
-        assert!((u - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_at_time_zero_is_zero() {
-        let r = Resource::new();
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
     }
 }

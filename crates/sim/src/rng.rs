@@ -5,11 +5,8 @@ use rand::{Rng, SeedableRng};
 
 /// A deterministic random number generator for simulations.
 ///
-/// Thin wrapper over [`rand::rngs::SmallRng`] that (a) is always explicitly
-/// seeded, so a simulation can never accidentally pick up OS entropy, and
-/// (b) supports cheap forking: each node/process in a simulation gets its own
-/// independent stream derived from the parent seed, so adding a consumer of
-/// randomness in one component does not perturb the sequence seen by others.
+/// Thin wrapper over [`rand::rngs::SmallRng`] that is always explicitly
+/// seeded, so a simulation can never accidentally pick up OS entropy.
 ///
 /// # Examples
 ///
@@ -19,16 +16,10 @@ use rand::{Rng, SeedableRng};
 /// let mut a = DetRng::seed(42);
 /// let mut b = DetRng::seed(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
-///
-/// // Forked streams are independent of the parent's later draws.
-/// let mut parent = DetRng::seed(7);
-/// let mut child1 = parent.fork(0);
-/// let mut child2 = parent.fork(1);
-/// assert_ne!(child1.next_u64(), child2.next_u64());
+/// assert!(a.below(10) < 10);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DetRng {
-    seed: u64,
     inner: SmallRng,
 }
 
@@ -36,29 +27,8 @@ impl DetRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
         DetRng {
-            seed,
             inner: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// The seed this generator was created with.
-    pub fn initial_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Derives an independent child stream identified by `stream`.
-    ///
-    /// Forking depends only on the original seed and `stream`, never on how
-    /// many values have been drawn from the parent.
-    pub fn fork(&self, stream: u64) -> DetRng {
-        // SplitMix64-style mix keeps child seeds well separated.
-        let mut z = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        DetRng::seed(z)
     }
 
     /// Next raw 64-bit value.
@@ -74,26 +44,6 @@ impl DetRng {
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below() requires a positive bound");
         self.inner.gen_range(0..bound)
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
-    /// Uniform value in the inclusive range `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi`.
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "range_inclusive requires lo <= hi");
-        self.inner.gen_range(lo..=hi)
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit_f64() < p.clamp(0.0, 1.0)
     }
 }
 
@@ -119,48 +69,11 @@ mod tests {
     }
 
     #[test]
-    fn fork_is_draw_independent() {
-        let parent1 = DetRng::seed(99);
-        let mut parent2 = DetRng::seed(99);
-        // Drawing from parent2 must not change what its forks produce.
-        parent2.next_u64();
-        parent2.next_u64();
-        let mut c1 = parent1.fork(5);
-        let mut c2 = parent2.fork(5);
-        assert_eq!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn fork_streams_distinct() {
-        let parent = DetRng::seed(4);
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..64 {
-            assert!(seen.insert(parent.fork(s).next_u64()));
-        }
-    }
-
-    #[test]
     fn below_stays_in_bounds() {
         let mut r = DetRng::seed(0);
         for _ in 0..1000 {
             assert!(r.below(7) < 7);
         }
-    }
-
-    #[test]
-    fn range_inclusive_hits_endpoints() {
-        let mut r = DetRng::seed(0);
-        let mut lo_seen = false;
-        let mut hi_seen = false;
-        for _ in 0..10_000 {
-            match r.range_inclusive(1, 3) {
-                1 => lo_seen = true,
-                3 => hi_seen = true,
-                2 => {}
-                _ => panic!("out of range"),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

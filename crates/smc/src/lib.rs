@@ -16,14 +16,16 @@
 //! * [`Ring`] — index ↔ (slot, generation) mapping and wraparound-aware
 //!   contiguous range computation (a batched send is 1 or 2 RDMA writes,
 //!   §3.2's send predicate);
-//! * [`SendWindow`] — the slot-reuse safety rule, expressed against the
-//!   round-robin sequence space;
 //! * [`scan_new`] — the receive-side slot scan ("stopping at the first
 //!   empty slot", §3.2's receive predicate).
+//!
+//! The slot-reuse rule itself has one copy, where the runtimes run it:
+//! `spindle_core`'s `SubgroupProto::try_queue_app`, which reads the round
+//! the slot's previous message occupied (null rounds make it differ from
+//! the message's index).
 
 use std::ops::Range;
 
-use spindle_membership::{SeqNum, SeqSpace};
 use spindle_sst::{SlotsCol, Sst};
 
 /// Ring arithmetic for one sender's slot block.
@@ -104,72 +106,6 @@ impl Ring {
     }
 }
 
-/// The slot-reuse safety rule for one sender.
-///
-/// Message index `k` reuses the slot of message `k - w`; it may be written
-/// only once `M(rank, k - w)` has been delivered by every member, i.e. once
-/// `min(delivered_num) >= seq(rank, k - w)`.
-///
-/// # Examples
-///
-/// ```
-/// use spindle_membership::SeqSpace;
-/// use spindle_smc::SendWindow;
-///
-/// let space = SeqSpace::new(2);
-/// let win = SendWindow::new(3, 0); // window 3, sender rank 0
-/// // Nothing delivered yet: indices 0,1,2 fit in the fresh window.
-/// assert_eq!(win.max_writable_index(&space, -1), 2);
-/// // Once M(0,0) (seq 0) is delivered everywhere, index 3 frees up.
-/// assert_eq!(win.max_writable_index(&space, 0), 3);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendWindow {
-    window: u64,
-    rank: usize,
-}
-
-impl SendWindow {
-    /// Creates the rule for a sender with rank `rank` and window `window`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn new(window: usize, rank: usize) -> Self {
-        assert!(window > 0, "window must be positive");
-        SendWindow {
-            window: window as u64,
-            rank,
-        }
-    }
-
-    /// Highest message index that may currently be written, given the
-    /// all-member minimum of `delivered_num`. Returns `window - 1` while the
-    /// first wrap has not happened.
-    pub fn max_writable_index(&self, space: &SeqSpace, min_delivered_seq: SeqNum) -> u64 {
-        // Find the largest d such that M(rank, d) has been delivered
-        // everywhere; indices through d + window may be written.
-        let delivered_rounds = if min_delivered_seq < 0 {
-            0
-        } else {
-            let m = space.msg_of(min_delivered_seq);
-            // Rounds fully delivered for *this* rank: index d is delivered
-            // iff seq(rank, d) <= min_delivered_seq.
-            if m.rank >= self.rank {
-                m.index + 1
-            } else {
-                m.index
-            }
-        };
-        delivered_rounds + self.window - 1
-    }
-
-    /// Returns `true` if message index `k` may be written now.
-    pub fn can_write(&self, space: &SeqSpace, min_delivered_seq: SeqNum, k: u64) -> bool {
-        k <= self.max_writable_index(space, min_delivered_seq)
-    }
-}
-
 /// Receive-side slot scan: counts how many new messages from `sender_row`
 /// are visible in the local replica, starting at message index
 /// `next_index`, stopping at the first slot whose generation does not match
@@ -203,7 +139,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use spindle_fabric::Region;
-    use spindle_membership::MsgId;
     use spindle_sst::LayoutBuilder;
     use std::sync::Arc;
 
@@ -235,28 +170,6 @@ mod tests {
     #[should_panic]
     fn batch_larger_than_window_rejected() {
         Ring::new(2).contiguous_slot_ranges(0, 3);
-    }
-
-    #[test]
-    fn send_window_initial() {
-        let space = SeqSpace::new(3);
-        let w = SendWindow::new(5, 1);
-        assert_eq!(w.max_writable_index(&space, -1), 4);
-        assert!(w.can_write(&space, -1, 4));
-        assert!(!w.can_write(&space, -1, 5));
-    }
-
-    #[test]
-    fn send_window_frees_as_delivery_advances() {
-        let space = SeqSpace::new(2);
-        let w0 = SendWindow::new(2, 0);
-        let w1 = SendWindow::new(2, 1);
-        // min delivered seq = 1 covers M(0,0) and M(1,0).
-        assert_eq!(w0.max_writable_index(&space, 1), 2);
-        assert_eq!(w1.max_writable_index(&space, 1), 2);
-        // min delivered seq = 2 covers M(0,1) too: rank 0 frees one more.
-        assert_eq!(w0.max_writable_index(&space, 2), 3);
-        assert_eq!(w1.max_writable_index(&space, 2), 2);
     }
 
     fn test_sst(window: usize, max_msg: usize, rows: usize) -> (Sst, SlotsCol) {
@@ -334,23 +247,6 @@ mod tests {
             }
         }
 
-        /// The writable frontier never moves backwards as delivery
-        /// advances, and advancing delivery by a full round frees exactly
-        /// one more index for every sender.
-        #[test]
-        fn send_window_frontier_is_monotone(
-            s in 1usize..8, rank_raw in 0usize..8, w in 1usize..10,
-            min_del in -1i64..200,
-        ) {
-            let space = SeqSpace::new(s);
-            let win = SendWindow::new(w, rank_raw % s);
-            let now = win.max_writable_index(&space, min_del);
-            let later = win.max_writable_index(&space, min_del + 1);
-            prop_assert!(later >= now);
-            let full_round = win.max_writable_index(&space, min_del + s as i64);
-            prop_assert_eq!(full_round, now + 1);
-        }
-
         /// `scan_new` counts exactly the consecutive visible messages from
         /// `next_index` and stops at the first slot whose generation does
         /// not match ("the first empty slot"), for arbitrary interleavings
@@ -398,30 +294,6 @@ mod tests {
             let expected: Vec<usize> = (lo..hi).map(|k| ring.slot_of(k)).collect();
             prop_assert_eq!(covered, expected);
             prop_assert!(ranges.len() <= 2);
-        }
-
-        /// The reuse rule never allows overwriting an undelivered message:
-        /// if k is writable, then M(rank, k - w) is delivered everywhere.
-        #[test]
-        fn reuse_never_overwrites_undelivered(
-            s in 1usize..8, rank_raw in 0usize..8, w in 1usize..10,
-            min_del in -1i64..200,
-        ) {
-            let space = SeqSpace::new(s);
-            let rank = rank_raw % s;
-            let win = SendWindow::new(w, rank);
-            let max = win.max_writable_index(&space, min_del);
-            if max >= w as u64 {
-                let overwritten = max - w as u64;
-                let seq = space.seq_of(MsgId { rank, index: overwritten });
-                prop_assert!(seq <= min_del,
-                    "index {max} writable but M({rank},{overwritten}) (seq {seq}) not delivered (min {min_del})");
-            }
-            // And the rule is not overly conservative: index max+1 would
-            // overwrite an undelivered message.
-            let next_overwritten = max + 1 - w as u64;
-            let seq_next = space.seq_of(MsgId { rank, index: next_overwritten });
-            prop_assert!(seq_next > min_del);
         }
     }
 }

@@ -7,8 +7,6 @@
 
 use std::ops::Range;
 
-use spindle_fabric::MirrorMap;
-
 /// Handle to a one-word monotonic counter column (e.g. `received_num`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CounterCol {
@@ -23,8 +21,7 @@ pub struct CounterCol {
 /// there) and, last, a header packing `(generation: u32, len: u32)`. The
 /// header is what announces the message to a receiver, and a fabric places a
 /// write in increasing word order, so a receiver that sees a slot's header
-/// also sees the round and the bytes it announces. The control words are
-/// mirrored; payload words are bulk data.
+/// also sees the round and the bytes it announces.
 ///
 /// A *non-materialized* block (see [`LayoutBuilder::add_slots_meta`])
 /// allocates no payload words at all: the discrete-event backend uses this
@@ -176,8 +173,6 @@ pub struct SstLayout {
     counters: Vec<CounterInfo>,
     slots: Vec<SlotsInfo>,
     lists: Vec<ListInfo>,
-    /// Row-relative control ranges.
-    row_mirror: MirrorMap,
 }
 
 impl SstLayout {
@@ -214,24 +209,6 @@ impl SstLayout {
         base + rel.start..base + rel.end
     }
 
-    /// Builds the absolute control-word map over the whole region (all
-    /// rows), for the simulated fabric.
-    pub fn global_mirror(&self) -> MirrorMap {
-        let mut m = MirrorMap::new();
-        for row in 0..self.num_rows {
-            let base = row * self.row_words;
-            for r in self.row_mirror.intersect(0..self.row_words) {
-                m.add(base + r.start..base + r.end);
-            }
-        }
-        m
-    }
-
-    /// The row-relative control-word map.
-    pub fn row_mirror(&self) -> &MirrorMap {
-        &self.row_mirror
-    }
-
     /// Registered counters as `(label, col, initial)`.
     pub fn counters(&self) -> impl Iterator<Item = (&str, CounterCol, i64)> + '_ {
         self.counters
@@ -264,7 +241,6 @@ pub struct LayoutBuilder {
     counters: Vec<CounterInfo>,
     slots: Vec<SlotsInfo>,
     lists: Vec<ListInfo>,
-    mirror: MirrorMap,
 }
 
 impl LayoutBuilder {
@@ -279,7 +255,6 @@ impl LayoutBuilder {
             word: self.next_word,
             id: self.counters.len(),
         };
-        self.mirror.add(col.word..col.word + 1);
         self.next_word += 1;
         self.counters.push(CounterInfo {
             label: label.into(),
@@ -338,11 +313,6 @@ impl LayoutBuilder {
             materialized,
             id: self.slots.len(),
         };
-        // Aux + header words (the last two of a slot) are control;
-        // payload words are bulk.
-        for i in 0..count {
-            self.mirror.add(col.aux_word(i)..col.header_word(i) + 1);
-        }
         self.next_word += count * slot_words;
         self.slots.push(SlotsInfo { label, col });
         col
@@ -360,7 +330,6 @@ impl LayoutBuilder {
             capacity,
             id: self.lists.len(),
         };
-        self.mirror.add(col.base..col.base + 2 + capacity);
         self.next_word += 2 + capacity;
         self.lists.push(ListInfo {
             label: label.into(),
@@ -383,7 +352,6 @@ impl LayoutBuilder {
             counters: self.counters,
             slots: self.slots,
             lists: self.lists,
-            row_mirror: self.mirror,
         }
     }
 }
@@ -437,38 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn mirror_marks_control_not_payload() {
-        let mut b = LayoutBuilder::new();
-        let c = b.add_counter("r", -1);
-        let s = b.add_slots("smc", 2, 16);
-        let l = b.finish(2);
-        let m = l.row_mirror();
-        assert!(m.contains(c.word));
-        assert!(m.contains(s.header_word(0)));
-        assert!(m.contains(s.aux_word(0)));
-        assert!(m.contains(s.header_word(1)));
-        assert!(m.contains(s.aux_word(1)));
-        assert!(!m.contains(s.payload_words(0).start));
-        assert!(!m.contains(s.payload_words(1).end - 1));
-    }
-
-    #[test]
-    fn global_mirror_covers_all_rows() {
-        let mut b = LayoutBuilder::new();
-        b.add_counter("r", -1);
-        b.add_slots("smc", 1, 8);
-        let l = b.finish(3);
-        let g = l.global_mirror();
-        // counter + aux + header per row = 3 words mirrored per row; the
-        // payload word sits between the counter and the slot's control words.
-        assert_eq!(g.mirrored_words(), 9);
-        assert!(g.contains(l.abs_word(2, 0)));
-        assert!(!g.contains(l.abs_word(2, 1)));
-        assert!(g.contains(l.abs_word(2, 2)));
-        assert!(g.contains(l.abs_word(2, 3)));
-    }
-
-    #[test]
     fn abs_range_offsets_by_row() {
         let mut b = LayoutBuilder::new();
         b.add_counter("x", 0);
@@ -486,7 +422,6 @@ mod tests {
         assert_eq!(lst.len_word(), 1);
         assert_eq!(lst.items_words(), 2..7);
         assert_eq!(l.row_words(), 7);
-        assert!(l.row_mirror().contains(6));
     }
 
     #[test]

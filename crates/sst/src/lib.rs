@@ -11,9 +11,7 @@
 //! This crate provides:
 //!
 //! * [`LayoutBuilder`] / [`SstLayout`] — computes the per-row word layout
-//!   (counter columns, SMC slot columns, guarded lists) for a view, along
-//!   with the [`MirrorMap`](spindle_fabric::MirrorMap) of control words used
-//!   by the simulated fabric;
+//!   (counter columns, SMC slot columns, guarded lists) for a view;
 //! * [`Sst`] — a node's replica: typed accessors enforcing the "write own
 //!   row only" rule and monotonicity, plus helpers that turn an update into
 //!   the word range to push;
