@@ -16,6 +16,8 @@
 //! tests with a synthetic one.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spindle_sst::{CounterCol, Sst};
@@ -75,19 +77,23 @@ pub(crate) struct HeartbeatTicker {
     leash: u32,
     value: i64,
     last_beat: Instant,
+    /// Fault injection: while set, a beat bumps the own counter but posts
+    /// nothing — a healthy node that *looks* dead to every detector.
+    muted: Arc<AtomicBool>,
     peers: Vec<PeerState>,
 }
 
 impl HeartbeatTicker {
     /// A heartbeat at 0 under `cfg`, first due one interval after `now`,
-    /// watching nobody yet.
-    pub(crate) fn new(cfg: &DetectorConfig, now: Instant) -> Self {
+    /// watching nobody yet, its posts suppressed while `muted` is set.
+    pub(crate) fn new(cfg: &DetectorConfig, muted: Arc<AtomicBool>, now: Instant) -> Self {
         HeartbeatTicker {
             interval: cfg.heartbeat_interval,
             timeout: cfg.timeout,
             leash: 1,
             value: 0,
             last_beat: now,
+            muted,
             peers: Vec::new(),
         }
     }
@@ -115,10 +121,10 @@ impl HeartbeatTicker {
         self.last_beat + self.interval
     }
 
-    /// One turn: on the cadence, bumps the own counter `col` of `sst` and
-    /// hands the word range to `post`; then reads every watched peer's
-    /// counter from `sst`. Returns the peers that just became suspected —
-    /// each is reported once.
+    /// One turn: on the cadence, bumps the own counter `col` of `sst` and,
+    /// unless muted, hands the word range to `post`; then reads every
+    /// watched peer's counter from `sst`. Returns the peers that just became
+    /// suspected — each is reported once.
     pub(crate) fn tick(
         &mut self,
         now: Instant,
@@ -129,7 +135,10 @@ impl HeartbeatTicker {
         if now.duration_since(self.last_beat) >= self.interval {
             self.value += 1;
             self.last_beat = now;
-            post(sst.set_counter(col, self.value));
+            let range = sst.set_counter(col, self.value);
+            if !self.muted.load(Ordering::Relaxed) {
+                post(range);
+            }
         }
         let mut suspects = Vec::new();
         for p in &mut self.peers {
@@ -181,7 +190,7 @@ mod tests {
         fn new(rows: usize, peers: &[usize], timeout_ms: u64) -> Rig {
             let (sst, col) = heartbeat_sst(rows);
             let t0 = Instant::now();
-            let mut ticker = HeartbeatTicker::new(&cfg(timeout_ms), t0);
+            let mut ticker = HeartbeatTicker::new(&cfg(timeout_ms), Arc::default(), t0);
             ticker.watch(peers, 1, t0);
             Rig {
                 sst,
@@ -278,7 +287,7 @@ mod tests {
         let (sst, col) = heartbeat_sst(2);
         let t0 = Instant::now();
         let mut posted = Vec::new();
-        let mut ticker = HeartbeatTicker::new(&c, t0);
+        let mut ticker = HeartbeatTicker::new(&c, Arc::default(), t0);
         ticker.watch(&[1], 1, t0);
         // Off the cadence nothing is bumped or posted.
         let early = t0 + Duration::from_micros(500);
@@ -295,5 +304,25 @@ mod tests {
         // The silent peer is reported at the timeout, and only then.
         assert_eq!(ticker.tick(t0 + ms(11), &sst, col, &mut |_| ()), vec![1]);
         assert!(ticker.tick(t0 + ms(12), &sst, col, &mut |_| ()).is_empty());
+    }
+
+    #[test]
+    fn muted_ticker_beats_without_posting() {
+        let ms = Duration::from_millis;
+        let (sst, col) = heartbeat_sst(2);
+        let (t0, muted) = (Instant::now(), Arc::new(AtomicBool::new(true)));
+        let mut ticker = HeartbeatTicker::new(&cfg(10), Arc::clone(&muted), t0);
+        let mut posts = 0;
+        for beat in 1..=3 {
+            ticker.tick(t0 + ms(beat), &sst, col, &mut |_| posts += 1);
+            assert_eq!(sst.counter(col, 0), beat as i64);
+        }
+        assert_eq!(posts, 0, "a muted beat posted");
+        // Unmuted, the next beat posts the advanced counter.
+        muted.store(false, Ordering::Relaxed);
+        let mut posted = Vec::new();
+        ticker.tick(t0 + ms(4), &sst, col, &mut |r| posted.push(r));
+        assert_eq!(sst.counter(col, 0), 4);
+        assert_eq!(posted, vec![sst.own_counter_range(col)]);
     }
 }

@@ -411,13 +411,6 @@ pub struct Cluster<F: Fabric = MemFabric> {
     /// Fault switches shared with every epoch's fabric (node faults are
     /// keyed by node id, so they survive view changes).
     pub(super) faults: FaultPlan,
-    /// Nodes whose heartbeat pushes are currently suppressed; drop ranges
-    /// are re-derived from the fresh layout after every view change.
-    pub(super) hb_dropped: BTreeSet<usize>,
-    /// Nodes for which this cluster has a drop range registered in
-    /// `faults` right now (cleared and rebuilt by `apply_heartbeat_drops`
-    /// without touching externally registered ranges on other nodes).
-    pub(super) hb_registered: BTreeSet<usize>,
     /// See [`Cluster::epoch_views`]: the views of `epochs`, as of the
     /// last adoption.
     pub(super) epoch_views: Vec<Arc<View>>,
@@ -600,8 +593,6 @@ impl<F: Fabric> Cluster<F> {
             suspicion_tx,
             suspicion_rx,
             faults,
-            hb_dropped: BTreeSet::new(),
-            hb_registered: BTreeSet::new(),
             epoch_views: vec![Arc::clone(&view)],
             obs,
         };
@@ -744,51 +735,19 @@ impl<F: Fabric> Cluster<F> {
 
     /// Fault injection: suppresses (or restores) `node`'s heartbeat counter
     /// pushes while the rest of its traffic flows — a healthy node that
-    /// *looks* dead to every detector. The suppression survives view
-    /// changes (drop ranges are re-derived from each new layout).
+    /// *looks* dead to every detector. The suppression holds across view
+    /// changes.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn set_drop_heartbeats(&mut self, node: usize, on: bool) {
-        if on {
-            self.hb_dropped.insert(node);
-        } else {
-            self.hb_dropped.remove(&node);
-        }
-        self.apply_heartbeat_drops();
-    }
-
-    /// Re-registers the heartbeat drop ranges against the current layout.
-    /// Only ranges this cluster registered (tracked in `hb_registered`)
-    /// are cleared, so drop ranges installed directly through
-    /// [`Cluster::faults`] on *other* nodes are left alone. Removed and
-    /// crashed nodes are skipped — their inner state still describes the
-    /// old epoch's layout, and they post nothing anyway.
-    pub(super) fn apply_heartbeat_drops(&mut self) {
-        for &row in &self.hb_registered {
-            self.faults.clear_write_drops(NodeId(row));
-        }
-        self.hb_registered.clear();
-        for &row in &self.hb_dropped {
-            let inner = self.shared(row).inner.lock();
-            if !inner.alive {
-                continue;
-            }
-            let range = inner.sst.own_counter_range(inner.heartbeat_col);
-            drop(inner);
-            self.faults.drop_writes_in(NodeId(row), range);
-            self.hb_registered.insert(row);
-        }
+        self.shared(node).hb_muted.store(on, Ordering::Relaxed);
     }
 
     /// The fault-injection switches shared with the fabric of every epoch.
     /// Prefer the named methods ([`Cluster::isolate_node`],
-    /// [`Cluster::throttle_node`], ...) where one fits. Caveat: drop
-    /// ranges on nodes managed by [`Cluster::set_drop_heartbeats`] are
-    /// rebuilt on every view change; direct
-    /// [`FaultPlan::drop_writes_in`] registrations on *those* nodes are
-    /// cleared in the process (other nodes' are preserved).
+    /// [`Cluster::throttle_node`], ...) where one fits.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
     }

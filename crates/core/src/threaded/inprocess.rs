@@ -79,8 +79,6 @@ impl<F: Fabric> Cluster<F> {
             // (dead-threaded) handles until their own removal is
             // requested.
             self.shared(failed).inner.lock().alive = false;
-            // Heartbeat drop ranges are layout-relative; re-derive them.
-            self.apply_heartbeat_drops();
             // A proposal adopted *verbatim* after a mid-transition crash
             // keeps the dead row as a member (the takeover rule never
             // edits an acked trim). The survivors carry its suspicion
@@ -298,7 +296,6 @@ impl<F: Fabric> Cluster<F> {
             return Err(ViewChangeError::Stalled);
         }
         let report = self.await_transition(&old_view, &none)?;
-        self.apply_heartbeat_drops();
         Ok((new_row, report))
     }
 

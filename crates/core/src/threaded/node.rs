@@ -263,6 +263,10 @@ pub(super) struct NodeShared<F: Fabric> {
     /// predicate evaluation, no heartbeats) but application threads keep
     /// queueing — a slow/descheduled receiver.
     pub(super) paused: AtomicBool,
+    /// Fault injection ([`Cluster::set_drop_heartbeats`](super::Cluster::set_drop_heartbeats)):
+    /// while set, the row's heartbeat bumps its counter but posts nothing,
+    /// in every loop that beats and in every epoch.
+    pub(super) hb_muted: Arc<AtomicBool>,
     /// Where this node's detector reports suspicions.
     pub(super) suspicion_tx: Sender<Suspicion>,
     /// Suspicion bits that must start this node's next transition, set
@@ -310,6 +314,7 @@ impl<F: Fabric> NodeShared<F> {
             wedged: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             paused: AtomicBool::new(false),
+            hb_muted: Arc::default(),
             suspicion_tx: suspicion_tx.clone(),
             vc_trigger: AtomicU64::new(0),
             join_intent: Mutex::new(None),

@@ -283,11 +283,20 @@ pub(super) struct ThreadState<F> {
 
 impl<F: Fabric> ThreadState<F> {
     /// The state of a thread starting at `now` in the epoch `inner` holds,
-    /// of a row that `logs` its ordered deliveries to a durable log or not.
-    fn new(inner: &NodeInner<F>, det: &Option<DetectorConfig>, logs: bool, now: Instant) -> Self {
+    /// of a row that `logs` its ordered deliveries to a durable log or not
+    /// and whose heartbeat posts nothing while `hb_muted` is set.
+    fn new(
+        inner: &NodeInner<F>,
+        det: &Option<DetectorConfig>,
+        hb_muted: &Arc<AtomicBool>,
+        logs: bool,
+        now: Instant,
+    ) -> Self {
         let mut th = ThreadState {
             local: EpochLocal::of(inner),
-            ticker: det.as_ref().map(|dc| HeartbeatTicker::new(dc, now)),
+            ticker: det
+                .as_ref()
+                .map(|dc| HeartbeatTicker::new(dc, Arc::clone(hb_muted), now)),
             posts: Vec::new(),
             batch: Batch::default(),
             persist_work: logs.then(Vec::new),
@@ -431,7 +440,8 @@ pub(super) fn predicate_thread<F: Fabric>(
     let waits = WaitCounters::new(&shared.obs, row);
     // Only ordered deliveries carry a sequence number to log.
     let logs = shared.persist.is_some() && cfg.delivery_timing == DeliveryTiming::Ordered;
-    let mut th = ThreadState::new(&shared.inner.lock(), &det, logs, Instant::now());
+    let now = Instant::now();
+    let mut th = ThreadState::new(&shared.inner.lock(), &det, &shared.hb_muted, logs, now);
     while !stop.load(Ordering::Relaxed) {
         if shared.killed.load(Ordering::Acquire) {
             return; // simulated crash: vanish without a trace
@@ -604,7 +614,7 @@ mod tests {
                 .collect();
             let threads = inners
                 .iter()
-                .map(|inner| ThreadState::new(inner, &det, false, t0))
+                .map(|inner| ThreadState::new(inner, &det, &Arc::default(), false, t0))
                 .collect();
             Rows {
                 cfg,

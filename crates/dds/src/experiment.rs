@@ -66,12 +66,6 @@ impl DdsExperiment {
         self
     }
 
-    /// Sample payload size (paper: 10 KB).
-    pub fn with_sample_size(mut self, bytes: usize) -> Self {
-        self.sample_size = bytes;
-        self
-    }
-
     /// RNG seed for the run.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

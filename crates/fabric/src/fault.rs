@@ -2,16 +2,15 @@
 //!
 //! A [`FaultPlan`] is a shared set of switches that a scenario harness
 //! flips while a fabric is live: isolate a node (its posts — and posts
-//! addressed to it — vanish), suppress writes covering a specific word
-//! range (e.g. a heartbeat counter), or throttle a node's posting path.
-//! The plan is consulted by [`MemFabric::post`](crate::MemFabric::post)
-//! on every write; an inert plan costs one relaxed atomic load.
+//! addressed to it — vanish) or throttle a node's posting path. The plan
+//! is keyed by node id, not by layout, so it holds across view changes.
+//! It is consulted by [`MemFabric::post`](crate::MemFabric::post) on every
+//! write; an inert plan costs one relaxed atomic load.
 //!
 //! Faults model *omission and slowness only*: a delivered write is always
 //! placed intact and in posting order, so the RDMA fencing guarantees the
 //! protocol relies on (§2.2) hold even under an adversarial plan.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -33,16 +32,13 @@ pub enum Disposition {
 struct NodeFaults {
     /// All writes from and to this node are dropped.
     isolated: bool,
-    /// Writes from this node whose word range falls inside one of these
-    /// ranges are dropped (heartbeat suppression).
-    drop_ranges: Vec<Range<usize>>,
     /// Stall applied to every write this node posts.
     throttle: Duration,
 }
 
 impl NodeFaults {
     fn is_inert(&self) -> bool {
-        !self.isolated && self.drop_ranges.is_empty() && self.throttle.is_zero()
+        !self.isolated && self.throttle.is_zero()
     }
 }
 
@@ -68,10 +64,10 @@ struct Inner {
 /// use spindle_fabric::{Disposition, FaultPlan, NodeId};
 ///
 /// let plan = FaultPlan::new();
-/// assert_eq!(plan.disposition(NodeId(0), NodeId(1), &(0..4)),
+/// assert_eq!(plan.disposition(NodeId(0), NodeId(1)),
 ///            Disposition::Deliver(std::time::Duration::ZERO));
 /// plan.isolate(NodeId(1));
-/// assert_eq!(plan.disposition(NodeId(0), NodeId(1), &(0..4)), Disposition::Drop);
+/// assert_eq!(plan.disposition(NodeId(0), NodeId(1)), Disposition::Drop);
 /// plan.heal(NodeId(1));
 /// assert!(!plan.is_isolated(NodeId(1)));
 /// ```
@@ -103,7 +99,7 @@ impl FaultPlan {
         self.with_node(node, |n| n.isolated = true);
     }
 
-    /// Ends the isolation of `node` (its drop ranges and throttle stay).
+    /// Ends the isolation of `node` (its throttle stays).
     pub fn heal(&self, node: NodeId) {
         self.with_node(node, |n| n.isolated = false);
     }
@@ -112,19 +108,6 @@ impl FaultPlan {
     pub fn is_isolated(&self, node: NodeId) -> bool {
         let nodes = self.inner.nodes.lock().expect("fault plan poisoned");
         nodes.get(node.0).is_some_and(|n| n.isolated)
-    }
-
-    /// Drops writes posted by `node` whose word range lies within `range`
-    /// (suppressing e.g. its heartbeat counter pushes while the rest of its
-    /// traffic flows). Ranges accumulate; clear with
-    /// [`FaultPlan::clear_write_drops`].
-    pub fn drop_writes_in(&self, node: NodeId, range: Range<usize>) {
-        self.with_node(node, |n| n.drop_ranges.push(range));
-    }
-
-    /// Removes every drop range registered for `node`.
-    pub fn clear_write_drops(&self, node: NodeId) {
-        self.with_node(node, |n| n.drop_ranges.clear());
     }
 
     /// Stalls every write `node` posts by `delay` (a slow NIC / congested
@@ -148,20 +131,15 @@ impl FaultPlan {
         self.inner.active.load(Ordering::Acquire)
     }
 
-    /// Decides the fate of a write from `src` to `dst` covering `range`.
-    /// Called by the fabric on every post; the caller is responsible for
-    /// applying the returned stall and for not placing dropped writes.
-    pub fn disposition(&self, src: NodeId, dst: NodeId, range: &Range<usize>) -> Disposition {
+    /// Decides the fate of a write from `src` to `dst`. Called by the
+    /// fabric on every post; the caller is responsible for applying the
+    /// returned stall and for not placing dropped writes.
+    pub fn disposition(&self, src: NodeId, dst: NodeId) -> Disposition {
         if !self.inner.active.load(Ordering::Acquire) {
             return Disposition::Deliver(Duration::ZERO);
         }
         let nodes = self.inner.nodes.lock().expect("fault plan poisoned");
-        let covered = |n: &NodeFaults| {
-            n.drop_ranges
-                .iter()
-                .any(|r| r.start <= range.start && range.end <= r.end)
-        };
-        let drop = nodes.get(src.0).is_some_and(|n| n.isolated || covered(n))
+        let drop = nodes.get(src.0).is_some_and(|n| n.isolated)
             || nodes.get(dst.0).is_some_and(|n| n.isolated);
         if drop {
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -181,7 +159,7 @@ mod tests {
         let p = FaultPlan::new();
         assert!(!p.is_active());
         assert_eq!(
-            p.disposition(NodeId(3), NodeId(9), &(0..100)),
+            p.disposition(NodeId(3), NodeId(9)),
             Disposition::Deliver(Duration::ZERO)
         );
         assert_eq!(p.writes_dropped(), 0);
@@ -191,16 +169,10 @@ mod tests {
     fn isolation_drops_both_directions() {
         let p = FaultPlan::new();
         p.isolate(NodeId(1));
+        assert_eq!(p.disposition(NodeId(1), NodeId(0)), Disposition::Drop);
+        assert_eq!(p.disposition(NodeId(0), NodeId(1)), Disposition::Drop);
         assert_eq!(
-            p.disposition(NodeId(1), NodeId(0), &(0..1)),
-            Disposition::Drop
-        );
-        assert_eq!(
-            p.disposition(NodeId(0), NodeId(1), &(0..1)),
-            Disposition::Drop
-        );
-        assert_eq!(
-            p.disposition(NodeId(0), NodeId(2), &(0..1)),
+            p.disposition(NodeId(0), NodeId(2)),
             Disposition::Deliver(Duration::ZERO)
         );
         assert_eq!(p.writes_dropped(), 2);
@@ -209,40 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn drop_ranges_match_by_containment() {
-        let p = FaultPlan::new();
-        p.drop_writes_in(NodeId(0), 10..12);
-        // Exactly the range, or inside it: dropped.
-        assert_eq!(
-            p.disposition(NodeId(0), NodeId(1), &(10..12)),
-            Disposition::Drop
-        );
-        assert_eq!(
-            p.disposition(NodeId(0), NodeId(1), &(11..12)),
-            Disposition::Drop
-        );
-        // Overlapping but not contained, other sources: delivered.
-        assert_eq!(
-            p.disposition(NodeId(0), NodeId(1), &(9..12)),
-            Disposition::Deliver(Duration::ZERO)
-        );
-        assert_eq!(
-            p.disposition(NodeId(2), NodeId(1), &(10..12)),
-            Disposition::Deliver(Duration::ZERO)
-        );
-        p.clear_write_drops(NodeId(0));
-        assert_eq!(
-            p.disposition(NodeId(0), NodeId(1), &(10..12)),
-            Disposition::Deliver(Duration::ZERO)
-        );
-    }
-
-    #[test]
     fn throttle_reports_delay_and_clears() {
         let p = FaultPlan::new();
         p.throttle(NodeId(2), Duration::from_micros(50));
         assert_eq!(
-            p.disposition(NodeId(2), NodeId(0), &(0..1)),
+            p.disposition(NodeId(2), NodeId(0)),
             Disposition::Deliver(Duration::from_micros(50))
         );
         p.throttle(NodeId(2), Duration::ZERO);
@@ -254,11 +197,10 @@ mod tests {
         let p = FaultPlan::new();
         p.isolate(NodeId(0));
         p.throttle(NodeId(0), Duration::from_micros(1));
-        p.drop_writes_in(NodeId(0), 0..4);
         p.clear(NodeId(0));
         assert!(!p.is_active());
         assert_eq!(
-            p.disposition(NodeId(0), NodeId(1), &(0..4)),
+            p.disposition(NodeId(0), NodeId(1)),
             Disposition::Deliver(Duration::ZERO)
         );
     }

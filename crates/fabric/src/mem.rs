@@ -111,7 +111,7 @@ impl MemFabric {
             // Loopback never crosses the fabric: exempt from faults too.
             return;
         }
-        match self.faults.disposition(src, op.dst, &op.range) {
+        match self.faults.disposition(src, op.dst) {
             Disposition::Drop => return,
             Disposition::Deliver(delay) => {
                 if !delay.is_zero() {

@@ -28,8 +28,7 @@
 //! simulated runtime.
 //!
 //! All backends consult a shared [`FaultPlan`] on every post, so fault
-//! injection (isolate / drop ranges / throttle) behaves identically across
-//! transports.
+//! injection (isolate / throttle) behaves identically across transports.
 //!
 //! A fabric keeps **no counters of its own**. `post` is the hottest call in
 //! the program and every predicate thread makes it, so a tally shared by

@@ -21,7 +21,7 @@
 //! ## Faults at the wire layer
 //!
 //! Every post consults the shared [`FaultPlan`] *before* a frame is
-//! created, so isolate / drop-range / throttle behave byte-for-byte like
+//! created, so isolate and throttle behave byte-for-byte like
 //! the in-process [`MemFabric`](spindle_fabric::MemFabric): dropped
 //! writes simply never reach the wire (one-sided writes are never
 //! retransmitted), and a throttle stalls the poster. Severed connections
@@ -45,38 +45,40 @@
 //!
 //! ## Epoch transitions
 //!
-//! [`Fabric::begin_epoch`] transitions the endpoint in place for a view
-//! change driven by `spindle_core`'s SST view-change engine: the mirror
-//! is replaced by a fresh region (§2.3 — memory is registered per view),
-//! outbound and *stale* inbound connections are severed, and the poller
-//! re-dials with a `HELLO` stamped at the new epoch. An inbound
-//! connection whose peer already handshook at the new epoch is kept —
-//! its frames apply to the then-current mirror (gated per frame on the
-//! connection's epoch), so the link a peer's install barrier and first
-//! new-epoch writes ride on survives our own transition instead of
-//! dropping them in a close window. The listener and its port are
-//! reused; only mirror memory and stale sockets are per-epoch. Queued
-//! outbound frames are stamped with the epoch they were snapshotted from
-//! and purged once the endpoint moves on — on real RDMA the per-view
-//! queue pairs die with the view, and a stale epoch's words must never
-//! smear into a peer's fresh mirror.
+//! Everything one epoch owns — its number, its mirror, the rows'
+//! addresses and outbound links, the peers the connection barrier waits
+//! for — is one immutable `Mesh`, and every reader takes one snapshot per
+//! decision. [`Fabric::begin_epoch`] builds the next mesh for a view
+//! change driven by `spindle_core`'s SST view-change engine and swaps it
+//! in whole: the mirror is a fresh region (§2.3 — memory is registered
+//! per view), outbound and *stale* inbound connections are severed, and
+//! the poller re-dials with a `HELLO` stamped at the new epoch. An
+//! inbound connection whose peer already handshook at the new epoch is
+//! kept — its frames apply to the then-current mirror (gated per frame on
+//! the connection's epoch), so the link a peer's install barrier and
+//! first new-epoch writes ride on survives our own transition instead of
+//! dropping them in a close window. The listener and its port are reused.
+//! Queued outbound frames are stamped with the epoch they were
+//! snapshotted from and purged once the endpoint moves on — on real RDMA
+//! the per-view queue pairs die with the view, and a stale epoch's words
+//! must never smear into a peer's fresh mirror.
 //!
 //! Transitions are **resizable**: an [`EpochTransition`] whose `joined`
 //! list names fresh rows *grows* the endpoint in place — the mirror is
 //! reallocated at the new layout's size (the new row appends at the end
-//! of the row-major SST, so existing offsets are stable), an address
-//! slot and outbound queue are added per joiner (no new threads: the
-//! poller's fd set simply grows), and the connection barrier covers the
-//! grown mesh. A connection that opens with a `JOIN` frame instead of a
-//! `HELLO` is a joiner's control conversation, surfaced through
-//! [`TcpFabric::join_requests`] for the sponsor runtime
+//! of the row-major SST, so existing offsets are stable), the next mesh
+//! keeps every outbound queue and adds an address and a queue per joiner
+//! (no new threads: the poller's fd set simply grows), and the connection
+//! barrier covers the grown mesh. A connection that opens with a `JOIN`
+//! frame instead of a `HELLO` is a joiner's control conversation,
+//! surfaced through [`TcpFabric::join_requests`] for the sponsor runtime
 //! ([`join`](crate::join)).
 
 use std::collections::BTreeSet;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -209,36 +211,80 @@ pub struct JoinRequest {
     pub stream: TcpStream,
 }
 
+/// One epoch's mesh, immutable: an epoch transition builds the next one
+/// and swaps it in whole ([`Shared::mesh`]), so its fields never tear.
+struct Mesh {
+    epoch: u64,
+    /// The epoch's mirror. Frames apply to the *current* mesh's region,
+    /// gated per frame on `hello.epoch >= epoch`: a connection handshaken
+    /// at a later epoch writes into our old mirror until we install (that
+    /// is how a peer's install flag reaches a laggard), then seamlessly
+    /// into the fresh one — it survives our transition, so its one-shot
+    /// writes cannot die on a severed zombie link. A connection handshaken
+    /// at an earlier epoch goes stale the moment we advance and is dropped
+    /// before it can touch the fresh mirror.
+    region: Arc<Region>,
+    /// Listen address per row (a join appends the joiner's).
+    addrs: Vec<SocketAddr>,
+    /// Per-destination outbound state, carried over from the previous
+    /// mesh (a join appends a fresh one).
+    peers: Vec<Arc<PeerState>>,
+    /// Peers expected in the epoch's mesh (rows removed by a view change
+    /// drop out, so the connection barrier ignores them).
+    expected: BTreeSet<usize>,
+}
+
+impl Mesh {
+    /// The `HELLO` node `me` speaks in this mesh.
+    fn hello(&self, me: usize) -> Hello {
+        Hello {
+            version: PROTO_VERSION,
+            src: me as u32,
+            nodes: self.addrs.len() as u32,
+            region_words: self.region.len() as u64,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Whether node `me` in this mesh accepts a connection opening with
+    /// `hello`. A peer at a *later* epoch is legitimate: it installed the
+    /// next view first and is re-dialing (its pre-barrier posts touch only
+    /// the idempotent reconfiguration columns). Its cluster size and region
+    /// size describe a layout we may not have installed yet — e.g. the
+    /// *joiner* of the next epoch dialing a laggard — so those checks are
+    /// enforced only against a same-epoch handshake. A peer at an
+    /// *earlier* epoch is stale — rejecting it here is what keeps a
+    /// laggard's old-epoch protocol writes out of the fresh mirror.
+    fn admits(&self, me: usize, hello: &Hello) -> bool {
+        let (src, nodes) = (hello.src as usize, self.addrs.len());
+        src != me
+            && src < MAX_ROWS
+            && hello.epoch >= self.epoch
+            && (hello.epoch > self.epoch
+                || (src < nodes
+                    && hello.nodes as usize == nodes
+                    && hello.region_words as usize == self.region.len()))
+    }
+}
+
+/// One source row's inbound side.
+#[derive(Default)]
+struct Inbound {
+    /// A shutdown handle to the current inbound stream, tagged with the
+    /// epoch its `HELLO` carried (epoch transitions keep inbound
+    /// connections that are already at the new epoch).
+    stream: Option<(TcpStream, u64)>,
+    /// Whether a valid `HELLO` arrived for the current epoch (bootstrap
+    /// barrier; cleared on epoch transitions).
+    hello_seen: bool,
+}
+
 struct Shared {
     me: usize,
-    /// Listen address per row; grows when an epoch transition admits a
-    /// joiner ([`Fabric::begin_epoch`] with a joined entry).
-    addrs: RwLock<Vec<SocketAddr>>,
-    /// The current epoch's region size in words (grows on joins: the new
-    /// row is appended at the end of the row-major SST layout).
-    region_words: AtomicUsize,
-    /// Current epoch; advanced in place by [`Fabric::begin_epoch`].
-    epoch: AtomicU64,
-    /// The current epoch's mirror. Frames apply to the *current* region,
-    /// gated per frame on `hello.epoch >= epoch`: a connection
-    /// handshaken at a later epoch writes into our old mirror until we
-    /// install (that is how a peer's install flag reaches a laggard),
-    /// then seamlessly into the fresh one — it survives our transition,
-    /// so its one-shot writes cannot die on a severed zombie link. A
-    /// connection handshaken at an earlier epoch goes stale the moment
-    /// we advance and is dropped before it can touch the fresh mirror.
-    /// The epoch is stored *with* the region so the per-frame gate and
-    /// the region it applies to cannot tear across a transition.
-    region: RwLock<(u64, Arc<Region>)>,
-    /// Serializes epoch transitions (idempotence check + swap).
-    transition: Mutex<()>,
-    /// Peers expected in the current epoch's mesh (rows removed by a
-    /// view change drop out, so the connection barrier ignores them).
-    expected: Mutex<BTreeSet<usize>>,
-    /// Bumped whenever the mesh shape changes (`peers` / `expected` —
-    /// i.e. on epoch transitions), so the poller's hot loop can keep a
-    /// cached snapshot instead of cloning both under locks every spin.
-    mesh_gen: AtomicU64,
+    /// The current epoch's mesh. The lock is held only to clone the `Arc`
+    /// or to check-and-swap, never while taking another lock, so it may be
+    /// read under a peer's `out` lock or the `inbound` lock.
+    mesh: RwLock<Arc<Mesh>>,
     faults: FaultPlan,
     metrics: WireMetrics,
     obs: ObsPlane,
@@ -251,15 +297,9 @@ struct Shared {
     queue_cap: usize,
     /// Interrupts a blocked poller (new backlog, shutdown, transitions).
     waker: Waker,
-    /// Per-destination outbound state; grows on resizable transitions.
-    peers: RwLock<Vec<Arc<PeerState>>>,
-    /// Per source node: a shutdown handle to the current inbound stream,
-    /// tagged with the epoch its `HELLO` carried (epoch transitions keep
-    /// inbound connections that are already at the new epoch).
-    inbound: Mutex<Vec<Option<(TcpStream, u64)>>>,
-    /// Set once the first valid `HELLO` from each source arrived for the
-    /// current epoch (bootstrap barrier; cleared on epoch transitions).
-    hello_seen: Mutex<Vec<bool>>,
+    /// Per source row; grows when a source ahead of us — e.g. the joiner
+    /// of an epoch we have not installed yet — handshakes.
+    inbound: Mutex<Vec<Inbound>>,
     /// Joiner control conversations (`JOIN` first frames) awaiting the
     /// sponsor runtime.
     join_tx: Sender<JoinRequest>,
@@ -267,70 +307,9 @@ struct Shared {
 }
 
 impl Shared {
-    fn nodes(&self) -> usize {
-        self.addrs.read().expect("addrs lock").len()
-    }
-
-    fn addr_of(&self, row: usize) -> SocketAddr {
-        self.addrs.read().expect("addrs lock")[row]
-    }
-
-    fn region_words(&self) -> usize {
-        self.region_words.load(Ordering::Acquire)
-    }
-
-    fn peer(&self, row: usize) -> Option<Arc<PeerState>> {
-        self.peers.read().expect("peers lock").get(row).cloned()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    fn region(&self) -> Arc<Region> {
-        Arc::clone(&self.region.read().expect("region lock").1)
-    }
-
-    /// The current mirror together with the epoch it belongs to, read
-    /// atomically (the per-frame staleness gate).
-    fn region_at_epoch(&self) -> (u64, Arc<Region>) {
-        let guard = self.region.read().expect("region lock");
-        (guard.0, Arc::clone(&guard.1))
-    }
-
-    /// The `HELLO` this endpoint currently speaks.
-    fn hello(&self) -> Hello {
-        Hello {
-            version: PROTO_VERSION,
-            src: self.me as u32,
-            nodes: self.nodes() as u32,
-            region_words: self.region_words() as u64,
-            epoch: self.epoch(),
-        }
-    }
-
-    /// Makes the inbound/handshake bookkeeping cover `row` (a source that
-    /// is ahead of us — e.g. the joiner of an epoch we have not installed
-    /// yet — may connect before our own transition grows the vectors).
-    fn ensure_inbound_slot(&self, row: usize) {
-        let mut inb = self.inbound.lock().expect("inbound lock");
-        if inb.len() <= row {
-            inb.resize_with(row + 1, || None);
-        }
-        drop(inb);
-        let mut seen = self.hello_seen.lock().expect("hello_seen lock");
-        if seen.len() <= row {
-            seen.resize(row + 1, false);
-        }
-    }
-
-    fn hello_seen_get(&self, row: usize) -> bool {
-        self.hello_seen
-            .lock()
-            .expect("hello_seen lock")
-            .get(row)
-            .copied()
-            .unwrap_or(false)
+    /// A snapshot of the current epoch's mesh.
+    fn mesh(&self) -> Arc<Mesh> {
+        Arc::clone(&self.mesh.read().expect("mesh lock"))
     }
 
     fn link_allowed(&self, peer: usize) -> bool {
@@ -359,7 +338,10 @@ fn kill_outbound(peer: &PeerState, out: &mut PeerOut) {
 /// purged first. On a write error the connection is torn down; the
 /// queued frames survive for the redial.
 fn drain_outbound(shared: &Shared, peer: &PeerState, out: &mut PeerOut) {
-    let epoch = shared.epoch();
+    // The epoch current *now*, read under the `out` lock: a post whose
+    // snapshot went stale must not put an old-epoch frame on a link
+    // dialed at the new epoch.
+    let epoch = shared.mesh().epoch;
     let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < epoch);
     shared.metrics.frames_dropped.add(purged as u64);
     let PeerOut {
@@ -392,9 +374,8 @@ impl Drop for Inner {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.waker.wake();
         // Unblock anything parked on half-open inbound sockets.
-        {
-            let mut inb = self.shared.inbound.lock().expect("inbound lock");
-            for (s, _) in inb.iter_mut().filter_map(|s| s.take()) {
+        for inb in self.shared.inbound.lock().expect("inbound lock").iter_mut() {
+            if let Some((s, _)) = inb.stream.take() {
                 let _ = s.shutdown(Shutdown::Both);
             }
         }
@@ -416,7 +397,7 @@ impl std::fmt::Debug for TcpFabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpFabric")
             .field("me", &self.inner.shared.me)
-            .field("nodes", &self.inner.shared.nodes())
+            .field("nodes", &self.inner.shared.mesh().addrs.len())
             .field("local_addr", &self.inner.local_addr)
             .finish()
     }
@@ -455,18 +436,17 @@ impl TcpFabric {
             .map(|a| resolve(a))
             .collect::<io::Result<_>>()?;
         let local_addr = listener.local_addr()?;
-        let peers: Vec<Arc<PeerState>> = (0..n).map(|_| PeerState::new()).collect();
-        let expected: BTreeSet<usize> = (0..n).filter(|&p| p != cfg.me).collect();
+        let mesh = Mesh {
+            epoch: cfg.epoch,
+            region: Arc::new(Region::new(cfg.region_words)),
+            addrs,
+            peers: (0..n).map(|_| PeerState::new()).collect(),
+            expected: (0..n).filter(|&p| p != cfg.me).collect(),
+        };
         let (join_tx, join_rx) = unbounded();
         let shared = Arc::new(Shared {
             me: cfg.me,
-            addrs: RwLock::new(addrs),
-            region_words: AtomicUsize::new(cfg.region_words),
-            epoch: AtomicU64::new(cfg.epoch),
-            region: RwLock::new((cfg.epoch, Arc::new(Region::new(cfg.region_words)))),
-            transition: Mutex::new(()),
-            expected: Mutex::new(expected),
-            mesh_gen: AtomicU64::new(0),
+            mesh: RwLock::new(Arc::new(mesh)),
             faults: cfg.faults,
             metrics: WireMetrics::new(&cfg.obs, cfg.me),
             obs: cfg.obs,
@@ -475,9 +455,7 @@ impl TcpFabric {
             connect_patience: cfg.connect_patience,
             queue_cap: cfg.outbound_queue_cap,
             waker: Waker::new()?,
-            peers: RwLock::new(peers),
-            inbound: Mutex::new((0..n).map(|_| None).collect()),
-            hello_seen: Mutex::new(vec![false; n]),
+            inbound: Mutex::new((0..n).map(|_| Inbound::default()).collect()),
             join_tx,
             join_rx,
         });
@@ -513,28 +491,18 @@ impl TcpFabric {
         let s = &self.inner.shared;
         let deadline = Instant::now() + timeout;
         loop {
-            let expected: Vec<usize> = s
-                .expected
-                .lock()
-                .expect("expected lock")
-                .iter()
-                .copied()
-                .collect();
+            let mesh = s.mesh();
+            let inb = s.inbound.lock().expect("inbound lock");
             let mut missing = Vec::new();
-            for p in expected {
-                if p == s.me {
-                    continue;
-                }
-                if !s
-                    .peer(p)
-                    .is_some_and(|ps| ps.connected.load(Ordering::Acquire))
-                {
+            for &p in &mesh.expected {
+                if !mesh.peers[p].connected.load(Ordering::Acquire) {
                     missing.push(format!("out:n{p}"));
                 }
-                if !s.hello_seen_get(p) {
+                if !inb.get(p).is_some_and(|i| i.hello_seen) {
                     missing.push(format!("in:n{p}"));
                 }
             }
+            drop(inb);
             if missing.is_empty() {
                 return Ok(());
             }
@@ -558,12 +526,12 @@ impl TcpFabric {
         if peer.0 == s.me {
             return;
         }
-        if let Some(p) = s.peer(peer.0) {
+        if let Some(p) = s.mesh().peers.get(peer.0) {
             let mut out = p.out.lock().expect("peer out lock");
-            kill_outbound(&p, &mut out);
+            kill_outbound(p, &mut out);
         }
         let mut inb = s.inbound.lock().expect("inbound lock");
-        if let Some(Some((c, _))) = inb.get_mut(peer.0).map(|slot| slot.take()) {
+        if let Some((c, _)) = inb.get_mut(peer.0).and_then(|i| i.stream.take()) {
             let _ = c.shutdown(Shutdown::Both);
         }
     }
@@ -583,19 +551,13 @@ impl TcpFabric {
     /// sponsor building a join commit sees rows admitted by *other*
     /// sponsors too, not just its own.
     pub fn peer_addrs(&self) -> Vec<String> {
-        self.inner
-            .shared
-            .addrs
-            .read()
-            .expect("addrs lock")
-            .iter()
-            .map(|a| a.to_string())
-            .collect()
+        let mesh = self.inner.shared.mesh();
+        mesh.addrs.iter().map(|a| a.to_string()).collect()
     }
 
     /// Severs every live connection of this endpoint (full link failure).
     pub fn sever_all(&self) {
-        for p in 0..self.inner.shared.nodes() {
+        for p in 0..self.inner.shared.mesh().addrs.len() {
             self.sever_peer(NodeId(p));
         }
     }
@@ -653,7 +615,7 @@ impl TcpFabric {
 
 impl Fabric for TcpFabric {
     fn nodes(&self) -> usize {
-        self.inner.shared.nodes()
+        self.inner.shared.mesh().addrs.len()
     }
 
     fn region_arc(&self, node: NodeId) -> Arc<Region> {
@@ -664,15 +626,18 @@ impl Fabric for TcpFabric {
              (node {node} is remote; this endpoint hosts n{})",
             s.me
         );
-        s.region()
+        Arc::clone(&s.mesh().region)
     }
 
     fn post(&self, src: NodeId, op: &WriteOp) {
         let s = &self.inner.shared;
         assert_eq!(src.0, s.me, "TcpFabric posts only from its local node");
-        assert!(op.dst.0 < s.nodes(), "destination out of range");
+        // One snapshot for the bounds, the peer, the words and the epoch
+        // stamp: the frame is purged unsent once the endpoint moves on.
+        let mesh = s.mesh();
+        assert!(op.dst.0 < mesh.addrs.len(), "destination out of range");
         assert!(
-            op.range.start < op.range.end && op.range.end <= s.region_words(),
+            op.range.start < op.range.end && op.range.end <= mesh.region.len(),
             "write range out of region bounds"
         );
         if op.words() > MAX_FRAME_WORDS {
@@ -683,7 +648,7 @@ impl Fabric for TcpFabric {
             // Loopback never crosses the wire (the mirror is the source).
             return;
         }
-        match s.faults.disposition(src, op.dst, &op.range) {
+        match s.faults.disposition(src, op.dst) {
             Disposition::Drop => return,
             Disposition::Deliver(delay) => {
                 if !delay.is_zero() {
@@ -691,13 +656,7 @@ impl Fabric for TcpFabric {
                 }
             }
         }
-        // Snapshot atomically with the epoch the words belong to: the
-        // frame is purged unsent once the endpoint has moved on.
-        let (epoch, region) = s.region_at_epoch();
-        let Some(peer) = s.peer(op.dst.0) else {
-            s.metrics.frames_dropped.inc();
-            return;
-        };
+        let peer = &mesh.peers[op.dst.0];
         let mut out = peer.out.lock().expect("peer out lock");
         if out.queue.len() >= s.queue_cap {
             // The peer is unreachable and the backlog is saturated: shed
@@ -705,17 +664,17 @@ impl Fabric for TcpFabric {
             s.metrics.frames_dropped.inc();
             return;
         }
-        let words = region.snapshot(op.range.start, op.words());
+        let words = mesh.region.snapshot(op.range.start, op.words());
         let mut buf = out.pool.pop().unwrap_or_default();
         encode_write_frame(&WriteFrame::for_op(op, words), &mut buf);
         let was_idle = out.queue.is_empty();
-        out.queue.push(epoch, buf);
+        out.queue.push(mesh.epoch, buf);
         if out.conn.is_some() {
             // Latency-greedy: the link is up, so flush from the posting
             // thread — no handoff, no wakeup. Under load the kernel
             // pushes back (WouldBlock) and frames accumulate for the
             // poller's next vectored drain: batching emerges adaptively.
-            drain_outbound(s, &peer, &mut out);
+            drain_outbound(s, peer, &mut out);
             if !out.queue.is_empty() {
                 s.waker.wake();
             }
@@ -748,35 +707,39 @@ impl Fabric for TcpFabric {
     /// once the epoch is installed.
     fn begin_epoch(&self, t: &EpochTransition) -> bool {
         let s = &self.inner.shared;
-        let _guard = s.transition.lock().expect("transition lock");
-        if s.epoch() >= t.epoch {
+        let joined: Vec<SocketAddr> = t
+            .joined
+            .iter()
+            .map(|(_, addr)| resolve(addr).expect("join proposals carry resolvable endpoints"))
+            .collect();
+        // Check-and-swap, taking no other lock while the mesh lock is held
+        // (readers take it under a peer's `out` lock). A joined row is
+        // dialable from the swap on, so the install barrier reaches it.
+        let mut current = s.mesh.write().expect("mesh lock");
+        if current.epoch >= t.epoch {
             return true;
         }
-        // Grow first: a joined row becomes dialable the moment the new
-        // epoch exists, so the install barrier's pushes can reach it.
-        for (row, addr) in &t.joined {
-            let sock = resolve(addr).expect("join proposals carry resolvable endpoints");
-            let mut addrs = s.addrs.write().expect("addrs lock");
+        let (mut addrs, mut peers) = (current.addrs.clone(), current.peers.clone());
+        for ((row, _), addr) in t.joined.iter().zip(joined) {
             assert_eq!(*row, addrs.len(), "joined rows are appended in row order");
-            addrs.push(sock);
-            drop(addrs);
-            s.peers.write().expect("peers lock").push(PeerState::new());
-            s.ensure_inbound_slot(*row);
+            addrs.push(addr);
+            peers.push(PeerState::new());
         }
-        // Swap epoch and mirror together: the per-frame gate pairs them,
-        // so no stale frame can land in the fresh region and no
-        // new-epoch frame is lost to the old one.
-        *s.region.write().expect("region lock") = (t.epoch, Arc::new(Region::new(t.region_words)));
-        s.region_words.store(t.region_words, Ordering::Release);
-        s.epoch.store(t.epoch, Ordering::Release);
-        *s.expected.lock().expect("expected lock") =
-            t.live.iter().copied().filter(|&p| p != s.me).collect();
-        s.mesh_gen.fetch_add(1, Ordering::Release);
-        // Outbound: sever everything and purge frames snapshotted from
-        // the dead epoch (their queue pairs died with the view); the
-        // poller re-dials on demand with the new epoch's HELLO.
-        for (peer, p) in s.peers.read().expect("peers lock").iter().enumerate() {
-            if peer == s.me {
+        let next = Arc::new(Mesh {
+            epoch: t.epoch,
+            region: Arc::new(Region::new(t.region_words)),
+            addrs,
+            peers,
+            expected: t.live.iter().copied().filter(|&p| p != s.me).collect(),
+        });
+        *current = Arc::clone(&next);
+        drop(current);
+        // Sever and purge only after the swap, so a link re-dialed from
+        // here on carries the new epoch's HELLO. Outbound: sever everything
+        // and purge frames snapshotted from the dead epoch (their queue
+        // pairs died with the view); the poller re-dials on demand.
+        for (row, p) in next.peers.iter().enumerate() {
+            if row == s.me {
                 continue;
             }
             let mut out = p.out.lock().expect("peer out lock");
@@ -787,23 +750,15 @@ impl Fabric for TcpFabric {
         // Inbound: keep connections already at the new epoch (their
         // handshake stands — no fresh HELLO will come over them), sever
         // the stale ones.
-        let mut inb = s.inbound.lock().expect("inbound lock");
-        let mut seen = s.hello_seen.lock().expect("hello_seen lock");
-        for (src, slot) in inb.iter_mut().enumerate() {
-            match slot {
-                Some((_, e)) if *e >= t.epoch => {}
-                _ => {
-                    if let Some((c, _)) = slot.take() {
-                        let _ = c.shutdown(Shutdown::Both);
-                    }
-                    if let Some(flag) = seen.get_mut(src) {
-                        *flag = false;
-                    }
-                }
+        for inb in s.inbound.lock().expect("inbound lock").iter_mut() {
+            if inb.stream.as_ref().is_some_and(|&(_, e)| e >= t.epoch) {
+                continue;
             }
+            if let Some((c, _)) = inb.stream.take() {
+                let _ = c.shutdown(Shutdown::Both);
+            }
+            inb.hello_seen = false;
         }
-        drop(seen);
-        drop(inb);
         s.waker.wake();
         true
     }
@@ -880,7 +835,7 @@ fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundL
         let Some(hello) = ic.hello.as_ref() else {
             match frame {
                 Frame::Hello(h) => {
-                    if !accept_hello(shared, stream, &h) {
+                    if !register_hello(shared, stream, &h) {
                         ic.dead = true;
                         return;
                     }
@@ -901,34 +856,30 @@ fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundL
         };
         match frame {
             Frame::Write(w) => {
-                // Checked arithmetic: a hostile offset near u64::MAX must
-                // fail validation, not wrap and panic the poller. The
-                // bound is the *connection's* declared region (>= ours
-                // for an ahead-of-us peer).
-                let own_words = shared.region_words() as u64;
-                let bound = own_words.max(hello.region_words);
+                // One snapshot for the bound and the epoch gate. Checked
+                // arithmetic: a hostile offset near u64::MAX must fail
+                // validation, not wrap and panic the poller. The bound is
+                // the *connection's* declared region (>= ours for an
+                // ahead-of-us peer).
+                let mesh = shared.mesh();
+                let bound = (mesh.region.len() as u64).max(hello.region_words);
                 let end = w.offset.checked_add(w.words.len() as u64);
                 if w.words.is_empty() || end.is_none_or(|e| e > bound) {
                     ic.dead = true; // corrupt frame: kill the connection
                     return;
                 }
-                // Apply to the *current* mirror, gated per frame: while
-                // we lag the connection's epoch its writes land in our
-                // old region (that is how a peer's install flag reaches
-                // us), after our install they land in the fresh one — the
-                // connection survives our transition, so its one-shot
-                // writes cannot die on a severed zombie link. If *we*
-                // advanced past the connection's epoch, it is stale:
-                // drop it before it can write into the fresh mirror.
-                let (epoch_now, region) = shared.region_at_epoch();
-                if hello.epoch < epoch_now {
+                // Apply to the *current* mirror, gated per frame (see
+                // `Mesh::region`): if *we* advanced past the connection's
+                // epoch, it is stale — drop it before it can write into
+                // the fresh mirror.
+                if hello.epoch < mesh.epoch {
                     ic.dead = true;
                     return;
                 }
                 let end = end.expect("bounds-checked above") as usize;
-                if end <= region.len() {
-                    region.apply_write(w.offset as usize, &w.words);
-                    region.ring();
+                if end <= mesh.region.len() {
+                    mesh.region.apply_write(w.offset as usize, &w.words);
+                    mesh.region.ring();
                     shared.metrics.frames_received.inc();
                 } else {
                     // A write into rows of a later layout than ours —
@@ -936,7 +887,7 @@ fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundL
                     // that has not grown its mirror yet. Skip it (never
                     // kill the link): monotonic protocol columns are
                     // re-pushed, so it lands once we install.
-                    debug_assert!(hello.epoch > epoch_now);
+                    debug_assert!(hello.epoch > mesh.epoch);
                 }
             }
             // A second HELLO (or any control frame) is a protocol
@@ -949,57 +900,37 @@ fn process_inbound_frames(shared: &Shared, stream: &TcpStream, ic: &mut InboundL
     }
 }
 
-/// Validates a handshake and registers the connection. A peer at a
-/// *later* epoch is legitimate: it installed the next view first and is
-/// re-dialing (its pre-barrier posts touch only the idempotent
-/// reconfiguration columns). Its cluster size and region size describe a
-/// layout we may not have installed yet — e.g. the *joiner* of the next
-/// epoch dialing a laggard — so those checks are enforced only against a
-/// same-epoch handshake. A peer at an *earlier* epoch is stale —
-/// rejecting it here is what keeps a laggard's old-epoch protocol writes
-/// out of the fresh mirror.
-fn accept_hello(shared: &Shared, stream: &TcpStream, hello: &Hello) -> bool {
-    let src = hello.src as usize;
-    let epoch_at_hello = shared.epoch();
-    let ahead = hello.epoch > epoch_at_hello;
-    let valid = src != shared.me
-        && src < MAX_ROWS
-        && hello.epoch >= epoch_at_hello
-        && (ahead
-            || (src < shared.nodes()
-                && hello.nodes as usize == shared.nodes()
-                && hello.region_words as usize == shared.region_words()));
-    if valid {
-        shared.obs.event(
-            Level::Info,
-            shared.me,
-            FlightEvent::HelloAccepted {
-                peer: hello.src,
-                epoch: hello.epoch,
-            },
-        );
-    } else {
-        shared.obs.event(
-            Level::Info,
-            shared.me,
-            FlightEvent::HelloRejected {
-                peer: hello.src,
-                epoch: hello.epoch,
-                expected: epoch_at_hello,
-            },
-        );
-        return false;
-    }
-    shared.ensure_inbound_slot(src);
-    if let Ok(clone) = stream.try_clone() {
-        let mut inb = shared.inbound.lock().expect("inbound lock");
-        if let Some((stale, _)) = inb[src].take() {
-            let _ = stale.shutdown(Shutdown::Both);
+/// Validates a handshake against the current mesh ([`Mesh::admits`]) and
+/// registers the connection. The mesh is read under the `inbound` lock, so
+/// a transition either precedes the check or severs what it registered.
+fn register_hello(shared: &Shared, stream: &TcpStream, hello: &Hello) -> bool {
+    let (src, peer, epoch) = (hello.src as usize, hello.src, hello.epoch);
+    let mut inb = shared.inbound.lock().expect("inbound lock");
+    let mesh = shared.mesh();
+    let admitted = mesh.admits(shared.me, hello);
+    if admitted {
+        if inb.len() <= src {
+            inb.resize_with(src + 1, Inbound::default);
         }
-        inb[src] = Some((clone, hello.epoch));
+        if let Ok(clone) = stream.try_clone() {
+            if let Some((stale, _)) = inb[src].stream.replace((clone, epoch)) {
+                let _ = stale.shutdown(Shutdown::Both);
+            }
+        }
+        inb[src].hello_seen = true;
     }
-    shared.hello_seen.lock().expect("hello_seen lock")[src] = true;
-    true
+    drop(inb);
+    let event = if admitted {
+        FlightEvent::HelloAccepted { peer, epoch }
+    } else {
+        FlightEvent::HelloRejected {
+            peer,
+            epoch,
+            expected: mesh.epoch,
+        }
+    };
+    shared.obs.event(Level::Info, shared.me, event);
+    admitted
 }
 
 /// Compact the inbound set: drop dead connections, hand join
@@ -1140,13 +1071,6 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut fds: Vec<PollFd> = Vec::new();
     let mut out_rows: Vec<usize> = Vec::new();
     let mut hot: u32 = 0;
-    // Mesh snapshot, cached across spins: refreshed only when an epoch
-    // transition bumps the generation. The hot window re-runs this loop
-    // at sub-microsecond cadence, so per-spin clones (and their
-    // allocations) would dominate the receive latency they exist to cut.
-    let mut peers: Vec<Arc<PeerState>> = Vec::new();
-    let mut expected: BTreeSet<usize> = BTreeSet::new();
-    let mut cached_gen = u64::MAX;
     // Exposition state: adopted from `serve_metrics` on the next slow
     // pass, then polled alongside the fabric fds. Scrapes ride the
     // existing loop — no thread is ever added for them.
@@ -1180,12 +1104,8 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let now = Instant::now();
         let in_patience = now < patience_deadline;
-        let gen = shared.mesh_gen.load(Ordering::Acquire);
-        if gen != cached_gen {
-            peers = shared.peers.read().expect("peers lock").clone();
-            expected = shared.expected.lock().expect("expected lock").clone();
-            cached_gen = gen;
-        }
+        // One snapshot per slow pass (the hot path above needs none).
+        let mesh = shared.mesh();
         // One pass over the peers, under one lock each: run dial policy
         // (eager toward the expected mesh during bootstrap patience, on
         // demand — queued backlog — afterwards; backoff-gated always)
@@ -1200,7 +1120,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
         let n_inb = inbound.len();
         out_rows.clear();
         let mut timed = false;
-        for (row, p) in peers.iter().enumerate() {
+        for (row, p) in mesh.peers.iter().enumerate() {
             if row == shared.me {
                 continue;
             }
@@ -1213,7 +1133,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
             if out.connecting.is_some() {
                 timed = true;
             }
-            let want = (in_patience && expected.contains(&row)) || !out.queue.is_empty();
+            let want = (in_patience && mesh.expected.contains(&row)) || !out.queue.is_empty();
             if want && out.conn.is_none() {
                 timed = true;
                 if out.connecting.is_none() {
@@ -1225,7 +1145,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
                     let due = out.last_dial.is_none_or(|t| now.duration_since(t) >= gap);
                     if due && shared.link_allowed(row) {
                         out.last_dial = Some(now);
-                        if let Ok(s) = connect_nonblocking(&shared.addr_of(row)) {
+                        if let Ok(s) = connect_nonblocking(&mesh.addrs[row]) {
                             out.dial_started = now;
                             out.connecting = Some(s);
                         }
@@ -1306,7 +1226,7 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
             if !fds[2 + n_inb + k].writable() {
                 continue;
             }
-            let p = &peers[row];
+            let p = &mesh.peers[row];
             let mut out = p.out.lock().expect("peer out lock");
             if let Some(c) = out.connecting.take() {
                 // A failed dial (refused / unreachable) falls through:
@@ -1317,7 +1237,9 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
                     p.connected.store(true, Ordering::Release);
                     shared.metrics.reconnects.inc();
                     out.queue.rewind_head(); // fresh stream, frame boundary
-                    let hello = shared.hello();
+                                             // The current mesh, not the pass's snapshot: a link
+                                             // dialed across a transition speaks the new epoch.
+                    let hello = shared.mesh().hello(shared.me);
                     let mut buf = out.pool.pop().unwrap_or_default();
                     encode_hello(&hello, &mut buf);
                     out.queue.push_front(hello.epoch, buf);
@@ -1369,9 +1291,8 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
     // peers still need.
     let flush_deadline = Instant::now() + Duration::from_millis(500);
     loop {
-        let peers: Vec<Arc<PeerState>> = shared.peers.read().expect("peers lock").clone();
         let mut pending = false;
-        for (row, p) in peers.iter().enumerate() {
+        for (row, p) in shared.mesh().peers.iter().enumerate() {
             if row == shared.me {
                 continue;
             }
@@ -1663,6 +1584,48 @@ mod tests {
             .expect_err("stale peer handshake must not complete");
         assert!(err.to_string().contains("in:n1"), "{err}");
         drop(b);
+    }
+
+    #[test]
+    fn handshake_rule_table() {
+        // This endpoint is n0 of a 3-row mesh at epoch 5 with 24 words.
+        let mesh = Mesh {
+            epoch: 5,
+            region: Arc::new(Region::new(24)),
+            addrs: vec![SocketAddr::from(([127, 0, 0, 1], 1)); 3],
+            peers: Vec::new(),
+            expected: BTreeSet::new(),
+        };
+        let hello = |src, nodes, region_words, epoch| Hello {
+            version: PROTO_VERSION,
+            src,
+            nodes,
+            region_words,
+            epoch,
+        };
+        let beyond = MAX_ROWS as u32;
+        for (case, h, admitted) in [
+            ("same epoch, matching sizes", hello(1, 3, 24, 5), true),
+            ("same epoch, wrong node count", hello(1, 4, 24, 5), false),
+            ("same epoch, wrong region size", hello(1, 3, 32, 5), false),
+            (
+                "same epoch, src past the node count",
+                hello(3, 3, 24, 5),
+                false,
+            ),
+            (
+                "later epoch, grown mesh (the joiner)",
+                hello(3, 4, 32, 6),
+                true,
+            ),
+            ("earlier epoch", hello(1, 3, 24, 4), false),
+            ("src is me", hello(0, 3, 24, 5), false),
+            ("src past MAX_ROWS", hello(beyond, beyond + 1, 24, 6), false),
+        ] {
+            assert_eq!(mesh.admits(0, &h), admitted, "{case}");
+        }
+        // What the mesh itself speaks passes its own rule.
+        assert!(mesh.admits(0, &mesh.hello(2)));
     }
 
     #[test]

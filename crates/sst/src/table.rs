@@ -283,11 +283,6 @@ impl Sst {
     pub fn own_counter_range(&self, col: CounterCol) -> Range<usize> {
         self.layout.abs_range(self.own_row, col.word_range())
     }
-
-    /// Raw word read (row-relative), for debug dumps.
-    pub fn raw_word(&self, row: usize, rel: usize) -> u64 {
-        self.region.load(self.layout.abs_word(row, rel))
-    }
 }
 
 #[cfg(test)]
