@@ -11,7 +11,7 @@ use spindle_sim::stats::{Decimator, Histogram, Summary};
 /// delivered and the latency shape while it was installed. A live
 /// node's are read out of its observability registry
 /// ([`epoch_stats_for_node`]), so they are exactly what a `/metrics`
-/// scrape at that moment shows; the simulator fills its own.
+/// scrape at that moment shows.
 #[derive(Debug, Clone)]
 pub struct EpochStats {
     /// The epoch (view id) these counters belong to.
@@ -135,18 +135,8 @@ pub struct NodeMetrics {
     /// Push operations (one per predicate decision to publish, regardless of
     /// destination count) — comparable to the paper's write-request counts.
     pub push_ops: u64,
-    /// Total bytes put on the wire.
-    pub wire_bytes: u64,
     /// Predicate-thread CPU time spent posting writes (§4.1.1).
     pub post_time: Duration,
-    /// Predicate-thread total busy time.
-    pub pred_busy: Duration,
-    /// Predicate-thread busy time attributable to *active* subgroups
-    /// (subgroups with at least one sender configured active) — the §4.1.3
-    /// "time spent evaluating the active subgroup's predicates" share.
-    pub active_sg_busy: Duration,
-    /// Predicate-loop iterations executed.
-    pub iterations: u64,
 
     /// Messages aggregated per send-predicate firing (Figure 7a).
     pub send_batch: Histogram,
@@ -173,11 +163,6 @@ pub struct NodeMetrics {
     pub latency: Summary,
     /// Bounded latency sample for percentile reporting.
     pub latency_samples: Decimator,
-    /// Per-epoch delivery stats, in the shape [`epoch_stats_for_node`]
-    /// reads out of a live node's registry. The simulator never
-    /// reconfigures, so it fills at most epoch 0; empty when the run
-    /// delivered nothing.
-    pub epoch_stats: Vec<EpochStats>,
 }
 
 impl NodeMetrics {
@@ -187,11 +172,7 @@ impl NodeMetrics {
         NodeMetrics {
             writes_posted: 0,
             push_ops: 0,
-            wire_bytes: 0,
             post_time: Duration::ZERO,
-            pred_busy: Duration::ZERO,
-            active_sg_busy: Duration::ZERO,
-            iterations: 0,
             send_batch: Histogram::new(1, 64),
             recv_batch: Histogram::new(1, 256),
             deliv_batch: Histogram::new(1, 1024),
@@ -203,7 +184,6 @@ impl NodeMetrics {
             sender_wait: Duration::ZERO,
             latency: Summary::new(),
             latency_samples: Decimator::new(2048),
-            epoch_stats: Vec::new(),
         }
     }
 }
@@ -326,22 +306,6 @@ impl RunReport {
         }
         (s, r, d)
     }
-
-    /// Share of predicate-thread busy time spent on active subgroups,
-    /// averaged over nodes (§4.1.3's metric).
-    pub fn active_sg_share(&self) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for n in &self.nodes {
-            num += n.active_sg_busy.as_secs_f64();
-            den += n.pred_busy.as_secs_f64();
-        }
-        if den == 0.0 {
-            0.0
-        } else {
-            num / den
-        }
-    }
 }
 
 #[cfg(test)]
@@ -420,12 +384,6 @@ mod tests {
         let (s, _, d) = r.batch_histograms();
         assert_eq!(s.count_at(2), 2);
         assert_eq!(d.count_at(32), 1);
-    }
-
-    #[test]
-    fn active_share_handles_zero_busy() {
-        let r = report_with(0, 0, 1);
-        assert_eq!(r.active_sg_share(), 0.0);
     }
 
     #[test]

@@ -132,15 +132,12 @@ struct AppState {
 struct SimNode {
     sst: Sst,
     protos: Vec<SubgroupProto>,
-    /// Parallel to `protos`: is the subgroup active (has live senders)?
-    proto_active: Vec<bool>,
     apps: Vec<AppState>,
     lock: Resource,
     egress: Resource,
     ingress: Resource,
     pred_running: bool,
     idle_streak: u32,
-    delivered_apps: u64,
     target: u64,
     done: bool,
     m: NodeMetrics,
@@ -262,17 +259,6 @@ impl SimWorld {
     fn build(sc: &SimCluster) -> SimWorld {
         let plan = Plan::build(&sc.view, false);
         let n = sc.view.members().len();
-        // Which subgroups are active (any non-inactive sender)?
-        let sg_active: Vec<bool> = sc
-            .view
-            .subgroups()
-            .iter()
-            .enumerate()
-            .map(|(g, sg)| {
-                (0..sg.num_senders())
-                    .any(|r| sc.workload.activity(g, r) != SenderActivity::Inactive)
-            })
-            .collect();
         let mut nodes = Vec::with_capacity(n);
         for row in 0..n {
             let region =
@@ -280,7 +266,6 @@ impl SimWorld {
             let sst = Sst::new(plan.layout.clone(), region, row);
             sst.init();
             let mut protos = Vec::new();
-            let mut proto_active = Vec::new();
             let mut apps = Vec::new();
             let mut target = 0u64;
             for (g, sg) in sc.view.subgroups().iter().enumerate() {
@@ -308,20 +293,17 @@ impl SimWorld {
                         });
                     }
                 }
-                proto_active.push(sg_active[g]);
                 protos.push(proto);
             }
             nodes.push(SimNode {
                 sst,
                 protos,
-                proto_active,
                 apps,
                 lock: Resource::new(),
                 egress: Resource::new(),
                 ingress: Resource::new(),
                 pred_running: false,
                 idle_streak: 0,
-                delivered_apps: 0,
                 target: target.max(1),
                 done: false,
                 m: NodeMetrics::new(),
@@ -381,13 +363,6 @@ impl SimWorld {
             SimFaultKind::DelayWrites { node, extra } => {
                 self.extra_write_delay[node] = extra;
             }
-        }
-    }
-
-    /// Records one ordered delivery into the oracle trace, if enabled.
-    fn record_delivery(&mut self, node: usize, sg: usize, rank: usize, app_index: u64) {
-        if let Some(t) = &mut self.trace {
-            t[node].push((sg, rank, app_index));
         }
     }
 
@@ -493,8 +468,7 @@ impl SimWorld {
                 self.nodes[node].m.app_sent += 1;
                 // Unordered QoS counts own messages at queue time.
                 if self.cfg.delivery_timing == DeliveryTiming::OnReceive {
-                    self.record_delivery(node, sg, rank, app_index);
-                    self.count_delivery(eng.now(), node, msg_len as u64);
+                    self.count_delivery(eng.now(), node, (sg, rank, app_index), msg_len as u64);
                 }
                 // In-place construction pays the fixed per-message cost;
                 // copying from an external buffer (§4.4) adds the memcpy.
@@ -533,15 +507,18 @@ impl SimWorld {
         }
     }
 
-    /// Counts one app-message delivery at `node` and tracks the completion
-    /// target.
-    fn count_delivery(&mut self, now: SimTime, node: usize, bytes: u64) {
+    /// Counts one app-message delivery `(subgroup, sender rank, app
+    /// index)` of `bytes` at `node`: into the oracle trace, if enabled, and
+    /// towards the completion target.
+    fn count_delivery(&mut self, now: SimTime, node: usize, del: (usize, usize, u64), bytes: u64) {
+        if let Some(t) = &mut self.trace {
+            t[node].push(del);
+        }
         let n = &mut self.nodes[node];
         n.m.delivered_msgs += 1;
         n.m.delivered_bytes += bytes;
-        n.delivered_apps += 1;
         self.last_delivery = now;
-        if !n.done && n.delivered_apps >= n.target {
+        if !n.done && n.m.delivered_msgs >= n.target {
             n.done = true;
             self.done_nodes += 1;
             if self.done_nodes == self.nodes.len() {
@@ -571,7 +548,6 @@ impl SimWorld {
         let cost = self.cost.clone();
         let sst = self.nodes[node].sst.clone();
         let mut busy = cost.iter_overhead;
-        let mut active_busy = Duration::ZERO;
         let mut posts: Vec<Post> = Vec::new();
         let mut work = false;
         let mut any_delivery = false;
@@ -580,7 +556,6 @@ impl SimWorld {
         let mut delivered: Vec<(usize, usize, u64, u32)> = Vec::new();
 
         for pi in 0..self.nodes[node].protos.len() {
-            let pre = busy;
             let p = &mut self.nodes[node].protos[pi];
             let pass = p.pass(&sst, &cfg);
             let (r, d) = (&pass.recv, &pass.deliver);
@@ -612,8 +587,8 @@ impl SimWorld {
                 if self.workload.memcpy_on_delivery {
                     busy += cost.memcpy.copy_time(del.len as usize);
                 }
-                self.record_delivery(node, sg, del.rank, del.app_index);
-                self.count_delivery(now + busy, node, del.len as u64);
+                let key = (sg, del.rank, del.app_index);
+                self.count_delivery(now + busy, node, key, del.len as u64);
             }
             let m = &mut self.nodes[node].m;
             if let Some(s) = pass.send.as_ref().filter(|s| s.app_msgs > 0) {
@@ -667,10 +642,6 @@ impl SimWorld {
                     });
                 }
             }
-
-            if self.nodes[node].proto_active[pi] {
-                active_busy += busy - pre;
-            }
         }
 
         // --- finalize the body: lock, posting, metrics ---
@@ -691,19 +662,7 @@ impl SimWorld {
             let lat = upcall_time.saturating_since(sent_at);
             self.nodes[node].m.latency.record(lat.as_secs_f64());
             self.nodes[node].m.latency_samples.record(lat.as_secs_f64());
-            // The simulator never reconfigures, so all per-epoch
-            // stats land in epoch 0 — same fold shape as the
-            // threaded runtime's registry at shutdown.
-            let nm = &mut self.nodes[node].m;
-            if nm.epoch_stats.is_empty() {
-                nm.epoch_stats.push(crate::metrics::EpochStats::new(0));
-            }
-            let es = &mut nm.epoch_stats[0];
-            es.delivered_msgs += 1;
-            es.delivered_bytes += len as u64;
-            es.latency.record((lat.as_secs_f64() * 1e9) as u64);
-            self.record_delivery(node, sg, rank, app_index);
-            self.count_delivery(upcall_time, node, len as u64);
+            self.count_delivery(upcall_time, node, (sg, rank, app_index), len as u64);
         }
 
         // Post writes sequentially after the body.
@@ -724,15 +683,10 @@ impl SimWorld {
                 .ingress
                 .acquire(at_dst, cost.ingress_time(post.wire, post.slots));
             self.nodes[node].m.writes_posted += 1;
-            self.nodes[node].m.wire_bytes += post.wire as u64;
             let (src, dst, body) = (node, post.dst, post.body);
             eng.schedule_at(ig.end, Ev::Arrive { src, dst, body });
         }
-        let nm = &mut self.nodes[node].m;
-        nm.iterations += 1;
-        nm.pred_busy += busy + post_time;
-        nm.active_sg_busy += active_busy;
-        nm.post_time += post_time;
+        self.nodes[node].m.post_time += post_time;
 
         if any_delivery {
             self.unblock_apps(eng, node);

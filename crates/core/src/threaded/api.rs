@@ -15,7 +15,7 @@ use spindle_membership::reconfig::ReconfigError;
 use spindle_membership::{SeqNum, SubgroupId, View};
 use spindle_obs::{names, ObsPlane};
 
-use super::node::{Epochs, FabricFactory, NodeInner, NodeShared};
+use super::node::{latest, Epochs, FabricFactory, NodeInner, NodeShared};
 use super::persist::PersistConfig;
 use super::predicate::predicate_thread;
 use crate::config::{DeliveryTiming, SpindleConfig};
@@ -395,14 +395,12 @@ pub struct Cluster<F: Fabric = MemFabric> {
     pub(super) nodes: Vec<NodeHandle<F>>,
     pub(super) threads: Vec<JoinHandle<()>>,
     pub(super) stop: Arc<AtomicBool>,
-    /// The current epoch's fabric, as of the last adoption from `epochs`.
-    pub(super) fabric: F,
-    /// Every epoch the local rows installed and how the next one's fabric
-    /// is obtained; shared with every local row.
+    /// Every epoch the local rows installed — the current view and fabric
+    /// included — and how the next one's fabric is obtained; shared with
+    /// every local row.
     pub(super) epochs: Arc<Epochs<F>>,
     /// Rows hosted (with a live predicate thread) in this process.
     pub(super) local_rows: BTreeSet<usize>,
-    pub(super) view: Arc<View>,
     pub(super) cfg: SpindleConfig,
     pub(super) detector: Option<DetectorConfig>,
     pub(super) persist: Option<PersistConfig>,
@@ -411,9 +409,6 @@ pub struct Cluster<F: Fabric = MemFabric> {
     /// Fault switches shared with every epoch's fabric (node faults are
     /// keyed by node id, so they survive view changes).
     pub(super) faults: FaultPlan,
-    /// See [`Cluster::epoch_views`]: the views of `epochs`, as of the
-    /// last adoption.
-    pub(super) epoch_views: Vec<Arc<View>>,
     /// The observability plane every local node publishes into —
     /// adopted from the fabric when the transport owns one
     /// ([`Fabric::obs`]), created fresh otherwise.
@@ -578,27 +573,24 @@ impl<F: Fabric> Cluster<F> {
         let (suspicion_tx, suspicion_rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let obs = fabric.obs().unwrap_or_default();
-        let epochs = Epochs::new(factory, faults.clone(), Arc::clone(&view), fabric.clone());
+        let epochs = Epochs::new(factory, faults.clone(), Arc::clone(&view), fabric);
         let mut cluster = Cluster {
             nodes: Vec::new(),
             threads: Vec::new(),
             stop,
-            fabric,
             epochs,
             local_rows,
-            view: Arc::clone(&view),
             cfg,
             detector,
             persist,
             suspicion_tx,
             suspicion_rx,
             faults,
-            epoch_views: vec![Arc::clone(&view)],
             obs,
         };
         for row in 0..view.members().len() {
             if cluster.local_rows.contains(&row) {
-                cluster.spawn_node(&view, plan, row);
+                cluster.spawn_node(row);
             } else {
                 cluster.push_remote_stub(&view, plan, row);
             }
@@ -627,10 +619,12 @@ impl<F: Fabric> Cluster<F> {
         self.push_handle(NodeInner::remote_stub(view, plan, row));
     }
 
-    /// Enters `view`'s epoch on the current fabric as row `row`, and
-    /// creates its handle and predicate thread.
-    pub(super) fn spawn_node(&mut self, view: &Arc<View>, plan: &Plan, row: usize) {
-        let inner = NodeInner::enter_epoch(view, plan, row, self.fabric.clone(), &self.obs);
+    /// Enters the current epoch on its fabric as row `row`, and creates
+    /// its handle and predicate thread.
+    pub(super) fn spawn_node(&mut self, row: usize) {
+        let (view, fabric) = self.epochs.read(|views, f| (latest(views), f.clone()));
+        let plan = Plan::build(&view, true);
+        let inner = NodeInner::enter_epoch(&view, &plan, row, fabric, &self.obs);
         let shared = self.push_handle(inner);
         self.local_rows.insert(row);
         // Whether this row's own detector verdicts start transitions
@@ -771,9 +765,12 @@ impl<F: Fabric> Cluster<F> {
         self.nodes.is_empty()
     }
 
-    /// The current view.
-    pub fn view(&self) -> &View {
-        &self.view
+    /// The view the local rows installed last — live: a transition the
+    /// predicate threads install on their own (a multi-process cluster's
+    /// detector-driven removal) shows here at once. Do not hold it across
+    /// one: take it again.
+    pub fn view(&self) -> Arc<View> {
+        self.epochs.read(|views, _| latest(views))
     }
 
     /// The live observability plane every local row publishes into:
@@ -785,21 +782,21 @@ impl<F: Fabric> Cluster<F> {
         &self.obs
     }
 
-    /// Every view the local rows had installed when
-    /// [`Cluster::remove_node`] / [`Cluster::admit`] last returned, oldest
-    /// first (the initial view included) — recorded by the first row to
-    /// install each. Unlike [`Cluster::view`], this also exposes the
-    /// *intermediate* epoch of a chained takeover transition — a
-    /// verbatim-adopted proposal installs a view that still carries the
-    /// dead leader, and the residual eviction installs the next one
-    /// within the same `remove_node` call.
-    pub fn epoch_views(&self) -> &[Arc<View>] {
-        &self.epoch_views
+    /// Every view the local rows have installed so far, oldest first (the
+    /// initial view included) — recorded by the first row to install
+    /// each, live as [`Cluster::view`] is. Unlike [`Cluster::view`], this
+    /// also exposes the *intermediate* epoch of a chained takeover
+    /// transition — a verbatim-adopted proposal installs a view that
+    /// still carries the dead leader, and the residual eviction installs
+    /// the next one within the same `remove_node` call.
+    pub fn epoch_views(&self) -> Vec<Arc<View>> {
+        self.epochs.read(|views, _| views.to_vec())
     }
 
-    /// The underlying fabric of the current epoch.
-    pub fn fabric(&self) -> &F {
-        &self.fabric
+    /// The fabric of the epoch the local rows installed last (live, as
+    /// [`Cluster::view`] is).
+    pub fn fabric(&self) -> F {
+        self.epochs.read(|_, fabric| fabric.clone())
     }
 
     /// The rows hosted (with a live predicate thread) in this process —
@@ -821,7 +818,7 @@ impl<F: Fabric> Cluster<F> {
     /// to rebuild the fabric, and a transport that cannot advance in
     /// place.
     pub(super) fn is_static(&self) -> bool {
-        !self.epochs.rebuilds() && !self.fabric.supports_epoch_advance()
+        !self.epochs.rebuilds() && !self.fabric().supports_epoch_advance()
     }
 
     pub(super) fn alive(&self, node: usize) -> bool {

@@ -12,7 +12,7 @@ use spindle_obs::{flightrec::phase as obs_phase, FlightEvent, Level};
 use spindle_sst::{CounterCol, Sst};
 
 use super::api::{Cluster, ViewChangeReport};
-use super::node::{active_rows, post_to, JoinIntent, NodeInner, NodeShared};
+use super::node::{post_to, JoinIntent, NodeInner, NodeShared};
 use super::predicate::{drain_node_through, EpochLocal, ThreadState};
 use super::VC_DEADLINE;
 use crate::config::SpindleConfig;
@@ -144,7 +144,7 @@ pub(super) fn view_change<F: Fabric>(
     // inside the engine loop, its peers' clocks restarted, so a crashed
     // proposer is convicted here and the suspicion feeds the engine.
     th.watch(1, started);
-    let active: Vec<usize> = active_rows(&view).collect();
+    let active: Vec<usize> = view.active_rows().collect();
     let mut engine = ViewChangeEngine::new(Arc::clone(&view), cols.clone(), row, initial_bits);
     engine.set_obs(shared.obs.clone());
     // Fault injection, armed through the cluster or — a process of a
@@ -292,7 +292,7 @@ pub(super) fn view_change<F: Fabric>(
     // also participates in the install barrier below — that is the
     // catch-up barrier which holds application traffic until the
     // joiner's mirror is up, connected, and confirmed on every link.
-    let survivors: Vec<usize> = active_rows(&next_view).collect();
+    let survivors: Vec<usize> = next_view.active_rows().collect();
     {
         let mut inner = shared.inner.lock();
         *inner = NodeInner::enter_epoch(&next_view, &plan, row, fabric, &shared.obs);

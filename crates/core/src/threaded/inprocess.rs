@@ -1,12 +1,11 @@
 //! [`Cluster::remove_node`] and [`Cluster::admit`]: the caller's side of an
 //! epoch transition. The predicate threads run it
 //! ([`view_change`](super::distributed::view_change)); the caller validates
-//! the request, raises the trigger on one local row, waits for the local
-//! rows' reports and adopts what they installed.
+//! the request, raises the trigger on one local row and waits for the
+//! local rows' reports.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use spindle_fabric::{Fabric, NodeId};
@@ -14,7 +13,7 @@ use spindle_membership::reconfig::{self, PLANNED_BIT};
 use spindle_membership::View;
 
 use super::api::{AdmitRequest, Cluster, ViewChangeError, ViewChangeReport};
-use super::node::{active_rows, is_active, JoinIntent, NodeShared};
+use super::node::{JoinIntent, NodeShared};
 use super::VC_DEADLINE;
 use crate::plan::Plan;
 
@@ -37,8 +36,7 @@ impl<F: Fabric> Cluster<F> {
     /// [`SendError::Closed`](super::SendError::Closed)) — unavailable,
     /// never inconsistent, on every transport.
     pub fn remove_node(&mut self, failed: usize) -> Result<ViewChangeReport, ViewChangeError> {
-        self.adopt_installed();
-        let old_view = Arc::clone(&self.view);
+        let old_view = self.view();
         if !old_view.contains(NodeId(failed)) || !self.alive(failed) {
             return Err(ViewChangeError::UnknownNode(failed));
         }
@@ -66,7 +64,7 @@ impl<F: Fabric> Cluster<F> {
         // only subgroup-less zombies (e.g. the second removal after a
         // crash pair left one view change earlier) is a *planned*
         // transition — there is no failure left to agree on.
-        let active_gone = gone.iter().copied().filter(|&m| is_active(&old_view, m));
+        let active_gone = gone.iter().copied().filter(|&m| old_view.is_active(m));
         let trigger = match reconfig::bits_of(active_gone) {
             0 => PLANNED_BIT,
             bits => bits,
@@ -84,8 +82,8 @@ impl<F: Fabric> Cluster<F> {
             // edits an acked trim). The survivors carry its suspicion
             // over and drive one more transition at once; the caller sees
             // the final state.
-            let view = Arc::clone(&self.view);
-            if !self.crashed_rows().any(|m| is_active(&view, m)) {
+            let view = self.view();
+            if !self.crashed_rows().any(|m| view.is_active(m)) {
                 return Ok(report);
             }
             match self.await_transition(&view, &gone) {
@@ -144,16 +142,11 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         req: AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
-        // The predicate threads of a multi-process cluster install
-        // detector-driven transitions on their own, so the cluster-side
-        // view may be epochs behind: leadership, the new row id and the
-        // report-freshness floor must all be judged against the real
-        // current epoch.
-        self.adopt_installed();
         // Argument validation first — even on a static fabric.
         if let Some(joins) = &req.subgroups {
+            let subgroups = self.view().subgroups().len();
             for &(g, _) in joins {
-                if g.0 >= self.view.subgroups().len() {
+                if g.0 >= subgroups {
                     return Err(ViewChangeError::UnknownSubgroup(g));
                 }
             }
@@ -181,14 +174,16 @@ impl<F: Fabric> Cluster<F> {
         admitted
     }
 
-    /// The current deterministic leader row (lowest live active row) —
-    /// the only row whose proposal can carry a join intent, so a join
-    /// sponsor checks this *before* doing any work and redirects the
-    /// joiner when it does not host it. Rows hosted by *other* processes
-    /// are closed stubs here — the view is authoritative for them; the
-    /// participation check only applies to rows this process hosts.
+    /// The deterministic leader row (lowest live active row) of the live
+    /// [`Cluster::view`] — the only row whose proposal can carry a join
+    /// intent, so a join sponsor checks this *before* doing any work and
+    /// redirects the joiner when it does not host it. Rows hosted by
+    /// *other* processes are closed stubs here — the view is authoritative
+    /// for them; the participation check only applies to rows this
+    /// process hosts.
     pub fn leader_row(&self) -> Option<usize> {
-        active_rows(&self.view)
+        self.view()
+            .active_rows()
             .filter(|&m| !self.local_rows.contains(&m) || self.participating(m))
             .min()
     }
@@ -202,9 +197,9 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         join: reconfig::JoinEndpoint,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
-        let old_epoch = self.view.id();
-        let every = reconfig::every_subgroup(&self.view, join.as_sender);
-        let (_, new_row) = reconfig::join_view(&self.view, &BTreeSet::new(), &every)?;
+        let old_view = self.view();
+        let every = reconfig::every_subgroup(&old_view, join.as_sender);
+        let (_, new_row) = reconfig::join_view(&old_view, &BTreeSet::new(), &every)?;
         if self.epochs.rebuilds() {
             return Err(ViewChangeError::InProcessJoin);
         }
@@ -221,10 +216,10 @@ impl<F: Fabric> Cluster<F> {
         self.shared(leader).trigger(PLANNED_BIT);
         let deadline = Instant::now() + VC_DEADLINE;
         let report = self
-            .await_report(leader, old_epoch, false, deadline)?
+            .await_report(leader, old_view.id(), false, deadline)?
             .ok_or(ViewChangeError::Stalled)?;
-        self.adopt_installed();
-        if !self.view.contains(NodeId(new_row)) {
+        let view = self.view();
+        if !view.contains(NodeId(new_row)) {
             // A concurrent failure-driven transition won the epoch
             // without the join (e.g. the sponsor lost leadership to a
             // suspicion mid-flight). Nothing was corrupted; the caller
@@ -233,7 +228,6 @@ impl<F: Fabric> Cluster<F> {
         }
         // The joiner runs remotely; keep row indexing uniform with a
         // closed stub handle, exactly as start_distributed does.
-        let view = Arc::clone(&self.view);
         self.push_remote_stub(&view, &Plan::build(&view, true), new_row);
         Ok((new_row, report))
     }
@@ -248,7 +242,7 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         req: &AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
-        let old_view = Arc::clone(&self.view);
+        let old_view = self.view();
         let joins = match &req.subgroups {
             Some(joins) => joins.clone(),
             None => reconfig::every_subgroup(&old_view, req.as_sender),
@@ -278,19 +272,17 @@ impl<F: Fabric> Cluster<F> {
             *self.shared(row).join_intent.lock() = Some(JoinIntent::Local(joins.clone()));
         }
         trigger_row.trigger(trigger);
-        while self.epochs.installed.lock().0.len() == self.epoch_views.len() {
+        while self.view().id() <= old_view.id() {
             if Instant::now() > deadline {
                 return Err(ViewChangeError::Stalled);
             }
             std::thread::sleep(Duration::from_micros(500));
         }
-        self.adopt_installed();
-        let view = Arc::clone(&self.view);
-        if !view.contains(NodeId(new_row)) {
+        if !self.view().contains(NodeId(new_row)) {
             // A transition that was already under way won the epoch.
             return Err(ViewChangeError::Stalled);
         }
-        self.spawn_node(&view, &Plan::build(&view, true), new_row);
+        self.spawn_node(new_row);
         if !self.join_barrier(new_row, deadline.saturating_duration_since(Instant::now())) {
             self.shared(new_row).inner.lock().alive = false;
             return Err(ViewChangeError::Stalled);
@@ -302,8 +294,7 @@ impl<F: Fabric> Cluster<F> {
     /// Rows that crashed silently: not removed (their handles are open),
     /// but their predicate threads are gone.
     fn crashed_rows(&self) -> impl Iterator<Item = usize> + '_ {
-        let rows = self.view.members().iter().map(|m| m.0);
-        rows.filter(|&m| self.alive(m) && !self.participating(m))
+        (0..self.view().members().len()).filter(|&m| self.alive(m) && !self.participating(m))
     }
 
     /// The row a transition is triggered on: the lowest live local row
@@ -311,8 +302,9 @@ impl<F: Fabric> Cluster<F> {
     /// wedges and raises the suspicion; every other row learns of it from
     /// that row's SST column.
     fn trigger_row(&self, leaving: &BTreeSet<usize>) -> Result<&NodeShared<F>, ViewChangeError> {
+        let view = self.view();
         let mut rows = self.local_rows.iter().copied();
-        rows.find(|&r| is_active(&self.view, r) && self.participating(r) && !leaving.contains(&r))
+        rows.find(|&r| view.is_active(r) && self.participating(r) && !leaving.contains(&r))
             .map(|r| self.shared(r))
             .ok_or(ViewChangeError::TooFewSurvivors)
     }
@@ -350,17 +342,17 @@ impl<F: Fabric> Cluster<F> {
 
     /// Waits until every local row that takes part in the transition out
     /// of `old_view` (all but those `leaving`) has finished it — so the
-    /// whole local cluster takes sends again on return — then adopts what
-    /// they installed. The report is theirs, with the resends summed.
+    /// whole local cluster takes sends again on return. The report is
+    /// theirs, with the resends summed.
     fn await_transition(
-        &mut self,
+        &self,
         old_view: &View,
         leaving: &BTreeSet<usize>,
     ) -> Result<ViewChangeReport, ViewChangeError> {
         let deadline = Instant::now() + VC_DEADLINE;
         let mut total: Option<ViewChangeReport> = None;
         for &row in &self.local_rows {
-            if !is_active(old_view, row) || leaving.contains(&row) {
+            if !old_view.is_active(row) || leaving.contains(&row) {
                 continue;
             }
             let Some(report) = self.await_report(row, old_view.id(), true, deadline)? else {
@@ -373,20 +365,6 @@ impl<F: Fabric> Cluster<F> {
             };
             total = Some(ViewChangeReport { resent, ..newest });
         }
-        self.adopt_installed();
         total.ok_or(ViewChangeError::Stalled)
-    }
-
-    /// Adopts, cluster-side, what the predicate threads installed since
-    /// the last call: the views (intermediate ones included), and the
-    /// latest epoch's view and fabric as current.
-    fn adopt_installed(&mut self) {
-        let installed = self.epochs.installed.lock();
-        let (views, fabric) = &*installed;
-        self.epoch_views
-            .extend_from_slice(&views[self.epoch_views.len()..]);
-        let view = views.last().expect("the first epoch is always recorded");
-        self.view = Arc::clone(view);
-        self.fabric = fabric.clone();
     }
 }

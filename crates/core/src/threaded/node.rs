@@ -102,7 +102,7 @@ impl<F: Fabric> NodeInner<F> {
             alive: true,
             heartbeat_col: plan.heartbeat,
             reconfig: plan.reconfig.clone(),
-            hb_peers: active_rows(view).filter(|&m| m != row).collect(),
+            hb_peers: view.active_rows().filter(|&m| m != row).collect(),
         }
     }
 
@@ -169,10 +169,10 @@ pub(super) struct Epochs<F: Fabric> {
     factory: Option<FabricFactory<F>>,
     faults: FaultPlan,
     /// Every view installed so far — oldest first, never empty — and the
-    /// fabric of the last one. Earlier fabrics live only as long as a row
-    /// still holds one: stragglers keep posting into theirs, which nobody
-    /// reads.
-    pub(super) installed: Mutex<(Vec<Arc<View>>, F)>,
+    /// fabric of the last one ([`Epochs::read`]). Earlier fabrics live only
+    /// as long as a row still holds one: stragglers keep posting into
+    /// theirs, which nobody reads.
+    installed: Mutex<(Vec<Arc<View>>, F)>,
     /// The suspicion bits of local rows that died at a crash boundary
     /// armed through
     /// [`Cluster::arm_vc_crash`](super::Cluster::arm_vc_crash) — the
@@ -207,6 +207,14 @@ impl<F: Fabric> Epochs<F> {
         self.factory.is_some()
     }
 
+    /// `f` of every view installed so far (oldest first; the last is the
+    /// current one) and the current fabric, under the lock [`Epochs::enter`]
+    /// installs under — so a reader never sees a view without its fabric.
+    pub(super) fn read<R>(&self, f: impl FnOnce(&[Arc<View>], &F) -> R) -> R {
+        let installed = self.installed.lock();
+        f(&installed.0, &installed.1)
+    }
+
     /// The view and fabric of epoch `vid` for a row leaving `current`.
     /// The first local row to get here derives the view (`derive`: the
     /// next view, and the endpoints of rows joining from other processes)
@@ -226,16 +234,16 @@ impl<F: Fabric> Epochs<F> {
     ) -> Option<(Arc<View>, F)> {
         let mut installed = self.installed.lock();
         let (views, fabric) = &mut *installed;
-        let latest = views.last().expect("the first epoch is always recorded");
-        if latest.id() >= vid {
-            return (latest.id() == vid).then(|| (Arc::clone(latest), fabric.clone()));
+        let last = latest(views);
+        if last.id() >= vid {
+            return (last.id() == vid).then(|| (last, fabric.clone()));
         }
         let (view, joined) = derive()?;
         let view = Arc::new(view);
         let region_words = Plan::build(&view, true).layout.region_words();
         let transition = EpochTransition {
             epoch: vid,
-            live: active_rows(&view).collect(),
+            live: view.active_rows().collect(),
             region_words,
             joined,
         };
@@ -246,6 +254,11 @@ impl<F: Fabric> Epochs<F> {
         views.push(Arc::clone(&view));
         Some((view, fabric.clone()))
     }
+}
+
+/// The current view of an [`Epochs::read`]: the last one installed.
+pub(super) fn latest(views: &[Arc<View>]) -> Arc<View> {
+    Arc::clone(views.last().expect("the first epoch is always recorded"))
 }
 
 pub(super) struct NodeShared<F: Fabric> {
@@ -407,22 +420,6 @@ impl<F: Fabric> NodeShared<F> {
         self.obs.event(Level::Info, row, event);
         1 << suspect
     }
-}
-
-/// Whether `row` belongs to at least one subgroup of `view`. Removed rows
-/// stay top-level members (ids are stable) but belong to none, so this —
-/// not membership — is what makes a row a protocol participant: a
-/// heartbeat peer, a leader candidate, a barrier party.
-pub(super) fn is_active(view: &View, row: usize) -> bool {
-    !view.subgroups_of(NodeId(row)).is_empty()
-}
-
-/// The rows of `view` that belong to a subgroup, ascending.
-pub(super) fn active_rows(view: &View) -> impl Iterator<Item = usize> + '_ {
-    view.members()
-        .iter()
-        .map(|m| m.0)
-        .filter(move |&m| is_active(view, m))
 }
 
 /// One write of `range` to every row of `peers` other than `me`.

@@ -5,6 +5,7 @@ use std::collections::HashMap;
 use std::io;
 use std::time::Instant;
 
+use spindle_membership::SubgroupId;
 use spindle_obs::ObsPlane;
 use spindle_persist::{DurableLog, LogRecordRef, SyncScheduler};
 
@@ -46,6 +47,13 @@ impl PersistConfig {
     /// The data directory holding this node's log segments.
     pub fn dir(&self) -> &std::path::Path {
         &self.options.dir
+    }
+
+    /// The name of row `row`'s durable log of subgroup `sg` under
+    /// [`dir`](PersistConfig::dir) — what [`spindle_persist::read_log`]
+    /// reads it back by.
+    pub fn log_name(row: usize, sg: SubgroupId) -> String {
+        format!("node{row}-g{}", sg.0)
     }
 }
 
@@ -148,7 +156,7 @@ impl PersistHook {
         for run in batch.chunk_by(|a, b| a.subgroup == b.subgroup) {
             let sg = run[0].subgroup.0;
             let entry = self.logs.entry(sg).or_insert_with(|| {
-                let name = format!("node{}-g{sg}", self.row);
+                let name = PersistConfig::log_name(self.row, run[0].subgroup);
                 let (log, recovered) =
                     DurableLog::open_with(&self.cfg.options, &name).expect("open durable log");
                 self.obs.replayed.add(recovered.len() as u64);

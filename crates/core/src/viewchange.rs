@@ -216,12 +216,7 @@ impl ViewChangeEngine {
     /// or [`PLANNED_BIT`] for a join); pass 0 for a node that will learn
     /// of the transition from its peers' columns.
     pub fn new(view: Arc<View>, cols: ReconfigCols, row: usize, initial_suspicions: u64) -> Self {
-        let active: Vec<usize> = view
-            .members()
-            .iter()
-            .map(|m| m.0)
-            .filter(|&m| !view.subgroups_of(spindle_fabric::NodeId(m)).is_empty())
-            .collect();
+        let active: Vec<usize> = view.active_rows().collect();
         let active_mask = reconfig::bits_of(active.iter().copied());
         ViewChangeEngine {
             view,

@@ -171,32 +171,16 @@ fn counter_violation(
 }
 
 /// The sim runtime's counter-consistency oracle: every node's
-/// [`NodeMetrics`](spindle_core::NodeMetrics) delivery counters — and their per-epoch fold — must
-/// equal its delivery-trace length.
+/// [`NodeMetrics`](spindle_core::NodeMetrics) delivery counter must equal
+/// its delivery-trace length.
 pub fn counter_consistency_sim(
     trace: &[Vec<(usize, usize, u64)>],
     nodes: &[spindle_core::NodeMetrics],
 ) -> OracleCheck {
-    let mut violation = None;
-    for (i, t) in trace.iter().enumerate() {
-        let want = t.len() as u64;
-        let msgs = nodes.get(i).map_or(0, |n| n.delivered_msgs);
-        let folded: u64 = nodes
-            .get(i)
-            .map_or(0, |n| n.epoch_stats.iter().map(|e| e.delivered_msgs).sum());
-        if msgs != want {
-            violation = Some(format!(
-                "node {i}: delivered_msgs {msgs} != trace length {want}"
-            ));
-            break;
-        }
-        if folded != want {
-            violation = Some(format!(
-                "node {i}: per-epoch fold {folded} != trace length {want}"
-            ));
-            break;
-        }
-    }
+    let violation = trace.iter().enumerate().find_map(|(i, t)| {
+        let (msgs, want) = (nodes.get(i).map_or(0, |n| n.delivered_msgs), t.len() as u64);
+        (msgs != want).then(|| format!("node {i}: delivered_msgs {msgs} != trace length {want}"))
+    });
     OracleCheck::from("counter-consistency", violation)
 }
 

@@ -133,7 +133,7 @@ impl ThreadedRun {
     /// `remove_node` call, and the membership-scope oracle needs it.
     fn record_epochs<F: Fabric>(&mut self, cluster: &Cluster<F>) {
         for v in cluster.epoch_views() {
-            record_epoch(&mut self.epochs, v);
+            record_epoch(&mut self.epochs, &v);
         }
     }
 
@@ -358,7 +358,7 @@ fn drive_threaded<F: Fabric>(
         errors: Vec::new(),
         faults,
     };
-    record_epoch(&mut run.epochs, cluster.view());
+    record_epoch(&mut run.epochs, &cluster.view());
     for ev in &t.events {
         run.step(&mut cluster, ev, on_isolate);
         if !run.errors.is_empty() {
@@ -507,7 +507,8 @@ fn persist_violation(
     for (&node, stream) in streams {
         for g in 0..num_sgs {
             let expected: Vec<&Delivered> = stream.iter().filter(|d| d.subgroup.0 == g).collect();
-            let records = match spindle_persist::read_log(dir, &format!("node{node}-g{g}")) {
+            let name = PersistConfig::log_name(node, SubgroupId(g));
+            let records = match spindle_persist::read_log(dir, &name) {
                 Ok(r) => r,
                 Err(e) => return Some(format!("node {node} g{g}: log unreadable: {e}")),
             };
@@ -572,7 +573,8 @@ fn replay_prefix_violation(
             continue;
         }
         for g in 0..num_sgs {
-            let records = match spindle_persist::read_log(dir, &format!("node{node}-g{g}")) {
+            let name = PersistConfig::log_name(node, SubgroupId(g));
+            let records = match spindle_persist::read_log(dir, &name) {
                 Ok(r) => r,
                 Err(e) => return Some(format!("node {node} g{g}: log unreadable: {e}")),
             };

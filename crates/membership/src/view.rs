@@ -147,6 +147,22 @@ impl View {
     pub fn contains(&self, node: NodeId) -> bool {
         self.members.contains(&node)
     }
+
+    /// Whether `row` belongs to at least one subgroup. Removed rows stay
+    /// top-level members (ids are stable) but belong to none, so this —
+    /// not membership — is what makes a row a protocol participant: a
+    /// heartbeat peer, a leader candidate, a barrier party.
+    pub fn is_active(&self, row: usize) -> bool {
+        self.subgroups.iter().any(|sg| sg.contains(NodeId(row)))
+    }
+
+    /// The [active](View::is_active) rows, in member order.
+    pub fn active_rows(&self) -> impl Iterator<Item = usize> + '_ {
+        self.members
+            .iter()
+            .map(|m| m.0)
+            .filter(move |&m| self.is_active(m))
+    }
 }
 
 /// Errors from [`ViewBuilder::build`].

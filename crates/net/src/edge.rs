@@ -253,6 +253,10 @@ pub enum OverflowPolicy {
 /// delivery-latency histogram measures enqueue → flushed).
 type ClientQueue = FrameQueue<Arc<[u8]>, Instant>;
 
+/// Maximum concurrent clients of one relay; further connections are closed
+/// on accept (counted as admission sheds).
+const MAX_CLIENTS: usize = 16_384;
+
 /// Configuration of an [`EdgeServer`].
 #[derive(Debug, Clone)]
 pub struct EdgeConfig {
@@ -264,22 +268,18 @@ pub struct EdgeConfig {
     /// Relay-level high-water mark: once aggregate queued bytes cross
     /// this, new fan-out work is admission-shed until clients drain.
     pub total_queue_bytes: usize,
-    /// Maximum concurrent clients; further connections are closed on
-    /// accept (counted as admission sheds).
-    pub max_clients: usize,
     /// Per-topic overflow policy (default [`OverflowPolicy::Disconnect`]).
     policies: [OverflowPolicy; 256],
 }
 
 impl EdgeConfig {
-    /// A config with production defaults: 1 MiB per-client cap, 64 MiB
-    /// aggregate high-water mark, 16384 clients.
+    /// A config with production defaults: 1 MiB per-client cap and 64 MiB
+    /// aggregate high-water mark.
     pub fn new(name: impl Into<String>) -> EdgeConfig {
         EdgeConfig {
             name: name.into(),
             client_queue_bytes: 1024 * 1024,
             total_queue_bytes: 64 * 1024 * 1024,
-            max_clients: 16384,
             policies: [OverflowPolicy::Disconnect; 256],
         }
     }
@@ -678,7 +678,7 @@ fn accept_clients(
 ) {
     accept_ready(listener, |stream| {
         let mut t = shared.clients.lock().expect("table lock");
-        if t.map.len() >= shared.cfg.max_clients {
+        if t.map.len() >= MAX_CLIENTS {
             // Admission shed: over the client cap, the relay refuses
             // rather than degrading everyone.
             shared.metrics.shed_admission.inc();

@@ -103,6 +103,9 @@ const MAX_ROWS: usize = 62;
 const OUTBOUND_QUEUE_CAP: usize = 65_536;
 /// Minimum gap between reconnect attempts on a dead link.
 const REDIAL_BACKOFF: Duration = Duration::from_millis(40);
+/// How long the poller keeps eagerly re-dialing the expected mesh after
+/// bootstrap before falling back to dial-on-demand.
+const CONNECT_PATIENCE: Duration = Duration::from_secs(10);
 /// Gap between eager (bootstrap-patience) dial attempts.
 const EAGER_DIAL_GAP: Duration = Duration::from_millis(20);
 /// How long a nonblocking dial may sit unresolved before it is abandoned.
@@ -127,9 +130,6 @@ pub struct TcpFabricConfig {
     pub epoch: u64,
     /// Shared fault switches, consulted on every post.
     pub faults: FaultPlan,
-    /// How long the poller keeps eagerly re-dialing the expected mesh
-    /// after bootstrap before falling back to dial-on-demand.
-    pub connect_patience: Duration,
     /// Frames queued to one unreachable peer before posts start shedding.
     pub outbound_queue_cap: usize,
     /// The process's observability plane: the fabric publishes wire
@@ -141,8 +141,8 @@ pub struct TcpFabricConfig {
 }
 
 impl TcpFabricConfig {
-    /// A config for node `me` of the cluster at `addrs`, with default
-    /// patience and an inert fault plan.
+    /// A config for node `me` of the cluster at `addrs`, with the default
+    /// queue cap and an inert fault plan.
     pub fn new(me: usize, addrs: Vec<String>, region_words: usize) -> TcpFabricConfig {
         TcpFabricConfig {
             me,
@@ -150,7 +150,6 @@ impl TcpFabricConfig {
             region_words,
             epoch: 0,
             faults: FaultPlan::new(),
-            connect_patience: Duration::from_secs(10),
             outbound_queue_cap: OUTBOUND_QUEUE_CAP,
             obs: ObsPlane::new(),
         }
@@ -293,7 +292,6 @@ struct Shared {
     /// thread: `/metrics` is served from the existing event loop).
     http_listener: Mutex<Option<TcpListener>>,
     stop: AtomicBool,
-    connect_patience: Duration,
     queue_cap: usize,
     /// Interrupts a blocked poller (new backlog, shutdown, transitions).
     waker: Waker,
@@ -452,7 +450,6 @@ impl TcpFabric {
             obs: cfg.obs,
             http_listener: Mutex::new(None),
             stop: AtomicBool::new(false),
-            connect_patience: cfg.connect_patience,
             queue_cap: cfg.outbound_queue_cap,
             waker: Waker::new()?,
             inbound: Mutex::new((0..n).map(|_| Inbound::default()).collect()),
@@ -1064,7 +1061,7 @@ pub fn wire_thread_count() -> usize {
 /// exposition listener and its request streams. This is the only wire
 /// service thread an endpoint runs, whatever the cluster size.
 fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let patience_deadline = Instant::now() + shared.connect_patience;
+    let patience_deadline = Instant::now() + CONNECT_PATIENCE;
     let mut inbound: Vec<InboundConn> = Vec::new();
     // One read scratch for every socket this thread services.
     let mut rbuf = vec![0u8; 16 * 1024];
@@ -1573,10 +1570,8 @@ mod tests {
         ];
         let mut cfg0 = TcpFabricConfig::new(0, addrs.clone(), 16);
         cfg0.epoch = 1;
-        cfg0.connect_patience = Duration::from_millis(300);
         let mut cfg1 = TcpFabricConfig::new(1, addrs, 16);
         cfg1.epoch = 0; // stale
-        cfg1.connect_patience = Duration::from_millis(300);
         let a = TcpFabric::bootstrap_on_listener(cfg0, l0).unwrap();
         let b = TcpFabric::bootstrap_on_listener(cfg1, l1).unwrap();
         let err = a
@@ -1638,10 +1633,8 @@ mod tests {
             l0.local_addr().unwrap().to_string(),
             l1.local_addr().unwrap().to_string(),
         ];
-        let mut cfg0 = TcpFabricConfig::new(0, addrs.clone(), 16);
-        cfg0.connect_patience = Duration::from_millis(300);
-        let mut cfg1 = TcpFabricConfig::new(1, addrs, 32); // mismatch
-        cfg1.connect_patience = Duration::from_millis(300);
+        let cfg0 = TcpFabricConfig::new(0, addrs.clone(), 16);
+        let cfg1 = TcpFabricConfig::new(1, addrs, 32); // mismatch
         let a = TcpFabric::bootstrap_on_listener(cfg0, l0).unwrap();
         let b = TcpFabric::bootstrap_on_listener(cfg1, l1).unwrap();
         assert!(a.wait_connected(Duration::from_millis(700)).is_err());
@@ -1657,7 +1650,6 @@ mod tests {
         drop(dead);
         let addrs = vec![l0.local_addr().unwrap().to_string(), peer_addr.to_string()];
         let mut cfg = TcpFabricConfig::new(0, addrs, region_words);
-        cfg.connect_patience = Duration::ZERO; // dial on demand only
         cfg.outbound_queue_cap = queue_cap;
         let a = TcpFabric::bootstrap_on_listener(cfg, l0).unwrap();
         (a, peer_addr)

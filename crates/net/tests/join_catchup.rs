@@ -19,11 +19,13 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use common::{free_loopback_ports, parse_trace, payload, scrape, wait_all, NodeProc, ProcResult};
+use spindle_core::detector::DetectorConfig;
 use spindle_core::threaded::{AdmitRequest, Cluster, Delivered, ViewChangeError};
 use spindle_core::{Plan, SpindleConfig};
+use spindle_fabric::{FaultPlan, NodeId};
 use spindle_harness::oracle::{check_threaded, EpochMembers};
 use spindle_membership::{SubgroupId, ViewBuilder};
-use spindle_net::{TcpFabric, TcpFabricConfig};
+use spindle_net::{TcpFabric, TcpFabricConfig, TcpFabricGroup};
 
 const FOUNDERS: usize = 3;
 const SENDS: u32 = 30;
@@ -522,4 +524,59 @@ fn joiner_falls_through_dead_sponsor_to_live_seed() {
     joined.cluster.shutdown();
     ca.shutdown();
     cb.shutdown();
+}
+
+/// A multi-process cluster reconfigures from its predicate threads with no
+/// caller involved, so what `Cluster` reports must be what its rows
+/// installed. Three one-row clusters share a loopback mesh; row 0 (the
+/// leader) dies, and the survivors' own detectors remove it. Row 1's
+/// cluster must then report the new view and name itself the leader — a
+/// join sponsor that still named row 0 would redirect every joiner to a
+/// dead process.
+#[test]
+fn survivors_read_the_epoch_their_rows_installed() {
+    let view = ViewBuilder::new(3)
+        .subgroup(&[0, 1, 2], &[0, 1, 2], 8, 64)
+        .build()
+        .unwrap();
+    let words = Plan::build(&view, true).layout.region_words();
+    let group = TcpFabricGroup::loopback(3, words, FaultPlan::new()).unwrap();
+    let detector = DetectorConfig {
+        heartbeat_interval: Duration::from_millis(2),
+        timeout: Duration::from_millis(200),
+    };
+    let clusters: Vec<Cluster<TcpFabric>> = (0..3)
+        .map(|row| {
+            Cluster::start_distributed(
+                view.clone(),
+                SpindleConfig::optimized(),
+                Some(detector.clone()),
+                None,
+                &[row],
+                group.endpoint(NodeId(row)).clone(),
+            )
+        })
+        .collect();
+    assert_eq!(clusters[1].leader_row(), Some(0));
+
+    clusters[0].kill(0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let epoch = loop {
+        let epoch = clusters[1].node(1).epoch();
+        if epoch >= 1 {
+            break epoch;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the survivors never removed row 0"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    // (view id, leader row) as row 1's process reports them.
+    let seen = (clusters[1].view().id(), clusters[1].leader_row());
+    assert_eq!(seen, (epoch, Some(1)));
+    assert_eq!(clusters[1].epoch_views().last().unwrap().id(), epoch);
+    for c in clusters {
+        c.shutdown();
+    }
 }

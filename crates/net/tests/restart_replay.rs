@@ -38,7 +38,6 @@ const SEED: u64 = 91;
 /// (which would trip the duplicate-delivery oracle on a legitimate run),
 /// whatever row the sponsor assigns it.
 const REJOIN_SEED: u64 = 92;
-const VICTIM: usize = 2;
 
 /// Parses the first unsigned integer immediately following `marker`.
 fn stderr_u64(text: &str, marker: &str) -> Option<u64> {
@@ -48,6 +47,8 @@ fn stderr_u64(text: &str, marker: &str) -> Option<u64> {
 }
 
 struct RunOutput {
+    /// The founder that was killed and restarted.
+    victim: usize,
     /// Founder results by row (victim's slot holds its aborted output).
     founders: Vec<ProcResult>,
     /// The restarted incarnation's (ok, stdout, stderr).
@@ -57,7 +58,9 @@ struct RunOutput {
     replay_out: PathBuf,
 }
 
-fn run_cluster(dir: &std::path::Path) -> RunOutput {
+/// Runs the cluster, killing founder `victim` mid-traffic and restarting
+/// it through founder `sponsor`'s listener.
+fn run_cluster(dir: &std::path::Path, victim: usize, sponsor: usize) -> RunOutput {
     let ports = free_loopback_ports(NODES);
     let addrs: Vec<String> = ports.iter().map(|p| format!("\"127.0.0.1:{p}\"")).collect();
     let data_base = dir.join("data");
@@ -87,7 +90,7 @@ fn run_cluster(dir: &std::path::Path) -> RunOutput {
                 .args(["--linger-ms", "1500"])
                 .arg("--trace-out")
                 .arg(&trace_path);
-            if node == VICTIM {
+            if node == victim {
                 // The victim aborts mid-traffic: durable log unsynced
                 // past the last fsync window, sockets die, no cleanup.
                 cmd.args(["--crash-after-delivered", "15"]);
@@ -114,22 +117,22 @@ fn run_cluster(dir: &std::path::Path) -> RunOutput {
     // dials while the removal may still be in flight — its join is
     // refused (`Stalled`) and retried until the survivors unwedge.
     let end = Instant::now() + Duration::from_secs(60);
-    while procs[VICTIM].child.try_wait().ok().flatten().is_none() && Instant::now() < end {
+    while procs[victim].child.try_wait().ok().flatten().is_none() && Instant::now() < end {
         std::thread::sleep(Duration::from_millis(20));
     }
     std::thread::sleep(Duration::from_millis(600));
 
     // Phase 2: the same node comes back. A fresh process restarts with
     // the dead incarnation's data directory, replays it, and rejoins
-    // through founder 0's listener.
-    let rejoin_trace = dir.join("trace-n2-rejoin.txt");
-    let replay_out = dir.join("replay-n2.txt");
+    // through the sponsor's listener.
+    let rejoin_trace = dir.join(format!("trace-n{victim}-rejoin.txt"));
+    let replay_out = dir.join(format!("replay-n{victim}.txt"));
     let rejoin = Command::new(env!("CARGO_BIN_EXE_spindle-node"))
         .arg("--config")
         .arg(&config_path)
-        .args(["--join", &format!("127.0.0.1:{}", ports[0])])
+        .args(["--join", &format!("127.0.0.1:{}", ports[sponsor])])
         .arg("--data-dir")
-        .arg(data_base.join(format!("n{VICTIM}")))
+        .arg(data_base.join(format!("n{victim}")))
         .arg("--replay-out")
         .arg(&replay_out)
         .args(["--sends", &REJOIN_SENDS.to_string()])
@@ -152,6 +155,7 @@ fn run_cluster(dir: &std::path::Path) -> RunOutput {
     let founders = wait_all(&mut procs, Duration::from_secs(120));
     let rejoin = wait_all(&mut rejoin_proc, Duration::from_secs(30)).remove(0);
     RunOutput {
+        victim,
         founders,
         rejoin,
         founder_traces: procs.iter().map(|p| p.trace_path.clone()).collect(),
@@ -163,7 +167,11 @@ fn run_cluster(dir: &std::path::Path) -> RunOutput {
 fn render_failure(run: &RunOutput) -> String {
     let mut out = String::new();
     for (node, result) in run.founders.iter().enumerate() {
-        let role = if node == VICTIM { "victim" } else { "survivor" };
+        let role = if node == run.victim {
+            "victim"
+        } else {
+            "survivor"
+        };
         let name = format!("node {node}");
         out.push_str(&render_proc(&name, role, result, &run.founder_traces[node]));
     }
@@ -184,26 +192,39 @@ fn render_failure(run: &RunOutput) -> String {
 
 #[test]
 fn killed_node_restarts_from_its_durable_log_and_rejoins() {
+    restart_and_rejoin(2, 0);
+}
+
+/// The victim is the view-change leader: the survivors remove it on their
+/// own, so the restarted node's sponsor must judge leadership on the epoch
+/// its rows installed — a sponsor still naming the dead row would redirect
+/// the joiner to it forever.
+#[test]
+fn killed_leader_restarts_and_rejoins_through_a_survivor() {
+    restart_and_rejoin(0, 1);
+}
+
+fn restart_and_rejoin(victim: usize, sponsor: usize) {
     // The bind-then-release port handoff can collide; retry once. Each
     // attempt gets a fresh directory — a stale durable log from a failed
     // attempt must not leak into the next one's replay.
     let mut last_failure = String::new();
     for attempt in 0..2 {
         let dir = std::env::temp_dir().join(format!(
-            "spindle-net-restart-{}-{attempt}",
+            "spindle-net-restart-{}-{victim}-{attempt}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
-        let run = run_cluster(&dir);
+        let run = run_cluster(&dir, victim, sponsor);
         let survivors_ok = run
             .founders
             .iter()
             .enumerate()
-            .all(|(n, (ok, _, _))| n == VICTIM || *ok);
-        let victim_died = !run.founders[VICTIM].0;
+            .all(|(n, (ok, _, _))| n == victim || *ok);
+        let victim_died = !run.founders[victim].0;
         if survivors_ok && victim_died && run.rejoin.0 {
-            check_run(&run);
+            check_run(&run, victim, sponsor);
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
@@ -214,10 +235,10 @@ fn killed_node_restarts_from_its_durable_log_and_rejoins() {
     panic!("restart-replay cluster failed twice:\n{last_failure}");
 }
 
-fn check_run(run: &RunOutput) {
+fn check_run(run: &RunOutput, victim: usize, sponsor: usize) {
     let mut streams: BTreeMap<usize, Vec<Delivered>> = BTreeMap::new();
     for node in 0..NODES {
-        if node == VICTIM {
+        if node == victim {
             continue; // the first incarnation aborted; no trace written
         }
         let text = std::fs::read_to_string(&run.founder_traces[node]).expect("survivor trace");
@@ -250,7 +271,7 @@ fn check_run(run: &RunOutput) {
     // removal and the rejoin, the restarted node's new row from the join
     // epoch on.
     let founders: BTreeSet<usize> = (0..NODES).collect();
-    let survivors: BTreeSet<usize> = (0..NODES).filter(|&n| n != VICTIM).collect();
+    let survivors: BTreeSet<usize> = (0..NODES).filter(|&n| n != victim).collect();
     let mut with_rejoiner = survivors.clone();
     with_rejoiner.insert(rejoin_row);
     let max_epoch = streams
@@ -322,10 +343,11 @@ fn check_run(run: &RunOutput) {
 
     // The restart contract: the replayed history is bit-identical to the
     // survivors' delivery stream — the replay written by --replay-out is
-    // exactly the first `replayed` lines of survivor 0's trace (single
+    // exactly the first `replayed` lines of the sponsor's trace (single
     // subgroup: log order and delivery order coincide).
     let replay_text = std::fs::read_to_string(&run.replay_out).expect("replay-out file");
-    let survivor_text = std::fs::read_to_string(&run.founder_traces[0]).expect("survivor trace");
+    let survivor_text =
+        std::fs::read_to_string(&run.founder_traces[sponsor]).expect("survivor trace");
     let replay_lines: Vec<&str> = replay_text.lines().collect();
     let survivor_lines: Vec<&str> = survivor_text.lines().collect();
     assert_eq!(replay_lines.len() as u64, replayed);
@@ -349,13 +371,13 @@ fn check_run(run: &RunOutput) {
             .filter(|d| d.epoch >= join_epoch)
             .collect()
     };
-    let base = from_join(0);
+    let base = from_join(sponsor);
     assert!(
         !base.is_empty(),
         "no post-join deliveries: the rejoin never carried traffic\n{}",
         render_failure(run)
     );
-    for &node in streams.keys().filter(|&&n| n != 0) {
+    for &node in streams.keys().filter(|&&n| n != sponsor) {
         assert_eq!(
             base,
             from_join(node),

@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nrecovering logs from {}:", dir.display());
     let mut reference: Option<Vec<(i64, Vec<u8>)>> = None;
     for n in 0..3 {
-        let records = spindle::persist::read_log(&dir, &format!("node{n}-g0"))?;
+        let records = spindle::persist::read_log(&dir, &PersistConfig::log_name(n, SubgroupId(0)))?;
         println!(
             "  node {n}: {} records, last = {:?}",
             records.len(),

@@ -102,7 +102,7 @@ fn durable_cluster_survives_crash_removal_and_join() {
     cluster.shutdown();
 
     // Post-mortem over the durable logs.
-    let log0 = read_log(&dir, "node0-g0").unwrap();
+    let log0 = read_log(&dir, &PersistConfig::log_name(0, SubgroupId(0))).unwrap();
     // Node 0 logged every epoch's traffic: 40 + 30 + 20.
     assert_eq!(log0.len(), 90, "node 0 durably logged all three epochs");
     let epochs: Vec<u64> = {
@@ -113,13 +113,13 @@ fn durable_cluster_survives_crash_removal_and_join() {
     assert_eq!(epochs, vec![0, 1, 2], "epochs in order, no interleaving");
 
     // The crashed node's log is a prefix of node 0's.
-    let log3 = read_log(&dir, "node3-g0").unwrap();
+    let log3 = read_log(&dir, &PersistConfig::log_name(3, SubgroupId(0))).unwrap();
     assert!(log3.len() <= 40);
     assert_eq!(&log0[..log3.len()], &log3[..]);
 
     // The joiner logged only epoch 2, and it agrees with node 0's epoch-2
     // suffix.
-    let logj = read_log(&dir, &format!("node{joiner}-g0")).unwrap();
+    let logj = read_log(&dir, &PersistConfig::log_name(joiner, SubgroupId(0))).unwrap();
     assert!(logj.iter().all(|r| r.epoch == 2));
     let node0_e2: Vec<_> = log0.iter().filter(|r| r.epoch == 2).collect();
     assert_eq!(node0_e2.len(), logj.len());

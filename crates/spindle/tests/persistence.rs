@@ -52,8 +52,7 @@ fn wait_frontier(cluster: &Cluster, node: usize, sg: SubgroupId, target: i64) {
 }
 
 fn read_log(dir: &Path, node: usize, g: usize) -> Vec<spindle::persist::LogRecord> {
-    let records = spindle::persist::read_log(dir, &format!("node{node}-g{g}")).unwrap();
-    records
+    spindle::persist::read_log(dir, &PersistConfig::log_name(node, SubgroupId(g))).unwrap()
 }
 
 #[test]
