@@ -1,129 +1,118 @@
 //! Regenerates every table and figure of the Spindle paper's evaluation.
 //!
 //! ```text
-//! cargo run -p spindle-bench --release --bin figures -- <experiment> [flags]
+//! cargo run -p spindle-bench --release --bin figures -- [experiment] [flags]
 //!
-//! experiments:
+//! experiments (default all):
 //!   table1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-//!   fig13 fig14 fig15 fig16 fig17 fig18 upcall counters all
+//!   fig13 fig14 fig15 fig16 fig17 fig18 upcall counters nullstress
+//!   ablate rdmc all
 //!
 //! flags:
 //!   --full        paper-scale sweeps (all sizes, more messages, 5 runs)
-//!   --runs N      seeded repetitions per point (default 2 quick / 5 full)
+//!   --runs N      seeded repetitions per point, N >= 1 (default 2 quick / 5 full)
 //!   --out DIR     CSV output directory (default target/figures)
 //! ```
 //!
-//! Each experiment prints the same rows/series the paper plots and writes a
-//! CSV; `EXPERIMENTS.md` records the paper-vs-measured comparison.
+//! An unknown experiment or a bad flag exits 2 with a usage line before
+//! anything runs. Every experiment is a seeded simulation or a cost-model
+//! curve, so the same flags write the same CSVs. Each experiment prints the
+//! same rows/series the paper plots and writes a CSV; `EXPERIMENTS.md`
+//! records the paper-vs-measured comparison.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use spindle_bench::{
-    bw, lat, measure, overlapping_subgroups, paper_workload, run_seeds, single_subgroup, us, Opts,
-    Pattern, Point, Table, PAPER_MSG, PAPER_WINDOW,
+    bw, lat, measure, overlapping_subgroups, paper_workload, run_seeds, single_subgroup,
+    size_sweep, us, Curve, Opts, Pattern, Point, Table, PAPER_MSG, PAPER_WINDOW,
 };
-use spindle_core::{CostModel, SenderActivity, SpindleConfig, Workload};
+use spindle_core::{CostModel, RunReport, SenderActivity, SimCluster, SpindleConfig, Workload};
 use spindle_dds::{DdsExperiment, QosLevel};
 use spindle_fabric::Region;
 use spindle_membership::ViewBuilder;
 use spindle_sst::Sst;
 
+/// The names that select an experiment, and the experiment.
+type Experiment = (&'static [&'static str], fn(&Opts));
+
+/// Every experiment, in the order `all` runs them; Figures 16 and 17 come
+/// from one set of runs.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["table1"], table1),
+    (&["fig1"], fig1),
+    (&["fig3"], fig3),
+    (&["fig4"], fig4),
+    (&["fig5"], fig5),
+    (&["fig6"], fig6),
+    (&["fig7"], fig7),
+    (&["fig8"], |o| {
+        let cfg = SpindleConfig::baseline();
+        single_active(o, "fig8", "BASELINE", cfg, o.msgs_baseline())
+    }),
+    (&["fig9"], |o| {
+        let cfg = SpindleConfig::batching_only();
+        single_active(o, "fig9", "batched stack", cfg, o.msgs())
+    }),
+    (&["fig10"], fig10),
+    (&["fig11"], fig11),
+    (&["fig12"], fig12),
+    (&["fig13"], fig13),
+    (&["fig14"], fig14),
+    (&["fig15"], fig15),
+    (&["fig16", "fig17"], fig16_17),
+    (&["fig18"], fig18),
+    (&["upcall"], upcall),
+    (&["counters"], counters),
+    (&["nullstress"], nullstress),
+    (&["ablate"], ablate),
+    (&["rdmc"], rdmc),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, exp) = parse(std::env::args().skip(1)).unwrap_or_else(|problem| {
+        let names: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(n, _)| n.iter().copied())
+            .collect();
+        eprintln!(
+            "figures: {problem}; usage: figures [all|{}] [--full] [--runs N] [--out DIR]",
+            names.join("|")
+        );
+        std::process::exit(2);
+    });
+    for (names, run) in EXPERIMENTS {
+        if exp == "all" || names.contains(&exp.as_str()) {
+            let t0 = Instant::now();
+            run(&opts);
+            eprintln!("[{} took {:.1}s]\n", names[0], t0.elapsed().as_secs_f64());
+        }
+    }
+}
+
+/// Reads `[experiment] [--full] [--runs N] [--out DIR]`; `Err` says what is
+/// wrong with them.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(Opts, String), String> {
     let mut opts = Opts::default();
-    let mut exp: Option<String> = None;
-    let mut runs_override = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let (mut exp, mut runs) = (None, None);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--full" => opts.full = true,
-            "--runs" => {
-                i += 1;
-                runs_override = args.get(i).and_then(|s| s.parse().ok());
+            "--runs" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n > 0 => runs = Some(n),
+                _ => return Err("--runs needs a whole number of at least 1".into()),
+            },
+            "--out" => opts.out_dir = args.next().ok_or("--out needs a directory")?.into(),
+            name if exp.is_none()
+                && (name == "all" || EXPERIMENTS.iter().any(|(n, _)| n.contains(&name))) =>
+            {
+                exp = Some(arg)
             }
-            "--out" => {
-                i += 1;
-                if let Some(d) = args.get(i) {
-                    opts.out_dir = d.into();
-                }
-            }
-            other if exp.is_none() => exp = Some(other.to_string()),
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => return Err(format!("unexpected argument {other}")),
         }
-        i += 1;
     }
-    opts.runs = runs_override.unwrap_or(if opts.full { 5 } else { 2 });
-    let exp = exp.unwrap_or_else(|| "all".to_string());
-    let all = [
-        "table1",
-        "fig1",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "upcall",
-        "counters",
-        "nullstress",
-        "ablate",
-        "rdmc",
-        "membership",
-        "durability",
-    ];
-    let list: Vec<&str> = if exp == "all" {
-        all.to_vec()
-    } else {
-        vec![exp.as_str()]
-    };
-    for e in list {
-        let t0 = std::time::Instant::now();
-        match e {
-            "table1" => table1(&opts),
-            "fig1" => fig1(&opts),
-            "fig3" => fig3(&opts),
-            "fig4" => fig4(&opts),
-            "fig5" => fig5(&opts),
-            "fig6" => fig6(&opts),
-            "fig7" => fig7(&opts),
-            "fig8" => fig8(&opts),
-            "fig9" => fig9(&opts),
-            "fig10" => fig10(&opts),
-            "fig11" => fig11(&opts),
-            "fig12" => fig12(&opts),
-            "fig13" => fig13(&opts),
-            "fig14" => fig14(&opts),
-            "fig15" => fig15(&opts),
-            "fig16" => fig16_17(&opts),
-            "fig17" => fig16_17(&opts),
-            "fig18" => fig18(&opts),
-            "upcall" => upcall(&opts),
-            "counters" => counters(&opts),
-            "nullstress" => nullstress(&opts),
-            "ablate" => ablate(&opts),
-            "rdmc" => rdmc(&opts),
-            "membership" => membership(&opts),
-            "durability" => durability(&opts),
-            other => {
-                eprintln!("unknown experiment {other}; one of {all:?} or all");
-                std::process::exit(2);
-            }
-        }
-        eprintln!("[{e} took {:.1}s]\n", t0.elapsed().as_secs_f64());
-    }
+    opts.runs = runs.unwrap_or(if opts.full { 5 } else { 2 });
+    Ok((opts, exp.unwrap_or_else(|| "all".into())))
 }
 
 /// Table 1: the sample SST state for 5 nodes / 3 subgroups, reconstructed
@@ -220,139 +209,109 @@ fn fig1(opts: &Opts) {
     for p in 0..=20 {
         let bytes = 1usize << p;
         let l = net.write_latency(bytes).as_nanos() as f64 / 1e3;
-        t.row(bytes as f64, vec![Point { mean: l, sd: 0.0 }]);
+        t.row(bytes as f64, vec![Point::exact(l)]);
     }
     t.emit(opts);
+}
+
+/// The three sender patterns of `cfg` and then of the baseline, each at
+/// its own message budget.
+fn vs_baseline(opts: &Opts, prefix: &str, cfg: SpindleConfig) -> Vec<Curve> {
+    let mut curves = Curve::patterns(prefix, cfg, paper_workload(opts.msgs()));
+    let base_wl = paper_workload(opts.msgs_baseline());
+    curves.extend(Curve::patterns(
+        "baseline",
+        SpindleConfig::baseline(),
+        base_wl,
+    ));
+    curves
+}
+
+/// One all-senders subgroup of paper-sized slots running `shape(n)`.
+fn all_senders(
+    label: impl Into<String>,
+    cfg: SpindleConfig,
+    shape: impl Fn(usize) -> Workload + 'static,
+) -> Curve {
+    Curve::new(label, cfg, move |n| {
+        let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, PAPER_MSG);
+        (view, shape(n))
+    })
+}
+
+/// `wl` with `activity` for each of `ranks` of subgroup `sg`.
+fn with_ranks(
+    wl: Workload,
+    sg: usize,
+    ranks: impl IntoIterator<Item = usize>,
+    activity: SenderActivity,
+) -> Workload {
+    ranks
+        .into_iter()
+        .fold(wl, |wl, rank| wl.with_activity(sg, rank, activity))
 }
 
 /// Figure 3: single subgroup, 10 KB — opportunistic batching vs. baseline
 /// for the three sender patterns.
 fn fig3(opts: &Opts) {
-    let mut t = Table::new(
-        "fig3",
-        "single subgroup 10KB: batching vs baseline (GB/s)",
-        "subgroup size",
-        vec![
-            "batching all".into(),
-            "batching half".into(),
-            "batching one".into(),
-            "baseline all".into(),
-            "baseline half".into(),
-            "baseline one".into(),
-        ],
-    );
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for (cfg, msgs) in [
-            (SpindleConfig::batching_only(), opts.msgs()),
-            (SpindleConfig::baseline(), opts.msgs_baseline()),
-        ] {
-            for pat in [Pattern::All, Pattern::Half, Pattern::One] {
-                let view = single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG);
-                points.push(measure(&view, &cfg, &paper_workload(msgs), opts.runs, bw));
-            }
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let curves = vs_baseline(opts, "batching", SpindleConfig::batching_only());
+    let title = "single subgroup 10KB: batching vs baseline (GB/s)";
+    size_sweep(opts, "fig3", title, &curves, bw);
 }
 
 /// Figure 4: delivery rate (M msgs/s) across message sizes for the batched
 /// stack.
 fn fig4(opts: &Opts) {
-    let sizes = [1usize, 128, 1024, 10 * 1024];
-    let mut series: Vec<String> = sizes.iter().map(|s| format!("{}B all", s)).collect();
-    series.push("10KB half".into());
-    series.push("10KB one".into());
-    let mut t = Table::new(
-        "fig4",
-        "delivery rate (millions of msgs/s), batched stack",
-        "subgroup size",
-        series,
-    );
     let cfg = SpindleConfig::batching_only();
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for &size in &sizes {
-            let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, size);
-            points.push(measure(
-                &view,
-                &cfg,
-                &Workload::new(opts.msgs(), size),
-                opts.runs,
-                |r| r.delivery_mmsgs(),
-            ));
-        }
-        for pat in [Pattern::Half, Pattern::One] {
-            let view = single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG);
-            points.push(measure(
-                &view,
-                &cfg,
-                &paper_workload(opts.msgs()),
-                opts.runs,
-                |r| r.delivery_mmsgs(),
-            ));
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let msgs = opts.msgs();
+    let mut curves: Vec<Curve> = [1usize, 128, 1024, 10 * 1024]
+        .into_iter()
+        .map(|size| {
+            Curve::new(format!("{size}B all"), cfg.clone(), move |n| {
+                let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, size);
+                (view, Workload::new(msgs, size))
+            })
+        })
+        .collect();
+    let all_half_one = Curve::patterns("10KB", cfg, paper_workload(msgs));
+    curves.extend(all_half_one.into_iter().skip(1));
+    let title = "delivery rate (millions of msgs/s), batched stack";
+    size_sweep(opts, "fig4", title, &curves, |r| r.delivery_mmsgs());
 }
 
 /// Figure 5: batching applied to successively more stages — throughput and
-/// latency.
+/// latency, both read off one set of runs.
 fn fig5(opts: &Opts) {
-    let stages: Vec<(&str, SpindleConfig, bool)> = vec![
-        ("baseline", SpindleConfig::baseline(), true),
+    let stages = [
+        ("baseline", SpindleConfig::baseline(), opts.msgs_baseline()),
         (
             "+delivery",
             SpindleConfig::baseline().with_delivery_batching(),
-            true,
+            opts.msgs_baseline(),
         ),
         (
             "+receive",
             SpindleConfig::baseline()
                 .with_delivery_batching()
                 .with_receive_batching(),
-            false,
+            opts.msgs(),
         ),
-        ("+send", SpindleConfig::batching_only(), false),
+        ("+send", SpindleConfig::batching_only(), opts.msgs()),
     ];
-    let mut series = Vec::new();
-    for (name, _, _) in &stages {
-        series.push(format!("{name} GB/s"));
-        series.push(format!("{name} lat ms"));
-    }
-    let mut t = Table::new(
-        "fig5",
-        "incremental batching stages, all senders 10KB",
-        "subgroup size",
-        series,
-    );
+    let series = stages
+        .iter()
+        .flat_map(|(name, ..)| [format!("{name} GB/s"), format!("{name} lat ms")])
+        .collect();
+    let title = "incremental batching stages, all senders 10KB";
+    let mut t = Table::new("fig5", title, "subgroup size", series);
     for n in opts.sizes() {
         let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, PAPER_MSG);
-        let mut points = Vec::new();
-        for (_, cfg, slow) in &stages {
-            let msgs = if *slow {
-                opts.msgs_baseline()
-            } else {
-                opts.msgs()
-            };
-            let reports = run_seeds(&view, cfg, &paper_workload(msgs), opts.runs);
-            let mut b = spindle_sim::stats::Summary::new();
-            let mut l = spindle_sim::stats::Summary::new();
-            for r in &reports {
-                b.record(bw(r));
-                l.record(lat(r));
-            }
-            points.push(Point {
-                mean: b.mean(),
-                sd: b.stddev(),
-            });
-            points.push(Point {
-                mean: l.mean(),
-                sd: l.stddev(),
-            });
-        }
+        let points = stages
+            .iter()
+            .flat_map(|(_, cfg, msgs)| {
+                measure(&view, cfg, &paper_workload(*msgs), opts.runs, &[bw, lat])
+            })
+            .collect();
         t.row(n as f64, points);
     }
     t.emit(opts);
@@ -360,29 +319,18 @@ fn fig5(opts: &Opts) {
 
 /// Figure 6: ring-buffer window size sweep.
 fn fig6(opts: &Opts) {
-    let windows = [5usize, 10, 50, 100, 500, 1000];
-    let mut t = Table::new(
-        "fig6",
-        "window size sweep, all senders 10KB (GB/s)",
-        "subgroup size",
-        windows.iter().map(|w| format!("w={w}")).collect(),
-    );
-    let cfg = SpindleConfig::batching_only();
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for &w in &windows {
-            let view = single_subgroup(n, Pattern::All, w, PAPER_MSG);
-            points.push(measure(
-                &view,
-                &cfg,
-                &paper_workload(opts.msgs()),
-                opts.runs,
-                bw,
-            ));
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let msgs = opts.msgs();
+    let curves: Vec<Curve> = [5usize, 10, 50, 100, 500, 1000]
+        .into_iter()
+        .map(|w| {
+            Curve::new(format!("w={w}"), SpindleConfig::batching_only(), move |n| {
+                let view = single_subgroup(n, Pattern::All, w, PAPER_MSG);
+                (view, paper_workload(msgs))
+            })
+        })
+        .collect();
+    let title = "window size sweep, all senders 10KB (GB/s)";
+    size_sweep(opts, "fig6", title, &curves, bw);
 }
 
 /// Figure 7: batch-size histograms for the three stages (16 nodes, w=100).
@@ -392,7 +340,7 @@ fn fig7(opts: &Opts) {
         &view,
         &SpindleConfig::batching_only(),
         &paper_workload(opts.msgs()),
-        opts.runs.max(1),
+        opts.runs,
     );
     let mut send = spindle_sim::stats::Histogram::new(1, 64);
     let mut recv = spindle_sim::stats::Histogram::new(1, 256);
@@ -436,204 +384,84 @@ fn fig7(opts: &Opts) {
         "stage",
         vec!["mean batch".into()],
     );
-    t.row(
-        0.0,
-        vec![Point {
-            mean: send.mean(),
-            sd: 0.0,
-        }],
-    );
-    t.row(
-        1.0,
-        vec![Point {
-            mean: recv.mean(),
-            sd: 0.0,
-        }],
-    );
-    t.row(
-        2.0,
-        vec![Point {
-            mean: deliv.mean(),
-            sd: 0.0,
-        }],
-    );
+    for (stage, h) in [&send, &recv, &deliv].into_iter().enumerate() {
+        t.row(stage as f64, vec![Point::exact(h.mean())]);
+    }
     t.emit(opts);
 }
 
-/// Figures 8/9 share the machinery: single ACTIVE subgroup among `g`
-/// overlapping subgroups.
-fn single_active(opts: &Opts, name: &str, title: &str, cfg: SpindleConfig, msgs: u64) {
+/// Figures 8/9: one ACTIVE subgroup among `g` overlapping subgroups; every
+/// sender of the others is declared but inactive.
+fn single_active(opts: &Opts, name: &str, stack: &str, cfg: SpindleConfig, msgs: u64) {
     let groups = if opts.full {
         vec![1usize, 2, 5, 10, 20, 50]
     } else {
         vec![1, 2, 5, 10, 50]
     };
-    let mut t = Table::new(
-        name,
-        title,
-        "subgroup size",
-        groups.iter().map(|g| format!("{g} subgroups")).collect(),
-    );
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for &g in &groups {
-            let view = overlapping_subgroups(n, g, PAPER_WINDOW, PAPER_MSG);
-            // Only subgroup 0 is active: every sender of the others is
-            // declared but inactive.
-            let mut wl = paper_workload(msgs);
-            for sg in 1..g {
-                for rank in 0..n {
-                    wl = wl.with_activity(sg, rank, SenderActivity::Inactive);
-                }
-            }
-            points.push(measure(&view, &cfg, &wl, opts.runs, bw));
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
-}
-
-fn fig8(opts: &Opts) {
-    single_active(
-        opts,
-        "fig8",
-        "BASELINE, one active of N subgroups (GB/s)",
-        SpindleConfig::baseline(),
-        opts.msgs_baseline(),
-    );
-}
-
-fn fig9(opts: &Opts) {
-    single_active(
-        opts,
-        "fig9",
-        "batched stack, one active of N subgroups (GB/s)",
-        SpindleConfig::batching_only(),
-        opts.msgs(),
-    );
+    let curves: Vec<Curve> = groups
+        .into_iter()
+        .map(|g| {
+            Curve::new(format!("{g} subgroups"), cfg.clone(), move |n| {
+                let wl = (1..g).fold(paper_workload(msgs), |wl, sg| {
+                    with_ranks(wl, sg, 0..n, SenderActivity::Inactive)
+                });
+                (overlapping_subgroups(n, g, PAPER_WINDOW, PAPER_MSG), wl)
+            })
+        })
+        .collect();
+    let title = format!("{stack}, one active of N subgroups (GB/s)");
+    size_sweep(opts, name, &title, &curves, bw);
 }
 
 /// Figure 10: the null-send scheme under injected sender delays.
 fn fig10(opts: &Opts) {
-    let cases: Vec<(String, Option<SenderActivity>, bool)> = vec![
-        ("no delayed senders".into(), None, false),
-        (
-            "1us one".into(),
-            Some(SenderActivity::DelayEach(us(1))),
-            false,
-        ),
-        (
-            "100us one".into(),
-            Some(SenderActivity::DelayEach(us(100))),
-            false,
-        ),
-        ("lengthy one".into(), Some(SenderActivity::Inactive), false),
-        (
-            "1us half".into(),
-            Some(SenderActivity::DelayEach(us(1))),
-            true,
-        ),
-        (
-            "100us half".into(),
-            Some(SenderActivity::DelayEach(us(100))),
-            true,
-        ),
-        ("lengthy half".into(), Some(SenderActivity::Inactive), true),
-    ];
-    let mut t = Table::new(
-        "fig10",
-        "sender delay with null-sends (GB/s)",
-        "subgroup size",
-        cases.iter().map(|(n, _, _)| n.clone()).collect(),
-    );
+    let msgs = opts.msgs();
     let cfg = SpindleConfig::optimized();
-    for n in opts.sizes() {
-        let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, PAPER_MSG);
-        let mut points = Vec::new();
-        for (_, activity, half) in &cases {
-            let mut wl = paper_workload(opts.msgs());
-            if let Some(act) = activity {
-                let victims = if *half { (n / 2).max(1) } else { 1 };
-                for rank in 0..victims {
-                    wl = wl.with_activity(0, rank, *act);
-                }
-            }
-            points.push(measure(&view, &cfg, &wl, opts.runs, bw));
+    let mut curves = vec![all_senders("no delayed senders", cfg.clone(), move |_| {
+        paper_workload(msgs)
+    })];
+    for victims in [Pattern::One, Pattern::Half] {
+        for (delay, act) in [
+            ("1us", SenderActivity::DelayEach(us(1))),
+            ("100us", SenderActivity::DelayEach(us(100))),
+            ("lengthy", SenderActivity::Inactive),
+        ] {
+            let label = format!("{delay} {}", victims.label());
+            curves.push(all_senders(label, cfg.clone(), move |n| {
+                with_ranks(paper_workload(msgs), 0, victims.senders(n), act)
+            }));
         }
-        t.row(n as f64, points);
     }
-    t.emit(opts);
+    let title = "sender delay with null-sends (GB/s)";
+    size_sweep(opts, "fig10", title, &curves, bw);
 }
 
 /// Figure 11: null-send overhead under continuous sending.
 fn fig11(opts: &Opts) {
-    let mut t = Table::new(
-        "fig11",
-        "null-sends vs batching-only under continuous sending (GB/s)",
-        "subgroup size",
-        vec![
-            "nulls all".into(),
-            "nulls half".into(),
-            "nulls one".into(),
-            "batching all".into(),
-            "batching half".into(),
-            "batching one".into(),
-        ],
-    );
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for cfg in [
-            SpindleConfig::batching_only().with_null_sends(),
-            SpindleConfig::batching_only(),
-        ] {
-            for pat in [Pattern::All, Pattern::Half, Pattern::One] {
-                let view = single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG);
-                points.push(measure(
-                    &view,
-                    &cfg,
-                    &paper_workload(opts.msgs()),
-                    opts.runs,
-                    bw,
-                ));
-            }
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let (cfg, wl) = (SpindleConfig::batching_only(), paper_workload(opts.msgs()));
+    let mut curves = Curve::patterns("nulls", cfg.clone().with_null_sends(), wl.clone());
+    curves.extend(Curve::patterns("batching", cfg, wl));
+    let title = "null-sends vs batching-only under continuous sending (GB/s)";
+    size_sweep(opts, "fig11", title, &curves, bw);
 }
 
 /// Figure 12: efficient thread synchronization increment.
 fn fig12(opts: &Opts) {
-    let stages: Vec<(&str, SpindleConfig, bool)> = vec![
-        ("fully optimized", SpindleConfig::optimized(), false),
+    let curves: Vec<Curve> = [
+        ("fully optimized", SpindleConfig::optimized(), opts.msgs()),
         (
             "batching+nulls",
             SpindleConfig::batching_only().with_null_sends(),
-            false,
+            opts.msgs(),
         ),
-        ("batching only", SpindleConfig::batching_only(), false),
-        ("baseline", SpindleConfig::baseline(), true),
-    ];
-    let mut t = Table::new(
-        "fig12",
-        "early lock release on top of batching+nulls (GB/s)",
-        "subgroup size",
-        stages.iter().map(|(n, _, _)| n.to_string()).collect(),
-    );
-    for n in opts.sizes() {
-        let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, PAPER_MSG);
-        let mut points = Vec::new();
-        for (_, cfg, slow) in &stages {
-            let msgs = if *slow {
-                opts.msgs_baseline()
-            } else {
-                opts.msgs()
-            };
-            points.push(measure(&view, cfg, &paper_workload(msgs), opts.runs, bw));
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+        ("batching only", SpindleConfig::batching_only(), opts.msgs()),
+        ("baseline", SpindleConfig::baseline(), opts.msgs_baseline()),
+    ]
+    .into_iter()
+    .map(|(label, cfg, msgs)| all_senders(label, cfg, move |_| paper_workload(msgs)))
+    .collect();
+    let title = "early lock release on top of batching+nulls (GB/s)";
+    size_sweep(opts, "fig12", title, &curves, bw);
 }
 
 /// Figure 13: fully optimized stack with multiple ACTIVE subgroups.
@@ -643,24 +471,19 @@ fn fig13(opts: &Opts) {
     } else {
         vec![1, 2, 5, 10]
     };
-    let mut t = Table::new(
-        "fig13",
-        "fully optimized, all subgroups active (GB/s, summed across subgroups)",
-        "subgroup size",
-        groups.iter().map(|g| format!("{g} subgroups")).collect(),
-    );
-    let cfg = SpindleConfig::optimized();
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for &g in &groups {
-            let view = overlapping_subgroups(n, g, PAPER_WINDOW, PAPER_MSG);
-            // Scale messages down so total work stays bounded.
-            let msgs = (opts.msgs() / g as u64).max(300);
-            points.push(measure(&view, &cfg, &paper_workload(msgs), opts.runs, bw));
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let (cfg, msgs) = (SpindleConfig::optimized(), opts.msgs());
+    let curves: Vec<Curve> = groups
+        .into_iter()
+        .map(|g| {
+            Curve::new(format!("{g} subgroups"), cfg.clone(), move |n| {
+                // Scale messages down so total work stays bounded.
+                let wl = paper_workload((msgs / g as u64).max(300));
+                (overlapping_subgroups(n, g, PAPER_WINDOW, PAPER_MSG), wl)
+            })
+        })
+        .collect();
+    let title = "fully optimized, all subgroups active (GB/s, summed across subgroups)";
+    size_sweep(opts, "fig13", title, &curves, bw);
 }
 
 /// Figure 14: memcpy latency and effective bandwidth vs. size.
@@ -677,14 +500,8 @@ fn fig14(opts: &Opts) {
         t.row(
             bytes as f64,
             vec![
-                Point {
-                    mean: m.copy_time(bytes).as_nanos() as f64 / 1e3,
-                    sd: 0.0,
-                },
-                Point {
-                    mean: m.effective_bandwidth(bytes) / 1e9,
-                    sd: 0.0,
-                },
+                Point::exact(m.copy_time(bytes).as_nanos() as f64 / 1e3),
+                Point::exact(m.effective_bandwidth(bytes) / 1e9),
             ],
         );
     }
@@ -693,98 +510,47 @@ fn fig14(opts: &Opts) {
 
 /// Figure 15: memcpy in send and delivery vs. in-place.
 fn fig15(opts: &Opts) {
-    let mut t = Table::new(
-        "fig15",
-        "memcpy on send+delivery vs in-place (GB/s)",
-        "subgroup size",
-        vec![
-            "memcpy all".into(),
-            "memcpy half".into(),
-            "memcpy one".into(),
-            "in-place all".into(),
-            "in-place half".into(),
-            "in-place one".into(),
-        ],
-    );
-    let cfg = SpindleConfig::optimized();
-    let in_place = paper_workload(opts.msgs());
-    let workloads = [in_place.clone().with_memcpy(), in_place];
-    for n in opts.sizes() {
-        let mut points = Vec::new();
-        for wl in &workloads {
-            for pat in [Pattern::All, Pattern::Half, Pattern::One] {
-                let view = single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG);
-                points.push(measure(&view, &cfg, wl, opts.runs, bw));
-            }
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let (cfg, in_place) = (SpindleConfig::optimized(), paper_workload(opts.msgs()));
+    let mut curves = Curve::patterns("memcpy", cfg.clone(), in_place.clone().with_memcpy());
+    curves.extend(Curve::patterns("in-place", cfg, in_place));
+    let title = "memcpy on send+delivery vs in-place (GB/s)";
+    size_sweep(opts, "fig15", title, &curves, bw);
 }
 
 /// Figures 16 + 17: final throughput and latency, fully optimized vs
-/// baseline.
+/// baseline, read off one set of runs.
 fn fig16_17(opts: &Opts) {
+    let curves = vs_baseline(opts, "optimized", SpindleConfig::optimized());
+    let series: Vec<String> = curves.iter().map(|c| c.label.clone()).collect();
     let mut t16 = Table::new(
         "fig16",
         "final throughput, single subgroup (GB/s)",
         "subgroup size",
-        vec![
-            "optimized all".into(),
-            "optimized half".into(),
-            "optimized one".into(),
-            "baseline all".into(),
-            "baseline half".into(),
-            "baseline one".into(),
-        ],
+        series.clone(),
     );
-    let mut series17 = t16.series.clone();
-    series17.push("optimized all p99".into());
-    series17.push("baseline all p99".into());
+    let p99_series = vec!["optimized all p99".into(), "baseline all p99".into()];
     let mut t17 = Table::new(
         "fig17",
         "final latency, single subgroup (ms; mean, plus p99 for all-senders)",
         "subgroup size",
-        series17,
+        [series, p99_series].concat(),
     );
     for n in opts.sizes() {
-        let mut p16 = Vec::new();
-        let mut p17 = Vec::new();
-        let mut p99s = Vec::new();
-        for (cfg, msgs) in [
-            (SpindleConfig::optimized(), opts.msgs()),
-            (SpindleConfig::baseline(), opts.msgs_baseline()),
-        ] {
-            for pat in [Pattern::All, Pattern::Half, Pattern::One] {
-                let view = single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG);
-                let reports = run_seeds(&view, &cfg, &paper_workload(msgs), opts.runs);
-                let mut b = spindle_sim::stats::Summary::new();
-                let mut l = spindle_sim::stats::Summary::new();
-                let mut p99 = spindle_sim::stats::Summary::new();
-                for r in &reports {
-                    b.record(bw(r));
-                    l.record(lat(r));
-                    p99.record(r.latency_percentile_ms(0.99));
-                }
-                p16.push(Point {
-                    mean: b.mean(),
-                    sd: b.stddev(),
-                });
-                p17.push(Point {
-                    mean: l.mean(),
-                    sd: l.stddev(),
-                });
-                if pat == Pattern::All {
-                    p99s.push(Point {
-                        mean: p99.mean(),
-                        sd: p99.stddev(),
-                    });
-                }
-            }
-        }
-        p17.extend(p99s);
-        t16.row(n as f64, p16);
-        t17.row(n as f64, p17);
+        let points: Vec<Vec<Point>> = curves
+            .iter()
+            .map(|c| {
+                let (view, wl) = (c.at)(n);
+                let p99 = |r: &RunReport| r.latency_percentile_ms(0.99);
+                measure(&view, &c.cfg, &wl, opts.runs, &[bw, lat, p99])
+            })
+            .collect();
+        t16.row(n as f64, points.iter().map(|p| p[0]).collect());
+        // Mean latency for every curve, then p99 for the two all-senders ones.
+        let lats = points.iter().map(|p| p[1]);
+        t17.row(
+            n as f64,
+            lats.chain(points.iter().step_by(3).map(|p| p[2])).collect(),
+        );
     }
     t16.emit(opts);
     t17.emit(opts);
@@ -793,13 +559,10 @@ fn fig16_17(opts: &Opts) {
 /// Figure 18: DDS bandwidth across the four QoS levels, baseline vs
 /// Spindle.
 fn fig18(opts: &Opts) {
-    let mut series = Vec::new();
-    for q in QosLevel::ALL {
-        series.push(format!("spindle {q:?}"));
-    }
-    for q in QosLevel::ALL {
-        series.push(format!("baseline {q:?}"));
-    }
+    let series = ["spindle", "baseline"]
+        .iter()
+        .flat_map(|stack| QosLevel::ALL.map(|q| format!("{stack} {q:?}")))
+        .collect();
     let mut t = Table::new(
         "fig18",
         "DDS bandwidth, 1 publisher, 10KB samples (MB/s at subscribers)",
@@ -813,25 +576,15 @@ fn fig18(opts: &Opts) {
     };
     for n in subs {
         let mut points = Vec::new();
-        for spindle in [true, false] {
+        for (spindle, samples) in [(true, opts.msgs()), (false, opts.msgs_baseline())] {
             for qos in QosLevel::ALL {
-                let samples = if spindle {
-                    opts.msgs()
-                } else {
-                    opts.msgs_baseline()
-                };
-                let mut s = spindle_sim::stats::Summary::new();
-                for seed in 1..=opts.runs as u64 {
+                points.push(Point::of((1..=opts.runs as u64).map(|seed| {
                     let r = DdsExperiment::new(n, qos, spindle)
                         .with_samples(samples)
                         .with_seed(seed)
                         .run();
-                    s.record(DdsExperiment::subscriber_bandwidth_mbs(&r));
-                }
-                points.push(Point {
-                    mean: s.mean(),
-                    sd: s.stddev(),
-                });
+                    DdsExperiment::subscriber_bandwidth_mbs(&r)
+                })));
             }
         }
         t.row(n as f64, points);
@@ -844,32 +597,23 @@ fn fig18(opts: &Opts) {
 fn upcall(opts: &Opts) {
     let view = single_subgroup(8, Pattern::All, PAPER_WINDOW, PAPER_MSG);
     let cfg = SpindleConfig::optimized();
-    let baseline = measure(&view, &cfg, &paper_workload(opts.msgs()), opts.runs, bw);
+    let run = |wl: &Workload| measure(&view, &cfg, wl, opts.runs, &[bw])[0];
+    let baseline = run(&paper_workload(opts.msgs()));
     let mut t = Table::new(
         "upcall",
         "delivery upcall delay sensitivity (paper: -9%/-90%/-99%)",
         "upcall us",
         vec!["GB/s".into(), "% of no-delay".into()],
     );
-    t.row(
-        0.0,
-        vec![
-            baseline,
-            Point {
-                mean: 100.0,
-                sd: 0.0,
-            },
-        ],
-    );
+    t.row(0.0, vec![baseline, Point::exact(100.0)]);
     for (us_, msgs) in [
         (1u64, opts.msgs()),
         (100, opts.msgs() / 4),
         (1000, opts.msgs() / 20),
     ] {
-        let wl = paper_workload(msgs.max(200)).with_upcall_cost(us(us_));
-        let p = measure(&view, &cfg, &wl, opts.runs, bw);
+        let p = run(&paper_workload(msgs.max(200)).with_upcall_cost(us(us_)));
         let pct = p.mean / baseline.mean * 100.0;
-        t.row(us_ as f64, vec![p, Point { mean: pct, sd: 0.0 }]);
+        t.row(us_ as f64, vec![p, Point::exact(pct)]);
     }
     t.emit(opts);
 }
@@ -883,7 +627,6 @@ fn counters(opts: &Opts) {
         "config", "writes/node", "push ops/node", "post s/node", "wait %"
     );
     let view = single_subgroup(16, Pattern::All, PAPER_WINDOW, PAPER_MSG);
-    let mut rows = Vec::new();
     for (name, cfg, msgs) in [
         ("baseline", SpindleConfig::baseline(), opts.msgs_baseline()),
         ("fully optimized", SpindleConfig::optimized(), opts.msgs()),
@@ -895,7 +638,6 @@ fn counters(opts: &Opts) {
         let post = r.total_post_time().as_secs_f64() / n as f64;
         let wait = r.sender_wait_share() * 100.0;
         println!("{name:>22} | {writes:>14} | {pushes:>14} | {post:>12.3} | {wait:>9.1}%",);
-        rows.push((name, writes, pushes, post, wait, msgs));
     }
     println!(
         "\n(paper, 1M msgs: writes 18.2M -> 1.1M, posting 64.84s -> 4.29s, wait 97.6% -> 52.7%;\n\
@@ -907,70 +649,35 @@ fn counters(opts: &Opts) {
 /// §4.2.3's additional null-send stress cases: all members declared
 /// senders but only one actually sends; bursty senders with long pauses.
 fn nullstress(opts: &Opts) {
+    const BURSTY: SenderActivity = SenderActivity::Bursty {
+        burst: 20,
+        pause: Duration::from_millis(2),
+    };
     type Shaper = fn(Workload, usize) -> Workload;
-    let cases: &[(&str, Shaper)] = &[
-        ("one does all sends", |mut wl, n| {
-            for rank in 1..n {
-                wl = wl.with_activity(0, rank, SenderActivity::Inactive);
-            }
-            wl
+    let cases: [(&str, Shaper); 3] = [
+        ("one does all sends", |wl, n| {
+            with_ranks(wl, 0, 1..n, SenderActivity::Inactive)
         }),
         ("one bursty (20 msgs / 2 ms)", |wl, _| {
-            wl.with_activity(
-                0,
-                0,
-                SenderActivity::Bursty {
-                    burst: 20,
-                    pause: us(2_000),
-                },
-            )
+            wl.with_activity(0, 0, BURSTY)
         }),
-        ("half bursty (20 msgs / 2 ms)", |mut wl, n| {
-            for rank in 0..(n / 2).max(1) {
-                wl = wl.with_activity(
-                    0,
-                    rank,
-                    SenderActivity::Bursty {
-                        burst: 20,
-                        pause: us(2_000),
-                    },
-                );
-            }
-            wl
+        ("half bursty (20 msgs / 2 ms)", |wl, n| {
+            with_ranks(wl, 0, Pattern::Half.senders(n), BURSTY)
         }),
     ];
-    let mut t = Table::new(
-        "nullstress",
-        "§4.2.3 null-send stress: active senders keep full speed (GB/s)",
-        "subgroup size",
-        cases
-            .iter()
-            .flat_map(|(name, _)| [format!("{name} (nulls)"), format!("{name} (no nulls)")])
-            .collect(),
-    );
-    for n in opts.sizes() {
-        let view = single_subgroup(n, Pattern::All, PAPER_WINDOW, PAPER_MSG);
-        let mut points = Vec::new();
-        for (_, shape) in cases {
-            let wl = shape(paper_workload(opts.msgs()), n);
-            points.push(measure(
-                &view,
-                &SpindleConfig::optimized(),
-                &wl,
-                opts.runs,
-                bw,
-            ));
-            points.push(measure(
-                &view,
-                &SpindleConfig::batching_only(),
-                &wl,
-                opts.runs,
-                bw,
-            ));
-        }
-        t.row(n as f64, points);
-    }
-    t.emit(opts);
+    let msgs = opts.msgs();
+    let curves: Vec<Curve> = cases
+        .into_iter()
+        .flat_map(|(name, shape)| {
+            [
+                (format!("{name} (nulls)"), SpindleConfig::optimized()),
+                (format!("{name} (no nulls)"), SpindleConfig::batching_only()),
+            ]
+            .map(|(label, cfg)| all_senders(label, cfg, move |n| shape(paper_workload(msgs), n)))
+        })
+        .collect();
+    let title = "§4.2.3 null-send stress: active senders keep full speed (GB/s)";
+    size_sweep(opts, "nullstress", title, &curves, bw);
     println!(
         "(paper §4.2.3: \"in all cases the mechanism successfully compensated, allowing the\n\
           active senders to run at full speed\"; the no-nulls columns stall or crawl.)\n"
@@ -982,6 +689,10 @@ fn nullstress(opts: &Opts) {
 fn ablate(opts: &Opts) {
     let view = single_subgroup(8, Pattern::All, PAPER_WINDOW, PAPER_MSG);
     let wl = paper_workload(opts.msgs());
+    let run = |cfg: SpindleConfig, cost: CostModel| {
+        let cluster = SimCluster::new(view.clone(), cfg, wl.clone());
+        cluster.with_cost(cost).run().bandwidth_gbps()
+    };
 
     let mut t = Table::new(
         "ablate_post",
@@ -991,27 +702,14 @@ fn ablate(opts: &Opts) {
     );
     for ns in [250u64, 500, 1_000, 2_000] {
         let cost = CostModel {
-            post_next: us(0) + std::time::Duration::from_nanos(ns),
+            post_next: Duration::from_nanos(ns),
             ..CostModel::default()
         };
-        let run = |cfg: SpindleConfig| {
-            spindle_core::SimCluster::new(view.clone(), cfg, wl.clone())
-                .with_cost(cost.clone())
-                .run()
-                .bandwidth_gbps()
-        };
-        let o = run(SpindleConfig::optimized());
-        let b = run(SpindleConfig::batching_only());
+        let o = run(SpindleConfig::optimized(), cost.clone());
+        let b = run(SpindleConfig::batching_only(), cost);
         t.row(
             ns as f64,
-            vec![
-                Point { mean: o, sd: 0.0 },
-                Point { mean: b, sd: 0.0 },
-                Point {
-                    mean: o / b,
-                    sd: 0.0,
-                },
-            ],
+            vec![Point::exact(o), Point::exact(b), Point::exact(o / b)],
         );
     }
     t.emit(opts);
@@ -1025,22 +723,11 @@ fn ablate(opts: &Opts) {
     for link in [6.25e9, 12.5e9, 25.0e9] {
         let mut cost = CostModel::default();
         cost.net.link_bandwidth = link; // nested field: no struct-update form
-        let r = spindle_core::SimCluster::new(view.clone(), SpindleConfig::optimized(), wl.clone())
-            .with_cost(cost)
-            .run();
+        let gbps = run(SpindleConfig::optimized(), cost);
         let cap = link / 1e9 * 8.0 / 7.0; // n/(n-1) ingress limit
         t.row(
             link / 1e9,
-            vec![
-                Point {
-                    mean: r.bandwidth_gbps(),
-                    sd: 0.0,
-                },
-                Point {
-                    mean: r.bandwidth_gbps() / cap * 100.0,
-                    sd: 0.0,
-                },
-            ],
+            vec![Point::exact(gbps), Point::exact(gbps / cap * 100.0)],
         );
     }
     t.emit(opts);
@@ -1053,18 +740,12 @@ fn ablate(opts: &Opts) {
     );
     for ns in [1_800u64, 3_600, 7_200] {
         let cost = CostModel {
-            app_per_msg: std::time::Duration::from_nanos(ns),
+            app_per_msg: Duration::from_nanos(ns),
             ..CostModel::default()
         };
-        let r = spindle_core::SimCluster::new(view.clone(), SpindleConfig::optimized(), wl.clone())
-            .with_cost(cost)
-            .run();
         t.row(
             ns as f64,
-            vec![Point {
-                mean: r.bandwidth_gbps(),
-                sd: 0.0,
-            }],
+            vec![Point::exact(run(SpindleConfig::optimized(), cost))],
         );
     }
     t.emit(opts);
@@ -1079,12 +760,6 @@ fn rdmc(opts: &Opts) {
     use spindle_rdmc::{Rdmc, ScheduleKind};
 
     let net = spindle_fabric::NetModel::default();
-    let sizes: Vec<usize> = if opts.full {
-        (2..=16).collect()
-    } else {
-        vec![2, 4, 8, 12, 16]
-    };
-    let deterministic = |v: f64| Point { mean: v, sd: 0.0 };
 
     for msg in [10 << 10, 100 << 10, 1 << 20, 10 << 20_usize] {
         // RDMC-style blocking: up to 16 blocks, clamped to [4 KB, 1 MB].
@@ -1104,7 +779,7 @@ fn rdmc(opts: &Opts) {
                 "binomial tree".into(),
             ],
         );
-        for &n in &sizes {
+        for n in opts.sizes() {
             let r = Rdmc::new(n, msg, block).expect("valid rdmc problem");
             let series: Vec<Point> = [
                 ScheduleKind::SequentialSend,
@@ -1113,7 +788,7 @@ fn rdmc(opts: &Opts) {
                 ScheduleKind::BinomialTree,
             ]
             .iter()
-            .map(|&kind| deterministic(r.bandwidth(&r.schedule(kind), &net) / 1e9))
+            .map(|&kind| Point::exact(r.bandwidth(&r.schedule(kind), &net) / 1e9))
             .collect();
             t.row(n as f64, series);
         }
@@ -1136,7 +811,7 @@ fn rdmc(opts: &Opts) {
                     > r.bandwidth(&r.schedule(ScheduleKind::SequentialSend), &net)
             })
             .unwrap_or(0);
-        t.row((msg >> 10) as f64, vec![deterministic(cross as f64)]);
+        t.row((msg >> 10) as f64, vec![Point::exact(cross as f64)]);
     }
     t.emit(opts);
 }
@@ -1148,184 +823,4 @@ fn human(bytes: usize) -> String {
     } else {
         format!("{} KB", bytes >> 10)
     }
-}
-
-/// Membership-operation latency on the threaded runtime (extension): how
-/// long the §2.1 epoch transition takes end to end — failure detection,
-/// removal (wedge + ragged trim + reinstall + resend), and join — as the
-/// group grows. Wall-clock, so absolute numbers depend on the host; the
-/// claim to check is that all three stay in the low milliseconds and grow
-/// mildly with group size.
-fn membership(opts: &Opts) {
-    use spindle_core::detector::DetectorConfig;
-    use spindle_core::Cluster;
-    use spindle_membership::SubgroupId;
-    use std::time::{Duration, Instant};
-
-    let sizes = if opts.full {
-        vec![3usize, 4, 6, 8, 12, 16]
-    } else {
-        vec![3usize, 6, 10]
-    };
-    let det = DetectorConfig {
-        heartbeat_interval: Duration::from_millis(1),
-        timeout: Duration::from_millis(50),
-    };
-    let mut t = Table::new(
-        "membership",
-        "membership ops on the threaded runtime (ms; detector timeout 50 ms)",
-        "group size",
-        vec![
-            "detect (ms)".into(),
-            "remove (ms)".into(),
-            "join (ms)".into(),
-        ],
-    );
-    for &n in &sizes {
-        let mut detect = spindle_sim::stats::Summary::new();
-        let mut remove = spindle_sim::stats::Summary::new();
-        let mut join = spindle_sim::stats::Summary::new();
-        for _ in 0..opts.runs {
-            let members: Vec<usize> = (0..n).collect();
-            let view = spindle_membership::ViewBuilder::new(n)
-                .subgroup(&members, &members, 16, 1024)
-                .build()
-                .unwrap();
-            let mut cluster =
-                Cluster::start_with_detector(view, SpindleConfig::optimized(), det.clone());
-            // Background traffic so the transition has real state to trim.
-            for i in 0..20u32 {
-                cluster
-                    .node(0)
-                    .send(SubgroupId(0), &i.to_le_bytes())
-                    .unwrap();
-            }
-            std::thread::sleep(Duration::from_millis(10)); // heartbeats flowing
-
-            let t0 = Instant::now();
-            cluster.kill(n - 1);
-            let s = cluster
-                .suspicions()
-                .recv_timeout(Duration::from_secs(10))
-                .expect("suspicion");
-            detect.record(t0.elapsed().as_secs_f64() * 1e3);
-
-            let t0 = Instant::now();
-            cluster.remove_node(s.suspect).unwrap();
-            remove.record(t0.elapsed().as_secs_f64() * 1e3);
-
-            let t0 = Instant::now();
-            cluster
-                .admit(spindle_core::AdmitRequest::in_process(&[(
-                    SubgroupId(0),
-                    true,
-                )]))
-                .unwrap();
-            join.record(t0.elapsed().as_secs_f64() * 1e3);
-            cluster.shutdown();
-        }
-        let p = |s: &spindle_sim::stats::Summary| Point {
-            mean: s.mean(),
-            sd: s.stddev(),
-        };
-        t.row(n as f64, vec![p(&detect), p(&remove), p(&join)]);
-    }
-    t.emit(opts);
-    println!(
-        "(detection ~= detector timeout + one heartbeat; removal and join are\n the full wedge -> trim -> reinstall -> resend transition)\n"
-    );
-}
-
-/// Durable-mode overhead on the threaded runtime (extension; paper
-/// footnote 2): delivered throughput of a small group with persistence
-/// off, on without fsync, and on with fsync-per-batch.
-fn durability(opts: &Opts) {
-    use spindle_core::threaded::PersistConfig;
-    use spindle_core::Cluster;
-    use spindle_membership::SubgroupId;
-    use std::time::{Duration, Instant};
-
-    let n = 3;
-    let msgs: u32 = if opts.full { 2_000 } else { 500 };
-    let size = 10 * 1024;
-    let mut t = Table::new(
-        "durability",
-        format!("persistent multicast cost, n={n}, {msgs} x 10KB per sender (GB/s)"),
-        "mode",
-        vec!["delivered GB/s".into()],
-    );
-    let run = |persist: Option<PersistConfig>| -> f64 {
-        let members: Vec<usize> = (0..n).collect();
-        let view = spindle_membership::ViewBuilder::new(n)
-            .subgroup(&members, &members, 64, size)
-            .build()
-            .unwrap();
-        let cluster = match persist {
-            None => Cluster::start(view, SpindleConfig::optimized()),
-            Some(pc) => Cluster::start_persistent(view, SpindleConfig::optimized(), pc),
-        };
-        let payload = vec![0xABu8; size];
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for node in 0..n {
-                let h = cluster.node(node);
-                let p = &payload;
-                s.spawn(move || {
-                    for _ in 0..msgs {
-                        h.send(SubgroupId(0), p).unwrap();
-                    }
-                });
-            }
-            for node in 0..n {
-                for _ in 0..(n as u32 * msgs) {
-                    cluster
-                        .node(node)
-                        .recv_timeout(Duration::from_secs(60))
-                        .expect("delivery");
-                }
-            }
-        });
-        let secs = t0.elapsed().as_secs_f64();
-        let bytes = (n as u64 * msgs as u64 * size as u64) as f64;
-        cluster.shutdown();
-        bytes / secs / 1e9
-    };
-    let dir = |tag: &str| {
-        let d = std::env::temp_dir().join(format!(
-            "spindle-fig-durability-{}-{tag}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    };
-    for (i, (label, persist)) in [
-        ("off", None),
-        (
-            "log, no fsync",
-            Some(PersistConfig::with_options(
-                spindle_persist::PersistOptions::new(dir("nofsync"))
-                    .sync_policy(spindle_persist::SyncPolicy::Never),
-            )),
-        ),
-        ("log + fsync", Some(PersistConfig::new(dir("fsync")))),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut s = spindle_sim::stats::Summary::new();
-        for _ in 0..opts.runs {
-            s.record(run(persist.clone()));
-        }
-        println!("  mode {i}: {label}");
-        t.row(
-            i as f64,
-            vec![Point {
-                mean: s.mean(),
-                sd: s.stddev(),
-            }],
-        );
-    }
-    t.emit(opts);
-    let _ = std::fs::remove_dir_all(dir("nofsync"));
-    let _ = std::fs::remove_dir_all(dir("fsync"));
 }

@@ -2,9 +2,9 @@
 //!
 //! Every table and figure of the paper's evaluation section (see
 //! `EXPERIMENTS.md`) is regenerated by `src/bin/figures.rs` using the
-//! helpers here: workload patterns, seeded multi-run sweeps with mean ±
-//! stddev (the paper runs each test 5 times and plots error bars), and
-//! CSV/console output.
+//! helpers here: workload patterns, curves swept over subgroup sizes,
+//! seeded multi-run measurements with mean ± stddev (the paper runs each
+//! test 5 times and plots error bars), and CSV/console output.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -35,12 +35,12 @@ impl Pattern {
         }
     }
 
-    /// Display label matching the paper's legends.
+    /// The pattern's word in the paper's legends ("batching all").
     pub fn label(self) -> &'static str {
         match self {
-            Pattern::All => "all senders",
-            Pattern::Half => "half senders",
-            Pattern::One => "one sender",
+            Pattern::All => "all",
+            Pattern::Half => "half",
+            Pattern::One => "one",
         }
     }
 }
@@ -87,11 +87,6 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// Fast-mode options used by `cargo bench`'s smoke pass.
-    pub fn quick() -> Self {
-        Opts::default()
-    }
-
     /// The subgroup sizes to sweep (x-axis of most figures).
     pub fn sizes(&self) -> Vec<usize> {
         if self.full {
@@ -129,34 +124,42 @@ pub struct Point {
 }
 
 impl Point {
-    fn from_summary(s: &Summary) -> Point {
+    /// Mean ± sample stddev of `values`, accumulated in order.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Point {
+        let mut s = Summary::new();
+        values.into_iter().for_each(|v| s.record(v));
         Point {
             mean: s.mean(),
             sd: s.stddev(),
         }
     }
+
+    /// A value with no spread (a cost-model curve, a ratio, one run).
+    pub fn exact(v: f64) -> Point {
+        Point { mean: v, sd: 0.0 }
+    }
 }
 
-/// Runs `runs` seeded repetitions of a simulation and aggregates a metric.
+/// What a figure reads off one simulated run.
+pub type Metric = fn(&RunReport) -> f64;
+
+/// Runs `runs` seeded repetitions of a simulation and aggregates each of
+/// `metrics` over them, in order.
 pub fn measure(
     view: &View,
     cfg: &SpindleConfig,
     workload: &Workload,
     runs: usize,
-    metric: impl Fn(&RunReport) -> f64,
-) -> Point {
-    let mut s = Summary::new();
-    for seed in 1..=runs as u64 {
-        let report = SimCluster::new(view.clone(), cfg.clone(), workload.clone())
-            .with_seed(seed)
-            .run();
-        s.record(metric(&report));
-    }
-    Point::from_summary(&s)
+    metrics: &[Metric],
+) -> Vec<Point> {
+    let reports = run_seeds(view, cfg, workload, runs);
+    metrics
+        .iter()
+        .map(|m| Point::of(reports.iter().map(m)))
+        .collect()
 }
 
-/// Like [`measure`] but returns the full reports (for histogram/counter
-/// experiments).
+/// Runs seeds `1..=runs` of a simulation and returns the full reports.
 pub fn run_seeds(
     view: &View,
     cfg: &SpindleConfig,
@@ -180,6 +183,65 @@ pub fn bw(r: &RunReport) -> f64 {
 /// Mean latency metric in ms.
 pub fn lat(r: &RunReport) -> f64 {
     r.mean_latency_ms()
+}
+
+/// One series of a size sweep: a configuration, and the view and workload
+/// it runs at each subgroup size.
+pub struct Curve {
+    pub label: String,
+    pub cfg: SpindleConfig,
+    pub at: Box<dyn Fn(usize) -> (View, Workload)>,
+}
+
+impl Curve {
+    /// A curve whose view and workload at size `n` are `at(n)`.
+    pub fn new(
+        label: impl Into<String>,
+        cfg: SpindleConfig,
+        at: impl Fn(usize) -> (View, Workload) + 'static,
+    ) -> Curve {
+        Curve {
+            label: label.into(),
+            cfg,
+            at: Box::new(at),
+        }
+    }
+
+    /// `<prefix> all`, `<prefix> half` and `<prefix> one`: the paper's
+    /// three sender patterns over one subgroup of paper-sized slots.
+    pub fn patterns(prefix: &str, cfg: SpindleConfig, workload: Workload) -> Vec<Curve> {
+        [Pattern::All, Pattern::Half, Pattern::One]
+            .into_iter()
+            .map(|pat| {
+                let wl = workload.clone();
+                Curve::new(format!("{prefix} {}", pat.label()), cfg.clone(), move |n| {
+                    (single_subgroup(n, pat, PAPER_WINDOW, PAPER_MSG), wl.clone())
+                })
+            })
+            .collect()
+    }
+}
+
+/// Measures `metric` for every curve at every size of `opts.sizes()` and
+/// emits the table `name`, one column per curve.
+pub fn size_sweep(opts: &Opts, name: &str, title: &str, curves: &[Curve], metric: Metric) {
+    let mut t = Table::new(
+        name,
+        title,
+        "subgroup size",
+        curves.iter().map(|c| c.label.clone()).collect(),
+    );
+    for n in opts.sizes() {
+        let points = curves
+            .iter()
+            .map(|c| {
+                let (view, wl) = (c.at)(n);
+                measure(&view, &c.cfg, &wl, opts.runs, &[metric])[0]
+            })
+            .collect();
+        t.row(n as f64, points);
+    }
+    t.emit(opts);
 }
 
 /// A rendered results table: header + rows, printed to the console and
@@ -311,34 +373,36 @@ mod tests {
     }
 
     #[test]
-    fn quick_opts_are_small() {
-        let o = Opts::quick();
-        assert!(!o.full);
-        assert!(o.sizes().len() <= 6);
-        assert!(o.msgs() <= 5_000);
+    fn measure_aggregates_over_seeds() {
+        let v = single_subgroup(2, Pattern::All, 8, 256);
+        let cfg = SpindleConfig::optimized();
+        let wl = Workload::new(50, 256);
+        let both = measure(&v, &cfg, &wl, 2, &[bw, lat]);
+        assert!(both[0].mean > 0.0);
+        assert!(both[0].sd >= 0.0);
+        // Both metrics off one set of runs equal each measured alone, in order.
+        let alone = [bw, lat].map(|m| measure(&v, &cfg, &wl, 2, &[m])[0]);
+        for (b, a) in both.iter().zip(&alone) {
+            assert_eq!((b.mean, b.sd), (a.mean, a.sd));
+        }
     }
 
     #[test]
-    fn measure_aggregates_over_seeds() {
-        let v = single_subgroup(2, Pattern::All, 8, 256);
-        let p = measure(
-            &v,
-            &SpindleConfig::optimized(),
-            &Workload::new(50, 256),
-            2,
-            bw,
-        );
-        assert!(p.mean > 0.0);
-        assert!(p.sd >= 0.0);
+    fn pattern_curves_name_and_size_their_senders() {
+        let curves = Curve::patterns("x", SpindleConfig::optimized(), Workload::new(1, 8));
+        let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["x all", "x half", "x one"]);
+        let senders: Vec<usize> = curves
+            .iter()
+            .map(|c| (c.at)(16).0.subgroups()[0].num_senders())
+            .collect();
+        assert_eq!(senders, [16, 8, 1]);
     }
 
     #[test]
     fn table_render_and_csv() {
         let mut t = Table::new("figX", "demo", "size", vec!["a".into(), "b c".into()]);
-        t.row(
-            2.0,
-            vec![Point { mean: 1.0, sd: 0.1 }, Point { mean: 2.0, sd: 0.0 }],
-        );
+        t.row(2.0, vec![Point { mean: 1.0, sd: 0.1 }, Point::exact(2.0)]);
         let r = t.render();
         assert!(r.contains("figX"));
         assert!(r.contains("1.0000"));
