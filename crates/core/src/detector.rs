@@ -60,11 +60,10 @@ struct PeerState {
     suspected: bool,
 }
 
-/// One node's heartbeat duty, for every loop that must keep it up (the
-/// predicate loop, and the agreement and barrier loops of the view-change
-/// driver it runs): bump and post the own counter on the cadence, and read
-/// the watched peers' counters — a peer whose counter stands still past the
-/// timeout is suspected, and reported once.
+/// One node's heartbeat duty, kept up by its predicate loop on every pass,
+/// epoch transitions included: bump and post the own counter on the
+/// cadence, and read the watched peers' counters — a peer whose counter
+/// stands still past the timeout is suspected, and reported once.
 ///
 /// A predicate thread owns one for its whole life and [`watch`](Self::watch)es
 /// each epoch's peers with it, so the own value never regresses: a regressed

@@ -255,7 +255,7 @@ impl<F: Fabric> NodeHandle<F> {
 
     /// How many view changes this node has installed, and the cumulative
     /// time they took it from wedging to the install barrier's
-    /// confirmation — read from what its view-change driver records in the
+    /// confirmation — read from what its predicate thread records in the
     /// registry: [`names::VIEW_CHANGES`] and the sums of both
     /// [`names::VIEW_CHANGE_PHASE`] histograms.
     pub fn view_change_stats(&self) -> (u64, Duration) {
@@ -518,7 +518,7 @@ impl<F: Fabric> Cluster<F> {
     /// [`SendError::Closed`], deliveries never arrive).
     ///
     /// If the fabric supports [`Fabric::begin_epoch`] (the TCP fabric
-    /// does), the view-change driver every predicate thread runs advances
+    /// does), the transition every predicate thread runs advances
     /// it in place — fresh mirror, fresh connections at the new epoch —
     /// and, there being no caller that sees every row, a local detector's
     /// verdict starts a transition as a peer's suspicion column or a

@@ -1,10 +1,12 @@
 //! [`Cluster::remove_node`] and [`Cluster::admit`]: the caller's side of an
-//! epoch transition. The predicate threads run it
-//! ([`view_change`](super::distributed::view_change)); the caller validates
+//! epoch transition. The predicate threads run it (each row's
+//! [`Transition`](super::distributed::Transition)); the caller validates
 //! the request, raises the trigger on one local row and waits for the
-//! local rows' reports.
+//! local rows' reports — and a joiner holds its end of the install barrier
+//! ([`Cluster::join_barrier`]).
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -13,9 +15,11 @@ use spindle_membership::reconfig::{self, PLANNED_BIT};
 use spindle_membership::View;
 
 use super::api::{AdmitRequest, Cluster, ViewChangeError, ViewChangeReport};
-use super::node::{JoinIntent, NodeShared};
+use super::node::{ops_to, JoinIntent, NodeShared};
+use super::predicate::EpochLocal;
 use super::VC_DEADLINE;
 use crate::plan::Plan;
+use crate::viewchange::InstallBarrier;
 
 impl<F: Fabric> Cluster<F> {
     /// Executes a view change that removes `failed` (crash or planned
@@ -289,6 +293,43 @@ impl<F: Fabric> Cluster<F> {
         }
         let report = self.await_transition(&old_view, &none)?;
         Ok((new_row, report))
+    }
+
+    /// The *joiner's* half of the install/catch-up barrier: a row that
+    /// entered the cluster at its current epoch (a process after the
+    /// `--join` bootstrap; [`Cluster::admit`] runs it for an in-process
+    /// joiner) publishes its `installed`/`acked` flags in the fresh SST
+    /// and blocks until every survivor confirms — the same
+    /// two-phase [`InstallBarrier`] the survivors hold, so application
+    /// traffic resumes cluster-wide only once the joiner's mirror is up,
+    /// connected, and confirmed on every link. Returns `false` on
+    /// timeout (a survivor died mid-barrier) — the joiner should give
+    /// up rather than serve traffic on a half-formed mesh.
+    pub fn join_barrier(&self, row: usize, timeout: Duration) -> bool {
+        let (local, cols) = {
+            let inner = self.shared(row).inner.lock();
+            (EpochLocal::of(&inner), inner.reconfig.clone())
+        };
+        // The other parties are this row's heartbeat peers: the rows of the
+        // view that belong to a subgroup — the survivors' own barrier lists
+        // the identical set (old active rows minus failed, plus us).
+        let peers = &local.hb_peers;
+        let mut barrier = InstallBarrier::new(local.epoch, peers.clone(), cols, row);
+        let mut post = |range: Range<usize>| {
+            for op in ops_to(peers, row, range) {
+                local.fabric.post(NodeId(row), &op);
+            }
+        };
+        let deadline = Instant::now() + timeout;
+        while !barrier.step(&local.sst, &mut post) {
+            if Instant::now() > deadline || self.stop.load(Ordering::Relaxed) {
+                return false;
+            }
+            // Not the doorbell: this is the caller's thread, and the
+            // row's predicate thread is the one waiter its replica has.
+            std::thread::sleep(Duration::from_micros(300));
+        }
+        true
     }
 
     /// Rows that crashed silently: not removed (their handles are open),

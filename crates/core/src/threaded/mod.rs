@@ -31,15 +31,19 @@
 //! delivered by *no one*, which together with the cut rule gives the
 //! all-or-nothing guarantee.
 //!
-//! One driver executes that engine, on every cluster and every transport:
+//! One loop executes that engine, on every cluster and every transport:
 //! each node's predicate thread. A trigger from [`Cluster::remove_node`] /
 //! [`Cluster::admit`], a peer's suspicion column or — where rows run in
 //! several processes and no caller sees them all — the node's own detector
-//! wedges the node; the engine converges through the SST; and each node
-//! enters the next view and holds the install barrier itself. In-process
-//! clusters therefore run exactly the code the multi-process
-//! `spindle-node` runtime runs. The one thing substituted is how the next
-//! epoch's fabric is obtained: `spindle_net::TcpFabric` advances in place
+//! wedges the node, and from then on a transition the thread holds is what
+//! its node pass steps instead of the subgroups: the engine converging
+//! through the SST, then the next view entered and its install barrier
+//! held, the heartbeat beating throughout. Nothing else waits: the thread's
+//! idle ladder parks it on its replica's doorbell between steps as between
+//! passes. In-process clusters therefore run exactly the code the
+//! multi-process `spindle-node` runtime runs. The one thing substituted is
+//! how the next epoch's fabric is obtained: `spindle_net::TcpFabric`
+//! advances in place
 //! ([`Fabric::begin_epoch`](spindle_fabric::Fabric::begin_epoch): fresh
 //! mirror, fresh sockets, a `HELLO` at the new epoch), while a
 //! factory-built cluster has the first local row to install an epoch call
@@ -60,7 +64,7 @@ pub use api::{
 };
 pub use persist::PersistConfig;
 
-/// How long an SST-driven transition may take to converge before the
-/// driver gives up (a participant stalled forever — a harness bug or a
+/// How long an SST-driven transition may take to converge before its
+/// thread gives up (a participant stalled forever — a harness bug or a
 /// genuinely partitioned survivor).
 const VC_DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);

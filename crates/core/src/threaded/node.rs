@@ -1,5 +1,5 @@
-//! One node's state — shared by its [`NodeHandle`](super::NodeHandle), its
-//! predicate thread and the view-change driver that thread runs — the single
+//! One node's state — shared by its [`NodeHandle`](super::NodeHandle) and its
+//! predicate thread, epoch transitions included — the single
 //! place a node enters an epoch, what the rows of one process share across
 //! epochs ([`Epochs`]), and the row and post helpers the other modules share.
 
@@ -55,8 +55,8 @@ impl<F: Fabric> NodeInner<F> {
     /// `plan`, over `fabric` (§2.3: memory is registered per view): a fresh
     /// SST over the row's region, fresh protocol state for every subgroup
     /// the row belongs to, the epoch gauge and the
-    /// [`FlightEvent::Install`] record. Start-up (and a joiner's) and the
-    /// view-change driver's install enter an epoch here; the caller
+    /// [`FlightEvent::Install`] record. Start-up (and a joiner's) and a
+    /// transition's install enter an epoch here; the caller
     /// publishes the epoch number ([`NodeShared::epoch`]).
     pub(super) fn enter_epoch(
         view: &Arc<View>,
@@ -176,10 +176,10 @@ pub(super) struct Epochs<F: Fabric> {
     /// The suspicion bits of local rows that died at a crash boundary
     /// armed through
     /// [`Cluster::arm_vc_crash`](super::Cluster::arm_vc_crash) — the
-    /// stand-in for the detector a cluster may not have. The driver holds
-    /// the lock across one engine step: a row that halts records its bit
-    /// before any other local row steps again, so its peers suspect it no
-    /// later than they can read the boundary's writes. That keeps the
+    /// stand-in for the detector a cluster may not have. A node pass holds
+    /// the lock across one engine step, and a row that halts records its
+    /// bit and posts the boundary's writes before it lets go: its peers
+    /// suspect it no later than they can read those writes. That keeps the
     /// takeover's shape (fresh trim or verbatim adoption) a function of
     /// the boundary, not of thread timing.
     pub(super) crashed: Mutex<u64>,
@@ -278,7 +278,7 @@ pub(super) struct NodeShared<F: Fabric> {
     pub(super) paused: AtomicBool,
     /// Fault injection ([`Cluster::set_drop_heartbeats`](super::Cluster::set_drop_heartbeats)):
     /// while set, the row's heartbeat bumps its counter but posts nothing,
-    /// in every loop that beats and in every epoch.
+    /// in every epoch and through every transition.
     pub(super) hb_muted: Arc<AtomicBool>,
     /// Where this node's detector reports suspicions.
     pub(super) suspicion_tx: Sender<Suspicion>,
@@ -286,7 +286,7 @@ pub(super) struct NodeShared<F: Fabric> {
     /// from outside its predicate loop: a
     /// [`Cluster::remove_node`](super::Cluster::remove_node) /
     /// [`Cluster::admit`](super::Cluster::admit) trigger, or what the
-    /// driver itself carries over from the transition it just finished.
+    /// thread itself carries over from the transition it just finished.
     pub(super) vc_trigger: AtomicU64,
     /// Consumed by the predicate thread when it starts the transition.
     pub(super) join_intent: Mutex<Option<JoinIntent>>,
@@ -301,8 +301,8 @@ pub(super) struct NodeShared<F: Fabric> {
     /// persistent); only the predicate thread appends through it.
     pub(super) persist: Option<Mutex<PersistHook>>,
     /// The process-wide observability plane (adopted from the fabric or
-    /// created by the cluster): the predicate thread and the view-change
-    /// driver publish counters, latency samples and flight events here.
+    /// created by the cluster): the predicate thread publishes counters,
+    /// latency samples and flight events here, transitions included.
     pub(super) obs: ObsPlane,
     pub(super) epochs: Arc<Epochs<F>>,
 }
@@ -345,8 +345,7 @@ impl<F: Fabric> NodeShared<F> {
     /// Queues `payload` as this node's next message in `sg`: `Ok(false)`
     /// when the ring window is full. Wedges are the caller's business
     /// ([`NodeHandle::try_send`](super::NodeHandle::try_send) refuses under
-    /// one; the view-change driver requeues recovered messages under its
-    /// own).
+    /// one; a transition requeues recovered messages under its own).
     pub(super) fn try_queue(&self, sg: SubgroupId, payload: &[u8]) -> Result<bool, SendError> {
         let mut inner = self.inner.lock();
         if !inner.alive {
@@ -432,18 +431,4 @@ pub(super) fn ops_to(
         .iter()
         .filter(move |&&p| p != me)
         .map(move |&p| WriteOp::new(NodeId(p), range.clone()))
-}
-
-/// The `post` callback the view-change engine, the install barrier and the
-/// heartbeat ticker take: `row` posts each range straight to `peers`.
-pub(super) fn post_to<'a, F: Fabric>(
-    fabric: &'a F,
-    row: usize,
-    peers: &'a [usize],
-) -> impl FnMut(Range<usize>) + 'a {
-    move |range| {
-        for op in ops_to(peers, row, range) {
-            fabric.post(NodeId(row), &op);
-        }
-    }
 }

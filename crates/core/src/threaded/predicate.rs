@@ -8,15 +8,16 @@ use std::time::{Duration, Instant};
 use spindle_fabric::{Fabric, NodeId, WriteOp};
 use spindle_membership::reconfig::{self, PLANNED_BIT};
 use spindle_membership::{SeqNum, SubgroupId};
-use spindle_obs::ObsPlane;
+use spindle_obs::{FlightEvent, Level, ObsPlane};
 use spindle_sst::{CounterCol, Sst};
 
 use super::api::Delivered;
-use super::distributed::view_change;
+use super::distributed::{act, wedge, Transition};
 use super::node::{ops_to, NodeInner, NodeShared};
 use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::{DetectorConfig, HeartbeatTicker};
 use crate::proto::{Delivery, SubgroupProto};
+use crate::viewchange::VcStep;
 
 /// The registry handles of one `(node, epoch)`'s deliveries: once resolved,
 /// a batch costs two relaxed atomic adds (plus one histogram record per
@@ -263,14 +264,17 @@ impl<F: Fabric> EpochLocal<F> {
     }
 }
 
-/// What a predicate thread owns for its whole life and lends to the
-/// view-change driver it runs: the epoch's handles, its one heartbeat, and
-/// one pass's scratch, emptied by the caller of the pass that filled it.
+/// What a predicate thread owns for its whole life: the epoch's handles,
+/// its one heartbeat, the epoch transition it is in, if any, and one pass's
+/// scratch, emptied by the caller of the pass that filled it.
 pub(super) struct ThreadState<F> {
     pub(super) local: EpochLocal<F>,
     /// Only with a detector. Carried from epoch to epoch, so the value the
     /// peers see never regresses — a regressed counter reads as silence.
     pub(super) ticker: Option<HeartbeatTicker>,
+    /// From the wedge to the unwedge: what [`node_pass`] steps instead of
+    /// the subgroup passes.
+    pub(super) transition: Option<Transition>,
     /// The writes, in posting order: posted after the node lock is released
     /// (§3.4) or under it (baseline).
     posts: Vec<WriteOp>,
@@ -297,6 +301,7 @@ impl<F: Fabric> ThreadState<F> {
             ticker: det
                 .as_ref()
                 .map(|dc| HeartbeatTicker::new(dc, Arc::clone(hb_muted), now)),
+            transition: None,
             posts: Vec::new(),
             batch: Batch::default(),
             persist_work: logs.then(Vec::new),
@@ -354,25 +359,30 @@ impl<F: Fabric> ThreadState<F> {
 
 /// What one [`node_pass`] found.
 struct NodeStep {
-    /// Whether any subgroup's pass did something: the idle ladder's input.
+    /// Whether any subgroup's pass did something, or a transition's phase
+    /// advanced: the idle ladder's input.
     work: bool,
     /// Suspicion bits that must start a transition after this pass.
     vc_bits: u64,
     /// The peers the heartbeat just found silent, each reported once.
     suspects: Vec<usize>,
+    /// With a transition held, its step, for [`act`] (and no suspects:
+    /// the step acted on them).
+    transition: Option<VcStep>,
 }
 
 /// One iteration's protocol work for the node `inner` holds (§2.4; in
-/// Derecho the same loop carries the SST heartbeat): the transition bits —
-/// `trigger`, swapped out of [`NodeShared::vc_trigger`], and the peers'
-/// suspicion column, masked to this epoch's rows and [`PLANNED_BIT`] — then
-/// the heartbeat's turn at `now`, then every subgroup's
-/// [`SubgroupProto::pass`] into the thread's scratch, the writes after the
-/// heartbeat's. It takes no lock, reads no clock (the caller reads `now`
-/// only for a heartbeat), and posts and sends nothing: the caller holds the
-/// lock, convicts the suspects and posts, so a driver with a discrete clock
-/// and no threads runs the same pass.
+/// Derecho the same loop carries the SST heartbeat): the heartbeat's turn at
+/// `now`, then either one step of the thread's [`Transition`] or the
+/// transition bits — `trigger`, swapped out of [`NodeShared::vc_trigger`],
+/// and the peers' suspicion column, masked to this epoch's rows and
+/// [`PLANNED_BIT`] — and every subgroup's [`SubgroupProto::pass`], the
+/// writes into the thread's scratch after the heartbeat's. It reads no
+/// clock, and outside a transition posts and sends nothing: the caller
+/// holds the lock, convicts the suspects and posts, so a driver with a
+/// discrete clock and no threads runs the same pass.
 fn node_pass<F: Fabric>(
+    shared: &NodeShared<F>,
     inner: &mut NodeInner<F>,
     th: &mut ThreadState<F>,
     now: Option<Instant>,
@@ -380,20 +390,86 @@ fn node_pass<F: Fabric>(
     cfg: &SpindleConfig,
 ) -> NodeStep {
     let local = &th.local;
-    let (sst, peers) = (&local.sst, &local.hb_peers);
+    let (sst, peers, cols) = (&local.sst, &local.hb_peers, &inner.reconfig);
     let row = sst.own_row();
+    let posts = &mut th.posts;
+    let mut post = |range| posts.extend(ops_to(peers, row, range));
+    let mut suspects = Vec::new();
+    if let (Some(ticker), Some(now)) = (&mut th.ticker, now) {
+        suspects = ticker.tick(now, sst, inner.heartbeat_col, &mut post);
+    }
+    // A transition step: the verdicts' effect in its phase, then one engine
+    // or barrier step — work only when its phase advanced, not for a mere
+    // re-publish. A confirmed barrier is `VcStep::Done`.
+    if let Some(transition) = &mut th.transition {
+        let (work, step) = match transition {
+            Transition::Agree(a) => {
+                for suspect in suspects {
+                    let vid = a.engine.vid();
+                    a.engine
+                        .suspect(shared.convict(row, suspect, vid, true, true));
+                }
+                let mut crashed = shared.epochs.crashed.lock();
+                a.engine.suspect(*crashed);
+                let step = a.engine.step(sst, &a.frontiers, &mut post);
+                match &step {
+                    VcStep::Install(p) => {
+                        // The engine stops stepping here. A late takeover leader
+                        // counts a row that already installed as acked, so leave
+                        // the flag in the *old* epoch too: the install barrier's
+                        // pushes reach an old mirror only on a transport that
+                        // advances in place.
+                        sst.set_counter(cols.installed, p.vid as i64);
+                        post(sst.layout().abs_range(row, cols.installed.word_range()));
+                    }
+                    VcStep::Crashed if a.cluster_armed => {
+                        // Record the halt, then let the boundary's writes leave
+                        // under the same lock: a local peer that can read them
+                        // already suspects this row.
+                        *crashed |= 1 << row;
+                        for op in posts.drain(..) {
+                            local.fabric.post(NodeId(row), &op);
+                        }
+                    }
+                    _ => {}
+                }
+                (step != VcStep::Pending, step)
+            }
+            Transition::Barrier(b) => {
+                // Dead parties: the detector's verdicts, and local rows that
+                // halted at an armed crash boundary.
+                let mut dead = reconfig::rows_of(*shared.epochs.crashed.lock());
+                dead.extend(suspects);
+                dead.retain(|d| b.barrier.parties().contains(d));
+                for target in dead {
+                    let (epoch, t) = (b.report.epoch, target as u32);
+                    let event = FlightEvent::BarrierDrop { target: t, epoch };
+                    shared.obs.event(Level::Error, row, event);
+                    b.barrier.remove_party(target);
+                    if target <= reconfig::MAX_BITMAP_ROW {
+                        shared.vc_trigger.fetch_or(1 << target, Ordering::AcqRel);
+                    }
+                }
+                // The confirm phase shows as this row's own `acked` flag.
+                let acked = sst.counter(cols.acked, row);
+                let done = b.barrier.step(sst, &mut post);
+                let advanced = done || sst.counter(cols.acked, row) != acked;
+                (advanced, if done { VcStep::Done } else { VcStep::Pending })
+            }
+        };
+        return NodeStep {
+            work,
+            vc_bits: 0,
+            suspects: Vec::new(),
+            transition: Some(step),
+        };
+    }
     let mut vc_bits = trigger;
     for &peer in peers {
         vc_bits |= sst.counter(inner.reconfig.suspected, peer) as u64;
     }
     if vc_bits != 0 {
         vc_bits &= reconfig::bits_of(peers.iter().copied().chain([row])) | PLANNED_BIT;
-    }
-    let mut suspects = Vec::new();
-    if let (Some(ticker), Some(now)) = (&mut th.ticker, now) {
-        suspects = ticker.tick(now, sst, inner.heartbeat_col, &mut |range| {
-            th.posts.extend(ops_to(peers, row, range))
-        });
     }
     let mut work = false;
     let stamps = inner.queued_at.iter_mut();
@@ -419,15 +495,99 @@ fn node_pass<F: Fabric>(
         work,
         vc_bits,
         suspects,
+        transition: None,
     }
 }
 
-/// The per-node polling loop (§2.4): lock → [`node_pass`] → (baseline: post
-/// under the lock) → unlock → durable append → post (§3.4) → publish → the
-/// idle ladder — or, when the pass found a [`NodeShared::vc_trigger`]
-/// request, a peer's suspicion or (with `drives_engine`, see
-/// [`NodeShared::convict`]) its own detector's verdict, the epoch
-/// transition the thread then drives itself ([`view_change`]).
+/// What one [`iterate`] leaves the loop to do: the ladder's next rung after
+/// a pass that found work or none, one [`IDLE_QUANTUM`] while
+/// [`NodeShared::paused`] (no pass, no heartbeat; kills and stop still
+/// land), or the end of a row that crashed, closed or halted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    Pass(bool),
+    Paused,
+    Exit,
+}
+
+/// One iteration of the per-node polling loop (§2.4), all but its idle
+/// wait: the exit checks, lock → [`node_pass`] → (baseline: post under the
+/// lock) → unlock → durable append → post (§3.4) → publish, then [`act`] on
+/// a transition's step — or, when the pass found a
+/// [`NodeShared::vc_trigger`] request, a peer's suspicion or (with
+/// `drives_engine`, see [`NodeShared::convict`]) its own detector's
+/// verdict, the [`wedge`]. `clock` — `Instant::now`, or a test's synthetic
+/// one — is read only for a heartbeat or a transition.
+fn iterate<F: Fabric>(
+    shared: &NodeShared<F>,
+    th: &mut ThreadState<F>,
+    cfg: &SpindleConfig,
+    drives_engine: bool,
+    clock: &dyn Fn() -> Instant,
+) -> Turn {
+    if shared.killed.load(Ordering::Acquire) {
+        return Turn::Exit; // simulated crash: vanish without a trace
+    }
+    if shared.paused.load(Ordering::Acquire) {
+        return Turn::Paused;
+    }
+    let row = th.local.sst.own_row();
+    let mut inner = shared.inner.lock();
+    if !inner.alive {
+        return Turn::Exit;
+    }
+    // Swapped only when set, and not inside a transition: a request raised
+    // meanwhile starts the next one. This runs on every pass of the data
+    // path.
+    let mut trigger = 0;
+    if th.transition.is_none() && shared.vc_trigger.load(Ordering::Acquire) != 0 {
+        trigger = shared.vc_trigger.swap(0, Ordering::AcqRel);
+    }
+    let now = (th.ticker.is_some() || th.transition.is_some()).then(clock);
+    let step = node_pass(shared, &mut inner, th, now, trigger, cfg);
+    let mut vc_bits = step.vc_bits;
+    for suspect in step.suspects {
+        vc_bits |= shared.convict(row, suspect, th.local.epoch, false, drives_engine);
+    }
+    if !cfg.early_lock_release {
+        // Baseline: post while holding the lock (§3.4's problem).
+        for op in th.posts.drain(..) {
+            th.local.fabric.post(NodeId(row), &op);
+        }
+    }
+    drop(inner);
+    // Durable mode: append this pass's ordered deliveries to the
+    // per-subgroup logs, fsync when the policy says so, then advertise
+    // the new frontiers. This happens outside the lock — log I/O must
+    // never stall the application threads (the same reasoning as §3.4).
+    let work = th.persist_work.as_mut().filter(|w| !w.is_empty());
+    if let (Some(hook), Some(work)) = (&shared.persist, work) {
+        hook.lock().append(&th.batch.delivered);
+        for (g, pers_col, hi) in work.drain(..) {
+            let range = th.local.sst.set_counter(pers_col, hi);
+            th.posts.extend(ops_to(&th.local.members[g], row, range));
+        }
+    }
+    for op in th.posts.drain(..) {
+        th.local.fabric.post(NodeId(row), &op);
+    }
+    th.publish(shared);
+    let now = || now.unwrap_or_else(clock);
+    match step.transition {
+        Some(ts) => match act(shared, th, ts, now(), cfg) {
+            true => Turn::Pass(step.work),
+            false => Turn::Exit,
+        },
+        None if vc_bits != 0 => {
+            wedge(shared, th, vc_bits, now());
+            Turn::Pass(true)
+        }
+        None => Turn::Pass(step.work),
+    }
+}
+
+/// The per-node polling loop (§2.4): [`iterate`], then the idle ladder —
+/// the thread's one wait, on the doorbell of the replica the pass read.
 pub(super) fn predicate_thread<F: Fabric>(
     row: usize,
     shared: Arc<NodeShared<F>>,
@@ -443,65 +603,16 @@ pub(super) fn predicate_thread<F: Fabric>(
     let now = Instant::now();
     let mut th = ThreadState::new(&shared.inner.lock(), &det, &shared.hb_muted, logs, now);
     while !stop.load(Ordering::Relaxed) {
-        if shared.killed.load(Ordering::Acquire) {
-            return; // simulated crash: vanish without a trace
-        }
-        if shared.paused.load(Ordering::Acquire) {
-            // Fault-injected stall: no predicate work, no heartbeats. Loop
-            // (rather than block) so kills and stop still land.
-            std::thread::sleep(IDLE_QUANTUM);
-            continue;
-        }
-        let mut inner = shared.inner.lock();
-        if !inner.alive {
-            return;
-        }
-        // Swapped only when set: this runs on every pass of the data path.
-        let mut trigger = 0;
-        if shared.vc_trigger.load(Ordering::Acquire) != 0 {
-            trigger = shared.vc_trigger.swap(0, Ordering::AcqRel);
-        }
-        let now = th.ticker.is_some().then(Instant::now);
-        let step = node_pass(&mut inner, &mut th, now, trigger, &cfg);
-        let mut vc_bits = step.vc_bits;
-        for suspect in step.suspects {
-            vc_bits |= shared.convict(row, suspect, th.local.epoch, false, drives_engine);
-        }
-        if !cfg.early_lock_release {
-            // Baseline: post while holding the lock (§3.4's problem).
-            for op in th.posts.drain(..) {
-                th.local.fabric.post(NodeId(row), &op);
-            }
-        }
-        drop(inner);
-        // Durable mode: append this pass's ordered deliveries to the
-        // per-subgroup logs, fsync when the policy says so, then advertise
-        // the new frontiers. This happens outside the lock — log I/O must
-        // never stall the application threads (the same reasoning as §3.4).
-        let work = th.persist_work.as_mut().filter(|w| !w.is_empty());
-        if let (Some(hook), Some(work)) = (&shared.persist, work) {
-            hook.lock().append(&th.batch.delivered);
-            for (g, pers_col, hi) in work.drain(..) {
-                let range = th.local.sst.set_counter(pers_col, hi);
-                th.posts.extend(ops_to(&th.local.members[g], row, range));
-            }
-        }
-        for op in th.posts.drain(..) {
-            th.local.fabric.post(NodeId(row), &op);
-        }
-        th.publish(&shared);
-        if vc_bits != 0 {
-            view_change(&shared, &mut th, vc_bits, &cfg, &stop);
-            // The epoch entered, if any: the install barrier's leash ends.
-            th.watch(1, Instant::now());
-            ladder = IdleLadder::default();
-            continue;
-        }
+        let (work, idle) = match iterate(&shared, &mut th, &cfg, drives_engine, &Instant::now) {
+            Turn::Exit => return,
+            Turn::Paused => (false, Idle::Sleep),
+            Turn::Pass(work) => (work, ladder.next(work)),
+        };
         // The doorbell is the one on the replica this pass read.
         let region = th.local.sst.region();
-        match ladder.next(step.work) {
+        match idle {
             // With work: straight into the next pass, as before the ladder.
-            Idle::Spin if step.work => {}
+            Idle::Spin if work => {}
             Idle::Spin => std::hint::spin_loop(),
             Idle::Sleep => {
                 waits.timer.inc();
@@ -573,9 +684,13 @@ pub(super) fn drain_node_through<F: Fabric>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::api::ViewChangeReport;
+    use super::super::node::{latest, Epochs, FabricFactory};
     use super::*;
     use crate::plan::Plan;
-    use spindle_fabric::{MemFabric, Region};
+    use crate::viewchange::VcBoundary;
+    use crossbeam::channel::Receiver;
+    use spindle_fabric::{FaultPlan, MemFabric, Region};
     use spindle_membership::ViewBuilder;
 
     const MS: Duration = Duration::from_millis(1);
@@ -588,48 +703,74 @@ mod tests {
         })
     }
 
-    /// The three rows of one epoch on a fresh `MemFabric` — subgroup 0 of
-    /// all three, all sending; subgroup 1 of rows 0 and 1, row 0 sending —
-    /// each with the state its predicate thread would own, passed by hand
+    /// The `n` rows of one epoch on a fresh `MemFabric` — subgroup 0 of
+    /// all of them, all sending; subgroup 1 of rows 0 and 1, row 0 sending
+    /// — each with the shared state of its handle, the state its predicate
+    /// thread would own and its delivery stream, over one process's
+    /// [`Epochs`] (a factory, as in an in-process cluster), passed by hand
     /// on a synthetic clock that starts at `t0`.
     struct Rows {
         cfg: SpindleConfig,
         t0: Instant,
-        inners: Vec<NodeInner<MemFabric>>,
+        epochs: Arc<Epochs<MemFabric>>,
+        shared: Vec<Arc<NodeShared<MemFabric>>>,
         threads: Vec<ThreadState<MemFabric>>,
+        deliveries: Vec<Receiver<Delivered>>,
     }
 
     impl Rows {
-        fn new(epoch: u64, cfg: SpindleConfig, det: Option<DetectorConfig>, t0: Instant) -> Rows {
-            let view = ViewBuilder::with_members(epoch, (0..3).map(NodeId).collect())
-                .subgroup(&[0, 1, 2], &[0, 1, 2], 4, 64)
+        fn new(
+            n: usize,
+            epoch: u64,
+            cfg: SpindleConfig,
+            det: Option<DetectorConfig>,
+            t0: Instant,
+        ) -> Rows {
+            let all: Vec<usize> = (0..n).collect();
+            let view = ViewBuilder::with_members(epoch, (0..n).map(NodeId).collect())
+                .subgroup(&all, &all, 4, 64)
                 .subgroup(&[0, 1], &[0], 4, 64)
                 .build()
                 .unwrap();
             let (view, obs) = (Arc::new(view), ObsPlane::new());
             let plan = Plan::build(&view, true);
-            let fabric = MemFabric::new(3, plan.layout.region_words());
-            let inners: Vec<_> = (0..3)
-                .map(|row| NodeInner::enter_epoch(&view, &plan, row, fabric.clone(), &obs))
-                .collect();
-            let threads = inners
+            let factory: FabricFactory<MemFabric> = Arc::new(MemFabric::with_faults);
+            let fabric = factory(n, plan.layout.region_words(), FaultPlan::new());
+            let epochs = Epochs::new(
+                Some(factory),
+                FaultPlan::new(),
+                view.clone(),
+                fabric.clone(),
+            );
+            // Nobody reads the detector's verdicts; a closed channel drops them.
+            let suspicions = crossbeam::channel::unbounded().0;
+            let (shared, deliveries): (Vec<_>, _) = all
                 .iter()
-                .map(|inner| ThreadState::new(inner, &det, &Arc::default(), false, t0))
+                .map(|&row| {
+                    let inner = NodeInner::enter_epoch(&view, &plan, row, fabric.clone(), &obs);
+                    NodeShared::new(inner, &suspicions, &obs, None, &epochs)
+                })
+                .unzip();
+            let threads = shared
+                .iter()
+                .map(|s| ThreadState::new(&s.inner.lock(), &det, &s.hb_muted, false, t0))
                 .collect();
             Rows {
                 cfg,
                 t0,
-                inners,
+                epochs,
+                shared,
                 threads,
+                deliveries,
             }
         }
 
         /// `row`'s node pass `at` after `t0`: what it found, the writes it
         /// left — which are then posted — and the batch it filled.
         fn pass(&mut self, row: usize, at: Duration, bits: u64) -> (NodeStep, Vec<WriteOp>, Batch) {
-            let th = &mut self.threads[row];
+            let (shared, th) = (&self.shared[row], &mut self.threads[row]);
             let now = Some(self.t0 + at);
-            let step = node_pass(&mut self.inners[row], th, now, bits, &self.cfg);
+            let step = node_pass(shared, &mut shared.inner.lock(), th, now, bits, &self.cfg);
             let posts = th.posts.clone();
             for op in th.posts.drain(..) {
                 th.local.fabric.post(NodeId(row), &op);
@@ -637,9 +778,22 @@ mod tests {
             (step, posts, std::mem::take(&mut th.batch))
         }
 
+        /// `row`'s iteration of its predicate loop `at` after `t0`: the
+        /// function the thread runs, on the synthetic clock.
+        fn iterate(&mut self, row: usize, at: Duration) -> Turn {
+            let clock = || self.t0 + at;
+            iterate(
+                &self.shared[row],
+                &mut self.threads[row],
+                &self.cfg,
+                false,
+                &clock,
+            )
+        }
+
         /// `row`'s heartbeat as `mirror`'s replica holds it.
         fn heartbeat(&self, mirror: usize, row: usize) -> i64 {
-            let inner = &self.inners[mirror];
+            let inner = self.shared[mirror].inner.lock();
             inner.sst.counter(inner.heartbeat_col, row)
         }
     }
@@ -647,9 +801,9 @@ mod tests {
     #[test]
     fn node_pass_posts_the_heartbeat_on_its_cadence_and_carries_it_into_a_fresh_epoch() {
         let t0 = Instant::now();
-        let mut rows = Rows::new(0, SpindleConfig::optimized(), det(), t0);
+        let mut rows = Rows::new(3, 0, SpindleConfig::optimized(), det(), t0);
         let beat: Vec<WriteOp> = {
-            let inner = &rows.inners[0];
+            let inner = rows.shared[0].inner.lock();
             let range = inner.sst.own_counter_range(inner.heartbeat_col);
             ops_to(&[1, 2], 0, range).collect()
         };
@@ -668,7 +822,7 @@ mod tests {
         // Into a fresh epoch's SST, where every counter starts at 0, the
         // thread's one ticker goes on from 2: a restart at 1 would read as
         // silence at every peer that saw 2.
-        let mut fresh = Rows::new(1, SpindleConfig::optimized(), None, t0);
+        let mut fresh = Rows::new(3, 1, SpindleConfig::optimized(), None, t0);
         fresh.threads[0].ticker = rows.threads[0].ticker.take();
         fresh.threads[0].watch(1, t0 + MS * 2);
         fresh.pass(0, MS * 3, 0);
@@ -677,12 +831,14 @@ mod tests {
 
     #[test]
     fn node_pass_masks_transition_bits_to_the_epochs_rows_and_a_plan() {
-        let mut rows = Rows::new(0, SpindleConfig::optimized(), None, Instant::now());
+        let mut rows = Rows::new(3, 0, SpindleConfig::optimized(), None, Instant::now());
         assert_eq!(rows.pass(0, MS, 0).0.vc_bits, 0);
         // Row 2 suspects itself and row 7; the trigger names rows 0, 1 and
         // 5 and a planned change. Rows 5 and 7 are not in the view.
-        let two = &rows.inners[2];
-        let range = two.sst.set_counter(two.reconfig.suspected, 1 << 2 | 1 << 7);
+        let range = {
+            let two = rows.shared[2].inner.lock();
+            two.sst.set_counter(two.reconfig.suspected, 1 << 2 | 1 << 7)
+        };
         let op = WriteOp::new(NodeId(0), range);
         rows.threads[2].local.fabric.post(NodeId(2), &op);
         let trigger = 1 | 1 << 1 | 1 << 5 | PLANNED_BIT;
@@ -693,7 +849,7 @@ mod tests {
 
     #[test]
     fn node_pass_reports_a_silent_peer_once_at_the_timeout() {
-        let mut rows = Rows::new(0, SpindleConfig::optimized(), det(), Instant::now());
+        let mut rows = Rows::new(3, 0, SpindleConfig::optimized(), det(), Instant::now());
         let mut verdicts = Vec::new();
         // Rows 0 and 1 beat every millisecond; row 2 never passes.
         for ms in 1..=30 {
@@ -710,35 +866,40 @@ mod tests {
     #[test]
     fn node_pass_posts_the_heartbeat_then_each_subgroups_pushes_in_order() {
         for cfg in [SpindleConfig::optimized(), SpindleConfig::baseline()] {
-            let mut rows = Rows::new(0, cfg.clone(), det(), Instant::now());
+            let mut rows = Rows::new(3, 0, cfg.clone(), det(), Instant::now());
             let mut delivered = 0;
             for round in 1..=40u32 {
                 for row in 0..3 {
-                    let inner = &mut rows.inners[row];
-                    for p in inner
-                        .protos
-                        .iter_mut()
-                        .filter(|p| p.my_sender_rank.is_some())
-                    {
-                        let payload = format!("{row}/{round}");
-                        p.try_queue_app(&inner.sst, payload.len() as u32, Some(payload.as_bytes()));
-                    }
-                    // The same pass by hand, on a clone of the row's state:
-                    // the heartbeat's beat, then each subgroup's pass.
-                    let region = Arc::new(Region::new(inner.sst.region().len()));
-                    region.copy_range_from(inner.sst.region(), 0, region.len());
-                    let sst = Sst::new(inner.sst.layout().clone(), region, row);
-                    let beat = sst.set_counter(inner.heartbeat_col, round.into());
-                    let mut posts: Vec<WriteOp> = ops_to(&[0, 1, 2], row, beat).collect();
-                    let (mut work, mut seqs) = (false, Vec::new());
-                    for mut p in inner.protos.clone() {
-                        let pass = p.pass(&sst, &cfg);
-                        work |= pass.work();
-                        for (range, _) in pass.pushes() {
-                            posts.extend(ops_to(&p.member_rows, row, range));
+                    let (sst, posts, work, seqs) = {
+                        let inner = &mut *rows.shared[row].inner.lock();
+                        for p in inner
+                            .protos
+                            .iter_mut()
+                            .filter(|p| p.my_sender_rank.is_some())
+                        {
+                            let payload = format!("{row}/{round}");
+                            let len = payload.len() as u32;
+                            p.try_queue_app(&inner.sst, len, Some(payload.as_bytes()));
                         }
-                        seqs.extend(pass.deliver.deliveries.iter().map(|d| (p.sg, d.seq)));
-                    }
+                        // The same pass by hand, on a clone of the row's
+                        // state: the heartbeat's beat, then each subgroup's
+                        // pass.
+                        let region = Arc::new(Region::new(inner.sst.region().len()));
+                        region.copy_range_from(inner.sst.region(), 0, region.len());
+                        let sst = Sst::new(inner.sst.layout().clone(), region, row);
+                        let beat = sst.set_counter(inner.heartbeat_col, round.into());
+                        let mut posts: Vec<WriteOp> = ops_to(&[0, 1, 2], row, beat).collect();
+                        let (mut work, mut seqs) = (false, Vec::new());
+                        for mut p in inner.protos.clone() {
+                            let pass = p.pass(&sst, &cfg);
+                            work |= pass.work();
+                            for (range, _) in pass.pushes() {
+                                posts.extend(ops_to(&p.member_rows, row, range));
+                            }
+                            seqs.extend(pass.deliver.deliveries.iter().map(|d| (p.sg, d.seq)));
+                        }
+                        (sst, posts, work, seqs)
+                    };
                     let (step, by_node_pass, batch) = rows.pass(row, MS * round, 0);
                     let at = format!("{cfg:?}, round {round}, row {row}");
                     assert_eq!(by_node_pass, posts, "{at}");
@@ -749,7 +910,7 @@ mod tests {
                         .map(|d| (d.subgroup, d.seq))
                         .collect();
                     assert_eq!(got, seqs, "{at}");
-                    let own = rows.inners[row].sst.region();
+                    let own = rows.shared[row].inner.lock().sst.region().clone();
                     assert_eq!(
                         own.snapshot(0, own.len()),
                         sst.region().snapshot(0, own.len())
@@ -759,6 +920,132 @@ mod tests {
             }
             assert!(delivered > 0, "{cfg:?} delivered nothing");
         }
+    }
+
+    /// What one row saw of a transition driven without threads.
+    #[derive(Debug, Default)]
+    struct Seen {
+        /// Its epoch-0 deliveries, by subgroup, seqs in delivery order.
+        old: [Vec<SeqNum>; 2],
+        /// How many of them were published when it entered epoch 1.
+        old_at_install: Option<usize>,
+        /// Its last view change, once it unwedged in epoch 1.
+        report: Option<ViewChangeReport>,
+        exited: bool,
+    }
+
+    /// Queues `per_row` messages in subgroup 0 at every row and one in
+    /// subgroup 1 at row 0, asks row `trigger` for a transition with `bits`
+    /// — most of those messages are still in flight — and drives every row
+    /// round-robin — [`iterate`], the thread's own function, 10 µs apart on
+    /// the synthetic clock; a row that exits is skipped from then on — until
+    /// every row of `survivors` unwedged in epoch 1.
+    fn transition(
+        rows: &mut Rows,
+        per_row: u32,
+        trigger: usize,
+        bits: u64,
+        survivors: &[usize],
+    ) -> Vec<Seen> {
+        const STEP: Duration = Duration::from_micros(10);
+        let n = rows.shared.len();
+        for (row, shared) in rows.shared.iter().enumerate() {
+            for i in 0..per_row {
+                let payload = format!("{row}/{i}");
+                assert_eq!(
+                    shared.try_queue(SubgroupId(0), payload.as_bytes()),
+                    Ok(true)
+                );
+            }
+        }
+        assert_eq!(rows.shared[0].try_queue(SubgroupId(1), b"one"), Ok(true));
+        rows.shared[trigger].trigger(bits);
+        let mut seen: Vec<Seen> = (0..n).map(|_| Seen::default()).collect();
+        for round in 1..=10_000u32 {
+            for row in 0..n {
+                if seen[row].exited {
+                    continue;
+                }
+                seen[row].exited = rows.iterate(row, STEP * round) == Turn::Exit;
+                let shared = &rows.shared[row];
+                let seen = &mut seen[row];
+                for d in rows.deliveries[row].try_iter().filter(|d| d.epoch == 0) {
+                    seen.old[d.subgroup.0].push(d.seq);
+                }
+                if seen.old_at_install.is_none() && shared.epoch.load(Ordering::Acquire) == 1 {
+                    seen.old_at_install = Some(seen.old.concat().len());
+                }
+                if !shared.wedged.load(Ordering::Acquire) {
+                    seen.report = shared.vc_report.lock().clone();
+                }
+            }
+            if survivors.iter().all(|&r| seen[r].report.is_some()) {
+                return seen;
+            }
+        }
+        panic!("the transition did not finish: {seen:?}");
+    }
+
+    /// The members of each subgroup of the last view `rows` installed.
+    fn installed(rows: &Rows) -> (u64, Vec<Vec<NodeId>>) {
+        let view = rows.epochs.read(|views, _| latest(views));
+        let members = view.subgroups().iter().map(|sg| sg.members.clone());
+        (view.id(), members.collect())
+    }
+
+    #[test]
+    fn transition_without_threads_removes_a_row_through_node_pass() {
+        let mut rows = Rows::new(3, 0, SpindleConfig::optimized(), None, Instant::now());
+        let seen = transition(&mut rows, 3, 0, 1 << 2, &[0, 1]);
+        let ids = |ids: &[usize]| ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(installed(&rows), (1, vec![ids(&[0, 1]), ids(&[0, 1])]));
+        assert!(seen[2].exited, "the removed row closed");
+        let reports: Vec<_> = seen[..2]
+            .iter()
+            .map(|s| s.report.clone().unwrap())
+            .collect();
+        assert_eq!(reports[0].epoch, 1);
+        assert_eq!(reports[0].cuts, reports[1].cuts, "identical cuts");
+        assert!(reports[0].resent + reports[1].resent > 0, "{reports:?}");
+        let (zero, one) = (&seen[0], &seen[1]);
+        assert_eq!(zero.old, one.old, "identical old-epoch deliveries");
+        for (row, seen) in [zero, one].into_iter().enumerate() {
+            let shared = &rows.shared[row];
+            assert_eq!(shared.epoch.load(Ordering::Acquire), 1);
+            assert!(!shared.wedged.load(Ordering::Acquire));
+            assert!(shared.inner.lock().alive);
+            assert!(rows.threads[row].transition.is_none());
+            // The final deliveries of epoch 0 were published before the
+            // row entered epoch 1, and none after.
+            assert_eq!(
+                seen.old_at_install,
+                Some(seen.old.concat().len()),
+                "row {row}"
+            );
+        }
+    }
+
+    #[test]
+    fn transition_without_threads_takes_over_from_a_leader_halted_at_propose() {
+        let run = || {
+            let mut rows = Rows::new(4, 0, SpindleConfig::optimized(), None, Instant::now());
+            *rows.shared[0].vc_crash.lock() = Some(VcBoundary::Propose);
+            let seen = transition(&mut rows, 2, 0, 1 << 3, &[1, 2]);
+            assert!(
+                rows.shared[0].killed.load(Ordering::Acquire),
+                "row 0 halted"
+            );
+            assert_eq!(*rows.epochs.crashed.lock(), 1, "and recorded its halt");
+            assert!(seen[0].exited && seen[3].exited);
+            let ids = vec![NodeId(1), NodeId(2)];
+            assert_eq!(installed(&rows), (1, vec![ids, vec![NodeId(1)]]));
+            let cuts = |row: usize| seen[row].report.as_ref().map(|r| r.cuts.clone());
+            assert_eq!(cuts(1), cuts(2));
+            assert_eq!(seen[1].old[0], seen[2].old[0]);
+            assert!(seen[2].old[1].is_empty(), "row 2 is not in subgroup 1");
+            format!("{seen:?}")
+        };
+        assert_eq!(run(), run(), "the same schedule, the same reports");
     }
 
     /// The steps of `passes` consecutive passes without work.

@@ -2,7 +2,7 @@
 //! (`/proc/self/task`) — a process-wide number, so this test runs alone
 //! in its own process where no sibling test's cluster can move it.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use spindle_dds::{DomainBuilder, ExternalClient, QosLevel, TopicId};
 
@@ -32,7 +32,13 @@ fn relay_threads_flat_and_cleaned_up() {
     assert_eq!(threads(), before, "20 clients must not add a single thread");
     drop(clients);
     domain.stop_external();
-    // Poller and driver are joined by stop_external, so the count
-    // drops by exactly the relay's two threads.
+    // Poller and driver are joined by stop_external, so the count drops by
+    // exactly the relay's two threads — once the kernel has unlisted them:
+    // a join returns when the exiting thread's tid futex clears, which is
+    // before its task leaves /proc/self/task.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while threads() != before - 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(threads(), before - 2, "relay threads leaked past shutdown");
 }

@@ -481,6 +481,16 @@ impl EdgeServer {
         self.shared.clients.lock().expect("table lock").map.len()
     }
 
+    /// Connected clients subscribed to `topic`: the clients a
+    /// [`EdgeServer::fanout`] on `topic` would enqueue to now. Counted under
+    /// the client-table lock the poller applies each `Subscribe` under, so
+    /// a subscription counts from the moment fan-outs see it.
+    pub fn subscribers(&self, topic: u8) -> usize {
+        let t = self.shared.clients.lock().expect("table lock");
+        let live = t.map.values().filter(|c| c.dead.is_none());
+        live.filter(|c| c.subscribed(topic)).count()
+    }
+
     /// Aggregate unflushed outbound bytes across all clients — the value
     /// the admission high-water mark compares against.
     pub fn queued_bytes(&self) -> usize {

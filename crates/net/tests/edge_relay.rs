@@ -43,15 +43,17 @@ fn read_sample(stream: &mut TcpStream, asm: &mut EdgeAssembler, deadline: Instan
     }
 }
 
-/// Waits until the relay has registered `n` clients (subscription state
-/// is applied by the poller thread, so arrival is asynchronous).
-fn wait_clients(server: &EdgeServer, n: usize, why: &str) {
+/// Waits until `n` clients are subscribed to `topic` on the relay — what
+/// a fan-out reaches. The poller thread applies each `Subscribe` frame
+/// some time after the connection is accepted, so an accepted client is
+/// not yet a subscriber.
+fn wait_subscribers(server: &EdgeServer, topic: u8, n: usize, why: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.client_count() < n {
+    while server.subscribers(topic) < n {
         assert!(
             Instant::now() < deadline,
             "{why}: {}",
-            server.client_count()
+            server.subscribers(topic)
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -77,7 +79,7 @@ fn thousand_clients_one_poller_thread() {
             s
         })
         .collect();
-    wait_clients(&server, CLIENTS, "clients never all registered");
+    wait_subscribers(&server, 7, CLIENTS, "clients never all subscribed");
 
     // Tolerate unrelated spindle-net threads started by parallel tests;
     // what must NOT happen is per-client growth.
@@ -134,7 +136,7 @@ fn slow_consumer_is_shed_without_delaying_others() {
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
     subscribe(&mut healthy, 1);
-    wait_clients(&server, 2, "subscribers never registered");
+    wait_subscribers(&server, 1, 2, "subscribers never registered");
 
     // Push far more than the cap plus every kernel buffer in the path
     // can hold, reading only on the healthy side.
@@ -185,7 +187,7 @@ fn ordered_topic_disconnects_slow_consumer() {
         .set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
     subscribe(&mut healthy, 2);
-    wait_clients(&server, 2, "subscribers never registered");
+    wait_subscribers(&server, 2, 2, "subscribers never registered");
 
     let payload = vec![0xa5_u8; 32 * 1024];
     let mut asm = EdgeAssembler::new();
@@ -223,7 +225,9 @@ fn ordered_topic_disconnects_slow_consumer() {
         .set_read_timeout(Some(Duration::from_millis(100)))
         .unwrap();
     let mut sink = vec![0u8; 64 * 1024];
+    let hang_up_by = Instant::now() + Duration::from_secs(30);
     let saw_eof = loop {
+        assert!(Instant::now() < hang_up_by, "the relay never hung up");
         match stalled.read(&mut sink) {
             Ok(0) => break true, // EOF: the relay hung up
             Ok(_) => continue,   // draining what the kernel already had
