@@ -20,8 +20,9 @@
 //! and is executed by two runtimes:
 //!
 //! * [`sim::SimCluster`] — a deterministic discrete-event cluster with the
-//!   paper's cost model (virtual NICs, a virtual predicate thread per node,
-//!   virtual locks); this regenerates every figure of the evaluation;
+//!   paper's cost model (virtual NICs, a virtual predicate thread per node
+//!   running the threaded runtime's node pass, virtual locks); this
+//!   regenerates every figure of the evaluation;
 //! * [`threaded::Cluster`] — real threads over the shared-memory fabric,
 //!   used for correctness testing and as the embeddable library runtime.
 

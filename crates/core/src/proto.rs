@@ -5,9 +5,10 @@
 //! node's private bookkeeping, decide what to scan, what to deliver, what to
 //! publish, and which word ranges to push — and, in [`SubgroupProto::pass`],
 //! the order one pass of the polling loop fires them in. It is pure with
-//! respect to time and transport: both runtimes call `pass`; the simulated
-//! one assigns virtual costs to the returned work items, and the threaded
-//! one executes them over its fabric. Keeping one copy of this logic is
+//! respect to time and transport: both runtimes call `pass` from the same
+//! node pass; the simulated one charges virtual costs to each outcome and
+//! times its writes, and the threaded one copies the deliveries out and
+//! posts the writes over its fabric. Keeping one copy of this logic is
 //! what makes the correctness tests (threaded, real races) meaningful for
 //! the performance model (simulated).
 //!
@@ -99,19 +100,6 @@ pub struct DeliveryOutcome {
     pub ack_pushes: u32,
 }
 
-/// Which of a pass's writes a pushed word range is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushKind {
-    /// Ring slot data of this node's queued messages.
-    Slots,
-    /// This node's `received_num`.
-    RecvAck,
-    /// This node's committed-rounds counter.
-    Committed,
-    /// This node's `delivered_num` (it frees ring slots at the senders).
-    DelivAck,
-}
-
 /// The outcomes of one [`SubgroupProto::pass`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pass {
@@ -141,18 +129,17 @@ impl Pass {
     /// counter (after the slots it covers, so the fence orders them), then
     /// the `delivered_num` ack `ack_pushes` times. The repeated acks are the
     /// baseline's one write per message (§3.2).
-    pub fn pushes(&self) -> impl Iterator<Item = (Range<usize>, PushKind)> + '_ {
-        let acks = |ack: &Option<Range<usize>>, times: u32, kind| {
-            let ack = ack.clone().map(|r| (r, kind));
-            std::iter::repeat_n(ack, times as usize).flatten()
+    pub fn pushes(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let acks = |ack: &Option<Range<usize>>, times| {
+            std::iter::repeat_n(ack.clone(), times as usize).flatten()
         };
         let (recv, send, deliver) = (&self.recv, self.send.as_ref(), &self.deliver);
         let slots = send.into_iter().flat_map(|s| s.slot_ranges.iter().cloned());
         let committed = send.and_then(|s| s.committed_push.clone());
-        acks(&recv.ack, recv.ack_pushes, PushKind::RecvAck)
-            .chain(slots.map(|r| (r, PushKind::Slots)))
-            .chain(committed.map(|r| (r, PushKind::Committed)))
-            .chain(acks(&deliver.ack, deliver.ack_pushes, PushKind::DelivAck))
+        acks(&recv.ack, recv.ack_pushes)
+            .chain(slots)
+            .chain(committed)
+            .chain(acks(&deliver.ack, deliver.ack_pushes))
     }
 }
 
@@ -163,8 +150,6 @@ pub enum QueueOutcome {
     Queued {
         /// The sender's app index.
         app_index: u64,
-        /// The round index assigned.
-        round: u64,
         /// The ring slot used.
         slot: usize,
     },
@@ -315,11 +300,7 @@ impl SubgroupProto {
         // Own messages are received locally the moment they are queued.
         self.rounds_seen[rank] = self.round_next;
         self.app_seen[rank] = self.app_sent;
-        QueueOutcome::Queued {
-            app_index: a,
-            round,
-            slot,
-        }
+        QueueOutcome::Queued { app_index: a, slot }
     }
 
     /// One pass of the polling loop over this subgroup (§2.4): the receive,
@@ -706,7 +687,7 @@ mod tests {
             for n in 0..self.ssts.len() {
                 let sst = self.ssts[n].clone();
                 let pass = self.protos[n].pass(&sst, cfg);
-                for (range, _) in pass.pushes() {
+                for range in pass.pushes() {
                     self.broadcast(n, range);
                 }
                 passes.push(pass);

@@ -1,15 +1,17 @@
 //! The simulated cluster: a deterministic discrete-event runtime.
 //!
-//! This runtime runs the real protocol pass — the same
-//! [`SubgroupProto::pass`] and [`Pass::pushes`](crate::proto::Pass::pushes)
-//! the threaded runtime calls — and substitutes only time, the node lock and
-//! the NICs' egress and ingress: a virtual cluster that models exactly the
-//! resources the Spindle paper optimizes:
+//! Every simulated row is a real node: the node state the threaded runtime
+//! enters an epoch with, over the row's region of one [`MemFabric`], and
+//! every iteration of its predicate thread (§2.4) runs the threads' own
+//! node pass. The simulator substitutes time, concurrency and I/O — a
+//! virtual cluster that models exactly the resources the Spindle paper
+//! optimizes:
 //!
-//! * **one predicate (polling) thread per node** (§2.4) that evaluates all
-//!   subgroups' predicates in a loop, pays ~1 µs of CPU per posted RDMA
-//!   work request (§3.2), quiesces when idle and is woken by incoming
-//!   writes (the doorbell);
+//! * **one predicate (polling) thread per node** (§2.4): where the threads
+//!   copy each delivery out of its ring slot, the pass hands each
+//!   subgroup's outcome to a sink that charges it to the [`CostModel`];
+//!   the thread pays ~1 µs of CPU per posted RDMA work request (§3.2),
+//!   quiesces when idle and is woken by incoming writes (the doorbell);
 //! * **application sender threads** that acquire ring slots under the
 //!   shared per-node lock — held across posting in the baseline, released
 //!   before posting with the §3.4 optimization;
@@ -17,16 +19,25 @@
 //!   with a per-write overhead, plus the flat propagation latency of
 //!   Figure 1.
 //!
-//! Counter writes carry their value as posted (DMA snapshot semantics);
-//! slot writes read through to the owner's memory, which is sound because a
-//! ring slot is never rewritten before its current message is delivered
-//! everywhere. Write arrivals per (source, destination) pair preserve
-//! posting order, which is the RDMA fence the SST guard protocol needs.
+//! The engine places the writes a pass leaves at their virtual arrival
+//! time. Counter writes carry their value as posted (DMA snapshot
+//! semantics); slot writes read through to the owner's region, which is
+//! sound because a ring slot is never rewritten before its current message
+//! is delivered everywhere. Write arrivals per (source, destination) pair
+//! preserve posting order, which is the RDMA fence the SST guard protocol
+//! needs. Ring slots hold no payload words (wire sizes still follow the
+//! logical message size), so large rings cost no memory.
+//!
+//! No heartbeat, detector or view change runs on the virtual clock: faults
+//! are [`SimFault`]s, and a crash stalls or ends the run.
 
 use std::ops::Range;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use spindle_membership::{SubgroupId, View};
+use spindle_fabric::{FaultPlan, MemFabric, NodeId};
+use spindle_membership::View;
+use spindle_obs::ObsPlane;
 use spindle_sim::engine::Step;
 use spindle_sim::{DetRng, Engine, Resource, SimTime};
 use spindle_sst::Sst;
@@ -35,7 +46,8 @@ use crate::config::{DeliveryTiming, SenderActivity, SpindleConfig, Workload};
 use crate::cost::CostModel;
 use crate::metrics::{NodeMetrics, RunReport};
 use crate::plan::Plan;
-use crate::proto::{PushKind, QueueOutcome, SubgroupProto};
+use crate::proto::{Pass, QueueOutcome, SubgroupProto};
+use crate::threaded::{node_pass, Epochs, NodeInner, NodeShared, PassSink, ThreadState};
 
 /// One scheduled fault in a simulated run (see [`SimCluster::with_faults`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,25 +109,17 @@ enum Ev {
 }
 
 /// What a posted write carries.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum PostBody {
     /// Slot words, read through from the source's region on arrival.
     Slots(Range<usize>),
-    /// A counter, its value snapshotted at post time.
+    /// A counter, its value snapshotted at post time; a `delivered_num`
+    /// (`deliv_ack`) frees ring slots at its destination.
     Ctr {
         word: usize,
         value: u64,
-        kind: PushKind,
+        deliv_ack: bool,
     },
-}
-
-#[derive(Debug)]
-struct Post {
-    dst: usize,
-    wire: usize,
-    /// Ring slots carried (receiver-side placement cost), 0 for counters.
-    slots: usize,
-    body: PostBody,
 }
 
 #[derive(Debug)]
@@ -128,10 +132,98 @@ struct AppState {
     block_since: SimTime,
 }
 
-#[derive(Debug)]
-struct SimNode {
-    sst: Sst,
-    protos: Vec<SubgroupProto>,
+/// The simulator's [`PassSink`], one per row: where the threads copy each
+/// delivery out of its ring slot, this charges a subgroup's outcome to the
+/// cost model, in the order the predicates fired, and records the node's
+/// metrics.
+struct Charge<'a> {
+    sc: &'a SimCluster,
+    m: NodeMetrics,
+    /// The CPU time of the body so far.
+    busy: Duration,
+    /// Whether a message was delivered or a null skipped, so a ring slot
+    /// may have freed.
+    any_delivery: bool,
+    /// The pass's deliveries, each with `busy` at its upcall: `(busy,
+    /// (subgroup, sender rank, app index), len)`.
+    upcalls: Vec<(Duration, (usize, usize, u64), u32)>,
+}
+
+impl PassSink for Charge<'_> {
+    fn subgroup(
+        &mut self,
+        _: &Sst,
+        _: u64,
+        _: usize,
+        p: &SubgroupProto,
+        pass: &Pass,
+        _: &mut [Option<Instant>],
+    ) {
+        let (cost, cfg, workload) = (&self.sc.cost, &self.sc.cfg, &self.sc.workload);
+        let (m, busy) = (&mut self.m, &mut self.busy);
+        let (r, d) = (&pass.recv, &pass.deliver);
+        let (sg, senders, window) = (p.sg.0, p.num_senders(), p.ring.window());
+        let members = p.member_rows.len() as u32;
+        *busy += cost.sg_eval + cost.probe_per_sender * senders as u32;
+        // Batched, the scan probes from the next expected slot, but the
+        // ring's memory footprint still taxes the polling loop (§4.1.2:
+        // "an excessively large window size forces the predicate thread
+        // to cover too large a memory area"); in the baseline it covers
+        // each sender's whole ring area every iteration.
+        let scanned = if cfg.receive_batching {
+            window * senders / 8
+        } else {
+            window * senders
+        };
+        *busy += cost.scan_per_slot * scanned as u32;
+        if r.new_rounds > 0 {
+            *busy += (cost.recv_per_msg + cost.scan_per_slot) * r.new_rounds as u32;
+            m.recv_batch.record(r.new_rounds);
+        }
+        m.nulls_sent += r.nulls_added;
+        for del in &r.new_app {
+            *busy += cost.upcall_base + workload.upcall_cost;
+            if workload.memcpy_on_delivery {
+                *busy += cost.memcpy.copy_time(del.len as usize);
+            }
+            self.upcalls
+                .push((*busy, (sg, del.rank, del.app_index), del.len));
+        }
+        if let Some(s) = pass.send.as_ref().filter(|s| s.app_msgs > 0) {
+            *busy += cost.send_per_msg * s.app_msgs as u32;
+            m.send_batch.record(s.app_msgs);
+            m.push_ops += 1;
+        }
+        *busy += cost.deliv_eval_per_member * members;
+        self.any_delivery |= !d.deliveries.is_empty() || d.nulls_skipped > 0;
+        if !d.deliveries.is_empty() {
+            let n = d.deliveries.len() as u32;
+            m.deliv_batch.record(n as u64);
+            *busy += (cost.deliv_per_msg + cost.upcall_base) * n;
+        }
+        m.nulls_skipped += d.nulls_skipped;
+        for del in &d.deliveries {
+            *busy += workload.upcall_cost;
+            if workload.memcpy_on_delivery {
+                *busy += cost.memcpy.copy_time(del.len as usize);
+            }
+            if cfg.delivery_timing == DeliveryTiming::Ordered {
+                self.upcalls
+                    .push((*busy, (sg, del.rank, del.app_index), del.len));
+            }
+        }
+        // One push operation per counter the pass publishes, whatever the
+        // number of members it is posted to.
+        let slot_ranges = pass.send.as_ref().map_or(0, |s| s.slot_ranges.len());
+        m.push_ops += (pass.pushes().count() - slot_ranges) as u64;
+    }
+}
+
+/// One simulated row: the real node and its thread's state, and what the
+/// simulator substitutes for its threads, lock and NICs.
+struct SimNode<'a> {
+    shared: Arc<NodeShared<MemFabric>>,
+    th: ThreadState<MemFabric, Charge<'a>>,
     apps: Vec<AppState>,
     lock: Resource,
     egress: Resource,
@@ -140,7 +232,12 @@ struct SimNode {
     idle_streak: u32,
     target: u64,
     done: bool,
-    m: NodeMetrics,
+}
+
+impl SimNode<'_> {
+    fn m(&mut self) -> &mut NodeMetrics {
+        &mut self.th.sink.m
+    }
 }
 
 /// A complete simulated cluster run.
@@ -232,59 +329,57 @@ impl SimCluster {
         world.start(&mut engine);
         let deadline = self.deadline;
         engine.run(&mut world, deadline, |w, eng, _t, ev| w.handle(eng, ev));
-        world.report(engine.now())
+        world.report()
     }
 }
 
-struct SimWorld {
-    cfg: SpindleConfig,
-    workload: Workload,
-    cost: CostModel,
-    nodes: Vec<SimNode>,
-    /// Queue timestamps: `ts[sg][rank][app_index % w]`.
+struct SimWorld<'a> {
+    sc: &'a SimCluster,
+    plan: Plan,
+    /// The rows' regions.
+    fabric: MemFabric,
+    nodes: Vec<SimNode<'a>>,
+    /// Queue timestamps: `ts[sg][rank][ring slot]`.
     ts: Vec<Vec<Vec<SimTime>>>,
-    windows: Vec<usize>,
     finish: Option<SimTime>,
     last_delivery: SimTime,
     done_nodes: usize,
     rng: DetRng,
-    faults: Vec<SimFault>,
     crashed: Vec<bool>,
     paused_until: Vec<SimTime>,
     extra_write_delay: Vec<Duration>,
     trace: Option<Vec<Vec<(usize, usize, u64)>>>,
 }
 
-impl SimWorld {
-    fn build(sc: &SimCluster) -> SimWorld {
+impl<'a> SimWorld<'a> {
+    fn build(sc: &'a SimCluster) -> SimWorld<'a> {
         let plan = Plan::build(&sc.view, false);
-        let n = sc.view.members().len();
+        let view = Arc::new(sc.view.clone());
+        let n = view.members().len();
+        let fabric = MemFabric::new(n, plan.layout.region_words());
+        let obs = ObsPlane::new();
+        let epochs = Epochs::new(None, FaultPlan::new(), Arc::clone(&view), fabric.clone());
+        // No detector: nothing ever reports a suspicion.
+        let suspicions = crossbeam::channel::unbounded().0;
         let mut nodes = Vec::with_capacity(n);
         for row in 0..n {
-            let region =
-                std::sync::Arc::new(spindle_fabric::Region::new(plan.layout.region_words()));
-            let sst = Sst::new(plan.layout.clone(), region, row);
-            sst.init();
-            let mut protos = Vec::new();
+            let inner = NodeInner::enter_epoch(&view, &plan, row, fabric.clone(), &obs);
             let mut apps = Vec::new();
             let mut target = 0u64;
-            for (g, sg) in sc.view.subgroups().iter().enumerate() {
-                if sg.member_rank(spindle_fabric::NodeId(row)).is_none() {
-                    continue;
-                }
-                let proto = SubgroupProto::new(&sc.view, SubgroupId(g), plan.cols[g], row);
+            for (proto_idx, p) in inner.protos.iter().enumerate() {
+                let g = p.sg.0;
                 // This node must deliver every offered message in the
                 // subgroup from continuously active senders.
-                for r in 0..sg.num_senders() {
+                for r in 0..p.num_senders() {
                     if sc.workload.activity(g, r) == SenderActivity::Continuous {
                         target += sc.workload.msgs_per_sender;
                     }
                 }
-                if let Some(rank) = proto.my_sender_rank {
+                if let Some(rank) = p.my_sender_rank {
                     let activity = sc.workload.activity(g, rank);
                     if activity != SenderActivity::Inactive {
                         apps.push(AppState {
-                            proto_idx: protos.len(),
+                            proto_idx,
                             rank,
                             remaining: sc.workload.msgs_per_sender,
                             activity,
@@ -293,11 +388,21 @@ impl SimWorld {
                         });
                     }
                 }
-                protos.push(proto);
             }
+            // A member of no subgroup has nothing to deliver.
+            let done = inner.protos.is_empty();
+            let charge = Charge {
+                sc,
+                m: NodeMetrics::new(),
+                busy: Duration::ZERO,
+                any_delivery: false,
+                upcalls: Vec::new(),
+            };
+            let th = ThreadState::new(&inner, charge);
+            let (shared, _) = NodeShared::new(inner, &suspicions, &obs, None, &epochs);
             nodes.push(SimNode {
-                sst,
-                protos,
+                shared,
+                th,
                 apps,
                 lock: Resource::new(),
                 egress: Resource::new(),
@@ -305,8 +410,7 @@ impl SimWorld {
                 pred_running: false,
                 idle_streak: 0,
                 target: target.max(1),
-                done: false,
-                m: NodeMetrics::new(),
+                done,
             });
         }
         let ts = sc
@@ -315,19 +419,16 @@ impl SimWorld {
             .iter()
             .map(|sg| vec![vec![SimTime::ZERO; sg.window]; sg.num_senders()])
             .collect();
-        let windows = sc.view.subgroups().iter().map(|sg| sg.window).collect();
         SimWorld {
-            cfg: sc.cfg.clone(),
-            workload: sc.workload.clone(),
-            cost: sc.cost.clone(),
+            sc,
+            plan,
+            fabric,
+            done_nodes: nodes.iter().filter(|n| n.done).count(),
             nodes,
             ts,
-            windows,
             finish: None,
             last_delivery: SimTime::ZERO,
-            done_nodes: 0,
             rng: DetRng::seed(sc.seed),
-            faults: sc.faults.clone(),
             crashed: vec![false; n],
             paused_until: vec![SimTime::ZERO; n],
             extra_write_delay: vec![Duration::ZERO; n],
@@ -343,8 +444,9 @@ impl SimWorld {
                 eng.schedule_at(SimTime::ZERO + jitter, Ev::App { node, ai });
             }
         }
-        for f in self.faults.clone() {
-            eng.schedule_at(SimTime::ZERO + f.at, Ev::Fault { kind: f.kind });
+        for f in &self.sc.faults {
+            let kind = f.kind.clone();
+            eng.schedule_at(SimTime::ZERO + f.at, Ev::Fault { kind });
         }
     }
 
@@ -386,16 +488,16 @@ impl SimWorld {
                 }
                 match body {
                     PostBody::Slots(range) => {
-                        let src_region = self.nodes[src].sst.region().clone();
-                        self.nodes[dst].sst.region().copy_range_from(
-                            &src_region,
-                            range.start,
-                            range.len(),
-                        );
+                        let (to, from) = (self.fabric.region(NodeId(dst)), NodeId(src));
+                        to.copy_range_from(self.fabric.region(from), range.start, range.len());
                     }
-                    PostBody::Ctr { word, value, kind } => {
-                        self.nodes[dst].sst.region().store(word, value);
-                        if kind == PushKind::DelivAck {
+                    PostBody::Ctr {
+                        word,
+                        value,
+                        deliv_ack,
+                    } => {
+                        self.fabric.region(NodeId(dst)).store(word, value);
+                        if deliv_ack {
                             self.unblock_apps(eng, dst);
                         }
                     }
@@ -415,19 +517,20 @@ impl SimWorld {
         if !self.nodes[node].pred_running {
             self.nodes[node].pred_running = true;
             self.nodes[node].idle_streak = 0;
-            eng.schedule_in(self.cost.wake_latency, Ev::Iter { node });
+            eng.schedule_in(self.sc.cost.wake_latency, Ev::Iter { node });
         }
     }
 
     /// Re-arms any window-blocked application senders at `node`.
     fn unblock_apps(&mut self, eng: &mut Engine<Ev>, node: usize) {
         let now = eng.now();
-        for ai in 0..self.nodes[node].apps.len() {
-            let a = &mut self.nodes[node].apps[ai];
+        let n = &mut self.nodes[node];
+        for ai in 0..n.apps.len() {
+            let a = &mut n.apps[ai];
             if a.blocked && a.remaining > 0 {
                 a.blocked = false;
                 let waited = now.saturating_since(a.block_since);
-                self.nodes[node].m.sender_wait += waited;
+                n.m().sender_wait += waited;
                 eng.schedule_in(Duration::from_nanos(50), Ev::App { node, ai });
             }
         }
@@ -436,52 +539,49 @@ impl SimWorld {
     /// One application send attempt.
     fn app(&mut self, eng: &mut Engine<Ev>, node: usize, ai: usize) {
         let now = eng.now();
-        if self.nodes[node].apps[ai].remaining == 0 {
+        let n = &mut self.nodes[node];
+        if n.apps[ai].remaining == 0 {
             return;
         }
-        let proto_idx = self.nodes[node].apps[ai].proto_idx;
-        let sst = self.nodes[node].sst.clone();
-        let msg_len = self.workload.msg_size as u32;
+        let msg_len = self.sc.workload.msg_size as u32;
         // Slot acquisition + header publish run under the shared lock; when
         // the predicate body holds it across posting (no early release),
         // this is where senders stall (§3.4).
-        let grant = self.nodes[node].lock.acquire(now, self.cost.app_cs);
-        let outcome = self.nodes[node].protos[proto_idx].try_queue_app(&sst, msg_len, None);
+        let grant = n.lock.acquire(now, self.sc.cost.app_cs);
+        let (sg, outcome) = {
+            let inner = &mut *n.shared.inner.lock();
+            let p = &mut inner.protos[n.apps[ai].proto_idx];
+            (p.sg.0, p.try_queue_app(&inner.sst, msg_len, None))
+        };
         match outcome {
-            QueueOutcome::Queued {
-                app_index, round, ..
-            } => {
-                let _ = round;
-                let p = &self.nodes[node].protos[proto_idx];
-                let sg = p.sg.0;
-                let rank = self.nodes[node].apps[ai].rank;
-                let w = self.windows[sg];
+            QueueOutcome::Queued { app_index, slot } => {
+                let rank = n.apps[ai].rank;
                 let t_eff = grant.end;
-                self.ts[sg][rank][(app_index % w as u64) as usize] = t_eff;
-                let a = &mut self.nodes[node].apps[ai];
+                self.ts[sg][rank][slot] = t_eff;
+                let a = &mut n.apps[ai];
                 a.remaining -= 1;
                 if a.blocked {
                     a.blocked = false;
                     let since = a.block_since;
-                    self.nodes[node].m.sender_wait += now.saturating_since(since);
+                    n.m().sender_wait += now.saturating_since(since);
                 }
-                self.nodes[node].m.app_sent += 1;
+                n.m().app_sent += 1;
                 // Unordered QoS counts own messages at queue time.
-                if self.cfg.delivery_timing == DeliveryTiming::OnReceive {
+                if self.sc.cfg.delivery_timing == DeliveryTiming::OnReceive {
                     self.count_delivery(eng.now(), node, (sg, rank, app_index), msg_len as u64);
                 }
                 // In-place construction pays the fixed per-message cost;
                 // copying from an external buffer (§4.4) adds the memcpy.
-                let mut construct = self.cost.app_per_msg;
-                if self.workload.memcpy_on_send {
-                    construct += self.cost.memcpy.copy_time(msg_len as usize);
+                let mut construct = self.sc.cost.app_per_msg;
+                if self.sc.workload.memcpy_on_send {
+                    construct += self.sc.cost.memcpy.copy_time(msg_len as usize);
                 }
                 let a_state = &self.nodes[node].apps[ai];
                 let delay = match a_state.activity {
                     SenderActivity::Continuous => Duration::ZERO,
                     SenderActivity::DelayEach(d) => d,
                     SenderActivity::Bursty { burst, pause } => {
-                        let sent = self.workload.msgs_per_sender - a_state.remaining;
+                        let sent = self.sc.workload.msgs_per_sender - a_state.remaining;
                         if burst > 0 && sent.is_multiple_of(burst) {
                             pause
                         } else {
@@ -490,13 +590,13 @@ impl SimWorld {
                     }
                     SenderActivity::Inactive => unreachable!("inactive senders have no app"),
                 };
-                if self.nodes[node].apps[ai].remaining > 0 {
+                if a_state.remaining > 0 {
                     eng.schedule_at(t_eff + construct + delay, Ev::App { node, ai });
                 }
                 self.wake(eng, node);
             }
             QueueOutcome::WindowFull => {
-                let a = &mut self.nodes[node].apps[ai];
+                let a = &mut n.apps[ai];
                 if !a.blocked {
                     a.blocked = true;
                     a.block_since = now;
@@ -515,10 +615,12 @@ impl SimWorld {
             t[node].push(del);
         }
         let n = &mut self.nodes[node];
-        n.m.delivered_msgs += 1;
-        n.m.delivered_bytes += bytes;
+        let m = n.m();
+        m.delivered_msgs += 1;
+        m.delivered_bytes += bytes;
+        let delivered = m.delivered_msgs;
         self.last_delivery = now;
-        if !n.done && n.m.delivered_msgs >= n.target {
+        if !n.done && delivered >= n.target {
             n.done = true;
             self.done_nodes += 1;
             if self.done_nodes == self.nodes.len() {
@@ -527,9 +629,37 @@ impl SimWorld {
         }
     }
 
-    /// One predicate-thread iteration at `node` (§2.4): one protocol pass
-    /// per subgroup, charged to the cost model, then the accumulated RDMA
-    /// writes posted.
+    /// What a write that `src`'s pass left is, read off the layout: ring
+    /// slots of one subgroup, read through on arrival, or one counter, its
+    /// value loaded now that the whole pass has run — the value the
+    /// predicate that set it left, because the predicates of a pass write
+    /// different columns. Returns the wire bytes, the ring slots the
+    /// receiver places and the body.
+    fn post_of(&self, src: usize, range: Range<usize>) -> (usize, usize, PostBody) {
+        let rel = range.start - src * self.plan.layout.row_words();
+        let ring = |s: &spindle_sst::SlotsCol| s.slots_range(0, s.count()).contains(&rel);
+        if let Some(s) = self.plan.cols.iter().map(|c| c.slots).find(ring) {
+            let slots = range.len() / s.slot_words();
+            return (slots * s.wire_slot_bytes(), slots, PostBody::Slots(range));
+        }
+        debug_assert_eq!(range.len(), 1);
+        let value = self.fabric.region(NodeId(src)).load(range.start);
+        let deliv_ack = self
+            .plan
+            .cols
+            .iter()
+            .any(|c| c.deliv.word_range().start == rel);
+        let word = range.start;
+        let body = PostBody::Ctr {
+            word,
+            value,
+            deliv_ack,
+        };
+        (8, 0, body)
+    }
+
+    /// One predicate-thread iteration at `node` (§2.4): the node pass,
+    /// charged to the cost model as it runs, then its writes posted.
     fn iter(&mut self, eng: &mut Engine<Ev>, node: usize) -> Step {
         let now = eng.now();
         if self.crashed[node] {
@@ -544,109 +674,22 @@ impl SimWorld {
             eng.schedule_at(until, Ev::Iter { node });
             return Step::Continue;
         }
-        let cfg = self.cfg.clone();
-        let cost = self.cost.clone();
-        let sst = self.nodes[node].sst.clone();
-        let mut busy = cost.iter_overhead;
-        let mut posts: Vec<Post> = Vec::new();
-        let mut work = false;
-        let mut any_delivery = false;
-        // Ordered deliveries, counted after the loop at the upcall time:
-        // (sg, rank, app_index, len).
-        let mut delivered: Vec<(usize, usize, u64, u32)> = Vec::new();
-
-        for pi in 0..self.nodes[node].protos.len() {
-            let p = &mut self.nodes[node].protos[pi];
-            let pass = p.pass(&sst, &cfg);
-            let (r, d) = (&pass.recv, &pass.deliver);
-            let (sg, senders, window) = (p.sg.0, p.num_senders(), p.ring.window());
-            let members = p.member_rows.len() as u32;
-            work |= pass.work();
-            // The cost model, charged in the order the predicates fired:
-            // an unordered upcall is counted at `now + busy` partway through.
-            busy += cost.sg_eval + cost.probe_per_sender * senders as u32;
-            // Batched, the scan probes from the next expected slot, but the
-            // ring's memory footprint still taxes the polling loop (§4.1.2:
-            // "an excessively large window size forces the predicate thread
-            // to cover too large a memory area"); in the baseline it covers
-            // each sender's whole ring area every iteration.
-            let scanned = if cfg.receive_batching {
-                window * senders / 8
-            } else {
-                window * senders
-            };
-            busy += cost.scan_per_slot * scanned as u32;
-            let m = &mut self.nodes[node].m;
-            if r.new_rounds > 0 {
-                busy += (cost.recv_per_msg + cost.scan_per_slot) * r.new_rounds as u32;
-                m.recv_batch.record(r.new_rounds);
-            }
-            m.nulls_sent += r.nulls_added;
-            for del in &r.new_app {
-                busy += cost.upcall_base + self.workload.upcall_cost;
-                if self.workload.memcpy_on_delivery {
-                    busy += cost.memcpy.copy_time(del.len as usize);
-                }
-                let key = (sg, del.rank, del.app_index);
-                self.count_delivery(now + busy, node, key, del.len as u64);
-            }
-            let m = &mut self.nodes[node].m;
-            if let Some(s) = pass.send.as_ref().filter(|s| s.app_msgs > 0) {
-                busy += cost.send_per_msg * s.app_msgs as u32;
-                m.send_batch.record(s.app_msgs);
-                m.push_ops += 1;
-            }
-            busy += cost.deliv_eval_per_member * members;
-            any_delivery |= !d.deliveries.is_empty() || d.nulls_skipped > 0;
-            if !d.deliveries.is_empty() {
-                let n = d.deliveries.len() as u32;
-                m.deliv_batch.record(n as u64);
-                busy += (cost.deliv_per_msg + cost.upcall_base) * n;
-            }
-            m.nulls_skipped += d.nulls_skipped;
-            for del in &d.deliveries {
-                busy += self.workload.upcall_cost;
-                if self.workload.memcpy_on_delivery {
-                    busy += cost.memcpy.copy_time(del.len as usize);
-                }
-                if cfg.delivery_timing == DeliveryTiming::Ordered {
-                    delivered.push((sg, del.rank, del.app_index, del.len));
-                }
-            }
-
-            // The writes, in the pass's order, each to every other member.
-            // A counter write carries the value its word holds after the
-            // whole pass rather than right after the predicate that set it:
-            // the same value, because the three predicates write three
-            // different columns (recv, committed, deliv), so no pushed word
-            // is rewritten later in the pass.
-            let SimNode { protos, m, .. } = &mut self.nodes[node];
-            let p = &protos[pi];
-            for (range, kind) in pass.pushes() {
-                let (wire, slots, body) = if kind == PushKind::Slots {
-                    let slots = range.len() / p.cols.slots.slot_words();
-                    let wire = slots * p.cols.slots.wire_slot_bytes();
-                    (wire, slots, PostBody::Slots(range))
-                } else {
-                    debug_assert_eq!(range.len(), 1);
-                    m.push_ops += 1;
-                    let (word, value) = (range.start, sst.region().load(range.start));
-                    (8, 0, PostBody::Ctr { word, value, kind })
-                };
-                for &dst in p.member_rows.iter().filter(|&&row| row != node) {
-                    posts.push(Post {
-                        dst,
-                        wire,
-                        slots,
-                        body: body.clone(),
-                    });
-                }
-            }
-        }
+        let (sc, n) = (self.sc, &mut self.nodes[node]);
+        n.th.sink.busy = sc.cost.iter_overhead;
+        n.th.sink.any_delivery = false;
+        let work = {
+            let mut inner = n.shared.inner.lock();
+            node_pass(&n.shared, &mut inner, &mut n.th, None, 0, &sc.cfg).work
+        };
+        let Charge {
+            busy, any_delivery, ..
+        } = n.th.sink;
+        let mut upcalls = std::mem::take(&mut n.th.sink.upcalls);
+        let mut posts = std::mem::take(&mut n.th.posts);
 
         // --- finalize the body: lock, posting, metrics ---
-        let post_time = cost.post_time(posts.len());
-        let hold = if cfg.early_lock_release {
+        let post_time = sc.cost.post_time(posts.len());
+        let hold = if sc.cfg.early_lock_release {
             busy
         } else {
             busy + post_time
@@ -654,39 +697,59 @@ impl SimWorld {
         let grant = self.nodes[node].lock.acquire(now, hold);
         let body_start = grant.start;
 
-        // Deliveries count at the (approximate) upcall time.
+        // An unordered delivery counts where the pass reached its upcall,
+        // an ordered one at the (approximate) upcall time, the body's end.
         let upcall_time = body_start + busy;
-        for (sg, rank, app_index, len) in delivered {
-            let w = self.windows[sg];
-            let sent_at = self.ts[sg][rank][(app_index % w as u64) as usize];
-            let lat = upcall_time.saturating_since(sent_at);
-            self.nodes[node].m.latency.record(lat.as_secs_f64());
-            self.nodes[node].m.latency_samples.record(lat.as_secs_f64());
-            self.count_delivery(upcall_time, node, (sg, rank, app_index), len as u64);
+        for &(at, del @ (sg, rank, app_index), len) in &upcalls {
+            let at = match sc.cfg.delivery_timing {
+                DeliveryTiming::OnReceive => now + at,
+                DeliveryTiming::Ordered => {
+                    let ts = &self.ts[sg][rank];
+                    let sent_at = ts[(app_index % ts.len() as u64) as usize];
+                    let lat = upcall_time.saturating_since(sent_at);
+                    let m = self.nodes[node].m();
+                    m.latency.record(lat.as_secs_f64());
+                    m.latency_samples.record(lat.as_secs_f64());
+                    upcall_time
+                }
+            };
+            self.count_delivery(at, node, del, len.into());
         }
+        upcalls.clear();
 
         // Post writes sequentially after the body.
+        let cost = &sc.cost;
         let mut t_post = body_start + busy;
-        for (i, post) in posts.into_iter().enumerate() {
+        for (i, op) in posts.drain(..).enumerate() {
             t_post += if i == 0 {
                 cost.net.post_cost
             } else {
                 cost.post_next
             };
+            let (wire, slots, body) = self.post_of(node, op.range);
+            let dst = op.dst.0;
             let eg = self.nodes[node]
                 .egress
-                .acquire(t_post, cost.egress_time(post.wire));
+                .acquire(t_post, cost.egress_time(wire));
             // Fault-injected throttling: a constant per-source stall keeps
             // per-(source, destination) arrival order intact.
             let at_dst = eg.end + cost.net.fixed_latency + self.extra_write_delay[node];
-            let ig = self.nodes[post.dst]
+            let ig = self.nodes[dst]
                 .ingress
-                .acquire(at_dst, cost.ingress_time(post.wire, post.slots));
-            self.nodes[node].m.writes_posted += 1;
-            let (src, dst, body) = (node, post.dst, post.body);
-            eng.schedule_at(ig.end, Ev::Arrive { src, dst, body });
+                .acquire(at_dst, cost.ingress_time(wire, slots));
+            self.nodes[node].m().writes_posted += 1;
+            eng.schedule_at(
+                ig.end,
+                Ev::Arrive {
+                    src: node,
+                    dst,
+                    body,
+                },
+            );
         }
-        self.nodes[node].m.post_time += post_time;
+        let n = &mut self.nodes[node];
+        (n.th.posts, n.th.sink.upcalls) = (posts, upcalls);
+        n.m().post_time += post_time;
 
         if any_delivery {
             self.unblock_apps(eng, node);
@@ -696,31 +759,29 @@ impl SimWorld {
         }
 
         // Schedule the next iteration or quiesce.
+        let n = &mut self.nodes[node];
         if work {
-            self.nodes[node].idle_streak = 0;
+            n.idle_streak = 0;
         } else {
-            self.nodes[node].idle_streak += 1;
+            n.idle_streak += 1;
         }
         let t_end = body_start + busy + post_time + cost.iter_gap;
-        if self.nodes[node].idle_streak < cost.quiesce_after {
-            self.nodes[node].pred_running = true;
+        if n.idle_streak < cost.quiesce_after {
+            n.pred_running = true;
             eng.schedule_at(t_end, Ev::Iter { node });
         } else {
-            self.nodes[node].pred_running = false;
+            n.pred_running = false;
         }
         Step::Continue
     }
 
-    fn report(&self, now: SimTime) -> RunReport {
-        let makespan = match self.finish {
-            Some(t) => t.saturating_since(SimTime::ZERO),
-            None => {
-                let _ = now;
-                self.last_delivery.saturating_since(SimTime::ZERO)
-            }
-        };
+    fn report(&self) -> RunReport {
+        let makespan = self
+            .finish
+            .unwrap_or(self.last_delivery)
+            .saturating_since(SimTime::ZERO);
         RunReport {
-            nodes: self.nodes.iter().map(|n| n.m.clone()).collect(),
+            nodes: self.nodes.iter().map(|n| n.th.sink.m.clone()).collect(),
             makespan,
             completed: self.finish.is_some(),
             delivery_trace: self.trace.clone().unwrap_or_default(),
@@ -780,6 +841,20 @@ mod tests {
         );
         // And latency improves too (the paper's headline).
         assert!(opt.mean_latency_ms() < base.mean_latency_ms());
+    }
+
+    #[test]
+    fn member_of_no_subgroup_does_not_hold_up_completion() {
+        // Row 3 is a member of the view but of no subgroup: it has nothing
+        // to deliver, and the run completes when rows 0-2 have.
+        let view = ViewBuilder::new(4)
+            .subgroup(&[0, 1, 2], &[0, 1, 2], 16, 1024)
+            .build()
+            .unwrap();
+        let r = SimCluster::new(view, SpindleConfig::optimized(), Workload::new(100, 1024)).run();
+        assert!(r.completed);
+        let delivered: Vec<u64> = r.nodes.iter().map(|n| n.delivered_msgs).collect();
+        assert_eq!(delivered, [300, 300, 300, 0]);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! predicate (polling) thread exactly as in the paper (§2.4), application
 //! threads send through [`NodeHandle::send`], and deliveries appear —
 //! in the identical total order at every member — on each node's delivery
-//! channel. The same [`proto`](crate::proto) state machines as the
-//! simulated runtime execute here, so the correctness properties the
+//! channel. The same node pass as the simulated runtime executes here —
+//! the simulator runs `node_pass` on the same node state, substituting
+//! time, concurrency and I/O — so the correctness properties the
 //! integration tests establish (total order, gap-freedom, FIFO per sender,
 //! null invisibility, failure atomicity) hold for the code the performance
 //! model measures.
@@ -62,7 +63,9 @@ pub use api::{
     AdmitRequest, Cluster, Delivered, NodeHandle, SendError, Suspicion, ViewChangeError,
     ViewChangeReport,
 };
+pub(crate) use node::{Epochs, NodeInner, NodeShared};
 pub use persist::PersistConfig;
+pub(crate) use predicate::{node_pass, PassSink, ThreadState};
 
 /// How long an SST-driven transition may take to converge before its
 /// thread gives up (a participant stalled forever — a harness bug or a

@@ -23,9 +23,9 @@ use crate::proto::{QueueOutcome, SubgroupProto};
 use crate::viewchange::VcBoundary;
 
 /// Everything that is replaced wholesale on a view change.
-pub(super) struct NodeInner<F: Fabric> {
-    pub(super) sst: Sst,
-    pub(super) protos: Vec<SubgroupProto>,
+pub(crate) struct NodeInner<F: Fabric> {
+    pub(crate) sst: Sst,
+    pub(crate) protos: Vec<SubgroupProto>,
     /// Beside each entry of `protos`: when this node queued the message in
     /// each ring slot it sends from — `window` entries, none where it is
     /// not a sender. [`NodeShared::try_queue`] writes the slot's entry and
@@ -58,7 +58,7 @@ impl<F: Fabric> NodeInner<F> {
     /// [`FlightEvent::Install`] record. Start-up (and a joiner's) and a
     /// transition's install enter an epoch here; the caller
     /// publishes the epoch number ([`NodeShared::epoch`]).
-    pub(super) fn enter_epoch(
+    pub(crate) fn enter_epoch(
         view: &Arc<View>,
         plan: &Plan,
         row: usize,
@@ -165,7 +165,7 @@ pub(super) enum JoinIntent {
 /// literally) and a multi-process one (the transport advances in place,
 /// [`Fabric::begin_epoch`]) — every view installed so far, and which rows
 /// died at an armed crash boundary.
-pub(super) struct Epochs<F: Fabric> {
+pub(crate) struct Epochs<F: Fabric> {
     factory: Option<FabricFactory<F>>,
     faults: FaultPlan,
     /// Every view installed so far — oldest first, never empty — and the
@@ -187,7 +187,7 @@ pub(super) struct Epochs<F: Fabric> {
 
 impl<F: Fabric> Epochs<F> {
     /// `factory` is `None` for a pre-built fabric.
-    pub(super) fn new(
+    pub(crate) fn new(
         factory: Option<FabricFactory<F>>,
         faults: FaultPlan,
         view: Arc<View>,
@@ -261,8 +261,8 @@ pub(super) fn latest(views: &[Arc<View>]) -> Arc<View> {
     Arc::clone(views.last().expect("the first epoch is always recorded"))
 }
 
-pub(super) struct NodeShared<F: Fabric> {
-    pub(super) inner: Mutex<NodeInner<F>>,
+pub(crate) struct NodeShared<F: Fabric> {
+    pub(crate) inner: Mutex<NodeInner<F>>,
     pub(super) deliveries: Sender<Delivered>,
     /// Set while the predicate thread runs an epoch transition, from the
     /// first suspicion to the end of the install barrier: sends are
@@ -311,7 +311,7 @@ impl<F: Fabric> NodeShared<F> {
     /// The shared state of one row at the epoch `inner` has entered, with
     /// its delivery channel. `persist` makes the row durable (pass `None`
     /// for a remote stub, which delivers nothing).
-    pub(super) fn new(
+    pub(crate) fn new(
         inner: NodeInner<F>,
         suspicion_tx: &Sender<Suspicion>,
         obs: &ObsPlane,

@@ -16,7 +16,7 @@ use super::distributed::{act, wedge, Transition};
 use super::node::{ops_to, NodeInner, NodeShared};
 use crate::config::{DeliveryTiming, SpindleConfig};
 use crate::detector::{DetectorConfig, HeartbeatTicker};
-use crate::proto::{Delivery, SubgroupProto};
+use crate::proto::{Delivery, Pass, SubgroupProto};
 use crate::viewchange::VcStep;
 
 /// The registry handles of one `(node, epoch)`'s deliveries: once resolved,
@@ -175,16 +175,34 @@ impl WaitCounters {
     }
 }
 
-/// The deliveries of one pass over a node's protocol state and, beside
-/// each, when this node queued it: `Some` for its own sends only — the
-/// start of the delivery-latency sample [`ThreadState::publish`] records.
-#[derive(Default)]
-struct Batch {
+/// The threads' [`PassSink`]: the deliveries of one pass over a node's
+/// protocol state and, beside each, when this node queued it — `Some` for
+/// its own sends only, the start of the delivery-latency sample
+/// [`ThreadState::publish`] records — and, where the row logs ordered
+/// deliveries, the persistence frontiers to advance once the durable log
+/// holds them.
+pub(crate) struct Batch {
+    timing: DeliveryTiming,
     delivered: Vec<Delivered>,
     queued_at: Vec<Option<Instant>>,
+    /// `(index into protos, persisted_num column, highest seq)` of each
+    /// subgroup that delivered; `None` unless the row logs ordered
+    /// deliveries.
+    persist_work: Option<Vec<(usize, CounterCol, SeqNum)>>,
 }
 
 impl Batch {
+    /// The batch of a row delivering on `timing` that `logs` its ordered
+    /// deliveries to a durable log or not.
+    fn new(timing: DeliveryTiming, logs: bool) -> Self {
+        Batch {
+            timing,
+            delivered: Vec::new(),
+            queued_at: Vec::new(),
+            persist_work: logs.then(Vec::new),
+        }
+    }
+
     /// Materializes a delivery: copies its payload out of the sender's ring
     /// slot (the pragmatic §3.5 option 2) and, when the sender is this
     /// node, takes the slot's entry of `stamps` — the subgroup's part of
@@ -232,6 +250,51 @@ impl Batch {
     }
 }
 
+/// Where a [`node_pass`] hands each subgroup's outcome: the one part of the
+/// pass that is I/O, and so the one part a runtime substitutes. The threads
+/// copy every delivery out of its ring slot ([`Batch`]); the simulator
+/// charges the outcome to its cost model instead. Generic, so each runtime's
+/// pass is compiled with its own sink inlined; a hook that only observes
+/// the predicates' outcomes can be one more implementation.
+pub(crate) trait PassSink {
+    /// The outcome `pass` of `p`, entry `g` of [`NodeInner::protos`], at the
+    /// row whose replica is `sst` in `epoch`, under the node lock; `stamps`
+    /// is the subgroup's part of [`NodeInner::queued_at`].
+    fn subgroup(
+        &mut self,
+        sst: &Sst,
+        epoch: u64,
+        g: usize,
+        p: &SubgroupProto,
+        pass: &Pass,
+        stamps: &mut [Option<Instant>],
+    );
+}
+
+impl PassSink for Batch {
+    fn subgroup(
+        &mut self,
+        sst: &Sst,
+        epoch: u64,
+        g: usize,
+        p: &SubgroupProto,
+        pass: &Pass,
+        stamps: &mut [Option<Instant>],
+    ) {
+        let delivered = match self.timing {
+            DeliveryTiming::OnReceive => &pass.recv.new_app,
+            DeliveryTiming::Ordered => &pass.deliver.deliveries,
+        };
+        for del in delivered {
+            self.push(sst, p, stamps, epoch, del);
+        }
+        // Deliveries come in order: the last has the highest seq.
+        if let (Some(work), Some(last)) = (&mut self.persist_work, delivered.last()) {
+            work.push((g, p.cols.pers, last.seq));
+        }
+    }
+}
+
 /// What a pass needs of the epoch its node is in and can keep outside the
 /// node lock: handles and row lists that change only when an epoch is
 /// installed, cloned out of [`NodeInner`] once per epoch rather than once
@@ -265,9 +328,10 @@ impl<F: Fabric> EpochLocal<F> {
 }
 
 /// What a predicate thread owns for its whole life: the epoch's handles,
-/// its one heartbeat, the epoch transition it is in, if any, and one pass's
-/// scratch, emptied by the caller of the pass that filled it.
-pub(super) struct ThreadState<F> {
+/// its one heartbeat, the epoch transition it is in, if any, one pass's
+/// scratch, emptied by the caller of the pass that filled it, and the sink
+/// its passes hand their outcomes to.
+pub(crate) struct ThreadState<F, S = Batch> {
     pub(super) local: EpochLocal<F>,
     /// Only with a detector. Carried from epoch to epoch, so the value the
     /// peers see never regresses — a regressed counter reads as silence.
@@ -277,37 +341,23 @@ pub(super) struct ThreadState<F> {
     pub(super) transition: Option<Transition>,
     /// The writes, in posting order: posted after the node lock is released
     /// (§3.4) or under it (baseline).
-    posts: Vec<WriteOp>,
-    batch: Batch,
-    /// `(index into protos, persisted_num column, highest seq)` of each
-    /// subgroup that delivered, for the frontier to advance once the durable
-    /// log holds the batch; `None` unless the row logs ordered deliveries.
-    persist_work: Option<Vec<(usize, CounterCol, SeqNum)>>,
+    pub(crate) posts: Vec<WriteOp>,
+    /// Where [`node_pass`] hands each subgroup's outcome.
+    pub(crate) sink: S,
 }
 
-impl<F: Fabric> ThreadState<F> {
-    /// The state of a thread starting at `now` in the epoch `inner` holds,
-    /// of a row that `logs` its ordered deliveries to a durable log or not
-    /// and whose heartbeat posts nothing while `hb_muted` is set.
-    fn new(
-        inner: &NodeInner<F>,
-        det: &Option<DetectorConfig>,
-        hb_muted: &Arc<AtomicBool>,
-        logs: bool,
-        now: Instant,
-    ) -> Self {
-        let mut th = ThreadState {
+impl<F: Fabric, S> ThreadState<F, S> {
+    /// The state of a thread in the epoch `inner` holds, its passes'
+    /// outcomes handed to `sink`. A thread with a detector then sets
+    /// `ticker` and [`watch`](Self::watch)es.
+    pub(crate) fn new(inner: &NodeInner<F>, sink: S) -> Self {
+        ThreadState {
             local: EpochLocal::of(inner),
-            ticker: det
-                .as_ref()
-                .map(|dc| HeartbeatTicker::new(dc, Arc::clone(hb_muted), now)),
+            ticker: None,
             transition: None,
             posts: Vec::new(),
-            batch: Batch::default(),
-            persist_work: logs.then(Vec::new),
-        };
-        th.watch(1, now);
-        th
+            sink,
+        }
     }
 
     /// Has the heartbeat, if any, watch this epoch's peers from `now`, a peer
@@ -317,7 +367,9 @@ impl<F: Fabric> ThreadState<F> {
             ticker.watch(&self.local.hb_peers, leash, now);
         }
     }
+}
 
+impl<F: Fabric> ThreadState<F> {
     /// Hands the pass's batch to the application — leaving it empty, its
     /// capacity kept for the next pass — and publishes it into the live
     /// registry: the delivery-latency sample of each delivery that completes
@@ -333,7 +385,7 @@ impl<F: Fabric> ThreadState<F> {
     /// the counter equals the drained stream length by construction (the
     /// harness counter-consistency oracle pins this).
     fn publish(&mut self, shared: &NodeShared<F>) {
-        let (batch, local) = (&mut self.batch, &mut self.local);
+        let (batch, local) = (&mut self.sink, &mut self.local);
         if batch.delivered.is_empty() {
             return;
         }
@@ -358,10 +410,10 @@ impl<F: Fabric> ThreadState<F> {
 }
 
 /// What one [`node_pass`] found.
-struct NodeStep {
+pub(crate) struct NodeStep {
     /// Whether any subgroup's pass did something, or a transition's phase
     /// advanced: the idle ladder's input.
-    work: bool,
+    pub(crate) work: bool,
     /// Suspicion bits that must start a transition after this pass.
     vc_bits: u64,
     /// The peers the heartbeat just found silent, each reported once.
@@ -376,15 +428,16 @@ struct NodeStep {
 /// `now`, then either one step of the thread's [`Transition`] or the
 /// transition bits — `trigger`, swapped out of [`NodeShared::vc_trigger`],
 /// and the peers' suspicion column, masked to this epoch's rows and
-/// [`PLANNED_BIT`] — and every subgroup's [`SubgroupProto::pass`], the
-/// writes into the thread's scratch after the heartbeat's. It reads no
-/// clock, and outside a transition posts and sends nothing: the caller
-/// holds the lock, convicts the suspects and posts, so a driver with a
-/// discrete clock and no threads runs the same pass.
-fn node_pass<F: Fabric>(
+/// [`PLANNED_BIT`] — and every subgroup's [`SubgroupProto::pass`], its
+/// outcome into the thread's [`PassSink`] and its writes into the thread's
+/// scratch after the heartbeat's. It reads no clock, and outside a
+/// transition posts and sends nothing: the caller holds the lock, convicts
+/// the suspects and posts, so a driver with a discrete clock and no threads
+/// — the simulator — runs the same pass.
+pub(crate) fn node_pass<F: Fabric, S: PassSink>(
     shared: &NodeShared<F>,
     inner: &mut NodeInner<F>,
-    th: &mut ThreadState<F>,
+    th: &mut ThreadState<F, S>,
     now: Option<Instant>,
     trigger: u64,
     cfg: &SpindleConfig,
@@ -476,18 +529,8 @@ fn node_pass<F: Fabric>(
     for (g, (p, stamps)) in inner.protos.iter_mut().zip(stamps).enumerate() {
         let pass = p.pass(sst, cfg);
         work |= pass.work();
-        let delivered = match cfg.delivery_timing {
-            DeliveryTiming::OnReceive => &pass.recv.new_app,
-            DeliveryTiming::Ordered => &pass.deliver.deliveries,
-        };
-        for del in delivered {
-            th.batch.push(sst, p, stamps, local.epoch, del);
-        }
-        // Deliveries come in order: the last has the highest seq.
-        if let (Some(work), Some(last)) = (&mut th.persist_work, delivered.last()) {
-            work.push((g, p.cols.pers, last.seq));
-        }
-        for (range, _) in pass.pushes() {
+        th.sink.subgroup(sst, local.epoch, g, p, &pass, stamps);
+        for range in pass.pushes() {
             th.posts.extend(ops_to(&local.members[g], row, range));
         }
     }
@@ -560,9 +603,9 @@ fn iterate<F: Fabric>(
     // per-subgroup logs, fsync when the policy says so, then advertise
     // the new frontiers. This happens outside the lock — log I/O must
     // never stall the application threads (the same reasoning as §3.4).
-    let work = th.persist_work.as_mut().filter(|w| !w.is_empty());
+    let work = th.sink.persist_work.as_mut().filter(|w| !w.is_empty());
     if let (Some(hook), Some(work)) = (&shared.persist, work) {
-        hook.lock().append(&th.batch.delivered);
+        hook.lock().append(&th.sink.delivered);
         for (g, pers_col, hi) in work.drain(..) {
             let range = th.local.sst.set_counter(pers_col, hi);
             th.posts.extend(ops_to(&th.local.members[g], row, range));
@@ -600,8 +643,10 @@ pub(super) fn predicate_thread<F: Fabric>(
     let waits = WaitCounters::new(&shared.obs, row);
     // Only ordered deliveries carry a sequence number to log.
     let logs = shared.persist.is_some() && cfg.delivery_timing == DeliveryTiming::Ordered;
+    let mut th = ThreadState::new(&shared.inner.lock(), Batch::new(cfg.delivery_timing, logs));
     let now = Instant::now();
-    let mut th = ThreadState::new(&shared.inner.lock(), &det, &shared.hb_muted, logs, now);
+    th.ticker = det.map(|dc| HeartbeatTicker::new(&dc, Arc::clone(&shared.hb_muted), now));
+    th.watch(1, now);
     while !stop.load(Ordering::Relaxed) {
         let (work, idle) = match iterate(&shared, &mut th, &cfg, drives_engine, &Instant::now) {
             Turn::Exit => return,
@@ -663,7 +708,7 @@ pub(super) fn drain_node_through<F: Fabric>(
         let out = p.deliver_through(sst, cut);
         if cfg.delivery_timing == DeliveryTiming::Ordered {
             for del in &out.deliveries {
-                th.batch.push(sst, p, stamps, *epoch, del);
+                th.sink.push(sst, p, stamps, *epoch, del);
             }
         }
         for (_, payload) in p.undelivered_own(sst) {
@@ -675,7 +720,7 @@ pub(super) fn drain_node_through<F: Fabric>(
     // like any others, and the epoch boundary fsyncs whatever the policy.
     if let Some(hook) = &shared.persist {
         let mut hook = hook.lock();
-        hook.append(&th.batch.delivered);
+        hook.append(&th.sink.delivered);
         hook.sync_all().expect("sync durable log");
     }
     th.publish(shared);
@@ -753,7 +798,14 @@ mod tests {
                 .unzip();
             let threads = shared
                 .iter()
-                .map(|s| ThreadState::new(&s.inner.lock(), &det, &s.hb_muted, false, t0))
+                .map(|s| {
+                    let sink = Batch::new(cfg.delivery_timing, false);
+                    let mut th = ThreadState::new(&s.inner.lock(), sink);
+                    let muted = Arc::clone(&s.hb_muted);
+                    th.ticker = det.as_ref().map(|dc| HeartbeatTicker::new(dc, muted, t0));
+                    th.watch(1, t0);
+                    th
+                })
                 .collect();
             Rows {
                 cfg,
@@ -775,7 +827,8 @@ mod tests {
             for op in th.posts.drain(..) {
                 th.local.fabric.post(NodeId(row), &op);
             }
-            (step, posts, std::mem::take(&mut th.batch))
+            let fresh = Batch::new(self.cfg.delivery_timing, false);
+            (step, posts, std::mem::replace(&mut th.sink, fresh))
         }
 
         /// `row`'s iteration of its predicate loop `at` after `t0`: the
@@ -893,7 +946,7 @@ mod tests {
                         for mut p in inner.protos.clone() {
                             let pass = p.pass(&sst, &cfg);
                             work |= pass.work();
-                            for (range, _) in pass.pushes() {
+                            for range in pass.pushes() {
                                 posts.extend(ops_to(&p.member_rows, row, range));
                             }
                             seqs.extend(pass.deliver.deliveries.iter().map(|d| (p.sg, d.seq)));

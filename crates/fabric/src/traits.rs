@@ -22,13 +22,16 @@
 //!   nobody writes while the reader is awake — not a counter, see below.
 //!
 //! Backends: [`crate::MemFabric`] (in-process, immediate
-//! placement), `spindle_net::TcpFabric` (per-peer ordered TCP byte streams
-//! standing in for RDMA's ordered one-sided writes, served by one poller
-//! thread per process), and the discrete-event backend in `spindle-core`'s
-//! simulated runtime.
+//! placement) and `spindle_net::TcpFabric` (per-peer ordered TCP byte
+//! streams standing in for RDMA's ordered one-sided writes, served by one
+//! poller thread per process). Both consult a shared [`FaultPlan`] on every
+//! post, so fault injection (isolate / throttle) behaves identically across
+//! transports.
 //!
-//! All backends consult a shared [`FaultPlan`] on every post, so fault
-//! injection (isolate / throttle) behaves identically across transports.
+//! `spindle-core`'s simulated runtime is not a backend: its rows live on
+//! `MemFabric` regions, but its discrete-event engine times each write and
+//! places it at its virtual arrival, and its faults are its own scheduled
+//! `SimFault`s, not a `FaultPlan`.
 //!
 //! A fabric keeps **no counters of its own**. `post` is the hottest call in
 //! the program and every predicate thread makes it, so a tally shared by

@@ -138,3 +138,34 @@ fn simulator_reports_match_pinned_fingerprints() {
         .collect();
     assert!(mismatched.is_empty(), "{mismatched:#?}");
 }
+
+/// The grid above runs one subgroup of every row. This pins a partial
+/// membership: the 5-row, 3-subgroup view of the quickstart example (at
+/// 1 KiB), where row 3 only receives, in subgroup 1, and rows 3 and 4 are
+/// each outside two subgroups — so per-subgroup member posting and
+/// per-row delivery targets are pinned too.
+#[test]
+fn partial_membership_reports_match_pinned_fingerprints() {
+    let view = ViewBuilder::new(5)
+        .subgroup(&[0, 1, 2], &[0, 1, 2], 16, 1024)
+        .subgroup(&[0, 1, 3], &[0, 1], 16, 1024)
+        .subgroup(&[0, 2, 4], &[0, 2, 4], 16, 1024)
+        .build()
+        .unwrap();
+    for (name, cfg, pinned) in [
+        (
+            "optimized",
+            SpindleConfig::optimized(),
+            0x3cc1_d720_9dfb_fce9,
+        ),
+        ("baseline", SpindleConfig::baseline(), 0x4f4b_a8b7_d0d0_e857),
+    ] {
+        let report = SimCluster::new(view.clone(), cfg, Workload::new(200, 1024))
+            .with_seed(42)
+            .run();
+        assert!(report.completed, "{name}: simulation stalled");
+        assert_eq!(report.nodes[0].delivered_msgs, 1_600, "{name}");
+        let got = fnv1a64(format!("{report:?}").as_bytes());
+        assert_eq!(got, pinned, "{name}: {got:#018x} (pinned {pinned:#018x})");
+    }
+}
