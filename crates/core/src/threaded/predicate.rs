@@ -55,15 +55,13 @@ impl EpochObs {
     }
 }
 
-/// One timed sleep of a predicate thread that has nothing to do: the one
-/// quantum the idle ladder takes before it parks ([`IdleLadder`]), and the
-/// polling interval of a [`paused`](NodeShared::paused) row. 50 µs asked
-/// for is 105–120 µs slept on the benchmark host: the kernel adds the
-/// thread's default 50 µs timer slack to every `nanosleep`.
+/// One timed sleep of a predicate thread that has nothing to do: what the
+/// idle ladder does after the first pass that finds no work, before it arms
+/// the doorbell ([`IdleLadder`]), and the polling interval of a
+/// [`paused`](NodeShared::paused) row. 50 µs asked for is 105–120 µs slept
+/// on the benchmark host: the kernel adds the thread's default 50 µs timer
+/// slack to every `nanosleep`.
 const IDLE_QUANTUM: Duration = Duration::from_micros(50);
-
-/// Passes without work before the ladder leaves its spin rung.
-const IDLE_SPINS: u32 = 64;
 
 /// The longest a thread parks on its doorbell. What does not ring — `stop`,
 /// [`killed`](NodeShared::killed), [`paused`](NodeShared::paused), a closed
@@ -77,8 +75,8 @@ const PARK_CAP: Duration = Duration::from_millis(1);
 /// What a predicate thread does between one pass and the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Idle {
-    /// Go round again at once.
-    Spin,
+    /// The pass found work: go round again at once.
+    Again,
     /// Sleep one [`IDLE_QUANTUM`] on the timer.
     Sleep,
     /// Arm the replica's doorbell ([`Region::arm`]); the next pass is the
@@ -91,27 +89,26 @@ enum Idle {
 }
 
 /// The idle ladder of a predicate thread (§2.4: the thread quiesces when it
-/// has no work and a doorbell wakes it): **spin** [`IDLE_SPINS`] passes →
-/// **one** timed [`IDLE_QUANTUM`] → **arm** the doorbell → one more full
-/// pass → **park** until the write that gives it work rings
-/// ([`Region::ring`]: a peer's post, the TCP poller's mirror apply, a local
-/// `try_send`, a view-change trigger). A pass that finds work puts it back
-/// on the first rung; a park that ends without work re-arms and parks
-/// again, without another timed sleep.
+/// has no work and a doorbell wakes it). A pass that finds work goes round
+/// again at once; the first pass without work takes **one** timed
+/// [`IDLE_QUANTUM`] → **arm** the doorbell → one more full pass → **park**
+/// until the write that gives it work rings ([`Region::ring`]: a peer's
+/// post, the TCP poller's mirror apply, a local `try_send`, a view-change
+/// trigger). A park that ends without work re-arms and parks again, without
+/// another timed sleep.
 ///
 /// So the first hop of a message that finds the cluster idle costs one
 /// wake-up (≈ 40–60 µs into an idle vCPU) instead of the rest of a 50 µs
-/// sleep that really lasts ≈ 105 µs. The timed quantum between spinning and
-/// parking stays on purpose — it is what a thread takes *inside* a
-/// message's chain, after its own hop, and at saturation it is what
-/// coalesces wake-ups. Measured on the 2-core host with the repo benchmark
-/// (ISSUE 24; paced `lat_p50_us` on `mem_small`, 272 µs with the sleep
-/// loop, ≈ 200 µs with this ladder): parking straight after the spins gave
-/// 120 µs but `cpu_us_per_msg` 2.27 → 3.76 (+65 %) — every post wakes a
-/// peer, batches shrink, and each wake pays 64 idle passes and two futex
-/// calls; falling back to timed sleeps only after 8 consecutive short parks
-/// gave 110–127 µs but cost `tcp_1k` 21 % of its goodput and 31–41 % more
-/// CPU per message, seven threads churning on two cores.
+/// sleep that really lasts ≈ 105 µs. The timed quantum stays on purpose —
+/// it is what a thread takes *inside* a message's chain, after its own hop,
+/// and at saturation it is what coalesces wake-ups: parking with no quantum
+/// cost `mem_small` 65 % more CPU per message, and an adaptive ladder cost
+/// `tcp_1k` 21 % of its goodput. There is no spin rung: on the 2-core
+/// benchmark host, with more runnable threads than cores, a thread spinning
+/// through idle passes holds a core the driver or another row needs, and
+/// every spin count swept cost more CPU per message and latency than none
+/// (EXPERIMENTS.md *Where a message waits*). Spinning pays only where a
+/// core is free to spin, as on the paper's dedicated polling cores.
 ///
 /// A pure state machine — one [`IdleLadder::next`] per pass — so its order
 /// is tested without threads.
@@ -129,16 +126,15 @@ impl IdleLadder {
     fn next(&mut self, work: bool) -> Idle {
         if work {
             self.idle = 0;
-            return Idle::Spin;
+            return Idle::Again;
         }
         self.idle += 1;
-        match self.idle.saturating_sub(IDLE_SPINS) {
-            0 => Idle::Spin,
+        match self.idle {
             1 => Idle::Sleep,
             2 => Idle::Arm,
             _ => {
                 // Back to where the next idle pass re-arms.
-                self.idle = IDLE_SPINS + 1;
+                self.idle = 1;
                 Idle::Park
             }
         }
@@ -648,17 +644,15 @@ pub(super) fn predicate_thread<F: Fabric>(
     th.ticker = det.map(|dc| HeartbeatTicker::new(&dc, Arc::clone(&shared.hb_muted), now));
     th.watch(1, now);
     while !stop.load(Ordering::Relaxed) {
-        let (work, idle) = match iterate(&shared, &mut th, &cfg, drives_engine, &Instant::now) {
+        let idle = match iterate(&shared, &mut th, &cfg, drives_engine, &Instant::now) {
             Turn::Exit => return,
-            Turn::Paused => (false, Idle::Sleep),
-            Turn::Pass(work) => (work, ladder.next(work)),
+            Turn::Paused => Idle::Sleep,
+            Turn::Pass(work) => ladder.next(work),
         };
         // The doorbell is the one on the replica this pass read.
         let region = th.local.sst.region();
         match idle {
-            // With work: straight into the next pass, as before the ladder.
-            Idle::Spin if work => {}
-            Idle::Spin => std::hint::spin_loop(),
+            Idle::Again => {}
             Idle::Sleep => {
                 waits.timer.inc();
                 std::thread::sleep(IDLE_QUANTUM);
@@ -1108,9 +1102,8 @@ mod tests {
 
     #[test]
     fn ladder_spins_sleeps_once_arms_looks_and_parks() {
+        // No spin rung: the first idle pass already takes the quantum.
         let mut ladder = IdleLadder::default();
-        let spins = idle(&mut ladder, IDLE_SPINS as usize);
-        assert!(spins.iter().all(|&s| s == Idle::Spin), "{spins:?}");
         assert_eq!(
             idle(&mut ladder, 3),
             [Idle::Sleep, Idle::Arm, Idle::Park],
@@ -1126,19 +1119,15 @@ mod tests {
 
     #[test]
     fn work_at_any_rung_puts_the_ladder_back_on_the_first() {
-        // Stop the ladder after every possible number of idle passes — in
-        // the spins, after the sleep, after the arm, after a park, after a
-        // re-arm — and give it work there.
-        for idle_before in 0..IDLE_SPINS as usize + 8 {
+        // Stop the ladder after every possible number of idle passes — none,
+        // after the sleep, after the arm, after a park, after a re-arm — and
+        // give it work there.
+        for idle_before in 0..8 {
             let mut ladder = IdleLadder::default();
             idle(&mut ladder, idle_before);
-            assert_eq!(ladder.next(true), Idle::Spin, "after {idle_before} idle");
-            let again = idle(&mut ladder, IDLE_SPINS as usize + 3);
-            assert!(again[..IDLE_SPINS as usize]
-                .iter()
-                .all(|&s| s == Idle::Spin));
+            assert_eq!(ladder.next(true), Idle::Again, "after {idle_before} idle");
             assert_eq!(
-                again[IDLE_SPINS as usize..],
+                idle(&mut ladder, 3),
                 [Idle::Sleep, Idle::Arm, Idle::Park],
                 "after {idle_before} idle"
             );
@@ -1151,14 +1140,14 @@ mod tests {
         // right after the one that returned `Arm` — one full pass later.
         let mut ladder = IdleLadder::default();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut last = Idle::Spin;
+        let mut last = Idle::Again;
         for _ in 0..200_000 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             // Mostly idle, so the upper rungs are reached often.
             let step = ladder.next(x.is_multiple_of(97));
-            assert_eq!(step == Idle::Park, last == Idle::Arm && step != Idle::Spin);
+            assert_eq!(step == Idle::Park, last == Idle::Arm && step != Idle::Again);
             if step == Idle::Arm {
                 assert!(matches!(last, Idle::Sleep | Idle::Park), "{last:?}");
             }

@@ -147,6 +147,64 @@ fn baseline_config_also_correct() {
     cluster.shutdown();
 }
 
+/// Every member gets every 8 KiB payload byte for byte while each sender
+/// reuses a slot the moment its message is delivered (window 2, all three
+/// rows sending). The copy out of a ring slot (`Batch::push`) runs under the
+/// node lock, before the local sender can see the slot free and overwrite
+/// it; a copy taken after the lock would read the next message's bytes.
+#[test]
+fn large_payloads_survive_immediate_slot_reuse() {
+    const LEN: usize = 8 * 1024;
+    // Debug builds keep the tier-1 run short; CI's stress step runs the full
+    // count with --release.
+    let per_sender: u64 = if cfg!(debug_assertions) { 150 } else { 1_500 };
+    // Differs from the same sender's message two slots earlier or later, and
+    // from every other sender's, at every byte.
+    let payload = |rank: usize, index: u64| -> Vec<u8> {
+        let seed = (index as u8).wrapping_mul(7).wrapping_add(rank as u8 * 85);
+        (0..LEN)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
+            .collect()
+    };
+    for cfg in [SpindleConfig::optimized(), SpindleConfig::baseline()] {
+        let cluster = Cluster::start(view(3, 3, 2, LEN), cfg);
+        std::thread::scope(|s| {
+            for rank in 0..3 {
+                let node = cluster.node(rank);
+                s.spawn(move || {
+                    for i in 0..per_sender {
+                        node.send(SubgroupId(0), &payload(rank, i)).unwrap();
+                    }
+                });
+            }
+            for member in 0..3 {
+                let node = cluster.node(member);
+                s.spawn(move || {
+                    let mut next = [0u64; 3];
+                    for _ in 0..3 * per_sender {
+                        let d = node.recv_timeout(Duration::from_secs(10));
+                        let d = d.unwrap_or_else(|| panic!("member {member} timed out"));
+                        let (rank, index) = (d.sender_rank, d.app_index);
+                        assert_eq!(index, next[rank], "FIFO from sender {rank} at {member}");
+                        next[rank] += 1;
+                        assert_eq!(d.data.len(), LEN);
+                        let torn = d
+                            .data
+                            .iter()
+                            .zip(payload(rank, index))
+                            .position(|(a, b)| *a != b);
+                        assert_eq!(
+                            torn, None,
+                            "sender {rank} message {index} at member {member}: first wrong byte"
+                        );
+                    }
+                });
+            }
+        });
+        cluster.shutdown();
+    }
+}
+
 #[test]
 fn multiple_subgroups_isolated() {
     let v = ViewBuilder::new(3)

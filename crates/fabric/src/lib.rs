@@ -19,21 +19,21 @@
 //!    costs the CPU ≈1 µs, the link serializes at 12.5 GB/s, and local memcpy
 //!    has its own latency/bandwidth curve.
 //!
-//! Two backends implement the placement semantics:
+//! Two backends implement the placement semantics, both behind the
+//! [`Fabric`] trait ([`traits`]), so the protocol crates are written against
+//! it only and further transports plug in without touching protocol code:
 //!
 //! * [`MemFabric`] — real threads, real atomics: remote writes are applied to
 //!   the target's [`Region`] in increasing word order with release/acquire
 //!   fences. Used by the threaded cluster runtime and the correctness tests.
-//! * The discrete-event backend lives in `spindle-core`'s simulated runtime,
-//!   which uses this crate's [`cost`] models to schedule [`WriteOp`]s on
-//!   virtual NIC resources.
+//! * `spindle_net::TcpFabric` — per-peer ordered TCP byte streams standing in
+//!   for RDMA's ordered one-sided writes, served by one poller thread per
+//!   process.
 //!
-//! The posting interface is captured by the [`Fabric`] trait ([`traits`]):
-//! the protocol crates are written against it only, so further transports
-//! plug in without touching protocol code. `spindle_net::TcpFabric`
-//! implements it over real sockets (per-peer ordered TCP byte streams
-//! standing in for RDMA's ordered one-sided writes); a production
-//! deployment would add an `ibverbs`/libfabric backend the same way.
+//! A production deployment would add an `ibverbs`/libfabric backend the same
+//! way. `spindle-core`'s simulated runtime is not a backend: its rows live on
+//! `MemFabric` regions, but its discrete-event engine times each write with
+//! this crate's [`cost`] models and places it at its virtual arrival.
 
 pub mod cost;
 pub mod fault;

@@ -264,13 +264,12 @@ impl Region {
     /// Panics if the bytes extend past the end of the region.
     pub fn read_bytes(&self, offset: usize, out: &mut [u8]) {
         let words = self.byte_range(offset, out.len());
-        let whole = out.len() / 8;
-        let mut chunks = out.chunks_exact_mut(8);
-        for (word, chunk) in words.iter().zip(&mut chunks) {
+        // Zipped by value: a zip with a `&mut` iterator is not random-access.
+        let (whole, rest) = out.split_at_mut(out.len() / 8 * 8);
+        for (word, chunk) in words.iter().zip(whole.chunks_exact_mut(8)) {
             chunk.copy_from_slice(&word.load(Ordering::Acquire).to_le_bytes());
         }
-        if let Some(last) = words.get(whole) {
-            let rest = chunks.into_remainder();
+        if let Some(last) = words.get(whole.len() / 8) {
             rest.copy_from_slice(&last.load(Ordering::Acquire).to_le_bytes()[..rest.len()]);
         }
     }
@@ -295,7 +294,8 @@ impl Region {
     /// Panics if the range is out of bounds.
     pub fn snapshot(&self, offset: usize, len: usize) -> Vec<u64> {
         assert!(offset + len <= self.words.len(), "snapshot out of bounds");
-        (0..len).map(|i| self.load(offset + i)).collect()
+        let words = &self.words[offset..offset + len];
+        words.iter().map(|w| w.load(Ordering::Acquire)).collect()
     }
 
     /// Copies a word range from `src` into `self` at the same offsets, in
@@ -469,6 +469,31 @@ mod tests {
         let r = Region::new(4);
         r.read_bytes(3, &mut [0u8; 8]);
         r.read_bytes(3, &mut [0u8; 9]);
+    }
+
+    #[test]
+    fn snapshot_matches_per_word_loads() {
+        const WORDS: usize = 32;
+        let r = Region::new(WORDS);
+        (0..WORDS).for_each(|i| r.store(i, 0x1000 + i as u64 * 7));
+        for offset in [0, 1, 5, 31, WORDS] {
+            for len in [0, 1, 2, 8, 31, 32] {
+                if offset + len > WORDS {
+                    continue;
+                }
+                let loads: Vec<u64> = (offset..offset + len).map(|i| r.load(i)).collect();
+                assert_eq!(r.snapshot(offset, len), loads, "{len} words at {offset}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot out of bounds")]
+    fn snapshot_bounds_checked() {
+        let r = Region::new(4);
+        assert_eq!(r.snapshot(4, 0), Vec::<u64>::new()); // empty, at the end
+        r.snapshot(3, 1); // fits
+        r.snapshot(3, 2); // one word past the end
     }
 
     #[test]
