@@ -35,7 +35,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spindle_fabric::{FaultPlan, MemFabric, NodeId};
+use spindle_fabric::{MemFabric, NodeId};
 use spindle_membership::View;
 use spindle_obs::ObsPlane;
 use spindle_sim::engine::Step;
@@ -358,7 +358,7 @@ impl<'a> SimWorld<'a> {
         let n = view.members().len();
         let fabric = MemFabric::new(n, plan.layout.region_words());
         let obs = ObsPlane::new();
-        let epochs = Epochs::new(None, FaultPlan::new(), Arc::clone(&view), fabric.clone());
+        let epochs = Epochs::new(Arc::clone(&view), fabric.clone());
         // No detector: nothing ever reports a suspicion.
         let suspicions = crossbeam::channel::unbounded().0;
         let mut nodes = Vec::with_capacity(n);

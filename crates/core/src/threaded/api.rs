@@ -15,7 +15,7 @@ use spindle_membership::reconfig::ReconfigError;
 use spindle_membership::{SeqNum, SubgroupId, View};
 use spindle_obs::{names, ObsPlane};
 
-use super::node::{latest, Epochs, FabricFactory, NodeInner, NodeShared};
+use super::node::{latest, Epochs, NodeInner, NodeShared};
 use super::persist::PersistConfig;
 use super::predicate::predicate_thread;
 use crate::config::{DeliveryTiming, SpindleConfig};
@@ -69,10 +69,10 @@ impl std::fmt::Display for SendError {
 impl std::error::Error for SendError {}
 
 /// One admission for [`Cluster::admit`] — the single entry point for
-/// growing a cluster, whether the joiner is a fresh *process* on a
-/// distributed transport (carry its [`endpoint`](AdmitRequest::endpoint))
-/// or an in-process node on a factory-built cluster (no endpoint; pick
-/// its subgroups).
+/// growing a cluster, whether the joiner is a fresh *process* joining a
+/// cluster spread over several (carry its
+/// [`endpoint`](AdmitRequest::endpoint)) or a new row of a cluster that
+/// hosts every row of its view (no endpoint; pick its subgroups).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdmitRequest {
     /// The joiner's advertised transport endpoint (`host:port`; IPv6
@@ -102,8 +102,8 @@ impl AdmitRequest {
         }
     }
 
-    /// An in-process admission on a factory-built cluster: the new
-    /// node enters exactly the listed subgroups.
+    /// An in-process admission on a cluster that hosts every row of its
+    /// view: the new node enters exactly the listed subgroups.
     pub fn in_process(joins: &[(SubgroupId, bool)]) -> AdmitRequest {
         AdmitRequest {
             endpoint: None,
@@ -124,20 +124,15 @@ pub enum ViewChangeError {
     TooFewSurvivors,
     /// A join referenced a subgroup id outside the view.
     UnknownSubgroup(SubgroupId),
-    /// The cluster was started on a pre-built fabric
-    /// ([`Cluster::start_distributed`]) whose transport supports neither
-    /// a fabric factory nor [`Fabric::begin_epoch`], so epoch transitions
-    /// are driven externally (restart with a new bootstrap config).
-    StaticFabric,
-    /// An endpoint-less [`Cluster::admit`] on a distributed,
-    /// epoch-capable cluster: a new row means a new process, and
+    /// An endpoint-less [`Cluster::admit`] on a cluster whose view has
+    /// rows in other processes: a new row means a new process, and
     /// admitting one needs the joiner's transport endpoint — pass an
     /// [`AdmitRequest`] with the endpoint set (driven by
     /// `spindle-node --join`) instead.
     JoinerAddressRequired,
-    /// An [`AdmitRequest`] carrying an endpoint on a factory-built
-    /// cluster, which joins in process ([`AdmitRequest::in_process`])
-    /// instead.
+    /// An [`AdmitRequest`] carrying an endpoint on a cluster that hosts
+    /// every row of its view, which joins in process
+    /// ([`AdmitRequest::in_process`]) instead.
     InProcessJoin,
     /// A join must be sponsored by the process hosting the leader row
     /// (only the leader's proposal carries the join intent); redirect
@@ -164,9 +159,6 @@ impl std::fmt::Display for ViewChangeError {
             }
             ViewChangeError::TooFewSurvivors => write!(f, "a view needs at least two members"),
             ViewChangeError::UnknownSubgroup(g) => write!(f, "no such subgroup {g}"),
-            ViewChangeError::StaticFabric => {
-                write!(f, "cluster fabric is static; view changes are external")
-            }
             ViewChangeError::JoinerAddressRequired => {
                 write!(
                     f,
@@ -177,7 +169,7 @@ impl std::fmt::Display for ViewChangeError {
             ViewChangeError::InProcessJoin => {
                 write!(
                     f,
-                    "factory-built clusters join in process: admit without an endpoint"
+                    "a cluster hosting every row joins in process: admit without an endpoint"
                 )
             }
             ViewChangeError::NotLeader { leader } => {
@@ -386,18 +378,19 @@ impl<F: Fabric> NodeHandle<F> {
 /// # Transports
 ///
 /// The cluster is generic over the [`Fabric`] transport and defaults to
-/// the in-process [`MemFabric`]. [`Cluster::start_with_fabric_factory`]
-/// runs all nodes in this process over any transport (e.g. a loopback TCP
-/// group); [`Cluster::start_distributed`] runs only a subset of rows in
-/// this process over a pre-built fabric — the multi-process deployment
-/// mode the `spindle-node` binary uses.
+/// the in-process [`MemFabric`]. [`Cluster::start_distributed`] hosts any
+/// set of the view's rows in this process over a pre-built fabric — a
+/// subset is the multi-process deployment mode the `spindle-node` binary
+/// uses — and [`Cluster::start_with_fabric_factory`] hosts all of them
+/// over a fabric it builds (e.g. a loopback TCP group). Whatever the
+/// transport, every epoch after the first is entered through
+/// [`Fabric::begin_epoch`].
 pub struct Cluster<F: Fabric = MemFabric> {
     pub(super) nodes: Vec<NodeHandle<F>>,
     pub(super) threads: Vec<JoinHandle<()>>,
     pub(super) stop: Arc<AtomicBool>,
     /// Every epoch the local rows installed — the current view and fabric
-    /// included — and how the next one's fabric is obtained; shared with
-    /// every local row.
+    /// included; shared with every local row.
     pub(super) epochs: Arc<Epochs<F>>,
     /// Rows hosted (with a live predicate thread) in this process.
     pub(super) local_rows: BTreeSet<usize>,
@@ -406,8 +399,9 @@ pub struct Cluster<F: Fabric = MemFabric> {
     pub(super) persist: Option<PersistConfig>,
     pub(super) suspicion_tx: Sender<Suspicion>,
     pub(super) suspicion_rx: Receiver<Suspicion>,
-    /// Fault switches shared with every epoch's fabric (node faults are
-    /// keyed by node id, so they survive view changes).
+    /// The fabric's fault switches, shared with every later epoch's
+    /// fabric (node faults are keyed by node id, so they survive view
+    /// changes).
     pub(super) faults: FaultPlan,
     /// The observability plane every local node publishes into —
     /// adopted from the fabric when the transport owns one
@@ -473,14 +467,11 @@ impl Cluster<MemFabric> {
 }
 
 impl<F: Fabric> Cluster<F> {
-    /// The generic constructor over any transport: builds the SST plan for
-    /// `view`, obtains the epoch's fabric from `factory`
-    /// (`(nodes, region_words, shared fault plan)`), and spawns one
-    /// predicate thread per node — all in this process. The factory is
-    /// retained and invoked once more for every later epoch, by the first
-    /// predicate thread to install it (§2.3: memory is registered per
-    /// view), so membership changes work on any transport that can be
-    /// rebuilt in-process.
+    /// The generic constructor over any transport: builds the first
+    /// epoch's fabric with `factory` (`(nodes, region_words, fault plan)`)
+    /// and hosts every row of `view` over it, as
+    /// [`Cluster::start_distributed`] does. The factory builds only that
+    /// fabric; every later epoch's comes from [`Fabric::begin_epoch`].
     pub fn start_with_fabric_factory(
         view: View,
         cfg: SpindleConfig,
@@ -488,43 +479,25 @@ impl<F: Fabric> Cluster<F> {
         persist: Option<PersistConfig>,
         factory: impl Fn(usize, usize, FaultPlan) -> F + Send + Sync + 'static,
     ) -> Cluster<F> {
-        let view = Arc::new(view);
-        let faults = FaultPlan::new();
-        let factory: FabricFactory<F> = Arc::new(factory);
-        let plan = Plan::build(&view, true);
-        let fabric = factory(
-            view.members().len(),
-            plan.layout.region_words(),
-            faults.clone(),
-        );
-        let local: BTreeSet<usize> = view.members().iter().map(|m| m.0).collect();
-        Cluster::assemble(
-            view,
-            cfg,
-            detector,
-            persist,
-            fabric,
-            Some(factory),
-            local,
-            faults,
-            &plan,
-        )
+        let every: Vec<usize> = (0..view.members().len()).collect();
+        let words = Plan::build(&view, true).layout.region_words();
+        let fabric = factory(every.len(), words, FaultPlan::new());
+        Cluster::start_distributed(view, cfg, detector, persist, &every, fabric)
     }
 
-    /// The multi-process deployment mode: hosts only `local_rows` of
-    /// `view` in this process, over a pre-built `fabric` (e.g. a
-    /// `spindle_net::TcpFabric` produced by the bootstrap handshake).
-    /// Handles for remote rows exist but are closed (sends return
+    /// Hosts `local_rows` of `view` in this process, over a pre-built
+    /// `fabric` (e.g. a `spindle_net::TcpFabric` produced by the bootstrap
+    /// handshake, or a [`MemFabric`] several clusters share). Handles for
+    /// the other rows exist but are closed (sends return
     /// [`SendError::Closed`], deliveries never arrive).
     ///
-    /// If the fabric supports [`Fabric::begin_epoch`] (the TCP fabric
-    /// does), the transition every predicate thread runs advances
-    /// it in place — fresh mirror, fresh connections at the new epoch —
-    /// and, there being no caller that sees every row, a local detector's
-    /// verdict starts a transition as a peer's suspicion column or a
-    /// [`Cluster::remove_node`] trigger does. On transports without that
-    /// support (a pre-built [`MemFabric`]), view changes are rejected
-    /// with [`ViewChangeError::StaticFabric`].
+    /// Every transition the predicate threads run enters the next epoch
+    /// through [`Fabric::begin_epoch`]. Where the view has rows in other
+    /// processes, no caller sees every row, so a local detector's verdict
+    /// starts a transition as a peer's suspicion column or a
+    /// [`Cluster::remove_node`] trigger does, and a joiner is admitted by
+    /// its endpoint; a cluster hosting every row surfaces the verdicts
+    /// ([`Cluster::suspicions`]) and admits rows of its own.
     ///
     /// The cluster adopts `fabric.faults()` as its fault plan, so the
     /// fault-injection hooks act on the real transport.
@@ -543,7 +516,6 @@ impl<F: Fabric> Cluster<F> {
     ) -> Cluster<F> {
         let view = Arc::new(view);
         let plan = Plan::build(&view, true);
-        let faults = fabric.faults().clone();
         for &row in local_rows {
             assert!(row < view.members().len(), "local row {row} out of range");
             assert_eq!(
@@ -553,27 +525,23 @@ impl<F: Fabric> Cluster<F> {
             );
         }
         let local = local_rows.iter().copied().collect();
-        Cluster::assemble(
-            view, cfg, detector, persist, fabric, None, local, faults, &plan,
-        )
+        Cluster::assemble(view, cfg, detector, persist, fabric, local, &plan)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         view: Arc<View>,
         cfg: SpindleConfig,
         detector: Option<DetectorConfig>,
         persist: Option<PersistConfig>,
         fabric: F,
-        factory: Option<FabricFactory<F>>,
         local_rows: BTreeSet<usize>,
-        faults: FaultPlan,
         plan: &Plan,
     ) -> Cluster<F> {
         let (suspicion_tx, suspicion_rx) = unbounded();
         let stop = Arc::new(AtomicBool::new(false));
         let obs = fabric.obs().unwrap_or_default();
-        let epochs = Epochs::new(factory, faults.clone(), Arc::clone(&view), fabric);
+        let faults = fabric.faults().clone();
+        let epochs = Epochs::new(Arc::clone(&view), fabric);
         let mut cluster = Cluster {
             nodes: Vec::new(),
             threads: Vec::new(),
@@ -628,9 +596,8 @@ impl<F: Fabric> Cluster<F> {
         let shared = self.push_handle(inner);
         self.local_rows.insert(row);
         // Whether this row's own detector verdicts start transitions
-        // (see `NodeShared::convict`): where other processes host rows
-        // too — and never on a static fabric.
-        let drives_engine = !self.epochs.rebuilds() && !self.is_static();
+        // (see `NodeShared::convict`): where other processes host rows too.
+        let drives_engine = !self.hosts_every_row();
         let th = {
             let cfg = self.cfg.clone();
             let det = self.detector.clone();
@@ -800,7 +767,7 @@ impl<F: Fabric> Cluster<F> {
     }
 
     /// The rows hosted (with a live predicate thread) in this process —
-    /// all rows except under [`Cluster::start_distributed`].
+    /// all rows unless [`Cluster::start_distributed`] was given a subset.
     pub fn local_rows(&self) -> impl Iterator<Item = usize> + '_ {
         self.local_rows.iter().copied()
     }
@@ -814,11 +781,12 @@ impl<F: Fabric> Cluster<F> {
         &self.nodes[node].shared
     }
 
-    /// Whether this cluster can never leave its first epoch: no factory
-    /// to rebuild the fabric, and a transport that cannot advance in
-    /// place.
-    pub(super) fn is_static(&self) -> bool {
-        !self.epochs.rebuilds() && !self.fabric().supports_epoch_advance()
+    /// Whether this process hosts every row of the cluster's view: then
+    /// the caller sees every row, a detector's verdict only surfaces and
+    /// a joiner is a row of this process; otherwise the rows act on their
+    /// own verdicts and a joiner is a process of its own.
+    pub(super) fn hosts_every_row(&self) -> bool {
+        (0..self.view().members().len()).all(|r| self.local_rows.contains(&r))
     }
 
     pub(super) fn alive(&self, node: usize) -> bool {

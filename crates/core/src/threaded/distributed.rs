@@ -93,9 +93,9 @@ impl StallWatch {
 /// or barrier step after the heartbeat's turn, its writes into the pass's
 /// posts — and, once the node lock is dropped, the loop acts on the step
 /// ([`act`]): the final old-epoch deliveries, the next view entered on the
-/// epoch's fabric ([`Epochs::enter`]: the transport advanced in place, or a
-/// fresh fabric — §2.3, memory is registered per view), and after the
-/// [`InstallBarrier`] the recovered messages requeued and the unwedge.
+/// epoch's fabric ([`Epochs::enter`], through [`Fabric::begin_epoch`] —
+/// §2.3, memory is registered per view), and after the [`InstallBarrier`]
+/// the recovered messages requeued and the unwedge.
 ///
 /// A node that cannot finish — evicted, partitioned past the deadline, the
 /// next view not installable — is closed and stays wedged: unavailable,
@@ -196,7 +196,7 @@ pub(super) fn act<F: Fabric>(
 ) -> bool {
     let (row, sst) = (th.local.sst.own_row(), &th.local.sst);
     let close = || {
-        shared.inner.lock().alive = false;
+        shared.inner.lock().close();
         false
     };
     th.transition = match (th.transition.take().expect("a transition stepped"), step) {
@@ -275,16 +275,15 @@ fn install<F: Fabric>(
         shared.vc_trigger.fetch_or(residual, Ordering::AcqRel);
     }
     let gone = p.failed_rows();
-    let (next_view, fabric) = shared.epochs.enter(p.vid, &th.local.fabric, || {
-        match (p.join_endpoint(), &a.local_join) {
-            (Some(join), _) => {
-                let every = reconfig::every_subgroup(view, join.as_sender);
-                let (v, new_row) = reconfig::join_view(view, &gone, &every).ok()?;
-                Some((v, vec![(new_row, join.addr())]))
-            }
-            (None, Some(joins)) => Some((reconfig::join_view(view, &gone, joins).ok()?.0, vec![])),
-            (None, None) => Some((reconfig::removal_view(view, &gone).ok()?, vec![])),
-        }
+    let (next_view, fabric) = shared.epochs.enter(p.vid, || {
+        // A row this process hosts needs no address to be reached at.
+        let (joins, addr) = match (p.join_endpoint(), &a.local_join) {
+            (Some(join), _) => (reconfig::every_subgroup(view, join.as_sender), join.addr()),
+            (None, Some(joins)) => (joins.clone(), String::new()),
+            (None, None) => return Some((reconfig::removal_view(view, &gone).ok()?, vec![])),
+        };
+        let (v, new_row) = reconfig::join_view(view, &gone, &joins).ok()?;
+        Some((v, vec![(new_row, addr)]))
     })?;
     let plan = Plan::build(&next_view, true);
     let mut inner = shared.inner.lock();

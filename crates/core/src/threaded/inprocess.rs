@@ -31,12 +31,10 @@ impl<F: Fabric> Cluster<F> {
     /// # Errors
     ///
     /// Returns a [`ViewChangeError`] if the node is unknown or removal
-    /// would leave an empty subgroup / a singleton cluster — checked (and
-    /// reported) even when the transport cannot reconfigure at all
-    /// ([`ViewChangeError::StaticFabric`]). The cluster is unchanged on
-    /// these. [`ViewChangeError::Stalled`] is different: the transition
-    /// was started and did not converge, and every row that could not
-    /// finish it has closed itself (its sends fail with
+    /// would leave an empty subgroup / a singleton cluster. The cluster is
+    /// unchanged on these. [`ViewChangeError::Stalled`] is different: the
+    /// transition was started and did not converge, and every row that
+    /// could not finish it has closed itself (its sends fail with
     /// [`SendError::Closed`](super::SendError::Closed)) — unavailable,
     /// never inconsistent, on every transport.
     pub fn remove_node(&mut self, failed: usize) -> Result<ViewChangeReport, ViewChangeError> {
@@ -47,8 +45,7 @@ impl<F: Fabric> Cluster<F> {
         // The failed node and every silently crashed one leave together.
         let mut gone: BTreeSet<usize> = self.crashed_rows().collect();
         gone.insert(failed);
-        // Validate the next view before touching anything — argument
-        // errors surface even on a static fabric.
+        // Validate the next view before touching anything.
         reconfig::removal_view(&old_view, &gone)?;
         // removal_view counts top-level members; rows removed in earlier
         // epochs are still members (ids are stable) but cannot form a
@@ -60,9 +57,6 @@ impl<F: Fabric> Cluster<F> {
             .count();
         if live_survivors < 2 {
             return Err(ViewChangeError::TooFewSurvivors);
-        }
-        if self.is_static() {
-            return Err(ViewChangeError::StaticFabric);
         }
         // Rows still in a subgroup are suspected by the engine; removing
         // only subgroup-less zombies (e.g. the second removal after a
@@ -80,7 +74,7 @@ impl<F: Fabric> Cluster<F> {
             // crashed rows leave every subgroup too but keep their
             // (dead-threaded) handles until their own removal is
             // requested.
-            self.shared(failed).inner.lock().alive = false;
+            self.shared(failed).inner.lock().close();
             // A proposal adopted *verbatim* after a mid-transition crash
             // keeps the dead row as a member (the takeover rule never
             // edits an acked trim). The survivors carry its suspicion
@@ -99,24 +93,27 @@ impl<F: Fabric> Cluster<F> {
 
     /// Admits one joiner into the cluster — the single entry point for
     /// growth (§2.1 treats joins and removals as the same epoch
-    /// transition). The [`AdmitRequest`] says where the joiner runs:
+    /// transition). The [`AdmitRequest`] says where the joiner runs, and
+    /// the two stay two: a row of this process is a thread this call
+    /// spawns, a row of another process is that process, running the join
+    /// handshake (`spindle_net::join`) on its own side.
     ///
     /// * **With an endpoint** ([`AdmitRequest::remote`]): a fresh
-    ///   *process* joins a distributed cluster. The sponsor — which must
-    ///   host the leader row — publishes the joiner's endpoint through
-    ///   its next planned proposal, every survivor derives the identical
-    ///   grown view ([`reconfig::join_view`]) and extends its transport
-    ///   in place ([`Fabric::begin_epoch`] with a [`joined`] entry), and
-    ///   the install barrier holds application traffic until the joiner's
-    ///   own mirror is connected and caught up. The joiner's handle in
-    ///   *this* process is a closed remote stub (the real row runs in the
-    ///   joining process).
+    ///   *process* joins a cluster whose view has rows in other processes.
+    ///   The sponsor — which must host the leader row — publishes the
+    ///   joiner's endpoint through its next planned proposal, every
+    ///   survivor derives the identical grown view
+    ///   ([`reconfig::join_view`]) and enters it on a fabric grown by a
+    ///   [`joined`] entry ([`Fabric::begin_epoch`]), and the install
+    ///   barrier holds application traffic until the joiner's own mirror
+    ///   is connected and caught up. The joiner's handle in *this*
+    ///   process is a closed remote stub.
     /// * **Without** ([`AdmitRequest::in_process`]): a new row of this
-    ///   process joins a factory-built cluster, entering the requested
-    ///   subgroups — the same transition and the same barrier, with this
-    ///   call playing the joining process: it brings the row up on the
-    ///   new epoch's fabric and holds its end of the barrier
-    ///   ([`Cluster::join_barrier`]). Its live handle is at
+    ///   process joins a cluster that hosts every row of its view,
+    ///   entering the requested subgroups — the same transition and the
+    ///   same barrier, with this call playing the joining process: it
+    ///   brings the row up on the new epoch's fabric and holds its end of
+    ///   the barrier ([`Cluster::join_barrier`]). Its live handle is at
     ///   [`Cluster::node`]; it delivers from the new epoch onward
     ///   (virtual synchrony: the joiner observes no old-epoch traffic —
     ///   higher layers such as the DDS volatile store handle catch-up).
@@ -129,13 +126,11 @@ impl<F: Fabric> Cluster<F> {
     /// subgroup outside the view, and
     /// [`ViewChangeError::BadJoinAddress`] for endpoints that cannot
     /// travel in a proposal or when the row cap is reached — argument
-    /// validation surfaces first, on any transport, mirroring
-    /// [`Cluster::remove_node`]. Then, by transport:
-    /// [`ViewChangeError::InProcessJoin`] for an endpoint on a
-    /// factory-built cluster, [`ViewChangeError::JoinerAddressRequired`]
-    /// for a missing endpoint on a distributed epoch-capable cluster,
-    /// [`ViewChangeError::StaticFabric`] on transports without
-    /// [`Fabric::begin_epoch`], [`ViewChangeError::NotLeader`] when this
+    /// validation surfaces first, mirroring [`Cluster::remove_node`].
+    /// Then, by where the rows run: [`ViewChangeError::InProcessJoin`]
+    /// for an endpoint on a cluster that hosts every row,
+    /// [`ViewChangeError::JoinerAddressRequired`] for a missing endpoint
+    /// on one that does not, [`ViewChangeError::NotLeader`] when this
     /// process does not host the leader row, and
     /// [`ViewChangeError::Stalled`] when the transition does not
     /// converge (or a concurrent failure-driven transition won the epoch
@@ -146,7 +141,7 @@ impl<F: Fabric> Cluster<F> {
         &mut self,
         req: AdmitRequest,
     ) -> Result<(usize, ViewChangeReport), ViewChangeError> {
-        // Argument validation first — even on a static fabric.
+        // Argument validation first.
         if let Some(joins) = &req.subgroups {
             let subgroups = self.view().subgroups().len();
             for &(g, _) in joins {
@@ -204,11 +199,8 @@ impl<F: Fabric> Cluster<F> {
         let old_view = self.view();
         let every = reconfig::every_subgroup(&old_view, join.as_sender);
         let (_, new_row) = reconfig::join_view(&old_view, &BTreeSet::new(), &every)?;
-        if self.epochs.rebuilds() {
+        if self.hosts_every_row() {
             return Err(ViewChangeError::InProcessJoin);
-        }
-        if self.is_static() {
-            return Err(ViewChangeError::StaticFabric);
         }
         // Only the leader's proposal carries the join intent, so the
         // sponsor must host the leader row.
@@ -255,15 +247,10 @@ impl<F: Fabric> Cluster<F> {
         // here, before any row is triggered.
         let none = BTreeSet::new();
         let (_, new_row) = reconfig::join_view(&old_view, &none, &joins)?;
-        if !self.epochs.rebuilds() {
-            // A new row means a new process on a pre-built transport. An
-            // epoch-capable fabric *can* grow — but the request must
-            // then carry the joiner's endpoint; a truly static fabric
-            // cannot reconfigure at all.
-            return Err(match self.is_static() {
-                true => ViewChangeError::StaticFabric,
-                false => ViewChangeError::JoinerAddressRequired,
-            });
+        if !self.hosts_every_row() {
+            // Rows run in other processes too: a new row is a new
+            // process, and the request must carry its endpoint.
+            return Err(ViewChangeError::JoinerAddressRequired);
         }
         // A *planned* reconfiguration; nodes that crashed silently are
         // named failed, so they are excluded from the trim quorum and
@@ -288,7 +275,7 @@ impl<F: Fabric> Cluster<F> {
         }
         self.spawn_node(new_row);
         if !self.join_barrier(new_row, deadline.saturating_duration_since(Instant::now())) {
-            self.shared(new_row).inner.lock().alive = false;
+            self.shared(new_row).inner.lock().close();
             return Err(ViewChangeError::Stalled);
         }
         let report = self.await_transition(&old_view, &none)?;

@@ -42,13 +42,13 @@
 //! held, the heartbeat beating throughout. Nothing else waits: the thread's
 //! idle ladder parks it on its replica's doorbell between steps as between
 //! passes. In-process clusters therefore run exactly the code the
-//! multi-process `spindle-node` runtime runs. The one thing substituted is
-//! how the next epoch's fabric is obtained: `spindle_net::TcpFabric`
-//! advances in place
-//! ([`Fabric::begin_epoch`](spindle_fabric::Fabric::begin_epoch): fresh
-//! mirror, fresh sockets, a `HELLO` at the new epoch), while a
-//! factory-built cluster has the first local row to install an epoch call
-//! its factory and every other row enter the same fabric.
+//! multi-process `spindle-node` runtime runs, down to how the next epoch's
+//! fabric is obtained: the first local row to install an epoch calls
+//! [`Fabric::begin_epoch`](spindle_fabric::Fabric::begin_epoch) on the
+//! current fabric, and every other row enters the fabric it returned.
+//! `spindle_net::TcpFabric` advances in place (fresh mirror, fresh
+//! sockets, a `HELLO` at the new epoch); a `MemFabric` or a loopback group
+//! is rebuilt, its successor shared by every clone.
 
 mod api;
 mod distributed;

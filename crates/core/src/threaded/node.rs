@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use spindle_fabric::{EpochTransition, Fabric, FaultPlan, NodeId, Region, WriteOp};
+use spindle_fabric::{EpochTransition, Fabric, NodeId, Region, WriteOp};
 use spindle_membership::reconfig;
 use spindle_membership::{SeqNum, SubgroupId, View};
 use spindle_obs::{FlightEvent, Level, ObsPlane};
@@ -36,8 +36,9 @@ pub(crate) struct NodeInner<F: Fabric> {
     /// overwritten before it is taken; where own messages are never
     /// delivered back (unordered delivery) entries are overwritten unread.
     pub(super) queued_at: Vec<Vec<Option<Instant>>>,
-    /// `None` only for the closed stub of a remotely hosted row, which
-    /// never runs a predicate thread and never posts.
+    /// `None` for the closed stub of a remotely hosted row, which never
+    /// runs a predicate thread, and for a row closed for good
+    /// ([`NodeInner::close`]): neither posts again.
     pub(super) fabric: Option<F>,
     pub(super) view: Arc<View>,
     pub(super) alive: bool,
@@ -129,6 +130,15 @@ impl<F: Fabric> NodeInner<F> {
         }
     }
 
+    /// Closes the row for good: its sends fail from now on, and it lets go
+    /// of its epoch's fabric. A superseded fabric keeps its successor —
+    /// and so every later epoch's — alive, so a handle that never posts
+    /// again must not hold one.
+    pub(super) fn close(&mut self) {
+        self.alive = false;
+        self.fabric = None;
+    }
+
     /// The receive frontier per subgroup of the view (−1 where nothing
     /// arrived, or for subgroups this node is not a member of).
     pub(super) fn frontiers(&self) -> Vec<SeqNum> {
@@ -143,9 +153,6 @@ impl<F: Fabric> NodeInner<F> {
     }
 }
 
-/// Builds a fabric for one epoch: `(nodes, region_words, faults)`.
-pub(super) type FabricFactory<F> = Arc<dyn Fn(usize, usize, FaultPlan) -> F + Send + Sync>;
-
 /// A join this node must carry into its next transition
 /// ([`Cluster::admit`](super::Cluster::admit)).
 pub(super) enum JoinIntent {
@@ -159,15 +166,10 @@ pub(super) enum JoinIntent {
     Local(Vec<(SubgroupId, bool)>),
 }
 
-/// What the rows of one process share across epochs: how the next epoch's
-/// fabric is obtained — the one thing that differs between a
-/// single-process cluster (a retained factory builds a fresh fabric, §2.3
-/// literally) and a multi-process one (the transport advances in place,
-/// [`Fabric::begin_epoch`]) — every view installed so far, and which rows
-/// died at an armed crash boundary.
+/// What the rows of one process share across epochs: every view installed
+/// so far with the fabric of the last one, and which rows died at an armed
+/// crash boundary.
 pub(crate) struct Epochs<F: Fabric> {
-    factory: Option<FabricFactory<F>>,
-    faults: FaultPlan,
     /// Every view installed so far — oldest first, never empty — and the
     /// fabric of the last one ([`Epochs::read`]). Earlier fabrics live only
     /// as long as a row still holds one: stragglers keep posting into
@@ -186,25 +188,12 @@ pub(crate) struct Epochs<F: Fabric> {
 }
 
 impl<F: Fabric> Epochs<F> {
-    /// `factory` is `None` for a pre-built fabric.
-    pub(crate) fn new(
-        factory: Option<FabricFactory<F>>,
-        faults: FaultPlan,
-        view: Arc<View>,
-        fabric: F,
-    ) -> Arc<Epochs<F>> {
+    /// The rows of one process, starting at `view` over `fabric`.
+    pub(crate) fn new(view: Arc<View>, fabric: F) -> Arc<Epochs<F>> {
         Arc::new(Epochs {
-            factory,
-            faults,
             installed: Mutex::new((vec![view], fabric)),
             crashed: Mutex::new(0),
         })
-    }
-
-    /// Whether a retained factory rebuilds the fabric for every epoch —
-    /// all rows run in this process.
-    pub(super) fn rebuilds(&self) -> bool {
-        self.factory.is_some()
     }
 
     /// `f` of every view installed so far (oldest first; the last is the
@@ -215,21 +204,19 @@ impl<F: Fabric> Epochs<F> {
         f(&installed.0, &installed.1)
     }
 
-    /// The view and fabric of epoch `vid` for a row leaving `current`.
-    /// The first local row to get here derives the view (`derive`: the
-    /// next view, and the endpoints of rows joining from other processes)
-    /// and obtains the fabric — `current` advanced in place where the
-    /// transport can, a fresh one from the factory otherwise; every later
-    /// row enters what the first one recorded. One view and one fabric
-    /// per epoch, never one per row: two local rows on different fabrics
-    /// would be a silent split brain. `None` when the view is not
-    /// installable, the transport can do neither, or the process has
-    /// moved past `vid` — which it only does without a row its peers
-    /// dropped from the install barrier as dead.
+    /// The view and fabric of epoch `vid` for a row leaving the one
+    /// before it. The first local row to get here derives the view
+    /// (`derive`: the next view, and the rows joining with it) and has the
+    /// current fabric enter the epoch ([`Fabric::begin_epoch`]); every
+    /// later row enters what the first one recorded. One view and one
+    /// fabric per epoch, never one per row: two local rows on different
+    /// fabrics would be a silent split brain. `None` when the view is not
+    /// installable, the fabric cannot enter it, or the process has moved
+    /// past `vid` — which it only does without a row its peers dropped
+    /// from the install barrier as dead.
     pub(super) fn enter(
         &self,
         vid: u64,
-        current: &F,
         derive: impl FnOnce() -> Option<(View, Vec<(usize, String)>)>,
     ) -> Option<(Arc<View>, F)> {
         let mut installed = self.installed.lock();
@@ -247,10 +234,7 @@ impl<F: Fabric> Epochs<F> {
             region_words,
             joined,
         };
-        if !current.begin_epoch(&transition) {
-            let factory = self.factory.as_ref()?;
-            *fabric = factory(view.members().len(), region_words, self.faults.clone());
-        }
+        *fabric = fabric.begin_epoch(&transition)?;
         views.push(Arc::clone(&view));
         Some((view, fabric.clone()))
     }

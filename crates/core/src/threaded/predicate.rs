@@ -724,12 +724,12 @@ pub(super) fn drain_node_through<F: Fabric>(
 #[cfg(test)]
 mod tests {
     use super::super::api::ViewChangeReport;
-    use super::super::node::{latest, Epochs, FabricFactory};
+    use super::super::node::{latest, Epochs};
     use super::*;
     use crate::plan::Plan;
     use crate::viewchange::VcBoundary;
     use crossbeam::channel::Receiver;
-    use spindle_fabric::{FaultPlan, MemFabric, Region};
+    use spindle_fabric::{MemFabric, Region};
     use spindle_membership::ViewBuilder;
 
     const MS: Duration = Duration::from_millis(1);
@@ -746,7 +746,7 @@ mod tests {
     /// all of them, all sending; subgroup 1 of rows 0 and 1, row 0 sending
     /// — each with the shared state of its handle, the state its predicate
     /// thread would own and its delivery stream, over one process's
-    /// [`Epochs`] (a factory, as in an in-process cluster), passed by hand
+    /// [`Epochs`], as in an in-process cluster, passed by hand
     /// on a synthetic clock that starts at `t0`.
     struct Rows {
         cfg: SpindleConfig,
@@ -773,14 +773,8 @@ mod tests {
                 .unwrap();
             let (view, obs) = (Arc::new(view), ObsPlane::new());
             let plan = Plan::build(&view, true);
-            let factory: FabricFactory<MemFabric> = Arc::new(MemFabric::with_faults);
-            let fabric = factory(n, plan.layout.region_words(), FaultPlan::new());
-            let epochs = Epochs::new(
-                Some(factory),
-                FaultPlan::new(),
-                view.clone(),
-                fabric.clone(),
-            );
+            let fabric = MemFabric::new(n, plan.layout.region_words());
+            let epochs = Epochs::new(view.clone(), fabric.clone());
             // Nobody reads the detector's verdicts; a closed channel drops them.
             let suspicions = crossbeam::channel::unbounded().0;
             let (shared, deliveries): (Vec<_>, _) = all

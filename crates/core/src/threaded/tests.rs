@@ -441,9 +441,11 @@ fn distributed_rows_split_across_two_clusters() {
     b.shutdown();
 }
 
-/// A static-fabric cluster rejects in-process view changes.
+/// A cluster hosting every row over a pre-built fabric reconfigures as
+/// `Cluster::start`'s does: the fabric enters each epoch itself
+/// (`Fabric::begin_epoch`), shrinking and growing alike.
 #[test]
-fn static_fabric_rejects_view_changes() {
+fn prebuilt_fabric_reconfigures() {
     let v = view(3, 3, 8, 64);
     let plan = Plan::build(&v, true);
     let fabric = MemFabric::new(3, plan.layout.region_words());
@@ -455,13 +457,71 @@ fn static_fabric_rejects_view_changes() {
         &[0, 1, 2],
         fabric,
     );
-    assert_eq!(c.remove_node(2).unwrap_err(), ViewChangeError::StaticFabric);
-    assert_eq!(
-        c.admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
-            .unwrap_err(),
-        ViewChangeError::StaticFabric
-    );
+    assert_eq!(c.remove_node(2).unwrap().epoch, 1);
+    let (joiner, report) = c
+        .admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
+        .unwrap();
+    assert_eq!((joiner, report.epoch), (3, 2));
+    assert_eq!(c.fabric().nodes(), 4);
     c.shutdown();
+}
+
+/// The socket-free model of the multi-process path: three one-row
+/// clusters share one `MemFabric`, row 0 (the leader) dies, and the
+/// survivors' own detectors remove it. Both must install the same epoch
+/// on the same regions — `begin_epoch` hands every clone of a fabric the
+/// same successor — name row 1 the leader, and deliver one order there.
+#[test]
+fn one_row_clusters_over_one_mem_fabric_remove_their_dead_leader() {
+    let v = view(3, 3, 8, 64);
+    let fabric = MemFabric::new(3, Plan::build(&v, true).layout.region_words());
+    let detector = DetectorConfig {
+        heartbeat_interval: Duration::from_millis(2),
+        timeout: Duration::from_millis(200),
+    };
+    let clusters: Vec<Cluster> = (0..3)
+        .map(|row| {
+            let (cfg, det) = (SpindleConfig::optimized(), Some(detector.clone()));
+            Cluster::start_distributed(v.clone(), cfg, det, None, &[row], fabric.clone())
+        })
+        .collect();
+    assert_eq!(clusters[1].leader_row(), Some(0));
+
+    clusters[0].kill(0);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while clusters[1..].iter().any(|c| c.view().id() == 0) {
+        assert!(
+            Instant::now() < deadline,
+            "the survivors never removed row 0"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (c1, c2) = (&clusters[1], &clusters[2]);
+    let epoch = c1.view().id();
+    assert_eq!(
+        (c2.view().id(), c1.leader_row(), c2.leader_row()),
+        (epoch, Some(1), Some(1))
+    );
+    let (r1, r2) = (
+        c1.fabric().region_arc(NodeId(1)),
+        c2.fabric().region_arc(NodeId(1)),
+    );
+    assert!(std::sync::Arc::ptr_eq(&r1, &r2));
+
+    for i in 0..5u32 {
+        c1.node(1).send(SubgroupId(0), &i.to_le_bytes()).unwrap();
+        c2.node(2).send(SubgroupId(0), &i.to_le_bytes()).unwrap();
+    }
+    let order = |c: &Cluster, node| -> Vec<(u64, usize, u64)> {
+        let got = collect(c, node, 10).into_iter();
+        got.map(|d| (d.epoch, d.sender_rank, d.app_index)).collect()
+    };
+    let at_1 = order(c1, 1);
+    assert!(at_1.iter().all(|&(e, _, _)| e == epoch));
+    assert_eq!(at_1, order(c2, 2));
+    for c in clusters {
+        c.shutdown();
+    }
 }
 
 #[test]
@@ -478,11 +538,11 @@ fn view_change_errors() {
     cluster.shutdown();
 }
 
-/// Argument validation runs before the transport check: a static
-/// fabric reports unknown nodes / too-few-survivors / unknown
-/// subgroups instead of masking them behind `StaticFabric`.
+/// Argument validation runs before any row is triggered: a cluster over
+/// a pre-built fabric reports unknown nodes / too-few-survivors / unknown
+/// subgroups as `Cluster::start`'s does.
 #[test]
-fn static_fabric_reports_argument_errors_first() {
+fn prebuilt_fabric_reports_argument_errors_first() {
     let v = view(3, 3, 8, 64);
     let plan = Plan::build(&v, true);
     let fabric = MemFabric::new(3, plan.layout.region_words());
@@ -724,10 +784,11 @@ fn removed_live_node_send_returns_closed() {
 }
 
 /// One fabric per epoch — never one per row, which would be a silent
-/// split brain: the factory runs once at start-up and once per installed
-/// epoch, whichever row installs first, with traffic in flight throughout.
+/// split brain: the factory builds only the first epoch's, and every row
+/// enters each later epoch on the fabric whichever row installed it first
+/// got from `Fabric::begin_epoch`, with traffic in flight throughout.
 #[test]
-fn factory_called_once_per_epoch() {
+fn one_fabric_per_epoch() {
     let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let counted = std::sync::Arc::clone(&calls);
     let mut cluster = Cluster::start_with_fabric_factory(
@@ -760,7 +821,12 @@ fn factory_called_once_per_epoch() {
     cluster.remove_node(1).unwrap();
     let epochs: Vec<u64> = cluster.epoch_views().iter().map(|v| v.id()).collect();
     assert_eq!(epochs, vec![0, 1, 2, 3]);
-    assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 4);
+    assert_eq!(calls.load(std::sync::atomic::Ordering::SeqCst), 1);
+    let regions = |node| cluster.node(node).shared.inner.lock().sst.region().clone();
+    for node in [0, 2, joiner] {
+        let (mine, epoch_fabric) = (regions(node), cluster.fabric().region_arc(NodeId(node)));
+        assert!(std::sync::Arc::ptr_eq(&mine, &epoch_fabric));
+    }
     // The survivors still agree on one order in the last epoch.
     in_flight(&cluster, &[0, 2, joiner]);
     let last = |node| {
@@ -780,6 +846,35 @@ fn factory_called_once_per_epoch() {
     );
     assert_eq!(at_0, last(2));
     assert_eq!(at_0, last(joiner));
+    cluster.shutdown();
+}
+
+/// A superseded fabric keeps its successor alive, and through it every
+/// later epoch's, so a row closed for good must let go of its own: after
+/// a remove, an admit and a remove, only the last epoch's regions are
+/// left, though the removed rows' handles are still held.
+#[test]
+fn closed_rows_let_go_of_their_epochs_fabric() {
+    let mut cluster = Cluster::start(view(4, 4, 16, 64), SpindleConfig::optimized());
+    let region = |c: &Cluster| std::sync::Arc::downgrade(&c.fabric().region_arc(NodeId(0)));
+    let mut superseded = vec![region(&cluster)];
+    cluster.remove_node(3).unwrap();
+    superseded.push(region(&cluster));
+    let (joiner, _) = cluster
+        .admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
+        .unwrap();
+    superseded.push(region(&cluster));
+    cluster.remove_node(joiner).unwrap();
+    // A removed row's thread drops its own clone when it ends.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while superseded.iter().any(|w| w.upgrade().is_some()) {
+        assert!(
+            Instant::now() < deadline,
+            "a superseded fabric outlived its epoch"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(cluster.len(), 5);
     cluster.shutdown();
 }
 

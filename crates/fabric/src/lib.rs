@@ -46,5 +46,5 @@ pub use cost::{MemcpyModel, NetModel, SsdModel};
 pub use fault::{Disposition, FaultPlan};
 pub use mem::MemFabric;
 pub use region::Region;
-pub use traits::{EpochTransition, Fabric};
+pub use traits::{EpochTransition, Fabric, Successor};
 pub use types::{NodeId, WriteOp};

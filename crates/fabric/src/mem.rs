@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use crate::fault::{Disposition, FaultPlan};
 use crate::region::Region;
+use crate::traits::{EpochTransition, Successor};
 use crate::types::{NodeId, WriteOp};
 
 /// A shared-memory fabric connecting `n` in-process nodes.
@@ -36,6 +37,9 @@ use crate::types::{NodeId, WriteOp};
 pub struct MemFabric {
     regions: Arc<[Arc<Region>]>,
     faults: FaultPlan,
+    /// The next epoch's fabric, once a clone entered it
+    /// ([`MemFabric::begin_epoch`]); never read by [`MemFabric::post`].
+    next: Successor<MemFabric>,
 }
 
 impl MemFabric {
@@ -51,8 +55,8 @@ impl MemFabric {
 
     /// Like [`MemFabric::new`], but consulting `faults` on every post. The
     /// plan is shared: a harness holding a clone can flip faults while the
-    /// fabric is live, and the same plan can be re-attached to the fresh
-    /// fabric of a later view.
+    /// fabric is live, and the fabric of every later view
+    /// ([`MemFabric::begin_epoch`]) consults the same plan.
     ///
     /// # Panics
     ///
@@ -65,7 +69,25 @@ impl MemFabric {
         MemFabric {
             regions: regions.into(),
             faults,
+            next: Successor::default(),
         }
+    }
+
+    /// The fabric of the epoch `t` installs (§2.3: memory is registered
+    /// per view): fresh zeroed regions of `t.region_words` words for this
+    /// fabric's nodes and the rows `t` adds, consulting the same fault
+    /// plan. The first call for an epoch builds it; every clone of this
+    /// fabric then gets the same one for that epoch, and `None` for any
+    /// other.
+    pub fn begin_epoch(&self, t: &EpochTransition) -> Option<MemFabric> {
+        self.next.get_or_build(t.epoch, || {
+            let nodes = self.nodes() + t.joined.len();
+            Some(MemFabric::with_faults(
+                nodes,
+                t.region_words,
+                self.faults.clone(),
+            ))
+        })
     }
 
     /// The fault plan this fabric consults (inert unless constructed via
@@ -148,6 +170,38 @@ mod tests {
         f.region(NodeId(0)).store(0, 5);
         f.post(NodeId(0), &WriteOp::new(NodeId(0), 0..1));
         assert_eq!(f.region(NodeId(0)).load(0), 5);
+    }
+
+    /// Every clone entering one epoch gets the same fabric: its regions,
+    /// grown by the joined rows, on the same fault plan. Another epoch
+    /// gets none.
+    #[test]
+    fn clones_share_the_next_epochs_fabric() {
+        let f = MemFabric::new(2, 4);
+        let g = f.clone();
+        let grow = EpochTransition {
+            epoch: 1,
+            live: vec![0, 1, 2],
+            region_words: 6,
+            joined: vec![(2, String::new())],
+        };
+        let (a, b) = (f.begin_epoch(&grow).unwrap(), g.begin_epoch(&grow).unwrap());
+        assert_eq!(a.nodes(), 3);
+        assert_eq!(a.region(NodeId(2)).len(), 6);
+        for n in 0..3 {
+            assert!(Arc::ptr_eq(
+                &a.region_arc(NodeId(n)),
+                &b.region_arc(NodeId(n))
+            ));
+        }
+        assert!(!Arc::ptr_eq(
+            &a.region_arc(NodeId(0)),
+            &f.region_arc(NodeId(0))
+        ));
+        f.faults().isolate(NodeId(1));
+        assert!(a.faults().is_isolated(NodeId(1)));
+        let other = EpochTransition::shrink(2, vec![0, 1], 4);
+        assert!(g.begin_epoch(&other).is_none());
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //!   that gives it some must wake it. One fence and one load of a line
 //!   nobody writes while the reader is awake — not a counter, see below.
 //!
+//! A fabric serves one epoch (view) of the cluster. The next epoch's comes
+//! from [`Fabric::begin_epoch`] and nowhere else (§2.3: memory is
+//! registered per view): the TCP fabric advances in place, `MemFabric` is
+//! rebuilt, and either way every handle of one fabric gets the same
+//! successor.
+//!
 //! Backends: [`crate::MemFabric`] (in-process, immediate
 //! placement) and `spindle_net::TcpFabric` (per-peer ordered TCP byte
 //! streams standing in for RDMA's ordered one-sided writes, served by one
@@ -42,14 +48,14 @@
 //! families there, and posts per message are the predicate thread's to
 //! count, not the transport's.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::fault::FaultPlan;
 use crate::mem::MemFabric;
 use crate::region::Region;
 use crate::types::{NodeId, WriteOp};
 
-/// Everything a transport needs to transition to a new epoch in place
+/// Everything a transport needs to enter a new epoch
 /// ([`Fabric::begin_epoch`]). Removals only shrink the live set; a join
 /// additionally *grows* the transport — the fresh mirror is larger
 /// (`region_words` covers the new row, appended at the end of the
@@ -67,7 +73,9 @@ pub struct EpochTransition {
     pub region_words: usize,
     /// Rows entering the cluster at this epoch: `(row, listen address)`.
     /// Rows are appended in order; a transport may assume `row` equals
-    /// its current node count when the entry is processed.
+    /// its current node count when the entry is processed. The address
+    /// is empty for a row the sponsoring process hosts itself (an
+    /// in-process join), which needs no connection.
     pub joined: Vec<(usize, String)>,
 }
 
@@ -81,6 +89,36 @@ impl EpochTransition {
             region_words,
             joined: Vec::new(),
         }
+    }
+}
+
+/// The next epoch's fabric of a transport that is rebuilt per epoch
+/// rather than advanced in place: one slot shared by every clone of a
+/// fabric, filled by the first [`Fabric::begin_epoch`] call. Later calls
+/// for the same epoch get the same fabric — the same regions, whichever
+/// cluster asks — and calls for any other epoch get `None`.
+#[derive(Debug)]
+pub struct Successor<F>(Arc<OnceLock<(u64, Option<F>)>>);
+
+impl<F> Default for Successor<F> {
+    fn default() -> Self {
+        Successor(Arc::default())
+    }
+}
+
+impl<F> Clone for Successor<F> {
+    fn clone(&self) -> Self {
+        Successor(Arc::clone(&self.0))
+    }
+}
+
+impl<F: Clone> Successor<F> {
+    /// The fabric of `epoch`: `build`'s on the first call, what the first
+    /// call recorded on every later one. `None` if the slot holds another
+    /// epoch, or the first build failed.
+    pub fn get_or_build(&self, epoch: u64, build: impl FnOnce() -> Option<F>) -> Option<F> {
+        let (recorded, next) = self.0.get_or_init(|| (epoch, build()));
+        next.as_ref().filter(|_| *recorded == epoch).cloned()
     }
 }
 
@@ -121,32 +159,23 @@ pub trait Fabric: Clone + Send + Sync + 'static {
     /// The fault plan consulted on every post.
     fn faults(&self) -> &FaultPlan;
 
-    /// Whether this transport can transition to a later epoch **in
-    /// place** ([`Fabric::begin_epoch`]). One that cannot (the in-process
-    /// [`MemFabric`], whose regions are shared state) is rebuilt per
-    /// epoch by the cluster's fabric factory; a cluster started on a
-    /// pre-built fabric of that kind, with no factory, rejects view
-    /// changes.
-    fn supports_epoch_advance(&self) -> bool {
-        false
-    }
-
-    /// Transitions the transport in place for the epoch described by
-    /// `transition`: the local mirror is replaced by a fresh zeroed
-    /// region of the new layout's size (§2.3 — memory is registered per
-    /// view), rows named in [`EpochTransition::joined`] are added to the
-    /// peer set (a resizable transition — the mesh *grows*), stale links
-    /// are torn down (links the peers already re-established at the new
-    /// epoch may be kept), and subsequent handshakes are stamped with the
-    /// new epoch so stale old-epoch peers cannot write into the fresh
-    /// mirror. Idempotent once the epoch (or a later one) is installed.
+    /// The fabric of the epoch `transition` installs — §2.3: memory is
+    /// registered per view, so its mirrors are fresh zeroed regions of the
+    /// new layout's size, and the rows named in
+    /// [`EpochTransition::joined`] are added (a resizable transition —
+    /// the transport *grows*). A transport that advances in place (the
+    /// TCP fabric: fresh mirror, stale links torn down, handshakes
+    /// stamped with the new epoch so stale old-epoch peers cannot write
+    /// into it) returns itself, and is idempotent once the epoch (or a
+    /// later one) is installed. One rebuilt per epoch ([`MemFabric`])
+    /// records the fresh fabric in a [`Successor`] shared by every clone.
     ///
-    /// Returns `false` when the transport does not support in-place
-    /// transitions (the default) — callers must then rebuild the fabric
-    /// by other means (e.g. a fabric factory).
-    fn begin_epoch(&self, _transition: &EpochTransition) -> bool {
-        false
-    }
+    /// Either way every handle of one fabric gets the same successor for
+    /// the same transition, so two clusters sharing a fabric cannot
+    /// split into two. `None` means the transition cannot be installed
+    /// (the fabric already moved to another epoch, or the new one could
+    /// not be built).
+    fn begin_epoch(&self, transition: &EpochTransition) -> Option<Self>;
 
     /// The observability plane this transport publishes into, if it
     /// owns one. A distributed fabric creates the plane at the process
@@ -173,6 +202,10 @@ impl Fabric for MemFabric {
 
     fn faults(&self) -> &FaultPlan {
         MemFabric::faults(self)
+    }
+
+    fn begin_epoch(&self, t: &EpochTransition) -> Option<MemFabric> {
+        MemFabric::begin_epoch(self, t)
     }
 }
 

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use spindle_core::threaded::{AdmitRequest, Cluster, Delivered};
 use spindle_core::{PersistConfig, SimCluster, Workload};
-use spindle_fabric::{Fabric, NodeId};
+use spindle_fabric::{Fabric, MemFabric, NodeId};
 use spindle_membership::{SubgroupId, View, ViewBuilder};
 use spindle_net::TcpFabricGroup;
 use spindle_persist::{PersistFaults, PersistOptions};
@@ -137,15 +137,8 @@ impl ThreadedRun {
         }
     }
 
-    /// Executes one event. `on_isolate` is the transport-specific half of
-    /// a partition (the loopback-TCP runner severs the node's live
-    /// connections; the shared-memory runner needs nothing extra).
-    fn step<F: Fabric>(
-        &mut self,
-        cluster: &mut Cluster<F>,
-        ev: &Event,
-        on_isolate: &dyn Fn(usize),
-    ) {
+    /// Executes one event.
+    fn step<F: Transport>(&mut self, cluster: &mut Cluster<F>, ev: &Event) {
         match ev {
             Event::Burst {
                 node,
@@ -174,7 +167,7 @@ impl ThreadedRun {
             Event::Resume { node } => cluster.resume_node(*node),
             Event::Isolate { node } => {
                 cluster.isolate_node(*node);
-                on_isolate(*node);
+                cluster.fabric().sever(*node);
             }
             Event::Heal { node } => cluster.heal_node(*node),
             Event::DropHeartbeats { node } => cluster.set_drop_heartbeats(*node, true),
@@ -281,74 +274,66 @@ fn run_threaded(s: &Scenario, t: &ThreadedScenario) -> ScenarioOutcome {
             .clone()
             .map(|d| persist_config(&t.spec, d, &faults)),
     );
-    drive_threaded(s, t, cluster, persist_dir, faults, &|_| {}, &|| None)
+    drive_threaded(s, t, cluster, persist_dir, faults)
 }
 
 /// The loopback-TCP runner: the identical schedule over a
 /// [`TcpFabricGroup`], with [`Event::Isolate`] additionally severing the
 /// node's live connections (a real dead link that re-dials after
-/// [`Event::Heal`]). The factory is re-invoked on every view change, so
-/// each epoch gets fresh sockets — the §2.3 per-view registration,
-/// literally.
+/// [`Event::Heal`]). Every view change enters a fresh group
+/// ([`Fabric::begin_epoch`]), so each epoch gets fresh sockets — the §2.3
+/// per-view registration, literally — and the fault events reach the
+/// current one through [`Cluster::fabric`].
 fn run_threaded_tcp(s: &Scenario, t: &ThreadedScenario) -> ScenarioOutcome {
     let view = build_view(&t.spec);
     let persist_dir = t.spec.persist.then(|| fresh_persist_dir(&s.name, s.seed));
     let faults = PersistFaults::new();
-    // The current epoch's group, stashed by the factory so fault events
-    // can reach the sockets.
-    let slot: std::sync::Arc<std::sync::Mutex<Option<TcpFabricGroup>>> =
-        std::sync::Arc::new(std::sync::Mutex::new(None));
-    let cluster = {
-        let slot = std::sync::Arc::clone(&slot);
-        Cluster::start_with_fabric_factory(
-            view,
-            t.spec.config.clone(),
-            t.spec.detector.clone(),
-            persist_dir
-                .clone()
-                .map(|d| persist_config(&t.spec, d, &faults)),
-            move |n, words, wire_faults| {
-                let g = TcpFabricGroup::loopback(n, words, wire_faults)
-                    .expect("loopback TCP fabric group");
-                *slot.lock().expect("group slot") = Some(g.clone());
-                g
-            },
-        )
-    };
-    let on_isolate = {
-        let slot = std::sync::Arc::clone(&slot);
-        move |node: usize| {
-            if let Some(g) = slot.lock().expect("group slot").as_ref() {
-                g.sever(NodeId(node));
-            }
-        }
-    };
-    let wire_totals = move || {
-        slot.lock().expect("group slot").as_ref().map(|g| {
-            let t = g.wire_stats_total();
-            (t.frames_posted, t.frames_received)
-        })
-    };
-    drive_threaded(
-        s,
-        t,
-        cluster,
-        persist_dir,
-        faults,
-        &on_isolate,
-        &wire_totals,
-    )
+    let cluster = Cluster::start_with_fabric_factory(
+        view,
+        t.spec.config.clone(),
+        t.spec.detector.clone(),
+        persist_dir
+            .clone()
+            .map(|d| persist_config(&t.spec, d, &faults)),
+        |n, words, wire_faults| {
+            TcpFabricGroup::loopback(n, words, wire_faults).expect("loopback TCP fabric group")
+        },
+    );
+    drive_threaded(s, t, cluster, persist_dir, faults)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn drive_threaded<F: Fabric>(
+/// What the threaded runners need of a transport beyond the [`Fabric`]
+/// contract, read off the current epoch's fabric.
+trait Transport: Fabric {
+    /// The dead-link half of [`Event::Isolate`]: severs `node`'s live
+    /// connections, where it has any.
+    fn sever(&self, _node: usize) {}
+
+    /// Frames posted and received on the wire, where there is one.
+    fn wire_totals(&self) -> Option<(u64, u64)> {
+        None
+    }
+}
+
+impl Transport for MemFabric {}
+
+impl Transport for TcpFabricGroup {
+    fn sever(&self, node: usize) {
+        TcpFabricGroup::sever(self, NodeId(node));
+    }
+
+    fn wire_totals(&self) -> Option<(u64, u64)> {
+        let t = self.wire_stats_total();
+        Some((t.frames_posted, t.frames_received))
+    }
+}
+
+fn drive_threaded<F: Transport>(
     s: &Scenario,
     t: &ThreadedScenario,
     mut cluster: Cluster<F>,
     persist_dir: Option<PathBuf>,
     faults: PersistFaults,
-    on_isolate: &dyn Fn(usize),
-    wire_totals: &dyn Fn() -> Option<(u64, u64)>,
 ) -> ScenarioOutcome {
     let mut run = ThreadedRun {
         live: (0..t.spec.nodes).collect(),
@@ -360,7 +345,7 @@ fn drive_threaded<F: Fabric>(
     };
     record_epoch(&mut run.epochs, &cluster.view());
     for ev in &t.events {
-        run.step(&mut cluster, ev, on_isolate);
+        run.step(&mut cluster, ev);
         if !run.errors.is_empty() {
             break;
         }
@@ -426,7 +411,7 @@ fn drive_threaded<F: Fabric>(
     checks.push(oracle::counter_consistency(
         &streams,
         &delivered_counts,
-        wire_totals(),
+        cluster.fabric().wire_totals(),
     ));
     // A failing run dumps the flight recorder to stderr for debugging —
     // never into the deterministic trace. With `SPINDLE_FLIGHTREC_DIR`

@@ -9,14 +9,16 @@
 //! loopback-TCP scenarios and the micro benches use it, and every byte
 //! crosses the kernel's TCP stack exactly as it would between processes.
 //! Each endpoint runs its single poller thread, so a group of `n`
-//! endpoints adds exactly `n` wire threads to the process.
+//! endpoints adds exactly `n` wire threads to the process. A group is
+//! rebuilt per epoch ([`Fabric::begin_epoch`]): the next epoch gets a fresh
+//! loopback group, new sockets included.
 
 use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spindle_fabric::{Fabric, FaultPlan, NodeId, Region, WriteOp};
+use spindle_fabric::{EpochTransition, Fabric, FaultPlan, NodeId, Region, Successor, WriteOp};
 
 use crate::metrics::WireStats;
 use crate::tcp::{TcpFabric, TcpFabricConfig};
@@ -27,6 +29,8 @@ use crate::tcp::{TcpFabric, TcpFabricConfig};
 pub struct TcpFabricGroup {
     endpoints: Arc<Vec<TcpFabric>>,
     faults: FaultPlan,
+    /// The next epoch's group, once a clone entered it.
+    next: Successor<TcpFabricGroup>,
 }
 
 impl TcpFabricGroup {
@@ -65,6 +69,7 @@ impl TcpFabricGroup {
         Ok(TcpFabricGroup {
             endpoints: Arc::new(endpoints),
             faults,
+            next: Successor::default(),
         })
     }
 
@@ -116,6 +121,17 @@ impl Fabric for TcpFabricGroup {
 
     fn faults(&self) -> &FaultPlan {
         &self.faults
+    }
+
+    /// A fresh loopback group for this group's nodes and the rows `t`
+    /// adds, on the same fault plan — built by the first clone to enter
+    /// `t`'s epoch and shared with every other; `None` for another epoch
+    /// or if the group cannot be brought up.
+    fn begin_epoch(&self, t: &EpochTransition) -> Option<TcpFabricGroup> {
+        self.next.get_or_build(t.epoch, || {
+            let nodes = self.endpoints.len() + t.joined.len();
+            TcpFabricGroup::loopback(nodes, t.region_words, self.faults.clone()).ok()
+        })
     }
 }
 

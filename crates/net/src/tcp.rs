@@ -685,10 +685,6 @@ impl Fabric for TcpFabric {
         &self.inner.shared.faults
     }
 
-    fn supports_epoch_advance(&self) -> bool {
-        true
-    }
-
     /// The in-place epoch transition (see the [module docs](self)): swap
     /// in a fresh mirror of the new layout's size, re-stamp handshakes
     /// with the new epoch, narrow (or *grow* — a join appends rows to
@@ -701,8 +697,8 @@ impl Fabric for TcpFabric {
     /// the peer's install barrier and first new-epoch writes ride on,
     /// and killing it would drop those one-shot writes in the close
     /// window. Only stale inbound connections are severed. Idempotent
-    /// once the epoch is installed.
-    fn begin_epoch(&self, t: &EpochTransition) -> bool {
+    /// once the epoch is installed. The successor is always this fabric.
+    fn begin_epoch(&self, t: &EpochTransition) -> Option<TcpFabric> {
         let s = &self.inner.shared;
         let joined: Vec<SocketAddr> = t
             .joined
@@ -714,7 +710,7 @@ impl Fabric for TcpFabric {
         // dialable from the swap on, so the install barrier reaches it.
         let mut current = s.mesh.write().expect("mesh lock");
         if current.epoch >= t.epoch {
-            return true;
+            return Some(self.clone());
         }
         let (mut addrs, mut peers) = (current.addrs.clone(), current.peers.clone());
         for ((row, _), addr) in t.joined.iter().zip(joined) {
@@ -757,7 +753,7 @@ impl Fabric for TcpFabric {
             inb.hello_seen = false;
         }
         s.waker.wake();
-        true
+        Some(self.clone())
     }
 
     fn obs(&self) -> Option<ObsPlane> {
@@ -1510,16 +1506,10 @@ mod tests {
         assert!(eventually(|| rb0.load(2) == 7));
 
         // A installs epoch 1 first: fresh zeroed mirror, links severed.
-        assert!(Fabric::begin_epoch(
-            &a,
-            &EpochTransition::shrink(1, vec![0, 1], 16)
-        ));
+        assert!(Fabric::begin_epoch(&a, &EpochTransition::shrink(1, vec![0, 1], 16)).is_some());
         assert_eq!(a.region_arc(NodeId(0)).load(2), 0, "mirror not fresh");
         // Idempotent for an installed epoch.
-        assert!(Fabric::begin_epoch(
-            &a,
-            &EpochTransition::shrink(1, vec![0, 1], 16)
-        ));
+        assert!(Fabric::begin_epoch(&a, &EpochTransition::shrink(1, vec![0, 1], 16)).is_some());
 
         // The epoch-skew window: A (epoch 1) re-dials B (still epoch 0)
         // with a later-epoch HELLO — accepted, frames land in B's
@@ -1534,10 +1524,7 @@ mod tests {
 
         // B installs too: its stale mirror (with word 3 = 9) is replaced,
         // and the mesh re-forms at epoch 1.
-        assert!(Fabric::begin_epoch(
-            &b,
-            &EpochTransition::shrink(1, vec![0, 1], 16)
-        ));
+        assert!(Fabric::begin_epoch(&b, &EpochTransition::shrink(1, vec![0, 1], 16)).is_some());
         assert_eq!(b.region_arc(NodeId(1)).load(3), 0, "mirror not fresh");
         assert!(eventually(|| {
             ra.store(4, 11);

@@ -356,9 +356,9 @@ fn distributed_join_error_surface() {
             .unwrap_err(),
         ViewChangeError::UnknownSubgroup(SubgroupId(9))
     );
-    // The capability verdict itself: epoch-capable, but joins need the
-    // joiner's endpoint (AdmitRequest::remote / --join), not an
-    // in-process row.
+    // Where the view's rows run in other processes, a joiner is a
+    // process too: joins need its endpoint (AdmitRequest::remote /
+    // --join), not an in-process row.
     assert_eq!(
         ca.admit(AdmitRequest::in_process(&[(SubgroupId(0), true)]))
             .unwrap_err(),
