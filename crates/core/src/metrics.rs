@@ -204,12 +204,13 @@ pub struct RunReport {
     /// `true` if the run reached its delivery target; `false` if it stalled
     /// or hit the deadline (e.g. the baseline with an inactive sender).
     pub completed: bool,
-    /// Per-node ordered delivery records as `(subgroup, sender rank,
-    /// app index)` — empty unless the run was created with
+    /// Per-node ordered delivery records as `(epoch, subgroup, sender rank,
+    /// app index)` — the epoch because sender ranks shift at a removal —
+    /// empty unless the run was created with
     /// [`SimCluster::with_delivery_trace`](crate::SimCluster::with_delivery_trace).
     /// This is what protocol oracles consume (total order, per-sender FIFO,
     /// atomicity); it is part of the deterministic trace contract.
-    pub delivery_trace: Vec<Vec<(usize, usize, u64)>>,
+    pub delivery_trace: Vec<Vec<(u64, usize, usize, u64)>>,
 }
 
 impl RunReport {

@@ -524,17 +524,31 @@ impl SubgroupProto {
             return Vec::new();
         };
         let row = self.sender_rows[rank];
-        (self.app_consumed[rank]..self.app_sent)
-            .map(|a| {
-                let slot = self.ring.slot_of(a);
-                let h = sst.slot_header(self.cols.slots, row, slot);
-                debug_assert_eq!(h.gen, self.ring.gen_of(a), "undelivered slot was reused");
-                (
-                    a,
-                    sst.read_slot_with_len(self.cols.slots, row, slot, h.len as usize),
-                )
-            })
+        self.undelivered_own_slots(sst)
+            .map(|(a, slot, len)| (a, sst.read_slot_with_len(self.cols.slots, row, slot, len)))
             .collect()
+    }
+
+    /// [`SubgroupProto::undelivered_own`] without the payloads, which a
+    /// metadata-only slot block does not hold: `(app_index, ring slot,
+    /// length)` of each.
+    pub fn undelivered_own_slots<'a>(
+        &'a self,
+        sst: &'a Sst,
+    ) -> impl Iterator<Item = (u64, usize, usize)> + 'a {
+        let (row, own) = match self.my_sender_rank {
+            Some(rank) => (
+                self.sender_rows[rank],
+                self.app_consumed[rank]..self.app_sent,
+            ),
+            None => (0, 0..0),
+        };
+        own.map(move |a| {
+            let slot = self.ring.slot_of(a);
+            let h = sst.slot_header(self.cols.slots, row, slot);
+            debug_assert_eq!(h.gen, self.ring.gen_of(a), "undelivered slot was reused");
+            (a, slot, h.len as usize)
+        })
     }
 
     fn deliver_range(&mut self, sst: &Sst, stable: SeqNum, batched: bool) -> DeliveryOutcome {

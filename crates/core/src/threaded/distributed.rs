@@ -14,7 +14,7 @@ use spindle_sst::Sst;
 
 use super::api::ViewChangeReport;
 use super::node::{JoinIntent, NodeInner, NodeShared};
-use super::predicate::{drain_node_through, EpochLocal, ThreadState};
+use super::predicate::{drain_node_through, EpochLocal, PassSink, ThreadState};
 use super::VC_DEADLINE;
 use crate::config::SpindleConfig;
 use crate::plan::Plan;
@@ -120,8 +120,6 @@ pub(super) struct Agree {
     local_join: Option<Vec<(SubgroupId, bool)>>,
     /// Whether the cluster, not the environment, armed the engine's crash.
     pub(super) cluster_armed: bool,
-    /// Own undelivered messages, from the final deliveries to the resend.
-    resend: Vec<(SubgroupId, Vec<u8>)>,
     stall: StallWatch,
 }
 
@@ -130,7 +128,6 @@ pub(super) struct Barrier {
     /// What the transition agreed; the resend count is filled in last.
     pub(super) report: ViewChangeReport,
     agreed_at: Instant,
-    resend: Vec<(SubgroupId, Vec<u8>)>,
     stall: StallWatch,
 }
 
@@ -139,9 +136,9 @@ pub(super) struct Barrier {
 /// *mid-transition*, the exact hole the takeover protocol closes, so a
 /// crashed proposer must be convicted and its suspicion fed to the engine —
 /// and builds the engine.
-pub(super) fn wedge<F: Fabric>(
+pub(super) fn wedge<F: Fabric, S>(
     shared: &NodeShared<F>,
-    th: &mut ThreadState<F>,
+    th: &mut ThreadState<F, S>,
     bits: u64,
     now: Instant,
 ) {
@@ -174,7 +171,6 @@ pub(super) fn wedge<F: Fabric>(
         frontiers,
         local_join,
         cluster_armed: cluster_armed.is_some(),
-        resend: Vec::new(),
         stall: StallWatch {
             phase: obs_phase::AGREE,
             started: now,
@@ -187,9 +183,9 @@ pub(super) fn wedge<F: Fabric>(
 /// dropped and the step's writes posted: the stall report and the deadline,
 /// the final deliveries, the install, the unwedge. `false` when the row is
 /// done — closed, evicted or halted — and its thread must end.
-pub(super) fn act<F: Fabric>(
+pub(super) fn act<F: Fabric, S: PassSink>(
     shared: &NodeShared<F>,
-    th: &mut ThreadState<F>,
+    th: &mut ThreadState<F, S>,
     step: VcStep,
     now: Instant,
     cfg: &SpindleConfig,
@@ -216,7 +212,7 @@ pub(super) fn act<F: Fabric>(
             Some(Transition::Barrier(b))
         }
         (Transition::Agree(mut a), VcStep::Deliver(p)) => {
-            a.resend = drain_node_through(shared, th, &p.cuts, cfg);
+            drain_node_through(shared, th, &p.cuts, cfg);
             a.engine.mark_delivered();
             Some(Transition::Agree(a))
         }
@@ -243,7 +239,7 @@ pub(super) fn act<F: Fabric>(
             return false;
         }
         (Transition::Barrier(b), VcStep::Done) => {
-            unwedge(shared, b, row, now);
+            unwedge(shared, b, row, now, &mut th.sink);
             th.watch(1, now); // the install barrier's leash ends
             None
         }
@@ -257,9 +253,9 @@ pub(super) fn act<F: Fabric>(
 /// for a grow transition), rebuilds its protocol state over the epoch's
 /// fabric and holds the install barrier. `None` when there is no such
 /// view to enter.
-fn install<F: Fabric>(
+fn install<F: Fabric, S: PassSink>(
     shared: &NodeShared<F>,
-    th: &mut ThreadState<F>,
+    th: &mut ThreadState<F, S>,
     a: Agree,
     p: Proposal,
     now: Instant,
@@ -275,7 +271,7 @@ fn install<F: Fabric>(
         shared.vc_trigger.fetch_or(residual, Ordering::AcqRel);
     }
     let gone = p.failed_rows();
-    let (next_view, fabric) = shared.epochs.enter(p.vid, || {
+    let (next_view, fabric) = shared.epochs.enter(p.vid, S::PAYLOADS, || {
         // A row this process hosts needs no address to be reached at.
         let (joins, addr) = match (p.join_endpoint(), &a.local_join) {
             (Some(join), _) => (reconfig::every_subgroup(view, join.as_sender), join.addr()),
@@ -285,7 +281,7 @@ fn install<F: Fabric>(
         let (v, new_row) = reconfig::join_view(view, &gone, &joins).ok()?;
         Some((v, vec![(new_row, addr)]))
     })?;
-    let plan = Plan::build(&next_view, true);
+    let plan = Plan::build(&next_view, S::PAYLOADS);
     let mut inner = shared.inner.lock();
     *inner = NodeInner::enter_epoch(&next_view, &plan, row, fabric, &shared.obs);
     shared.epoch.store(p.vid, Ordering::Release);
@@ -321,7 +317,6 @@ fn install<F: Fabric>(
         barrier: InstallBarrier::new(p.vid, survivors, plan.reconfig, row),
         report,
         agreed_at: now,
-        resend: a.resend,
         stall: StallWatch {
             phase: obs_phase::BARRIER,
             last_report: now,
@@ -331,8 +326,15 @@ fn install<F: Fabric>(
 }
 
 /// Ends the transition `b` at `now`, every survivor confirmed: the phase
-/// metrics, the recovered messages requeued, the report, the unwedge.
-fn unwedge<F: Fabric>(shared: &NodeShared<F>, mut b: Barrier, row: usize, now: Instant) {
+/// metrics, the recovered messages `sink` kept requeued, the report, the
+/// unwedge.
+fn unwedge<F: Fabric, S: PassSink>(
+    shared: &NodeShared<F>,
+    mut b: Barrier,
+    row: usize,
+    now: Instant,
+    sink: &mut S,
+) {
     let epoch = b.report.epoch;
     shared
         .obs
@@ -350,13 +352,8 @@ fn unwedge<F: Fabric>(shared: &NodeShared<F>, mut b: Barrier, row: usize, now: I
     let help = "View changes installed, by node";
     reg.counter(spindle_obs::names::VIEW_CHANGES, help, &[("node", &node)])
         .inc();
-    // Requeue the recovered messages in the new epoch (the fresh window
-    // always has room for them: there are at most `window` of them).
-    b.report.resent = b.resend.len();
-    for (sg, payload) in b.resend {
-        let queued = shared.try_queue(sg, &payload);
-        debug_assert_ne!(queued, Ok(false), "resend exceeded a fresh window");
-    }
+    // Requeue the recovered messages in the new epoch.
+    b.report.resent = sink.resend(shared);
     *shared.vc_report.lock() = Some(b.report);
     shared.wedged.store(false, Ordering::Release);
 }

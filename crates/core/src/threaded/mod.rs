@@ -4,9 +4,10 @@
 //! predicate (polling) thread exactly as in the paper (§2.4), application
 //! threads send through [`NodeHandle::send`], and deliveries appear —
 //! in the identical total order at every member — on each node's delivery
-//! channel. The same node pass as the simulated runtime executes here —
-//! the simulator runs `node_pass` on the same node state, substituting
-//! time, concurrency and I/O — so the correctness properties the
+//! channel. The same loop as the simulated runtime executes here — each
+//! simulated iteration is the threads' own loop body, `iterate`, on the
+//! same node state, heartbeat and view change included, substituting time,
+//! concurrency and I/O — so the correctness properties the
 //! integration tests establish (total order, gap-freedom, FIFO per sender,
 //! null invisibility, failure atomicity) hold for the code the performance
 //! model measures.
@@ -65,7 +66,7 @@ pub use api::{
 };
 pub(crate) use node::{Epochs, NodeInner, NodeShared};
 pub use persist::PersistConfig;
-pub(crate) use predicate::{node_pass, PassSink, ThreadState};
+pub(crate) use predicate::{iterate, PassSink, ThreadState, Turn};
 
 /// How long an SST-driven transition may take to converge before its
 /// thread gives up (a participant stalled forever — a harness bug or a

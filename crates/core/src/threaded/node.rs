@@ -40,7 +40,7 @@ pub(crate) struct NodeInner<F: Fabric> {
     /// runs a predicate thread, and for a row closed for good
     /// ([`NodeInner::close`]): neither posts again.
     pub(super) fabric: Option<F>,
-    pub(super) view: Arc<View>,
+    pub(crate) view: Arc<View>,
     pub(super) alive: bool,
     /// The top-level heartbeat column of the current plan.
     pub(super) heartbeat_col: spindle_sst::CounterCol,
@@ -184,7 +184,7 @@ pub(crate) struct Epochs<F: Fabric> {
     /// suspect it no later than they can read those writes. That keeps the
     /// takeover's shape (fresh trim or verbatim adoption) a function of
     /// the boundary, not of thread timing.
-    pub(super) crashed: Mutex<u64>,
+    pub(crate) crashed: Mutex<u64>,
 }
 
 impl<F: Fabric> Epochs<F> {
@@ -207,7 +207,8 @@ impl<F: Fabric> Epochs<F> {
     /// The view and fabric of epoch `vid` for a row leaving the one
     /// before it. The first local row to get here derives the view
     /// (`derive`: the next view, and the rows joining with it) and has the
-    /// current fabric enter the epoch ([`Fabric::begin_epoch`]); every
+    /// current fabric enter the epoch ([`Fabric::begin_epoch`]) at the size
+    /// of its layout, ring slots with payload words or not (`payloads`); every
     /// later row enters what the first one recorded. One view and one
     /// fabric per epoch, never one per row: two local rows on different
     /// fabrics would be a silent split brain. `None` when the view is not
@@ -217,6 +218,7 @@ impl<F: Fabric> Epochs<F> {
     pub(super) fn enter(
         &self,
         vid: u64,
+        payloads: bool,
         derive: impl FnOnce() -> Option<(View, Vec<(usize, String)>)>,
     ) -> Option<(Arc<View>, F)> {
         let mut installed = self.installed.lock();
@@ -227,7 +229,7 @@ impl<F: Fabric> Epochs<F> {
         }
         let (view, joined) = derive()?;
         let view = Arc::new(view);
-        let region_words = Plan::build(&view, true).layout.region_words();
+        let region_words = Plan::build(&view, payloads).layout.region_words();
         let transition = EpochTransition {
             epoch: vid,
             live: view.active_rows().collect(),
@@ -251,19 +253,19 @@ pub(crate) struct NodeShared<F: Fabric> {
     /// Set while the predicate thread runs an epoch transition, from the
     /// first suspicion to the end of the install barrier: sends are
     /// refused meanwhile. A row closed mid-transition stays wedged.
-    pub(super) wedged: AtomicBool,
+    pub(crate) wedged: AtomicBool,
     pub(super) epoch: AtomicU64,
     /// Simulated crash: the predicate thread exits silently, heartbeats
     /// stop, membership does not know until a detector notices.
-    pub(super) killed: AtomicBool,
+    pub(crate) killed: AtomicBool,
     /// Fault injection: while set, the predicate thread stands still (no
     /// predicate evaluation, no heartbeats) but application threads keep
     /// queueing — a slow/descheduled receiver.
-    pub(super) paused: AtomicBool,
+    pub(crate) paused: AtomicBool,
     /// Fault injection ([`Cluster::set_drop_heartbeats`](super::Cluster::set_drop_heartbeats)):
     /// while set, the row's heartbeat bumps its counter but posts nothing,
     /// in every epoch and through every transition.
-    pub(super) hb_muted: Arc<AtomicBool>,
+    pub(crate) hb_muted: Arc<AtomicBool>,
     /// Where this node's detector reports suspicions.
     pub(super) suspicion_tx: Sender<Suspicion>,
     /// Suspicion bits that must start this node's next transition, set
@@ -278,9 +280,9 @@ pub(crate) struct NodeShared<F: Fabric> {
     /// ([`Cluster::arm_vc_crash`](super::Cluster::arm_vc_crash)): the
     /// boundary this node's next engine halts at. Consumed when the
     /// engine is built.
-    pub(super) vc_crash: Mutex<Option<VcBoundary>>,
+    pub(crate) vc_crash: Mutex<Option<VcBoundary>>,
     /// The report of this node's last view change.
-    pub(super) vc_report: Mutex<Option<ViewChangeReport>>,
+    pub(crate) vc_report: Mutex<Option<ViewChangeReport>>,
     /// The durable-log hook (`None` unless the cluster was started
     /// persistent); only the predicate thread appends through it.
     pub(super) persist: Option<Mutex<PersistHook>>,
@@ -288,7 +290,7 @@ pub(crate) struct NodeShared<F: Fabric> {
     /// created by the cluster): the predicate thread publishes counters,
     /// latency samples and flight events here, transitions included.
     pub(super) obs: ObsPlane,
-    pub(super) epochs: Arc<Epochs<F>>,
+    pub(crate) epochs: Arc<Epochs<F>>,
 }
 
 impl<F: Fabric> NodeShared<F> {

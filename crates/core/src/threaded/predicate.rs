@@ -173,8 +173,8 @@ impl WaitCounters {
 
 /// The threads' [`PassSink`]: the deliveries of one pass over a node's
 /// protocol state and, beside each, when this node queued it — `Some` for
-/// its own sends only, the start of the delivery-latency sample
-/// [`ThreadState::publish`] records — and, where the row logs ordered
+/// its own sends only, the start of the delivery-latency sample its
+/// [`PassSink::publish`] records — and, where the row logs ordered
 /// deliveries, the persistence frontiers to advance once the durable log
 /// holds them.
 pub(crate) struct Batch {
@@ -185,6 +185,9 @@ pub(crate) struct Batch {
     /// subgroup that delivered; `None` unless the row logs ordered
     /// deliveries.
     persist_work: Option<Vec<(usize, CounterCol, SeqNum)>>,
+    /// A transition's own undelivered messages, `(subgroup, payload)`, from
+    /// the final deliveries to the resend.
+    resend: Vec<(SubgroupId, Vec<u8>)>,
 }
 
 impl Batch {
@@ -196,6 +199,7 @@ impl Batch {
             delivered: Vec::new(),
             queued_at: Vec::new(),
             persist_work: logs.then(Vec::new),
+            resend: Vec::new(),
         }
     }
 
@@ -246,13 +250,21 @@ impl Batch {
     }
 }
 
-/// Where a [`node_pass`] hands each subgroup's outcome: the one part of the
-/// pass that is I/O, and so the one part a runtime substitutes. The threads
-/// copy every delivery out of its ring slot ([`Batch`]); the simulator
-/// charges the outcome to its cost model instead. Generic, so each runtime's
-/// pass is compiled with its own sink inlined; a hook that only observes
-/// the predicates' outcomes can be one more implementation.
+/// Where a [`node_pass`] hands each subgroup's outcome, and where an epoch
+/// transition's final deliveries and resend go: the I/O of the polling
+/// loop, and so the part of [`iterate`] a runtime substitutes. The threads
+/// copy every delivery out of its ring slot, log it and hand it to the
+/// application ([`Batch`]). The simulator's ring slots hold no payload, so
+/// its sink charges each outcome to the cost model and counts and requeues
+/// messages by length. Generic, so each runtime's loop is compiled with its
+/// own sink inlined; a hook that only observes the predicates' outcomes can
+/// be one more implementation. The steps a sink may do nothing at have
+/// empty defaults.
 pub(crate) trait PassSink {
+    /// Whether ring slots carry payload words: the layout of every epoch
+    /// the row enters (`materialize` of [`Plan::build`](crate::Plan::build)).
+    const PAYLOADS: bool;
+
     /// The outcome `pass` of `p`, entry `g` of [`NodeInner::protos`], at the
     /// row whose replica is `sst` in `epoch`, under the node lock; `stamps`
     /// is the subgroup's part of [`NodeInner::queued_at`].
@@ -265,9 +277,38 @@ pub(crate) trait PassSink {
         pass: &Pass,
         stamps: &mut [Option<Instant>],
     );
+
+    /// `p`'s final deliveries `finals` of `epoch`, through the transition's
+    /// agreed cut, under the node lock; the sink keeps `p`'s own messages
+    /// that no delivery reached, for the resend.
+    fn drain(
+        &mut self,
+        sst: &Sst,
+        epoch: u64,
+        p: &SubgroupProto,
+        stamps: &mut [Option<Instant>],
+        finals: &[Delivery],
+    );
+
+    /// Requeues the kept messages at the row `shared` holds, in the epoch it
+    /// has entered, under its wedge: how many.
+    fn resend<F: Fabric>(&mut self, shared: &NodeShared<F>) -> usize;
+
+    /// After a pass, outside the node lock: its ordered deliveries to the
+    /// durable log, and the persistence frontiers' writes into `posts`.
+    fn persist<F: Fabric>(&mut self, _: &NodeShared<F>, _: &EpochLocal<F>, _: &mut Vec<WriteOp>) {}
+
+    /// After the final deliveries of an epoch: all of them to the durable
+    /// log, synced whatever the policy.
+    fn seal<F: Fabric>(&mut self, _: &NodeShared<F>) {}
+
+    /// Hands what the sink holds to the application, leaving it empty.
+    fn publish<F: Fabric>(&mut self, _: &NodeShared<F>, _: &mut EpochLocal<F>) {}
 }
 
 impl PassSink for Batch {
+    const PAYLOADS: bool = true;
+
     fn subgroup(
         &mut self,
         sst: &Sst,
@@ -289,6 +330,100 @@ impl PassSink for Batch {
             work.push((g, p.cols.pers, last.seq));
         }
     }
+
+    fn drain(
+        &mut self,
+        sst: &Sst,
+        epoch: u64,
+        p: &SubgroupProto,
+        stamps: &mut [Option<Instant>],
+        finals: &[Delivery],
+    ) {
+        for del in finals {
+            self.push(sst, p, stamps, epoch, del);
+        }
+        let own = p.undelivered_own(sst).into_iter();
+        self.resend.extend(own.map(|(_, payload)| (p.sg, payload)));
+    }
+
+    fn resend<F: Fabric>(&mut self, shared: &NodeShared<F>) -> usize {
+        // The fresh window always has room for them: there are at most
+        // `window` of them.
+        let resent = self.resend.len();
+        for (sg, payload) in self.resend.drain(..) {
+            let queued = shared.try_queue(sg, &payload);
+            debug_assert_ne!(queued, Ok(false), "resend exceeded a fresh window");
+        }
+        resent
+    }
+
+    /// Durable mode: appends this pass's ordered deliveries to the
+    /// per-subgroup logs, fsyncs when the policy says so, then advertises
+    /// the new frontiers. This happens outside the lock — log I/O must
+    /// never stall the application threads (the same reasoning as §3.4).
+    fn persist<F: Fabric>(
+        &mut self,
+        shared: &NodeShared<F>,
+        local: &EpochLocal<F>,
+        posts: &mut Vec<WriteOp>,
+    ) {
+        let work = self.persist_work.as_mut().filter(|w| !w.is_empty());
+        if let (Some(hook), Some(work)) = (&shared.persist, work) {
+            hook.lock().append(&self.delivered);
+            let row = local.sst.own_row();
+            for (g, pers_col, hi) in work.drain(..) {
+                let range = local.sst.set_counter(pers_col, hi);
+                posts.extend(ops_to(&local.members[g], row, range));
+            }
+        }
+    }
+
+    /// Durable mode: the final deliveries of the old epoch go to the log
+    /// like any others, and the epoch boundary fsyncs whatever the policy.
+    fn seal<F: Fabric>(&mut self, shared: &NodeShared<F>) {
+        if let Some(hook) = &shared.persist {
+            let mut hook = hook.lock();
+            hook.append(&self.delivered);
+            hook.sync_all().expect("sync durable log");
+        }
+    }
+
+    /// Hands the batch to the application — leaving it empty, its capacity
+    /// kept for the next pass — and publishes it into the live registry:
+    /// the delivery-latency sample of each delivery that completes a send
+    /// queued by this node's
+    /// [`NodeHandle::try_send`](super::NodeHandle::try_send) — recorded
+    /// here, after the durable append and outside the node lock its senders
+    /// wait on — then the per-epoch message and byte counters, once for the
+    /// whole batch (a batch is one pass, so one epoch).
+    ///
+    /// Every [`NodeShared::deliveries`] send happens here, one `send_all` per
+    /// batch — one channel lock, and a wake only if the application is
+    /// blocked in a receive — paired per batch with its counter update, so
+    /// the counter equals the drained stream length by construction (the
+    /// harness counter-consistency oracle pins this).
+    fn publish<F: Fabric>(&mut self, shared: &NodeShared<F>, local: &mut EpochLocal<F>) {
+        if self.delivered.is_empty() {
+            return;
+        }
+        debug_assert!(
+            self.delivered.iter().all(|d| d.epoch == local.epoch),
+            "a delivery batch spans epochs"
+        );
+        let (obs, row) = (&mut local.obs, local.sst.own_row());
+        let h = obs.get_or_insert_with(|| EpochObs::new(&shared.obs, row, local.epoch));
+        let mut bytes = 0;
+        for (d, queued_at) in self.delivered.iter().zip(self.queued_at.drain(..)) {
+            bytes += d.data.len() as u64;
+            if let Some(t0) = queued_at {
+                h.latency.record(t0.elapsed().as_nanos() as u64);
+            }
+        }
+        h.delivered.add(self.delivered.len() as u64);
+        h.bytes.add(bytes);
+        // Receiver may have hung up (handle dropped); that's fine.
+        let _ = shared.deliveries.send_all(self.delivered.drain(..));
+    }
 }
 
 /// What a pass needs of the epoch its node is in and can keep outside the
@@ -297,10 +432,10 @@ impl PassSink for Batch {
 /// per pass (the `Arc`s behind `sst` and `fabric` are shared by every row
 /// of the process, so a clone is a write to a line all predicate threads
 /// touch).
-pub(super) struct EpochLocal<F> {
-    pub(super) epoch: u64,
+pub(crate) struct EpochLocal<F> {
+    pub(crate) epoch: u64,
     pub(super) sst: Sst,
-    pub(super) fabric: F,
+    pub(crate) fabric: F,
     /// [`NodeInner::hb_peers`], and so the install barrier's other parties.
     pub(super) hb_peers: Vec<usize>,
     /// [`SubgroupProto::member_rows`] of each entry of `NodeInner::protos`.
@@ -328,10 +463,10 @@ impl<F: Fabric> EpochLocal<F> {
 /// scratch, emptied by the caller of the pass that filled it, and the sink
 /// its passes hand their outcomes to.
 pub(crate) struct ThreadState<F, S = Batch> {
-    pub(super) local: EpochLocal<F>,
+    pub(crate) local: EpochLocal<F>,
     /// Only with a detector. Carried from epoch to epoch, so the value the
     /// peers see never regresses — a regressed counter reads as silence.
-    pub(super) ticker: Option<HeartbeatTicker>,
+    pub(crate) ticker: Option<HeartbeatTicker>,
     /// From the wedge to the unwedge: what [`node_pass`] steps instead of
     /// the subgroup passes.
     pub(super) transition: Option<Transition>,
@@ -358,50 +493,10 @@ impl<F: Fabric, S> ThreadState<F, S> {
 
     /// Has the heartbeat, if any, watch this epoch's peers from `now`, a peer
     /// suspected after `leash` detector timeouts (3 in an install barrier).
-    pub(super) fn watch(&mut self, leash: u32, now: Instant) {
+    pub(crate) fn watch(&mut self, leash: u32, now: Instant) {
         if let Some(ticker) = &mut self.ticker {
             ticker.watch(&self.local.hb_peers, leash, now);
         }
-    }
-}
-
-impl<F: Fabric> ThreadState<F> {
-    /// Hands the pass's batch to the application — leaving it empty, its
-    /// capacity kept for the next pass — and publishes it into the live
-    /// registry: the delivery-latency sample of each delivery that completes
-    /// a send queued by this node's
-    /// [`NodeHandle::try_send`](super::NodeHandle::try_send) — recorded here,
-    /// after the durable append and outside the node lock its senders wait
-    /// on — then the per-epoch message and byte counters, once for the whole
-    /// batch (a batch is one pass, so one epoch).
-    ///
-    /// Every [`NodeShared::deliveries`] send happens here, one `send_all` per
-    /// batch — one channel lock, and a wake only if the application is
-    /// blocked in a receive — paired per batch with its counter update, so
-    /// the counter equals the drained stream length by construction (the
-    /// harness counter-consistency oracle pins this).
-    fn publish(&mut self, shared: &NodeShared<F>) {
-        let (batch, local) = (&mut self.sink, &mut self.local);
-        if batch.delivered.is_empty() {
-            return;
-        }
-        debug_assert!(
-            batch.delivered.iter().all(|d| d.epoch == local.epoch),
-            "a delivery batch spans epochs"
-        );
-        let (obs, row) = (&mut local.obs, local.sst.own_row());
-        let h = obs.get_or_insert_with(|| EpochObs::new(&shared.obs, row, local.epoch));
-        let mut bytes = 0;
-        for (d, queued_at) in batch.delivered.iter().zip(batch.queued_at.drain(..)) {
-            bytes += d.data.len() as u64;
-            if let Some(t0) = queued_at {
-                h.latency.record(t0.elapsed().as_nanos() as u64);
-            }
-        }
-        h.delivered.add(batch.delivered.len() as u64);
-        h.bytes.add(bytes);
-        // Receiver may have hung up (handle dropped); that's fine.
-        let _ = shared.deliveries.send_all(batch.delivered.drain(..));
     }
 }
 
@@ -543,7 +638,7 @@ pub(crate) fn node_pass<F: Fabric, S: PassSink>(
 /// [`NodeShared::paused`] (no pass, no heartbeat; kills and stop still
 /// land), or the end of a row that crashed, closed or halted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Turn {
+pub(crate) enum Turn {
     Pass(bool),
     Paused,
     Exit,
@@ -555,14 +650,16 @@ enum Turn {
 /// a transition's step — or, when the pass found a
 /// [`NodeShared::vc_trigger`] request, a peer's suspicion or (with
 /// `drives_engine`, see [`NodeShared::convict`]) its own detector's
-/// verdict, the [`wedge`]. `clock` — `Instant::now`, or a test's synthetic
-/// one — is read only for a heartbeat or a transition.
-fn iterate<F: Fabric>(
+/// verdict, the [`wedge`]. `clock` — `Instant::now`, or the simulator's
+/// virtual one — is read only for a heartbeat or a transition. The threads'
+/// loop body and the simulator's iteration, each with its own [`PassSink`]
+/// and fabric.
+pub(crate) fn iterate<F: Fabric, S: PassSink>(
     shared: &NodeShared<F>,
-    th: &mut ThreadState<F>,
+    th: &mut ThreadState<F, S>,
     cfg: &SpindleConfig,
     drives_engine: bool,
-    clock: &dyn Fn() -> Instant,
+    clock: impl Fn() -> Instant,
 ) -> Turn {
     if shared.killed.load(Ordering::Acquire) {
         return Turn::Exit; // simulated crash: vanish without a trace
@@ -582,7 +679,7 @@ fn iterate<F: Fabric>(
     if th.transition.is_none() && shared.vc_trigger.load(Ordering::Acquire) != 0 {
         trigger = shared.vc_trigger.swap(0, Ordering::AcqRel);
     }
-    let now = (th.ticker.is_some() || th.transition.is_some()).then(clock);
+    let now = (th.ticker.is_some() || th.transition.is_some()).then(&clock);
     let step = node_pass(shared, &mut inner, th, now, trigger, cfg);
     let mut vc_bits = step.vc_bits;
     for suspect in step.suspects {
@@ -595,23 +692,12 @@ fn iterate<F: Fabric>(
         }
     }
     drop(inner);
-    // Durable mode: append this pass's ordered deliveries to the
-    // per-subgroup logs, fsync when the policy says so, then advertise
-    // the new frontiers. This happens outside the lock — log I/O must
-    // never stall the application threads (the same reasoning as §3.4).
-    let work = th.sink.persist_work.as_mut().filter(|w| !w.is_empty());
-    if let (Some(hook), Some(work)) = (&shared.persist, work) {
-        hook.lock().append(&th.sink.delivered);
-        for (g, pers_col, hi) in work.drain(..) {
-            let range = th.local.sst.set_counter(pers_col, hi);
-            th.posts.extend(ops_to(&th.local.members[g], row, range));
-        }
-    }
+    th.sink.persist(shared, &th.local, &mut th.posts);
     for op in th.posts.drain(..) {
         th.local.fabric.post(NodeId(row), &op);
     }
-    th.publish(shared);
-    let now = || now.unwrap_or_else(clock);
+    th.sink.publish(shared, &mut th.local);
+    let now = || now.unwrap_or_else(&clock);
     match step.transition {
         Some(ts) => match act(shared, th, ts, now(), cfg) {
             true => Turn::Pass(step.work),
@@ -644,7 +730,7 @@ pub(super) fn predicate_thread<F: Fabric>(
     th.ticker = det.map(|dc| HeartbeatTicker::new(&dc, Arc::clone(&shared.hb_muted), now));
     th.watch(1, now);
     while !stop.load(Ordering::Relaxed) {
-        let idle = match iterate(&shared, &mut th, &cfg, drives_engine, &Instant::now) {
+        let idle = match iterate(&shared, &mut th, &cfg, drives_engine, Instant::now) {
             Turn::Exit => return,
             Turn::Paused => Idle::Sleep,
             Turn::Pass(work) => ladder.next(work),
@@ -678,18 +764,17 @@ pub(super) fn predicate_thread<F: Fabric>(
     }
 }
 
-/// Final old-epoch deliveries of one node, into the thread's batch:
+/// Final old-epoch deliveries of one node, into the thread's sink:
 /// everything through the agreed cuts goes to its durable log and then its
-/// delivery channel — one batch, all of the old epoch, as
-/// [`ThreadState::publish`] asserts — and its own undelivered messages come
-/// back as `(subgroup, payload)` for resend in the next epoch.
-pub(super) fn drain_node_through<F: Fabric>(
+/// delivery channel — one batch, all of the old epoch, as [`Batch`]'s
+/// [`PassSink::publish`] asserts — and the sink keeps its own undelivered
+/// messages for resend in the next epoch.
+pub(super) fn drain_node_through<F: Fabric, S: PassSink>(
     shared: &NodeShared<F>,
-    th: &mut ThreadState<F>,
+    th: &mut ThreadState<F, S>,
     cuts: &[SeqNum],
     cfg: &SpindleConfig,
-) -> Vec<(SubgroupId, Vec<u8>)> {
-    let mut resend = Vec::new();
+) {
     let EpochLocal { epoch, sst, .. } = &th.local;
     let mut inner = shared.inner.lock();
     let NodeInner {
@@ -700,35 +785,22 @@ pub(super) fn drain_node_through<F: Fabric>(
             continue;
         };
         let out = p.deliver_through(sst, cut);
-        if cfg.delivery_timing == DeliveryTiming::Ordered {
-            for del in &out.deliveries {
-                th.sink.push(sst, p, stamps, *epoch, del);
-            }
-        }
-        for (_, payload) in p.undelivered_own(sst) {
-            resend.push((p.sg, payload));
-        }
+        let finals = match cfg.delivery_timing {
+            DeliveryTiming::Ordered => &out.deliveries[..],
+            DeliveryTiming::OnReceive => &[],
+        };
+        th.sink.drain(sst, *epoch, p, stamps, finals);
     }
     drop(inner);
-    // Durable mode: the final deliveries of the old epoch go to the log
-    // like any others, and the epoch boundary fsyncs whatever the policy.
-    if let Some(hook) = &shared.persist {
-        let mut hook = hook.lock();
-        hook.append(&th.sink.delivered);
-        hook.sync_all().expect("sync durable log");
-    }
-    th.publish(shared);
-    resend
+    th.sink.seal(shared);
+    th.sink.publish(shared, &mut th.local);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::api::ViewChangeReport;
-    use super::super::node::{latest, Epochs};
+    use super::super::node::Epochs;
     use super::*;
     use crate::plan::Plan;
-    use crate::viewchange::VcBoundary;
-    use crossbeam::channel::Receiver;
     use spindle_fabric::{MemFabric, Region};
     use spindle_membership::ViewBuilder;
 
@@ -744,17 +816,16 @@ mod tests {
 
     /// The `n` rows of one epoch on a fresh `MemFabric` — subgroup 0 of
     /// all of them, all sending; subgroup 1 of rows 0 and 1, row 0 sending
-    /// — each with the shared state of its handle, the state its predicate
-    /// thread would own and its delivery stream, over one process's
-    /// [`Epochs`], as in an in-process cluster, passed by hand
-    /// on a synthetic clock that starts at `t0`.
+    /// — each with the shared state of its handle and the state its
+    /// predicate thread would own, over one process's [`Epochs`], as in an
+    /// in-process cluster, passed by hand on a synthetic clock that starts
+    /// at `t0`. The node pass alone: a whole run, transitions included, is
+    /// a `SimCluster` run (the simulator's tests).
     struct Rows {
         cfg: SpindleConfig,
         t0: Instant,
-        epochs: Arc<Epochs<MemFabric>>,
         shared: Vec<Arc<NodeShared<MemFabric>>>,
         threads: Vec<ThreadState<MemFabric>>,
-        deliveries: Vec<Receiver<Delivered>>,
     }
 
     impl Rows {
@@ -777,13 +848,13 @@ mod tests {
             let epochs = Epochs::new(view.clone(), fabric.clone());
             // Nobody reads the detector's verdicts; a closed channel drops them.
             let suspicions = crossbeam::channel::unbounded().0;
-            let (shared, deliveries): (Vec<_>, _) = all
+            let shared: Vec<_> = all
                 .iter()
                 .map(|&row| {
                     let inner = NodeInner::enter_epoch(&view, &plan, row, fabric.clone(), &obs);
-                    NodeShared::new(inner, &suspicions, &obs, None, &epochs)
+                    NodeShared::new(inner, &suspicions, &obs, None, &epochs).0
                 })
-                .unzip();
+                .collect();
             let threads = shared
                 .iter()
                 .map(|s| {
@@ -798,10 +869,8 @@ mod tests {
             Rows {
                 cfg,
                 t0,
-                epochs,
                 shared,
                 threads,
-                deliveries,
             }
         }
 
@@ -817,19 +886,6 @@ mod tests {
             }
             let fresh = Batch::new(self.cfg.delivery_timing, false);
             (step, posts, std::mem::replace(&mut th.sink, fresh))
-        }
-
-        /// `row`'s iteration of its predicate loop `at` after `t0`: the
-        /// function the thread runs, on the synthetic clock.
-        fn iterate(&mut self, row: usize, at: Duration) -> Turn {
-            let clock = || self.t0 + at;
-            iterate(
-                &self.shared[row],
-                &mut self.threads[row],
-                &self.cfg,
-                false,
-                &clock,
-            )
         }
 
         /// `row`'s heartbeat as `mirror`'s replica holds it.
@@ -961,132 +1017,6 @@ mod tests {
             }
             assert!(delivered > 0, "{cfg:?} delivered nothing");
         }
-    }
-
-    /// What one row saw of a transition driven without threads.
-    #[derive(Debug, Default)]
-    struct Seen {
-        /// Its epoch-0 deliveries, by subgroup, seqs in delivery order.
-        old: [Vec<SeqNum>; 2],
-        /// How many of them were published when it entered epoch 1.
-        old_at_install: Option<usize>,
-        /// Its last view change, once it unwedged in epoch 1.
-        report: Option<ViewChangeReport>,
-        exited: bool,
-    }
-
-    /// Queues `per_row` messages in subgroup 0 at every row and one in
-    /// subgroup 1 at row 0, asks row `trigger` for a transition with `bits`
-    /// — most of those messages are still in flight — and drives every row
-    /// round-robin — [`iterate`], the thread's own function, 10 µs apart on
-    /// the synthetic clock; a row that exits is skipped from then on — until
-    /// every row of `survivors` unwedged in epoch 1.
-    fn transition(
-        rows: &mut Rows,
-        per_row: u32,
-        trigger: usize,
-        bits: u64,
-        survivors: &[usize],
-    ) -> Vec<Seen> {
-        const STEP: Duration = Duration::from_micros(10);
-        let n = rows.shared.len();
-        for (row, shared) in rows.shared.iter().enumerate() {
-            for i in 0..per_row {
-                let payload = format!("{row}/{i}");
-                assert_eq!(
-                    shared.try_queue(SubgroupId(0), payload.as_bytes()),
-                    Ok(true)
-                );
-            }
-        }
-        assert_eq!(rows.shared[0].try_queue(SubgroupId(1), b"one"), Ok(true));
-        rows.shared[trigger].trigger(bits);
-        let mut seen: Vec<Seen> = (0..n).map(|_| Seen::default()).collect();
-        for round in 1..=10_000u32 {
-            for row in 0..n {
-                if seen[row].exited {
-                    continue;
-                }
-                seen[row].exited = rows.iterate(row, STEP * round) == Turn::Exit;
-                let shared = &rows.shared[row];
-                let seen = &mut seen[row];
-                for d in rows.deliveries[row].try_iter().filter(|d| d.epoch == 0) {
-                    seen.old[d.subgroup.0].push(d.seq);
-                }
-                if seen.old_at_install.is_none() && shared.epoch.load(Ordering::Acquire) == 1 {
-                    seen.old_at_install = Some(seen.old.concat().len());
-                }
-                if !shared.wedged.load(Ordering::Acquire) {
-                    seen.report = shared.vc_report.lock().clone();
-                }
-            }
-            if survivors.iter().all(|&r| seen[r].report.is_some()) {
-                return seen;
-            }
-        }
-        panic!("the transition did not finish: {seen:?}");
-    }
-
-    /// The members of each subgroup of the last view `rows` installed.
-    fn installed(rows: &Rows) -> (u64, Vec<Vec<NodeId>>) {
-        let view = rows.epochs.read(|views, _| latest(views));
-        let members = view.subgroups().iter().map(|sg| sg.members.clone());
-        (view.id(), members.collect())
-    }
-
-    #[test]
-    fn transition_without_threads_removes_a_row_through_node_pass() {
-        let mut rows = Rows::new(3, 0, SpindleConfig::optimized(), None, Instant::now());
-        let seen = transition(&mut rows, 3, 0, 1 << 2, &[0, 1]);
-        let ids = |ids: &[usize]| ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
-        assert_eq!(installed(&rows), (1, vec![ids(&[0, 1]), ids(&[0, 1])]));
-        assert!(seen[2].exited, "the removed row closed");
-        let reports: Vec<_> = seen[..2]
-            .iter()
-            .map(|s| s.report.clone().unwrap())
-            .collect();
-        assert_eq!(reports[0].epoch, 1);
-        assert_eq!(reports[0].cuts, reports[1].cuts, "identical cuts");
-        assert!(reports[0].resent + reports[1].resent > 0, "{reports:?}");
-        let (zero, one) = (&seen[0], &seen[1]);
-        assert_eq!(zero.old, one.old, "identical old-epoch deliveries");
-        for (row, seen) in [zero, one].into_iter().enumerate() {
-            let shared = &rows.shared[row];
-            assert_eq!(shared.epoch.load(Ordering::Acquire), 1);
-            assert!(!shared.wedged.load(Ordering::Acquire));
-            assert!(shared.inner.lock().alive);
-            assert!(rows.threads[row].transition.is_none());
-            // The final deliveries of epoch 0 were published before the
-            // row entered epoch 1, and none after.
-            assert_eq!(
-                seen.old_at_install,
-                Some(seen.old.concat().len()),
-                "row {row}"
-            );
-        }
-    }
-
-    #[test]
-    fn transition_without_threads_takes_over_from_a_leader_halted_at_propose() {
-        let run = || {
-            let mut rows = Rows::new(4, 0, SpindleConfig::optimized(), None, Instant::now());
-            *rows.shared[0].vc_crash.lock() = Some(VcBoundary::Propose);
-            let seen = transition(&mut rows, 2, 0, 1 << 3, &[1, 2]);
-            assert!(
-                rows.shared[0].killed.load(Ordering::Acquire),
-                "row 0 halted"
-            );
-            assert_eq!(*rows.epochs.crashed.lock(), 1, "and recorded its halt");
-            assert!(seen[0].exited && seen[3].exited);
-            let ids = vec![NodeId(1), NodeId(2)];
-            assert_eq!(installed(&rows), (1, vec![ids, vec![NodeId(1)]]));
-            let cuts = |row: usize| seen[row].report.as_ref().map(|r| r.cuts.clone());
-            assert_eq!(cuts(1), cuts(2));
-            assert_eq!(seen[1].old[0], seen[2].old[0]);
-            assert!(seen[2].old[1].is_empty(), "row 2 is not in subgroup 1");
-            format!("{seen:?}")
-        };
-        assert_eq!(run(), run(), "the same schedule, the same reports");
     }
 
     /// The steps of `passes` consecutive passes without work.

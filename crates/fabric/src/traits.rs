@@ -35,9 +35,11 @@
 //! transports.
 //!
 //! `spindle-core`'s simulated runtime is not a backend: its rows live on
-//! `MemFabric` regions, but its discrete-event engine times each write and
-//! places it at its virtual arrival, and its faults are its own scheduled
-//! `SimFault`s, not a `FaultPlan`.
+//! `MemFabric` regions and enter each epoch through
+//! [`MemFabric::begin_epoch`], but its fabric only records the posts, its
+//! discrete-event engine times each write and places it at its virtual
+//! arrival, and its faults are its own scheduled `SimFault`s, not a
+//! `FaultPlan`.
 //!
 //! A fabric keeps **no counters of its own**. `post` is the hottest call in
 //! the program and every predicate thread makes it, so a tally shared by

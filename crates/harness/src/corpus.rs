@@ -377,10 +377,11 @@ pub fn corpus(seed: u64) -> Vec<Scenario> {
         ],
     ));
 
-    // 10. Sim runtime: a node crashes mid-run; survivors stall (stability
-    // needs every member) but their delivered prefixes must agree.
+    // 10. Sim runtime: a node crashes mid-run; the survivors' detectors
+    // convict it on the virtual clock, they remove it and complete the run
+    // in epoch 1, their deliveries agreeing in every epoch.
     out.push(Scenario {
-        name: "sim-crash-stall".into(),
+        name: "sim-crash-removal".into(),
         seed,
         kind: ScenarioKind::Sim(SimScenario {
             nodes: 3,
@@ -390,7 +391,7 @@ pub fn corpus(seed: u64) -> Vec<Scenario> {
             config: SpindleConfig::optimized(),
             faults: vec![crash_at(300, 2)],
             deadline_ms: 5_000,
-            expect_complete: false,
+            expect_complete: true,
         }),
     });
 

@@ -174,7 +174,7 @@ fn counter_violation(
 /// [`NodeMetrics`](spindle_core::NodeMetrics) delivery counter must equal
 /// its delivery-trace length.
 pub fn counter_consistency_sim(
-    trace: &[Vec<(usize, usize, u64)>],
+    trace: &[Vec<(u64, usize, usize, u64)>],
     nodes: &[spindle_core::NodeMetrics],
 ) -> OracleCheck {
     let violation = trace.iter().enumerate().find_map(|(i, t)| {
@@ -427,19 +427,18 @@ fn completeness(
 
 /// Oracles for the simulated runtime's [`delivery
 /// trace`](spindle_core::RunReport::delivery_trace): per-sender FIFO and
-/// pairwise prefix agreement per subgroup, plus (optionally) completion.
+/// pairwise prefix agreement per `(epoch, subgroup)`, plus (optionally)
+/// completion.
 pub fn check_sim(
-    trace: &[Vec<(usize, usize, u64)>],
+    trace: &[Vec<(u64, usize, usize, u64)>],
     completed: bool,
     expect_complete: bool,
 ) -> Vec<OracleCheck> {
-    // The sim runs a single epoch (no membership changes); map the trace
-    // into the threaded oracles' shape with epoch 0 and reuse them.
     let mut per_scope = ScopedSeqs::new();
     for (node, t) in trace.iter().enumerate() {
         let scoped = per_scope.entry(node).or_default();
-        for &(sg, rank, idx) in t {
-            scoped.entry((0, sg)).or_default().push((rank, idx));
+        for &(epoch, sg, rank, idx) in t {
+            scoped.entry((epoch, sg)).or_default().push((rank, idx));
         }
     }
     let mut checks = vec![
@@ -650,12 +649,23 @@ mod tests {
     fn sim_trace_checks() {
         // Node 1's trace is a clean prefix of node 0's: passes.
         let trace = vec![
-            vec![(0, 0, 0), (0, 1, 0), (0, 0, 1)],
-            vec![(0, 0, 0), (0, 1, 0)],
+            vec![(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+            vec![(0, 0, 0, 0), (0, 0, 1, 0)],
         ];
         assert!(check_sim(&trace, true, true).iter().all(|c| c.passed));
         // Divergence in the common prefix: fails.
-        let bad = vec![vec![(0, 0, 0), (0, 1, 0)], vec![(0, 1, 0)]];
+        let bad = vec![vec![(0, 0, 0, 0), (0, 0, 1, 0)], vec![(0, 0, 1, 0)]];
         assert!(check_sim(&bad, true, false).iter().any(|c| !c.passed));
+        // A removal: each epoch's order and app indices start afresh and
+        // sender ranks shift, so the checks run per (epoch, subgroup).
+        let removal = vec![
+            vec![(0, 0, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0), (1, 0, 0, 0)],
+            vec![(0, 0, 0, 0), (0, 0, 2, 0), (1, 0, 1, 0)],
+        ];
+        assert!(check_sim(&removal, true, true).iter().all(|c| c.passed));
+        let one_epoch: Vec<Vec<_>> = (removal.iter())
+            .map(|t| t.iter().map(|&(_, g, r, i)| (0, g, r, i)).collect())
+            .collect();
+        assert!(check_sim(&one_epoch, true, true).iter().any(|c| !c.passed));
     }
 }

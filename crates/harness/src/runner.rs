@@ -646,8 +646,10 @@ fn run_sim(s: &Scenario, sim: &SimScenario) -> ScenarioOutcome {
 }
 
 /// FNV-1a over the delivery tuples: a stable fingerprint for trace
-/// comparison without dumping thousands of tuples.
-fn fnv64(trace: &[(usize, usize, u64)]) -> u64 {
+/// comparison without dumping thousands of tuples. An epoch-0 tuple hashes
+/// without its epoch, so a run that never changes view keeps the
+/// fingerprint it had before traces carried epochs.
+fn fnv64(trace: &[(u64, usize, usize, u64)]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |v: u64| {
         for b in v.to_le_bytes() {
@@ -655,7 +657,10 @@ fn fnv64(trace: &[(usize, usize, u64)]) -> u64 {
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
     };
-    for &(sg, rank, idx) in trace {
+    for &(epoch, sg, rank, idx) in trace {
+        if epoch != 0 {
+            eat(epoch);
+        }
         eat(sg as u64);
         eat(rank as u64);
         eat(idx);

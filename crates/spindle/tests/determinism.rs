@@ -169,3 +169,38 @@ fn partial_membership_reports_match_pinned_fingerprints() {
         assert_eq!(got, pinned, "{name}: {got:#018x} (pinned {pinned:#018x})");
     }
 }
+
+/// One run with a crash: row 2 of 4 crashes 300 µs in, the survivors'
+/// detectors convict it on the virtual clock and they finish the run in
+/// epoch 1. Pins the whole transition — detection, agreement, install,
+/// resend — and the delivery trace, epochs included.
+#[test]
+fn crash_run_report_matches_pinned_fingerprint() {
+    let crash = spindle::SimFault {
+        at: Duration::from_micros(300),
+        kind: spindle::SimFaultKind::Crash { node: 2 },
+    };
+    let report = SimCluster::new(
+        view(4, 16, 1024),
+        SpindleConfig::optimized(),
+        Workload::new(200, 1024),
+    )
+    .with_seed(42)
+    .with_faults(vec![crash])
+    .with_delivery_trace()
+    .run();
+    assert!(report.completed, "the survivors finish without row 2");
+    let epochs: Vec<u64> = report
+        .delivery_trace
+        .iter()
+        .map(|t| t.last().unwrap().0)
+        .collect();
+    assert_eq!(epochs, [1, 1, 0, 1], "the survivors end in epoch 1");
+    let got = fnv1a64(format!("{report:?}").as_bytes());
+    let pinned = 0x6197_83ca_4979_4c47;
+    assert_eq!(
+        got, pinned,
+        "{got:#018x} (pinned {pinned:#018x}), makespan {:?}",
+        report.makespan
+    );
+}

@@ -32,6 +32,6 @@ fn slow_receiver_passes_oracles() {
 }
 
 #[test]
-fn sim_crash_stall_passes_oracles() {
-    run_named("sim-crash-stall");
+fn sim_crash_removal_passes_oracles() {
+    run_named("sim-crash-removal");
 }
