@@ -470,8 +470,9 @@ pub(crate) struct ThreadState<F, S = Batch> {
     /// From the wedge to the unwedge: what [`node_pass`] steps instead of
     /// the subgroup passes.
     pub(super) transition: Option<Transition>,
-    /// The writes, in posting order: posted after the node lock is released
-    /// (§3.4) or under it (baseline).
+    /// The writes, in posting order: handed to the fabric in one
+    /// [`Fabric::post_all`] after the node lock is released (§3.4) or under
+    /// it (baseline).
     pub(crate) posts: Vec<WriteOp>,
     /// Where [`node_pass`] hands each subgroup's outcome.
     pub(crate) sink: S,
@@ -571,9 +572,8 @@ pub(crate) fn node_pass<F: Fabric, S: PassSink>(
                         // under the same lock: a local peer that can read them
                         // already suspects this row.
                         *crashed |= 1 << row;
-                        for op in posts.drain(..) {
-                            local.fabric.post(NodeId(row), &op);
-                        }
+                        local.fabric.post_all(NodeId(row), posts);
+                        posts.clear();
                     }
                     _ => {}
                 }
@@ -687,15 +687,13 @@ pub(crate) fn iterate<F: Fabric, S: PassSink>(
     }
     if !cfg.early_lock_release {
         // Baseline: post while holding the lock (§3.4's problem).
-        for op in th.posts.drain(..) {
-            th.local.fabric.post(NodeId(row), &op);
-        }
+        th.local.fabric.post_all(NodeId(row), &th.posts);
+        th.posts.clear();
     }
     drop(inner);
     th.sink.persist(shared, &th.local, &mut th.posts);
-    for op in th.posts.drain(..) {
-        th.local.fabric.post(NodeId(row), &op);
-    }
+    th.local.fabric.post_all(NodeId(row), &th.posts);
+    th.posts.clear();
     th.sink.publish(shared, &mut th.local);
     let now = || now.unwrap_or_else(&clock);
     match step.transition {
@@ -880,10 +878,8 @@ mod tests {
             let (shared, th) = (&self.shared[row], &mut self.threads[row]);
             let now = Some(self.t0 + at);
             let step = node_pass(shared, &mut shared.inner.lock(), th, now, bits, &self.cfg);
-            let posts = th.posts.clone();
-            for op in th.posts.drain(..) {
-                th.local.fabric.post(NodeId(row), &op);
-            }
+            th.local.fabric.post_all(NodeId(row), &th.posts);
+            let posts = std::mem::take(&mut th.posts);
             let fresh = Batch::new(self.cfg.delivery_timing, false);
             (step, posts, std::mem::replace(&mut th.sink, fresh))
         }

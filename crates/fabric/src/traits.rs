@@ -8,7 +8,9 @@
 //!   replica is placed into the destination's replica without involving the
 //!   destination CPU. Placement is word-atomic and *fenced per destination*:
 //!   two writes posted to the same destination land in posting order, so a
-//!   reader that observes the second also observes the first.
+//!   reader that observes the second also observes the first. A batch of
+//!   writes ([`Fabric::post_all`], one predicate pass's) keeps that fence
+//!   and promises nothing across destinations.
 //! * **read** — all protocol reads go through the node's *local* replica
 //!   ([`Fabric::region_arc`]); a fabric never performs remote reads on the
 //!   critical path (on real RDMA, reads of remote state are reads of the
@@ -158,6 +160,23 @@ pub trait Fabric: Clone + Send + Sync + 'static {
     /// Panics if a node id or the word range is out of bounds.
     fn post(&self, src: NodeId, op: &WriteOp);
 
+    /// Posts every write of `ops` from `src`, as if by [`Fabric::post`] in
+    /// slice order: the predicate loop hands each pass's writes over in one
+    /// call. Each destination's writes land in slice order (the
+    /// per-destination fence); writes to different destinations carry no
+    /// order, as with separate posts (§2.2), so a transport may send one
+    /// destination's share as one wire operation. The default posts one op
+    /// at a time.
+    ///
+    /// # Panics
+    ///
+    /// As [`Fabric::post`], for any op of the batch.
+    fn post_all(&self, src: NodeId, ops: &[WriteOp]) {
+        for op in ops {
+            self.post(src, op);
+        }
+    }
+
     /// The fault plan consulted on every post.
     fn faults(&self) -> &FaultPlan;
 
@@ -228,5 +247,16 @@ mod tests {
         assert_eq!(post_and_read(&f), 77);
         assert_eq!(Fabric::nodes(&f), 2);
         assert!(!Fabric::faults(&f).is_active());
+        // The default batch is its posts, a self-post among them a no-op.
+        let src = f.region_arc(NodeId(0));
+        src.store(2, 5);
+        src.store(3, 6);
+        let ops = [
+            WriteOp::new(NodeId(1), 2..3),
+            WriteOp::new(NodeId(0), 2..4),
+            WriteOp::new(NodeId(1), 3..4),
+        ];
+        f.post_all(NodeId(0), &ops);
+        assert_eq!(f.region_arc(NodeId(1)).snapshot(2, 2), [5, 6]);
     }
 }

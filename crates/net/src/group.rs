@@ -119,6 +119,10 @@ impl Fabric for TcpFabricGroup {
         self.endpoints[src.0].post(src, op);
     }
 
+    fn post_all(&self, src: NodeId, ops: &[WriteOp]) {
+        self.endpoints[src.0].post_all(src, ops);
+    }
+
     fn faults(&self) -> &FaultPlan {
         &self.faults
     }

@@ -101,9 +101,10 @@ pub struct WireStats {
     pub reconnects: u64,
     /// Vectored socket writes (`writev` batches). `frames_received /
     /// flushes` across the cluster is the wire's effective coalescing
-    /// factor: 1.0 when latency-greedy (every frame flushed the moment it
-    /// is posted), rising under load as the poller drains whole per-peer
-    /// backlogs in single scatter writes.
+    /// factor: a pass's frames to one peer leave in one inline write, so
+    /// it is the mean frames per peer per pass when latency-greedy, rising
+    /// under load as the poller drains whole per-peer backlogs in single
+    /// scatter writes.
     pub flushes: u64,
 }
 

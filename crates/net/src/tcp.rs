@@ -4,19 +4,22 @@
 //! SST mirror [`Region`], served by **one poller thread** — a
 //! readiness-driven event loop (`poll(2)` over nonblocking sockets, see
 //! the vendored [`netpoll`]) that owns the listener, every inbound
-//! stream, dial completions and outbound backlog flushes. Posting a
-//! [`WriteOp`] snapshots the covered words from the local mirror
-//! (exactly when an RDMA NIC would DMA them), encodes them straight into
-//! the destination's [`FrameQueue`], and — when the link is up and
-//! idle — writes them to the socket *inline* from the posting thread
-//! (latency-greedy: no handoff, no wakeup). When the kernel pushes back
-//! or the link is down, frames accumulate in the queue and the poller
-//! drains the whole backlog as **one vectored write** per readiness
-//! (batch-greedy: the per-frame syscall cost amortizes away under load,
-//! the adaptive cadence the paper applies to SST pushes). Because each
-//! `(src, dst)` pair is a single ordered TCP byte stream fed from a
-//! single FIFO queue, two writes posted in order are placed in order:
-//! RDMA's per-QP fencing guarantee (§2.2) holds by construction.
+//! stream, dial completions and outbound backlog flushes. A predicate
+//! pass hands its writes over at once ([`Fabric::post_all`]); for each
+//! destination, the endpoint snapshots the covered words from the local
+//! mirror (exactly when an RDMA NIC would DMA them), encodes that
+//! destination's frames, in posting order, into **one** buffer queued as
+//! one entry of its [`FrameQueue`], and — when the link is up — writes
+//! it to the socket *inline* from the posting thread (latency-greedy: no
+//! handoff, no wakeup). So the inline flush is one write per peer per
+//! pass, not one per frame. When the kernel pushes back or the link is
+//! down, entries accumulate in the queue and the poller drains the whole
+//! backlog as **one vectored write** per readiness (batch-greedy: the
+//! per-frame syscall cost amortizes away under load, the adaptive cadence
+//! the paper applies to SST pushes). Because each `(src, dst)` pair is a
+//! single ordered TCP byte stream fed from a single FIFO queue, two
+//! writes posted in order are placed in order: RDMA's per-QP fencing
+//! guarantee (§2.2) holds by construction.
 //!
 //! ## Faults at the wire layer
 //!
@@ -26,9 +29,10 @@
 //! writes simply never reach the wire (one-sided writes are never
 //! retransmitted), and a throttle stalls the poster. Severed connections
 //! ([`TcpFabric::sever_peer`]) model a dead link: frames posted while
-//! the link is down queue up to a cap (then shed, like a NIC whose QP
-//! errored out) and flush once the poller re-dials — gate re-dialing
-//! with [`FaultPlan::isolate`] to keep the link down.
+//! the link is down queue up to a cap counted in frames, not entries
+//! (then shed, like a NIC whose QP errored out) and flush once the
+//! poller re-dials — gate re-dialing with [`FaultPlan::isolate`] to keep
+//! the link down.
 //!
 //! ## Bootstrap handshake
 //!
@@ -165,13 +169,25 @@ impl TcpFabricConfig {
     }
 }
 
+/// What one outbound queue entry carries: the epoch its words were
+/// snapshotted from, and how many frames its buffer holds.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    epoch: u64,
+    frames: usize,
+}
+
 /// One peer's outbound half, owned jointly by posters (inline flush) and
 /// the poller (dials, backlog drains) under the mutex.
 struct PeerOut {
-    /// Encoded frames awaiting the wire, each stamped with the epoch its
-    /// words were snapshotted from.
-    queue: FrameQueue<Vec<u8>, u64>,
-    /// Recycled frame buffers: flushed frames return here and posts
+    /// Encoded frames awaiting the wire: one entry per
+    /// [`Fabric::post_all`] (its frames to this peer, in one buffer) or
+    /// `HELLO`.
+    queue: FrameQueue<Vec<u8>, Stamp>,
+    /// Frames in `queue`, summed over its entries: what
+    /// [`TcpFabricConfig::outbound_queue_cap`] bounds.
+    frames: usize,
+    /// Recycled entry buffers: flushed entries return here and posts
     /// encode into them, so the steady-state hot path allocates nothing.
     pool: Vec<Vec<u8>>,
     /// The established stream (nonblocking).
@@ -189,11 +205,27 @@ struct PeerState {
     connected: AtomicBool,
 }
 
+impl PeerOut {
+    /// Drops the unwritten entries snapshotted before `epoch` (their queue
+    /// pairs died with the view); returns how many frames they held.
+    fn purge_before(&mut self, epoch: u64) -> usize {
+        let mut purged = 0;
+        self.queue.drop_unwritten(|stamp, _| {
+            let stale = stamp.epoch < epoch;
+            purged += if stale { stamp.frames } else { 0 };
+            stale
+        });
+        self.frames -= purged;
+        purged
+    }
+}
+
 impl PeerState {
     fn new() -> Arc<PeerState> {
         Arc::new(PeerState {
             out: Mutex::new(PeerOut {
                 queue: FrameQueue::new(),
+                frames: 0,
                 pool: Vec::new(),
                 conn: None,
                 connecting: None,
@@ -348,16 +380,20 @@ fn drain_outbound(shared: &Shared, peer: &PeerState, out: &mut PeerOut) {
     // The epoch current *now*, read under the `out` lock: a post whose
     // snapshot went stale must not put an old-epoch frame on a link
     // dialed at the new epoch.
-    let epoch = shared.mesh().epoch;
-    let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < epoch);
+    let purged = out.purge_before(shared.mesh().epoch);
     shared.metrics.frames_dropped.add(purged as u64);
     let PeerOut {
-        queue, pool, conn, ..
+        queue,
+        frames,
+        pool,
+        conn,
+        ..
     } = out;
     let Some(conn) = conn else {
         return;
     };
-    let d = drain_queue(&*conn, queue, |_, mut buf| {
+    let d = drain_queue(&*conn, queue, |stamp, mut buf| {
+        *frames -= stamp.frames;
         if pool.len() < 64 {
             buf.clear();
             pool.push(buf);
@@ -606,17 +642,65 @@ impl TcpFabric {
 }
 
 impl TcpFabric {
-    /// Posts a write wider than one frame (a batched send can cover a
-    /// whole window) as consecutive frames on the same ordered stream.
-    /// Frames apply in order, so payload -> round -> header placement
-    /// within the range is preserved.
-    #[cold]
-    fn post_split(&self, src: NodeId, op: &WriteOp) {
-        for start in op.range.clone().step_by(MAX_FRAME_WORDS) {
-            let end = op.range.end.min(start + MAX_FRAME_WORDS);
-            self.post(src, &WriteOp::new(op.dst, start..end));
+    /// Queues `dst`'s share of one [`Fabric::post_all`] as **one** entry —
+    /// every frame encoded, in order, into one pooled buffer — and, when
+    /// the link is up, flushes it from the posting thread (latency-greedy:
+    /// no handoff, no wakeup). Under load the kernel pushes back
+    /// (`WouldBlock`) and entries accumulate for the poller's next
+    /// vectored drain: batching emerges adaptively.
+    fn post_share<'a>(&self, mesh: &Mesh, dst: NodeId, share: impl Iterator<Item = &'a WriteOp>) {
+        let s = &self.inner.shared;
+        let peer = &mesh.peers[dst.0];
+        let mut out = peer.out.lock().expect("peer out lock");
+        let mut buf = out.pool.pop().unwrap_or_default();
+        let mut frames = 0;
+        for frame in share.flat_map(frames_of) {
+            if out.frames + frames >= s.queue_cap {
+                // The peer is unreachable and the backlog is saturated:
+                // shed load like a NIC whose QP errored out.
+                s.metrics.frames_dropped.inc();
+                continue;
+            }
+            let words = mesh.region.snapshot(frame.range.start, frame.words());
+            encode_write_frame(&WriteFrame::for_op(&frame, words), &mut buf);
+            frames += 1;
+        }
+        if frames == 0 {
+            out.pool.push(buf);
+            return;
+        }
+        let was_idle = out.queue.is_empty();
+        let stamp = Stamp {
+            epoch: mesh.epoch,
+            frames,
+        };
+        out.queue.push(stamp, buf);
+        out.frames += frames;
+        if out.conn.is_some() {
+            drain_outbound(s, peer, &mut out);
+            if !out.queue.is_empty() {
+                s.waker.wake();
+            }
+        } else if was_idle && out.connecting.is_none() {
+            // Link down and this is fresh backlog: have the poller dial.
+            s.waker.wake();
         }
     }
+}
+
+/// The frames that carry `op`: itself, or — wider than one frame (a
+/// batched send can cover a whole window) — consecutive pieces on the same
+/// ordered stream, which apply in order, so payload -> round -> header
+/// placement within the range is preserved.
+fn frames_of(op: &WriteOp) -> impl Iterator<Item = WriteOp> + '_ {
+    let split = op.words() > MAX_FRAME_WORDS;
+    op.range.clone().step_by(MAX_FRAME_WORDS).map(move |start| {
+        if split {
+            WriteOp::new(op.dst, start..op.range.end.min(start + MAX_FRAME_WORDS))
+        } else {
+            op.clone()
+        }
+    })
 }
 
 impl Fabric for TcpFabric {
@@ -636,57 +720,52 @@ impl Fabric for TcpFabric {
     }
 
     fn post(&self, src: NodeId, op: &WriteOp) {
+        self.post_all(src, std::slice::from_ref(op));
+    }
+
+    /// One entry and one inline flush per destination, in order of first
+    /// appearance; each destination's frames keep their slice order (the
+    /// fence of the [`Fabric`] contract).
+    fn post_all(&self, src: NodeId, ops: &[WriteOp]) {
         let s = &self.inner.shared;
         assert_eq!(src.0, s.me, "TcpFabric posts only from its local node");
-        // One snapshot for the bounds, the peer, the words and the epoch
-        // stamp: the frame is purged unsent once the endpoint moves on.
+        // One snapshot for the bounds, the peers, the words and the epoch
+        // stamp: the frames are purged unsent once the endpoint moves on.
         let mesh = s.mesh();
-        assert!(op.dst.0 < mesh.addrs.len(), "destination out of range");
-        assert!(
-            op.range.start < op.range.end && op.range.end <= mesh.region.len(),
-            "write range out of region bounds"
-        );
-        if op.words() > MAX_FRAME_WORDS {
-            return self.post_split(src, op);
+        let mut frames = 0;
+        for op in ops {
+            assert!(op.dst.0 < mesh.addrs.len(), "destination out of range");
+            assert!(
+                op.range.start < op.range.end && op.range.end <= mesh.region.len(),
+                "write range out of region bounds"
+            );
+            frames += op.words().div_ceil(MAX_FRAME_WORDS);
         }
-        s.metrics.frames_posted.inc();
-        if op.dst == src {
-            // Loopback never crosses the wire (the mirror is the source).
-            return;
-        }
-        match s.faults.disposition(src, op.dst) {
-            Disposition::Drop => return,
-            Disposition::Deliver(delay) => {
-                if !delay.is_zero() {
+        s.metrics.frames_posted.add(frames as u64);
+        // Faults per op, before any lock: a dropped write never reaches the
+        // wire, and a throttle stalls the poster, not the link. An inert
+        // plan decides nothing and allocates nothing.
+        let delivered: Vec<bool> = if s.faults.is_active() {
+            let deliver = |op: &WriteOp| match s.faults.disposition(src, op.dst) {
+                Disposition::Drop => false,
+                Disposition::Deliver(delay) => {
                     std::thread::sleep(delay);
+                    true
                 }
+            };
+            ops.iter().map(|op| op.dst == src || deliver(op)).collect()
+        } else {
+            Vec::new()
+        };
+        for (i, op) in ops.iter().enumerate() {
+            // Loopback never crosses the wire (the mirror is the source).
+            if op.dst == src || ops[..i].iter().any(|o| o.dst == op.dst) {
+                continue;
             }
-        }
-        let peer = &mesh.peers[op.dst.0];
-        let mut out = peer.out.lock().expect("peer out lock");
-        if out.queue.len() >= s.queue_cap {
-            // The peer is unreachable and the backlog is saturated: shed
-            // load like a NIC whose QP errored out.
-            s.metrics.frames_dropped.inc();
-            return;
-        }
-        let words = mesh.region.snapshot(op.range.start, op.words());
-        let mut buf = out.pool.pop().unwrap_or_default();
-        encode_write_frame(&WriteFrame::for_op(op, words), &mut buf);
-        let was_idle = out.queue.is_empty();
-        out.queue.push(mesh.epoch, buf);
-        if out.conn.is_some() {
-            // Latency-greedy: the link is up, so flush from the posting
-            // thread — no handoff, no wakeup. Under load the kernel
-            // pushes back (WouldBlock) and frames accumulate for the
-            // poller's next vectored drain: batching emerges adaptively.
-            drain_outbound(s, peer, &mut out);
-            if !out.queue.is_empty() {
-                s.waker.wake();
-            }
-        } else if was_idle && out.connecting.is_none() {
-            // Link down and this is fresh backlog: have the poller dial.
-            s.waker.wake();
+            let share = ops.iter().enumerate().skip(i).filter_map(|(j, o)| {
+                (o.dst == op.dst && delivered.get(j).copied().unwrap_or(true)).then_some(o)
+            });
+            self.post_share(&mesh, op.dst, share);
         }
     }
 
@@ -746,7 +825,7 @@ impl Fabric for TcpFabric {
             }
             let mut out = p.out.lock().expect("peer out lock");
             kill_outbound(p, &mut out);
-            let (purged, _) = out.queue.drop_unwritten(|&stamp, _| stamp < t.epoch);
+            let purged = out.purge_before(t.epoch);
             s.metrics.frames_dropped.add(purged as u64);
         }
         // Inbound: keep connections already at the new epoch (their
@@ -1244,7 +1323,12 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
                     let hello = shared.mesh().hello(shared.me);
                     let mut buf = out.pool.pop().unwrap_or_default();
                     encode_hello(&hello, &mut buf);
-                    out.queue.push_front(hello.epoch, buf);
+                    let stamp = Stamp {
+                        epoch: hello.epoch,
+                        frames: 1,
+                    };
+                    out.queue.push_front(stamp, buf);
+                    out.frames += 1;
                     shared.obs.event(
                         Level::Debug,
                         shared.me,
@@ -1709,5 +1793,166 @@ mod tests {
             stats.frames_dropped, 32,
             "the cap admits 8 frames and sheds the rest"
         );
+        // With the queue full, every frame of a batch is shed.
+        a.post_all(NodeId(0), &batch(3));
+        assert_eq!(a.wire_stats().frames_dropped, 35);
+
+        // The cap counts frames, not queue entries: batches of 3 and 4
+        // leave room for one frame of the next batch of 3.
+        let (b, _peer_addr) = undialable_single(8, 8);
+        for n in [3, 4, 3] {
+            b.post_all(NodeId(0), &batch(n));
+        }
+        b.post(NodeId(0), &WriteOp::new(NodeId(1), 0..1));
+        let stats = b.wire_stats();
+        assert_eq!(stats.frames_posted, 11);
+        assert_eq!(stats.frames_dropped, 3, "8 of 11 frames fit the cap");
+    }
+
+    /// `n` one-word writes to node 1.
+    fn batch(n: usize) -> Vec<WriteOp> {
+        vec![WriteOp::new(NodeId(1), 0..1); n]
+    }
+
+    #[test]
+    fn a_stale_epoch_purge_drops_every_frame_of_an_entry() {
+        let (a, _peer_addr) = undialable_single(8, 4);
+        a.post_all(NodeId(0), &batch(3));
+        a.post(NodeId(0), &WriteOp::new(NodeId(1), 1..2));
+        assert_eq!(a.wire_stats().frames_dropped, 0);
+        assert!(Fabric::begin_epoch(&a, &EpochTransition::shrink(1, vec![0, 1], 8)).is_some());
+        assert_eq!(a.wire_stats().frames_dropped, 4, "two entries, four frames");
+        // The purge freed the cap: four fresh frames fit again.
+        a.post_all(NodeId(0), &batch(4));
+        assert_eq!(a.wire_stats().frames_dropped, 4);
+    }
+
+    /// Node 0 of an `n`-row mesh whose other rows are plain listeners:
+    /// the endpoint and one stream per peer, read past its `HELLO`, once
+    /// the `HELLO`s' flushes are counted.
+    fn raw_peers(n: usize, region_words: usize) -> (TcpFabric, Vec<TcpStream>) {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let listeners: Vec<TcpListener> = (1..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let addrs = std::iter::once(&l0)
+            .chain(&listeners)
+            .map(|l| l.local_addr().unwrap().to_string())
+            .collect();
+        let cfg = TcpFabricConfig::new(0, addrs, region_words);
+        let a = TcpFabric::bootstrap_on_listener(cfg, l0).unwrap();
+        let streams = listeners
+            .iter()
+            .map(|l| {
+                let (mut s, _) = l.accept().unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let mut hello = [0u8; 31];
+                s.read_exact(&mut hello).unwrap();
+                s
+            })
+            .collect();
+        assert!(eventually(|| a.wire_stats().flushes == (n - 1) as u64));
+        (a, streams)
+    }
+
+    /// The next `count` frames on `s`, every one a `WRITE`.
+    fn read_writes(s: &mut TcpStream, count: usize) -> Vec<WriteFrame> {
+        let (mut asm, mut buf) = (FrameAssembler::new(), vec![0u8; 1 << 20]);
+        let mut writes = Vec::new();
+        while writes.len() < count {
+            match asm.next_frame().unwrap() {
+                Some(Frame::Write(w)) => writes.push(w),
+                Some(other) => panic!("expected a WRITE: {other:?}"),
+                None => {
+                    let n = s.read(&mut buf).unwrap();
+                    assert!(n > 0, "stream ended after {} frames", writes.len());
+                    asm.feed(&buf[..n]);
+                }
+            }
+        }
+        writes
+    }
+
+    #[test]
+    fn post_all_writes_once_per_destination_in_posting_order() {
+        let (a, mut peers) = raw_peers(3, 16);
+        let ra = a.region_arc(NodeId(0));
+        for w in 0..16 {
+            ra.store(w, 100 + w as u64);
+        }
+        let op = |dst, range| WriteOp::new(NodeId(dst), range);
+        let before = a.wire_stats();
+        // A->1, A->2, B->1, B->2, C->1: one pass's writes, interleaved.
+        let ops = [
+            op(1, 0..2),
+            op(2, 0..2),
+            op(1, 2..5),
+            op(2, 5..7),
+            op(1, 9..10),
+        ];
+        a.post_all(NodeId(0), &ops);
+        let after = a.wire_stats();
+        assert_eq!(after.frames_posted - before.frames_posted, 5);
+        assert_eq!(
+            after.flushes - before.flushes,
+            2,
+            "one vectored write per destination"
+        );
+        let ranges = |writes: Vec<WriteFrame>| -> Vec<std::ops::Range<u64>> {
+            writes
+                .into_iter()
+                .map(|w| {
+                    let range = w.offset..w.offset + w.words.len() as u64;
+                    let want: Vec<u64> = range.clone().map(|x| 100 + x).collect();
+                    assert_eq!(w.words, want, "words of {range:?}");
+                    range
+                })
+                .collect()
+        };
+        assert_eq!(ranges(read_writes(&mut peers[0], 3)), [0..2, 2..5, 9..10]);
+        assert_eq!(ranges(read_writes(&mut peers[1], 2)), [0..2, 5..7]);
+    }
+
+    #[test]
+    fn a_wide_op_inside_a_batch_arrives_split_and_in_order() {
+        let wide = MAX_FRAME_WORDS + 5;
+        let (a, mut peers) = raw_peers(2, wide + 1);
+        let ra = a.region_arc(NodeId(0));
+        for w in [0, MAX_FRAME_WORDS - 1, MAX_FRAME_WORDS, wide] {
+            ra.store(w, w as u64 + 1);
+        }
+        let before = a.wire_stats().frames_posted;
+        let ops = [
+            WriteOp::new(NodeId(1), wide..wide + 1),
+            WriteOp::new(NodeId(1), 0..wide),
+            WriteOp::new(NodeId(1), 0..1),
+        ];
+        a.post_all(NodeId(0), &ops);
+        assert_eq!(
+            a.wire_stats().frames_posted - before,
+            4,
+            "frames, not calls"
+        );
+        let writes = read_writes(&mut peers[0], 4);
+        let shape: Vec<(u64, usize, u32)> = writes
+            .iter()
+            .map(|w| (w.offset, w.words.len(), w.wire_bytes))
+            .collect();
+        // Each piece is accounted as the write it is: its own words.
+        let (max, max_bytes) = (MAX_FRAME_WORDS as u64, (MAX_FRAME_WORDS * 8) as u32);
+        assert_eq!(
+            shape,
+            [
+                (wide as u64, 1, 8),
+                (0, MAX_FRAME_WORDS, max_bytes),
+                (max, 5, 40),
+                (0, 1, 8)
+            ]
+        );
+        assert_eq!(writes[0].words, [wide as u64 + 1]);
+        assert_eq!(writes[1].words[0], 1);
+        assert_eq!(writes[1].words[MAX_FRAME_WORDS - 1], max);
+        assert_eq!(writes[2].words, [max + 1, 0, 0, 0, 0]);
+        assert_eq!(writes[3].words, [1]);
     }
 }
