@@ -19,9 +19,9 @@
 //!   with a per-write overhead, plus the flat propagation latency of
 //!   Figure 1.
 //!
-//! The rows' fabric records the writes an iteration posts, and the engine
-//! places each at its virtual arrival time, in the regions of the epoch it
-//! was posted in. Counter writes carry their value as posted (DMA snapshot
+//! The sink takes the writes an iteration posts, and the engine places
+//! each at its virtual arrival time, in the regions of the epoch it was
+//! posted in. Counter writes carry their value as posted (DMA snapshot
 //! semantics); slot writes read through to the owner's region, which is
 //! sound because a ring slot is never rewritten before its current message
 //! is delivered everywhere. Write arrivals per (source, destination) pair
@@ -41,8 +41,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-use spindle_fabric::{EpochTransition, Fabric, FaultPlan, MemFabric, NodeId, Region, WriteOp};
+use spindle_fabric::{Fabric, MemFabric, NodeId, WriteOp};
 use spindle_membership::{SubgroupId, View};
 use spindle_obs::ObsPlane;
 use spindle_sim::engine::Step;
@@ -55,7 +54,9 @@ use crate::detector::{DetectorConfig, HeartbeatTicker};
 use crate::metrics::{NodeMetrics, RunReport};
 use crate::plan::Plan;
 use crate::proto::{Delivery, Pass, QueueOutcome, SubgroupProto};
-use crate::threaded::{iterate, Epochs, NodeInner, NodeShared, PassSink, ThreadState, Turn};
+use crate::threaded::{
+    iterate, EpochLocal, Epochs, NodeInner, NodeShared, PassSink, ThreadState, Turn,
+};
 use crate::viewchange::VcBoundary;
 
 /// How often a row beats in a run that schedules a crash.
@@ -201,7 +202,8 @@ impl Upcall {
 /// delivery out of its ring slot, this charges a subgroup's outcome to the
 /// cost model, in the order the predicates fired, and records the node's
 /// metrics. Its slots hold no payload, so a transition's resend is kept and
-/// requeued by length.
+/// requeued by length. Where the threads post, it keeps the writes for the
+/// engine to time and place.
 struct Charge<'a> {
     sc: &'a SimCluster,
     m: NodeMetrics,
@@ -218,6 +220,9 @@ struct Charge<'a> {
     /// `(subgroup, sender rank, ring slot)` of each message the resend
     /// requeued, for the simulator to stamp its queue time.
     requeued: Vec<(usize, usize, usize)>,
+    /// `(epoch, write)` of each write the iteration posted, in posting
+    /// order.
+    posted: Vec<(u64, WriteOp)>,
 }
 
 impl PassSink for Charge<'_> {
@@ -327,44 +332,13 @@ impl PassSink for Charge<'_> {
         self.resend.clear();
         resent
     }
-}
 
-/// The simulator's fabric: the rows' [`MemFabric`] regions of one epoch,
-/// whose posts the engine times and places instead — `post` only records
-/// them. The next epoch's regions are the successor `MemFabric` builds.
-#[derive(Clone)]
-struct SimFabric {
-    mem: MemFabric,
-    epoch: u64,
-    /// `(epoch, source row, write)` of every post the engine has not taken.
-    posted: Arc<Mutex<Vec<(u64, usize, WriteOp)>>>,
-}
-
-impl Fabric for SimFabric {
-    fn nodes(&self) -> usize {
-        self.mem.nodes()
-    }
-
-    fn region_arc(&self, node: NodeId) -> Arc<Region> {
-        self.mem.region_arc(node)
-    }
-
-    fn post(&self, src: NodeId, op: &WriteOp) {
-        if src != op.dst {
-            self.posted.lock().push((self.epoch, src.0, op.clone()));
-        }
-    }
-
-    fn faults(&self) -> &FaultPlan {
-        self.mem.faults()
-    }
-
-    fn begin_epoch(&self, t: &EpochTransition) -> Option<SimFabric> {
-        Some(SimFabric {
-            mem: self.mem.begin_epoch(t)?,
-            epoch: t.epoch,
-            posted: Arc::clone(&self.posted),
-        })
+    /// Keeps the writes, tagged with the epoch they were posted in; a write
+    /// to oneself is a no-op, as on a fabric.
+    fn post<F: Fabric>(&mut self, local: &EpochLocal<F>, posts: &mut Vec<WriteOp>) {
+        let (row, epoch) = (NodeId(local.sst.own_row()), local.epoch);
+        let remote = posts.drain(..).filter(|op| op.dst != row);
+        self.posted.extend(remote.map(|op| (epoch, op)));
     }
 }
 
@@ -378,8 +352,8 @@ struct SimEpoch {
 /// One simulated row: the real node and its thread's state, and what the
 /// simulator substitutes for its threads, lock and NICs.
 struct SimNode<'a> {
-    shared: Arc<NodeShared<SimFabric>>,
-    th: ThreadState<SimFabric, Charge<'a>>,
+    shared: Arc<NodeShared<MemFabric>>,
+    th: ThreadState<MemFabric, Charge<'a>>,
     apps: Vec<AppState>,
     lock: Resource,
     egress: Resource,
@@ -528,8 +502,6 @@ struct SimWorld<'a> {
     /// The instant virtual time zero stands for: a row's clock reads `t0`
     /// plus the engine's time.
     t0: Instant,
-    /// What the rows' fabric recorded, taken after each iteration.
-    posted: Arc<Mutex<Vec<(u64, usize, WriteOp)>>>,
     /// Every epoch entered so far, oldest first.
     epochs: Vec<SimEpoch>,
     nodes: Vec<SimNode<'a>>,
@@ -552,12 +524,7 @@ impl<'a> SimWorld<'a> {
         let view = Arc::new(sc.view.clone());
         let n = view.members().len();
         let t0 = Instant::now();
-        let posted = Arc::default();
-        let fabric = SimFabric {
-            mem: MemFabric::new(n, plan.layout.region_words()),
-            epoch: view.id(),
-            posted: Arc::clone(&posted),
-        };
+        let fabric = MemFabric::new(n, plan.layout.region_words());
         let obs = ObsPlane::new();
         let epochs = Epochs::new(Arc::clone(&view), fabric.clone());
         // Nobody reads the detector's verdicts: a closed channel drops them.
@@ -606,6 +573,7 @@ impl<'a> SimWorld<'a> {
                 upcalls: Vec::new(),
                 resend: Vec::new(),
                 requeued: Vec::new(),
+                posted: Vec::new(),
             };
             let mut th = ThreadState::new(&inner, charge);
             let (shared, _) = NodeShared::new(inner, &suspicions, &obs, None, &epochs);
@@ -637,13 +605,12 @@ impl<'a> SimWorld<'a> {
             .collect();
         let epoch = SimEpoch {
             id: view.id(),
-            fabric: fabric.mem,
+            fabric,
             plan,
         };
         SimWorld {
             sc,
             t0,
-            posted,
             epochs: vec![epoch],
             done_nodes: nodes.iter().filter(|n| n.done).count(),
             nodes,
@@ -921,7 +888,7 @@ impl<'a> SimWorld<'a> {
         if self.epochs.last().is_some_and(|e| e.id < n.epoch) {
             self.epochs.push(SimEpoch {
                 id: n.epoch,
-                fabric: n.th.local.fabric.mem.clone(),
+                fabric: n.th.local.fabric.clone(),
                 plan: Plan::build(&inner.view, false),
             });
         }
@@ -967,8 +934,8 @@ impl<'a> SimWorld<'a> {
     /// One predicate-thread iteration at `node` (§2.4): the threads' loop
     /// body, [`iterate`], on the virtual clock — acting on its own
     /// detector's verdicts, as the rows of a multi-process cluster do —
-    /// charged to the cost model as it runs, then the writes its fabric
-    /// recorded, timed and posted.
+    /// charged to the cost model as it runs, then the writes its sink kept,
+    /// timed and posted.
     fn iter(&mut self, eng: &mut Engine<Ev>, node: usize) -> Step {
         let now = eng.now();
         let (sc, t0) = (self.sc, self.t0);
@@ -995,7 +962,7 @@ impl<'a> SimWorld<'a> {
             self.ts[sg][rank][slot] = now;
         }
         let mut upcalls = std::mem::take(&mut n.th.sink.upcalls);
-        let mut posts = std::mem::take(&mut *self.posted.lock());
+        let mut posts = std::mem::take(&mut n.th.sink.posted);
 
         // --- finalize the body: lock, posting, metrics ---
         let post_time = sc.cost.post_time(posts.len());
@@ -1034,38 +1001,38 @@ impl<'a> SimWorld<'a> {
         let cost = &sc.cost;
         let first = self.epochs[0].id;
         let mut t_post = body_start + busy;
-        for (i, (epoch, src, op)) in posts.drain(..).enumerate() {
+        for (i, (epoch, op)) in posts.drain(..).enumerate() {
             t_post += if i == 0 {
                 cost.net.post_cost
             } else {
                 cost.post_next
             };
             let e = (epoch - first) as usize;
-            let (wire, slots, body) = self.post_of(e, src, op.range);
+            let (wire, slots, body) = self.post_of(e, node, op.range);
             let dst = op.dst.0;
-            let eg = self.nodes[src]
+            let eg = self.nodes[node]
                 .egress
                 .acquire(t_post, cost.egress_time(wire));
             // Fault-injected throttling: a constant per-source stall keeps
             // per-(source, destination) arrival order intact.
-            let at_dst = eg.end + cost.net.fixed_latency + self.extra_write_delay[src];
+            let at_dst = eg.end + cost.net.fixed_latency + self.extra_write_delay[node];
             let ig = self.nodes[dst]
                 .ingress
                 .acquire(at_dst, cost.ingress_time(wire, slots));
-            self.nodes[src].m().writes_posted += 1;
+            self.nodes[node].m().writes_posted += 1;
             eng.schedule_at(
                 ig.end,
                 Ev::Arrive {
                     epoch: e,
-                    src,
+                    src: node,
                     dst,
                     body,
                 },
             );
         }
-        *self.posted.lock() = posts;
         let n = &mut self.nodes[node];
         n.th.sink.upcalls = upcalls;
+        n.th.sink.posted = posts;
         n.m().post_time += post_time;
 
         if any_delivery || unwedged {
@@ -1173,6 +1140,47 @@ mod tests {
         );
         // And latency improves too (the paper's headline).
         assert!(opt.mean_latency_ms() < base.mean_latency_ms());
+    }
+
+    /// The loop's one write seam: an iteration's writes stay with its sink
+    /// and reach a peer's region only as the engine's arrivals, so no loop
+    /// path posts through the rows' `MemFabric` directly.
+    #[test]
+    fn an_iterations_writes_reach_a_peer_only_as_engine_arrivals() {
+        let sc = SimCluster::new(
+            small_view(2, 1, 4),
+            SpindleConfig::optimized(),
+            Workload::new(1, 1024),
+        );
+        let mut world = SimWorld::build(&sc);
+        let mut eng = Engine::new();
+        world.start(&mut eng);
+        let mirror = |w: &SimWorld| {
+            let region = w.epochs[0].fabric.region(NodeId(1));
+            region.snapshot(0, region.len())
+        };
+        let before = mirror(&world);
+        // Row 0 queues its one message, which wakes its predicate thread,
+        // and the thread runs one iteration.
+        let (_, app) = eng.pop().expect("the sender's attempt");
+        assert!(matches!(app, Ev::App { node: 0, ai: 0 }), "{app:?}");
+        world.handle(&mut eng, app);
+        let (_, iter) = eng.pop().expect("row 0's iteration");
+        assert!(matches!(iter, Ev::Iter { node: 0 }), "{iter:?}");
+        world.handle(&mut eng, iter);
+        // Until its arrival, the write sits in the engine.
+        loop {
+            assert_eq!(mirror(&world), before, "a write landed before its arrival");
+            let (_, ev) = eng.pop().expect("row 0's write arrives");
+            let arrival = matches!(ev, Ev::Arrive { src: 0, dst: 1, .. });
+            world.handle(&mut eng, ev);
+            if arrival {
+                break;
+            }
+        }
+        assert_ne!(mirror(&world), before, "the arrival placed the write");
+        eng.run(&mut world, sc.deadline, |w, eng, _, ev| w.handle(eng, ev));
+        assert!(world.report().completed);
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use api::{
 };
 pub(crate) use node::{Epochs, NodeInner, NodeShared};
 pub use persist::PersistConfig;
-pub(crate) use predicate::{iterate, PassSink, ThreadState, Turn};
+pub(crate) use predicate::{iterate, EpochLocal, PassSink, ThreadState, Turn};
 
 /// How long an SST-driven transition may take to converge before its
 /// thread gives up (a participant stalled forever — a harness bug or a

@@ -250,16 +250,18 @@ impl Batch {
     }
 }
 
-/// Where a [`node_pass`] hands each subgroup's outcome, and where an epoch
-/// transition's final deliveries and resend go: the I/O of the polling
-/// loop, and so the part of [`iterate`] a runtime substitutes. The threads
-/// copy every delivery out of its ring slot, log it and hand it to the
-/// application ([`Batch`]). The simulator's ring slots hold no payload, so
-/// its sink charges each outcome to the cost model and counts and requeues
-/// messages by length. Generic, so each runtime's loop is compiled with its
-/// own sink inlined; a hook that only observes the predicates' outcomes can
-/// be one more implementation. The steps a sink may do nothing at have
-/// empty defaults.
+/// Where a [`node_pass`] hands each subgroup's outcome, where an epoch
+/// transition's final deliveries and resend go, and where every write the
+/// loop makes leaves: the I/O of the polling loop, and so the part of
+/// [`iterate`] a runtime substitutes. The threads copy every delivery out
+/// of its ring slot, log it and hand it to the application ([`Batch`]), and
+/// post the writes to the epoch's fabric. The simulator's ring slots hold
+/// no payload, so its sink charges each outcome to the cost model, counts
+/// and requeues messages by length, and keeps the writes for its engine to
+/// time and place. Generic, so each runtime's loop is compiled with its own
+/// sink inlined; a hook that only observes the predicates' outcomes can be
+/// one more implementation. The steps a sink may do nothing at have empty
+/// defaults, and the threads' posting is the default of [`post`](Self::post).
 pub(crate) trait PassSink {
     /// Whether ring slots carry payload words: the layout of every epoch
     /// the row enters (`materialize` of [`Plan::build`](crate::Plan::build)).
@@ -293,6 +295,15 @@ pub(crate) trait PassSink {
     /// Requeues the kept messages at the row `shared` holds, in the epoch it
     /// has entered, under its wedge: how many.
     fn resend<F: Fabric>(&mut self, shared: &NodeShared<F>) -> usize;
+
+    /// Sends `posts`, the writes of the row in `local`'s epoch in posting
+    /// order, leaving it empty: one [`Fabric::post_all`] — after the node
+    /// lock is released (§3.4), under it (baseline), or at a view change's
+    /// crash boundary.
+    fn post<F: Fabric>(&mut self, local: &EpochLocal<F>, posts: &mut Vec<WriteOp>) {
+        local.fabric.post_all(NodeId(local.sst.own_row()), posts);
+        posts.clear();
+    }
 
     /// After a pass, outside the node lock: its ordered deliveries to the
     /// durable log, and the persistence frontiers' writes into `posts`.
@@ -434,7 +445,7 @@ impl PassSink for Batch {
 /// touch).
 pub(crate) struct EpochLocal<F> {
     pub(crate) epoch: u64,
-    pub(super) sst: Sst,
+    pub(crate) sst: Sst,
     pub(crate) fabric: F,
     /// [`NodeInner::hb_peers`], and so the install barrier's other parties.
     pub(super) hb_peers: Vec<usize>,
@@ -470,9 +481,9 @@ pub(crate) struct ThreadState<F, S = Batch> {
     /// From the wedge to the unwedge: what [`node_pass`] steps instead of
     /// the subgroup passes.
     pub(super) transition: Option<Transition>,
-    /// The writes, in posting order: handed to the fabric in one
-    /// [`Fabric::post_all`] after the node lock is released (§3.4) or under
-    /// it (baseline).
+    /// The writes, in posting order: handed to the sink's
+    /// [`post`](PassSink::post) after the node lock is released (§3.4) or
+    /// under it (baseline).
     pub(crate) posts: Vec<WriteOp>,
     /// Where [`node_pass`] hands each subgroup's outcome.
     pub(crate) sink: S,
@@ -572,8 +583,7 @@ pub(crate) fn node_pass<F: Fabric, S: PassSink>(
                         // under the same lock: a local peer that can read them
                         // already suspects this row.
                         *crashed |= 1 << row;
-                        local.fabric.post_all(NodeId(row), posts);
-                        posts.clear();
+                        th.sink.post(local, posts);
                     }
                     _ => {}
                 }
@@ -652,8 +662,8 @@ pub(crate) enum Turn {
 /// `drives_engine`, see [`NodeShared::convict`]) its own detector's
 /// verdict, the [`wedge`]. `clock` — `Instant::now`, or the simulator's
 /// virtual one — is read only for a heartbeat or a transition. The threads'
-/// loop body and the simulator's iteration, each with its own [`PassSink`]
-/// and fabric.
+/// loop body and the simulator's iteration, each with its own [`PassSink`],
+/// which takes the iteration's writes too.
 pub(crate) fn iterate<F: Fabric, S: PassSink>(
     shared: &NodeShared<F>,
     th: &mut ThreadState<F, S>,
@@ -687,13 +697,11 @@ pub(crate) fn iterate<F: Fabric, S: PassSink>(
     }
     if !cfg.early_lock_release {
         // Baseline: post while holding the lock (§3.4's problem).
-        th.local.fabric.post_all(NodeId(row), &th.posts);
-        th.posts.clear();
+        th.sink.post(&th.local, &mut th.posts);
     }
     drop(inner);
     th.sink.persist(shared, &th.local, &mut th.posts);
-    th.local.fabric.post_all(NodeId(row), &th.posts);
-    th.posts.clear();
+    th.sink.post(&th.local, &mut th.posts);
     th.sink.publish(shared, &mut th.local);
     let now = || now.unwrap_or_else(&clock);
     match step.transition {
@@ -878,8 +886,8 @@ mod tests {
             let (shared, th) = (&self.shared[row], &mut self.threads[row]);
             let now = Some(self.t0 + at);
             let step = node_pass(shared, &mut shared.inner.lock(), th, now, bits, &self.cfg);
-            th.local.fabric.post_all(NodeId(row), &th.posts);
-            let posts = std::mem::take(&mut th.posts);
+            let posts = th.posts.clone();
+            th.sink.post(&th.local, &mut th.posts);
             let fresh = Batch::new(self.cfg.delivery_timing, false);
             (step, posts, std::mem::replace(&mut th.sink, fresh))
         }

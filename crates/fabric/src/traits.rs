@@ -38,10 +38,10 @@
 //!
 //! `spindle-core`'s simulated runtime is not a backend: its rows live on
 //! `MemFabric` regions and enter each epoch through
-//! [`MemFabric::begin_epoch`], but its fabric only records the posts, its
-//! discrete-event engine times each write and places it at its virtual
-//! arrival, and its faults are its own scheduled `SimFault`s, not a
-//! `FaultPlan`.
+//! [`MemFabric::begin_epoch`], but its writes never reach the fabric — the
+//! predicate loop hands them to the simulator's sink, its discrete-event
+//! engine times each write and places it at its virtual arrival — and its
+//! faults are its own scheduled `SimFault`s, not a `FaultPlan`.
 //!
 //! A fabric keeps **no counters of its own**. `post` is the hottest call in
 //! the program and every predicate thread makes it, so a tally shared by
@@ -158,24 +158,22 @@ pub trait Fabric: Clone + Send + Sync + 'static {
     /// # Panics
     ///
     /// Panics if a node id or the word range is out of bounds.
-    fn post(&self, src: NodeId, op: &WriteOp);
+    fn post(&self, src: NodeId, op: &WriteOp) {
+        self.post_all(src, std::slice::from_ref(op));
+    }
 
     /// Posts every write of `ops` from `src`, as if by [`Fabric::post`] in
     /// slice order: the predicate loop hands each pass's writes over in one
     /// call. Each destination's writes land in slice order (the
     /// per-destination fence); writes to different destinations carry no
     /// order, as with separate posts (§2.2), so a transport may send one
-    /// destination's share as one wire operation. The default posts one op
-    /// at a time.
+    /// destination's share as one wire operation. The one posting method a
+    /// transport implements: [`Fabric::post`] is the batch of one.
     ///
     /// # Panics
     ///
     /// As [`Fabric::post`], for any op of the batch.
-    fn post_all(&self, src: NodeId, ops: &[WriteOp]) {
-        for op in ops {
-            self.post(src, op);
-        }
-    }
+    fn post_all(&self, src: NodeId, ops: &[WriteOp]);
 
     /// The fault plan consulted on every post.
     fn faults(&self) -> &FaultPlan;
@@ -217,8 +215,10 @@ impl Fabric for MemFabric {
         MemFabric::region_arc(self, node)
     }
 
-    fn post(&self, src: NodeId, op: &WriteOp) {
-        MemFabric::post(self, src, op);
+    fn post_all(&self, src: NodeId, ops: &[WriteOp]) {
+        for op in ops {
+            MemFabric::post(self, src, op);
+        }
     }
 
     fn faults(&self) -> &FaultPlan {
@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(post_and_read(&f), 77);
         assert_eq!(Fabric::nodes(&f), 2);
         assert!(!Fabric::faults(&f).is_active());
-        // The default batch is its posts, a self-post among them a no-op.
+        // A batch is its posts, a self-post among them a no-op.
         let src = f.region_arc(NodeId(0));
         src.store(2, 5);
         src.store(3, 6);

@@ -115,10 +115,6 @@ impl Fabric for TcpFabricGroup {
         self.endpoints[node.0].region_arc(node)
     }
 
-    fn post(&self, src: NodeId, op: &WriteOp) {
-        self.endpoints[src.0].post(src, op);
-    }
-
     fn post_all(&self, src: NodeId, ops: &[WriteOp]) {
         self.endpoints[src.0].post_all(src, ops);
     }

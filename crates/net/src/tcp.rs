@@ -6,20 +6,20 @@
 //! the vendored [`netpoll`]) that owns the listener, every inbound
 //! stream, dial completions and outbound backlog flushes. A predicate
 //! pass hands its writes over at once ([`Fabric::post_all`]); for each
-//! destination, the endpoint snapshots the covered words from the local
-//! mirror (exactly when an RDMA NIC would DMA them), encodes that
-//! destination's frames, in posting order, into **one** buffer queued as
-//! one entry of its [`FrameQueue`], and — when the link is up — writes
-//! it to the socket *inline* from the posting thread (latency-greedy: no
-//! handoff, no wakeup). So the inline flush is one write per peer per
-//! pass, not one per frame. When the kernel pushes back or the link is
-//! down, entries accumulate in the queue and the poller drains the whole
-//! backlog as **one vectored write** per readiness (batch-greedy: the
-//! per-frame syscall cost amortizes away under load, the adaptive cadence
-//! the paper applies to SST pushes). Because each `(src, dst)` pair is a
-//! single ordered TCP byte stream fed from a single FIFO queue, two
-//! writes posted in order are placed in order: RDMA's per-QP fencing
-//! guarantee (§2.2) holds by construction.
+//! destination, the endpoint encodes that destination's frames, in
+//! posting order, into **one** buffer, each frame's words read from the
+//! local mirror straight into it (exactly when an RDMA NIC would DMA
+//! them), queues the buffer as one entry of its [`FrameQueue`], and —
+//! when the link is up — writes it to the socket *inline* from the
+//! posting thread (latency-greedy: no handoff, no wakeup). So the inline
+//! flush is one write per peer per pass, not one per frame. When the
+//! kernel pushes back or the link is down, entries accumulate in the queue
+//! and the poller drains the whole backlog as **one vectored write** per
+//! readiness (batch-greedy: the per-frame syscall cost amortizes away
+//! under load, the adaptive cadence the paper applies to SST pushes).
+//! Because each `(src, dst)` pair is a single ordered TCP byte stream fed
+//! from a single FIFO queue, two writes posted in order are placed in
+//! order: RDMA's per-QP fencing guarantee (§2.2) holds by construction.
 //!
 //! ## Faults at the wire layer
 //!
@@ -95,8 +95,8 @@ use spindle_obs::{FlightEvent, Level, ObsPlane};
 use crate::metrics::{WireMetrics, WireStats};
 use crate::sock::{accept_ready, drain_queue, read_available, DrainEnd, ReadEnd};
 use crate::wire::{
-    encode_hello, encode_write_frame, Frame, FrameAssembler, FrameQueue, Hello, WriteFrame,
-    MAX_FRAME_WORDS, PROTO_VERSION,
+    encode_hello, encode_write_header, Frame, FrameAssembler, FrameQueue, Hello, MAX_FRAME_WORDS,
+    PROTO_VERSION,
 };
 
 /// Hard cap on the rows a hostile `HELLO` can make the endpoint track
@@ -661,8 +661,7 @@ impl TcpFabric {
                 s.metrics.frames_dropped.inc();
                 continue;
             }
-            let words = mesh.region.snapshot(frame.range.start, frame.words());
-            encode_write_frame(&WriteFrame::for_op(&frame, words), &mut buf);
+            encode_frame_from(&mesh.region, &frame, &mut buf);
             frames += 1;
         }
         if frames == 0 {
@@ -686,6 +685,18 @@ impl TcpFabric {
             s.waker.wake();
         }
     }
+}
+
+/// Appends the `WRITE` frame of `frame` (at most [`MAX_FRAME_WORDS`]
+/// wide) to `buf`, its words read from `region` straight into the buffer:
+/// the post-time snapshot ([`Region::read_bytes`] loads in increasing
+/// address order and writes little-endian), with no copy in between.
+fn encode_frame_from(region: &Region, frame: &WriteOp, buf: &mut Vec<u8>) {
+    let (start, words) = (frame.range.start, frame.words());
+    encode_write_header(start as u64, frame.wire_bytes as u32, words, buf);
+    let at = buf.len();
+    buf.resize(at + words * 8, 0);
+    region.read_bytes(start, &mut buf[at..]);
 }
 
 /// The frames that carry `op`: itself, or — wider than one frame (a
@@ -717,10 +728,6 @@ impl Fabric for TcpFabric {
             s.me
         );
         Arc::clone(&s.mesh().region)
-    }
-
-    fn post(&self, src: NodeId, op: &WriteOp) {
-        self.post_all(src, std::slice::from_ref(op));
     }
 
     /// One entry and one inline flush per destination, in order of first
@@ -1398,6 +1405,8 @@ fn poller_loop(listener: TcpListener, shared: Arc<Shared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{encode_write_frame, WriteFrame};
+    use proptest::prelude::*;
     use spindle_obs::names;
     use std::io::{Read, Write};
 
@@ -1954,5 +1963,61 @@ mod tests {
         assert_eq!(writes[1].words[MAX_FRAME_WORDS - 1], max);
         assert_eq!(writes[2].words, [max + 1, 0, 0, 0, 0]);
         assert_eq!(writes[3].words, [1]);
+    }
+
+    /// `op`'s frames encoded from `region` by the post path.
+    fn encoded_from(region: &Region, op: &WriteOp) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for frame in frames_of(op) {
+            encode_frame_from(region, &frame, &mut buf);
+        }
+        buf
+    }
+
+    /// `op`'s frames encoded from snapshots of `region`'s words.
+    fn encoded_from_snapshots(region: &Region, op: &WriteOp) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for frame in frames_of(op) {
+            let words = region.snapshot(frame.range.start, frame.words());
+            encode_write_frame(&WriteFrame::for_op(&frame, words), &mut buf);
+        }
+        buf
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn a_frame_read_from_the_mirror_encodes_as_its_snapshot(
+            seed in any::<u64>(),
+            start in 0usize..200,
+            len in 1usize..56,
+            wire_bytes in 0usize..4096,
+        ) {
+            let region = Region::new(256);
+            for w in 0..256 {
+                region.store(w, (w as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            }
+            let mut op = WriteOp::new(NodeId(1), start..start + len);
+            op.wire_bytes = wire_bytes;
+            prop_assert_eq!(encoded_from(&region, &op), encoded_from_snapshots(&region, &op));
+        }
+    }
+
+    #[test]
+    fn a_split_write_read_from_the_mirror_encodes_as_its_snapshots() {
+        let wide = MAX_FRAME_WORDS + 5;
+        let region = Region::new(wide + 2);
+        for w in [0, 1, MAX_FRAME_WORDS, MAX_FRAME_WORDS + 1, wide, wide + 1] {
+            region.store(w, u64::MAX - w as u64);
+        }
+        let op = WriteOp::new(NodeId(1), 1..wide + 1);
+        assert_eq!(frames_of(&op).count(), 2);
+        let (got, want) = (
+            encoded_from(&region, &op),
+            encoded_from_snapshots(&region, &op),
+        );
+        assert_eq!(got.len(), want.len());
+        assert!(got == want, "the split frames' bytes differ");
     }
 }

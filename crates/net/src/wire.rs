@@ -383,21 +383,30 @@ pub fn encode_hello(h: &Hello, out: &mut Vec<u8>) -> usize {
 }
 
 /// Appends the encoding of one `WRITE`; returns the encoded size. Takes
-/// the frame by reference so the per-post hot path never clones the word
-/// snapshot.
+/// the frame by reference, so it never clones the word snapshot.
 pub fn encode_write_frame(w: &WriteFrame, out: &mut Vec<u8>) -> usize {
-    assert!(w.words.len() <= MAX_FRAME_WORDS, "write exceeds frame cap");
     let start = out.len();
-    let len = 17 + w.words.len() * 8;
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.push(KIND_WRITE);
-    out.extend_from_slice(&w.offset.to_le_bytes());
-    out.extend_from_slice(&w.wire_bytes.to_le_bytes());
-    out.extend_from_slice(&(w.words.len() as u32).to_le_bytes());
+    encode_write_header(w.offset, w.wire_bytes, w.words.len(), out);
     for word in &w.words {
         out.extend_from_slice(&word.to_le_bytes());
     }
     out.len() - start
+}
+
+/// Appends all of a `WRITE` but its words: the frame of `words` words at
+/// `offset`, accounted as `wire_bytes` on the wire. The words follow, each
+/// little-endian.
+///
+/// # Panics
+///
+/// Panics if `words` exceeds [`MAX_FRAME_WORDS`].
+pub fn encode_write_header(offset: u64, wire_bytes: u32, words: usize, out: &mut Vec<u8>) {
+    assert!(words <= MAX_FRAME_WORDS, "write exceeds frame cap");
+    out.extend_from_slice(&((17 + words * 8) as u32).to_le_bytes());
+    out.push(KIND_WRITE);
+    out.extend_from_slice(&offset.to_le_bytes());
+    out.extend_from_slice(&wire_bytes.to_le_bytes());
+    out.extend_from_slice(&(words as u32).to_le_bytes());
 }
 
 /// A bounds-checked body cursor for the variable-length join frames:
